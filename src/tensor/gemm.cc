@@ -354,8 +354,11 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
   // are packed per worker chunk. C rows are written by exactly one chunk
   // and the k blocks advance in the same serial order for every chunking,
   // so results are bit-identical for any thread count and grain.
+  // Panels are sized by the block they hold, not by the blocking caps: a
+  // shallow or short operand (conv's dCols GEMM has k = OC) must not grow
+  // every thread's arena to full kKC/kMC panels.
   ArenaScope scope;
-  float* bpack = scope.AllocFloats(kKC * CeilDiv(n, kNR) * kNR);
+  float* bpack = scope.AllocFloats(std::min(k, kKC) * CeilDiv(n, kNR) * kNR);
   const int64_t grain = std::max(kMC, RowGrain(n * k, 1 << 18));
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
@@ -364,7 +367,8 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
     const bool last = pc + kc >= k;
     ParallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
       ArenaScope worker_scope;
-      float* apack = worker_scope.AllocFloats(kMC * kc);
+      float* apack = worker_scope.AllocFloats(
+          CeilDiv(std::min(kMC, r1 - r0), kMR) * kMR * kc);
       alignas(64) float acc[kMR * kNR];
       for (int64_t ic = r0; ic < r1; ic += kMC) {
         const int64_t mb = std::min(kMC, r1 - ic);

@@ -16,7 +16,7 @@ namespace edde {
 namespace {
 
 // Row-grain targeting roughly `target_work` scalar ops per chunk, so tiny
-// tensors (tests, per-sample gemms) take the serial path inside ParallelFor
+// tensors (tests, small gemms) take the serial path inside ParallelFor
 // and stay bit-identical to the pre-threading implementation. Row-parallel
 // kernels write disjoint rows and keep the serial accumulation order within
 // each row, so results are bit-identical for every thread count anyway; the
@@ -208,22 +208,21 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void Im2Col(const float* input, int64_t channels, int64_t height,
-            int64_t width, const ConvGeom& geom, float* cols) {
+void Im2Col(const float* input, int64_t batch, int64_t channels,
+            int64_t height, int64_t width, const ConvGeom& geom, float* cols) {
   const int64_t oh = geom.OutExtent(height);
   const int64_t ow = geom.OutExtent(width);
   const int64_t k = geom.kernel;
-  // Each unrolled row (c, ky, kx) writes a disjoint stripe of `cols`, so the
-  // rows parallelize freely.
-  const int64_t num_rows = channels * k * k;
-  ParallelFor(0, num_rows, RowGrain(oh * ow, 1 << 14),
-              [&](int64_t r0, int64_t r1) {
-    for (int64_t row = r0; row < r1; ++row) {
-      const int64_t c = row / (k * k);
-      const int64_t ky = (row / k) % k;
-      const int64_t kx = row % k;
-      const float* img = input + c * height * width;
-      float* out_row = cols + row * oh * ow;
+  const int64_t plane = oh * ow;
+  // Serial: the Conv2d kernels cap a block at 32 Ki floats of columns
+  // (Conv2dBlockSamples), too little copying to pay for a pool region.
+  for (int64_t row = 0; row < channels * k * k; ++row) {
+    const int64_t c = row / (k * k);
+    const int64_t ky = (row / k) % k;
+    const int64_t kx = row % k;
+    for (int64_t s = 0; s < batch; ++s) {
+      const float* img = input + (s * channels + c) * height * width;
+      float* out_row = cols + (row * batch + s) * plane;
       for (int64_t y = 0; y < oh; ++y) {
         const int64_t iy = y * geom.stride + ky - geom.padding;
         if (iy < 0 || iy >= height) {
@@ -237,26 +236,26 @@ void Im2Col(const float* input, int64_t channels, int64_t height,
         }
       }
     }
-  });
+  }
 }
 
-void Col2Im(const float* cols, int64_t channels, int64_t height,
-            int64_t width, const ConvGeom& geom, float* input_grad) {
+void Col2Im(const float* cols, int64_t batch, int64_t channels,
+            int64_t height, int64_t width, const ConvGeom& geom,
+            float* input_grad) {
   const int64_t oh = geom.OutExtent(height);
   const int64_t ow = geom.OutExtent(width);
   const int64_t k = geom.kernel;
-  // Kernel offsets of one channel accumulate into overlapping pixels, so
-  // parallelism stops at the channel level: channels own disjoint image
-  // planes and the (ky, kx, y) accumulation order within a channel stays
-  // serial — bit-identical for every thread count.
-  ParallelFor(0, channels, RowGrain(k * k * oh * ow, 1 << 14),
-              [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      float* img = input_grad + c * height * width;
+  const int64_t plane = oh * ow;
+  // Kernel offsets of one channel accumulate into overlapping pixels; each
+  // pixel sums its (ky, kx, y, x) contributions in that fixed order, the
+  // same for any block size.
+  for (int64_t s = 0; s < batch; ++s) {
+    for (int64_t c = 0; c < channels; ++c) {
+      float* img = input_grad + (s * channels + c) * height * width;
       int64_t row = c * k * k;
       for (int64_t ky = 0; ky < k; ++ky) {
         for (int64_t kx = 0; kx < k; ++kx, ++row) {
-          const float* in_row = cols + row * oh * ow;
+          const float* in_row = cols + (row * batch + s) * plane;
           for (int64_t y = 0; y < oh; ++y) {
             const int64_t iy = y * geom.stride + ky - geom.padding;
             if (iy < 0 || iy >= height) continue;
@@ -269,82 +268,108 @@ void Col2Im(const float* cols, int64_t channels, int64_t height,
         }
       }
     }
-  });
+  }
 }
 
-Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const ConvGeom& geom) {
+int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
+                           int64_t width) {
+  constexpr int64_t kColsBudget = 32 * 1024;  // floats
+  const int64_t per_sample = geom.in_channels * geom.kernel * geom.kernel *
+                             geom.OutExtent(height) * geom.OutExtent(width);
+  return std::max<int64_t>(1, kColsBudget / std::max<int64_t>(1, per_sample));
+}
+
+namespace {
+
+// Moves `bn` samples between NCHW (bn, C, P) and the im2col GEMM's
+// channel-major (C, bn·P) layout, where each channel row holds the block's
+// planes side by side.
+void TransposeBlock(const float* src, int64_t bn, int64_t channels,
+                    int64_t plane, bool to_nchw, float* dst) {
+  for (int64_t s = 0; s < bn; ++s) {
+    for (int64_t c = 0; c < channels; ++c) {
+      const int64_t nchw = (s * channels + c) * plane;
+      const int64_t cm = (c * bn + s) * plane;
+      std::memcpy(dst + (to_nchw ? nchw : cm), src + (to_nchw ? cm : nchw),
+                  sizeof(float) * static_cast<size_t>(plane));
+    }
+  }
+}
+
+// Common body of the two forward convolutions. Each sample block is
+// unrolled by one Im2Col, multiplied by `gemm(cols, ncols, out2d)` into
+// channel-major scratch and copied into the NCHW output. Blocks run
+// serially, so scratch stays at one block on one thread's arena; a batch
+// that fits one block (every training batch of the tiny models) is a
+// single GEMM and opens no pool region unless the GEMM itself is large.
+template <typename BlockGemm>
+Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
+                            const BlockGemm& gemm) {
   EDDE_CHECK_EQ(input.shape().rank(), 4);
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = input.shape().dim(1);
   const int64_t h = input.shape().dim(2);
   const int64_t w = input.shape().dim(3);
   EDDE_CHECK_EQ(cin, geom.in_channels);
-  EDDE_CHECK_EQ(weight.shape().dim(0), geom.out_channels);
-  const int64_t oh = geom.OutExtent(h);
-  const int64_t ow = geom.OutExtent(w);
+  const int64_t oc = geom.out_channels;
+  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
   const int64_t cols_rows = cin * geom.kernel * geom.kernel;
+  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
-  Tensor output(Shape{batch, geom.out_channels, oh, ow});
-  const float* w2d = weight.data();  // (OC, C*k*k) view of the kernel
+  Tensor output(Shape{batch, oc, geom.OutExtent(h), geom.OutExtent(w)});
+  ArenaScope scope;
+  float* cols = scope.AllocFloats(cols_rows * block * plane);
+  float* out2d = scope.AllocFloats(oc * block * plane);
+  for (int64_t n0 = 0; n0 < batch; n0 += block) {
+    const int64_t bn = std::min(block, batch - n0);
+    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
+    gemm(cols, bn * plane, out2d);
+    TransposeBlock(out2d, bn, oc, plane, /*to_nchw=*/true,
+                   output.data() + n0 * oc * plane);
+  }
+  return output;
+}
+
+}  // namespace
+
+Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
+                     const Tensor& bias, const ConvGeom& geom) {
+  EDDE_CHECK_EQ(weight.shape().dim(0), geom.out_channels);
+  const int64_t cols_rows = geom.in_channels * geom.kernel * geom.kernel;
   GemmEpilogue epi;
   if (!bias.empty()) {
     // Output rows are channels, so the bias broadcast is per C row and the
-    // gemm writes finished activations — no second pass, no out2d staging.
+    // gemm writes finished activations; only the NCHW row copy follows.
     epi.bias = GemmEpilogue::Bias::kPerRow;
     epi.bias_data = bias.data();
   }
-  // Samples are independent: parallelize the batch loop with per-chunk
-  // arena scratch. The nested Im2Col/GemmRaw calls detect they are inside a
-  // parallel region and run serially, so there is no oversubscription.
-  ParallelFor(0, batch, 1, [&](int64_t n0, int64_t n1) {
-    ArenaScope scope;
-    float* cols = scope.AllocFloats(cols_rows * oh * ow);
-    for (int64_t n = n0; n < n1; ++n) {
-      Im2Col(input.data() + n * cin * h * w, cin, h, w, geom, cols);
-      GemmRaw(false, false, geom.out_channels, oh * ow, cols_rows, 1.0f, w2d,
-              cols_rows, cols, oh * ow, 0.0f,
-              output.data() + n * geom.out_channels * oh * ow, oh * ow, epi);
-    }
-  });
-  return output;
+  // out2d = W (OC, C·k²) @ cols (C·k², ncols).
+  return Conv2dForwardBlocked(
+      input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
+        GemmRaw(false, false, geom.out_channels, ncols, cols_rows, 1.0f,
+                weight.data(), cols_rows, cols, ncols, 0.0f, out2d, ncols,
+                epi);
+      });
 }
 
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
                          const Tensor& bias, const ConvGeom& geom) {
-  EDDE_CHECK_EQ(input.shape().rank(), 4);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  EDDE_CHECK_EQ(cin, geom.in_channels);
   EDDE_CHECK_EQ(weight.rows, geom.out_channels);
-  const int64_t oh = geom.OutExtent(h);
-  const int64_t ow = geom.OutExtent(w);
-  const int64_t cols_rows = cin * geom.kernel * geom.kernel;
+  const int64_t cols_rows = geom.in_channels * geom.kernel * geom.kernel;
   EDDE_CHECK_EQ(weight.cols, cols_rows);
-
-  Tensor output(Shape{batch, geom.out_channels, oh, ow});
   GemmEpilogue epi;
   if (!bias.empty()) {
     epi.bias = GemmEpilogue::Bias::kPerRow;
     epi.bias_data = bias.data();
   }
-  ParallelFor(0, batch, 1, [&](int64_t n0, int64_t n1) {
-    ArenaScope scope;
-    float* cols = scope.AllocFloats(cols_rows * oh * ow);
-    for (int64_t n = n0; n < n1; ++n) {
-      Im2Col(input.data() + n * cin * h * w, cin, h, w, geom, cols);
-      // The im2col buffer is (C·k², OH·OW); trans_a reads its columns as
-      // activation rows and trans_c lands the result directly in the
-      // (OC, OH·OW) output layout — same shape algebra as Conv2dForward's
-      // GemmRaw call with both operands flipped.
-      GemmInt8(/*trans_a=*/true, /*trans_c=*/true, oh * ow, cols_rows, cols,
-               oh * ow, weight, output.data() + n * geom.out_channels * oh * ow,
-               oh * ow, epi);
-    }
-  });
-  return output;
+  // trans_a reads the columns of cols as activation rows (one per output
+  // pixel, quantized on its own) and trans_c lands the result in the same
+  // (OC, ncols) layout as the fp32 GemmRaw call.
+  return Conv2dForwardBlocked(
+      input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
+        GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
+                 ncols, weight, out2d, ncols, epi);
+      });
 }
 
 Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
@@ -354,38 +379,45 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
   const int64_t cin = input.shape().dim(1);
   const int64_t h = input.shape().dim(2);
   const int64_t w = input.shape().dim(3);
-  const int64_t oh = geom.OutExtent(h);
-  const int64_t ow = geom.OutExtent(w);
+  const int64_t oc = geom.out_channels;
+  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
   const int64_t cols_rows = cin * geom.kernel * geom.kernel;
+  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
   Tensor grad_input(input.shape(), 0.0f);
   ArenaScope scope;
-  float* cols = scope.AllocFloats(cols_rows * oh * ow);
-  float* grad_cols = scope.AllocFloats(cols_rows * oh * ow);
+  float* cols = scope.AllocFloats(cols_rows * block * plane);
+  float* grad_cols = scope.AllocFloats(cols_rows * block * plane);
+  float* go2d = scope.AllocFloats(oc * block * plane);
   const float* w2d = weight.data();       // (OC, C*k*k)
   float* wg2d = weight_grad->data();      // (OC, C*k*k)
 
-  for (int64_t n = 0; n < batch; ++n) {
-    // One sample of dY is already a contiguous (OC, OH*OW) matrix; use it
-    // in place instead of staging a go2d copy.
-    const float* go = grad_out.data() + n * geom.out_channels * oh * ow;
+  // Blocks run serially in batch order: dW accumulates across them.
+  for (int64_t n0 = 0; n0 < batch; n0 += block) {
+    const int64_t bn = std::min(block, batch - n0);
+    const int64_t ncols = bn * plane;
+    TransposeBlock(grad_out.data() + n0 * oc * plane, bn, oc, plane,
+                   /*to_nchw=*/false, go2d);
 
     // dW += dY @ cols^T
-    Im2Col(input.data() + n * cin * h * w, cin, h, w, geom, cols);
-    GemmRaw(false, true, geom.out_channels, cols_rows, oh * ow, 1.0f, go,
-            oh * ow, cols, oh * ow, 1.0f, wg2d, cols_rows);
+    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
+    GemmRaw(false, true, oc, cols_rows, ncols, 1.0f, go2d, ncols, cols,
+            ncols, 1.0f, wg2d, cols_rows);
 
     // dCols = W^T @ dY ; dX = col2im(dCols)
-    GemmRaw(true, false, cols_rows, oh * ow, geom.out_channels, 1.0f, w2d,
-            cols_rows, go, oh * ow, 0.0f, grad_cols, oh * ow);
-    Col2Im(grad_cols, cin, h, w, geom, grad_input.data() + n * cin * h * w);
+    GemmRaw(true, false, cols_rows, ncols, oc, 1.0f, w2d, cols_rows, go2d,
+            ncols, 0.0f, grad_cols, ncols);
+    Col2Im(grad_cols, bn, cin, h, w, geom,
+           grad_input.data() + n0 * cin * h * w);
+  }
 
-    if (bias_grad != nullptr && !bias_grad->empty()) {
-      for (int64_t oc = 0; oc < geom.out_channels; ++oc) {
+  if (bias_grad != nullptr && !bias_grad->empty()) {
+    for (int64_t n = 0; n < batch; ++n) {
+      for (int64_t c = 0; c < oc; ++c) {
         double acc = 0.0;
-        const float* ochan = go + oc * oh * ow;
-        for (int64_t i = 0; i < oh * ow; ++i) acc += ochan[i];
-        bias_grad->data()[oc] += static_cast<float>(acc);
+        const float* ochan = grad_out.data() + (n * oc + c) * plane;
+        for (int64_t i = 0; i < plane; ++i) acc += ochan[i];
+        bias_grad->data()[c] += static_cast<float>(acc);
       }
     }
   }

@@ -96,15 +96,25 @@ struct ConvGeom {
   }
 };
 
-/// Unrolls one sample (C, H, W) into columns (C*k*k, OH*OW) for gemm-based
-/// convolution. `cols` must be preallocated with that shape.
-void Im2Col(const float* input, int64_t channels, int64_t height,
-            int64_t width, const ConvGeom& geom, float* cols);
+/// Unrolls `batch` consecutive samples (N, C, H, W) into one column block
+/// (C*k*k, N*OH*OW) for gemm-based convolution: sample s fills columns
+/// [s*OH*OW, (s+1)*OH*OW). `cols` must be preallocated with that shape.
+void Im2Col(const float* input, int64_t batch, int64_t channels,
+            int64_t height, int64_t width, const ConvGeom& geom, float* cols);
 
-/// Adjoint of Im2Col: accumulates columns (C*k*k, OH*OW) back into the
-/// (C, H, W) image. `input_grad` must be zeroed by the caller beforehand.
-void Col2Im(const float* cols, int64_t channels, int64_t height,
-            int64_t width, const ConvGeom& geom, float* input_grad);
+/// Adjoint of Im2Col: accumulates a column block (C*k*k, N*OH*OW) back into
+/// the N (C, H, W) images. `input_grad` must be zeroed by the caller
+/// beforehand.
+void Col2Im(const float* cols, int64_t batch, int64_t channels,
+            int64_t height, int64_t width, const ConvGeom& geom,
+            float* input_grad);
+
+/// Samples per im2col block of the Conv2d kernels: as many as keep the
+/// block's columns within 32 Ki floats, and at least one. A function of
+/// the shapes only — never of the batch or the thread count — so the
+/// blocking, and with it every result, is the same on any pool.
+int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
+                           int64_t width);
 
 /// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, k, k),
 /// optional bias (OC) -> output (N, OC, OH, OW).
@@ -119,6 +129,8 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
 
 /// Backward 2-D convolution. Accumulates into weight_grad/bias_grad
 /// (callers zero them at the start of each step) and returns input gradient.
+/// Sample blocks run in a fixed serial order, so weight_grad is the same at
+/// any thread count.
 Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
                       const Tensor& grad_out, const ConvGeom& geom,
                       Tensor* weight_grad, Tensor* bias_grad);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,7 +9,11 @@
 #include "core/edde.h"
 #include "ensemble/bagging.h"
 #include "ensemble/trainer.h"
+#include "nn/loss.h"
 #include "nn/mlp.h"
+#include "nn/resnet.h"
+#include "optim/sgd.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 #include "utils/metrics.h"
 #include "utils/threadpool.h"
@@ -228,6 +233,91 @@ TEST_F(ParallelDeterminismTest, BetaProbeIdenticalAcrossThreadCounts) {
                      threaded.points[i].acc_seen_fold);
     EXPECT_DOUBLE_EQ(serial.points[i].acc_unseen_fold,
                      threaded.points[i].acc_unseen_fold);
+  }
+}
+
+// A conv member trained on a batch that spans several im2col sample blocks.
+// The blocking depends on layer shapes only, so the thread count must not
+// change a single bit of the parameters.
+std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
+  SetNumThreads(threads);
+  ResNetConfig cfg;
+  cfg.depth = 8;
+  cfg.base_width = 4;
+  cfg.num_classes = 5;
+  auto net = std::make_unique<ResNet>(cfg, 17);
+  Rng rng(23);
+  Tensor x(Shape{48, 3, 8, 8});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  std::vector<int> labels(48);
+  for (int& label : labels) label = static_cast<int>(rng.UniformInt(5));
+  Sgd sgd(net.get(), SgdConfig{});
+  for (int step = 0; step < 3; ++step) {
+    net->ZeroGrad();
+    const LossResult loss =
+        SoftmaxCrossEntropyLoss(net->Forward(x, true), labels);
+    net->Backward(loss.grad_logits);
+    sgd.Step();
+  }
+  return net;
+}
+
+TEST_F(ParallelDeterminismTest, ResNetTrainingIdenticalAcrossThreadCounts) {
+  ConvGeom stem;
+  stem.in_channels = 3;
+  stem.out_channels = 4;
+  ASSERT_LT(Conv2dBlockSamples(stem, 8, 8), 48) << "batch must span blocks";
+  std::unique_ptr<ResNet> serial = TrainResNetSteps(1);
+  std::unique_ptr<ResNet> threaded = TrainResNetSteps(4);
+  ExpectIdenticalParameters(serial.get(), threaded.get());
+}
+
+TEST_F(ParallelDeterminismTest, Conv2dBlockedBatchMatchesSingleSamples) {
+  // Forward outputs and input gradients do not depend on how samples are
+  // grouped into im2col blocks: each element keeps its GEMM depth order.
+  ConvGeom g;
+  g.in_channels = 5;
+  g.out_channels = 6;
+  g.stride = 2;
+  const int64_t h = 11, w = 9;
+  const int64_t block = Conv2dBlockSamples(g, h, w);
+  ASSERT_GT(block, 1);
+  const int64_t batch = 3 * block + 2;
+  Rng rng(41);
+  Tensor x(Shape{batch, g.in_channels, h, w});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor weight(Shape{g.out_channels, g.in_channels, 3, 3});
+  weight.FillNormal(&rng, 0.0f, 0.3f);
+  Tensor bias(Shape{g.out_channels});
+  bias.FillNormal(&rng, 0.0f, 1.0f);
+
+  SetNumThreads(4);
+  const Tensor y = Conv2dForward(x, weight, bias, g);
+  Tensor dy(y.shape());
+  dy.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
+  const Tensor dx = Conv2dBackward(x, weight, dy, g, &wg, &bg);
+
+  SetNumThreads(1);
+  const int64_t x_size = x.num_elements() / batch;
+  const int64_t y_size = y.num_elements() / batch;
+  for (int64_t n = 0; n < batch; ++n) {
+    Tensor x1(Shape{1, g.in_channels, h, w});
+    std::copy(x.data() + n * x_size, x.data() + (n + 1) * x_size, x1.data());
+    Tensor dy1(Shape{1, y.shape().dim(1), y.shape().dim(2), y.shape().dim(3)});
+    std::copy(dy.data() + n * y_size, dy.data() + (n + 1) * y_size,
+              dy1.data());
+    const Tensor y1 = Conv2dForward(x1, weight, bias, g);
+    Tensor wg1(weight.shape(), 0.0f), bg1(bias.shape(), 0.0f);
+    const Tensor dx1 = Conv2dBackward(x1, weight, dy1, g, &wg1, &bg1);
+    for (int64_t i = 0; i < y_size; ++i) {
+      ASSERT_EQ(y1.data()[i], y.data()[n * y_size + i])
+          << "sample " << n << " output " << i;
+    }
+    for (int64_t i = 0; i < x_size; ++i) {
+      ASSERT_EQ(dx1.data()[i], dx.data()[n * x_size + i])
+          << "sample " << n << " input gradient " << i;
+    }
   }
 }
 

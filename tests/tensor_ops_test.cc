@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "tensor/ops.h"
+#include "tensor/quantize.h"
 #include "tensor/rng.h"
 
 namespace edde {
@@ -173,71 +176,6 @@ TEST(RowL2DistanceTest, MatchesManualNorm) {
 // Convolution
 // ---------------------------------------------------------------------------
 
-// Direct convolution reference.
-Tensor NaiveConv2d(const Tensor& input, const Tensor& weight,
-                   const Tensor& bias, const ConvGeom& g) {
-  const int64_t batch = input.shape().dim(0);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  const int64_t oh = g.OutExtent(h);
-  const int64_t ow = g.OutExtent(w);
-  Tensor out(Shape{batch, g.out_channels, oh, ow}, 0.0f);
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t oc = 0; oc < g.out_channels; ++oc) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          double acc = bias.empty() ? 0.0 : bias.at(oc);
-          for (int64_t ic = 0; ic < g.in_channels; ++ic) {
-            for (int64_t ky = 0; ky < g.kernel; ++ky) {
-              for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t iy = y * g.stride + ky - g.padding;
-                const int64_t ix = x * g.stride + kx - g.padding;
-                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-                acc += static_cast<double>(input.at(n, ic, iy, ix)) *
-                       weight.data()[((oc * g.in_channels + ic) * g.kernel +
-                                      ky) *
-                                         g.kernel +
-                                     kx];
-              }
-            }
-          }
-          out.at(n, oc, y, x) = static_cast<float>(acc);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-class Conv2dOpTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
-
-TEST_P(Conv2dOpTest, ForwardMatchesNaive) {
-  const auto [cin, cout, stride, padding] = GetParam();
-  Rng rng(31);
-  ConvGeom g;
-  g.in_channels = cin;
-  g.out_channels = cout;
-  g.kernel = 3;
-  g.stride = stride;
-  g.padding = padding;
-  Tensor input = RandomTensor(Shape{2, cin, 6, 6}, &rng);
-  Tensor weight = RandomTensor(Shape{cout, cin, 3, 3}, &rng);
-  Tensor bias = RandomTensor(Shape{cout}, &rng);
-  Tensor got = Conv2dForward(input, weight, bias, g);
-  Tensor want = NaiveConv2d(input, weight, bias, g);
-  ASSERT_EQ(got.shape(), want.shape());
-  for (int64_t i = 0; i < got.num_elements(); ++i) {
-    EXPECT_NEAR(got.at(i), want.at(i), 1e-3);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Geometries, Conv2dOpTest,
-                         ::testing::Combine(::testing::Values(1, 3),
-                                            ::testing::Values(1, 4),
-                                            ::testing::Values(1, 2),
-                                            ::testing::Values(0, 1)));
-
 TEST(Im2ColTest, Col2ImIsAdjoint) {
   // <im2col(x), y> == <x, col2im(y)> certifies the backward pass wiring.
   Rng rng(33);
@@ -249,13 +187,245 @@ TEST(Im2ColTest, Col2ImIsAdjoint) {
   g.padding = 1;
   const int64_t h = 5, w = 5;
   const int64_t oh = g.OutExtent(h), ow = g.OutExtent(w);
-  Tensor x = RandomTensor(Shape{2, h, w}, &rng);
-  Tensor y = RandomTensor(Shape{2 * 3 * 3, oh * ow}, &rng);
-  Tensor cols(Shape{2 * 3 * 3, oh * ow});
-  Im2Col(x.data(), 2, h, w, g, cols.data());
-  Tensor xgrad(Shape{2, h, w}, 0.0f);
-  Col2Im(y.data(), 2, h, w, g, xgrad.data());
+  const int64_t batch = 3;  // one column block of three samples
+  Tensor x = RandomTensor(Shape{batch, 2, h, w}, &rng);
+  Tensor y = RandomTensor(Shape{2 * 3 * 3, batch * oh * ow}, &rng);
+  Tensor cols(Shape{2 * 3 * 3, batch * oh * ow});
+  Im2Col(x.data(), batch, 2, h, w, g, cols.data());
+  Tensor xgrad(Shape{batch, 2, h, w}, 0.0f);
+  Col2Im(y.data(), batch, 2, h, w, g, xgrad.data());
   EXPECT_NEAR(Dot(cols, y), Dot(x, xgrad), 1e-2);
+}
+
+// ---------------------------------------------------------------------------
+// Conv2d differential checker: the blocked im2col kernels against a float64
+// reference on random and degenerate shapes
+// ---------------------------------------------------------------------------
+
+struct ConvCase {
+  int64_t batch, cin, cout, h, w, kernel, stride, padding;
+};
+
+ConvGeom GeomOf(const ConvCase& c) {
+  ConvGeom g;
+  g.in_channels = c.cin;
+  g.out_channels = c.cout;
+  g.kernel = c.kernel;
+  g.stride = c.stride;
+  g.padding = c.padding;
+  return g;
+}
+
+// Float64 forward output and, for an upstream gradient dY, the input,
+// weight and bias gradients. Each value carries the sum of the absolute
+// values of its terms (`*_mag`), which scales the error bound.
+struct ConvReference {
+  std::vector<double> y, y_mag, dx, dx_mag, dw, dw_mag, db, db_mag;
+};
+
+ConvReference NaiveConv2dReference(const Tensor& input, const Tensor& weight,
+                                   const Tensor& bias, const Tensor& grad_out,
+                                   const ConvGeom& g) {
+  const int64_t batch = input.shape().dim(0);
+  const int64_t h = input.shape().dim(2);
+  const int64_t w = input.shape().dim(3);
+  const int64_t oh = g.OutExtent(h);
+  const int64_t ow = g.OutExtent(w);
+  const int64_t k = g.kernel;
+  ConvReference ref;
+  ref.y.assign(static_cast<size_t>(grad_out.num_elements()), 0.0);
+  ref.y_mag = ref.y;
+  ref.dx.assign(static_cast<size_t>(input.num_elements()), 0.0);
+  ref.dx_mag = ref.dx;
+  ref.dw.assign(static_cast<size_t>(weight.num_elements()), 0.0);
+  ref.dw_mag = ref.dw;
+  ref.db.assign(static_cast<size_t>(g.out_channels), 0.0);
+  ref.db_mag = ref.db;
+  for (int64_t n = 0; n < batch; ++n) {
+    for (int64_t oc = 0; oc < g.out_channels; ++oc) {
+      for (int64_t y = 0; y < oh; ++y) {
+        for (int64_t x = 0; x < ow; ++x) {
+          const size_t o =
+              static_cast<size_t>(((n * g.out_channels + oc) * oh + y) * ow + x);
+          const double go = grad_out.data()[o];
+          double acc = bias.empty() ? 0.0 : bias.data()[oc];
+          double mag = std::fabs(acc);
+          ref.db[oc] += go;
+          ref.db_mag[oc] += std::fabs(go);
+          for (int64_t ic = 0; ic < g.in_channels; ++ic) {
+            for (int64_t ky = 0; ky < k; ++ky) {
+              for (int64_t kx = 0; kx < k; ++kx) {
+                const int64_t iy = y * g.stride + ky - g.padding;
+                const int64_t ix = x * g.stride + kx - g.padding;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                const size_t xi = static_cast<size_t>(
+                    ((n * g.in_channels + ic) * h + iy) * w + ix);
+                const size_t wi = static_cast<size_t>(
+                    ((oc * g.in_channels + ic) * k + ky) * k + kx);
+                const double xv = input.data()[xi];
+                const double wv = weight.data()[wi];
+                acc += xv * wv;
+                mag += std::fabs(xv * wv);
+                ref.dw[wi] += go * xv;
+                ref.dw_mag[wi] += std::fabs(go * xv);
+                ref.dx[xi] += go * wv;
+                ref.dx_mag[xi] += std::fabs(go * wv);
+              }
+            }
+          }
+          ref.y[o] = acc;
+          ref.y_mag[o] = mag;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// Float32 error bound for a sum of at most `terms` rounded products,
+// accumulated in any order and any blocking, with or without FMA:
+// (terms + 1)·u·Σ|terms| with u = 2⁻²⁴.
+void ExpectWithinF32Bound(const Tensor& got, const std::vector<double>& want,
+                          const std::vector<double>& mag, int64_t terms,
+                          const char* what) {
+  ASSERT_EQ(static_cast<size_t>(got.num_elements()), want.size()) << what;
+  const double u = std::ldexp(1.0, -24);
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_LE(std::fabs(got.data()[i] - want[i]), (terms + 1) * u * mag[i])
+        << what << " element " << i << ": got " << got.data()[i] << ", want "
+        << want[i];
+  }
+}
+
+void CheckConvAgainstReference(const ConvCase& c, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "batch " << c.batch << " cin " << c.cin << " cout " << c.cout
+               << " " << c.h << "x" << c.w << " k " << c.kernel << " stride "
+               << c.stride << " pad " << c.padding);
+  const ConvGeom g = GeomOf(c);
+  const int64_t oh = g.OutExtent(c.h), ow = g.OutExtent(c.w);
+  ASSERT_GT(oh, 0);
+  ASSERT_GT(ow, 0);
+  Rng rng(seed);
+  const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+  const Tensor weight =
+      RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+  const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
+  const Tensor grad_out = RandomTensor(Shape{c.batch, c.cout, oh, ow}, &rng);
+  const ConvReference ref =
+      NaiveConv2dReference(input, weight, bias, grad_out, g);
+
+  const Tensor y = Conv2dForward(input, weight, bias, g);
+  ASSERT_EQ(y.shape(), Shape({c.batch, c.cout, oh, ow}));
+  ExpectWithinF32Bound(y, ref.y, ref.y_mag, c.cin * c.kernel * c.kernel + 1,
+                       "y");
+
+  Tensor wg(weight.shape(), 0.0f);
+  Tensor bg(Shape{c.cout}, 0.0f);
+  const Tensor dx = Conv2dBackward(input, weight, grad_out, g, &wg, &bg);
+  ASSERT_EQ(dx.shape(), input.shape());
+  ExpectWithinF32Bound(dx, ref.dx, ref.dx_mag,
+                       c.cout * c.kernel * c.kernel, "dx");
+  ExpectWithinF32Bound(wg, ref.dw, ref.dw_mag, c.batch * oh * ow, "dw");
+  ExpectWithinF32Bound(bg, ref.db, ref.db_mag, c.batch * oh * ow, "db");
+}
+
+class Conv2dOpTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+TEST_P(Conv2dOpTest, MatchesFloat64Reference) {
+  const auto [cin, cout, stride, padding] = GetParam();
+  CheckConvAgainstReference({2, cin, cout, 6, 6, 3, stride, padding}, 31);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, Conv2dOpTest,
+                         ::testing::Combine(::testing::Values(1, 3),
+                                            ::testing::Values(1, 4),
+                                            ::testing::Values(1, 2),
+                                            ::testing::Values(0, 1)));
+
+TEST(Conv2dDifferentialTest, DegenerateShapes) {
+  const ConvCase cases[] = {
+      {1, 3, 4, 6, 6, 3, 1, 1},  // batch 1
+      {3, 2, 3, 1, 1, 3, 1, 1},  // 1x1 spatial, padded 3x3 kernel
+      {2, 3, 2, 1, 1, 1, 1, 0},  // 1x1 spatial, 1x1 kernel
+      {2, 2, 3, 7, 8, 2, 3, 0},  // stride > kernel
+      {3, 4, 5, 5, 4, 1, 1, 0},  // k = 1
+      {2, 1, 2, 5, 5, 1, 2, 0},  // k = 1 with stride
+      {2, 5, 7, 5, 5, 3, 1, 1},  // odd channel counts
+      {2, 3, 3, 6, 6, 3, 1, 0},  // padding 0
+      {2, 3, 3, 3, 3, 3, 2, 0},  // padding 0, single output pixel
+  };
+  uint64_t seed = 500;
+  for (const ConvCase& c : cases) CheckConvAgainstReference(c, ++seed);
+}
+
+TEST(Conv2dDifferentialTest, RandomShapes) {
+  Rng shapes(77);
+  for (int trial = 0; trial < 24; ++trial) {
+    ConvCase c;
+    c.batch = 1 + shapes.UniformInt(5);
+    c.cin = 1 + shapes.UniformInt(6);
+    c.cout = 1 + shapes.UniformInt(7);
+    c.kernel = 1 + shapes.UniformInt(3);
+    c.stride = 1 + shapes.UniformInt(3);
+    c.padding = shapes.UniformInt(c.kernel);
+    // Input extents at least the kernel, so the output is never empty.
+    c.h = c.kernel + shapes.UniformInt(8);
+    c.w = c.kernel + shapes.UniformInt(8);
+    CheckConvAgainstReference(c, 900 + trial);
+  }
+}
+
+TEST(Conv2dDifferentialTest, BatchSpanningSeveralBlocksWithPartialTail) {
+  ConvCase c{0, 8, 4, 12, 12, 3, 1, 1};
+  const int64_t block = Conv2dBlockSamples(GeomOf(c), c.h, c.w);
+  ASSERT_GT(block, 1);
+  c.batch = 2 * block + 1;  // two full blocks and a one-sample tail
+  CheckConvAgainstReference(c, 1234);
+}
+
+TEST(Conv2dBlockSamplesTest, FitsColumnBudget) {
+  ConvGeom g;
+  g.in_channels = 4;
+  g.out_channels = 4;
+  // 36 rows x 36 pixels per sample: 25 samples fit 32 Ki floats.
+  EXPECT_EQ(Conv2dBlockSamples(g, 6, 6), 25);
+  // A single sample over budget still makes a block of one.
+  g.in_channels = 64;
+  EXPECT_EQ(Conv2dBlockSamples(g, 32, 32), 1);
+}
+
+TEST(Conv2dInt8Test, MultiBlockBatchMatchesPerSampleCalls) {
+  // Activations quantize per output pixel, so how samples are grouped into
+  // blocks must not change a single bit.
+  Rng rng(61);
+  ConvGeom g;
+  g.in_channels = 6;
+  g.out_channels = 5;
+  const int64_t h = 10, w = 10;
+  const int64_t block = Conv2dBlockSamples(g, h, w);
+  ASSERT_GT(block, 1);
+  const int64_t batch = 2 * block + 1;
+  const Tensor input = RandomTensor(Shape{batch, g.in_channels, h, w}, &rng);
+  const Tensor weight = RandomTensor(Shape{g.out_channels, g.in_channels, 3, 3},
+                                     &rng, 0.3f);
+  const Tensor bias = RandomTensor(Shape{g.out_channels}, &rng);
+  const QuantizedMatrix q = QuantizeWeightsPerChannel(weight);
+  const Tensor all = Conv2dForwardInt8(input, q, bias, g);
+  const int64_t in_size = g.in_channels * h * w;
+  const int64_t out_size = all.num_elements() / batch;
+  for (int64_t n = 0; n < batch; ++n) {
+    Tensor one(Shape{1, g.in_channels, h, w});
+    std::copy(input.data() + n * in_size, input.data() + (n + 1) * in_size,
+              one.data());
+    const Tensor got = Conv2dForwardInt8(one, q, bias, g);
+    ASSERT_EQ(got.num_elements(), out_size);
+    for (int64_t i = 0; i < out_size; ++i) {
+      ASSERT_EQ(got.data()[i], all.data()[n * out_size + i])
+          << "sample " << n << " element " << i;
+    }
+  }
 }
 
 TEST(Conv1dTest, KnownKernelValues) {
