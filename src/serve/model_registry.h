@@ -7,8 +7,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "ensemble/ensemble_model.h"
+#include "utils/metrics.h"
 #include "utils/status.h"
 
 namespace edde {
@@ -34,11 +36,18 @@ struct ServingGeneration {
   /// because std::mutex is immovable. Mutable: locking is not a logical
   /// mutation of the generation.
   mutable std::deque<std::mutex> member_mu;
+  /// serve.member_rows.<i>: rows each member evaluated, resolved once here
+  /// so no stage pays a name build and a registry lookup.
+  std::vector<Counter*> member_rows;
 
   ServingGeneration(std::shared_ptr<const EnsembleModel> m, uint64_t gen_id,
                     std::string src)
       : model(std::move(m)), id(gen_id), source(std::move(src)) {
     member_mu.resize(static_cast<size_t>(model->size()));
+    for (int64_t i = 0; i < model->size(); ++i) {
+      member_rows.push_back(MetricsRegistry::Global().GetCounter(
+          "serve.member_rows." + std::to_string(i)));
+    }
   }
 };
 

@@ -1,7 +1,10 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 
 #include "utils/json.h"
 #include "utils/metrics.h"
@@ -34,6 +37,75 @@ std::string JsonArray(const std::vector<T>& values, Fn&& append_one) {
   }
   out.push_back(']');
   return out;
+}
+
+constexpr double kInt31End = 2147483648.0;           // 2^31
+constexpr double kInt63End = 9223372036854775808.0;  // 2^63
+
+/// A captured top-level member: absent, or the value of its last duplicate.
+using Member = std::optional<JsonScalar>;
+
+bool IsNumber(const Member& m) {
+  return m && m->kind == JsonValue::Kind::kNumber;
+}
+
+/// Range checks come before any integer cast, so no hostile value can
+/// overflow one.
+bool NumberIn(const JsonScalar& v, double lo, double end) {
+  return v.kind == JsonValue::Kind::kNumber && v.number >= lo &&
+         v.number < end;
+}
+
+/// `m`'s number truncated to an integer when it is a number in [lo, end);
+/// `fallback` otherwise.
+int64_t IntOr(const Member& m, double lo, double end, int64_t fallback) {
+  return m && NumberIn(*m, lo, end) ? static_cast<int64_t>(m->number)
+                                    : fallback;
+}
+
+const std::string* StringOf(const Member& m) {
+  return m && m->kind == JsonValue::Kind::kString ? &m->string : nullptr;
+}
+
+/// One pass over a wire message. The document is validated to the end;
+/// each top-level member's key goes to `on_member(reader, key)`, which
+/// reads or skips the value (depth 1). *is_object is false when the root
+/// is some other value, which is then validated and skipped whole.
+template <typename Fn>
+Status ReadTopLevel(const std::string& json, bool* is_object, Fn&& on_member) {
+  JsonReader r(json);
+  *is_object = r.Peek() == JsonValue::Kind::kObject;
+  if (!*is_object) {
+    EDDE_RETURN_NOT_OK(r.SkipValue(/*depth=*/0));
+    return r.Finish();
+  }
+  bool more = false;
+  r.BeginObject(&more);
+  std::string key;
+  while (more) {
+    EDDE_RETURN_NOT_OK(r.ReadKey(&key));
+    EDDE_RETURN_NOT_OK(on_member(&r, key));
+    EDDE_RETURN_NOT_OK(r.NextMember(&more));
+  }
+  return r.Finish();
+}
+
+/// Streams a top-level member's array value element by element through
+/// `on_element(const JsonScalar&)`, with no per-element node. Any other
+/// value is skipped and leaves *is_array false.
+template <typename Fn>
+Status ReadArray(JsonReader* r, bool* is_array, Fn&& on_element) {
+  *is_array = r->Peek() == JsonValue::Kind::kArray;
+  if (!*is_array) return r->SkipValue(/*depth=*/1);
+  bool more = false;
+  r->BeginArray(&more);
+  JsonScalar element;
+  while (more) {
+    EDDE_RETURN_NOT_OK(r->ReadScalar(/*depth=*/2, &element));
+    on_element(element);
+    EDDE_RETURN_NOT_OK(r->NextElement(&more));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -74,59 +146,99 @@ std::string BuildPredictRequest(const PredictRequest& req) {
 Status ParsePredictRequest(const std::string& json, PredictRequest* out) {
   *out = PredictRequest{};
   out->id = -1;
-  JsonValue root;
-  EDDE_RETURN_NOT_OK(JsonValue::Parse(json, &root));
-  if (!root.is_object()) {
+  Member id, type, rows, dim, want_probs, trace_id, deadline_ms;
+  bool is_object = false;
+  bool have_features = false;
+  int64_t num_features = 0;
+  const char* bad_feature = nullptr;  // the first bad element's error
+  const auto on_member = [&](JsonReader* r, const std::string& key) {
+    if (key == "features") {
+      out->features.clear();
+      num_features = 0;
+      bad_feature = nullptr;
+      // Reserve when the geometry came first (BuildPredictRequest's
+      // order), capped by what the payload can hold: each value takes at
+      // least two bytes with its separator.
+      const int64_t want = IntOr(rows, 1, kInt31End, 0) *
+                           IntOr(dim, 1, kInt31End, 0);
+      out->features.reserve(static_cast<size_t>(
+          std::min<int64_t>(want, static_cast<int64_t>(json.size() / 2))));
+      return ReadArray(r, &have_features, [&](const JsonScalar& v) {
+        ++num_features;
+        if (bad_feature != nullptr) return;
+        if (v.kind != JsonValue::Kind::kNumber) {
+          bad_feature = "non-numeric (or null) feature value";
+          return;
+        }
+        // Checked after the cast: a finite double beyond float range
+        // (1e39) would otherwise reach the ensemble as inf.
+        const float f = static_cast<float>(v.number);
+        if (!std::isfinite(f)) {
+          bad_feature = "non-finite feature value";
+          return;
+        }
+        out->features.push_back(f);
+      });
+    }
+    Member* slot = key == "id"            ? &id
+                   : key == "type"        ? &type
+                   : key == "rows"        ? &rows
+                   : key == "dim"         ? &dim
+                   : key == "want_probs"  ? &want_probs
+                   : key == "trace_id"    ? &trace_id
+                   : key == "deadline_ms" ? &deadline_ms
+                                          : nullptr;
+    if (slot == nullptr) return r->SkipValue(/*depth=*/1);
+    return r->ReadScalar(/*depth=*/1, &slot->emplace());
+  };
+  EDDE_RETURN_NOT_OK(ReadTopLevel(json, &is_object, on_member));
+  // Semantic checks, only once the whole document parsed: a syntax error
+  // anywhere wins.
+  if (!is_object) {
     return Status::InvalidArgument("request is not a JSON object");
   }
-  const JsonValue* id = root.Get("id");
-  if (id != nullptr && id->is_number()) {
-    out->id = static_cast<int64_t>(id->AsNumber());
-  }
-  if (root.GetStringOr("type", "") != "predict") {
+  // An id outside int64 is as good as absent.
+  out->id = IntOr(id, -kInt63End, kInt63End, -1);
+  const std::string* type_name = StringOf(type);
+  if (type_name == nullptr || *type_name != "predict") {
     return Status::InvalidArgument("unknown request type");
   }
-  out->rows = static_cast<int64_t>(root.GetNumberOr("rows", 0));
-  out->dim = static_cast<int64_t>(root.GetNumberOr("dim", 0));
-  if (out->rows < 1 || out->dim < 1) {
+  const double num_rows = IsNumber(rows) ? rows->number : 0.0;
+  const double num_dim = IsNumber(dim) ? dim->number : 0.0;
+  if (num_rows < 1.0 || num_dim < 1.0) {
     return Status::InvalidArgument("rows and dim must be >= 1");
   }
-  const JsonValue* features = root.Get("features");
-  if (features == nullptr || !features->is_array()) {
+  if (num_rows >= kInt31End || num_dim >= kInt31End) {
+    return Status::InvalidArgument("rows and dim must be < 2^31");
+  }
+  out->rows = static_cast<int64_t>(num_rows);
+  out->dim = static_cast<int64_t>(num_dim);
+  if (!have_features) {
     return Status::InvalidArgument("missing features array");
   }
-  const std::vector<JsonValue>& arr = features->AsArray();
-  if (static_cast<int64_t>(arr.size()) != out->rows * out->dim) {
+  // Both factors are below 2^31, so the product cannot overflow.
+  if (num_features != out->rows * out->dim) {
     return Status::InvalidArgument(
-        "features has " + std::to_string(arr.size()) + " values, want rows*dim = " +
-        std::to_string(out->rows * out->dim));
+        "features has " + std::to_string(num_features) +
+        " values, want rows*dim = " + std::to_string(out->rows * out->dim));
   }
-  out->features.reserve(arr.size());
-  for (const JsonValue& v : arr) {
-    if (!v.is_number()) {
-      return Status::InvalidArgument("non-numeric (or null) feature value");
+  if (bad_feature != nullptr) return Status::InvalidArgument(bad_feature);
+  out->want_probs = want_probs && want_probs->kind == JsonValue::Kind::kBool &&
+                    want_probs->boolean;
+  if (trace_id) {
+    const std::string* hex = StringOf(trace_id);
+    if (hex == nullptr || !IsValidTraceId(*hex)) {
+      return Status::InvalidArgument("trace_id must be 1-16 hex digits");
     }
-    const double d = v.AsNumber();
-    if (!std::isfinite(d)) {
-      return Status::InvalidArgument("non-finite feature value");
-    }
-    out->features.push_back(static_cast<float>(d));
+    out->trace_id = ParseTraceId(*hex);
   }
-  const JsonValue* want = root.Get("want_probs");
-  out->want_probs = want != nullptr && want->is_bool() && want->AsBool();
-  if (const JsonValue* trace = root.Get("trace_id"); trace != nullptr) {
-    if (!trace->is_string() || !IsValidTraceId(trace->AsString())) {
-      return Status::InvalidArgument(
-          "trace_id must be 1-16 hex digits");
-    }
-    out->trace_id = ParseTraceId(trace->AsString());
-  }
-  if (const JsonValue* deadline = root.Get("deadline_ms");
-      deadline != nullptr) {
-    if (!deadline->is_number() || deadline->AsNumber() < 1.0) {
+  if (deadline_ms) {
+    // Range-checked before the cast: 1e300 would cast to INT64_MIN, i.e.
+    // no deadline at all. 2^31 ms is 24 days.
+    out->deadline_ms = IntOr(deadline_ms, 1.0, kInt31End, 0);
+    if (out->deadline_ms == 0) {
       return Status::InvalidArgument("deadline_ms must be an integer >= 1");
     }
-    out->deadline_ms = static_cast<int64_t>(deadline->AsNumber());
   }
   return Status::OK();
 }
@@ -170,40 +282,84 @@ std::string BuildErrorResponse(int64_t id, const std::string& error,
 
 Status ParsePredictResponse(const std::string& json, PredictResponse* out) {
   *out = PredictResponse{};
-  JsonValue root;
-  EDDE_RETURN_NOT_OK(JsonValue::Parse(json, &root));
-  if (!root.is_object()) {
+  Member id, trace_id, gen, ok, error, code, k;
+  bool is_object = false;
+  bool have_labels = false, have_depth = false, have_probs = false;
+  bool bad_label = false, bad_depth = false, bad_prob = false;
+  const auto on_member = [&](JsonReader* r, const std::string& key) {
+    if (key == "labels") {
+      out->labels.clear();
+      bad_label = false;
+      return ReadArray(r, &have_labels, [&](const JsonScalar& v) {
+        const bool fits = NumberIn(v, -kInt31End, kInt31End);
+        bad_label |= !fits;
+        out->labels.push_back(fits ? static_cast<int>(v.number) : 0);
+      });
+    }
+    if (key == "depth") {
+      out->depth.clear();
+      bad_depth = false;
+      return ReadArray(r, &have_depth, [&](const JsonScalar& v) {
+        const bool fits = NumberIn(v, -kInt63End, kInt63End);
+        bad_depth |= !fits;
+        out->depth.push_back(fits ? static_cast<int64_t>(v.number) : 0);
+      });
+    }
+    if (key == "probs") {  // optional: any value but an array is ignored
+      out->probs.clear();
+      bad_prob = false;
+      return ReadArray(r, &have_probs, [&](const JsonScalar& v) {
+        // null encodes a non-finite prob (shouldn't happen, but don't
+        // choke).
+        bad_prob |= v.kind != JsonValue::Kind::kNumber &&
+                    v.kind != JsonValue::Kind::kNull;
+        out->probs.push_back(v.kind == JsonValue::Kind::kNumber
+                                 ? static_cast<float>(v.number)
+                                 : std::numeric_limits<float>::quiet_NaN());
+      });
+    }
+    Member* slot = key == "id"         ? &id
+                   : key == "trace_id" ? &trace_id
+                   : key == "gen"      ? &gen
+                   : key == "ok"       ? &ok
+                   : key == "error"    ? &error
+                   : key == "code"     ? &code
+                   : key == "k"        ? &k
+                                       : nullptr;
+    if (slot == nullptr) return r->SkipValue(/*depth=*/1);
+    return r->ReadScalar(/*depth=*/1, &slot->emplace());
+  };
+  EDDE_RETURN_NOT_OK(ReadTopLevel(json, &is_object, on_member));
+  if (!is_object) {
     return Status::InvalidArgument("response is not a JSON object");
   }
-  out->id = static_cast<int64_t>(root.GetNumberOr("id", -1));
-  out->trace_id = ParseTraceId(root.GetStringOr("trace_id", ""));
-  out->generation = static_cast<uint64_t>(root.GetNumberOr("gen", 0));
-  const JsonValue* ok = root.Get("ok");
-  out->ok = ok != nullptr && ok->is_bool() && ok->AsBool();
+  out->id = IntOr(id, -kInt63End, kInt63End, -1);
+  const std::string* trace_hex = StringOf(trace_id);
+  out->trace_id = trace_hex != nullptr ? ParseTraceId(*trace_hex) : 0;
+  out->generation = static_cast<uint64_t>(IntOr(gen, 0.0, kInt63End, 0));
+  out->ok = ok && ok->kind == JsonValue::Kind::kBool && ok->boolean;
   if (!out->ok) {
-    out->error = root.GetStringOr("error", "(no error message)");
-    out->code = root.GetStringOr("code", "internal");
+    out->labels.clear();
+    out->depth.clear();
+    out->probs.clear();
+    const std::string* message = StringOf(error);
+    out->error = message != nullptr ? *message : "(no error message)";
+    const std::string* tag = StringOf(code);
+    out->code = tag != nullptr ? *tag : "internal";
     return Status::OK();
   }
-  const JsonValue* labels = root.Get("labels");
-  const JsonValue* depth = root.Get("depth");
-  if (labels == nullptr || !labels->is_array() || depth == nullptr ||
-      !depth->is_array()) {
+  if (!have_labels || !have_depth) {
     return Status::InvalidArgument("ok response missing labels/depth");
   }
-  for (const JsonValue& v : labels->AsArray()) {
-    out->labels.push_back(static_cast<int>(v.AsNumber()));
+  if (bad_label) {
+    return Status::InvalidArgument("label is not a number in int range");
   }
-  for (const JsonValue& v : depth->AsArray()) {
-    out->depth.push_back(static_cast<int64_t>(v.AsNumber()));
+  if (bad_depth) {
+    return Status::InvalidArgument("depth is not a number in int64 range");
   }
-  out->k = static_cast<int64_t>(root.GetNumberOr("k", 0));
-  if (const JsonValue* probs = root.Get("probs");
-      probs != nullptr && probs->is_array()) {
-    for (const JsonValue& v : probs->AsArray()) {
-      // null encodes a non-finite prob (shouldn't happen, but don't choke).
-      out->probs.push_back(static_cast<float>(v.NumberOrNaN()));
-    }
+  out->k = IntOr(k, -kInt63End, kInt63End, 0);
+  if (bad_prob) {
+    return Status::InvalidArgument("prob is neither a number nor null");
   }
   return Status::OK();
 }

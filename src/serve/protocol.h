@@ -26,8 +26,8 @@ namespace serve {
 ///   request's queue/batch/cascade spans and echoes it back; when absent
 ///   the server mints one. A malformed trace_id is InvalidArgument — a
 ///   silently dropped tag would defeat the point of supplying one.
-///   An optional "deadline_ms" (integer >= 1) bounds how long the client
-///   is willing to wait from the server's admission of the frame: a
+///   An optional "deadline_ms" (integer in [1, 2^31)) bounds how long the
+///   client is willing to wait from the server's admission of the frame: a
 ///   request still queued when its deadline passes is shed with a
 ///   `deadline_exceeded` error instead of being evaluated (DESIGN.md §16).
 ///   The server additionally caps every request at its own
@@ -83,17 +83,22 @@ std::string WireErrorCode(StatusCode code);
 /// socket layer's job).
 std::string BuildPredictRequest(const PredictRequest& req);
 
-/// Parses and validates a request payload: the geometry must be coherent
-/// (rows >= 1, dim >= 1, features.size() == rows*dim) and every feature
-/// finite. InvalidArgument on any violation; *out->id is filled whenever
-/// the payload at least carried a numeric id, so the caller can address
-/// the error response.
+/// Parses and validates a request payload in one pass, decoding features
+/// straight into out->features: the geometry must be coherent (rows and
+/// dim in [1, 2^31), features.size() == rows*dim), every feature finite as
+/// a float, and deadline_ms, when present, in [1, 2^31). InvalidArgument
+/// on any violation; a syntax error anywhere wins over the semantic
+/// checks. *out->id is filled whenever the payload parsed and carried a
+/// numeric id within int64, so the caller can address the error response.
 Status ParsePredictRequest(const std::string& json, PredictRequest* out);
 
 std::string BuildPredictResponse(const PredictResponse& resp);
 std::string BuildErrorResponse(int64_t id, const std::string& error,
                                const std::string& code = "internal");
 
+/// One pass, like ParsePredictRequest. An ok response needs `labels` and
+/// `depth` arrays of numbers in int / int64 range, and `probs` elements
+/// that are numbers or null; an id or gen outside int64 reads as absent.
 Status ParsePredictResponse(const std::string& json, PredictResponse* out);
 
 }  // namespace serve

@@ -602,9 +602,8 @@ bool InferenceServer::RunCascadeStage(BatchTask* task) {
       dst += input_dim_;
     }
   }
-  MetricsRegistry::Global()
-      .GetCounter("serve.member_rows." + std::to_string(member))
-      ->Increment(static_cast<int64_t>(open.size()));
+  task->gen->member_rows[static_cast<size_t>(member)]->Increment(
+      static_cast<int64_t>(open.size()));
   TraceScope member_scope(member_region);
   Tensor probs;
   {
@@ -640,9 +639,8 @@ void InferenceServer::RunBatchInline(BatchTask* task) {
     std::vector<Tensor> probs(static_cast<size_t>(num_members));
     ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
-        MetricsRegistry::Global()
-            .GetCounter("serve.member_rows." + std::to_string(t))
-            ->Increment(task->total_rows);
+        task->gen->member_rows[static_cast<size_t>(t)]->Increment(
+            task->total_rows);
         TraceScope member_scope(member_region);
         // Same per-member discipline as the cascade path: with workers>1
         // two full-eval batches fan out over the same members at once.

@@ -4,17 +4,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "utils/status.h"
 
 namespace edde {
 
-/// Minimal JSON document reader for this repo's own machine-readable
-/// artifacts (metrics JSONL lines, Chrome trace files, BENCH_*.json). It is
-/// a strict RFC-8259 subset reader — no comments, no trailing commas —
-/// sized for tools (`bench_diff`) and structural tests, not for untrusted
-/// hot-path input. Writing stays with JsonBuilder (utils/metrics.h).
+class JsonReader;
+
+/// JSON document tree for this repo's own machine-readable artifacts
+/// (metrics JSONL lines, Chrome trace files, BENCH_*.json), built by
+/// JsonReader below. Writing stays with JsonBuilder (utils/metrics.h).
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -69,7 +70,8 @@ class JsonValue {
   static Status ParseFile(const std::string& path, JsonValue* out);
 
  private:
-  friend class JsonParser;
+  /// The tree builder behind Parse: one value at nesting `depth`.
+  static Status Read(JsonReader* reader, int depth, JsonValue* out);
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
@@ -80,6 +82,93 @@ class JsonValue {
   std::vector<std::string> keys_;
   std::vector<JsonValue> members_;
   std::map<std::string, size_t> index_;
+};
+
+/// One decoded scalar: what JsonReader::ReadScalar leaves behind. `kind`
+/// says which field holds the value; kArray/kObject mean a container was
+/// validated and skipped.
+struct JsonScalar {
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  double number = 0.0;
+  bool boolean = false;
+  std::string string;
+};
+
+/// The one JSON grammar of the repo: a pull-style cursor over a document.
+/// A strict RFC-8259 subset — no comments, no trailing commas — plus the
+/// laxer number tokens strtod accepts (`+1`, `.5`, `1.`, leading zeros);
+/// numbers decode with from_chars, falling back to strtod, so every
+/// decoded double is strtod's. It owns whitespace, string, number and
+/// literal scanning, the nesting limit, and the offset-stamped
+/// "JSON parse error at offset N: ..." messages. JsonValue::Parse builds
+/// a tree with it; the serving wire parsers (serve/protocol.h) walk
+/// untrusted frames with it directly, decoding the values they want in
+/// place and skipping the rest.
+///
+/// Every value read takes its nesting depth (the document root is 0) and
+/// fails past kMaxDepth, so hostile input cannot exhaust the stack. A
+/// failed read leaves the cursor where the error was found; the caller
+/// returns the Status rather than reading on.
+///
+///   JsonReader r(text);
+///   bool more = false;
+///   if (r.Peek() != JsonValue::Kind::kObject) ...;
+///   r.BeginObject(&more);
+///   while (more) {
+///     EDDE_RETURN_NOT_OK(r.ReadKey(&key));
+///     EDDE_RETURN_NOT_OK(r.SkipValue(/*depth=*/1));
+///     EDDE_RETURN_NOT_OK(r.NextMember(&more));
+///   }
+///   EDDE_RETURN_NOT_OK(r.Finish());
+class JsonReader {
+ public:
+  static constexpr int kMaxDepth = 64;
+
+  /// Reads `text` in place; it must outlive the reader.
+  explicit JsonReader(const std::string& text) : text_(text) {}
+  explicit JsonReader(std::string&&) = delete;
+
+  /// Skips whitespace and names the kind of the next value from its first
+  /// byte. kNumber also stands for end of input and for any byte that
+  /// starts no other kind; reading the value then reports the error.
+  JsonValue::Kind Peek();
+
+  /// Reads the next value at nesting `depth`. Numbers, booleans and
+  /// strings are decoded into *out; null, arrays and objects are validated
+  /// and skipped, leaving only out->kind.
+  Status ReadScalar(int depth, JsonScalar* out);
+
+  /// Validates and skips the next value at nesting `depth`.
+  Status SkipValue(int depth);
+
+  /// Object iteration, after Peek() returned kObject: consumes '{' and sets
+  /// *more to whether a member follows. Per member, ReadKey consumes the
+  /// key and ':', the caller reads the value at depth + 1, and NextMember
+  /// consumes ',' (more members) or '}' (done).
+  void BeginObject(bool* more);
+  Status ReadKey(std::string* key);
+  Status NextMember(bool* more);
+
+  /// Array iteration, after Peek() returned kArray; same shape as objects.
+  void BeginArray(bool* more);
+  Status NextElement(bool* more);
+
+  /// Succeeds when only whitespace is left after the document.
+  Status Finish();
+
+  /// InvalidArgument "JSON parse error at offset N: <message>", N being
+  /// the cursor's offset.
+  Status Error(const std::string& message) const;
+
+ private:
+  void SkipWhitespace();
+  bool Consume(char c);
+  Status ReadString(std::string* out);
+  Status ReadNumber(double* out);
+  Status ReadLiteral(JsonScalar* out);
+
+  std::string_view text_;
+  size_t pos_ = 0;
 };
 
 }  // namespace edde

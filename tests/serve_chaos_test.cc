@@ -11,6 +11,10 @@
 ///   3. No wedged threads: every client, the reloader, and the vandal
 ///      join, and Stop() drains cleanly (a parked-frame leak or a lost
 ///      queue entry hangs the test, which IS the failure signal).
+///   4. Hostile JSON in whole frames (overflowing geometry, out-of-range
+///      deadlines and ids, float-overflowing features, fuzz mutants) gets
+///      an addressed invalid_argument error on a connection that stays
+///      open.
 ///
 /// CI runs this under both ASan (chaos-smoke job) and TSan.
 
@@ -48,6 +52,64 @@ constexpr int kRows = 48;        // distinct feature rows clients draw from
 constexpr int kClients = 4;
 constexpr int kRequestsPerClient = 120;
 constexpr int kReloads = 24;
+
+/// A whole frame of hostile JSON and the id its error response must carry.
+struct HostileFrame {
+  std::string payload;
+  int64_t id;
+};
+
+std::vector<HostileFrame> HostileFrames() {
+  const std::string row = "[0.5,1,2,3,4,5]";
+  const auto req = [](const std::string& fields) {
+    return "{\"type\":\"predict\"," + fields + "}";
+  };
+  return {
+      // rows*dim would wrap to 0 in int64 and match the empty features.
+      {req("\"id\":901,\"rows\":4611686018427387904,\"dim\":108,"
+           "\"features\":[]"),
+       901},
+      // 1e300 would cast to INT64_MIN, i.e. no deadline at all.
+      {req("\"id\":902,\"rows\":1,\"dim\":6,\"features\":" + row +
+           ",\"deadline_ms\":1e300"),
+       902},
+      // An id outside int64 is absent, so the error goes to id -1.
+      {req("\"id\":1e300,\"rows\":1,\"dim\":6,\"features\":[1e999,1,2,3,4,5]"),
+       -1},
+      // Finite as a double, inf as a float.
+      {req("\"id\":904,\"rows\":1,\"dim\":6,\"features\":[1e39,1,2,3,4,5]"),
+       904},
+      // Fuzz mutants: a spliced-in string, a duplicate short features
+      // array, nesting past the reader's limit, a truncation, a bare array.
+      {req("\"id\":905,\"rows\":1,\"dim\":6,\"features\":[0.5,1,\"2\",3,4,5]"),
+       905},
+      {req("\"id\":906,\"rows\":1,\"dim\":6,\"features\":" + row +
+           ",\"features\":[1]"),
+       906},
+      {req("\"id\":907,\"pad\":" + std::string(80, '[') +
+           std::string(80, ']')),
+       -1},
+      {req("\"id\":908,\"rows\":1,\"dim\":6,\"features\":[0.5,1,2"), -1},
+      {"[908]", -1},
+  };
+}
+
+/// Sends every hostile frame on `conn` and checks each answer. False when
+/// the connection failed underneath (an injected write fault); a wrong
+/// answer is a test failure.
+bool SendHostileFrames(serve::ServeClient* conn) {
+  for (const HostileFrame& frame : HostileFrames()) {
+    if (!conn->SendRaw(frame.payload).ok()) return false;
+    Result<std::string> raw = conn->RecvRaw();
+    if (!raw.ok()) return false;
+    serve::PredictResponse resp;
+    EXPECT_TRUE(serve::ParsePredictResponse(raw.ValueOrDie(), &resp).ok());
+    EXPECT_FALSE(resp.ok) << frame.payload;
+    EXPECT_EQ(resp.code, "invalid_argument") << frame.payload;
+    EXPECT_EQ(resp.id, frame.id) << frame.payload;
+  }
+  return true;
+}
 
 std::unique_ptr<Mlp> SmallMlp(uint64_t seed) {
   MlpConfig cfg;
@@ -202,12 +264,15 @@ TEST(ServeChaosTest, TortureWithReloadsFailpointsAndConnectionKills) {
     }
   });
 
-  // --- Vandal: half-written frames and abrupt disconnects. ---
+  // --- Vandal: hostile frames, half-written frames, abrupt disconnects. ---
+  std::atomic<int> hostile_rounds{0};
   std::thread vandal([&] {
     while (!stop_chaos.load()) {
       Result<serve::ServeClient> conn =
           serve::ServeClient::Connect("127.0.0.1", port);
       if (conn.ok()) {
+        (void)SetRecvTimeout(conn.ValueOrDie().fd(), 2000);
+        if (SendHostileFrames(&conn.ValueOrDie())) ++hostile_rounds;
         // A torn frame: promise 64 bytes, deliver 3, hang up. The reader
         // must classify this as a dead peer, not wedge waiting.
         const uint32_t len = 64;
@@ -271,10 +336,14 @@ TEST(ServeChaosTest, TortureWithReloadsFailpointsAndConnectionKills) {
   // At least one hot swap actually landed while traffic flowed.
   EXPECT_GE(server.generation(), 2u);
 
-  // Clean drain: a fresh connection still works, then Stop() returns.
+  // Clean drain: a fresh connection still works — after a round of
+  // hostile frames on it, so the connection must have stayed open — then
+  // Stop() returns.
   Result<serve::ServeClient> last =
       serve::ServeClient::Connect("127.0.0.1", port);
   ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(SendHostileFrames(&last.ValueOrDie()));
+  EXPECT_GE(hostile_rounds.load(), 1);
   std::vector<float> row(data.features().data(),
                          data.features().data() + kDim);
   Result<int> label = last.ValueOrDie().PredictRow(row);

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "utils/metrics.h"
 
@@ -152,6 +158,98 @@ TEST(JsonValueTest, GetNumberOrNaNCoversAbsentAndMistypedMembers) {
   EXPECT_DOUBLE_EQ(v.GetNumberOr("z", -3.0), -3.0);
   EXPECT_TRUE(v.Has("z"));
   EXPECT_FALSE(v.Has("absent"));
+}
+
+TEST(JsonReaderTest, NumbersDecodeExactlyAsStrtod) {
+  // The reader decodes with from_chars and falls back to strtod; the
+  // accepted token set and every decoded double must be strtod's.
+  std::vector<std::string> tokens = {
+      "0", "-0", "+1", ".5", "1.", "-.5", "+.5e+2", "00012", "0e0", "1e+5",
+      "1E-5", "0.1", "9007199254740993", "1e-320", "-1e-400", "1e-400",
+      "4.9406564584124654e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "1.7976931348623157e308",
+      "1.7976931348623158e308", "1.7976931348623159e308", "1e999", "-1e999",
+      "-", "+", ".", "e5", "E", "1e", "1-2", "--1", "+-1", "1.5.5", "1e5e5"};
+  std::mt19937_64 rng(17);
+  char buf[64];
+  while (tokens.size() < 4000) {
+    const uint64_t bits = rng();
+    float f;
+    const uint32_t low = static_cast<uint32_t>(bits);
+    std::memcpy(&f, &low, sizeof(f));
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(f)) {
+      std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(f));
+      tokens.emplace_back(buf);
+    }
+    if (std::isfinite(d)) {
+      std::snprintf(buf, sizeof(buf), "%.17g", d);
+      tokens.emplace_back(buf);
+    }
+  }
+  for (const std::string& token : tokens) {
+    char* end = nullptr;
+    const double want = std::strtod(token.c_str(), &end);
+    JsonValue v;
+    const Status s = JsonValue::Parse(token, &v);
+    if (*end != '\0') {
+      EXPECT_EQ(s.message(), "JSON parse error at offset " +
+                                 std::to_string(token.size()) +
+                                 ": malformed number: " + token);
+      continue;
+    }
+    ASSERT_TRUE(s.ok()) << token << ": " << s;
+    const double got = v.AsNumber();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+        << token << ": " << got << " vs " << want;
+  }
+}
+
+TEST(JsonReaderTest, PullsMembersAndSkipsTheRest) {
+  const std::string doc = R"( {"a": [1, {"x": null}], "b": "sA", "c": -2.5} )";
+  JsonReader r(doc);
+  ASSERT_EQ(r.Peek(), JsonValue::Kind::kObject);
+  bool more = false;
+  r.BeginObject(&more);
+  std::string key;
+  JsonScalar v;
+  std::vector<std::string> keys;
+  while (more) {
+    ASSERT_TRUE(r.ReadKey(&key).ok());
+    keys.push_back(key);
+    if (key == "a") {
+      ASSERT_TRUE(r.SkipValue(1).ok());
+    } else {
+      ASSERT_TRUE(r.ReadScalar(1, &v).ok());
+      if (key == "b") {
+        EXPECT_EQ(v.string, "sA");
+      } else {
+        EXPECT_EQ(v.number, -2.5);
+      }
+    }
+    ASSERT_TRUE(r.NextMember(&more).ok());
+  }
+  EXPECT_TRUE(r.Finish().ok());
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
+}
+
+TEST(JsonReaderTest, NestingLimitHoldsForTreesAndSkips) {
+  const auto nested = [](int n) {
+    return std::string(static_cast<size_t>(n), '[') +
+           std::string(static_cast<size_t>(n), ']');
+  };
+  // The root is depth 0, so 65 arrays reach depth 64: the deepest allowed.
+  const std::string deepest = nested(JsonReader::kMaxDepth + 1);
+  const std::string too_deep = nested(JsonReader::kMaxDepth + 2);
+  JsonValue v;
+  EXPECT_TRUE(JsonValue::Parse(deepest, &v).ok());
+  const Status deep = JsonValue::Parse(too_deep, &v);
+  EXPECT_EQ(deep.message(), "JSON parse error at offset 65: nesting too deep");
+  JsonReader skip_deepest(deepest);
+  EXPECT_TRUE(skip_deepest.SkipValue(0).ok());
+  JsonReader skip_too_deep(too_deep);
+  EXPECT_EQ(skip_too_deep.SkipValue(0).message(), deep.message());
 }
 
 }  // namespace
