@@ -231,7 +231,9 @@ void ApplyEpilogueScalar(int64_t m, int64_t n, float* c, int64_t ldc,
 //     floats: bp[panel][kk][j] = opB(pc + kk, panel*kNR + j), zero-padded.
 //
 // Both packs absorb the transpose flags, so transposed operands cost a
-// strided read during packing instead of a materialized copy.
+// strided read during packing instead of a materialized copy. Full tiles
+// that need neither alpha nor a transpose absorbed skip packing
+// (GemmPacked).
 
 void PackA(bool trans_a, const float* a, int64_t lda, int64_t i0, int64_t pc,
            int64_t mb, int64_t kc, float alpha, float* dst) {
@@ -259,12 +261,12 @@ void PackA(bool trans_a, const float* a, int64_t lda, int64_t i0, int64_t pc,
   }
 }
 
+// Packs columns [c_begin, n) of opB; panels start at `dst`.
 void PackB(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
-           int64_t n, float* dst) {
-  for (int64_t panel = 0; panel < CeilDiv(n, kNR); ++panel) {
-    const int64_t c0 = panel * kNR;
+           int64_t c_begin, int64_t n, float* dst) {
+  for (int64_t c0 = c_begin; c0 < n; c0 += kNR) {
     const int64_t nr = std::min(kNR, n - c0);
-    float* out = dst + c0 * kc;
+    float* out = dst + (c0 - c_begin) * kc;
     if (!trans_b) {
       for (int64_t kk = 0; kk < kc; ++kk) {
         const float* src = b + (pc + kk) * ldb + c0;
@@ -284,16 +286,17 @@ void PackB(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
   }
 }
 
-// Portable micro-kernel: the same 6x16 tile as the AVX2 kernel in plain
-// loops the compiler can vectorize (SSE2 at the default baseline, AVX2
-// under -march=x86-64-v3).
-void MicroKernelPortable(int64_t kc, const float* ap, const float* bp,
+// Portable micro-kernel: the same 6x16 tile and the same strides as the
+// AVX2 kernel in plain loops the compiler can vectorize (SSE2 at the
+// default baseline, AVX2 under -march=x86-64-v3).
+void MicroKernelPortable(int64_t kc, const float* ap, int64_t a_rs,
+                         int64_t a_ks, const float* bp, int64_t b_ks,
                          float* acc) {
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* arow = ap + kk * kMR;
-    const float* brow = bp + kk * kNR;
+    const float* arow = ap + kk * a_ks;
+    const float* brow = bp + kk * b_ks;
     for (int64_t i = 0; i < kMR; ++i) {
-      const float av = arow[i];
+      const float av = arow[i * a_rs];
       float* crow = acc + i * kNR;
 #pragma omp simd
       for (int64_t j = 0; j < kNR; ++j) {
@@ -350,6 +353,21 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
                 int64_t lda, const float* b, int64_t ldb, float beta,
                 float* c, int64_t ldc, const GemmEpilogue& epi) {
   const bool use_avx2 = kernel == GemmKernel::kAvx2;
+  // The micro-kernel reads a full tile in place when packing would only
+  // copy it: A when alpha == 1 (packing folds alpha in), B when it is not
+  // transposed (a transposed B row is kNR strided floats). Edge tiles are
+  // packed for their zero padding. A tile whose k steps are rows of the
+  // stored matrix (B, transposed A) is read in place only within one k
+  // block: past kKC rows at a stride of ld floats fight over a few cache
+  // sets, and the packed strip is the faster read (512^3 stays on B
+  // panels). A non-transposed A tile is kMR rows running along k and is
+  // read in place at any depth. Packed or not, each tile sees the same
+  // values in the same order, so results do not depend on which path ran.
+  const bool one_block = k <= kKC;
+  const bool a_direct = alpha == 1.0f && (!trans_a || one_block);
+  const int64_t n_direct = one_block && !trans_b ? n / kNR * kNR : 0;
+  const int64_t a_rs = trans_a ? 1 : lda;
+  const int64_t a_ks = trans_a ? lda : 1;
   // One shared B panel per k block, packed serially by the caller; A blocks
   // are packed per worker chunk. C rows are written by exactly one chunk
   // and the k blocks advance in the same serial order for every chunking,
@@ -358,32 +376,44 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
   // shallow or short operand (conv's dCols GEMM has k = OC) must not grow
   // every thread's arena to full kKC/kMC panels.
   ArenaScope scope;
-  float* bpack = scope.AllocFloats(std::min(k, kKC) * CeilDiv(n, kNR) * kNR);
+  float* bpack = scope.AllocFloats(std::min(k, kKC) *
+                                   CeilDiv(n - n_direct, kNR) * kNR);
   const int64_t grain = std::max(kMC, RowGrain(n * k, 1 << 18));
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    PackB(trans_b, b, ldb, pc, kc, n, bpack);
+    PackB(trans_b, b, ldb, pc, kc, n_direct, n, bpack);
     const bool first = pc == 0;
     const bool last = pc + kc >= k;
     ParallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
       ArenaScope worker_scope;
-      float* apack = worker_scope.AllocFloats(
-          CeilDiv(std::min(kMC, r1 - r0), kMR) * kMR * kc);
+      const int64_t rows = a_direct ? kMR : std::min(kMC, r1 - r0);
+      float* apack = worker_scope.AllocFloats(CeilDiv(rows, kMR) * kMR * kc);
       alignas(64) float acc[kMR * kNR];
       for (int64_t ic = r0; ic < r1; ic += kMC) {
         const int64_t mb = std::min(kMC, r1 - ic);
-        PackA(trans_a, a, lda, ic, pc, mb, kc, alpha, apack);
+        const int64_t m_direct = a_direct ? mb / kMR * kMR : 0;
+        PackA(trans_a, a, lda, ic + m_direct, pc, mb - m_direct, kc, alpha,
+              apack);
         for (int64_t jr = 0; jr < n; jr += kNR) {
           const int64_t nr = std::min(kNR, n - jr);
-          const float* bsub = bpack + jr * kc;
+          const bool b_in_place = jr < n_direct;
+          const float* bsub = b_in_place ? b + pc * ldb + jr
+                                         : bpack + (jr - n_direct) * kc;
+          const int64_t b_ks = b_in_place ? ldb : kNR;
           for (int64_t ir = 0; ir < mb; ir += kMR) {
             const int64_t mr = std::min(kMR, mb - ir);
-            const float* asub = apack + ir * kc;
+            const bool a_in_place = ir < m_direct;
+            const float* asub =
+                a_in_place ? a + (ic + ir) * a_rs + pc * a_ks
+                           : apack + (ir - m_direct) * kc;
+            const int64_t rs = a_in_place ? a_rs : 1;
+            const int64_t ks = a_in_place ? a_ks : kMR;
             if (use_avx2) {
-              gemm_internal::MicroKernelAvx2(kc, asub, bsub, acc);
+              gemm_internal::MicroKernelAvx2(kc, asub, rs, ks, bsub, b_ks,
+                                             acc);
             } else {
               std::memset(acc, 0, sizeof(acc));
-              MicroKernelPortable(kc, asub, bsub, acc);
+              MicroKernelPortable(kc, asub, rs, ks, bsub, b_ks, acc);
             }
             MergeTile(acc, c + (ic + ir) * ldc + jr, ldc, mr, nr, beta,
                       first, last, epi, ic + ir, jr);

@@ -91,12 +91,15 @@ constexpr int64_t kMC = 132;  // multiple of kMR
 /// supports it.
 bool Avx2Available();
 
-/// acc[kMR*kNR] = packed A panel x packed B panel over kc steps
-/// (overwrites acc; accumulation happens in registers). Implemented with
-/// AVX2/FMA intrinsics in gemm_avx2.cc; call only when Avx2Available().
-/// `acc` must be 64-byte aligned.
-void MicroKernelAvx2(int64_t kc, const float* ap, const float* bp,
-                     float* acc);
+/// acc[kMR*kNR] = A tile x B tile over kc steps (overwrites acc;
+/// accumulation happens in registers). Element (i, kk) of the A tile is
+/// ap[i * a_rs + kk * a_ks]; row kk of the B tile is the kNR contiguous
+/// floats at bp + kk * b_ks. Packed panels are the strides (1, kMR, kNR);
+/// a full tile of an operand that needs no packing is read where it lies.
+/// Implemented with AVX2/FMA intrinsics in gemm_avx2.cc; call only when
+/// Avx2Available(). `acc` must be 64-byte aligned.
+void MicroKernelAvx2(int64_t kc, const float* ap, int64_t a_rs,
+                     int64_t a_ks, const float* bp, int64_t b_ks, float* acc);
 
 }  // namespace gemm_internal
 

@@ -208,33 +208,97 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+// Im2Col and Col2Im move each value through a zero-bordered copy of its
+// (H, W) plane, (H+2p, W+2p), so that every kernel tap reads or writes
+// through one precomputed offset with no bounds test: an im2col row is only
+// OH·OW floats, and a per-element branch cost more than the copy itself.
+struct PaddedPlanes {
+  int64_t height, width, padding;
+  int64_t ph, pw;  // bordered extents
+
+  PaddedPlanes(int64_t h, int64_t w, int64_t p)
+      : height(h), width(w), padding(p), ph(h + 2 * p), pw(w + 2 * p) {
+    EDDE_CHECK_LE(ph * pw, std::numeric_limits<int32_t>::max())
+        << "conv plane too large for int32 offsets";
+  }
+  int64_t size() const { return ph * pw; }
+
+  // Copies `planes` (H, W) planes into bordered planes whose border is zero.
+  void Stage(const float* src, int64_t planes, float* dst) const {
+    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(planes * size()));
+    for (int64_t i = 0; i < planes; ++i) {
+      for (int64_t y = 0; y < height; ++y) {
+        std::memcpy(dst + i * size() + (y + padding) * pw + padding,
+                    src + (i * height + y) * width,
+                    sizeof(float) * static_cast<size_t>(width));
+      }
+    }
+  }
+
+  // Copies the interiors of `planes` bordered planes back to (H, W) planes.
+  void Unstage(const float* src, int64_t planes, float* dst) const {
+    for (int64_t i = 0; i < planes; ++i) {
+      for (int64_t y = 0; y < height; ++y) {
+        std::memcpy(dst + (i * height + y) * width,
+                    src + i * size() + (y + padding) * pw + padding,
+                    sizeof(float) * static_cast<size_t>(width));
+      }
+    }
+  }
+};
+
+// Offset map of one channel: entry (ky·k + kx)·OH·OW + y·OW + x is where
+// output pixel (y, x) of tap (ky, kx) sits in a bordered plane.
+int32_t* TapOffsets(const ConvGeom& geom, const PaddedPlanes& planes,
+                    int64_t oh, int64_t ow, ArenaScope* scope) {
+  const int64_t k = geom.kernel;
+  int32_t* offsets = static_cast<int32_t*>(
+      scope->Alloc(sizeof(int32_t) * static_cast<size_t>(k * k * oh * ow)));
+  int32_t* out = offsets;
+  for (int64_t ky = 0; ky < k; ++ky) {
+    for (int64_t kx = 0; kx < k; ++kx) {
+      for (int64_t y = 0; y < oh; ++y) {
+        for (int64_t x = 0; x < ow; ++x) {
+          *out++ = static_cast<int32_t>((y * geom.stride + ky) * planes.pw +
+                                        x * geom.stride + kx);
+        }
+      }
+    }
+  }
+  return offsets;
+}
+
+}  // namespace
+
 void Im2Col(const float* input, int64_t batch, int64_t channels,
             int64_t height, int64_t width, const ConvGeom& geom, float* cols) {
   const int64_t oh = geom.OutExtent(height);
   const int64_t ow = geom.OutExtent(width);
-  const int64_t k = geom.kernel;
+  const int64_t taps = geom.kernel * geom.kernel;
   const int64_t plane = oh * ow;
+  if (oh <= 0 || ow <= 0) return;
   // Serial: the Conv2d kernels cap a block at 32 Ki floats of columns
   // (Conv2dBlockSamples), too little copying to pay for a pool region.
-  for (int64_t row = 0; row < channels * k * k; ++row) {
-    const int64_t c = row / (k * k);
-    const int64_t ky = (row / k) % k;
-    const int64_t kx = row % k;
+  ArenaScope scope;
+  const PaddedPlanes planes(height, width, geom.padding);
+  const int32_t* offsets = TapOffsets(geom, planes, oh, ow, &scope);
+  const float* staged = input;
+  if (geom.padding > 0) {
+    float* dst = scope.AllocFloats(batch * channels * planes.size());
+    planes.Stage(input, batch * channels, dst);
+    staged = dst;
+  }
+  for (int64_t row = 0; row < channels * taps; ++row) {
+    const int32_t* tap = offsets + (row % taps) * plane;
     for (int64_t s = 0; s < batch; ++s) {
-      const float* img = input + (s * channels + c) * height * width;
-      float* out_row = cols + (row * batch + s) * plane;
-      for (int64_t y = 0; y < oh; ++y) {
-        const int64_t iy = y * geom.stride + ky - geom.padding;
-        if (iy < 0 || iy >= height) {
-          std::memset(out_row + y * ow, 0, sizeof(float) * ow);
-          continue;
-        }
-        const float* src = img + iy * width;
-        for (int64_t x = 0; x < ow; ++x) {
-          const int64_t ix = x * geom.stride + kx - geom.padding;
-          out_row[y * ow + x] = (ix >= 0 && ix < width) ? src[ix] : 0.0f;
-        }
-      }
+      const float* src = staged + (s * channels + row / taps) * planes.size();
+      float* out = cols + (row * batch + s) * plane;
+      // Rows are a few floats long; unrolling halves the loop overhead
+      // that dominates them.
+#pragma GCC unroll 4
+      for (int64_t p = 0; p < plane; ++p) out[p] = src[tap[p]];
     }
   }
 }
@@ -244,31 +308,32 @@ void Col2Im(const float* cols, int64_t batch, int64_t channels,
             float* input_grad) {
   const int64_t oh = geom.OutExtent(height);
   const int64_t ow = geom.OutExtent(width);
-  const int64_t k = geom.kernel;
+  const int64_t taps = geom.kernel * geom.kernel;
   const int64_t plane = oh * ow;
+  if (oh <= 0 || ow <= 0) return;
+  ArenaScope scope;
+  const PaddedPlanes planes(height, width, geom.padding);
+  const int32_t* offsets = TapOffsets(geom, planes, oh, ow, &scope);
+  float* staged = input_grad;
+  if (geom.padding > 0) {
+    staged = scope.AllocFloats(batch * channels * planes.size());
+    planes.Stage(input_grad, batch * channels, staged);
+  }
   // Kernel offsets of one channel accumulate into overlapping pixels; each
   // pixel sums its (ky, kx, y, x) contributions in that fixed order, the
   // same for any block size.
   for (int64_t s = 0; s < batch; ++s) {
     for (int64_t c = 0; c < channels; ++c) {
-      float* img = input_grad + (s * channels + c) * height * width;
-      int64_t row = c * k * k;
-      for (int64_t ky = 0; ky < k; ++ky) {
-        for (int64_t kx = 0; kx < k; ++kx, ++row) {
-          const float* in_row = cols + (row * batch + s) * plane;
-          for (int64_t y = 0; y < oh; ++y) {
-            const int64_t iy = y * geom.stride + ky - geom.padding;
-            if (iy < 0 || iy >= height) continue;
-            float* dst = img + iy * width;
-            for (int64_t x = 0; x < ow; ++x) {
-              const int64_t ix = x * geom.stride + kx - geom.padding;
-              if (ix >= 0 && ix < width) dst[ix] += in_row[y * ow + x];
-            }
-          }
-        }
+      float* dst = staged + (s * channels + c) * planes.size();
+      for (int64_t t = 0; t < taps; ++t) {
+        const float* in_row = cols + ((c * taps + t) * batch + s) * plane;
+        const int32_t* tap = offsets + t * plane;
+#pragma GCC unroll 4
+        for (int64_t p = 0; p < plane; ++p) dst[tap[p]] += in_row[p];
       }
     }
   }
+  if (geom.padding > 0) planes.Unstage(staged, batch * channels, input_grad);
 }
 
 int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
@@ -293,6 +358,13 @@ void TransposeBlock(const float* src, int64_t bn, int64_t channels,
       std::memcpy(dst + (to_nchw ? nchw : cm), src + (to_nchw ? cm : nchw),
                   sizeof(float) * static_cast<size_t>(plane));
     }
+  }
+}
+
+// dst (cols, rows) = src (rows, cols)^T.
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) dst[j * rows + i] = src[i * cols + j];
   }
 }
 
@@ -390,7 +462,12 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
   float* grad_cols = scope.AllocFloats(cols_rows * block * plane);
   float* go2d = scope.AllocFloats(oc * block * plane);
   const float* w2d = weight.data();       // (OC, C*k*k)
-  float* wg2d = weight_grad->data();      // (OC, C*k*k)
+  // dW accumulates transposed, (C*k*k, OC): the GEMM then reads cols where
+  // they lie and packs only the OC-wide dY^T, instead of packing cols^T.
+  // Every element sums the same products in the same order as dW += dY @
+  // cols^T would, so the gradient is bit-identical.
+  float* wg_t = scope.AllocFloats(cols_rows * oc);
+  Transpose(weight_grad->data(), oc, cols_rows, wg_t);
 
   // Blocks run serially in batch order: dW accumulates across them.
   for (int64_t n0 = 0; n0 < batch; n0 += block) {
@@ -399,10 +476,10 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
     TransposeBlock(grad_out.data() + n0 * oc * plane, bn, oc, plane,
                    /*to_nchw=*/false, go2d);
 
-    // dW += dY @ cols^T
+    // dW^T += cols @ dY^T
     Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
-    GemmRaw(false, true, oc, cols_rows, ncols, 1.0f, go2d, ncols, cols,
-            ncols, 1.0f, wg2d, cols_rows);
+    GemmRaw(false, true, cols_rows, oc, ncols, 1.0f, cols, ncols, go2d,
+            ncols, 1.0f, wg_t, oc);
 
     // dCols = W^T @ dY ; dX = col2im(dCols)
     GemmRaw(true, false, cols_rows, ncols, oc, 1.0f, w2d, cols_rows, go2d,
@@ -410,6 +487,7 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
     Col2Im(grad_cols, bn, cin, h, w, geom,
            grad_input.data() + n0 * cin * h * w);
   }
+  Transpose(wg_t, cols_rows, oc, weight_grad->data());
 
   if (bias_grad != nullptr && !bias_grad->empty()) {
     for (int64_t n = 0; n < batch; ++n) {

@@ -99,12 +99,18 @@ struct ConvGeom {
 /// Unrolls `batch` consecutive samples (N, C, H, W) into one column block
 /// (C*k*k, N*OH*OW) for gemm-based convolution: sample s fills columns
 /// [s*OH*OW, (s+1)*OH*OW). `cols` must be preallocated with that shape.
+/// The samples are staged into zero-bordered (H+2p, W+2p) planes, one
+/// memcpy per row, and every column entry is gathered through an int32
+/// offset map with no bounds test; map and staging are arena scratch of
+/// the call.
 void Im2Col(const float* input, int64_t batch, int64_t channels,
             int64_t height, int64_t width, const ConvGeom& geom, float* cols);
 
 /// Adjoint of Im2Col: accumulates a column block (C*k*k, N*OH*OW) back into
-/// the N (C, H, W) images. `input_grad` must be zeroed by the caller
-/// beforehand.
+/// the N (C, H, W) images (zero `input_grad` first for a plain col2im).
+/// Scatter-adds through Im2Col's offset map into a bordered copy of
+/// `input_grad`; each pixel adds its (ky, kx, y, x) terms in that order,
+/// exactly as an element-by-element loop would.
 void Col2Im(const float* cols, int64_t batch, int64_t channels,
             int64_t height, int64_t width, const ConvGeom& geom,
             float* input_grad);

@@ -209,6 +209,213 @@ TEST(GemmDeterminismTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Bit-exact data paths: the micro-kernel reads full tiles of an operand in
+// place and packs the rest (edge tiles, alpha != 1, transposed B, k > kKC).
+// Every path feeds each output element the same products in the same
+// order, so for one kernel a result must not depend on how its operands are
+// stored: not on their leading dimensions or alignment, not on which of
+// them is transposed.
+// ---------------------------------------------------------------------------
+
+// A stored matrix copied into a buffer whose rows are 3 floats wider and
+// which starts one float past a 64-byte boundary; the padding is NaN so an
+// over-read that reaches a result shows up in it.
+struct WideMatrix {
+  std::vector<float> buf;
+  int64_t ld = 0;
+  float* data() { return buf.data() + 1; }
+
+  WideMatrix(const float* src, int64_t rows, int64_t cols)
+      : buf(static_cast<size_t>(rows * (cols + 3) + 1),
+            std::numeric_limits<float>::quiet_NaN()),
+        ld(cols + 3) {
+    for (int64_t i = 0; i < rows; ++i) {
+      std::memcpy(data() + i * ld, src + i * cols,
+                  sizeof(float) * static_cast<size_t>(cols));
+    }
+  }
+};
+
+struct ScaleCase {
+  float alpha, beta;
+  GemmEpilogue::Bias bias;
+  bool relu;
+};
+
+TEST(GemmBitExactTest, StorageDoesNotChangeABit) {
+  KernelGuard guard;
+  const int64_t mn_sizes[] = {1, 5, 6, 7, 16, 17, 133};
+  const int64_t k_sizes[] = {1, 4, 255, 256, 257};
+  const ScaleCase cases[] = {
+      {1.0f, 0.0f, GemmEpilogue::Bias::kNone, false},
+      {1.0f, 1.0f, GemmEpilogue::Bias::kPerRow, true},
+      {1.0f, 0.3f, GemmEpilogue::Bias::kPerCol, false},
+      {0.5f, 0.0f, GemmEpilogue::Bias::kNone, true},
+      {0.5f, 1.0f, GemmEpilogue::Bias::kPerCol, true},
+      {0.5f, 0.3f, GemmEpilogue::Bias::kPerRow, false},
+  };
+  const double u = std::ldexp(1.0, -24);
+  Rng rng(4321);
+  for (int64_t m : mn_sizes) {
+    for (int64_t n : mn_sizes) {
+      for (int64_t k : k_sizes) {
+        // op(A) and op(B) in both storage orders, a starting C and biases.
+        const Tensor a = MakeOperand(false, m, k, &rng);
+        const Tensor b = MakeOperand(false, k, n, &rng);
+        Tensor a_t(Shape{k, m}), b_t(Shape{n, k});
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t p = 0; p < k; ++p) a_t.at(p, i) = a.at(i, p);
+        }
+        for (int64_t p = 0; p < k; ++p) {
+          for (int64_t j = 0; j < n; ++j) b_t.at(j, p) = b.at(p, j);
+        }
+        const Tensor c0 = MakeOperand(false, m, n, &rng);
+        const Tensor row_bias = MakeOperand(false, 1, m, &rng);
+        const Tensor col_bias = MakeOperand(false, 1, n, &rng);
+        // Float64 product and the magnitude of its terms, for the bound.
+        std::vector<double> prod(static_cast<size_t>(m * n));
+        std::vector<double> mag(prod.size());
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            double acc = 0.0, abs_acc = 0.0;
+            for (int64_t p = 0; p < k; ++p) {
+              const double t = static_cast<double>(a.at(i, p)) * b.at(p, j);
+              acc += t;
+              abs_acc += std::fabs(t);
+            }
+            prod[static_cast<size_t>(i * n + j)] = acc;
+            mag[static_cast<size_t>(i * n + j)] = abs_acc;
+          }
+        }
+        for (GemmKernel kernel : AvailableKernels()) {
+          SetGemmKernel(kernel);
+          for (const ScaleCase& sc : cases) {
+            SCOPED_TRACE(::testing::Message()
+                         << GemmKernelName(kernel) << " m=" << m << " n=" << n
+                         << " k=" << k << " alpha=" << sc.alpha
+                         << " beta=" << sc.beta << " bias="
+                         << static_cast<int>(sc.bias) << " relu=" << sc.relu);
+            GemmEpilogue epi;
+            epi.bias = sc.bias;
+            epi.bias_data = sc.bias == GemmEpilogue::Bias::kPerRow
+                                ? row_bias.data()
+                                : sc.bias == GemmEpilogue::Bias::kPerCol
+                                      ? col_bias.data()
+                                      : nullptr;
+            epi.relu = sc.relu;
+            std::vector<float> first;
+            for (int ta = 0; ta < 2; ++ta) {
+              for (int tb = 0; tb < 2; ++tb) {
+                const Tensor& sa = ta != 0 ? a_t : a;
+                const Tensor& sb = tb != 0 ? b_t : b;
+                const int64_t lda = sa.shape().dim(1);
+                const int64_t ldb = sb.shape().dim(1);
+                std::vector<float> c(c0.data(), c0.data() + m * n);
+                GemmRaw(ta != 0, tb != 0, m, n, k, sc.alpha, sa.data(), lda,
+                        sb.data(), ldb, sc.beta, c.data(), n, epi);
+
+                WideMatrix wa(sa.data(), sa.shape().dim(0), lda);
+                WideMatrix wb(sb.data(), sb.shape().dim(0), ldb);
+                WideMatrix wc(c0.data(), m, n);
+                const std::vector<float> wc_before = wc.buf;
+                GemmRaw(ta != 0, tb != 0, m, n, k, sc.alpha, wa.data(), wa.ld,
+                        wb.data(), wb.ld, sc.beta, wc.data(), wc.ld, epi);
+                for (int64_t i = 0; i < m; ++i) {
+                  ASSERT_EQ(0, std::memcmp(wc.data() + i * wc.ld,
+                                           c.data() + i * n,
+                                           sizeof(float) *
+                                               static_cast<size_t>(n)))
+                      << "ta=" << ta << " tb=" << tb << ": strided row " << i
+                      << " differs from the contiguous call";
+                  // The padding of C is never written.
+                  ASSERT_EQ(0, std::memcmp(wc.data() + i * wc.ld + n,
+                                           wc_before.data() + 1 + i * wc.ld + n,
+                                           sizeof(float) * 3))
+                      << "row " << i;
+                }
+
+                if (first.empty()) {
+                  first = c;
+                  for (int64_t i = 0; i < m; ++i) {
+                    for (int64_t j = 0; j < n; ++j) {
+                      const size_t e = static_cast<size_t>(i * n + j);
+                      double want = sc.alpha * prod[e] +
+                                    static_cast<double>(sc.beta) * c0.at(i, j);
+                      double bound = sc.alpha * mag[e] +
+                                     std::fabs(sc.beta * c0.at(i, j));
+                      const double bias_v =
+                          sc.bias == GemmEpilogue::Bias::kPerRow
+                              ? row_bias.data()[i]
+                              : sc.bias == GemmEpilogue::Bias::kPerCol
+                                    ? col_bias.data()[j]
+                                    : 0.0;
+                      want += bias_v;
+                      bound = (k + 3) * u * (bound + std::fabs(bias_v));
+                      if (sc.relu && want < 0.0) want = 0.0;
+                      ASSERT_LE(std::fabs(c[e] - want), bound)
+                          << "(" << i << "," << j << ")";
+                    }
+                  }
+                } else {
+                  ASSERT_EQ(0, std::memcmp(first.data(), c.data(),
+                                           sizeof(float) * first.size()))
+                      << "ta=" << ta << " tb=" << tb
+                      << " differs from ta=0 tb=0";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A row or column of C computed alone lands in a packed edge tile; inside
+// the full product the same row or column is read in place. Both must agree
+// bit for bit.
+TEST(GemmBitExactTest, SlicesOfCMatchTheFullProduct) {
+  KernelGuard guard;
+  Rng rng(8765);
+  const int64_t m = 17, n = 35;
+  for (int64_t k : {int64_t{7}, int64_t{256}, int64_t{300}}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      const Tensor a = MakeOperand(ta != 0, m, k, &rng);
+      const Tensor b = MakeOperand(false, k, n, &rng);
+      const int64_t lda = a.shape().dim(1);
+      for (GemmKernel kernel : AvailableKernels()) {
+        SetGemmKernel(kernel);
+        SCOPED_TRACE(::testing::Message() << GemmKernelName(kernel) << " k="
+                                          << k << " ta=" << ta);
+        std::vector<float> full(static_cast<size_t>(m * n));
+        GemmRaw(ta != 0, false, m, n, k, 1.0f, a.data(), lda, b.data(), n,
+                0.0f, full.data(), n);
+        for (int64_t i = 0; i < m; ++i) {
+          std::vector<float> row(static_cast<size_t>(n));
+          const float* a_row = ta != 0 ? a.data() + i : a.data() + i * lda;
+          GemmRaw(ta != 0, false, 1, n, k, 1.0f, a_row, lda, b.data(), n,
+                  0.0f, row.data(), n);
+          ASSERT_EQ(0, std::memcmp(row.data(), full.data() + i * n,
+                                   sizeof(float) * row.size()))
+              << "row " << i;
+        }
+        for (int64_t j = 0; j < n; ++j) {
+          std::vector<float> col(static_cast<size_t>(m));
+          GemmRaw(ta != 0, false, m, 1, k, 1.0f, a.data(), lda, b.data() + j,
+                  n, 0.0f, col.data(), 1);
+          for (int64_t i = 0; i < m; ++i) {
+            ASSERT_EQ(0, std::memcmp(&col[static_cast<size_t>(i)],
+                                     &full[static_cast<size_t>(i * n + j)],
+                                     sizeof(float)))
+                << "(" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmDispatchTest, KernelNamesAndForcing) {
   KernelGuard guard;
   EXPECT_STREQ("scalar", GemmKernelName(GemmKernel::kScalar));

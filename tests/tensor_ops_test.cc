@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -344,8 +345,8 @@ INSTANTIATE_TEST_SUITE_P(Geometries, Conv2dOpTest,
                                             ::testing::Values(1, 2),
                                             ::testing::Values(0, 1)));
 
-TEST(Conv2dDifferentialTest, DegenerateShapes) {
-  const ConvCase cases[] = {
+std::vector<ConvCase> DegenerateConvCases() {
+  return {
       {1, 3, 4, 6, 6, 3, 1, 1},  // batch 1
       {3, 2, 3, 1, 1, 3, 1, 1},  // 1x1 spatial, padded 3x3 kernel
       {2, 3, 2, 1, 1, 1, 1, 0},  // 1x1 spatial, 1x1 kernel
@@ -356,12 +357,11 @@ TEST(Conv2dDifferentialTest, DegenerateShapes) {
       {2, 3, 3, 6, 6, 3, 1, 0},  // padding 0
       {2, 3, 3, 3, 3, 3, 2, 0},  // padding 0, single output pixel
   };
-  uint64_t seed = 500;
-  for (const ConvCase& c : cases) CheckConvAgainstReference(c, ++seed);
 }
 
-TEST(Conv2dDifferentialTest, RandomShapes) {
+std::vector<ConvCase> RandomConvCases() {
   Rng shapes(77);
+  std::vector<ConvCase> cases;
   for (int trial = 0; trial < 24; ++trial) {
     ConvCase c;
     c.batch = 1 + shapes.UniformInt(5);
@@ -373,16 +373,122 @@ TEST(Conv2dDifferentialTest, RandomShapes) {
     // Input extents at least the kernel, so the output is never empty.
     c.h = c.kernel + shapes.UniformInt(8);
     c.w = c.kernel + shapes.UniformInt(8);
-    CheckConvAgainstReference(c, 900 + trial);
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+// Two full blocks of Conv2dBlockSamples and a one-sample tail.
+ConvCase MultiBlockConvCase() {
+  ConvCase c{0, 8, 4, 12, 12, 3, 1, 1};
+  c.batch = 2 * Conv2dBlockSamples(GeomOf(c), c.h, c.w) + 1;
+  return c;
+}
+
+TEST(Conv2dDifferentialTest, DegenerateShapes) {
+  uint64_t seed = 500;
+  for (const ConvCase& c : DegenerateConvCases()) {
+    CheckConvAgainstReference(c, ++seed);
+  }
+}
+
+TEST(Conv2dDifferentialTest, RandomShapes) {
+  uint64_t seed = 900;
+  for (const ConvCase& c : RandomConvCases()) {
+    CheckConvAgainstReference(c, seed++);
   }
 }
 
 TEST(Conv2dDifferentialTest, BatchSpanningSeveralBlocksWithPartialTail) {
-  ConvCase c{0, 8, 4, 12, 12, 3, 1, 1};
-  const int64_t block = Conv2dBlockSamples(GeomOf(c), c.h, c.w);
-  ASSERT_GT(block, 1);
-  c.batch = 2 * block + 1;  // two full blocks and a one-sample tail
+  const ConvCase c = MultiBlockConvCase();
+  ASSERT_GT(c.batch, 3);
   CheckConvAgainstReference(c, 1234);
+}
+
+// Element-by-element im2col and its adjoint with a bounds test per value:
+// the bit-exact reference for the offset-map kernels.
+void NaiveIm2Col(const float* input, int64_t batch, int64_t channels,
+                 int64_t height, int64_t width, const ConvGeom& geom,
+                 float* cols) {
+  const int64_t oh = geom.OutExtent(height), ow = geom.OutExtent(width);
+  const int64_t k = geom.kernel;
+  for (int64_t row = 0; row < channels * k * k; ++row) {
+    const int64_t c = row / (k * k), ky = (row / k) % k, kx = row % k;
+    for (int64_t s = 0; s < batch; ++s) {
+      const float* img = input + (s * channels + c) * height * width;
+      float* out = cols + (row * batch + s) * oh * ow;
+      for (int64_t y = 0; y < oh; ++y) {
+        for (int64_t x = 0; x < ow; ++x) {
+          const int64_t iy = y * geom.stride + ky - geom.padding;
+          const int64_t ix = x * geom.stride + kx - geom.padding;
+          const bool inside = iy >= 0 && iy < height && ix >= 0 && ix < width;
+          out[y * ow + x] = inside ? img[iy * width + ix] : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void NaiveCol2Im(const float* cols, int64_t batch, int64_t channels,
+                 int64_t height, int64_t width, const ConvGeom& geom,
+                 float* input_grad) {
+  const int64_t oh = geom.OutExtent(height), ow = geom.OutExtent(width);
+  const int64_t k = geom.kernel;
+  for (int64_t s = 0; s < batch; ++s) {
+    for (int64_t c = 0; c < channels; ++c) {
+      float* img = input_grad + (s * channels + c) * height * width;
+      for (int64_t ky = 0; ky < k; ++ky) {
+        for (int64_t kx = 0; kx < k; ++kx) {
+          const int64_t row = (c * k + ky) * k + kx;
+          const float* in = cols + (row * batch + s) * oh * ow;
+          for (int64_t y = 0; y < oh; ++y) {
+            for (int64_t x = 0; x < ow; ++x) {
+              const int64_t iy = y * geom.stride + ky - geom.padding;
+              const int64_t ix = x * geom.stride + kx - geom.padding;
+              if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
+                img[iy * width + ix] += in[y * ow + x];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2ColTest, BitIdenticalToElementwiseLoops) {
+  std::vector<ConvCase> cases = DegenerateConvCases();
+  for (const ConvCase& c : RandomConvCases()) cases.push_back(c);
+  cases.push_back(MultiBlockConvCase());
+  Rng rng(4242);
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "batch " << c.batch << " cin " << c.cin << " " << c.h
+                 << "x" << c.w << " k " << c.kernel << " stride " << c.stride
+                 << " pad " << c.padding);
+    const ConvGeom g = GeomOf(c);
+    const int64_t ncols =
+        c.batch * g.OutExtent(c.h) * g.OutExtent(c.w);
+    const int64_t rows = c.cin * c.kernel * c.kernel;
+    const Tensor x = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+    Tensor got(Shape{rows, ncols}), want(Shape{rows, ncols});
+    Im2Col(x.data(), c.batch, c.cin, c.h, c.w, g, got.data());
+    NaiveIm2Col(x.data(), c.batch, c.cin, c.h, c.w, g, want.data());
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                             sizeof(float) * static_cast<size_t>(ncols * rows)))
+        << "im2col";
+
+    // Col2Im accumulates onto whatever the gradient already holds.
+    const Tensor dcols = RandomTensor(Shape{rows, ncols}, &rng);
+    Tensor dx_got = RandomTensor(x.shape(), &rng);
+    Tensor dx_want = dx_got.Clone();
+    Col2Im(dcols.data(), c.batch, c.cin, c.h, c.w, g, dx_got.data());
+    NaiveCol2Im(dcols.data(), c.batch, c.cin, c.h, c.w, g, dx_want.data());
+    ASSERT_EQ(0, std::memcmp(dx_got.data(), dx_want.data(),
+                             sizeof(float) *
+                                 static_cast<size_t>(x.num_elements())))
+        << "col2im";
+  }
 }
 
 TEST(Conv2dBlockSamplesTest, FitsColumnBudget) {

@@ -270,7 +270,9 @@ TEST_F(TraceExportTest, SpansCarryAmbientTraceIdIntoArgs) {
       saw_untagged = true;
       // No ambient id -> no args.trace_id (absent, not empty or zero).
       const JsonValue* args = e.Get("args");
-      if (args != nullptr) EXPECT_FALSE(args->Has("trace_id"));
+      if (args != nullptr) {
+        EXPECT_FALSE(args->Has("trace_id"));
+      }
     }
   }
   EXPECT_TRUE(saw_tagged);
