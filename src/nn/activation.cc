@@ -27,8 +27,13 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
   const float* y = cached_output_.data();
   float* dx = grad_input.data();
   const int64_t n = grad_output.num_elements();
+  // Load dy unconditionally: a load under the condition compiles to a
+  // branch per element, which mispredicts on random signs.
 #pragma omp simd
-  for (int64_t i = 0; i < n; ++i) dx[i] = y[i] > 0.0f ? dy[i] : 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    const float g = dy[i];
+    dx[i] = y[i] > 0.0f ? g : 0.0f;
+  }
   return grad_input;
 }
 

@@ -48,6 +48,13 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
                         &weight_.grad, use_bias_ ? &bias_.grad : nullptr);
 }
 
+void Conv2d::BackwardParams(const Tensor& grad_output) {
+  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
+  Conv2dBackward(cached_input_, weight_.value, grad_output, geom_,
+                 &weight_.grad, use_bias_ ? &bias_.grad : nullptr,
+                 /*input_grad=*/false);
+}
+
 void Conv2d::CollectParameters(std::vector<Parameter*>* out) {
   out->push_back(&weight_);
   if (use_bias_) out->push_back(&bias_);

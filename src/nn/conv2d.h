@@ -20,6 +20,9 @@ class Conv2d : public Module {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// Backward for a layer whose input is data (a network's stem): the same
+  /// parameter gradients as Backward, and no input gradient.
+  void BackwardParams(const Tensor& grad_output);
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 

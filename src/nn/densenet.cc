@@ -122,7 +122,8 @@ Tensor DenseNet::Backward(const Tensor& grad_output) {
   for (auto it = body_.rbegin(); it != body_.rend(); ++it) {
     g = (*it)->Backward(g);
   }
-  return stem_->Backward(g);
+  stem_->BackwardParams(g);
+  return Tensor();  // the input is data
 }
 
 void DenseNet::CollectParameters(std::vector<Parameter*>* out) {

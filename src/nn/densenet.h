@@ -71,6 +71,8 @@ class DenseNet : public Module {
   DenseNet(const DenseNetConfig& config, uint64_t seed);
 
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Returns an empty tensor: the images are data, so the stem computes
+  /// its parameter gradients only.
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;

@@ -56,7 +56,9 @@ class Module {
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
   /// Backpropagates `grad_output`, accumulating parameter gradients, and
-  /// returns the gradient with respect to the last Forward input.
+  /// returns the gradient with respect to the last Forward input — empty
+  /// when the input is data (token ids, a network's input images), which
+  /// nothing differentiates.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   /// Appends this module's parameters, input-side first.

@@ -40,23 +40,11 @@ Tensor ResidualBlock::Forward(const Tensor& input, bool training) {
     shortcut = proj_bn_->Forward(shortcut, training);
   }
 
-  Tensor sum = Add(branch, shortcut);
-  // Final ReLU; record the mask for backward.
-  cached_sum_mask_ = Tensor(sum.shape());
-  float* m = cached_sum_mask_.data();
-  float* s = sum.data();
-  const int64_t n = sum.num_elements();
-  for (int64_t i = 0; i < n; ++i) {
-    const bool on = s[i] > 0.0f;
-    m[i] = on ? 1.0f : 0.0f;
-    if (!on) s[i] = 0.0f;
-  }
-  return sum;
+  return out_relu_.Forward(Add(branch, shortcut), training);
 }
 
 Tensor ResidualBlock::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_sum_mask_.empty()) << "Backward before Forward";
-  Tensor grad_sum = Mul(grad_output, cached_sum_mask_);
+  const Tensor grad_sum = out_relu_.Backward(grad_output);
 
   // Branch path.
   Tensor g = bn2_.Backward(grad_sum);
@@ -137,7 +125,8 @@ Tensor ResNet::Backward(const Tensor& grad_output) {
   }
   g = stem_relu_.Backward(g);
   g = stem_bn_->Backward(g);
-  return stem_->Backward(g);
+  stem_->BackwardParams(g);
+  return Tensor();  // the input is data
 }
 
 void ResNet::CollectParameters(std::vector<Parameter*>* out) {

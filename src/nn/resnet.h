@@ -55,7 +55,7 @@ class ResidualBlock : public Module {
   BatchNorm bn2_;
   std::unique_ptr<Conv2d> proj_conv_;
   std::unique_ptr<BatchNorm> proj_bn_;
-  Tensor cached_sum_mask_;  // ReLU mask of the residual sum
+  ReLU out_relu_;
 };
 
 /// The full ResNet classifier.
@@ -64,6 +64,8 @@ class ResNet : public Module {
   ResNet(const ResNetConfig& config, uint64_t seed);
 
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Returns an empty tensor: the images are data, so the stem computes
+  /// its parameter gradients only.
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;

@@ -444,9 +444,106 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
       });
 }
 
-Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
-                      const Tensor& grad_out, const ConvGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad) {
+namespace {
+
+// The stride-1 correlation's weight, w̃ (C, OC·k²): w̃[c][oc][t] =
+// w[oc][c][k²−1−t], the kernel transposed and flipped in both axes.
+void FlipTransposeKernel(const float* w, int64_t oc, int64_t c, int64_t taps,
+                         float* dst) {
+  for (int64_t o = 0; o < oc; ++o) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      const float* src = w + (o * c + ch) * taps;
+      float* out = dst + (ch * oc + o) * taps + taps - 1;
+      for (int64_t t = 0; t < taps; ++t) out[-t] = src[t];
+    }
+  }
+}
+
+// Moves a weight gradient between its (OC, C, k²) layout and the stride-1
+// correlation's transposed w̃ gradient, (OC·k², C) with the taps reversed.
+void FlipKernelGrad(const float* src, int64_t oc, int64_t c, int64_t taps,
+                    bool to_flipped, float* dst) {
+  for (int64_t o = 0; o < oc; ++o) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      for (int64_t t = 0; t < taps; ++t) {
+        const int64_t natural = (o * c + ch) * taps + t;
+        const int64_t flipped = (o * taps + taps - 1 - t) * c + ch;
+        dst[to_flipped ? flipped : natural] =
+            src[to_flipped ? natural : flipped];
+      }
+    }
+  }
+}
+
+// Stride-1 backward with p ≤ k−1. dX is the forward correlation of dY,
+// zero-bordered by k−1−p, with w̃; one Im2Col of dY per block (geometry
+// in = OC, out = C, padding k−1−p, output extent H×W) feeds both gradients:
+//   dX (C, bn·H·W)     = w̃ (C, OC·k²) · dYcols
+//   w̃gradᵀ (OC·k², C) += dYcols · X2dᵀ
+// where X2d is the block's input channel-major. dW sums the same nonzero
+// products dY·X as the input-cols form; only zero border terms differ.
+void Conv2dBackwardStride1(const Tensor& input, const Tensor& weight,
+                           const Tensor& grad_out, const ConvGeom& geom,
+                           Tensor* weight_grad, Tensor* grad_input) {
+  const int64_t batch = input.shape().dim(0);
+  const int64_t cin = input.shape().dim(1);
+  const int64_t h = input.shape().dim(2);
+  const int64_t w = input.shape().dim(3);
+  const int64_t oc = geom.out_channels;
+  const int64_t oh = geom.OutExtent(h);
+  const int64_t ow = geom.OutExtent(w);
+  const int64_t taps = geom.kernel * geom.kernel;
+  const int64_t depth = oc * taps;
+  const int64_t plane = h * w;
+  ConvGeom corr;
+  corr.in_channels = oc;
+  corr.out_channels = cin;
+  corr.kernel = geom.kernel;
+  corr.stride = 1;
+  corr.padding = geom.kernel - 1 - geom.padding;
+  const int64_t block = std::min(Conv2dBlockSamples(corr, oh, ow), batch);
+
+  ArenaScope scope;
+  float* dy_cols = scope.AllocFloats(depth * block * plane);
+  float* x2d = scope.AllocFloats(cin * block * plane);
+  float* wg_t = scope.AllocFloats(depth * cin);
+  FlipKernelGrad(weight_grad->data(), oc, cin, taps, /*to_flipped=*/true,
+                 wg_t);
+  float* w_flip = nullptr;
+  float* dx2d = nullptr;
+  if (grad_input != nullptr) {
+    w_flip = scope.AllocFloats(cin * depth);
+    FlipTransposeKernel(weight.data(), oc, cin, taps, w_flip);
+    dx2d = scope.AllocFloats(cin * block * plane);
+  }
+
+  // Blocks run serially in batch order: dW accumulates across them.
+  for (int64_t n0 = 0; n0 < batch; n0 += block) {
+    const int64_t bn = std::min(block, batch - n0);
+    const int64_t ncols = bn * plane;
+    Im2Col(grad_out.data() + n0 * oc * oh * ow, bn, oc, oh, ow, corr,
+           dy_cols);
+    TransposeBlock(input.data() + n0 * cin * plane, bn, cin, plane,
+                   /*to_nchw=*/false, x2d);
+    GemmRaw(false, true, depth, cin, ncols, 1.0f, dy_cols, ncols, x2d, ncols,
+            1.0f, wg_t, cin);
+    if (grad_input != nullptr) {
+      GemmRaw(false, false, cin, ncols, depth, 1.0f, w_flip, depth, dy_cols,
+              ncols, 0.0f, dx2d, ncols);
+      TransposeBlock(dx2d, bn, cin, plane, /*to_nchw=*/true,
+                     grad_input->data() + n0 * cin * plane);
+    }
+  }
+  FlipKernelGrad(wg_t, oc, cin, taps, /*to_flipped=*/false,
+                 weight_grad->data());
+}
+
+// Any other geometry: dW from the input's cols, dX by Col2Im of
+// dCols = Wᵀ · dY. A stride-2 correlation would need a dY that is 3/4
+// zeros.
+void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
+                          const Tensor& grad_out, const ConvGeom& geom,
+                          Tensor* weight_grad, Tensor* grad_input) {
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = input.shape().dim(1);
   const int64_t h = input.shape().dim(2);
@@ -456,11 +553,12 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
   const int64_t cols_rows = cin * geom.kernel * geom.kernel;
   const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
-  Tensor grad_input(input.shape(), 0.0f);
   ArenaScope scope;
   float* cols = scope.AllocFloats(cols_rows * block * plane);
-  float* grad_cols = scope.AllocFloats(cols_rows * block * plane);
   float* go2d = scope.AllocFloats(oc * block * plane);
+  float* grad_cols = grad_input != nullptr
+                         ? scope.AllocFloats(cols_rows * block * plane)
+                         : nullptr;
   const float* w2d = weight.data();       // (OC, C*k*k)
   // dW accumulates transposed, (C*k*k, OC): the GEMM then reads cols where
   // they lie and packs only the OC-wide dY^T, instead of packing cols^T.
@@ -481,15 +579,42 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
     GemmRaw(false, true, cols_rows, oc, ncols, 1.0f, cols, ncols, go2d,
             ncols, 1.0f, wg_t, oc);
 
-    // dCols = W^T @ dY ; dX = col2im(dCols)
-    GemmRaw(true, false, cols_rows, ncols, oc, 1.0f, w2d, cols_rows, go2d,
-            ncols, 0.0f, grad_cols, ncols);
-    Col2Im(grad_cols, bn, cin, h, w, geom,
-           grad_input.data() + n0 * cin * h * w);
+    if (grad_input != nullptr) {
+      // dCols = W^T @ dY ; dX = col2im(dCols)
+      GemmRaw(true, false, cols_rows, ncols, oc, 1.0f, w2d, cols_rows, go2d,
+              ncols, 0.0f, grad_cols, ncols);
+      Col2Im(grad_cols, bn, cin, h, w, geom,
+             grad_input->data() + n0 * cin * h * w);
+    }
   }
   Transpose(wg_t, cols_rows, oc, weight_grad->data());
+}
+
+}  // namespace
+
+Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
+                      const Tensor& grad_out, const ConvGeom& geom,
+                      Tensor* weight_grad, Tensor* bias_grad,
+                      bool input_grad) {
+  const bool correlation =
+      geom.stride == 1 && geom.padding <= geom.kernel - 1;
+  Tensor grad_input;
+  if (input_grad) {
+    // The correlation writes every element; Col2Im accumulates into zeros.
+    grad_input = correlation ? Tensor(input.shape())
+                             : Tensor(input.shape(), 0.0f);
+  }
+  Tensor* dx = input_grad ? &grad_input : nullptr;
+  if (correlation) {
+    Conv2dBackwardStride1(input, weight, grad_out, geom, weight_grad, dx);
+  } else {
+    Conv2dBackwardCol2Im(input, weight, grad_out, geom, weight_grad, dx);
+  }
 
   if (bias_grad != nullptr && !bias_grad->empty()) {
+    const int64_t batch = input.shape().dim(0);
+    const int64_t oc = geom.out_channels;
+    const int64_t plane = grad_out.shape().dim(2) * grad_out.shape().dim(3);
     for (int64_t n = 0; n < batch; ++n) {
       for (int64_t c = 0; c < oc; ++c) {
         double acc = 0.0;

@@ -134,12 +134,19 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
                          const Tensor& bias, const ConvGeom& geom);
 
 /// Backward 2-D convolution. Accumulates into weight_grad/bias_grad
-/// (callers zero them at the start of each step) and returns input gradient.
-/// Sample blocks run in a fixed serial order, so weight_grad is the same at
-/// any thread count.
+/// (callers zero them at the start of each step) and returns the input
+/// gradient, or an empty tensor when `input_grad` is false (the input is
+/// data, e.g. a network's stem); the parameter gradients are the same
+/// either way. Stride-1 layers with padding ≤ k−1 take both gradients from
+/// one im2col of dY per sample block: dX is the forward correlation of the
+/// zero-bordered dY with the flipped, transposed kernel, and dW multiplies
+/// the same dY columns by the block's input. Other geometries take dW from
+/// the input's im2col and dX by Col2Im of Wᵀ·dY. Sample blocks run in a
+/// fixed serial order, so the result is the same at any thread count.
 Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
                       const Tensor& grad_out, const ConvGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad);
+                      Tensor* weight_grad, Tensor* bias_grad,
+                      bool input_grad = true);
 
 // ---------------------------------------------------------------------------
 // 1-D convolution over sequences (N, C, L), for TextCNN

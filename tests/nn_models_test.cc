@@ -80,6 +80,16 @@ TEST(ResNetTest, DirectionalDerivativeMatchesBackward) {
       << "analytic=" << result.analytic << " numeric=" << result.numeric;
 }
 
+TEST(ResNetTest, BackwardReturnsNoInputGradient) {
+  ResNetConfig cfg;
+  cfg.depth = 8;
+  cfg.base_width = 2;
+  cfg.num_classes = 3;
+  ResNet net(cfg, 5);
+  const Tensor out = net.Forward(RandomImages(2, 3, 6, 8), /*training=*/true);
+  EXPECT_TRUE(net.Backward(Tensor(out.shape(), 1.0f)).empty());
+}
+
 TEST(ResNetTest, TrainingStepReducesLoss) {
   ResNetConfig cfg;
   cfg.depth = 8;
@@ -170,6 +180,16 @@ TEST(DenseNetTest, DirectionalDerivativeMatchesBackward) {
       &net, RandomImages(2, 3, 8, 5), /*training=*/true, &rng);
   EXPECT_LT(result.rel_error, 0.02)
       << "analytic=" << result.analytic << " numeric=" << result.numeric;
+}
+
+TEST(DenseNetTest, BackwardReturnsNoInputGradient) {
+  DenseNetConfig cfg;
+  cfg.depth = 13;
+  cfg.growth = 2;
+  cfg.num_classes = 3;
+  DenseNet net(cfg, 3);
+  const Tensor out = net.Forward(RandomImages(2, 3, 8, 9), /*training=*/true);
+  EXPECT_TRUE(net.Backward(Tensor(out.shape(), 1.0f)).empty());
 }
 
 TEST(DenseNetTest, ChannelsGrowByGrowthRate) {

@@ -356,6 +356,18 @@ std::vector<ConvCase> DegenerateConvCases() {
       {2, 5, 7, 5, 5, 3, 1, 1},  // odd channel counts
       {2, 3, 3, 6, 6, 3, 1, 0},  // padding 0
       {2, 3, 3, 3, 3, 3, 2, 0},  // padding 0, single output pixel
+      // Stride 1 with p ≤ k−1 runs backward as a correlation over dY's
+      // im2col: k = 3 at p = k−1, and k = 5 at every p.
+      {2, 3, 4, 6, 6, 3, 1, 2},
+      {2, 2, 3, 7, 6, 5, 1, 0},
+      {2, 2, 3, 6, 7, 5, 1, 1},
+      {2, 3, 2, 5, 5, 5, 1, 2},
+      {2, 2, 3, 4, 3, 5, 1, 3},
+      {2, 3, 2, 2, 2, 5, 1, 4},  // output larger than the input
+      // Stride 1 with p ≥ k falls back to Col2Im.
+      {2, 3, 2, 4, 5, 1, 1, 1},
+      {2, 2, 3, 3, 4, 2, 1, 2},
+      {1, 2, 2, 3, 3, 3, 1, 3},
   };
 }
 
@@ -385,6 +397,16 @@ ConvCase MultiBlockConvCase() {
   return c;
 }
 
+// Two full blocks of the dY im2col (in = cout) and a one-sample tail; the
+// input's im2col would block this batch differently.
+ConvCase MultiBlockGradOutConvCase() {
+  ConvCase c{0, 4, 8, 12, 12, 3, 1, 1};
+  ConvGeom dy = GeomOf(c);
+  dy.in_channels = c.cout;
+  c.batch = 2 * Conv2dBlockSamples(dy, c.h, c.w) + 1;
+  return c;
+}
+
 TEST(Conv2dDifferentialTest, DegenerateShapes) {
   uint64_t seed = 500;
   for (const ConvCase& c : DegenerateConvCases()) {
@@ -403,6 +425,46 @@ TEST(Conv2dDifferentialTest, BatchSpanningSeveralBlocksWithPartialTail) {
   const ConvCase c = MultiBlockConvCase();
   ASSERT_GT(c.batch, 3);
   CheckConvAgainstReference(c, 1234);
+  const ConvCase dy = MultiBlockGradOutConvCase();
+  ASSERT_GT(dy.batch, 3);
+  CheckConvAgainstReference(dy, 1235);
+}
+
+// Without the input gradient, backward returns an empty tensor and the
+// parameter gradients are the same bits as the full call's, on the
+// correlation path (stride 1) and the Col2Im path (stride 2, p ≥ k).
+TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
+  const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 1, 1},
+                            {3, 3, 4, 6, 6, 3, 2, 1},
+                            {2, 3, 2, 4, 5, 1, 1, 1},
+                            MultiBlockGradOutConvCase()};
+  Rng rng(808);
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "stride " << c.stride << " pad "
+                                      << c.padding << " batch " << c.batch);
+    const ConvGeom g = GeomOf(c);
+    const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+    const Tensor weight =
+        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+    const Tensor grad_out = RandomTensor(
+        Shape{c.batch, c.cout, g.OutExtent(c.h), g.OutExtent(c.w)}, &rng);
+    // Accumulation starts from a nonzero gradient, as in a second step.
+    const Tensor wg0 = RandomTensor(weight.shape(), &rng);
+    const Tensor bg0 = RandomTensor(Shape{c.cout}, &rng);
+    Tensor wg_full = wg0.Clone(), bg_full = bg0.Clone();
+    Tensor wg = wg0.Clone(), bg = bg0.Clone();
+    const Tensor dx =
+        Conv2dBackward(input, weight, grad_out, g, &wg_full, &bg_full);
+    EXPECT_EQ(dx.shape(), input.shape());
+    const Tensor none = Conv2dBackward(input, weight, grad_out, g, &wg, &bg,
+                                       /*input_grad=*/false);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(0, std::memcmp(wg.data(), wg_full.data(),
+                             sizeof(float) * static_cast<size_t>(
+                                                 wg.num_elements())));
+    EXPECT_EQ(0, std::memcmp(bg.data(), bg_full.data(),
+                             sizeof(float) * static_cast<size_t>(c.cout)));
+  }
 }
 
 // Element-by-element im2col and its adjoint with a bounds test per value:
