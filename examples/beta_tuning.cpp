@@ -1,7 +1,9 @@
 /// Knowledge-transfer tuning scenario: run the paper's adaptive β probe
 /// (Sec. IV-B / Fig. 4-5) to pick how much of a trained network to transfer
 /// into the next ensemble member, then train an EDDE ensemble with the
-/// selected β and save its members to checkpoints.
+/// selected β and save it — every member and its α — as one ensemble
+/// artifact (SaveEnsemble) that LoadEnsemble restores with the same ResNet
+/// factory.
 ///
 ///   ./build/examples/beta_tuning [--seed=42] [--out_dir=/tmp]
 
@@ -12,7 +14,7 @@
 #include "core/beta_selector.h"
 #include "core/edde.h"
 #include "data/synthetic_image.h"
-#include "nn/checkpoint.h"
+#include "ensemble/ensemble_io.h"
 #include "nn/resnet.h"
 #include "utils/flags.h"
 #include "utils/table.h"
@@ -20,7 +22,7 @@
 int main(int argc, char** argv) {
   edde::FlagParser flags;
   flags.Define("seed", "42", "RNG seed");
-  flags.Define("out_dir", "/tmp", "directory for member checkpoints");
+  flags.Define("out_dir", "/tmp", "directory for the saved ensemble");
   edde::DefineCommonFlags(&flags);
   if (!flags.Parse(argc, argv).ok() || flags.help_requested()) {
     flags.PrintHelp(argv[0]);
@@ -86,18 +88,16 @@ int main(int argc, char** argv) {
   std::printf("EDDE(beta=%.1f) test accuracy: %s\n", result.selected_beta,
               edde::FormatPercent(model.EvaluateAccuracy(data.test)).c_str());
 
-  // 3. Persist the members.
-  const std::string out_dir = flags.GetString("out_dir");
-  for (int64_t t = 0; t < model.size(); ++t) {
-    const std::string path =
-        out_dir + "/edde_member_" + std::to_string(t) + ".ckpt";
-    const edde::Status status = edde::SaveCheckpoint(model.member(t), path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "failed to save %s: %s\n", path.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("saved %s (alpha=%.3f)\n", path.c_str(), model.alpha(t));
+  // 3. Persist the ensemble.
+  const std::string path =
+      flags.GetString("out_dir") + "/edde_beta_tuning.edde";
+  const edde::Status status = edde::SaveEnsemble(model, path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "failed to save %s: %s\n", path.c_str(),
+                 status.ToString().c_str());
+    return 1;
   }
+  std::printf("saved %s (%lld members)\n", path.c_str(),
+              static_cast<long long>(model.size()));
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "tensor/quantize.h"
 #include "utils/durable_io.h"
 #include "utils/serialize.h"
 
@@ -11,9 +10,7 @@ namespace edde {
 namespace {
 
 // v3: magic + CRC-framed sections, fp16-capable, atomically committed.
-// v2: plain unframed stream, fp32 only — still accepted on read.
 constexpr uint32_t kEnsembleMagicV3 = 0xEDDE0003;
-constexpr uint32_t kEnsembleMagicV2 = 0xEDDE0002;
 constexpr uint32_t kTagHeader = 1;
 constexpr uint32_t kTagMember = 2;
 constexpr uint32_t kFormatVersion = 1;
@@ -44,55 +41,6 @@ int64_t DeriveNumClasses(const std::vector<Parameter*>& params) {
   return 0;
 }
 
-Result<EnsembleModel> LoadEnsembleV2(BinaryReader* reader,
-                                     const ModelFactory& factory) {
-  uint64_t members = 0;
-  if (!reader->ReadU64(&members)) return reader->status();
-  if (members == 0 || members > kMaxMembers) {
-    return Status::Corruption("implausible ensemble size");
-  }
-
-  EnsembleModel ensemble;
-  for (uint64_t t = 0; t < members; ++t) {
-    float alpha = 0.0f;
-    if (!reader->ReadF32(&alpha)) return reader->status();
-    if (!(alpha > 0.0f)) {
-      return Status::Corruption("non-positive member weight");
-    }
-    std::unique_ptr<Module> member = factory(/*seed=*/t);
-    auto params = member->Parameters();
-    uint64_t count = 0;
-    if (!reader->ReadU64(&count)) return reader->status();
-    if (count != params.size()) {
-      return Status::InvalidArgument(
-          "factory architecture does not match checkpoint: " +
-          std::to_string(count) + " vs " + std::to_string(params.size()) +
-          " parameter blocks");
-    }
-    for (Parameter* p : params) {
-      std::string name;
-      if (!reader->ReadString(&name)) return reader->status();
-      uint64_t rank = 0;
-      if (!reader->ReadU64(&rank)) return reader->status();
-      if (rank > 8) return Status::Corruption("implausible tensor rank");
-      std::vector<int64_t> dims(rank);
-      for (auto& d : dims) {
-        if (!reader->ReadI64(&d)) return reader->status();
-        if (d < 0) return Status::Corruption("negative dimension");
-      }
-      if (Shape(dims) != p->value.shape()) {
-        return Status::InvalidArgument("parameter shape mismatch for " + name);
-      }
-      if (!reader->ReadFloats(p->value.data(),
-                              static_cast<size_t>(p->value.num_elements()))) {
-        return reader->status();
-      }
-    }
-    ensemble.AddMember(std::move(member), alpha);
-  }
-  return ensemble;
-}
-
 }  // namespace
 
 int64_t DerivedInputDim(const EnsembleModel& ensemble) {
@@ -103,66 +51,6 @@ int64_t DerivedInputDim(const EnsembleModel& ensemble) {
 int64_t DerivedNumClasses(const EnsembleModel& ensemble) {
   if (ensemble.size() == 0) return 0;
   return DeriveNumClasses(ensemble.member(0)->Parameters());
-}
-
-Result<EnsembleArtifactInfo> ReadEnsembleArtifactInfo(
-    const std::string& path) {
-  BinaryReader reader(path);
-  EDDE_RETURN_NOT_OK(reader.status());
-  uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return reader.status();
-
-  EnsembleArtifactInfo info;
-  if (magic == kEnsembleMagicV2) {
-    // v2 has no framing and records nothing beyond the member count; the
-    // only cheap check available is plausibility.
-    info.format = 2;
-    uint64_t members = 0;
-    if (!reader.ReadU64(&members)) return reader.status();
-    if (members == 0 || members > kMaxMembers) {
-      return Status::Corruption("implausible ensemble size");
-    }
-    info.members = static_cast<int64_t>(members);
-    return info;
-  }
-  if (magic != kEnsembleMagicV3) {
-    return Status::Corruption("bad ensemble magic");
-  }
-  info.format = 3;
-
-  SectionReader header;
-  EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
-  if (header.version() != kFormatVersion) {
-    return Status::Corruption("unsupported ensemble section version " +
-                              std::to_string(header.version()));
-  }
-  uint64_t members = 0;
-  uint32_t dtype_raw = 0;
-  if (!header.ReadU64(&members) || !header.ReadU32(&dtype_raw) ||
-      !header.ReadI64(&info.input_dim) ||
-      !header.ReadI64(&info.num_classes)) {
-    return header.status();
-  }
-  if (members == 0 || members > kMaxMembers) {
-    return Status::Corruption("implausible ensemble size");
-  }
-  if (dtype_raw > static_cast<uint32_t>(ArtifactDtype::kFloat16)) {
-    return Status::Corruption("unknown artifact dtype " +
-                              std::to_string(dtype_raw));
-  }
-  info.members = static_cast<int64_t>(members);
-  info.dtype = static_cast<ArtifactDtype>(dtype_raw);
-
-  // Full-file integrity scan: every member section's CRC must verify, and
-  // there must be exactly as many as the header promised.
-  int64_t member_sections = 0;
-  EDDE_RETURN_NOT_OK(VerifyFramedSections(&reader, &member_sections));
-  if (member_sections != info.members) {
-    return Status::Corruption(
-        "artifact carries " + std::to_string(member_sections) +
-        " member sections, header promises " + std::to_string(info.members));
-  }
-  return info;
 }
 
 Status SaveEnsemble(const EnsembleModel& ensemble, const std::string& path,
@@ -187,26 +75,10 @@ Status SaveEnsemble(const EnsembleModel& ensemble, const std::string& path,
     header.AppendTo(&writer, kTagHeader, kFormatVersion);
   }
 
-  std::vector<uint16_t> halves;
   for (int64_t t = 0; t < ensemble.size(); ++t) {
     SectionWriter section;
     section.WriteF32(static_cast<float>(ensemble.alpha(t)));
-    auto params = ensemble.member(t)->Parameters();
-    section.WriteU64(params.size());
-    for (Parameter* p : params) {
-      section.WriteString(p->name);
-      const auto& dims = p->value.shape().dims();
-      section.WriteU64(dims.size());
-      for (int64_t d : dims) section.WriteI64(d);
-      const size_t count = static_cast<size_t>(p->value.num_elements());
-      if (options.dtype == ArtifactDtype::kFloat16) {
-        halves.resize(count);
-        FloatsToHalfs(p->value.data(), halves.data(), count);
-        section.WriteBytes(halves.data(), count * sizeof(uint16_t));
-      } else {
-        section.WriteFloats(p->value.data(), count);
-      }
-    }
+    WriteModuleParams(ensemble.member(t), &section, options.dtype);
     section.AppendTo(&writer, kTagMember, kFormatVersion);
   }
   return writer.Finish();
@@ -218,7 +90,6 @@ Result<EnsembleModel> LoadEnsemble(const std::string& path,
   if (!reader.status().ok()) return reader.status();
   uint32_t magic = 0;
   if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic == kEnsembleMagicV2) return LoadEnsembleV2(&reader, factory);
   if (magic != kEnsembleMagicV3) {
     return Status::Corruption("bad ensemble magic");
   }
@@ -250,7 +121,6 @@ Result<EnsembleModel> LoadEnsemble(const std::string& path,
   const ArtifactDtype dtype = static_cast<ArtifactDtype>(dtype_raw);
 
   EnsembleModel ensemble;
-  std::vector<uint16_t> halves;
   for (uint64_t t = 0; t < members; ++t) {
     SectionReader section;
     EDDE_RETURN_NOT_OK(section.Load(&reader, kTagMember));
@@ -264,48 +134,11 @@ Result<EnsembleModel> LoadEnsemble(const std::string& path,
       return Status::Corruption("non-positive member weight");
     }
     std::unique_ptr<Module> member = factory(/*seed=*/t);
-    auto params = member->Parameters();
-    uint64_t count = 0;
-    if (!section.ReadU64(&count)) return section.status();
-    if (count != params.size()) {
-      return Status::InvalidArgument(
-          "factory architecture does not match checkpoint: " +
-          std::to_string(count) + " vs " + std::to_string(params.size()) +
-          " parameter blocks");
-    }
-    for (Parameter* p : params) {
-      std::string name;
-      if (!section.ReadString(&name)) return section.status();
-      uint64_t rank = 0;
-      if (!section.ReadU64(&rank)) return section.status();
-      if (rank > 8) return Status::Corruption("implausible tensor rank");
-      std::vector<int64_t> dims(rank);
-      for (auto& d : dims) {
-        if (!section.ReadI64(&d)) return section.status();
-        if (d < 0) return Status::Corruption("negative dimension");
-      }
-      if (Shape(dims) != p->value.shape()) {
-        return Status::InvalidArgument("parameter shape mismatch for " + name);
-      }
-      const size_t elements = static_cast<size_t>(p->value.num_elements());
-      if (dtype == ArtifactDtype::kFloat16) {
-        // The buffer size comes from the factory's tensor shape, not the
-        // file, so a truncated section fails the bounded ReadRaw below
-        // instead of driving an allocation.
-        halves.resize(elements);
-        if (!section.ReadRaw(halves.data(), elements * sizeof(uint16_t))) {
-          return section.status();
-        }
-        HalfsToFloats(halves.data(), p->value.data(), elements);
-      } else {
-        if (!section.ReadFloats(p->value.data(), elements)) {
-          return section.status();
-        }
-      }
-    }
+    EDDE_RETURN_NOT_OK(ReadModuleParams(member.get(), &section, dtype));
     // Satellite of DESIGN.md §13: a header that disagrees with the weight
     // shapes actually loaded means the file is internally inconsistent.
     if (t == 0) {
+      const auto params = member->Parameters();
       const int64_t input_dim = DeriveInputDim(params);
       const int64_t num_classes = DeriveNumClasses(params);
       if (input_dim != recorded_input_dim) {

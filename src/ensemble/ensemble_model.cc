@@ -96,16 +96,6 @@ Tensor EnsembleModel::PredictProbs(const Dataset& data,
   return combined;
 }
 
-Result<Tensor> EnsembleModel::TryPredictProbs(const Dataset& data,
-                                              int64_t batch_size) const {
-  Status status = CheckPredictable();
-  if (!status.ok()) return status;
-  if (data.size() <= 0) {
-    return Status::InvalidArgument("cannot predict on an empty dataset");
-  }
-  return PredictProbs(data, batch_size);
-}
-
 Tensor EnsembleModel::MemberProbsOnBatch(int64_t t, const Tensor& batch) const {
   EDDE_CHECK_GE(t, 0);
   EDDE_CHECK_LT(t, size());
@@ -117,49 +107,6 @@ Tensor EnsembleModel::MemberProbsOnBatch(int64_t t, const Tensor& batch) const {
 std::vector<int> EnsembleModel::PredictLabels(const Dataset& data,
                                               int64_t batch_size) const {
   return ArgmaxRows(PredictProbs(data, batch_size));
-}
-
-std::vector<int> EnsembleModel::PredictLabelsMajorityVote(
-    const Dataset& data, int64_t batch_size) const {
-  EDDE_CHECK(!members_.empty()) << "empty ensemble";
-  const int64_t n = data.size();
-  const int k = data.num_classes();
-  const int64_t num_members = size();
-  std::vector<std::vector<int>> member_preds(
-      static_cast<size_t>(num_members));
-  ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      member_preds[static_cast<size_t>(t)] = edde::PredictLabels(
-          members_[static_cast<size_t>(t)].get(), data, batch_size);
-    }
-  });
-  // votes[i][c] accumulates α-weighted-by-tiebreak counts: a vote counts 1,
-  // plus a vanishing α-proportional epsilon so ties resolve toward the
-  // heavier member.
-  std::vector<std::vector<double>> votes(
-      static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(k), 0.0));
-  double alpha_sum = 0.0;
-  for (double a : alphas_) alpha_sum += a;
-  for (size_t t = 0; t < members_.size(); ++t) {
-    const auto& preds = member_preds[t];
-    const double tiebreak = 1e-6 * alphas_[t] / alpha_sum;
-    for (int64_t i = 0; i < n; ++i) {
-      votes[static_cast<size_t>(i)][static_cast<size_t>(
-          preds[static_cast<size_t>(i)])] += 1.0 + tiebreak;
-    }
-  }
-  std::vector<int> out(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    int best = 0;
-    for (int c = 1; c < k; ++c) {
-      if (votes[static_cast<size_t>(i)][static_cast<size_t>(c)] >
-          votes[static_cast<size_t>(i)][static_cast<size_t>(best)]) {
-        best = c;
-      }
-    }
-    out[static_cast<size_t>(i)] = best;
-  }
-  return out;
 }
 
 double EnsembleModel::EvaluateAccuracy(const Dataset& data,

@@ -53,12 +53,6 @@ class EnsembleModel {
   /// α-weighted average of the members' softmax outputs on `data` (Eq. 16).
   Tensor PredictProbs(const Dataset& data, int64_t batch_size = 128) const;
 
-  /// PredictProbs behind CheckPredictable: a degenerate ensemble (no
-  /// members, clamped-to-zero or non-finite α) yields a Status instead of
-  /// an assert or uninitialized output.
-  Result<Tensor> TryPredictProbs(const Dataset& data,
-                                 int64_t batch_size = 128) const;
-
   /// Eval-mode softmax probs of member `t` on a raw feature batch whose
   /// leading axis indexes rows. The serving path feeds coalesced request
   /// batches through this, one member at a time, in cascade order.
@@ -67,12 +61,6 @@ class EnsembleModel {
   /// Argmax of PredictProbs.
   std::vector<int> PredictLabels(const Dataset& data,
                                  int64_t batch_size = 128) const;
-
-  /// Hard majority vote over the members' label predictions (the paper's
-  /// Sec. II "Majority Voting" combiner); ties break toward the member with
-  /// the larger α.
-  std::vector<int> PredictLabelsMajorityVote(const Dataset& data,
-                                             int64_t batch_size = 128) const;
 
   /// Ensemble accuracy on `data`.
   double EvaluateAccuracy(const Dataset& data, int64_t batch_size = 128) const;

@@ -61,63 +61,6 @@ double DisagreementMeasure(const std::vector<int>& preds_a,
   return static_cast<double>(differ) / static_cast<double>(preds_a.size());
 }
 
-namespace {
-
-// Joint correctness counts: n[a_correct][b_correct].
-struct JointCounts {
-  double n11 = 0, n10 = 0, n01 = 0, n00 = 0;
-};
-
-JointCounts CountJoint(const std::vector<int>& preds_a,
-                       const std::vector<int>& preds_b,
-                       const std::vector<int>& labels) {
-  EDDE_CHECK_EQ(preds_a.size(), labels.size());
-  EDDE_CHECK_EQ(preds_b.size(), labels.size());
-  EDDE_CHECK(!labels.empty());
-  JointCounts c;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    const bool a = preds_a[i] == labels[i];
-    const bool b = preds_b[i] == labels[i];
-    if (a && b) {
-      ++c.n11;
-    } else if (a) {
-      ++c.n10;
-    } else if (b) {
-      ++c.n01;
-    } else {
-      ++c.n00;
-    }
-  }
-  return c;
-}
-
-}  // namespace
-
-double QStatistic(const std::vector<int>& preds_a,
-                  const std::vector<int>& preds_b,
-                  const std::vector<int>& labels) {
-  const JointCounts c = CountJoint(preds_a, preds_b, labels);
-  const double numerator = c.n11 * c.n00 - c.n01 * c.n10;
-  const double denominator = c.n11 * c.n00 + c.n01 * c.n10;
-  return denominator == 0.0 ? 0.0 : numerator / denominator;
-}
-
-double KappaStatistic(const std::vector<int>& preds_a,
-                      const std::vector<int>& preds_b,
-                      const std::vector<int>& labels) {
-  const JointCounts c = CountJoint(preds_a, preds_b, labels);
-  const double n = c.n11 + c.n10 + c.n01 + c.n00;
-  const double p_obs = (c.n11 + c.n00) / n;
-  const double pa = (c.n11 + c.n10) / n;  // P(a correct)
-  const double pb = (c.n11 + c.n01) / n;  // P(b correct)
-  const double p_exp = pa * pb + (1.0 - pa) * (1.0 - pb);
-  // p_exp == 1 only when both predictors are always-correct or both are
-  // always-wrong, i.e. they agree on every sample. That is perfect
-  // agreement (κ = 1), not independence — returning 0 here would report two
-  // identical predictors as maximally diverse.
-  return p_exp == 1.0 ? 1.0 : (p_obs - p_exp) / (1.0 - p_exp);
-}
-
 double EnsembleDisagreement(
     const std::vector<std::vector<int>>& member_preds) {
   const size_t t = member_preds.size();

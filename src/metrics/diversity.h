@@ -27,31 +27,16 @@ std::vector<std::vector<double>> PairwiseSimilarityMatrix(
     const std::vector<Tensor>& member_probs);
 
 // ---------------------------------------------------------------------------
-// Classical diversity statistics (Tang, Suganthan & Yao, 2006 — the survey
-// the paper cites when motivating its own soft-target measure). These work
-// on *hard* predictions and are provided for comparison; unlike Eq. 2 they
-// carry no usable gradient, which is exactly the paper's criticism.
+// Classical hard-prediction diversity (Tang, Suganthan & Yao, 2006 — the
+// survey the paper cites when motivating its own soft-target measure).
+// Unlike Eq. 2 it carries no usable gradient, which is exactly the paper's
+// criticism.
 // ---------------------------------------------------------------------------
 
 /// Pairwise disagreement: fraction of samples where the two classifiers
 /// predict different labels. In [0, 1]; higher = more diverse.
 double DisagreementMeasure(const std::vector<int>& preds_a,
                            const std::vector<int>& preds_b);
-
-/// Yule's Q statistic over joint correctness w.r.t. `labels`:
-/// Q = (N11·N00 − N01·N10) / (N11·N00 + N01·N10), in [−1, 1];
-/// lower = more diverse (Q = 1 when the classifiers err identically).
-/// Returns 0 when the denominator vanishes.
-double QStatistic(const std::vector<int>& preds_a,
-                  const std::vector<int>& preds_b,
-                  const std::vector<int>& labels);
-
-/// Interrater kappa over joint correctness: agreement beyond chance,
-/// κ = (p_obs − p_exp)/(1 − p_exp); lower = more diverse.
-/// Returns 0 when the classifiers have no chance-corrected scale.
-double KappaStatistic(const std::vector<int>& preds_a,
-                      const std::vector<int>& preds_b,
-                      const std::vector<int>& labels);
 
 /// Mean pairwise disagreement over an ensemble's hard predictions.
 double EnsembleDisagreement(const std::vector<std::vector<int>>& member_preds);

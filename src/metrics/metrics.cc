@@ -46,26 +46,4 @@ double EvaluateAccuracy(Module* model, const Dataset& data,
   return Accuracy(PredictLabels(model, data, batch_size), data.labels());
 }
 
-std::vector<double> PerClassAccuracy(const std::vector<int>& predictions,
-                                     const std::vector<int>& labels,
-                                     int num_classes) {
-  std::vector<int64_t> correct(static_cast<size_t>(num_classes), 0);
-  std::vector<int64_t> total(static_cast<size_t>(num_classes), 0);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    ++total[static_cast<size_t>(labels[i])];
-    if (predictions[i] == labels[i]) {
-      ++correct[static_cast<size_t>(labels[i])];
-    }
-  }
-  std::vector<double> acc(static_cast<size_t>(num_classes), 0.0);
-  for (int c = 0; c < num_classes; ++c) {
-    if (total[static_cast<size_t>(c)] > 0) {
-      acc[static_cast<size_t>(c)] =
-          static_cast<double>(correct[static_cast<size_t>(c)]) /
-          static_cast<double>(total[static_cast<size_t>(c)]);
-    }
-  }
-  return acc;
-}
-
 }  // namespace edde

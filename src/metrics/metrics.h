@@ -25,11 +25,6 @@ std::vector<int> PredictLabels(Module* model, const Dataset& data,
 double EvaluateAccuracy(Module* model, const Dataset& data,
                         int64_t batch_size = 128);
 
-/// Per-class accuracy (index = class id; classes absent from `labels` get 0).
-std::vector<double> PerClassAccuracy(const std::vector<int>& predictions,
-                                     const std::vector<int>& labels,
-                                     int num_classes);
-
 }  // namespace edde
 
 #endif  // EDDE_METRICS_METRICS_H_

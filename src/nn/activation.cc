@@ -1,7 +1,5 @@
 #include "nn/activation.h"
 
-#include <cmath>
-
 #include "utils/logging.h"
 
 namespace edde {
@@ -38,28 +36,5 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
 }
 
 void ReLU::CollectParameters(std::vector<Parameter*>* /*out*/) {}
-
-Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {
-  Tensor output(input.shape());
-  const float* x = input.data();
-  float* y = output.data();
-  const int64_t n = input.num_elements();
-  for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-  cached_output_ = output;
-  return output;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_output_.empty()) << "Backward before Forward";
-  Tensor grad_input(grad_output.shape());
-  const float* dy = grad_output.data();
-  const float* y = cached_output_.data();
-  float* dx = grad_input.data();
-  const int64_t n = grad_output.num_elements();
-  for (int64_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-  return grad_input;
-}
-
-void Tanh::CollectParameters(std::vector<Parameter*>* /*out*/) {}
 
 }  // namespace edde

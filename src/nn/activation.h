@@ -22,20 +22,6 @@ class ReLU : public Module {
   Tensor cached_output_;  // y > 0 iff the input passed through
 };
 
-/// Hyperbolic tangent, elementwise. Parameter-free.
-class Tanh : public Module {
- public:
-  Tanh() = default;
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void CollectParameters(std::vector<Parameter*>* out) override;
-  std::string name() const override { return "tanh"; }
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace edde
 
 #endif  // EDDE_NN_ACTIVATION_H_

@@ -1,30 +1,38 @@
 #include "nn/checkpoint.h"
 
-#include "utils/serialize.h"
+#include <vector>
+
+#include "tensor/quantize.h"
 
 namespace edde {
 
 namespace {
-constexpr uint32_t kLegacyMagic = 0xEDDE0001;  // unframed, written pre-§11
-constexpr uint32_t kMagic = 0xEDDE0004;        // CRC-framed, atomic commit
-constexpr uint32_t kModuleTag = 1;
-constexpr uint32_t kModuleVersion = 1;
+constexpr uint64_t kMaxRank = 8;
 }  // namespace
 
-void WriteModuleParams(Module* module, SectionWriter* out) {
+void WriteModuleParams(Module* module, SectionWriter* out,
+                       ArtifactDtype dtype) {
   auto params = module->Parameters();
   out->WriteU64(params.size());
+  std::vector<uint16_t> halves;
   for (Parameter* p : params) {
     out->WriteString(p->name);
     const auto& dims = p->value.shape().dims();
     out->WriteU64(dims.size());
     for (int64_t d : dims) out->WriteI64(d);
-    out->WriteFloats(p->value.data(),
-                     static_cast<size_t>(p->value.num_elements()));
+    const size_t count = static_cast<size_t>(p->value.num_elements());
+    if (dtype == ArtifactDtype::kFloat16) {
+      halves.resize(count);
+      FloatsToHalfs(p->value.data(), halves.data(), count);
+      out->WriteBytes(halves.data(), count * sizeof(uint16_t));
+    } else {
+      out->WriteFloats(p->value.data(), count);
+    }
   }
 }
 
-Status ReadModuleParams(Module* module, SectionReader* in) {
+Status ReadModuleParams(Module* module, SectionReader* in,
+                        ArtifactDtype dtype) {
   auto params = module->Parameters();
   uint64_t count = 0;
   if (!in->ReadU64(&count)) return in->status();
@@ -33,84 +41,38 @@ Status ReadModuleParams(Module* module, SectionReader* in) {
         "checkpoint has " + std::to_string(count) + " parameters, model has " +
         std::to_string(params.size()));
   }
+  std::vector<uint16_t> halves;
   for (Parameter* p : params) {
     std::string name;
     if (!in->ReadString(&name)) return in->status();
+    // Rank and dims come from the file: bound them before they size an
+    // allocation or reach Shape's non-negativity check.
     uint64_t rank = 0;
     if (!in->ReadU64(&rank)) return in->status();
+    if (rank > kMaxRank) return Status::Corruption("implausible tensor rank");
     std::vector<int64_t> dims(rank);
     for (auto& d : dims) {
       if (!in->ReadI64(&d)) return in->status();
+      if (d < 0) return Status::Corruption("negative dimension");
     }
-    if (Shape(dims) != p->value.shape()) {
+    if (dims != p->value.shape().dims()) {
       return Status::InvalidArgument("checkpoint shape mismatch for " + name);
     }
-    if (!in->ReadFloats(p->value.data(),
-                        static_cast<size_t>(p->value.num_elements()))) {
+    // The element count comes from the module's shape, not the file, so a
+    // truncated payload fails the bounded read instead of driving an
+    // allocation.
+    const size_t elements = static_cast<size_t>(p->value.num_elements());
+    if (dtype == ArtifactDtype::kFloat16) {
+      halves.resize(elements);
+      if (!in->ReadRaw(halves.data(), elements * sizeof(uint16_t))) {
+        return in->status();
+      }
+      HalfsToFloats(halves.data(), p->value.data(), elements);
+    } else if (!in->ReadFloats(p->value.data(), elements)) {
       return in->status();
     }
   }
   return Status::OK();
-}
-
-Status SaveCheckpoint(Module* module, const std::string& path) {
-  BinaryWriter writer(path, Durability::kAtomic);
-  EDDE_RETURN_NOT_OK(writer.status());
-  writer.WriteU32(kMagic);
-  SectionWriter section;
-  WriteModuleParams(module, &section);
-  section.AppendTo(&writer, kModuleTag, kModuleVersion);
-  return writer.Finish();
-}
-
-namespace {
-
-// Pre-§11 files: same field sequence, no framing, no CRC.
-Status LoadLegacyCheckpoint(Module* module, BinaryReader* reader) {
-  auto params = module->Parameters();
-  uint64_t count = 0;
-  if (!reader->ReadU64(&count)) return reader->status();
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " parameters, model has " +
-        std::to_string(params.size()));
-  }
-  for (Parameter* p : params) {
-    std::string name;
-    if (!reader->ReadString(&name)) return reader->status();
-    uint64_t rank = 0;
-    if (!reader->ReadU64(&rank)) return reader->status();
-    std::vector<int64_t> dims(rank);
-    for (auto& d : dims) {
-      if (!reader->ReadI64(&d)) return reader->status();
-    }
-    if (Shape(dims) != p->value.shape()) {
-      return Status::InvalidArgument("checkpoint shape mismatch for " + name);
-    }
-    if (!reader->ReadFloats(p->value.data(),
-                            static_cast<size_t>(p->value.num_elements()))) {
-      return reader->status();
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status LoadCheckpoint(Module* module, const std::string& path) {
-  BinaryReader reader(path);
-  EDDE_RETURN_NOT_OK(reader.status());
-  uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic == kLegacyMagic) {
-    return LoadLegacyCheckpoint(module, &reader);
-  }
-  if (magic != kMagic) {
-    return Status::Corruption("bad checkpoint magic");
-  }
-  SectionReader section;
-  EDDE_RETURN_NOT_OK(section.Load(&reader, kModuleTag));
-  return ReadModuleParams(module, &section);
 }
 
 Status CopyParameters(Module* src, Module* dst) {

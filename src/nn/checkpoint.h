@@ -1,7 +1,7 @@
 #ifndef EDDE_NN_CHECKPOINT_H_
 #define EDDE_NN_CHECKPOINT_H_
 
-#include <string>
+#include <cstdint>
 
 #include "nn/module.h"
 #include "utils/durable_io.h"
@@ -9,27 +9,31 @@
 
 namespace edde {
 
-/// Serializes all of `module`'s parameters (including non-trainable buffers
-/// such as batch-norm running statistics) to a binary checkpoint file.
-/// Since the durability work (DESIGN.md §11) the file is written atomically
-/// (temp → fsync → rename) and the parameter block is CRC32-framed, so a
-/// torn or bit-flipped checkpoint is detected on load instead of silently
-/// corrupting the model.
-Status SaveCheckpoint(Module* module, const std::string& path);
+/// On-disk element type of saved parameter tensors.
+///   kFloat32 — bit-exact round trip (default; loaded predictions are
+///              identical to the saved model's).
+///   kFloat16 — IEEE binary16 with round-to-nearest-even, ~2× smaller
+///              artifacts at ≤ 2^-11 relative weight error. In-memory
+///              compute stays float32 either way.
+enum class ArtifactDtype : uint32_t {
+  kFloat32 = 0,
+  kFloat16 = 1,
+};
 
-/// Restores parameters saved with SaveCheckpoint. The module must have an
-/// identical architecture (same parameter count, shapes and order);
-/// mismatches return Corruption/InvalidArgument. Both the current
-/// CRC-framed format and the legacy unframed one are readable.
-Status LoadCheckpoint(Module* module, const std::string& path);
+/// Appends every parameter (including non-trainable buffers such as
+/// batch-norm running statistics) to a section payload as name, shape and
+/// values stored as `dtype` — the member encoding of ensemble artifacts and
+/// run checkpoints.
+void WriteModuleParams(Module* module, SectionWriter* out,
+                       ArtifactDtype dtype = ArtifactDtype::kFloat32);
 
-/// Appends every parameter (name, shape, values) to a section payload —
-/// the building block run checkpoints embed per ensemble member.
-void WriteModuleParams(Module* module, SectionWriter* out);
-
-/// Restores parameters written by WriteModuleParams into a structurally
-/// identical module.
-Status ReadModuleParams(Module* module, SectionReader* in);
+/// Restores parameters written by WriteModuleParams with the same `dtype`
+/// into a structurally identical module. A parameter count or shape that
+/// disagrees with the module is InvalidArgument; an implausible rank, a
+/// negative dimension or a short payload is Corruption. Never aborts on
+/// hostile bytes.
+Status ReadModuleParams(Module* module, SectionReader* in,
+                        ArtifactDtype dtype = ArtifactDtype::kFloat32);
 
 /// In-memory parameter copy from `src` to `dst`. The modules must be
 /// structurally identical. Copies values only (not gradients).

@@ -12,11 +12,4 @@ void HeNormalInit(Tensor* weight, int64_t fan_in, Rng* rng) {
   weight->FillNormal(rng, 0.0f, stddev);
 }
 
-void XavierUniformInit(Tensor* weight, int64_t fan_in, int64_t fan_out,
-                       Rng* rng) {
-  EDDE_CHECK_GT(fan_in + fan_out, 0);
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  weight->FillUniform(rng, -a, a);
-}
-
 }  // namespace edde

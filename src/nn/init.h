@@ -11,10 +11,6 @@ namespace edde {
 /// He-normal initialization for ReLU networks: N(0, sqrt(2 / fan_in)).
 void HeNormalInit(Tensor* weight, int64_t fan_in, Rng* rng);
 
-/// Xavier/Glorot-uniform initialization: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-void XavierUniformInit(Tensor* weight, int64_t fan_in, int64_t fan_out,
-                       Rng* rng);
-
 }  // namespace edde
 
 #endif  // EDDE_NN_INIT_H_

@@ -5,26 +5,6 @@
 
 namespace edde {
 
-MaxPool2d::MaxPool2d(int64_t window) : window_(window) {
-  EDDE_CHECK_GT(window, 1);
-}
-
-Tensor MaxPool2d::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_shape_ = input.shape();
-  return MaxPool2dForward(input, window_, &argmax_);
-}
-
-Tensor MaxPool2d::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!argmax_.empty()) << "Backward before Forward";
-  return MaxPool2dBackward(cached_input_shape_, grad_output, argmax_);
-}
-
-void MaxPool2d::CollectParameters(std::vector<Parameter*>* /*out*/) {}
-
-std::string MaxPool2d::name() const {
-  return "maxpool2d(" + std::to_string(window_) + ")";
-}
-
 Tensor GlobalAvgPool2d::Forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
   return GlobalAvgPool2dForward(input);

@@ -8,22 +8,6 @@
 
 namespace edde {
 
-/// Max pooling with square window == stride over (N, C, H, W).
-class MaxPool2d : public Module {
- public:
-  explicit MaxPool2d(int64_t window);
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void CollectParameters(std::vector<Parameter*>* out) override;
-  std::string name() const override;
-
- private:
-  int64_t window_;
-  Shape cached_input_shape_;
-  std::vector<int64_t> argmax_;
-};
-
 /// Global average pooling: (N, C, H, W) -> (N, C).
 class GlobalAvgPool2d : public Module {
  public:

@@ -58,12 +58,6 @@ void GemmEx(bool trans_a, bool trans_b, float alpha, const Tensor& a,
           b.data(), b.shape().dim(1), beta, c->data(), n, epilogue);
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  Tensor c(Shape{a.shape().dim(0), b.shape().dim(1)});
-  Gemm(false, false, 1.0f, a, b, 0.0f, &c);
-  return c;
-}
-
 void Axpy(float alpha, const Tensor& x, Tensor* y) {
   EDDE_CHECK_EQ(x.num_elements(), y->num_elements());
   const float* px = x.data();
@@ -84,25 +78,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   EDDE_CHECK(a.shape() == b.shape());
   Tensor out = a.Clone();
   Axpy(1.0f, b, &out);
-  return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  EDDE_CHECK(a.shape() == b.shape());
-  Tensor out = a.Clone();
-  Axpy(-1.0f, b, &out);
-  return out;
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  EDDE_CHECK(a.shape() == b.shape());
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t n = a.num_elements();
-#pragma omp simd
-  for (int64_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
   return out;
 }
 
@@ -142,26 +117,6 @@ Tensor Softmax(const Tensor& logits) {
   ParallelFor(0, n, RowGrain(k, 1 << 14), [&](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
       SoftmaxRow(logits.data() + i * k, k, out.data() + i * k);
-    }
-  });
-  return out;
-}
-
-Tensor LogSoftmax(const Tensor& logits) {
-  EDDE_CHECK_EQ(logits.shape().rank(), 2);
-  const int64_t n = logits.shape().dim(0);
-  const int64_t k = logits.shape().dim(1);
-  Tensor out(logits.shape());
-  ParallelFor(0, n, RowGrain(k, 1 << 14), [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = logits.data() + i * k;
-      float* orow = out.data() + i * k;
-      float mx = row[0];
-      for (int64_t j = 1; j < k; ++j) mx = std::max(mx, row[j]);
-      double total = 0.0;
-      for (int64_t j = 0; j < k; ++j) total += std::exp(row[j] - mx);
-      const float lse = mx + static_cast<float>(std::log(total));
-      for (int64_t j = 0; j < k; ++j) orow[j] = row[j] - lse;
     }
   });
   return out;
@@ -724,60 +679,6 @@ Tensor Conv1dBackward(const Tensor& input, const Tensor& weight,
         bias_grad->data()[oc] += static_cast<float>(acc);
       }
     }
-  }
-  return grad_input;
-}
-
-Tensor MaxPool2dForward(const Tensor& input, int64_t window,
-                        std::vector<int64_t>* argmax) {
-  EDDE_CHECK_EQ(input.shape().rank(), 4);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t c = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  const int64_t oh = h / window;
-  const int64_t ow = w / window;
-  EDDE_CHECK_GT(oh, 0);
-  EDDE_CHECK_GT(ow, 0);
-
-  Tensor output(Shape{batch, c, oh, ow});
-  argmax->assign(static_cast<size_t>(output.num_elements()), 0);
-  int64_t oi = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* img = input.data() + (n * c + ch) * h * w;
-      const int64_t base = (n * c + ch) * h * w;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = 0;
-          for (int64_t dy = 0; dy < window; ++dy) {
-            for (int64_t dx = 0; dx < window; ++dx) {
-              const int64_t iy = y * window + dy;
-              const int64_t ix = x * window + dx;
-              const float v = img[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = base + iy * w + ix;
-              }
-            }
-          }
-          output.data()[oi] = best;
-          (*argmax)[static_cast<size_t>(oi)] = best_idx;
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor MaxPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
-                         const std::vector<int64_t>& argmax) {
-  Tensor grad_input(input_shape, 0.0f);
-  EDDE_CHECK_EQ(static_cast<int64_t>(argmax.size()), grad_out.num_elements());
-  const float* go = grad_out.data();
-  for (size_t i = 0; i < argmax.size(); ++i) {
-    grad_input.data()[argmax[i]] += go[i];
   }
   return grad_input;
 }

@@ -26,9 +26,6 @@ void GemmEx(bool trans_a, bool trans_b, float alpha, const Tensor& a,
             const Tensor& b, float beta, Tensor* c,
             const GemmEpilogue& epilogue);
 
-/// Returns A @ B for 2-D tensors.
-Tensor MatMul(const Tensor& a, const Tensor& b);
-
 // ---------------------------------------------------------------------------
 // Elementwise / BLAS-1
 // ---------------------------------------------------------------------------
@@ -41,12 +38,6 @@ void Scale(float alpha, Tensor* x);
 
 /// out = a + b (allocates).
 Tensor Add(const Tensor& a, const Tensor& b);
-
-/// out = a - b (allocates).
-Tensor Sub(const Tensor& a, const Tensor& b);
-
-/// out = a ⊙ b, elementwise product (allocates).
-Tensor Mul(const Tensor& a, const Tensor& b);
 
 /// Dot product of two equal-size tensors (flattened).
 double Dot(const Tensor& a, const Tensor& b);
@@ -66,9 +57,6 @@ void SoftmaxRow(const float* row, int64_t k, float* orow);
 
 /// Row-wise softmax of logits (N, K); numerically stabilized.
 Tensor Softmax(const Tensor& logits);
-
-/// Row-wise log-softmax of logits (N, K).
-Tensor LogSoftmax(const Tensor& logits);
 
 /// Per-row argmax of an (N, K) matrix.
 std::vector<int> ArgmaxRows(const Tensor& m);
@@ -178,16 +166,6 @@ Tensor Conv1dBackward(const Tensor& input, const Tensor& weight,
 // ---------------------------------------------------------------------------
 // Pooling
 // ---------------------------------------------------------------------------
-
-/// 2x2-style max pooling with window == stride. Input (N, C, H, W) ->
-/// (N, C, H/window, W/window). `argmax` (same shape as output, flat indices
-/// into the input) is filled for the backward pass.
-Tensor MaxPool2dForward(const Tensor& input, int64_t window,
-                        std::vector<int64_t>* argmax);
-
-/// Scatter of output gradients through the recorded argmax indices.
-Tensor MaxPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
-                         const std::vector<int64_t>& argmax);
 
 /// Average pooling with window == stride: (N, C, H, W) ->
 /// (N, C, H/window, W/window).

@@ -79,22 +79,6 @@ double Rng::Normal(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-int64_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    EDDE_CHECK_GE(w, 0.0) << "negative categorical weight";
-    total += w;
-  }
-  EDDE_CHECK_GT(total, 0.0) << "categorical weights sum to zero";
-  double u = Uniform() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u < acc) return static_cast<int64_t>(i);
-  }
-  return static_cast<int64_t>(weights.size()) - 1;
-}
-
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 RngState Rng::SaveState() const {

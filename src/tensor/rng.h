@@ -47,10 +47,6 @@ class Rng {
   /// Bernoulli(p).
   bool Bernoulli(double p);
 
-  /// Samples an index from an (unnormalized) non-negative weight vector.
-  /// Requires at least one strictly positive weight.
-  int64_t Categorical(const std::vector<double>& weights);
-
   /// In-place Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

@@ -337,22 +337,4 @@ bool SectionReader::ReadDoubles(double* data, size_t count) {
   return ReadBytes(data, count * sizeof(double));
 }
 
-Status VerifyFramedSections(BinaryReader* in, int64_t* num_sections) {
-  EDDE_RETURN_NOT_OK(in->status());
-  int64_t sections = 0;
-  while (in->remaining() > 0) {
-    // Load() verifies the frame header against the bytes remaining and the
-    // payload against its CRC; any tag is acceptable — the scan checks
-    // integrity, not schema.
-    SectionReader section;
-    EDDE_RETURN_NOT_OK(section.Load(in, /*expected_tag=*/0));
-    ++sections;
-  }
-  if (sections == 0) {
-    return Status::Corruption("no framed sections found");
-  }
-  if (num_sections != nullptr) *num_sections = sections;
-  return Status::OK();
-}
-
 }  // namespace edde

@@ -150,15 +150,6 @@ class SectionReader {
   Status status_;
 };
 
-/// Scans CRC-framed sections from the reader's cursor to end of file,
-/// verifying every frame (header sanity + payload CRC) without
-/// interpreting any payload. The cheap artifact integrity pre-check shared
-/// by consumers that must reject a torn or bit-flipped file *before*
-/// committing to the expensive parse — e.g. the serving layer validating a
-/// candidate ensemble ahead of a hot swap. Corruption on the first bad
-/// frame; `*num_sections` (optional) reports how many frames verified.
-Status VerifyFramedSections(BinaryReader* in, int64_t* num_sections = nullptr);
-
 }  // namespace edde
 
 #endif  // EDDE_UTILS_DURABLE_IO_H_

@@ -71,10 +71,6 @@ int FlagParser::GetInt(const std::string& name) const {
   return std::atoi(GetString(name).c_str());
 }
 
-double FlagParser::GetDouble(const std::string& name) const {
-  return std::atof(GetString(name).c_str());
-}
-
 bool FlagParser::GetBool(const std::string& name) const {
   std::string v = GetString(name);
   return v == "true" || v == "1" || v == "yes";

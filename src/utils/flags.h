@@ -34,7 +34,6 @@ class FlagParser {
 
   std::string GetString(const std::string& name) const;
   int GetInt(const std::string& name) const;
-  double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
   /// True when `name` was registered with Define().

@@ -33,7 +33,6 @@
 #include "core/edde.h"
 #include "ensemble/bagging.h"
 #include "ensemble/ensemble_io.h"
-#include "nn/checkpoint.h"
 #include "nn/mlp.h"
 #include "test_util.h"
 #include "utils/crash.h"
@@ -301,39 +300,23 @@ TEST_F(CheckpointTortureTest, TornWritesEverywhereStillRecoverable) {
   ExpectBitIdentical(first, reference, workload_, "torn_first_run");
 }
 
-TEST_F(CheckpointTortureTest, ShortWriteThroughModuleCheckpointIsRejected) {
-  // Satellite: the nn/checkpoint round-trip under a torn write. The save
+TEST_F(CheckpointTortureTest, ShortWriteThroughEnsembleArtifactIsRejected) {
+  // The ensemble artifact round-trip under a torn write. The save
   // "succeeds" (that is the point of a torn write), but the load must
   // return an error instead of silently restoring garbage.
-  const std::string path = DirFor("torn_module.edde");
-  MlpConfig cfg;
-  cfg.in_features = 6;
-  cfg.hidden = {12};
-  cfg.num_classes = 3;
-  Mlp original(cfg, /*seed=*/123);
+  const std::string path = DirFor("torn_ensemble.edde");
+  EnsembleModel original;
+  original.AddMember(workload_.factory(/*seed=*/123), 1.0);
   ASSERT_TRUE(failpoint::SetSpec("durable.write=short_write:9").ok());
-  ASSERT_TRUE(SaveCheckpoint(&original, path).ok());
+  ASSERT_TRUE(SaveEnsemble(original, path).ok());
   failpoint::Clear();
-  Mlp restored(cfg, /*seed=*/456);
-  EXPECT_FALSE(LoadCheckpoint(&restored, path).ok());
+  EXPECT_FALSE(LoadEnsemble(path, workload_.factory).ok());
 
   // Clean round-trip still works and is byte-faithful.
-  ASSERT_TRUE(SaveCheckpoint(&original, path).ok());
-  ASSERT_TRUE(LoadCheckpoint(&restored, path).ok());
-  const std::vector<Parameter*> orig_params = original.Parameters();
-  const std::vector<Parameter*> rest_params = restored.Parameters();
-  ASSERT_EQ(orig_params.size(), rest_params.size());
-  for (size_t i = 0; i < orig_params.size(); ++i) {
-    ASSERT_EQ(orig_params[i]->value.num_elements(),
-              rest_params[i]->value.num_elements());
-    EXPECT_EQ(std::memcmp(orig_params[i]->value.data(),
-                          rest_params[i]->value.data(),
-                          static_cast<size_t>(
-                              orig_params[i]->value.num_elements()) *
-                              sizeof(float)),
-              0)
-        << orig_params[i]->name;
-  }
+  ASSERT_TRUE(SaveEnsemble(original, path).ok());
+  Result<EnsembleModel> restored = LoadEnsemble(path, workload_.factory);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectBitIdentical(restored.ValueOrDie(), original, workload_, "torn_clean");
 }
 
 // ---------------------------------------------------------------------------

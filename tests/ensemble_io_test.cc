@@ -10,7 +10,6 @@
 #include "nn/mlp.h"
 #include "test_util.h"
 #include "utils/durable_io.h"
-#include "utils/serialize.h"
 
 namespace edde {
 namespace {
@@ -287,98 +286,7 @@ TEST(EnsembleIoFp16Test, TruncatedFp16SectionIsCorruptionNotOom) {
   }
 }
 
-TEST(EnsembleIoFp16Test, LegacyV2FileStillLoads) {
-  // Files written by the pre-section format (magic 0xEDDE0002, plain
-  // unframed fp32 stream) must keep loading bit-exactly. Craft one by hand
-  // exactly as the old writer did.
-  EnsembleModel original = MakeTrainedish(2);
-  const std::string path = TempPath("ens_v2_legacy.bin");
-  {
-    BinaryWriter writer(path);
-    writer.WriteU32(0xEDDE0002u);
-    writer.WriteU64(static_cast<uint64_t>(original.size()));
-    for (int64_t t = 0; t < original.size(); ++t) {
-      writer.WriteF32(static_cast<float>(original.alpha(t)));
-      auto params = original.member(t)->Parameters();
-      writer.WriteU64(params.size());
-      for (Parameter* p : params) {
-        writer.WriteString(p->name);
-        const auto& dims = p->value.shape().dims();
-        writer.WriteU64(dims.size());
-        for (int64_t d : dims) writer.WriteI64(d);
-        writer.WriteFloats(p->value.data(),
-                           static_cast<size_t>(p->value.num_elements()));
-      }
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-
-  Result<EnsembleModel> loaded = LoadEnsemble(path, SmallFactory());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EnsembleModel restored = std::move(loaded).ValueOrDie();
-  ASSERT_EQ(restored.size(), 2);
-  const auto data = MakeBlobsSplit(16, 0, 6, 3, 1);
-  Tensor p_orig = original.PredictProbs(data.train);
-  Tensor p_rest = restored.PredictProbs(data.train);
-  for (int64_t i = 0; i < p_orig.num_elements(); ++i) {
-    EXPECT_FLOAT_EQ(p_orig.at(i), p_rest.at(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Artifact inspection (hot-reload preflight, DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
-TEST(EnsembleIoInfoTest, ReportsHeaderAndVerifiesEveryFrame) {
-  EnsembleModel original = MakeTrainedish(3);
-  const std::string path = TempPath("ens_info.bin");
-  ASSERT_TRUE(SaveEnsemble(original, path).ok());
-
-  Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  const EnsembleArtifactInfo& i = info.ValueOrDie();
-  EXPECT_EQ(i.format, 3u);
-  EXPECT_EQ(i.members, 3);
-  EXPECT_EQ(i.dtype, ArtifactDtype::kFloat32);
-  EXPECT_EQ(i.input_dim, 6);
-  EXPECT_EQ(i.num_classes, 3);
-}
-
-TEST(EnsembleIoInfoTest, CorruptMemberSectionFailsTheInfoScan) {
-  // The info scan CRC-walks every member section, not just the header —
-  // the reload path uses it as a cheap whole-file integrity preflight, so
-  // damage deep in the last member must already fail here.
-  EnsembleModel original = MakeTrainedish(2);
-  const std::string path = TempPath("ens_info_corrupt.bin");
-  ASSERT_TRUE(SaveEnsemble(original, path).ok());
-  std::vector<char> bytes = ReadAll(path);
-  bytes[bytes.size() - 16] ^= 0x20;  // inside the last member's payload/crc
-  WriteAll(path, bytes.data(), bytes.size());
-
-  Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
-  ASSERT_FALSE(info.ok());
-  EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
-}
-
-TEST(EnsembleIoInfoTest, LegacyV2ReportsFormatWithoutGeometry) {
-  EnsembleModel original = MakeTrainedish(2);
-  const std::string path = TempPath("ens_info_v2.bin");
-  {
-    BinaryWriter writer(path);
-    writer.WriteU32(0xEDDE0002u);
-    writer.WriteU64(2);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info.ValueOrDie().format, 2u);
-  EXPECT_EQ(info.ValueOrDie().members, 2);
-  // v2 carries no geometry header; 0 means "unknown, validate after load".
-  EXPECT_EQ(info.ValueOrDie().input_dim, 0);
-  EXPECT_EQ(info.ValueOrDie().num_classes, 0);
-}
-
-TEST(EnsembleIoInfoTest, DerivedGeometryMatchesFactoryConfig) {
+TEST(EnsembleIoTest, DerivedGeometryMatchesFactoryConfig) {
   EnsembleModel m = MakeTrainedish(2);
   EXPECT_EQ(DerivedInputDim(m), 6);
   EXPECT_EQ(DerivedNumClasses(m), 3);

@@ -139,49 +139,26 @@ TEST(EnsembleModelTest, AverageMemberAccuracyIsMeanOfAccuracies) {
 
 // ---------------------------------------------------------------------------
 // Predict-path edge cases: degenerate ensembles must surface clean Status
-// values through TryPredictProbs, never garbage logits or a crash.
+// values through CheckPredictable, never garbage logits or a crash.
 
-TEST(EnsembleModelTest, TryPredictOnEmptyEnsembleIsFailedPrecondition) {
+TEST(EnsembleModelTest, EmptyEnsembleIsNotPredictable) {
   EnsembleModel m;
-  Dataset data = MakeBlobs(8, 4, 3, 1);
-  Result<Tensor> r = m.TryPredictProbs(data);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(m.CheckPredictable().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(EnsembleModelTest, TryPredictWithAllAlphasClampedIsFailedPrecondition) {
+TEST(EnsembleModelTest, AllAlphasClampedIsNotPredictable) {
   // Each α passes AddMember's positivity check, but their sum underflows
   // the normalization guard: α/Σα would blow up, so the ensemble counts as
   // degenerate ("all weights clamped away").
   EnsembleModel m;
   m.AddMember(SmallMlp(1), 1e-31);
   m.AddMember(SmallMlp(2), 1e-32);
-  Dataset data = MakeBlobs(8, 4, 3, 2);
-  Result<Tensor> r = m.TryPredictProbs(data);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-}
+  EXPECT_EQ(m.CheckPredictable().code(), StatusCode::kFailedPrecondition);
 
-TEST(EnsembleModelTest, TryPredictOnEmptyDatasetIsInvalidArgument) {
-  EnsembleModel m;
-  m.AddMember(SmallMlp(1), 1.0);
-  Dataset empty("empty", Tensor(Shape{0, 4}), {}, 3);
-  Result<Tensor> r = m.TryPredictProbs(empty);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EnsembleModelTest, TryPredictOnHealthyEnsembleMatchesPredictProbs) {
-  EnsembleModel m;
-  m.AddMember(SmallMlp(1), 0.5);
-  m.AddMember(SmallMlp(2), 2.0);
-  Dataset data = MakeBlobs(12, 4, 3, 3);
-  Result<Tensor> r = m.TryPredictProbs(data);
-  ASSERT_TRUE(r.ok()) << r.status();
-  const Tensor direct = m.PredictProbs(data);
-  for (int64_t i = 0; i < direct.num_elements(); ++i) {
-    EXPECT_EQ(r.ValueOrDie().at(i), direct.at(i));
-  }
+  EnsembleModel healthy;
+  healthy.AddMember(SmallMlp(1), 0.5);
+  healthy.AddMember(SmallMlp(2), 2.0);
+  EXPECT_TRUE(healthy.CheckPredictable().ok());
 }
 
 TEST(EnsembleModelTest, BatchSizeOneMatchesBatchedBitForBit) {

@@ -10,11 +10,11 @@
 #include "core/edde.h"
 #include "data/synthetic_image.h"
 #include "data/synthetic_text.h"
+#include "ensemble/ensemble_io.h"
 #include "ensemble/snapshot.h"
 #include "metrics/bias_variance.h"
 #include "metrics/diversity.h"
 #include "metrics/metrics.h"
-#include "nn/checkpoint.h"
 #include "nn/resnet.h"
 #include "nn/textcnn.h"
 
@@ -126,13 +126,15 @@ TEST(IntegrationTest, EnsembleMembersSurviveCheckpointRoundTrip) {
   EddeMethod method(mc, eo);
   EnsembleModel model = method.Train(data.train, SmallResNetFactory());
 
-  const std::string path = ::testing::TempDir() + "/member0.ckpt";
-  ASSERT_TRUE(SaveCheckpoint(model.member(0), path).ok());
-  auto restored = SmallResNetFactory()(999);
-  ASSERT_TRUE(LoadCheckpoint(restored.get(), path).ok());
-  const auto original = PredictLabels(model.member(0), data.test);
-  const auto roundtrip = PredictLabels(restored.get(), data.test);
-  EXPECT_EQ(original, roundtrip);
+  const std::string path = ::testing::TempDir() + "/members.edde";
+  ASSERT_TRUE(SaveEnsemble(model, path).ok());
+  Result<EnsembleModel> restored = LoadEnsemble(path, SmallResNetFactory());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  for (int64_t t = 0; t < model.size(); ++t) {
+    EXPECT_EQ(PredictLabels(model.member(t), data.test),
+              PredictLabels(restored.ValueOrDie().member(t), data.test))
+        << "member " << t;
+  }
 }
 
 TEST(IntegrationTest, BiasVarianceOfEnsembleMembers) {

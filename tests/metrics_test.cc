@@ -21,13 +21,6 @@ TEST(AccuracyTest, CountsMatches) {
   EXPECT_DOUBLE_EQ(Accuracy({0}, {0}), 1.0);
 }
 
-TEST(PerClassAccuracyTest, PerClassBreakdown) {
-  const auto acc = PerClassAccuracy({0, 0, 1, 1}, {0, 1, 1, 1}, 3);
-  EXPECT_DOUBLE_EQ(acc[0], 1.0);         // one class-0 sample, predicted 0
-  EXPECT_NEAR(acc[1], 2.0 / 3.0, 1e-12); // two of three class-1 correct
-  EXPECT_DOUBLE_EQ(acc[2], 0.0);         // absent class
-}
-
 TEST(PredictTest, ModelPredictionsConsistentAcrossBatchSizes) {
   MlpConfig cfg;
   cfg.in_features = 3 * 8 * 8;
@@ -126,36 +119,19 @@ TEST(SimilarityMatrixTest, UnitDiagonalSymmetric) {
 }
 
 // ---------------------------------------------------------------------------
-// κ / Q statistics — degenerate-denominator regressions
+// Hard-prediction disagreement
 // ---------------------------------------------------------------------------
 
-TEST(KappaStatisticTest, IdenticalAlwaysCorrectPredictorsAgreeFully) {
-  // Both predictors right on every sample: p_exp == 1. Two identical
-  // predictors are in perfect agreement, so κ must be 1, not 0.
-  const std::vector<int> labels = {0, 1, 2, 1};
-  EXPECT_DOUBLE_EQ(KappaStatistic(labels, labels, labels), 1.0);
+TEST(DisagreementTest, IdenticalAndOpposite) {
+  EXPECT_DOUBLE_EQ(DisagreementMeasure({1, 2, 3}, {1, 2, 3}), 0.0);
+  EXPECT_DOUBLE_EQ(DisagreementMeasure({1, 2, 3}, {2, 3, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(DisagreementMeasure({1, 2, 3, 4}, {1, 2, 0, 0}), 0.5);
 }
 
-TEST(KappaStatisticTest, IdenticalAlwaysWrongPredictorsAgreeFully) {
-  const std::vector<int> labels = {0, 1, 2, 1};
-  const std::vector<int> wrong = {1, 2, 0, 2};
-  EXPECT_DOUBLE_EQ(KappaStatistic(wrong, wrong, labels), 1.0);
-}
-
-TEST(KappaStatisticTest, IndependentMixedPredictorsStayFinite) {
-  const std::vector<int> labels = {0, 0, 0, 0};
-  const std::vector<int> a = {0, 0, 1, 1};
-  const std::vector<int> b = {0, 1, 0, 1};
-  // pa = pb = 0.5, p_exp = 0.5, p_obs = 0.5 -> κ = 0 (independence).
-  EXPECT_NEAR(KappaStatistic(a, b, labels), 0.0, 1e-12);
-}
-
-TEST(QStatisticTest, ZeroDenominatorReturnsZero) {
-  // n11 = n00 = 0 and n01 * n10 = 0 -> denominator 0; Q is defined as 0.
-  const std::vector<int> labels = {0, 0};
-  const std::vector<int> a = {0, 0};
-  const std::vector<int> b = {1, 1};
-  EXPECT_DOUBLE_EQ(QStatistic(a, b, labels), 0.0);
+TEST(EnsembleDisagreementTest, AveragesPairs) {
+  const std::vector<std::vector<int>> preds = {{0, 0}, {0, 0}, {1, 1}};
+  // Pairs: (0,1)=0, (0,2)=1, (1,2)=1 -> mean 2/3.
+  EXPECT_NEAR(EnsembleDisagreement(preds), 2.0 / 3.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------------

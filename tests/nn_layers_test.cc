@@ -94,22 +94,6 @@ TEST(ReLUTest, GradientsMatchFiniteDifferences) {
   EXPECT_LT(result.max_rel_error, kGradCheckTolerance);
 }
 
-TEST(TanhTest, GradientsMatchFiniteDifferences) {
-  Rng rng(15);
-  Tanh layer;
-  const auto result = CheckModuleGradients(
-      &layer, RandomInput(Shape{4, 6}, 16), /*training=*/true, &rng);
-  EXPECT_LT(result.max_rel_error, kGradCheckTolerance);
-}
-
-TEST(MaxPoolLayerTest, GradientsMatchFiniteDifferences) {
-  Rng rng(17);
-  MaxPool2d layer(2);
-  const auto result = CheckModuleGradients(
-      &layer, RandomInput(Shape{2, 2, 4, 4}, 18), /*training=*/true, &rng);
-  EXPECT_LT(result.max_rel_error, kGradCheckTolerance);
-}
-
 TEST(GlobalAvgPoolLayerTest, GradientsMatchFiniteDifferences) {
   Rng rng(19);
   GlobalAvgPool2d layer;

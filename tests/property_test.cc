@@ -243,7 +243,8 @@ TEST_P(GemmPropertyTest, IdentityIsNeutral) {
   Tensor a = RandomTensor(Shape{n, n}, 71 + n);
   Tensor eye(Shape{n, n}, 0.0f);
   for (int64_t i = 0; i < n; ++i) eye.at(i, i) = 1.0f;
-  Tensor out = MatMul(a, eye);
+  Tensor out(Shape{n, n});
+  Gemm(false, false, 1.0f, a, eye, 0.0f, &out);
   for (int64_t i = 0; i < a.num_elements(); ++i) {
     EXPECT_NEAR(out.at(i), a.at(i), 1e-4);
   }

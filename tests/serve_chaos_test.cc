@@ -368,10 +368,8 @@ TEST(ServeChaosTest, ArtifactReloadPathRejectsCorruptFiles) {
   const ModelFactory factory = [](uint64_t seed) { return SmallMlp(seed); };
   serve::ServerConfig config;
   config.reload_source = [&]() -> Result<serve::ReloadCandidate> {
-    // Whole-file CRC preflight, then the real load — the same shape the
+    // LoadEnsemble CRC-checks every section it reads — the same load the
     // edde-serve binary uses.
-    Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
-    if (!info.ok()) return info.status();
     Result<EnsembleModel> loaded = LoadEnsemble(path, factory);
     if (!loaded.ok()) return loaded.status();
     serve::ReloadCandidate c;

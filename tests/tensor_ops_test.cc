@@ -104,7 +104,7 @@ TEST(GemmTest, NanInBPropagatesThroughZeroInA) {
 // BLAS-1 / elementwise
 // ---------------------------------------------------------------------------
 
-TEST(Blas1Test, AxpyScaleAddSubMulDot) {
+TEST(Blas1Test, AxpyScaleAddDot) {
   Tensor x(Shape{3}, {1.0f, 2.0f, 3.0f});
   Tensor y(Shape{3}, {10.0f, 20.0f, 30.0f});
   Axpy(2.0f, x, &y);
@@ -113,10 +113,6 @@ TEST(Blas1Test, AxpyScaleAddSubMulDot) {
   EXPECT_FLOAT_EQ(y.at(0), 6.0f);
   Tensor s = Add(x, x);
   EXPECT_FLOAT_EQ(s.at(1), 4.0f);
-  Tensor d = Sub(s, x);
-  EXPECT_FLOAT_EQ(d.at(1), 2.0f);
-  Tensor p = Mul(x, x);
-  EXPECT_FLOAT_EQ(p.at(2), 9.0f);
   EXPECT_DOUBLE_EQ(Dot(x, x), 14.0);
   EXPECT_DOUBLE_EQ(SquaredNorm(x), 14.0);
 }
@@ -146,16 +142,6 @@ TEST(SoftmaxTest, StableUnderLargeLogits) {
   EXPECT_GT(p.at(0, 1), p.at(0, 0));
   EXPECT_FALSE(std::isnan(p.at(0, 0)));
   EXPECT_NEAR(p.at(0, 0) + p.at(0, 1) + p.at(0, 2), 1.0, 1e-5);
-}
-
-TEST(SoftmaxTest, LogSoftmaxMatchesLogOfSoftmax) {
-  Rng rng(8);
-  Tensor logits = RandomTensor(Shape{4, 6}, &rng, 2.0f);
-  Tensor p = Softmax(logits);
-  Tensor lp = LogSoftmax(logits);
-  for (int64_t i = 0; i < p.num_elements(); ++i) {
-    EXPECT_NEAR(lp.at(i), std::log(p.at(i)), 1e-4);
-  }
 }
 
 TEST(ArgmaxRowsTest, PicksLargest) {
@@ -615,21 +601,6 @@ TEST(Conv1dTest, KnownKernelValues) {
 // ---------------------------------------------------------------------------
 // Pooling
 // ---------------------------------------------------------------------------
-
-TEST(MaxPoolTest, ForwardAndBackwardRouting) {
-  Tensor input(Shape{1, 1, 2, 4},
-               {1.0f, 5.0f, 2.0f, 0.0f, 3.0f, 4.0f, 7.0f, 6.0f});
-  std::vector<int64_t> argmax;
-  Tensor out = MaxPool2dForward(input, 2, &argmax);
-  ASSERT_EQ(out.shape(), Shape({1, 1, 1, 2}));
-  EXPECT_FLOAT_EQ(out.at(0), 5.0f);
-  EXPECT_FLOAT_EQ(out.at(1), 7.0f);
-  Tensor grad_out(Shape{1, 1, 1, 2}, {1.0f, 2.0f});
-  Tensor grad_in = MaxPool2dBackward(input.shape(), grad_out, argmax);
-  EXPECT_FLOAT_EQ(grad_in.at(0, 0, 0, 1), 1.0f);  // routed to the 5
-  EXPECT_FLOAT_EQ(grad_in.at(0, 0, 1, 2), 2.0f);  // routed to the 7
-  EXPECT_DOUBLE_EQ(grad_in.Sum(), 3.0);
-}
 
 TEST(AvgPoolTest, ForwardAveragesAndBackwardSpreads) {
   Tensor input(Shape{1, 1, 2, 2}, {1.0f, 3.0f, 5.0f, 7.0f});

@@ -82,26 +82,6 @@ TEST(RngTest, BernoulliFrequencyMatchesP) {
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.3, 0.02);
 }
 
-TEST(RngTest, CategoricalFollowsWeights) {
-  Rng rng(17);
-  const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  constexpr int kDraws = 50000;
-  for (int i = 0; i < kDraws; ++i) {
-    ++counts[static_cast<size_t>(rng.Categorical(weights))];
-  }
-  EXPECT_EQ(counts[2], 0);  // zero-weight class never drawn
-  EXPECT_NEAR(counts[0] / static_cast<double>(kDraws), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(kDraws), 0.3, 0.02);
-  EXPECT_NEAR(counts[3] / static_cast<double>(kDraws), 0.6, 0.02);
-}
-
-TEST(RngDeathTest, CategoricalRejectsZeroMass) {
-  Rng rng(1);
-  std::vector<double> weights = {0.0, 0.0};
-  EXPECT_DEATH(rng.Categorical(weights), "sum to zero");
-}
-
 TEST(RngDeathTest, UniformIntRejectsNonPositive) {
   Rng rng(1);
   EXPECT_DEATH(rng.UniformInt(0), "Check failed");

@@ -111,7 +111,7 @@ TEST(FlagsTest, DefaultsApplyWhenUnset) {
   flags.Define("gamma", "0.1", "diversity strength");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.Parse(1, const_cast<char**>(argv)).ok());
-  EXPECT_DOUBLE_EQ(flags.GetDouble("gamma"), 0.1);
+  EXPECT_EQ(flags.GetString("gamma"), "0.1");
 }
 
 TEST(FlagsTest, UnknownFlagIsInvalidArgument) {

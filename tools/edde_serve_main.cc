@@ -24,6 +24,7 @@
 #include <csignal>
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -46,15 +47,23 @@ std::atomic<bool> g_reload_requested{false};
 
 void HandleSighup(int) { g_reload_requested.store(true); }
 
-std::vector<int> ParseHidden(const std::string& spec) {
-  std::vector<int> hidden;
+/// Parses --hidden's comma-separated widths (empty items are skipped) into
+/// `hidden`, replacing its contents. False when a width is not a positive
+/// decimal integer: non-numeric, trailing junk, out of int range, zero or
+/// negative.
+bool ParseHidden(const std::string& spec, std::vector<int>* hidden) {
+  hidden->clear();
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    hidden.push_back(std::stoi(item));
+    int width = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), end, width);
+    if (ec != std::errc() || ptr != end || width <= 0) return false;
+    hidden->push_back(width);
   }
-  return hidden;
+  return true;
 }
 
 int Main(int argc, char** argv) {
@@ -116,7 +125,13 @@ int Main(int argc, char** argv) {
 
   MlpConfig mlp;
   mlp.in_features = flags.GetInt("input_dim");
-  mlp.hidden = ParseHidden(flags.GetString("hidden"));
+  if (!ParseHidden(flags.GetString("hidden"), &mlp.hidden)) {
+    std::fprintf(stderr,
+                 "invalid --hidden=%s (positive integer widths, "
+                 "comma-separated)\n",
+                 flags.GetString("hidden").c_str());
+    return 2;
+  }
   mlp.num_classes = flags.GetInt("num_classes");
   const ModelFactory factory = [mlp](uint64_t seed) {
     return std::make_unique<Mlp>(mlp, seed);
