@@ -4,7 +4,7 @@
 /// stands up an in-process InferenceServer, and drives it with concurrent
 /// client threads that stream the whole test set through the wire
 /// protocol — once with the α-ordered early-exit cascade ON and once OFF
-/// (full-ensemble fan-out). Reports:
+/// (full mode: every member evaluates every row). Reports:
 ///
 ///   accuracy                          ensemble test accuracy (sanity)
 ///   serve.qps / serve.p50_ms / .p99_ms   per mode, measured client-side

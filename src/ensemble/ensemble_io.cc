@@ -58,8 +58,7 @@ Status SaveEnsemble(const EnsembleModel& ensemble, const std::string& path,
   if (ensemble.size() == 0) {
     return Status::InvalidArgument("cannot save an empty ensemble");
   }
-  BinaryWriter writer(path, Durability::kAtomic);
-  EDDE_RETURN_NOT_OK(writer.status());
+  BinaryWriter writer(path);
   writer.WriteU32(kEnsembleMagicV3);
 
   {

@@ -157,7 +157,7 @@ Status RoundCheckpointer::Write(const TrainProgress& progress) {
   EDDE_RETURN_NOT_OK(EnsureDir(config_.dir));
 
   const std::string path = GenerationPath(config_.dir, progress.round);
-  BinaryWriter writer(path, Durability::kAtomic);
+  BinaryWriter writer(path);
   writer.WriteU32(kGenerationMagic);
 
   SectionWriter header;
@@ -310,7 +310,7 @@ Status SaveInflightCheckpoint(const std::string& path, Module* model,
                               const Sgd& optimizer, const Rng& rng,
                               int next_epoch, uint64_t fingerprint) {
   TraceScope scope(GetTraceRegion("checkpoint/inflight"));
-  BinaryWriter writer(path, Durability::kAtomic);
+  BinaryWriter writer(path);
   writer.WriteU32(kInflightMagic);
 
   SectionWriter header;

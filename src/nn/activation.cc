@@ -4,7 +4,7 @@
 
 namespace edde {
 
-Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
+Tensor ReLU::Forward(const Tensor& input, bool training) {
   Tensor output(input.shape());
   const float* x = input.data();
   float* y = output.data();
@@ -13,7 +13,7 @@ Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
   for (int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
   // The output itself encodes the mask (y > 0 iff x > 0 passed through),
   // so backward needs no separate mask tensor.
-  cached_output_ = output;
+  if (training) cached_output_ = output;
   return output;
 }
 

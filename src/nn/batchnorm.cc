@@ -54,42 +54,46 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
   const int rank = input.shape().rank();
   EDDE_CHECK(rank == 2 || rank == 4) << "BatchNorm expects rank 2 or 4";
   EDDE_CHECK_EQ(input.shape().dim(1), channels_);
-  cached_input_ = input;
-  cached_training_ = training;
-  batch_mean_.assign(static_cast<size_t>(channels_), 0.0f);
-  batch_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
-
-  const int64_t m = ElementsPerChannel(input.shape());
   Tensor output(input.shape());
-  cached_xhat_ = Tensor(input.shape());
   const float* x = input.data();
   float* y = output.data();
-  float* xhat = cached_xhat_.data();
 
-  for (int64_t c = 0; c < channels_; ++c) {
-    float mean, inv_std;
-    if (training) {
-      double sum = 0.0, sq = 0.0;
+  if (!training) {
+    for (int64_t c = 0; c < channels_; ++c) {
+      const float mean = running_mean_.value.data()[c];
+      const float inv_std =
+          1.0f / std::sqrt(running_var_.value.data()[c] + epsilon_);
+      const float g = gamma_.value.data()[c];
+      const float b = beta_.value.data()[c];
       ForEachInChannel(input.shape(), c, [&](int64_t i) {
-        sum += x[i];
-        sq += static_cast<double>(x[i]) * x[i];
+        const float xh = (x[i] - mean) * inv_std;
+        y[i] = g * xh + b;
       });
-      mean = static_cast<float>(sum / m);
-      const float var =
-          static_cast<float>(sq / m - static_cast<double>(mean) * mean);
-      const float safe_var = var > 0.0f ? var : 0.0f;
-      inv_std = 1.0f / std::sqrt(safe_var + epsilon_);
-      // Update running statistics (exponential moving average).
-      running_mean_.value.data()[c] =
-          momentum_ * running_mean_.value.data()[c] + (1.0f - momentum_) * mean;
-      running_var_.value.data()[c] =
-          momentum_ * running_var_.value.data()[c] +
-          (1.0f - momentum_) * safe_var;
-    } else {
-      mean = running_mean_.value.data()[c];
-      inv_std = 1.0f / std::sqrt(running_var_.value.data()[c] + epsilon_);
     }
-    batch_mean_[static_cast<size_t>(c)] = mean;
+    return output;
+  }
+
+  const int64_t m = ElementsPerChannel(input.shape());
+  cached_xhat_ = Tensor(input.shape());
+  batch_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
+  float* xhat = cached_xhat_.data();
+  for (int64_t c = 0; c < channels_; ++c) {
+    double sum = 0.0, sq = 0.0;
+    ForEachInChannel(input.shape(), c, [&](int64_t i) {
+      sum += x[i];
+      sq += static_cast<double>(x[i]) * x[i];
+    });
+    const float mean = static_cast<float>(sum / m);
+    const float var =
+        static_cast<float>(sq / m - static_cast<double>(mean) * mean);
+    const float safe_var = var > 0.0f ? var : 0.0f;
+    const float inv_std = 1.0f / std::sqrt(safe_var + epsilon_);
+    // Update running statistics (exponential moving average).
+    running_mean_.value.data()[c] =
+        momentum_ * running_mean_.value.data()[c] + (1.0f - momentum_) * mean;
+    running_var_.value.data()[c] =
+        momentum_ * running_var_.value.data()[c] +
+        (1.0f - momentum_) * safe_var;
     batch_inv_std_[static_cast<size_t>(c)] = inv_std;
     const float g = gamma_.value.data()[c];
     const float b = beta_.value.data()[c];
@@ -103,10 +107,11 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
 }
 
 Tensor BatchNorm::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  EDDE_CHECK(grad_output.shape() == cached_input_.shape());
-  const int64_t m = ElementsPerChannel(cached_input_.shape());
-  Tensor grad_input(cached_input_.shape());
+  EDDE_CHECK(!cached_xhat_.empty()) << "Backward before Forward";
+  const Shape& shape = cached_xhat_.shape();
+  EDDE_CHECK(grad_output.shape() == shape);
+  const int64_t m = ElementsPerChannel(shape);
+  Tensor grad_input(shape);
   const float* dy = grad_output.data();
   const float* xhat = cached_xhat_.data();
   float* dx = grad_input.data();
@@ -115,27 +120,21 @@ Tensor BatchNorm::Backward(const Tensor& grad_output) {
     const float g = gamma_.value.data()[c];
     const float inv_std = batch_inv_std_[static_cast<size_t>(c)];
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    ForEachInChannel(cached_input_.shape(), c, [&](int64_t i) {
+    ForEachInChannel(shape, c, [&](int64_t i) {
       sum_dy += dy[i];
       sum_dy_xhat += static_cast<double>(dy[i]) * xhat[i];
     });
     gamma_.grad.data()[c] += static_cast<float>(sum_dy_xhat);
     beta_.grad.data()[c] += static_cast<float>(sum_dy);
 
-    if (cached_training_) {
-      const float k = g * inv_std / static_cast<float>(m);
-      const float mean_dy = static_cast<float>(sum_dy / m);
-      const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / m);
-      ForEachInChannel(cached_input_.shape(), c, [&](int64_t i) {
-        dx[i] = k * (static_cast<float>(m) * dy[i] -
-                     static_cast<float>(m) * mean_dy -
-                     xhat[i] * static_cast<float>(m) * mean_dy_xhat);
-      });
-    } else {
-      const float k = g * inv_std;
-      ForEachInChannel(cached_input_.shape(), c,
-                       [&](int64_t i) { dx[i] = k * dy[i]; });
-    }
+    const float k = g * inv_std / static_cast<float>(m);
+    const float mean_dy = static_cast<float>(sum_dy / m);
+    const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / m);
+    ForEachInChannel(shape, c, [&](int64_t i) {
+      dx[i] = k * (static_cast<float>(m) * dy[i] -
+                   static_cast<float>(m) * mean_dy -
+                   xhat[i] * static_cast<float>(m) * mean_dy_xhat);
+    });
   }
   return grad_input;
 }

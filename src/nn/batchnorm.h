@@ -35,12 +35,9 @@ class BatchNorm : public Module {
   Parameter running_mean_;  // trainable = false
   Parameter running_var_;   // trainable = false
 
-  // Forward cache for backward.
-  Tensor cached_input_;
+  // Training-mode Forward cache for Backward.
   Tensor cached_xhat_;
-  std::vector<float> batch_mean_;
   std::vector<float> batch_inv_std_;
-  bool cached_training_ = false;
 };
 
 }  // namespace edde

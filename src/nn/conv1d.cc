@@ -25,8 +25,8 @@ Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,
   }
 }
 
-Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor Conv1d::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_ = input;
   return Conv1dForward(input, weight_.value, bias_.value, geom_);
 }
 

@@ -26,8 +26,9 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 }
 
 Tensor Conv2d::Forward(const Tensor& input, bool training) {
-  cached_input_ = input;
-  if (precision_ == Precision::kInt8 && !training) {
+  if (training) {
+    cached_input_ = input;
+  } else if (precision_ == Precision::kInt8) {
     return Conv2dForwardInt8(input, qweight_, bias_.value, geom_);
   }
   return Conv2dForward(input, weight_.value, bias_.value, geom_);

@@ -21,7 +21,7 @@ Dense::Dense(int64_t in_features, int64_t out_features, Rng* rng)
 Tensor Dense::Forward(const Tensor& input, bool training) {
   EDDE_CHECK_EQ(input.shape().rank(), 2);
   EDDE_CHECK_EQ(input.shape().dim(1), in_features_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   const int64_t n = input.shape().dim(0);
   Tensor output(Shape{n, out_features_});
   // y = x @ W^T + b, with the bias broadcast fused into the gemm epilogue

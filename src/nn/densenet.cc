@@ -57,7 +57,7 @@ Tensor TransitionLayer::Forward(const Tensor& input, bool training) {
   Tensor h = bn_.Forward(input, training);
   h = relu_.Forward(h, training);
   h = conv_.Forward(h, training);
-  cached_conv_out_shape_ = h.shape();
+  if (training) cached_conv_out_shape_ = h.shape();
   return AvgPool2dForward(h, /*window=*/2);
 }
 

@@ -10,11 +10,7 @@ Dropout::Dropout(float rate, uint64_t seed) : rate_(rate), rng_(seed) {
 }
 
 Tensor Dropout::Forward(const Tensor& input, bool training) {
-  cached_training_ = training;
-  if (!training || rate_ == 0.0f) {
-    cached_mask_ = Tensor();
-    return input;
-  }
+  if (!training || rate_ == 0.0f) return input;
   const float keep = 1.0f - rate_;
   const float scale = 1.0f / keep;
   Tensor output(input.shape());
@@ -32,7 +28,7 @@ Tensor Dropout::Forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::Backward(const Tensor& grad_output) {
-  if (!cached_training_ || rate_ == 0.0f) return grad_output;
+  if (rate_ == 0.0f) return grad_output;
   EDDE_CHECK(!cached_mask_.empty()) << "Backward before Forward";
   Tensor grad_input(grad_output.shape());
   const float* dy = grad_output.data();

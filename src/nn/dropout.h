@@ -25,7 +25,6 @@ class Dropout : public Module {
   float rate_;
   Rng rng_;
   Tensor cached_mask_;
-  bool cached_training_ = false;
 };
 
 }  // namespace edde

@@ -15,9 +15,9 @@ Embedding::Embedding(int64_t vocab_size, int64_t embed_dim, Rng* rng)
   InitGrad(&table_);
 }
 
-Tensor Embedding::Forward(const Tensor& input, bool /*training*/) {
+Tensor Embedding::Forward(const Tensor& input, bool training) {
   EDDE_CHECK_EQ(input.shape().rank(), 2);
-  cached_ids_ = input;
+  if (training) cached_ids_ = input;
   const int64_t n = input.shape().dim(0);
   const int64_t len = input.shape().dim(1);
   Tensor output(Shape{n, embed_dim_, len});

@@ -35,10 +35,17 @@ const char* PrecisionName(Precision precision);
 
 /// Base class for all neural-network layers and models.
 ///
-/// Modules implement explicit reverse-mode differentiation: Forward caches
-/// whatever it needs, Backward consumes the output gradient and returns the
-/// input gradient while accumulating parameter gradients into
-/// Parameter::grad. One Forward must precede each Backward.
+/// Modules implement explicit reverse-mode differentiation: a training-mode
+/// Forward caches whatever Backward needs, Backward consumes the output
+/// gradient and returns the input gradient while accumulating parameter
+/// gradients into Parameter::grad. Backward consumes the most recent
+/// training-mode Forward; one must precede each Backward.
+///
+/// Eval-mode Forward (`training == false`) writes no member of any module:
+/// it reads the weights and returns a fresh output, so any number of
+/// threads may run it on the same module at once (the server evaluates one
+/// member for several batches concurrently, DESIGN.md §15). It does not
+/// disturb the cache a pending Backward reads either.
 ///
 /// CollectParameters must append parameters in *depth order* (closest to the
 /// input first). EDDE's knowledge-transfer strategy (transfer the lower β
@@ -52,7 +59,8 @@ class Module {
   Module& operator=(const Module&) = delete;
 
   /// Computes the layer output. `training` toggles train-time behaviour
-  /// (batch-norm batch statistics, dropout).
+  /// (batch-norm batch statistics, dropout) and the Backward cache; with
+  /// `training == false` the call is re-entrant (see the class comment).
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
   /// Backpropagates `grad_output`, accumulating parameter gradients, and

@@ -5,8 +5,8 @@
 
 namespace edde {
 
-Tensor GlobalAvgPool2d::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_shape_ = input.shape();
+Tensor GlobalAvgPool2d::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_shape_ = input.shape();
   return GlobalAvgPool2dForward(input);
 }
 
@@ -17,8 +17,8 @@ Tensor GlobalAvgPool2d::Backward(const Tensor& grad_output) {
 
 void GlobalAvgPool2d::CollectParameters(std::vector<Parameter*>* /*out*/) {}
 
-Tensor Flatten::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_shape_ = input.shape();
+Tensor Flatten::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_shape_ = input.shape();
   const int64_t n = input.shape().dim(0);
   return input.Reshape(Shape{n, input.num_elements() / n});
 }

@@ -32,14 +32,18 @@ Tensor TextCnn::Forward(const Tensor& input, bool training) {
   const int64_t f = config_.filters_per_size;
   const int64_t branches = static_cast<int64_t>(convs_.size());
   Tensor features(Shape{n, branches * f});
-  conv_out_shapes_.assign(convs_.size(), Shape{});
-  pool_argmax_.assign(convs_.size(), {});
+  if (training) {
+    conv_out_shapes_.assign(convs_.size(), Shape{});
+    pool_argmax_.assign(convs_.size(), {});
+  }
+  std::vector<int64_t> eval_argmax;  // eval: computed and discarded
 
   for (size_t b = 0; b < convs_.size(); ++b) {
     Tensor h = convs_[b]->Forward(embedded, training);  // (N, F, OL)
     h = relus_[b]->Forward(h, training);
-    conv_out_shapes_[b] = h.shape();
-    Tensor pooled = MaxOverTimeForward(h, &pool_argmax_[b]);  // (N, F)
+    if (training) conv_out_shapes_[b] = h.shape();
+    Tensor pooled = MaxOverTimeForward(
+        h, training ? &pool_argmax_[b] : &eval_argmax);  // (N, F)
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(
           features.data() + i * branches * f + static_cast<int64_t>(b) * f,

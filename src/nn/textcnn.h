@@ -49,7 +49,7 @@ class TextCnn : public Module {
   std::unique_ptr<Dropout> dropout_;
   std::unique_ptr<Dense> classifier_;
 
-  // Forward cache.
+  // Training-mode Forward cache for Backward.
   std::vector<Shape> conv_out_shapes_;
   std::vector<std::vector<int64_t>> pool_argmax_;
 };

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,13 +28,6 @@ struct ServingGeneration {
   /// Where the model came from ("<path>" for artifacts, caller-chosen for
   /// in-process swaps) — /statusz provenance.
   std::string source;
-  /// Per-member evaluation locks. Module Forward caches activations in
-  /// the layer objects even at inference, so two in-flight batches must
-  /// not evaluate the *same* member concurrently; the locks live with the
-  /// generation because a reload may change the member count. deque
-  /// because std::mutex is immovable. Mutable: locking is not a logical
-  /// mutation of the generation.
-  mutable std::deque<std::mutex> member_mu;
   /// serve.member_rows.<i>: rows each member evaluated, resolved once here
   /// so no stage pays a name build and a registry lookup.
   std::vector<Counter*> member_rows;
@@ -43,7 +35,6 @@ struct ServingGeneration {
   ServingGeneration(std::shared_ptr<const EnsembleModel> m, uint64_t gen_id,
                     std::string src)
       : model(std::move(m)), id(gen_id), source(std::move(src)) {
-    member_mu.resize(static_cast<size_t>(model->size()));
     for (int64_t i = 0; i < model->size(); ++i) {
       member_rows.push_back(MetricsRegistry::Global().GetCounter(
           "serve.member_rows." + std::to_string(i)));

@@ -13,7 +13,6 @@
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/run_manifest.h"
-#include "utils/threadpool.h"
 #include "utils/trace.h"
 
 namespace edde {
@@ -48,13 +47,12 @@ InferenceServer::InferenceServer(const EnsembleModel* model,
   EDDE_CHECK_GT(input_dim_, 0);
   EDDE_CHECK_GT(num_classes_, 0);
   num_workers_ = std::max(1, config_.num_batch_workers);
-  pipelined_ = config_.cascade && num_workers_ > 1;
+  // One worker answers a batch before the next is popped (the serial
+  // schedule); a pool keeps two batches per worker in flight, so the
+  // member-stage pipeline always has a batch to interleave when one exits
+  // early.
   max_inflight_ =
-      config_.max_inflight_batches > 0
-          ? config_.max_inflight_batches
-          : (num_workers_ == 1 ? 1 : 2 * static_cast<int64_t>(num_workers_));
-  EDDE_CHECK_GE(max_inflight_, num_workers_)
-      << "fewer in-flight batches than workers would idle the pool";
+      num_workers_ == 1 ? 1 : 2 * static_cast<int64_t>(num_workers_);
 }
 
 InferenceServer::~InferenceServer() { Stop(); }
@@ -100,7 +98,6 @@ Status InferenceServer::Start() {
                  << " (members=" << gen->model->size()
                  << " cascade=" << (config_.cascade ? "on" : "off")
                  << " workers=" << num_workers_
-                 << (pipelined_ ? " pipelined" : "")
                  << (http_ ? " http=" + std::to_string(http_->port()) : "")
                  << ")";
   return Status::OK();
@@ -393,10 +390,10 @@ void InferenceServer::DispatchLoop() {
   std::vector<PendingRequest> batch;
   for (;;) {
     {
-      // The in-flight cap is the knob that makes workers=1 exactly the
-      // historical schedule: with max_inflight_ == 1 the next batch is
-      // not even popped until the previous one has been answered, so
-      // deadline coalescing sees the same queue the serial server did.
+      // The in-flight cap makes workers=1 the serial schedule: with
+      // max_inflight_ == 1 the next batch is not even popped until the
+      // previous one has been answered, so deadline coalescing sees the
+      // same queue at any worker count.
       std::unique_lock<std::mutex> lock(sched_mu_);
       inflight_cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
     }
@@ -448,7 +445,7 @@ void InferenceServer::WorkerLoop(int worker_id) {
       inflight_cv_.notify_one();
       if (all_done) sched_cv_.notify_all();  // release idle siblings
     } else {
-      // One member stage done, rows remain: back of the deque, so the
+      // One member stage done, batch unfinished: back of the deque, so the
       // pool round-robins across in-flight batches — worker B picks up
       // batch i+1's member m−1 while this batch's member m cools off.
       {
@@ -474,27 +471,16 @@ bool InferenceServer::RunTaskStep(BatchTask* task, WorkerState* worker) {
       task->batch.size() == 1 ? task->batch[0].request.trace_id : 0;
   ScopedTraceId batch_trace(solo_id);
   const auto quantum_start = std::chrono::steady_clock::now();
-  bool done;
-  if (pipelined_) {
-    if (!task->started) StartTask(task);
-    // total_rows == 0: every request was shed at dispatch (deadline
-    // expiry) and answered from StartTask — nothing to evaluate.
-    done = task->total_rows == 0 || RunCascadeStage(task);
-    if (done) {
-      if (task->total_rows > 0) FinalizeBatch(task);
-      // The batch span spans every stage quantum; emitted complete since
-      // the stages ran on whichever workers picked them up.
-      TraceCompleteSpan(batch_region, task->exec_start,
-                        std::chrono::steady_clock::now(), solo_id);
-    }
-  } else {
-    TraceScope batch_scope(batch_region);
-    if (!task->started) StartTask(task);
-    if (task->total_rows > 0) {
-      RunBatchInline(task);
-      FinalizeBatch(task);
-    }
-    done = true;
+  if (!task->started) StartTask(task);
+  // total_rows == 0: every request was shed at dispatch (deadline expiry)
+  // and answered from StartTask — nothing to evaluate.
+  const bool done = task->total_rows == 0 || RunCascadeStage(task);
+  if (done) {
+    if (task->total_rows > 0) FinalizeBatch(task);
+    // The batch span covers every stage quantum; emitted complete since
+    // the stages ran on whichever workers picked them up.
+    TraceCompleteSpan(batch_region, task->exec_start,
+                      std::chrono::steady_clock::now(), solo_id);
   }
   worker->stages->Increment();
   worker->busy_seconds->Record(SecondsSince(quantum_start));
@@ -577,10 +563,12 @@ void InferenceServer::StartTask(BatchTask* task) {
 bool InferenceServer::RunCascadeStage(BatchTask* task) {
   static const TraceRegion* const member_region =
       GetTraceRegion("serve/member");
-  // Descending-α order, one member per call. After the first member, each
-  // subsequent one sees only the still-undecided rows (gathered into a
-  // compacted batch), so a row stops costing forward passes the moment
-  // its margin clears the outstanding α mass. Row outputs are
+  // Descending-α order, one member per call. With the cascade on, each
+  // member after the first sees only the still-undecided rows (gathered
+  // into a compacted batch), so a row stops costing forward passes the
+  // moment its margin clears the outstanding α mass. Full mode is the
+  // cascade with exits disabled: every member sees the whole batch, and
+  // the batch ends only when the chain is exhausted. Row outputs are
   // batch-composition-independent (each row's GEMM/softmax reads only its
   // own inputs), so compaction never perturbs a probability — and neither
   // does which worker runs the stage.
@@ -591,7 +579,8 @@ bool InferenceServer::RunCascadeStage(BatchTask* task) {
   const int64_t member = order[next];
   const std::vector<int64_t>& open = acc.UndecidedRows();
   Tensor input;
-  if (static_cast<int64_t>(open.size()) == task->total_rows) {
+  if (!config_.cascade ||
+      static_cast<int64_t>(open.size()) == task->total_rows) {
     input = task->features;
   } else {
     input = Tensor(Shape{static_cast<int64_t>(open.size()), input_dim_});
@@ -603,57 +592,14 @@ bool InferenceServer::RunCascadeStage(BatchTask* task) {
     }
   }
   task->gen->member_rows[static_cast<size_t>(member)]->Increment(
-      static_cast<int64_t>(open.size()));
+      input.shape().dim(0));
   TraceScope member_scope(member_region);
-  Tensor probs;
-  {
-    // Layer Forward caches activations in the module even at inference,
-    // so two batches at the same pipeline stage must take turns on that
-    // member. Outputs are unaffected: each call still reads only its own
-    // input rows (the lock orders the calls, it doesn't mix them). The
-    // locks belong to the batch's pinned generation — two batches on
-    // different generations touch different module objects entirely.
-    std::lock_guard<std::mutex> lock(
-        task->gen->member_mu[static_cast<size_t>(member)]);
-    probs = task->gen->model->MemberProbsOnBatch(member, input);
-  }
+  // No lock: eval-mode Forward writes no module state (nn/module.h), so
+  // another worker may run this member on another batch at the same time.
+  const Tensor probs = task->gen->model->MemberProbsOnBatch(member, input);
   const bool all_decided = acc.Accumulate(probs);
-  return all_decided ||
+  return (config_.cascade && all_decided) ||
          static_cast<size_t>(acc.members_consumed()) >= order.size();
-}
-
-void InferenceServer::RunBatchInline(BatchTask* task) {
-  static const TraceRegion* const predict_region =
-      GetTraceRegion("serve/predict");
-  static const TraceRegion* const member_region =
-      GetTraceRegion("serve/member");
-  TraceScope predict_scope(predict_region);
-  if (config_.cascade) {
-    while (!RunCascadeStage(task)) {
-    }
-  } else {
-    // Full evaluation, fanned out over the shared pool; the accumulator
-    // still consumes in α order so both modes share one reduction path.
-    PartialPredictAccumulator& acc = *task->acc;
-    const int64_t num_members = task->gen->model->size();
-    std::vector<Tensor> probs(static_cast<size_t>(num_members));
-    ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        task->gen->member_rows[static_cast<size_t>(t)]->Increment(
-            task->total_rows);
-        TraceScope member_scope(member_region);
-        // Same per-member discipline as the cascade path: with workers>1
-        // two full-eval batches fan out over the same members at once.
-        std::lock_guard<std::mutex> lock(
-            task->gen->member_mu[static_cast<size_t>(t)]);
-        probs[static_cast<size_t>(t)] =
-            task->gen->model->MemberProbsOnBatch(t, task->features);
-      }
-    });
-    for (const int64_t member : acc.order()) {
-      acc.Accumulate(probs[static_cast<size_t>(member)]);
-    }
-  }
 }
 
 void InferenceServer::FinalizeBatch(BatchTask* task) {
@@ -824,8 +770,6 @@ std::string InferenceServer::StatuszJson() const {
   server.Add("precision", PrecisionName(gen->model->precision()));
   server.Add("cascade", config_.cascade);
   server.Add("num_batch_workers", static_cast<int64_t>(num_workers_));
-  server.Add("max_inflight_batches", max_inflight_);
-  server.Add("pipelined_cascade", pipelined_);
   server.Add("max_batch_rows", config_.max_batch_rows);
   server.Add("max_queue_rows", config_.max_queue_rows);
   server.Add("queue_rows", queue_.queued_rows());

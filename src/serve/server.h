@@ -46,26 +46,22 @@ struct ServerConfig {
   int64_t max_request_rows = 1024;
   /// Queued-row cap; Submits beyond it get an overload error response.
   int64_t max_queue_rows = 4096;
-  /// α-ordered early-exit cascade (DESIGN.md §12). Off = always evaluate
-  /// every member, fanned out on the thread pool. The argmax (and thus
-  /// every served label) is identical either way — the cascade's decision
-  /// rule is exact; only latency and the depth histogram change.
+  /// α-ordered early-exit cascade (DESIGN.md §12). Off = the same member
+  /// stages with exits disabled: every member evaluates every row. The
+  /// argmax (and thus every served label) is identical either way — the
+  /// cascade's decision rule is exact; only latency and the depth
+  /// histogram change.
   bool cascade = true;
   /// Batch workers consuming the admission queue concurrently
-  /// (DESIGN.md §15). 1 (the default) is the strictly serial schedule the
-  /// server always had; N > 1 runs batches concurrently and, in cascade
-  /// mode, pipelines member stages across workers (worker B runs member
-  /// m−1 of batch i+1 while worker A runs member m of batch i).
-  /// Predictions are bit-identical at any worker count — per-connection
-  /// ordering is restored by the sequence-numbered response writer — only
-  /// latency and the per-worker telemetry change.
+  /// (DESIGN.md §15). Each worker runs one member stage of a batch per
+  /// quantum, so N > 1 pipelines member stages across workers (worker B
+  /// runs member m−1 of batch i+1 while worker A runs member m of batch
+  /// i). 1 (the default) answers a batch before popping the next; a pool
+  /// keeps 2 × N batches in flight. Predictions are bit-identical at any
+  /// worker count — per-connection ordering is restored by the
+  /// sequence-numbered response writer — only latency and the per-worker
+  /// telemetry change.
   int num_batch_workers = 1;
-  /// Batches in flight at once (popped from the queue but not yet fully
-  /// answered). 0 = auto: 1 with a single worker (a batch completes
-  /// before the next is popped — exactly the historical schedule), else
-  /// 2 × num_batch_workers so the member-stage pipeline always has a
-  /// batch to interleave when one exits early.
-  int max_inflight_batches = 0;
   /// Observability plane (DESIGN.md §14): embedded HTTP listener serving
   /// GET /metrics (Prometheus exposition), /healthz (readiness),
   /// /statusz (JSON status) and /reloadz (hot-reload trigger, §16).
@@ -105,11 +101,11 @@ struct ServerConfig {
 /// and `num_batch_workers` batch workers. Readers parse + validate frames
 /// and Submit them to the AdmissionQueue; the dispatcher coalesces them
 /// into batches (batcher.h) and hands each batch to the worker pool, which
-/// runs the ensemble — cascade order with early exit (member stages
-/// pipelined across workers), or full-member fan-out on the shared thread
-/// pool — and releases each response through its origin connection's
-/// ordered writer (admission-order sequence numbers, so a slow batch can
-/// never reorder a connection's replies).
+/// runs the ensemble one member stage per quantum in cascade order (with
+/// early exit unless the cascade is off), pipelined across workers, and
+/// releases each response through its origin connection's ordered writer
+/// (admission-order sequence numbers, so a slow batch can never reorder a
+/// connection's replies).
 ///
 /// Telemetry (metrics/trace stack): serve.requests / serve.rows /
 /// serve.errors / serve.batches counters, serve.queue_rows /
@@ -118,7 +114,7 @@ struct ServerConfig {
 /// serve.members_evaluated histograms, per-worker
 /// serve.worker.{batches,stages}.<i> counters and
 /// serve.worker.busy_seconds.<i> histograms, trace regions serve/batch and
-/// serve/predict on per-worker timeline tracks ("serve/worker <i>").
+/// serve/member on per-worker timeline tracks ("serve/worker <i>").
 class InferenceServer {
  public:
   /// `model` must outlive the server and satisfy CheckPredictable();
@@ -198,8 +194,8 @@ class InferenceServer {
 
   /// One coalesced batch moving through the worker pool. Built lazily on
   /// first worker touch (exec_start is what queue-wait is measured to);
-  /// in pipelined cascade mode the task bounces between the ready deque
-  /// and workers, one member stage per hop.
+  /// the task bounces between the ready deque and workers, one member
+  /// stage per hop.
   struct BatchTask {
     std::vector<PendingRequest> batch;
     int64_t total_rows = 0;
@@ -228,15 +224,13 @@ class InferenceServer {
   void WorkerLoop(int worker_id);
   /// Lazily initializes the task (queue-wait spans, batch metrics,
   /// feature gather, accumulator) and runs one scheduling quantum: a
-  /// single member stage in pipelined cascade mode, the whole batch
-  /// otherwise. Returns true when the batch is finished and answered.
+  /// single member stage. Returns true when the batch is finished and
+  /// answered.
   bool RunTaskStep(BatchTask* task, WorkerState* worker);
   void StartTask(BatchTask* task);
-  /// Runs the historical whole-batch schedule (cascade loop or full
-  /// fan-out) to completion.
-  void RunBatchInline(BatchTask* task);
-  /// Evaluates the next cascade member on the still-undecided rows.
-  /// Returns true once every row is decided or the chain is exhausted.
+  /// Evaluates the next cascade member on the still-undecided rows (every
+  /// row when the cascade is off). Returns true once the cascade has
+  /// decided every row or the chain is exhausted.
   bool RunCascadeStage(BatchTask* task);
   /// Builds and releases every response of a finished batch.
   void FinalizeBatch(BatchTask* task);
@@ -258,10 +252,9 @@ class InferenceServer {
   /// Serializes Reload/ReloadFromSource callers.
   std::mutex reload_mu_;
   int num_workers_ = 1;
+  /// Batches popped from the admission queue but not yet answered: 1 for
+  /// one worker, 2 × num_workers_ otherwise.
   int64_t max_inflight_ = 1;
-  /// Member-stage pipelining is worth its scheduling hops only when a
-  /// second worker can actually overlap stages.
-  bool pipelined_ = false;
 
   AdmissionQueue queue_;
   UniqueFd listener_;

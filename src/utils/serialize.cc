@@ -1,56 +1,19 @@
 #include "utils/serialize.h"
 
-#include <cstring>
-
 #include "utils/durable_io.h"
 
 namespace edde {
 
-BinaryWriter::BinaryWriter(const std::string& path, Durability durability)
-    : path_(path), durability_(durability) {
-  if (durability_ == Durability::kDirect) {
-    out_.open(path, std::ios::binary);
-    if (!out_.is_open()) {
-      status_ = Status::IOError("cannot open for writing: " + path);
-    }
-  }
-}
+BinaryWriter::BinaryWriter(const std::string& path) : path_(path) {}
 
 void BinaryWriter::WriteBytes(const void* data, size_t count) {
-  if (!status_.ok()) return;
-  if (durability_ == Durability::kAtomic) {
-    buffer_.append(static_cast<const char*>(data), count);
-  } else {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(count));
-  }
+  buffer_.append(static_cast<const char*>(data), count);
 }
 
 void BinaryWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
 void BinaryWriter::WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }
-void BinaryWriter::WriteI64(int64_t v) { WriteBytes(&v, sizeof(v)); }
-void BinaryWriter::WriteF32(float v) { WriteBytes(&v, sizeof(v)); }
 
-void BinaryWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  WriteBytes(s.data(), s.size());
-}
-
-void BinaryWriter::WriteFloats(const float* data, size_t count) {
-  WriteBytes(data, count * sizeof(float));
-}
-
-Status BinaryWriter::Finish() {
-  if (!status_.ok()) return status_;
-  if (durability_ == Durability::kAtomic) {
-    status_ = AtomicWriteFile(path_, buffer_);
-  } else {
-    out_.flush();
-    if (!out_.good()) status_ = Status::IOError("write failed");
-    out_.close();
-  }
-  return status_;
-}
+Status BinaryWriter::Finish() { return AtomicWriteFile(path_, buffer_); }
 
 BinaryReader::BinaryReader(const std::string& path)
     : in_(path, std::ios::binary) {
@@ -68,7 +31,7 @@ BinaryReader::BinaryReader(const std::string& path)
   file_size_ = static_cast<uint64_t>(end);
 }
 
-bool BinaryReader::ReadBytes(void* dst, size_t count) {
+bool BinaryReader::ReadRaw(void* dst, size_t count) {
   if (!status_.ok()) return false;
   if (count > remaining()) {
     status_ = Status::Corruption("unexpected end of file");
@@ -84,35 +47,7 @@ bool BinaryReader::ReadBytes(void* dst, size_t count) {
   return true;
 }
 
-bool BinaryReader::ReadU32(uint32_t* v) { return ReadBytes(v, sizeof(*v)); }
-bool BinaryReader::ReadU64(uint64_t* v) { return ReadBytes(v, sizeof(*v)); }
-bool BinaryReader::ReadI64(int64_t* v) { return ReadBytes(v, sizeof(*v)); }
-bool BinaryReader::ReadF32(float* v) { return ReadBytes(v, sizeof(*v)); }
-bool BinaryReader::ReadRaw(void* dst, size_t count) {
-  return ReadBytes(dst, count);
-}
-
-bool BinaryReader::ReadString(std::string* s) {
-  uint64_t size = 0;
-  if (!ReadU64(&size)) return false;
-  // A declared length longer than the bytes left in the file can only come
-  // from corruption; reject it before the resize so a bit-flipped length
-  // cannot trigger a huge allocation.
-  if (size > remaining()) {
-    status_ = Status::Corruption("string length exceeds remaining file bytes");
-    return false;
-  }
-  s->resize(size);
-  return size == 0 || ReadBytes(s->data(), size);
-}
-
-bool BinaryReader::ReadFloats(float* data, size_t count) {
-  if (!status_.ok()) return false;
-  if (count > remaining() / sizeof(float)) {  // overflow-safe clamp
-    status_ = Status::Corruption("float array exceeds remaining file bytes");
-    return false;
-  }
-  return ReadBytes(data, count * sizeof(float));
-}
+bool BinaryReader::ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
+bool BinaryReader::ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
 
 }  // namespace edde

@@ -4,62 +4,39 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "utils/status.h"
 
 namespace edde {
 
-/// How a BinaryWriter lands bytes on disk.
-///   kDirect — stream straight into the destination file (legacy behavior;
-///             a crash mid-write leaves a torn file behind).
-///   kAtomic — buffer in memory and commit via utils/durable_io on Finish()
-///             (temp file → fsync → rename → dir fsync), so readers observe
-///             either the old file or the complete new one, never a prefix.
-enum class Durability {
-  kDirect,
-  kAtomic,
-};
-
-/// Little-endian binary writer used for model checkpoints.
-/// All write operations accumulate into an internal error flag; call
-/// Finish() to flush and obtain the final Status.
+/// Little-endian binary writer for the on-disk formats: a magic word, then
+/// framed sections (utils/durable_io). Bytes are buffered in memory and
+/// committed atomically on Finish() (temp file → fsync → rename → dir
+/// fsync), so readers observe either the old file or the complete new one,
+/// never a prefix.
 class BinaryWriter {
  public:
-  /// Opens `path` for writing; check status() before use. With kAtomic the
-  /// destination is untouched until Finish() commits, so open errors on an
-  /// unwritable path surface from Finish() instead of the constructor.
-  explicit BinaryWriter(const std::string& path,
-                        Durability durability = Durability::kDirect);
+  /// The destination is untouched until Finish() commits, so errors on an
+  /// unwritable path surface from Finish().
+  explicit BinaryWriter(const std::string& path);
 
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
-  void WriteI64(int64_t v);
-  void WriteF32(float v);
-  void WriteString(const std::string& s);
-  void WriteFloats(const float* data, size_t count);
   /// Raw bytes, no length prefix (section payloads frame themselves).
   void WriteBytes(const void* data, size_t count);
 
-  /// Flushes and closes (kDirect) or atomically commits (kAtomic);
-  /// returns the accumulated status.
+  /// Atomically commits the buffered bytes.
   Status Finish();
-
-  const Status& status() const { return status_; }
 
  private:
   std::string path_;
-  Durability durability_;
-  std::ofstream out_;      // kDirect only
-  std::string buffer_;     // kAtomic only
-  Status status_;
+  std::string buffer_;
 };
 
 /// Little-endian binary reader matching BinaryWriter.
 /// Read operations return false (and set status) on EOF/corruption.
-/// Declared lengths read from the file are clamped against the bytes
-/// actually remaining, so a corrupt length field yields a Corruption
-/// status instead of a multi-gigabyte allocation attempt.
+/// Every read is clamped against the bytes actually remaining, so a
+/// corrupt length field yields a Corruption status instead of an overread.
 class BinaryReader {
  public:
   /// Opens `path` for reading; check status() before use.
@@ -67,10 +44,6 @@ class BinaryReader {
 
   bool ReadU32(uint32_t* v);
   bool ReadU64(uint64_t* v);
-  bool ReadI64(int64_t* v);
-  bool ReadF32(float* v);
-  bool ReadString(std::string* s);
-  bool ReadFloats(float* data, size_t count);
   /// Raw bytes, no length prefix.
   bool ReadRaw(void* dst, size_t count);
 
@@ -80,8 +53,6 @@ class BinaryReader {
   const Status& status() const { return status_; }
 
  private:
-  bool ReadBytes(void* dst, size_t count);
-
   std::ifstream in_;
   uint64_t file_size_ = 0;
   uint64_t offset_ = 0;

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "ensemble/ensemble_model.h"
 #include "metrics/metrics.h"
+#include "nn/densenet.h"
 #include "nn/mlp.h"
+#include "nn/resnet.h"
+#include "nn/textcnn.h"
+#include "tensor/rng.h"
 #include "test_util.h"
 
 namespace edde {
@@ -188,6 +198,166 @@ TEST(EnsembleModelTest, AlphaDescendingOrderIsStable) {
   const std::vector<int64_t> expected = {1, 2, 0, 3};
   EXPECT_EQ(m.AlphaDescendingOrder(), expected);
 }
+
+// ---------------------------------------------------------------------------
+// Re-entrant eval: the server runs one member on several batches at once
+// (one batch per worker), with no lock, so eval-mode Forward must keep no
+// state in the layers.
+// ---------------------------------------------------------------------------
+
+struct EvalFamily {
+  std::string name;
+  std::function<std::unique_ptr<Module>()> make;
+  /// An input batch of `rows` rows drawn from `seed`.
+  std::function<Tensor(int64_t rows, uint64_t seed)> batch;
+};
+
+Tensor UniformTensor(Shape shape, uint64_t seed) {
+  Tensor t(std::move(shape));
+  Rng rng(seed);
+  t.FillUniform(&rng, -1.0f, 1.0f);
+  return t;
+}
+
+const std::vector<EvalFamily>& EvalFamilies() {
+  static const std::vector<EvalFamily> families = {
+      {"ResNet8",
+       [] {
+         ResNetConfig cfg;
+         cfg.depth = 8;
+         cfg.base_width = 4;
+         cfg.num_classes = 5;
+         return std::make_unique<ResNet>(cfg, 11);
+       },
+       [](int64_t rows, uint64_t seed) {
+         return UniformTensor(Shape{rows, 3, 8, 8}, seed);
+       }},
+      {"DenseNet13",
+       [] {
+         DenseNetConfig cfg;
+         cfg.depth = 13;
+         cfg.growth = 2;
+         cfg.num_classes = 5;
+         return std::make_unique<DenseNet>(cfg, 12);
+       },
+       [](int64_t rows, uint64_t seed) {
+         return UniformTensor(Shape{rows, 3, 8, 8}, seed);
+       }},
+      {"TextCnn",
+       [] {
+         TextCnnConfig cfg;
+         cfg.vocab_size = 40;
+         cfg.embed_dim = 6;
+         cfg.seq_len = 10;
+         cfg.kernel_sizes = {2, 3};
+         cfg.filters_per_size = 4;
+         cfg.num_classes = 3;
+         return std::make_unique<TextCnn>(cfg, 13);
+       },
+       [](int64_t rows, uint64_t seed) {
+         Tensor ids(Shape{rows, 10});
+         Rng rng(seed);
+         for (int64_t i = 0; i < ids.num_elements(); ++i) {
+           ids.data()[i] = static_cast<float>(rng.UniformInt(40));
+         }
+         return ids;
+       }},
+      {"Mlp",
+       [] {
+         MlpConfig cfg;
+         cfg.in_features = 12;
+         cfg.hidden = {16, 8};
+         cfg.num_classes = 4;
+         return std::make_unique<Mlp>(cfg, 14);
+       },
+       [](int64_t rows, uint64_t seed) {
+         return UniformTensor(Shape{rows, 12}, seed);
+       }},
+  };
+  return families;
+}
+
+TEST(EvalForwardTest, LeavesThePendingBackwardCacheAlone) {
+  // An eval call between a training Forward and its Backward (another
+  // thread serving the same weights, say) must not change any gradient.
+  for (const EvalFamily& family : EvalFamilies()) {
+    SCOPED_TRACE(family.name);
+    const Tensor x = family.batch(4, 7);
+    std::unique_ptr<Module> plain = family.make();
+    std::unique_ptr<Module> interleaved = family.make();
+    const Tensor y = plain->Forward(x, /*training=*/true);
+    plain->Backward(Tensor(y.shape(), 0.5f));
+    interleaved->Forward(x, /*training=*/true);
+    interleaved->Forward(family.batch(3, 8), /*training=*/false);
+    interleaved->Backward(Tensor(y.shape(), 0.5f));
+    const std::vector<Parameter*> want = plain->Parameters();
+    const std::vector<Parameter*> got = interleaved->Parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t p = 0; p < want.size(); ++p) {
+      if (want[p]->grad.empty()) continue;  // BatchNorm running statistics
+      EXPECT_EQ(std::memcmp(got[p]->grad.data(), want[p]->grad.data(),
+                            sizeof(float) * static_cast<size_t>(
+                                                want[p]->grad.num_elements())),
+                0)
+          << "parameter " << p << " (" << want[p]->name << ")";
+    }
+  }
+}
+
+class ConcurrentEvalTest
+    : public ::testing::TestWithParam<std::tuple<size_t, Precision>> {};
+
+TEST_P(ConcurrentEvalTest, ThreadsOnOneMemberMatchSerialBitForBit) {
+  const EvalFamily& family = EvalFamilies()[std::get<0>(GetParam())];
+  std::unique_ptr<Module> member = family.make();
+  // One training pass first: BatchNorm's running statistics leave their
+  // defaults, and every layer holds a Backward cache eval must not touch.
+  member->Forward(family.batch(4, 99), /*training=*/true);
+  member->SetPrecision(std::get<1>(GetParam()));
+  EnsembleModel ensemble;
+  ensemble.AddMember(std::move(member), 1.0);
+
+  // Each thread gets its own batch, of its own row count: a cache shared
+  // between concurrent calls would cross their shapes or their values.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<Tensor> inputs;
+  std::vector<Tensor> serial;
+  for (int i = 0; i < kThreads; ++i) {
+    inputs.push_back(family.batch(2 + i, 100 + static_cast<uint64_t>(i)));
+    serial.push_back(ensemble.MemberProbsOnBatch(0, inputs.back()));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int r = 0; r < kRounds; ++r) {
+        const Tensor got = ensemble.MemberProbsOnBatch(0, inputs[i]);
+        const Tensor& want = serial[static_cast<size_t>(i)];
+        if (got.shape() != want.shape() ||
+            std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            want.num_elements())) != 0) {
+          ++mismatches[static_cast<size_t>(i)];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(i)], 0) << "thread " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndPrecisions, ConcurrentEvalTest,
+    ::testing::Combine(::testing::Range<size_t>(0, 4),
+                       ::testing::Values(Precision::kFloat32,
+                                         Precision::kInt8)),
+    [](const ::testing::TestParamInfo<ConcurrentEvalTest::ParamType>& info) {
+      return EvalFamilies()[std::get<0>(info.param)].name + "_" +
+             PrecisionName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace edde

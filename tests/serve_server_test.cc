@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -559,11 +560,16 @@ TEST_F(ServeServerTest, PredictionsBitIdenticalWithPlaneOnOrOff) {
 // Batch worker pool (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-TEST_F(ServeServerTest, ResponsesBitIdenticalAcrossWorkerCounts) {
+/// Parameter: the cascade on (true) or off (full mode).
+class ServeWorkerPoolTest : public ServeServerTest,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(ServeWorkerPoolTest, ResponsesBitIdenticalAcrossWorkerCounts) {
   // The worker-pool acceptance bar: the same pipelined request stream
   // served by 1 worker and by 4 (member stages interleaved across
-  // batches) must yield identical labels, cascade depths, and probability
-  // bits for every request. Frames are sent back-to-back before any read
+  // batches, several batches on one member at once) must yield identical
+  // labels, cascade depths, and probability bits for every request, with
+  // the cascade on and off. Frames are sent back-to-back before any read
   // so batches coalesce however the pool's timing falls — the responses
   // must not care.
   const EnsembleModel model = MakeModel();
@@ -574,6 +580,7 @@ TEST_F(ServeServerTest, ResponsesBitIdenticalAcrossWorkerCounts) {
     serve::ServerConfig config;
     config.max_batch_rows = 8;
     config.num_batch_workers = workers;
+    config.cascade = GetParam();
     serve::InferenceServer server(&model, kDim, kClasses, config);
     EXPECT_TRUE(server.Start().ok());
     Result<serve::ServeClient> conn =
@@ -612,6 +619,12 @@ TEST_F(ServeServerTest, ResponsesBitIdenticalAcrossWorkerCounts) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(CascadeOnAndOff, ServeWorkerPoolTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "cascade" : "full";
+                         });
 
 TEST_F(ServeServerTest, OrderedWriterKeepsPerConnectionResponseOrder) {
   // Single-row batches + 4 workers: every request is its own batch and
@@ -913,11 +926,22 @@ TEST_F(ServeServerTest, DeadConnectionDiscardsParkedFramesWithoutStalling) {
   ASSERT_TRUE(doomed.ok());
   ASSERT_TRUE(failpoint::SetSpec("serve.write=error:1").ok());
   constexpr int kRequests = 12;
+  // All frames leave in one send(): the server kills the connection as
+  // soon as its first response fails, and a send per frame would race
+  // that close.
+  std::string stream;
   for (int i = 0; i < kRequests; ++i) {
-    const serve::PredictRequest req = RequestForRows(data, i, 1, i);
-    ASSERT_TRUE(
-        doomed.ValueOrDie().SendRaw(serve::BuildPredictRequest(req)).ok());
+    const std::string frame =
+        serve::BuildPredictRequest(RequestForRows(data, i, 1, i));
+    const uint32_t len = static_cast<uint32_t>(frame.size());
+    for (int b = 0; b < 4; ++b) {
+      stream.push_back(static_cast<char>((len >> (8 * b)) & 0xFF));
+    }
+    stream += frame;
   }
+  ASSERT_EQ(::send(doomed.ValueOrDie().fd(), stream.data(), stream.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
   // The server killed the connection after the failed write; the client
   // eventually sees EOF/reset instead of responses.
   Result<std::string> raw = doomed.ValueOrDie().RecvRaw();

@@ -99,7 +99,7 @@ TEST_F(DurableIoTest, SectionRoundTrip) {
   const std::vector<float> floats = {1.5f, -2.25f, 0.0f};
   section.WriteU64(floats.size());
   section.WriteFloats(floats.data(), floats.size());
-  BinaryWriter writer(path, Durability::kAtomic);
+  BinaryWriter writer(path);
   section.AppendTo(&writer, /*tag=*/3, /*version=*/2);
   ASSERT_TRUE(writer.Finish().ok());
 
@@ -134,7 +134,7 @@ TEST_F(DurableIoTest, EveryPossibleBitFlipIsDetected) {
   SectionWriter section;
   section.WriteString("payload under test");
   section.WriteU64(0xDEADBEEFCAFEBABEull);
-  BinaryWriter writer(path, Durability::kAtomic);
+  BinaryWriter writer(path);
   section.AppendTo(&writer, /*tag=*/1, /*version=*/1);
   ASSERT_TRUE(writer.Finish().ok());
   const std::string good = ReadWholeFile(path);
@@ -173,7 +173,7 @@ TEST_F(DurableIoTest, ShortWriteIsCaughtByCrc) {
   ASSERT_TRUE(failpoint::SetSpec("durable.write=short_write:5").ok());
   SectionWriter section;
   section.WriteString("will be torn");
-  BinaryWriter writer(path, Durability::kAtomic);
+  BinaryWriter writer(path);
   section.AppendTo(&writer, /*tag=*/1, /*version=*/1);
   ASSERT_TRUE(writer.Finish().ok()) << "the torn commit itself succeeds";
   failpoint::Clear();
@@ -183,13 +183,15 @@ TEST_F(DurableIoTest, ShortWriteIsCaughtByCrc) {
   EXPECT_FALSE(in.Load(&reader, /*expected_tag=*/1).ok());
 }
 
-TEST_F(DurableIoTest, BitFlippedStringLengthYieldsCorruptionNotOom) {
+TEST_F(DurableIoTest, BitFlippedLengthYieldsCorruptionNotOverread) {
   // Regression: BinaryReader used to trust on-disk lengths, so a flipped
-  // high bit in a string length drove a multi-gigabyte resize.
+  // high bit in a length prefix drove a multi-gigabyte read.
   const std::string path = TestPath("bad_length.bin");
+  const std::string text = "short";
   {
     BinaryWriter writer(path);
-    writer.WriteString("short");
+    writer.WriteU64(text.size());
+    writer.WriteBytes(text.data(), text.size());
     ASSERT_TRUE(writer.Finish().ok());
   }
   std::string bytes = ReadWholeFile(path);
@@ -198,26 +200,31 @@ TEST_F(DurableIoTest, BitFlippedStringLengthYieldsCorruptionNotOom) {
   ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
 
   BinaryReader reader(path);
-  std::string s;
-  EXPECT_FALSE(reader.ReadString(&s));
+  uint64_t size = 0;
+  ASSERT_TRUE(reader.ReadU64(&size));
+  EXPECT_GT(size, reader.remaining());
+  std::string dst(text.size(), '\0');  // the clamp fires before any copy
+  EXPECT_FALSE(reader.ReadRaw(dst.data(), size));
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(DurableIoTest, BitFlippedFloatCountYieldsCorruptionNotOverread) {
-  const std::string path = TestPath("bad_floats.bin");
+TEST_F(DurableIoTest, ReadPastEndYieldsCorruptionNotOverread) {
+  const std::string path = TestPath("bad_count.bin");
   {
     BinaryWriter writer(path);
     const std::vector<float> floats = {1.0f, 2.0f};
     writer.WriteU64(floats.size());
-    writer.WriteFloats(floats.data(), floats.size());
+    writer.WriteBytes(floats.data(), floats.size() * sizeof(float));
     ASSERT_TRUE(writer.Finish().ok());
   }
   BinaryReader reader(path);
   uint64_t count = 0;
   ASSERT_TRUE(reader.ReadU64(&count));
   std::vector<float> dst(1024);  // claim far more than the file holds
-  EXPECT_FALSE(reader.ReadFloats(dst.data(), 1024));
+  EXPECT_FALSE(reader.ReadRaw(dst.data(), dst.size() * sizeof(float)));
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  uint32_t next = 0;
+  EXPECT_FALSE(reader.ReadU32(&next)) << "a failed reader stays failed";
 }
 
 TEST_F(DurableIoTest, SectionReaderStringLengthClampedToPayload) {

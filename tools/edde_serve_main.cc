@@ -26,6 +26,7 @@
 #include <atomic>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -47,6 +48,18 @@ std::atomic<bool> g_reload_requested{false};
 
 void HandleSighup(int) { g_reload_requested.store(true); }
 
+constexpr int kIntMax = std::numeric_limits<int>::max();
+/// Each batch worker is an OS thread; more than this is a typo, not a pool.
+constexpr int kMaxWorkers = 256;
+
+/// Parses `text` as a decimal integer in [lo, hi] into `out`. False when it
+/// is non-numeric, has trailing junk, or lies outside the range.
+bool ParseIntInRange(const std::string& text, int lo, int hi, int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
+}
+
 /// Parses --hidden's comma-separated widths (empty items are skipped) into
 /// `hidden`, replacing its contents. False when a width is not a positive
 /// decimal integer: non-numeric, trailing junk, out of int range, zero or
@@ -58,9 +71,7 @@ bool ParseHidden(const std::string& spec, std::vector<int>* hidden) {
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     int width = 0;
-    const char* end = item.data() + item.size();
-    const auto [ptr, ec] = std::from_chars(item.data(), end, width);
-    if (ec != std::errc() || ptr != end || width <= 0) return false;
+    if (!ParseIntInRange(item, 1, kIntMax, &width)) return false;
     hidden->push_back(width);
   }
   return true;
@@ -80,11 +91,8 @@ int Main(int argc, char** argv) {
   flags.Define("max_delay_ms", "2", "partial-batch deadline");
   flags.Define("max_request_rows", "1024", "per-request row cap");
   flags.Define("workers", "1",
-               "batch workers consuming the admission queue; >1 also "
-               "pipelines cascade member stages across workers");
-  flags.Define("max_inflight", "0",
-               "batches in flight at once (0 = auto: 1 for one worker, "
-               "2x workers otherwise)");
+               "batch workers (1-256) consuming the admission queue; >1 "
+               "pipelines member stages across workers");
   flags.Define("http_port", "-1",
                "observability HTTP port (/metrics /healthz /statusz); "
                "-1 = off, 0 = ephemeral");
@@ -98,8 +106,9 @@ int Main(int argc, char** argv) {
                "shed new work once the oldest queued request is older than "
                "this (0 = off); also flips /healthz to 503");
   flags.Define("send_timeout_ms", "5000",
-               "SO_SNDTIMEO on client connections; a stalled reader gets "
-               "its connection dropped instead of wedging a worker");
+               "SO_SNDTIMEO on client connections (0 = block); a stalled "
+               "reader gets its connection dropped instead of wedging a "
+               "worker");
   DefineCommonFlags(&flags);
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
@@ -123,8 +132,35 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
+  // Every integer flag must be a whole decimal number in its range; a
+  // typo exits 2 instead of silently becoming 0 or wrapping.
+  bool bad_int = false;
+  const auto int_flag = [&](const char* name, int lo, int hi) {
+    int value = 0;
+    if (!ParseIntInRange(flags.GetString(name), lo, hi, &value)) {
+      std::fprintf(stderr, "invalid --%s=%s (an integer in [%d, %d])\n",
+                   name, flags.GetString(name).c_str(), lo, hi);
+      bad_int = true;
+    }
+    return value;
+  };
   MlpConfig mlp;
-  mlp.in_features = flags.GetInt("input_dim");
+  mlp.in_features = int_flag("input_dim", 1, kIntMax);
+  mlp.num_classes = int_flag("num_classes", 1, kIntMax);
+  serve::ServerConfig config;
+  config.port = static_cast<uint16_t>(int_flag("port", 0, 65535));
+  config.cascade = flags.GetBool("cascade");
+  config.max_batch_rows = int_flag("max_batch_rows", 1, kIntMax);
+  config.max_delay_ms = int_flag("max_delay_ms", 0, kIntMax);
+  config.max_request_rows = int_flag("max_request_rows", 1, kIntMax);
+  config.num_batch_workers = int_flag("workers", 1, kMaxWorkers);
+  config.http_port = int_flag("http_port", -1, 65535);
+  config.max_request_ms = int_flag("max_request_ms", 0, kIntMax);
+  config.shed_queue_age_ms = int_flag("shed_queue_age_ms", 0, kIntMax);
+  config.send_timeout_ms = int_flag("send_timeout_ms", 0, kIntMax);
+  const int drain_ms = int_flag("drain_ms", 0, kIntMax);
+  if (bad_int) return 2;
+
   if (!ParseHidden(flags.GetString("hidden"), &mlp.hidden)) {
     std::fprintf(stderr,
                  "invalid --hidden=%s (positive integer widths, "
@@ -132,7 +168,6 @@ int Main(int argc, char** argv) {
                  flags.GetString("hidden").c_str());
     return 2;
   }
-  mlp.num_classes = flags.GetInt("num_classes");
   const ModelFactory factory = [mlp](uint64_t seed) {
     return std::make_unique<Mlp>(mlp, seed);
   };
@@ -155,19 +190,6 @@ int Main(int argc, char** argv) {
                  precision.c_str());
     return 2;
   }
-
-  serve::ServerConfig config;
-  config.port = static_cast<uint16_t>(flags.GetInt("port"));
-  config.cascade = flags.GetBool("cascade");
-  config.max_batch_rows = flags.GetInt("max_batch_rows");
-  config.max_delay_ms = flags.GetInt("max_delay_ms");
-  config.max_request_rows = flags.GetInt("max_request_rows");
-  config.num_batch_workers = flags.GetInt("workers");
-  config.max_inflight_batches = flags.GetInt("max_inflight");
-  config.http_port = flags.GetInt("http_port");
-  config.max_request_ms = flags.GetInt("max_request_ms");
-  config.shed_queue_age_ms = flags.GetInt("shed_queue_age_ms");
-  config.send_timeout_ms = flags.GetInt("send_timeout_ms");
 
   // Hot reload re-reads --model with the same factory and precision. The
   // closure runs on whatever thread triggers the reload (main loop for
@@ -228,7 +250,6 @@ int Main(int argc, char** argv) {
   }
   // Lame duck: readiness flips to 503 immediately; load balancers get
   // `drain_ms` to see it before the listener actually goes away.
-  const int drain_ms = flags.GetInt("drain_ms");
   if (drain_ms > 0) {
     server.SetDraining(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(drain_ms));
