@@ -71,10 +71,12 @@ double TrainModel(Module* model, const Dataset& train,
 
   // Staging buffers reused across batches (and epochs): the batch plan's
   // permutation, the gathered features/labels and the per-batch context
-  // slices all keep their capacity, so a steady-state epoch performs no
+  // slices all keep their capacity, and the tape keeps the memory of the
+  // model's activations and gradients, so a steady-state epoch performs no
   // per-batch heap allocation on this path. Reusing `x_staging` is safe
   // because the previous batch's backward pass has finished before the
   // next gather overwrites it.
+  Tape tape;
   BatchPlan plan;
   Tensor x_staging;
   std::vector<int> y;
@@ -123,10 +125,11 @@ double TrainModel(Module* model, const Dataset& train,
         }
       }
 
-      Tensor logits = model->Forward(x, /*training=*/true);
+      tape.Reset();
+      Tensor logits = model->Forward(x, &tape);
       LossResult loss = SoftmaxCrossEntropyLoss(logits, y, weights, reference,
                                                 context.loss);
-      model->Backward(loss.grad_logits);
+      model->Backward(loss.grad_logits, &tape);
       optimizer.Step();
       model->ZeroGrad();
 

@@ -8,18 +8,18 @@
 
 namespace edde {
 
-/// Rectified linear unit, elementwise max(0, x). Parameter-free.
+/// Rectified linear unit, elementwise max(0, x). Parameter-free. Behind a
+/// BatchNorm the two run fused (BatchNorm::ForwardRelu).
 class ReLU : public Module {
  public:
   ReLU() = default;
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override { return "relu"; }
 
- private:
-  Tensor cached_output_;  // y > 0 iff the input passed through
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 };
 
 }  // namespace edde

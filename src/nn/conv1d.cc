@@ -1,7 +1,6 @@
 #include "nn/conv1d.h"
 
 #include "nn/init.h"
-#include "utils/logging.h"
 
 namespace edde {
 
@@ -25,14 +24,13 @@ Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,
   }
 }
 
-Tensor Conv1d::Forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
+Tensor Conv1d::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape != nullptr) tape->Save(input);
   return Conv1dForward(input, weight_.value, bias_.value, geom_);
 }
 
-Tensor Conv1d::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  return Conv1dBackward(cached_input_, weight_.value, grad_output, geom_,
+Tensor Conv1d::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  return Conv1dBackward(tape->Take(), weight_.value, grad_output, geom_,
                         &weight_.grad, use_bias_ ? &bias_.grad : nullptr);
 }
 

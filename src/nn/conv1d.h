@@ -17,19 +17,20 @@ class Conv1d : public Module {
   Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,
          int64_t stride, int64_t padding, bool use_bias, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
   const Conv1dGeom& geom() const { return geom_; }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   Conv1dGeom geom_;
   bool use_bias_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
 };
 
 }  // namespace edde

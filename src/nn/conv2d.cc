@@ -25,13 +25,22 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
   }
 }
 
-Tensor Conv2d::Forward(const Tensor& input, bool training) {
-  if (training) {
-    cached_input_ = input;
-  } else if (precision_ == Precision::kInt8) {
-    return Conv2dForwardInt8(input, qweight_, bias_.value, geom_);
+Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape == nullptr) {
+    if (precision_ == Precision::kInt8) {
+      return Conv2dForwardInt8(input, qweight_, bias_.value, geom_);
+    }
+    return Conv2dForward(input, weight_.value, bias_.value, geom_);
   }
-  return Conv2dForward(input, weight_.value, bias_.value, geom_);
+  EDDE_CHECK_EQ(input.shape().rank(), 4);
+  const int64_t cols_floats = Conv2dBackwardColsFloats(geom_, input.shape());
+  Tensor cols =
+      cols_floats > 0 ? tape->NewTensor(Shape{cols_floats}) : Tensor();
+  tape->Save(input);
+  tape->Save(cols);
+  return Conv2dForward(input, weight_.value, bias_.value, geom_,
+                       tape->NewTensor(geom_.OutputShape(input.shape())),
+                       cols_floats > 0 ? cols.data() : nullptr);
 }
 
 void Conv2d::SetPrecision(Precision precision) {
@@ -43,17 +52,16 @@ void Conv2d::SetPrecision(Precision precision) {
   }
 }
 
-Tensor Conv2d::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  return Conv2dBackward(cached_input_, weight_.value, grad_output, geom_,
-                        &weight_.grad, use_bias_ ? &bias_.grad : nullptr);
-}
-
-void Conv2d::BackwardParams(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  Conv2dBackward(cached_input_, weight_.value, grad_output, geom_,
-                 &weight_.grad, use_bias_ ? &bias_.grad : nullptr,
-                 /*input_grad=*/false);
+Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  const Tensor cols = tape->Take();
+  const Tensor input = tape->Take();
+  Tensor grad_input;
+  if (!tape->IsData(input)) grad_input = tape->NewTensor(input.shape());
+  Conv2dBackward(input, weight_.value, grad_output, geom_, &weight_.grad,
+                 use_bias_ ? &bias_.grad : nullptr,
+                 grad_input.empty() ? nullptr : &grad_input,
+                 cols.empty() ? nullptr : cols.data());
+  return grad_input;
 }
 
 void Conv2d::CollectParameters(std::vector<Parameter*>* out) {

@@ -13,16 +13,16 @@ namespace edde {
 /// 2-D convolution layer over NCHW tensors (square kernel).
 /// He-normal weight init; bias optional (ResNet-style convs followed by
 /// batch-norm typically disable it).
+///
+/// A training Forward saves its input and, for the geometries whose
+/// backward reads them (stride 2, Conv2dBackwardColsFloats), the im2col
+/// columns it built, so Backward does not rebuild them. Backward computes
+/// no input gradient when the input is the tape's data (a network's stem).
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
          int64_t stride, int64_t padding, bool use_bias, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  /// Backward for a layer whose input is data (a network's stem): the same
-  /// parameter gradients as Backward, and no input gradient.
-  void BackwardParams(const Tensor& grad_output);
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
@@ -32,12 +32,15 @@ class Conv2d : public Module {
 
   const ConvGeom& geom() const { return geom_; }
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   ConvGeom geom_;
   bool use_bias_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
   QuantizedMatrix qweight_;  ///< populated iff precision_ == kInt8
 };
 

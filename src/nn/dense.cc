@@ -18,18 +18,18 @@ Dense::Dense(int64_t in_features, int64_t out_features, Rng* rng)
   InitGrad(&bias_);
 }
 
-Tensor Dense::Forward(const Tensor& input, bool training) {
+Tensor Dense::ForwardImpl(const Tensor& input, Tape* tape) {
   EDDE_CHECK_EQ(input.shape().rank(), 2);
   EDDE_CHECK_EQ(input.shape().dim(1), in_features_);
-  if (training) cached_input_ = input;
+  if (tape != nullptr) tape->Save(input);
   const int64_t n = input.shape().dim(0);
-  Tensor output(Shape{n, out_features_});
+  Tensor output = NewTensor(tape, Shape{n, out_features_});
   // y = x @ W^T + b, with the bias broadcast fused into the gemm epilogue
   // (output columns are features, so the broadcast is per column).
   GemmEpilogue epi;
   epi.bias = GemmEpilogue::Bias::kPerCol;
   epi.bias_data = bias_.value.data();
-  if (precision_ == Precision::kInt8 && !training) {
+  if (precision_ == Precision::kInt8 && tape == nullptr) {
     // x @ W^T is exactly the int8 gemm's native orientation: activation
     // rows against quantized weight rows (output channels).
     GemmInt8(/*trans_a=*/false, /*trans_c=*/false, n, in_features_,
@@ -41,16 +41,16 @@ Tensor Dense::Forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Dense::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_input_.empty()) << "Backward before Forward";
+Tensor Dense::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  const Tensor input = tape->Take();
   const int64_t n = grad_output.shape().dim(0);
   // dW += dY^T @ X ; db += colsum(dY) ; dX = dY @ W
-  Gemm(true, false, 1.0f, grad_output, cached_input_, 1.0f, &weight_.grad);
+  Gemm(true, false, 1.0f, grad_output, input, 1.0f, &weight_.grad);
   for (int64_t i = 0; i < n; ++i) {
     const float* row = grad_output.data() + i * out_features_;
     for (int64_t j = 0; j < out_features_; ++j) bias_.grad.data()[j] += row[j];
   }
-  Tensor grad_input(Shape{n, in_features_});
+  Tensor grad_input = tape->NewTensor(Shape{n, in_features_});
   Gemm(false, false, 1.0f, grad_output, weight_.value, 0.0f, &grad_input);
   return grad_input;
 }

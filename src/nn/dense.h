@@ -16,8 +16,6 @@ class Dense : public Module {
   /// Constructs with He-normal weights and zero bias.
   Dense(int64_t in_features, int64_t out_features, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
@@ -28,12 +26,15 @@ class Dense : public Module {
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   int64_t in_features_;
   int64_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
   QuantizedMatrix qweight_;  ///< populated iff precision_ == kInt8
 };
 

@@ -16,19 +16,17 @@ DenseLayer::DenseLayer(int64_t in_channels, int64_t growth, Rng* rng)
       conv_(in_channels, growth, /*kernel=*/3, /*stride=*/1, /*padding=*/1,
             /*use_bias=*/false, rng) {}
 
-Tensor DenseLayer::Forward(const Tensor& input, bool training) {
-  Tensor h = bn_.Forward(input, training);
-  h = relu_.Forward(h, training);
-  h = conv_.Forward(h, training);
+Tensor DenseLayer::ForwardImpl(const Tensor& input, Tape* tape) {
+  Tensor h = bn_.ForwardRelu(input, Tensor(), tape);
+  h = conv_.Forward(h, tape);
   return ConcatChannels(input, h);
 }
 
-Tensor DenseLayer::Backward(const Tensor& grad_output) {
+Tensor DenseLayer::BackwardImpl(const Tensor& grad_output, Tape* tape) {
   Tensor grad_skip, grad_new;
   SplitChannelsGrad(grad_output, in_channels_, &grad_skip, &grad_new);
-  Tensor g = conv_.Backward(grad_new);
-  g = relu_.Backward(g);
-  g = bn_.Backward(g);
+  Tensor g = conv_.Backward(grad_new, tape);
+  g = bn_.BackwardRelu(g, tape);
   Axpy(1.0f, grad_skip, &g);
   return g;
 }
@@ -53,21 +51,18 @@ TransitionLayer::TransitionLayer(int64_t in_channels, int64_t out_channels,
       conv_(in_channels, out_channels, /*kernel=*/1, /*stride=*/1,
             /*padding=*/0, /*use_bias=*/false, rng) {}
 
-Tensor TransitionLayer::Forward(const Tensor& input, bool training) {
-  Tensor h = bn_.Forward(input, training);
-  h = relu_.Forward(h, training);
-  h = conv_.Forward(h, training);
-  if (training) cached_conv_out_shape_ = h.shape();
+Tensor TransitionLayer::ForwardImpl(const Tensor& input, Tape* tape) {
+  Tensor h = bn_.ForwardRelu(input, Tensor(), tape);
+  h = conv_.Forward(h, tape);
+  if (tape != nullptr) tape->Save(h);  // the pooling's input shape
   return AvgPool2dForward(h, /*window=*/2);
 }
 
-Tensor TransitionLayer::Backward(const Tensor& grad_output) {
-  EDDE_CHECK_GT(cached_conv_out_shape_.rank(), 0) << "Backward before Forward";
-  Tensor g = AvgPool2dBackward(cached_conv_out_shape_, grad_output,
+Tensor TransitionLayer::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  Tensor g = AvgPool2dBackward(tape->Take().shape(), grad_output,
                                /*window=*/2);
-  g = conv_.Backward(g);
-  g = relu_.Backward(g);
-  return bn_.Backward(g);
+  g = conv_.Backward(g, tape);
+  return bn_.BackwardRelu(g, tape);
 }
 
 void TransitionLayer::CollectParameters(std::vector<Parameter*>* out) {
@@ -105,25 +100,23 @@ DenseNet::DenseNet(const DenseNetConfig& config, uint64_t seed)
   classifier_ = std::make_unique<Dense>(channels, config.num_classes, &rng);
 }
 
-Tensor DenseNet::Forward(const Tensor& input, bool training) {
-  Tensor x = stem_->Forward(input, training);
-  for (auto& layer : body_) x = layer->Forward(x, training);
-  x = final_bn_->Forward(x, training);
-  x = final_relu_.Forward(x, training);
-  x = pool_.Forward(x, training);
-  return classifier_->Forward(x, training);
+Tensor DenseNet::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape != nullptr) tape->MarkData(input);
+  Tensor x = stem_->Forward(input, tape);
+  for (auto& layer : body_) x = layer->Forward(x, tape);
+  x = final_bn_->ForwardRelu(x, Tensor(), tape);
+  x = pool_.Forward(x, tape);
+  return classifier_->Forward(x, tape);
 }
 
-Tensor DenseNet::Backward(const Tensor& grad_output) {
-  Tensor g = classifier_->Backward(grad_output);
-  g = pool_.Backward(g);
-  g = final_relu_.Backward(g);
-  g = final_bn_->Backward(g);
+Tensor DenseNet::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  Tensor g = classifier_->Backward(grad_output, tape);
+  g = pool_.Backward(g, tape);
+  g = final_bn_->BackwardRelu(g, tape);
   for (auto it = body_.rbegin(); it != body_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    g = (*it)->Backward(g, tape);
   }
-  stem_->BackwardParams(g);
-  return Tensor();  // the input is data
+  return stem_->Backward(g, tape);  // empty: the input is data
 }
 
 void DenseNet::CollectParameters(std::vector<Parameter*>* out) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -29,63 +28,66 @@ struct DenseNetConfig {
 };
 
 /// One dense layer: y = concat(x, Conv3x3(ReLU(BN(x)))) adding `growth`
-/// channels.
+/// channels; BN and ReLU run fused (BatchNorm::ForwardRelu).
 class DenseLayer : public Module {
  public:
   DenseLayer(int64_t in_channels, int64_t growth, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   int64_t in_channels_;
   BatchNorm bn_;
-  ReLU relu_;
   Conv2d conv_;
 };
 
-/// Transition layer: BN-ReLU-Conv1x1-AvgPool2, keeping the channel count.
+/// Transition layer: BN-ReLU-Conv1x1-AvgPool2, keeping the channel count;
+/// BN and ReLU run fused.
 class TransitionLayer : public Module {
  public:
   TransitionLayer(int64_t in_channels, int64_t out_channels, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   BatchNorm bn_;
-  ReLU relu_;
   Conv2d conv_;
-  Shape cached_conv_out_shape_;
 };
 
-/// The full densely connected classifier.
+/// The full densely connected classifier. Its input images are data
+/// (Tape::MarkData): Backward returns an empty tensor, and the stem
+/// computes its parameter gradients only.
 class DenseNet : public Module {
  public:
   DenseNet(const DenseNetConfig& config, uint64_t seed);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  /// Returns an empty tensor: the images are data, so the stem computes
-  /// its parameter gradients only.
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
   const DenseNetConfig& config() const { return config_; }
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   DenseNetConfig config_;
   std::unique_ptr<Conv2d> stem_;
   std::vector<std::unique_ptr<Module>> body_;  // dense layers + transitions
-  std::unique_ptr<BatchNorm> final_bn_;
-  ReLU final_relu_;
+  std::unique_ptr<BatchNorm> final_bn_;  ///< fused with the final ReLU
   GlobalAvgPool2d pool_;
   std::unique_ptr<Dense> classifier_;
 };

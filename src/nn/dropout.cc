@@ -9,15 +9,16 @@ Dropout::Dropout(float rate, uint64_t seed) : rate_(rate), rng_(seed) {
   EDDE_CHECK_LT(rate, 1.0f);
 }
 
-Tensor Dropout::Forward(const Tensor& input, bool training) {
-  if (!training || rate_ == 0.0f) return input;
+Tensor Dropout::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape == nullptr || rate_ == 0.0f) return input;
   const float keep = 1.0f - rate_;
   const float scale = 1.0f / keep;
-  Tensor output(input.shape());
-  cached_mask_ = Tensor(input.shape());
+  Tensor output = tape->NewTensor(input.shape());
+  Tensor mask = tape->NewTensor(input.shape());
+  tape->Save(mask);
   const float* x = input.data();
   float* y = output.data();
-  float* m = cached_mask_.data();
+  float* m = mask.data();
   const int64_t n = input.num_elements();
   for (int64_t i = 0; i < n; ++i) {
     const bool on = rng_.Bernoulli(keep);
@@ -27,12 +28,12 @@ Tensor Dropout::Forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Dropout::Backward(const Tensor& grad_output) {
+Tensor Dropout::BackwardImpl(const Tensor& grad_output, Tape* tape) {
   if (rate_ == 0.0f) return grad_output;
-  EDDE_CHECK(!cached_mask_.empty()) << "Backward before Forward";
-  Tensor grad_input(grad_output.shape());
+  const Tensor mask = tape->Take();
+  Tensor grad_input = tape->NewTensor(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* m = cached_mask_.data();
+  const float* m = mask.data();
   float* dx = grad_input.data();
   const int64_t n = grad_output.num_elements();
   for (int64_t i = 0; i < n; ++i) dx[i] = dy[i] * m[i];

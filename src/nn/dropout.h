@@ -16,15 +16,16 @@ class Dropout : public Module {
   /// `rate` in [0, 1); `seed` makes the mask stream reproducible.
   Dropout(float rate, uint64_t seed);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   float rate_;
-  Rng rng_;
-  Tensor cached_mask_;
+  Rng rng_;  ///< the mask stream, drawn by training Forwards
 };
 
 }  // namespace edde

@@ -15,12 +15,12 @@ Embedding::Embedding(int64_t vocab_size, int64_t embed_dim, Rng* rng)
   InitGrad(&table_);
 }
 
-Tensor Embedding::Forward(const Tensor& input, bool training) {
+Tensor Embedding::ForwardImpl(const Tensor& input, Tape* tape) {
   EDDE_CHECK_EQ(input.shape().rank(), 2);
-  if (training) cached_ids_ = input;
+  if (tape != nullptr) tape->Save(input);
   const int64_t n = input.shape().dim(0);
   const int64_t len = input.shape().dim(1);
-  Tensor output(Shape{n, embed_dim_, len});
+  Tensor output = NewTensor(tape, Shape{n, embed_dim_, len});
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t t = 0; t < len; ++t) {
       const int64_t id = static_cast<int64_t>(
@@ -36,17 +36,17 @@ Tensor Embedding::Forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Embedding::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!cached_ids_.empty()) << "Backward before Forward";
-  const int64_t n = cached_ids_.shape().dim(0);
-  const int64_t len = cached_ids_.shape().dim(1);
+Tensor Embedding::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  const Tensor ids = tape->Take();
+  const int64_t n = ids.shape().dim(0);
+  const int64_t len = ids.shape().dim(1);
   EDDE_CHECK_EQ(grad_output.shape().dim(0), n);
   EDDE_CHECK_EQ(grad_output.shape().dim(1), embed_dim_);
   EDDE_CHECK_EQ(grad_output.shape().dim(2), len);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t t = 0; t < len; ++t) {
       const int64_t id = static_cast<int64_t>(
-          std::lround(cached_ids_.data()[i * len + t]));
+          std::lround(ids.data()[i * len + t]));
       float* grow = table_.grad.data() + id * embed_dim_;
       for (int64_t e = 0; e < embed_dim_; ++e) {
         grow[e] += grad_output.data()[(i * embed_dim_ + e) * len + t];

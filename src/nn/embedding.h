@@ -20,19 +20,20 @@ class Embedding : public Module {
  public:
   Embedding(int64_t vocab_size, int64_t embed_dim, Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
   int64_t vocab_size() const { return vocab_size_; }
   int64_t embed_dim() const { return embed_dim_; }
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   int64_t vocab_size_;
   int64_t embed_dim_;
   Parameter table_;  // (vocab, embed_dim)
-  Tensor cached_ids_;
 };
 
 }  // namespace edde

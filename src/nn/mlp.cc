@@ -16,12 +16,12 @@ Mlp::Mlp(const MlpConfig& config, uint64_t seed) : config_(config) {
   body_.Add(std::make_unique<Dense>(in, config.num_classes, &rng));
 }
 
-Tensor Mlp::Forward(const Tensor& input, bool training) {
-  return body_.Forward(input, training);
+Tensor Mlp::ForwardImpl(const Tensor& input, Tape* tape) {
+  return body_.Forward(input, tape);
 }
 
-Tensor Mlp::Backward(const Tensor& grad_output) {
-  return body_.Backward(grad_output);
+Tensor Mlp::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  return body_.Backward(grad_output, tape);
 }
 
 void Mlp::CollectParameters(std::vector<Parameter*>* out) {

@@ -23,13 +23,15 @@ class Mlp : public Module {
  public:
   Mlp(const MlpConfig& config, uint64_t seed);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
   const MlpConfig& config() const { return config_; }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   MlpConfig config_;

@@ -1,5 +1,7 @@
 #include "nn/module.h"
 
+#include "utils/logging.h"
+
 namespace edde {
 
 const char* PrecisionName(Precision precision) {
@@ -10,6 +12,18 @@ const char* PrecisionName(Precision precision) {
       break;
   }
   return "fp32";
+}
+
+Tensor Module::Forward(const Tensor& input, bool training) {
+  if (!training) return ForwardImpl(input, nullptr);
+  if (tape_ == nullptr) tape_ = std::make_unique<Tape>();
+  tape_->Reset();
+  return ForwardImpl(input, tape_.get());
+}
+
+Tensor Module::Backward(const Tensor& grad_output) {
+  EDDE_CHECK(tape_ != nullptr) << "Backward before Forward";
+  return BackwardImpl(grad_output, tape_.get());
 }
 
 std::vector<Parameter*> Module::Parameters() {

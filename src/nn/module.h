@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/tape.h"
 #include "tensor/tensor.h"
 
 namespace edde {
@@ -35,17 +36,22 @@ const char* PrecisionName(Precision precision);
 
 /// Base class for all neural-network layers and models.
 ///
-/// Modules implement explicit reverse-mode differentiation: a training-mode
-/// Forward caches whatever Backward needs, Backward consumes the output
-/// gradient and returns the input gradient while accumulating parameter
-/// gradients into Parameter::grad. Backward consumes the most recent
-/// training-mode Forward; one must precede each Backward.
+/// Modules implement explicit reverse-mode differentiation. A training
+/// step runs on a Tape the caller owns (TrainModel resets one per batch):
+/// `Forward(x, tape)` saves on it whatever Backward needs, and
+/// `Backward(dy, tape)` takes those tensors back, accumulates parameter
+/// gradients into Parameter::grad and returns the input gradient. A module
+/// keeps no training cache of its own; its members are its weights.
 ///
-/// Eval-mode Forward (`training == false`) writes no member of any module:
-/// it reads the weights and returns a fresh output, so any number of
-/// threads may run it on the same module at once (the server evaluates one
-/// member for several batches concurrently, DESIGN.md §15). It does not
-/// disturb the cache a pending Backward reads either.
+/// `Forward(x, nullptr)` is eval mode: it reads the weights and returns a
+/// fresh output, so any number of threads may run it on the same module at
+/// once (the server evaluates one member for several batches concurrently,
+/// DESIGN.md §15), and it leaves every tape alone.
+///
+/// `Forward(x, training)` and `Backward(dy)` are wrappers over a tape the
+/// module keeps for them: a training-mode Forward resets it and records one
+/// step, which the next Backward consumes. They serve single-layer probes
+/// and tests; they are not re-entrant in training mode.
 ///
 /// CollectParameters must append parameters in *depth order* (closest to the
 /// input first). EDDE's knowledge-transfer strategy (transfer the lower β
@@ -58,16 +64,25 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the layer output. `training` toggles train-time behaviour
-  /// (batch-norm batch statistics, dropout) and the Backward cache; with
-  /// `training == false` the call is re-entrant (see the class comment).
-  virtual Tensor Forward(const Tensor& input, bool training) = 0;
+  /// Computes the layer output; a non-null `tape` selects training mode
+  /// (batch-norm batch statistics, dropout) and records the step on it.
+  Tensor Forward(const Tensor& input, Tape* tape) {
+    return ForwardImpl(input, tape);
+  }
 
-  /// Backpropagates `grad_output`, accumulating parameter gradients, and
-  /// returns the gradient with respect to the last Forward input — empty
-  /// when the input is data (token ids, a network's input images), which
-  /// nothing differentiates.
-  virtual Tensor Backward(const Tensor& grad_output) = 0;
+  /// Backpropagates `grad_output` through the step `tape` recorded,
+  /// accumulating parameter gradients, and returns the gradient with respect
+  /// to the Forward input — empty when the input is data (token ids, a
+  /// network's input images), which nothing differentiates.
+  Tensor Backward(const Tensor& grad_output, Tape* tape) {
+    return BackwardImpl(grad_output, tape);
+  }
+
+  /// Forward on the module's own tape (`training`) or in eval mode.
+  Tensor Forward(const Tensor& input, bool training);
+
+  /// Backward of the most recent training-mode `Forward(x, true)`.
+  Tensor Backward(const Tensor& grad_output);
 
   /// Appends this module's parameters, input-side first.
   virtual void CollectParameters(std::vector<Parameter*>* out) = 0;
@@ -94,7 +109,13 @@ class Module {
   int64_t NumParameters(bool trainable_only = true);
 
  protected:
+  virtual Tensor ForwardImpl(const Tensor& input, Tape* tape) = 0;
+  virtual Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) = 0;
+
   Precision precision_ = Precision::kFloat32;
+
+ private:
+  std::unique_ptr<Tape> tape_;  ///< the bool wrappers' tape
 };
 
 /// Allocates `param`'s gradient with the value's shape and zeroes it.

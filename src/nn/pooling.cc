@@ -1,31 +1,33 @@
 #include "nn/pooling.h"
 
 #include "tensor/ops.h"
-#include "utils/logging.h"
 
 namespace edde {
 
-Tensor GlobalAvgPool2d::Forward(const Tensor& input, bool training) {
-  if (training) cached_input_shape_ = input.shape();
-  return GlobalAvgPool2dForward(input);
+Tensor GlobalAvgPool2d::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape == nullptr) return GlobalAvgPool2dForward(input);
+  tape->Save(input);
+  const Shape& shape = input.shape();
+  return GlobalAvgPool2dForward(
+      input, tape->NewTensor(Shape{shape.dim(0), shape.dim(1)}));
 }
 
-Tensor GlobalAvgPool2d::Backward(const Tensor& grad_output) {
-  EDDE_CHECK_GT(cached_input_shape_.rank(), 0) << "Backward before Forward";
-  return GlobalAvgPool2dBackward(cached_input_shape_, grad_output);
+Tensor GlobalAvgPool2d::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  const Tensor input = tape->Take();
+  return GlobalAvgPool2dBackward(input.shape(), grad_output,
+                                 tape->NewTensor(input.shape()));
 }
 
 void GlobalAvgPool2d::CollectParameters(std::vector<Parameter*>* /*out*/) {}
 
-Tensor Flatten::Forward(const Tensor& input, bool training) {
-  if (training) cached_input_shape_ = input.shape();
+Tensor Flatten::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape != nullptr) tape->Save(input);
   const int64_t n = input.shape().dim(0);
   return input.Reshape(Shape{n, input.num_elements() / n});
 }
 
-Tensor Flatten::Backward(const Tensor& grad_output) {
-  EDDE_CHECK_GT(cached_input_shape_.rank(), 0) << "Backward before Forward";
-  return grad_output.Reshape(cached_input_shape_);
+Tensor Flatten::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  return grad_output.Reshape(tape->Take().shape());
 }
 
 void Flatten::CollectParameters(std::vector<Parameter*>* /*out*/) {}

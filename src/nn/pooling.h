@@ -13,13 +13,12 @@ class GlobalAvgPool2d : public Module {
  public:
   GlobalAvgPool2d() = default;
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override { return "global_avg_pool"; }
 
- private:
-  Shape cached_input_shape_;
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 };
 
 /// Flatten: (N, ...) -> (N, prod(...)).
@@ -27,13 +26,12 @@ class Flatten : public Module {
  public:
   Flatten() = default;
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override { return "flatten"; }
 
- private:
-  Shape cached_input_shape_;
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 };
 
 }  // namespace edde

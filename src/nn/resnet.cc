@@ -27,40 +27,35 @@ ResidualBlock::ResidualBlock(int64_t in_channels, int64_t out_channels,
   }
 }
 
-Tensor ResidualBlock::Forward(const Tensor& input, bool training) {
-  Tensor branch = conv1_.Forward(input, training);
-  branch = bn1_.Forward(branch, training);
-  branch = relu1_.Forward(branch, training);
-  branch = conv2_.Forward(branch, training);
-  branch = bn2_.Forward(branch, training);
+Tensor ResidualBlock::ForwardImpl(const Tensor& input, Tape* tape) {
+  Tensor branch = conv1_.Forward(input, tape);
+  branch = bn1_.ForwardRelu(branch, Tensor(), tape);
+  branch = conv2_.Forward(branch, tape);
 
   Tensor shortcut = input;
   if (has_projection_) {
-    shortcut = proj_conv_->Forward(input, training);
-    shortcut = proj_bn_->Forward(shortcut, training);
+    shortcut = proj_conv_->Forward(input, tape);
+    shortcut = proj_bn_->Forward(shortcut, tape);
   }
-
-  return out_relu_.Forward(Add(branch, shortcut), training);
+  return bn2_.ForwardRelu(branch, shortcut, tape);
 }
 
-Tensor ResidualBlock::Backward(const Tensor& grad_output) {
-  const Tensor grad_sum = out_relu_.Backward(grad_output);
+Tensor ResidualBlock::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  Tensor grad_sum;  // the gradient at the addition, through the ReLU
+  Tensor g = bn2_.BackwardRelu(grad_output, tape, &grad_sum);
+
+  // Shortcut path (the tape holds it above the branch's conv2).
+  Tensor grad_shortcut = grad_sum;
+  if (has_projection_) {
+    grad_shortcut = proj_bn_->Backward(grad_sum, tape);
+    grad_shortcut = proj_conv_->Backward(grad_shortcut, tape);
+  }
 
   // Branch path.
-  Tensor g = bn2_.Backward(grad_sum);
-  g = conv2_.Backward(g);
-  g = relu1_.Backward(g);
-  g = bn1_.Backward(g);
-  Tensor grad_input = conv1_.Backward(g);
-
-  // Shortcut path.
-  if (has_projection_) {
-    Tensor gs = proj_bn_->Backward(grad_sum);
-    gs = proj_conv_->Backward(gs);
-    Axpy(1.0f, gs, &grad_input);
-  } else {
-    Axpy(1.0f, grad_sum, &grad_input);
-  }
+  g = conv2_.Backward(g, tape);
+  g = bn1_.BackwardRelu(g, tape);
+  Tensor grad_input = conv1_.Backward(g, tape);
+  Axpy(1.0f, grad_shortcut, &grad_input);
   return grad_input;
 }
 
@@ -108,25 +103,23 @@ ResNet::ResNet(const ResNetConfig& config, uint64_t seed) : config_(config) {
   classifier_ = std::make_unique<Dense>(in_ch, config.num_classes, &rng);
 }
 
-Tensor ResNet::Forward(const Tensor& input, bool training) {
-  Tensor x = stem_->Forward(input, training);
-  x = stem_bn_->Forward(x, training);
-  x = stem_relu_.Forward(x, training);
-  for (auto& block : blocks_) x = block->Forward(x, training);
-  x = pool_.Forward(x, training);
-  return classifier_->Forward(x, training);
+Tensor ResNet::ForwardImpl(const Tensor& input, Tape* tape) {
+  if (tape != nullptr) tape->MarkData(input);
+  Tensor x = stem_->Forward(input, tape);
+  x = stem_bn_->ForwardRelu(x, Tensor(), tape);
+  for (auto& block : blocks_) x = block->Forward(x, tape);
+  x = pool_.Forward(x, tape);
+  return classifier_->Forward(x, tape);
 }
 
-Tensor ResNet::Backward(const Tensor& grad_output) {
-  Tensor g = classifier_->Backward(grad_output);
-  g = pool_.Backward(g);
+Tensor ResNet::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  Tensor g = classifier_->Backward(grad_output, tape);
+  g = pool_.Backward(g, tape);
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    g = (*it)->Backward(g, tape);
   }
-  g = stem_relu_.Backward(g);
-  g = stem_bn_->Backward(g);
-  stem_->BackwardParams(g);
-  return Tensor();  // the input is data
+  g = stem_bn_->BackwardRelu(g, tape);
+  return stem_->Backward(g, tape);  // empty: the input is data
 }
 
 void ResNet::CollectParameters(std::vector<Parameter*>* out) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -35,49 +34,52 @@ struct ResNetConfig {
 /// One pre-activation-free basic residual block:
 /// y = ReLU(BN2(Conv2(ReLU(BN1(Conv1(x))))) + shortcut(x)).
 /// The shortcut is identity, or 1x1 stride-2 conv + BN when downsampling.
+/// BN1 runs fused with its ReLU, and BN2 with the shortcut addition and
+/// the output ReLU (BatchNorm::ForwardRelu).
 class ResidualBlock : public Module {
  public:
   ResidualBlock(int64_t in_channels, int64_t out_channels, int64_t stride,
                 Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   bool has_projection_;
   Conv2d conv1_;
   BatchNorm bn1_;
-  ReLU relu1_;
   Conv2d conv2_;
   BatchNorm bn2_;
   std::unique_ptr<Conv2d> proj_conv_;
   std::unique_ptr<BatchNorm> proj_bn_;
-  ReLU out_relu_;
 };
 
-/// The full ResNet classifier.
+/// The full ResNet classifier. Its input images are data (Tape::MarkData):
+/// Backward returns an empty tensor, and the stem computes its parameter
+/// gradients only.
 class ResNet : public Module {
  public:
   ResNet(const ResNetConfig& config, uint64_t seed);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  /// Returns an empty tensor: the images are data, so the stem computes
-  /// its parameter gradients only.
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
   const ResNetConfig& config() const { return config_; }
 
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
+
  private:
   ResNetConfig config_;
   std::unique_ptr<Conv2d> stem_;
-  std::unique_ptr<BatchNorm> stem_bn_;
-  ReLU stem_relu_;
+  std::unique_ptr<BatchNorm> stem_bn_;  ///< fused with the stem's ReLU
   std::vector<std::unique_ptr<ResidualBlock>> blocks_;
   GlobalAvgPool2d pool_;
   std::unique_ptr<Dense> classifier_;

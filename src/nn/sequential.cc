@@ -9,18 +9,16 @@ Module* Sequential::Add(std::unique_ptr<Module> layer) {
   return layers_.back().get();
 }
 
-Tensor Sequential::Forward(const Tensor& input, bool training) {
+Tensor Sequential::ForwardImpl(const Tensor& input, Tape* tape) {
   Tensor x = input;
-  for (auto& layer : layers_) {
-    x = layer->Forward(x, training);
-  }
+  for (auto& layer : layers_) x = layer->Forward(x, tape);
   return x;
 }
 
-Tensor Sequential::Backward(const Tensor& grad_output) {
+Tensor Sequential::BackwardImpl(const Tensor& grad_output, Tape* tape) {
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    g = (*it)->Backward(g, tape);
   }
   return g;
 }

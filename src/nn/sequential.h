@@ -18,14 +18,16 @@ class Sequential : public Module {
   /// Appends a layer; returns a raw observer pointer for convenience.
   Module* Add(std::unique_ptr<Module> layer);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
   size_t size() const { return layers_.size(); }
   Module* layer(size_t i) { return layers_[i].get(); }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   std::vector<std::unique_ptr<Module>> layers_;

@@ -25,63 +25,55 @@ TextCnn::TextCnn(const TextCnnConfig& config, uint64_t seed)
   classifier_ = std::make_unique<Dense>(feat, config.num_classes, &rng);
 }
 
-Tensor TextCnn::Forward(const Tensor& input, bool training) {
+Tensor TextCnn::ForwardImpl(const Tensor& input, Tape* tape) {
   const int64_t n = input.shape().dim(0);
-  Tensor embedded = embedding_->Forward(input, training);  // (N, E, L)
+  Tensor embedded = embedding_->Forward(input, tape);  // (N, E, L)
 
   const int64_t f = config_.filters_per_size;
   const int64_t branches = static_cast<int64_t>(convs_.size());
-  Tensor features(Shape{n, branches * f});
-  if (training) {
-    conv_out_shapes_.assign(convs_.size(), Shape{});
-    pool_argmax_.assign(convs_.size(), {});
-  }
-  std::vector<int64_t> eval_argmax;  // eval: computed and discarded
-
+  Tensor features = NewTensor(tape, Shape{n, branches * f});
   for (size_t b = 0; b < convs_.size(); ++b) {
-    Tensor h = convs_[b]->Forward(embedded, training);  // (N, F, OL)
-    h = relus_[b]->Forward(h, training);
-    if (training) conv_out_shapes_[b] = h.shape();
-    Tensor pooled = MaxOverTimeForward(
-        h, training ? &pool_argmax_[b] : &eval_argmax);  // (N, F)
+    Tensor h = convs_[b]->Forward(embedded, tape);  // (N, F, OL)
+    h = relus_[b]->Forward(h, tape);
+    if (tape != nullptr) tape->Save(h);  // the pooling's argmax source
+    Tensor pooled = MaxOverTimeForward(h);  // (N, F)
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(
           features.data() + i * branches * f + static_cast<int64_t>(b) * f,
           pooled.data() + i * f, sizeof(float) * f);
     }
   }
-  Tensor dropped = dropout_->Forward(features, training);
-  return classifier_->Forward(dropped, training);
+  Tensor dropped = dropout_->Forward(features, tape);
+  return classifier_->Forward(dropped, tape);
 }
 
-Tensor TextCnn::Backward(const Tensor& grad_output) {
-  EDDE_CHECK(!conv_out_shapes_.empty()) << "Backward before Forward";
-  Tensor g = classifier_->Backward(grad_output);
-  g = dropout_->Backward(g);  // (N, branches*F)
+Tensor TextCnn::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  Tensor g = classifier_->Backward(grad_output, tape);
+  g = dropout_->Backward(g, tape);  // (N, branches*F)
 
   const int64_t n = g.shape().dim(0);
   const int64_t f = config_.filters_per_size;
   const int64_t branches = static_cast<int64_t>(convs_.size());
 
-  Tensor grad_embedded;  // accumulated (N, E, L)
-  for (size_t b = 0; b < convs_.size(); ++b) {
-    Tensor grad_pooled(Shape{n, f});
+  // The tape gives the branches back last first; their input gradients
+  // are summed in branch order, as the forward visited them.
+  std::vector<Tensor> grad_branch(convs_.size());
+  for (size_t b = convs_.size(); b-- > 0;) {
+    Tensor grad_pooled = tape->NewTensor(Shape{n, f});
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(grad_pooled.data() + i * f,
                   g.data() + i * branches * f + static_cast<int64_t>(b) * f,
                   sizeof(float) * f);
     }
-    Tensor gh = MaxOverTimeBackward(conv_out_shapes_[b], grad_pooled,
-                                    pool_argmax_[b]);
-    gh = relus_[b]->Backward(gh);
-    Tensor ge = convs_[b]->Backward(gh);  // (N, E, L)
-    if (grad_embedded.empty()) {
-      grad_embedded = ge;
-    } else {
-      Axpy(1.0f, ge, &grad_embedded);
-    }
+    Tensor gh = MaxOverTimeBackward(tape->Take(), grad_pooled);
+    gh = relus_[b]->Backward(gh, tape);
+    grad_branch[b] = convs_[b]->Backward(gh, tape);  // (N, E, L)
   }
-  return embedding_->Backward(grad_embedded);  // empty: ids not differentiable
+  Tensor grad_embedded = grad_branch[0];
+  for (size_t b = 1; b < grad_branch.size(); ++b) {
+    Axpy(1.0f, grad_branch[b], &grad_embedded);
+  }
+  return embedding_->Backward(grad_embedded, tape);  // empty: ids
 }
 
 void TextCnn::CollectParameters(std::vector<Parameter*>* out) {

@@ -33,13 +33,15 @@ class TextCnn : public Module {
  public:
   TextCnn(const TextCnnConfig& config, uint64_t seed);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
   void SetPrecision(Precision precision) override;
 
   const TextCnnConfig& config() const { return config_; }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override;
 
  private:
   TextCnnConfig config_;
@@ -48,10 +50,6 @@ class TextCnn : public Module {
   std::vector<std::unique_ptr<ReLU>> relus_;
   std::unique_ptr<Dropout> dropout_;
   std::unique_ptr<Dense> classifier_;
-
-  // Training-mode Forward cache for Backward.
-  std::vector<Shape> conv_out_shapes_;
-  std::vector<std::vector<int64_t>> pool_argmax_;
 };
 
 }  // namespace edde

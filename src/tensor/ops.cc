@@ -323,15 +323,22 @@ void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
   }
 }
 
+bool Conv2dBackwardIsCorrelation(const ConvGeom& geom) {
+  return geom.stride == 1 && geom.padding <= geom.kernel - 1;
+}
+
 // Common body of the two forward convolutions. Each sample block is
 // unrolled by one Im2Col, multiplied by `gemm(cols, ncols, out2d)` into
 // channel-major scratch and copied into the NCHW output. Blocks run
 // serially, so scratch stays at one block on one thread's arena; a batch
 // that fits one block (every training batch of the tiny models) is a
 // single GEMM and opens no pool region unless the GEMM itself is large.
+// With `keep_cols`, block b's columns land at its offset there instead of
+// in scratch.
 template <typename BlockGemm>
 Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
-                            const BlockGemm& gemm) {
+                            const BlockGemm& gemm, Tensor output,
+                            float* keep_cols) {
   EDDE_CHECK_EQ(input.shape().rank(), 4);
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = input.shape().dim(1);
@@ -343,12 +350,19 @@ Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
   const int64_t cols_rows = cin * geom.kernel * geom.kernel;
   const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
-  Tensor output(Shape{batch, oc, geom.OutExtent(h), geom.OutExtent(w)});
+  if (output.empty()) {
+    output = Tensor(geom.OutputShape(input.shape()));
+  } else {
+    EDDE_CHECK(output.shape() == geom.OutputShape(input.shape()));
+  }
   ArenaScope scope;
-  float* cols = scope.AllocFloats(cols_rows * block * plane);
+  float* cols = keep_cols != nullptr
+                    ? nullptr
+                    : scope.AllocFloats(cols_rows * block * plane);
   float* out2d = scope.AllocFloats(oc * block * plane);
   for (int64_t n0 = 0; n0 < batch; n0 += block) {
     const int64_t bn = std::min(block, batch - n0);
+    if (keep_cols != nullptr) cols = keep_cols + n0 * cols_rows * plane;
     Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
     gemm(cols, bn * plane, out2d);
     TransposeBlock(out2d, bn, oc, plane, /*to_nchw=*/true,
@@ -359,8 +373,15 @@ Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
 
 }  // namespace
 
+int64_t Conv2dBackwardColsFloats(const ConvGeom& geom, const Shape& input) {
+  if (Conv2dBackwardIsCorrelation(geom)) return 0;
+  return input.dim(0) * geom.in_channels * geom.kernel * geom.kernel *
+         geom.OutExtent(input.dim(2)) * geom.OutExtent(input.dim(3));
+}
+
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const ConvGeom& geom) {
+                     const Tensor& bias, const ConvGeom& geom, Tensor output,
+                     float* cols) {
   EDDE_CHECK_EQ(weight.shape().dim(0), geom.out_channels);
   const int64_t cols_rows = geom.in_channels * geom.kernel * geom.kernel;
   GemmEpilogue epi;
@@ -376,7 +397,8 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
         GemmRaw(false, false, geom.out_channels, ncols, cols_rows, 1.0f,
                 weight.data(), cols_rows, cols, ncols, 0.0f, out2d, ncols,
                 epi);
-      });
+      },
+      std::move(output), cols);
 }
 
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
@@ -396,7 +418,8 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
       input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
         GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
                  ncols, weight, out2d, ncols, epi);
-      });
+      },
+      Tensor(), nullptr);
 }
 
 namespace {
@@ -493,12 +516,13 @@ void Conv2dBackwardStride1(const Tensor& input, const Tensor& weight,
                  weight_grad->data());
 }
 
-// Any other geometry: dW from the input's cols, dX by Col2Im of
-// dCols = Wᵀ · dY. A stride-2 correlation would need a dY that is 3/4
-// zeros.
+// Any other geometry: dW from the input's cols (the forward's, when it
+// kept them), dX by Col2Im of dCols = Wᵀ · dY. A stride-2 correlation
+// would need a dY that is 3/4 zeros.
 void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
                           const Tensor& grad_out, const ConvGeom& geom,
-                          Tensor* weight_grad, Tensor* grad_input) {
+                          Tensor* weight_grad, Tensor* grad_input,
+                          const float* saved_cols) {
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = input.shape().dim(1);
   const int64_t h = input.shape().dim(2);
@@ -509,7 +533,9 @@ void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
   const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
   ArenaScope scope;
-  float* cols = scope.AllocFloats(cols_rows * block * plane);
+  float* cols = saved_cols != nullptr
+                    ? nullptr
+                    : scope.AllocFloats(cols_rows * block * plane);
   float* go2d = scope.AllocFloats(oc * block * plane);
   float* grad_cols = grad_input != nullptr
                          ? scope.AllocFloats(cols_rows * block * plane)
@@ -530,8 +556,13 @@ void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
                    /*to_nchw=*/false, go2d);
 
     // dW^T += cols @ dY^T
-    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
-    GemmRaw(false, true, cols_rows, oc, ncols, 1.0f, cols, ncols, go2d,
+    const float* block_cols = cols;
+    if (saved_cols != nullptr) {
+      block_cols = saved_cols + n0 * cols_rows * plane;
+    } else {
+      Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
+    }
+    GemmRaw(false, true, cols_rows, oc, ncols, 1.0f, block_cols, ncols, go2d,
             ncols, 1.0f, wg_t, oc);
 
     if (grad_input != nullptr) {
@@ -547,23 +578,21 @@ void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
 
 }  // namespace
 
-Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
-                      const Tensor& grad_out, const ConvGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad,
-                      bool input_grad) {
-  const bool correlation =
-      geom.stride == 1 && geom.padding <= geom.kernel - 1;
-  Tensor grad_input;
-  if (input_grad) {
-    // The correlation writes every element; Col2Im accumulates into zeros.
-    grad_input = correlation ? Tensor(input.shape())
-                             : Tensor(input.shape(), 0.0f);
+void Conv2dBackward(const Tensor& input, const Tensor& weight,
+                    const Tensor& grad_out, const ConvGeom& geom,
+                    Tensor* weight_grad, Tensor* bias_grad,
+                    Tensor* grad_input, const float* cols) {
+  if (grad_input != nullptr) {
+    EDDE_CHECK(grad_input->shape() == input.shape());
   }
-  Tensor* dx = input_grad ? &grad_input : nullptr;
-  if (correlation) {
-    Conv2dBackwardStride1(input, weight, grad_out, geom, weight_grad, dx);
+  if (Conv2dBackwardIsCorrelation(geom)) {
+    Conv2dBackwardStride1(input, weight, grad_out, geom, weight_grad,
+                          grad_input);
   } else {
-    Conv2dBackwardCol2Im(input, weight, grad_out, geom, weight_grad, dx);
+    // The correlation writes every element; Col2Im accumulates into zeros.
+    if (grad_input != nullptr) grad_input->Fill(0.0f);
+    Conv2dBackwardCol2Im(input, weight, grad_out, geom, weight_grad,
+                         grad_input, cols);
   }
 
   if (bias_grad != nullptr && !bias_grad->empty()) {
@@ -579,7 +608,6 @@ Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
       }
     }
   }
-  return grad_input;
 }
 
 Tensor Conv1dForward(const Tensor& input, const Tensor& weight,
@@ -744,12 +772,13 @@ Tensor AvgPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
   return grad_input;
 }
 
-Tensor GlobalAvgPool2dForward(const Tensor& input) {
+Tensor GlobalAvgPool2dForward(const Tensor& input, Tensor out) {
   EDDE_CHECK_EQ(input.shape().rank(), 4);
   const int64_t batch = input.shape().dim(0);
   const int64_t c = input.shape().dim(1);
   const int64_t hw = input.shape().dim(2) * input.shape().dim(3);
-  Tensor out(Shape{batch, c});
+  if (out.empty()) out = Tensor(Shape{batch, c});
+  EDDE_CHECK(out.shape() == Shape({batch, c}));
   for (int64_t n = 0; n < batch; ++n) {
     for (int64_t ch = 0; ch < c; ++ch) {
       const float* img = input.data() + (n * c + ch) * hw;
@@ -762,11 +791,12 @@ Tensor GlobalAvgPool2dForward(const Tensor& input) {
 }
 
 Tensor GlobalAvgPool2dBackward(const Shape& input_shape,
-                               const Tensor& grad_out) {
+                               const Tensor& grad_out, Tensor grad_input) {
   const int64_t batch = input_shape.dim(0);
   const int64_t c = input_shape.dim(1);
   const int64_t hw = input_shape.dim(2) * input_shape.dim(3);
-  Tensor grad_input(input_shape);
+  if (grad_input.empty()) grad_input = Tensor(input_shape);
+  EDDE_CHECK(grad_input.shape() == input_shape);
   const float inv = 1.0f / static_cast<float>(hw);
   for (int64_t n = 0; n < batch; ++n) {
     for (int64_t ch = 0; ch < c; ++ch) {
@@ -778,33 +808,39 @@ Tensor GlobalAvgPool2dBackward(const Shape& input_shape,
   return grad_input;
 }
 
-Tensor MaxOverTimeForward(const Tensor& input, std::vector<int64_t>* argmax) {
+namespace {
+
+// Position of the first maximum of `row`.
+int64_t ArgmaxOverTime(const float* row, int64_t len) {
+  int64_t best = 0;
+  for (int64_t t = 1; t < len; ++t) {
+    if (row[t] > row[best]) best = t;
+  }
+  return best;
+}
+
+}  // namespace
+
+Tensor MaxOverTimeForward(const Tensor& input) {
   EDDE_CHECK_EQ(input.shape().rank(), 3);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t c = input.shape().dim(1);
+  const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
   const int64_t len = input.shape().dim(2);
-  Tensor out(Shape{batch, c});
-  argmax->assign(static_cast<size_t>(batch * c), 0);
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* row = input.data() + (n * c + ch) * len;
-      int64_t best = 0;
-      for (int64_t t = 1; t < len; ++t) {
-        if (row[t] > row[best]) best = t;
-      }
-      out.data()[n * c + ch] = row[best];
-      (*argmax)[static_cast<size_t>(n * c + ch)] = (n * c + ch) * len + best;
-    }
+  Tensor out(Shape{input.shape().dim(0), input.shape().dim(1)});
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = input.data() + r * len;
+    out.data()[r] = row[ArgmaxOverTime(row, len)];
   }
   return out;
 }
 
-Tensor MaxOverTimeBackward(const Shape& input_shape, const Tensor& grad_out,
-                           const std::vector<int64_t>& argmax) {
-  Tensor grad_input(input_shape, 0.0f);
-  const float* go = grad_out.data();
-  for (size_t i = 0; i < argmax.size(); ++i) {
-    grad_input.data()[argmax[i]] += go[i];
+Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out) {
+  const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
+  const int64_t len = input.shape().dim(2);
+  EDDE_CHECK_EQ(grad_out.num_elements(), rows);
+  Tensor grad_input(input.shape(), 0.0f);
+  for (int64_t r = 0; r < rows; ++r) {
+    grad_input.data()[r * len + ArgmaxOverTime(input.data() + r * len, len)] +=
+        grad_out.data()[r];
   }
   return grad_input;
 }

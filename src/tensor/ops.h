@@ -82,6 +82,12 @@ struct ConvGeom {
   int64_t OutExtent(int64_t in) const {
     return (in + 2 * padding - kernel) / stride + 1;
   }
+
+  /// Output shape (N, OC, OH, OW) for an (N, C, H, W) input.
+  Shape OutputShape(const Shape& input) const {
+    return Shape{input.dim(0), out_channels, OutExtent(input.dim(2)),
+                 OutExtent(input.dim(3))};
+  }
 };
 
 /// Unrolls `batch` consecutive samples (N, C, H, W) into one column block
@@ -110,10 +116,19 @@ void Col2Im(const float* cols, int64_t batch, int64_t channels,
 int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
                            int64_t width);
 
+/// Floats of the im2col columns Conv2dBackward reads for an (N, C, H, W)
+/// `input`: every sample block's (C·k², bn·OH·OW) block, one after the
+/// other. 0 for the stride-1 geometries, whose backward unrolls dY instead.
+int64_t Conv2dBackwardColsFloats(const ConvGeom& geom, const Shape& input);
+
 /// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, k, k),
-/// optional bias (OC) -> output (N, OC, OH, OW).
+/// optional bias (OC) -> output (N, OC, OH, OW). Writes into `output` when
+/// it is given (shape geom.OutputShape), else allocates it. A non-null
+/// `cols` (Conv2dBackwardColsFloats floats) keeps the im2col columns there
+/// for Conv2dBackward to reuse.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const ConvGeom& geom);
+                     const Tensor& bias, const ConvGeom& geom,
+                     Tensor output = Tensor(), float* cols = nullptr);
 
 /// Quantized forward 2-D convolution: same contract as Conv2dForward but
 /// the kernel is a per-channel int8 matrix (OC rows of depth C·k²; see
@@ -122,19 +137,21 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
                          const Tensor& bias, const ConvGeom& geom);
 
 /// Backward 2-D convolution. Accumulates into weight_grad/bias_grad
-/// (callers zero them at the start of each step) and returns the input
-/// gradient, or an empty tensor when `input_grad` is false (the input is
-/// data, e.g. a network's stem); the parameter gradients are the same
-/// either way. Stride-1 layers with padding ≤ k−1 take both gradients from
+/// (callers zero them at the start of each step) and writes the input
+/// gradient into `grad_input` (input-shaped), or skips it when that is null
+/// (the input is data, e.g. a network's stem); the parameter gradients are
+/// the same either way. `cols`, when non-null, holds the forward's im2col
+/// columns (Conv2dForward's `cols`), which are then not rebuilt. Stride-1
+/// layers with padding ≤ k−1 take both gradients from
 /// one im2col of dY per sample block: dX is the forward correlation of the
 /// zero-bordered dY with the flipped, transposed kernel, and dW multiplies
 /// the same dY columns by the block's input. Other geometries take dW from
 /// the input's im2col and dX by Col2Im of Wᵀ·dY. Sample blocks run in a
 /// fixed serial order, so the result is the same at any thread count.
-Tensor Conv2dBackward(const Tensor& input, const Tensor& weight,
-                      const Tensor& grad_out, const ConvGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad,
-                      bool input_grad = true);
+void Conv2dBackward(const Tensor& input, const Tensor& weight,
+                    const Tensor& grad_out, const ConvGeom& geom,
+                    Tensor* weight_grad, Tensor* bias_grad,
+                    Tensor* grad_input, const float* cols = nullptr);
 
 // ---------------------------------------------------------------------------
 // 1-D convolution over sequences (N, C, L), for TextCNN
@@ -175,20 +192,22 @@ Tensor AvgPool2dForward(const Tensor& input, int64_t window);
 Tensor AvgPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
                          int64_t window);
 
-/// Spatial mean per channel: (N, C, H, W) -> (N, C).
-Tensor GlobalAvgPool2dForward(const Tensor& input);
+/// Spatial mean per channel: (N, C, H, W) -> (N, C), into `output` when
+/// it is given.
+Tensor GlobalAvgPool2dForward(const Tensor& input, Tensor output = Tensor());
 
-/// Backward of global average pooling.
+/// Backward of global average pooling, into `grad_input` when it is given.
 Tensor GlobalAvgPool2dBackward(const Shape& input_shape,
-                               const Tensor& grad_out);
+                               const Tensor& grad_out,
+                               Tensor grad_input = Tensor());
 
-/// Max over the sequence axis: (N, C, L) -> (N, C), recording argmax
-/// positions for backward. This is TextCNN's max-over-time pooling.
-Tensor MaxOverTimeForward(const Tensor& input, std::vector<int64_t>* argmax);
+/// Max over the sequence axis: (N, C, L) -> (N, C). This is TextCNN's
+/// max-over-time pooling.
+Tensor MaxOverTimeForward(const Tensor& input);
 
-/// Backward of max-over-time pooling.
-Tensor MaxOverTimeBackward(const Shape& input_shape, const Tensor& grad_out,
-                           const std::vector<int64_t>& argmax);
+/// Backward of max-over-time pooling: each row's gradient goes to the first
+/// position of its maximum in `input`, as the forward picked it.
+Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out);
 
 // ---------------------------------------------------------------------------
 // Misc

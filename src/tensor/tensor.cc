@@ -107,6 +107,13 @@ Tensor Tensor::Reshape(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
+Tensor Tensor::View(int64_t offset, Shape shape) const {
+  EDDE_CHECK_GE(offset, 0);
+  EDDE_CHECK_LE(offset + shape.num_elements(), num_elements());
+  return Tensor(std::move(shape),
+                std::shared_ptr<float[]>(data_, data_.get() + offset));
+}
+
 void Tensor::CopyFrom(const Tensor& other) {
   EDDE_CHECK(shape_ == other.shape_)
       << "CopyFrom shape mismatch: " << shape_ << " vs " << other.shape_;

@@ -71,6 +71,13 @@ class Tensor {
   /// element count.
   Tensor Reshape(Shape new_shape) const;
 
+  /// Returns a tensor of `shape` sharing this buffer from element `offset`
+  /// on; the buffer lives as long as any tensor that shares it.
+  Tensor View(int64_t offset, Shape shape) const;
+
+  /// True when another tensor shares this buffer.
+  bool shared() const { return data_.use_count() > 1; }
+
   /// Copies `other`'s contents into this tensor (shapes must match).
   void CopyFrom(const Tensor& other);
 

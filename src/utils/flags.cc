@@ -1,5 +1,6 @@
 #include "utils/flags.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -67,8 +68,22 @@ std::string FlagParser::GetString(const std::string& name) const {
   return it->second.value;
 }
 
-int FlagParser::GetInt(const std::string& name) const {
-  return std::atoi(GetString(name).c_str());
+int FlagParser::GetInt(const std::string& name, int lo, int hi) const {
+  const std::string text = GetString(name);
+  int value = 0;
+  if (!ParseIntInRange(text, lo, hi, &value)) {
+    std::fprintf(stderr, "invalid --%s=%s (an integer in [%d, %d])\n",
+                 name.c_str(), text.c_str(), lo, hi);
+    std::exit(2);
+  }
+  return value;
+}
+
+bool FlagParser::ParseIntInRange(const std::string& text, int lo, int hi,
+                                 int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
 }
 
 bool FlagParser::GetBool(const std::string& name) const {

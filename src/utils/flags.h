@@ -1,6 +1,7 @@
 #ifndef EDDE_UTILS_FLAGS_H_
 #define EDDE_UTILS_FLAGS_H_
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,8 +34,21 @@ class FlagParser {
   void PrintHelp(const std::string& program) const;
 
   std::string GetString(const std::string& name) const;
-  int GetInt(const std::string& name) const;
+
+  /// The flag's value as a decimal integer in [lo, hi]. A value that is
+  /// not one (non-numeric, trailing junk, out of range) is a usage error,
+  /// like an unknown flag: the message goes to stderr and the process
+  /// exits 2.
+  int GetInt(const std::string& name,
+             int lo = std::numeric_limits<int>::min(),
+             int hi = std::numeric_limits<int>::max()) const;
+
   bool GetBool(const std::string& name) const;
+
+  /// Parses `text` as a decimal integer in [lo, hi] into `out`. False when
+  /// it is non-numeric, has trailing junk, or lies outside the range.
+  static bool ParseIntInRange(const std::string& text, int lo, int hi,
+                              int* out);
 
   /// True when `name` was registered with Define().
   bool Has(const std::string& name) const;

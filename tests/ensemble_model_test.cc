@@ -279,27 +279,38 @@ const std::vector<EvalFamily>& EvalFamilies() {
 
 TEST(EvalForwardTest, LeavesThePendingBackwardCacheAlone) {
   // An eval call between a training Forward and its Backward (another
-  // thread serving the same weights, say) must not change any gradient.
+  // thread serving the same weights, say) must not change any gradient,
+  // whether the step runs on the wrappers' tape or on a caller's tape.
   for (const EvalFamily& family : EvalFamilies()) {
     SCOPED_TRACE(family.name);
     const Tensor x = family.batch(4, 7);
     std::unique_ptr<Module> plain = family.make();
     std::unique_ptr<Module> interleaved = family.make();
+    std::unique_ptr<Module> taped = family.make();
     const Tensor y = plain->Forward(x, /*training=*/true);
     plain->Backward(Tensor(y.shape(), 0.5f));
     interleaved->Forward(x, /*training=*/true);
     interleaved->Forward(family.batch(3, 8), /*training=*/false);
     interleaved->Backward(Tensor(y.shape(), 0.5f));
+    Tape tape;
+    taped->Forward(x, &tape);
+    taped->Forward(family.batch(3, 8), nullptr);
+    taped->Forward(family.batch(2, 9), /*training=*/false);
+    taped->Backward(Tensor(y.shape(), 0.5f), &tape);
+    EXPECT_TRUE(tape.empty());
     const std::vector<Parameter*> want = plain->Parameters();
-    const std::vector<Parameter*> got = interleaved->Parameters();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t p = 0; p < want.size(); ++p) {
-      if (want[p]->grad.empty()) continue;  // BatchNorm running statistics
-      EXPECT_EQ(std::memcmp(got[p]->grad.data(), want[p]->grad.data(),
-                            sizeof(float) * static_cast<size_t>(
-                                                want[p]->grad.num_elements())),
-                0)
-          << "parameter " << p << " (" << want[p]->name << ")";
+    for (Module* other : {interleaved.get(), taped.get()}) {
+      const std::vector<Parameter*> got = other->Parameters();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t p = 0; p < want.size(); ++p) {
+        if (want[p]->grad.empty()) continue;  // BatchNorm running statistics
+        EXPECT_EQ(
+            std::memcmp(got[p]->grad.data(), want[p]->grad.data(),
+                        sizeof(float) *
+                            static_cast<size_t>(want[p]->grad.num_elements())),
+            0)
+            << "parameter " << p << " (" << want[p]->name << ")";
+      }
     }
   }
 }

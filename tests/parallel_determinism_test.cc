@@ -296,7 +296,8 @@ TEST_F(ParallelDeterminismTest, Conv2dBlockedBatchMatchesSingleSamples) {
   Tensor dy(y.shape());
   dy.FillNormal(&rng, 0.0f, 1.0f);
   Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
-  const Tensor dx = Conv2dBackward(x, weight, dy, g, &wg, &bg);
+  Tensor dx(x.shape());
+  Conv2dBackward(x, weight, dy, g, &wg, &bg, &dx);
 
   SetNumThreads(1);
   const int64_t x_size = x.num_elements() / batch;
@@ -309,7 +310,8 @@ TEST_F(ParallelDeterminismTest, Conv2dBlockedBatchMatchesSingleSamples) {
               dy1.data());
     const Tensor y1 = Conv2dForward(x1, weight, bias, g);
     Tensor wg1(weight.shape(), 0.0f), bg1(bias.shape(), 0.0f);
-    const Tensor dx1 = Conv2dBackward(x1, weight, dy1, g, &wg1, &bg1);
+    Tensor dx1(x1.shape());
+    Conv2dBackward(x1, weight, dy1, g, &wg1, &bg1, &dx1);
     for (int64_t i = 0; i < y_size; ++i) {
       ASSERT_EQ(y1.data()[i], y.data()[n * y_size + i])
           << "sample " << n << " output " << i;

@@ -1,31 +1,43 @@
 #!/usr/bin/env bash
 # End-to-end checks of the edde-serve CLI on a saved ensemble.
 #
-#   tests/serve_smoke.sh TOOLS_DIR MODEL BENCH_SERVE_LOG
+#   tests/serve_smoke.sh TOOLS_DIR MODEL BENCH_SERVE_LOG MODEL_V2
 #
-# TOOLS_DIR holds edde-serve and edde-serve-client; MODEL is an artifact
-# written by `bench_serve --save_model=MODEL`, and BENCH_SERVE_LOG that
-# run's stdout (its `model-flags:` line pins the member architecture).
-# Outputs (dumps, server logs) go to the current directory.
+# TOOLS_DIR holds edde-serve, edde-serve-client and edde-top; MODEL is an
+# artifact written by `bench_serve --save_model=MODEL`, and BENCH_SERVE_LOG
+# that run's stdout (its `model-flags:` line pins the member architecture).
+# MODEL_V2 is a second artifact of the same architecture (another
+# --seed), the reload target. Outputs (dumps, server logs, scraped pages)
+# go to the current directory. Needs curl and python3.
 #
 # 1. Malformed flags exit 2 without crashing or serving: --hidden widths
-#    and every integer flag (non-numeric, trailing junk, out of range).
+#    and every integer flag (non-numeric, trailing junk, out of range) of
+#    edde-serve, edde-serve-client and edde-top.
 # 2. The same deterministic request stream served at --workers=1 and
 #    --workers=4 dumps byte-identical labels, cascade depths and float32
 #    probabilities, with the cascade on and with it off (DESIGN.md §15).
+# 3. The observability plane of a 2-worker server: /metrics is Prometheus
+#    text with the serving histograms, /healthz is 200, /statusz is JSON
+#    with the manifest, the alphas and live per-worker rows (§14, §15).
+# 4. Hot reload: overwriting the served file and hitting /reloadz bumps the
+#    generation on the live listener, which then answers byte-identically
+#    to a fresh server on MODEL_V2 (§16).
+# 5. Drain: after SIGTERM, /healthz answers 503 within --drain_ms.
 #
-# ctest runs it under the label serve_smoke, on a model its fixture trains.
+# ctest runs it under the label serve_smoke, on models its fixture trains.
 set -euo pipefail
 
-if [ $# -ne 3 ]; then
-  echo "usage: $0 TOOLS_DIR MODEL BENCH_SERVE_LOG" >&2
+if [ $# -ne 4 ]; then
+  echo "usage: $0 TOOLS_DIR MODEL BENCH_SERVE_LOG MODEL_V2" >&2
   exit 2
 fi
 TOOLS=$1
 MODEL=$2
 LOG=$3
+MODEL_V2=$4
 SERVE="$TOOLS/edde-serve"
 CLIENT="$TOOLS/edde-serve-client"
+TOP="$TOOLS/edde-top"
 
 MODEL_FLAGS=$(grep -o 'model-flags: .*' "$LOG" | cut -d' ' -f2-)
 DIM=$(grep -o 'input_dim=[0-9]*' "$LOG" | head -1 | cut -d= -f2)
@@ -60,17 +72,51 @@ for FLAG in "${BAD_FLAGS[@]}"; do
     exit 1
   fi
 done
-echo "malformed flags: ${#BAD_FLAGS[@]} cases exit 2"
+echo "malformed flags: ${#BAD_FLAGS[@]} edde-serve cases exit 2"
+
+# The client and edde-top parse their integer flags the same way: a bad
+# value exits 2 before anything dials out (port 1 refuses connections, so
+# a value that slipped through would exit with another code).
+BAD_CLIENT_FLAGS=(
+  --port=abc --port=0 --port=70000 --port=7433x --rows=4x --rows=0
+  --dim= --requests=-1 --pool=0 --pool=1000 --retries=-2 --seed=1.5
+  --deadline_ms=99999999999
+)
+for FLAG in "${BAD_CLIENT_FLAGS[@]}"; do
+  CODE=0
+  timeout 20 "$CLIENT" --port=1 --requests=1 "$FLAG" \
+    > serve_smoke_bad_flag.log 2>&1 || CODE=$?
+  if [ "$CODE" != 2 ] || ! grep -q "invalid --" serve_smoke_bad_flag.log; then
+    echo "FAIL: edde-serve-client $FLAG exited $CODE, want 2" >&2
+    cat serve_smoke_bad_flag.log >&2
+    exit 1
+  fi
+done
+BAD_TOP_FLAGS=(--port=abc --port=70000 --interval_ms=x --frames=-1)
+for FLAG in "${BAD_TOP_FLAGS[@]}"; do
+  CODE=0
+  timeout 20 "$TOP" --port=1 --once "$FLAG" > serve_smoke_bad_flag.log 2>&1 \
+    || CODE=$?
+  if [ "$CODE" != 2 ]; then
+    echo "FAIL: edde-top $FLAG exited $CODE, want 2" >&2
+    cat serve_smoke_bad_flag.log >&2
+    exit 1
+  fi
+done
+echo "malformed flags: ${#BAD_CLIENT_FLAGS[@]} client and" \
+  "${#BAD_TOP_FLAGS[@]} edde-top cases exit 2"
 
 # --- 2. Bit-identity across worker counts, cascade on and off -----------
 SERVER_PID=
+PLANE_PID=
 cleanup() {
-  if [ -n "$SERVER_PID" ]; then kill -TERM "$SERVER_PID" 2>/dev/null || true; fi
+  for PID in $SERVER_PID $PLANE_PID; do kill -TERM "$PID" 2>/dev/null || true; done
 }
 trap cleanup EXIT
 
-# Starts edde-serve on an ephemeral port with the given extra flags and
-# sets SERVER_PID and PORT from its `edde-serve ready port=N` line.
+# Starts edde-serve on an ephemeral port with the given extra flags (the
+# first may override --model) and sets SERVER_PID and PORT from its
+# `edde-serve ready port=N` line, and HTTP_PORT when it serves one.
 start_server() {
   local log=$1
   shift
@@ -80,6 +126,7 @@ start_server() {
   PORT=
   for _ in $(seq 1 100); do
     PORT=$(grep -o 'ready port=[0-9]*' "$log" | cut -d= -f2 || true)
+    HTTP_PORT=$(grep -o 'http_port=[0-9]*' "$log" | cut -d= -f2 || true)
     [ -n "$PORT" ] && return 0
     kill -0 "$SERVER_PID" 2>/dev/null || break
     sleep 0.1
@@ -107,3 +154,88 @@ for CASCADE in true false; do
   cmp "dump_cascade_${CASCADE}_w1.txt" "dump_cascade_${CASCADE}_w4.txt"
   echo "cascade=$CASCADE: responses byte-identical at workers=1 and workers=4"
 done
+
+# --- 3. Observability plane ---------------------------------------------
+# The server reads its model from a copy, which step 4 overwrites.
+cp "$MODEL" serve_smoke_served.edde
+start_server serve_smoke_plane.log --model=serve_smoke_served.edde \
+  --http_port=0 --workers=2 --drain_ms=3000
+PLANE_PID=$SERVER_PID
+URL="http://127.0.0.1:$HTTP_PORT"
+"$CLIENT" --port="$PORT" --dim="$DIM" --num_classes="$K" --requests=50 \
+  --rows=3 --pool=4
+
+curl -fsS "$URL/metrics" -o serve_smoke_metrics.txt
+grep -q '# TYPE edde_serve_request_latency_seconds histogram' \
+  serve_smoke_metrics.txt
+grep -q 'edde_serve_request_latency_seconds_bucket{le="+Inf"}' \
+  serve_smoke_metrics.txt
+grep -q 'edde_serve_request_latency_seconds_quantile{quantile="0.99"}' \
+  serve_smoke_metrics.txt
+grep -q '^edde_serve_rows ' serve_smoke_metrics.txt
+if grep -iE '(^| )nan$| inf$' serve_smoke_metrics.txt; then
+  echo "FAIL: /metrics exports a non-finite value" >&2
+  exit 1
+fi
+test "$(curl -s -o /dev/null -w '%{http_code}' "$URL/healthz")" = 200
+curl -fsS "$URL/statusz" -o serve_smoke_statusz.json
+python3 - serve_smoke_statusz.json <<'PY'
+import json, sys
+s = json.load(open(sys.argv[1]))
+assert s['server']['ready'] is True
+assert len(s['server']['alphas']) == s['server']['members']
+assert s['manifest']['pid'] > 0
+# Per-worker rows: both pool workers live, and between them they executed
+# every batch the probe produced.
+workers = s['server']['workers']
+assert s['server']['num_batch_workers'] == 2
+assert len(workers) == 2
+assert all(w['live'] for w in workers)
+assert sum(w['batches'] for w in workers) > 0
+assert all(w['stages'] >= w['batches'] for w in workers)
+PY
+echo "observability plane: /metrics, /healthz and /statusz check out"
+
+# --- 4. Hot reload ------------------------------------------------------
+curl -fsS "$URL/statusz" -o serve_smoke_statusz_before.json
+cp "$MODEL_V2" serve_smoke_served.edde
+curl -fsS "$URL/reloadz" -o serve_smoke_reloadz.json
+curl -fsS "$URL/statusz" -o serve_smoke_statusz_after.json
+python3 - serve_smoke_statusz_before.json serve_smoke_reloadz.json \
+  serve_smoke_statusz_after.json <<'PY'
+import json, sys
+before = json.load(open(sys.argv[1]))['server']
+r = json.load(open(sys.argv[2]))
+after = json.load(open(sys.argv[3]))['server']
+assert r['ok'] is True, r
+assert after['generation'] == before['generation'] + 1
+assert after['reloads'] == before['reloads'] + 1
+assert after['ready'] is True
+print(f"reload: generation {before['generation']} -> {after['generation']}")
+PY
+"$CLIENT" --port="$PORT" --dim="$DIM" --num_classes="$K" --requests=100 \
+  --rows=3 --pool=4 --seed=9 --probs --dump=dump_reloaded.txt
+start_server serve_smoke_fresh_v2.log --model="$MODEL_V2" --workers=2
+"$CLIENT" --port="$PORT" --dim="$DIM" --num_classes="$K" --requests=100 \
+  --rows=3 --pool=4 --seed=9 --probs --dump=dump_fresh_v2.txt
+stop_server
+cmp dump_reloaded.txt dump_fresh_v2.txt
+echo "reload: the reloaded generation answers as a fresh server on MODEL_V2"
+
+# --- 5. Drain -----------------------------------------------------------
+SERVER_PID=$PLANE_PID
+kill -TERM "$SERVER_PID"
+CODE=000
+for _ in $(seq 1 50); do
+  CODE=$(curl -s -o /dev/null -w '%{http_code}' "$URL/healthz" || true)
+  [ "$CODE" = 503 ] && break
+  sleep 0.05
+done
+if [ "$CODE" != 503 ]; then
+  echo "FAIL: /healthz answered $CODE during the drain, want 503" >&2
+  exit 1
+fi
+wait "$SERVER_PID" || true
+SERVER_PID=
+PLANE_PID=
+echo "drain: /healthz answers 503 before shutdown"

@@ -309,8 +309,8 @@ void CheckConvAgainstReference(const ConvCase& c, uint64_t seed) {
 
   Tensor wg(weight.shape(), 0.0f);
   Tensor bg(Shape{c.cout}, 0.0f);
-  const Tensor dx = Conv2dBackward(input, weight, grad_out, g, &wg, &bg);
-  ASSERT_EQ(dx.shape(), input.shape());
+  Tensor dx(input.shape());
+  Conv2dBackward(input, weight, grad_out, g, &wg, &bg, &dx);
   ExpectWithinF32Bound(dx, ref.dx, ref.dx_mag,
                        c.cout * c.kernel * c.kernel, "dx");
   ExpectWithinF32Bound(wg, ref.dw, ref.dw_mag, c.batch * oh * ow, "dw");
@@ -439,17 +439,59 @@ TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
     const Tensor bg0 = RandomTensor(Shape{c.cout}, &rng);
     Tensor wg_full = wg0.Clone(), bg_full = bg0.Clone();
     Tensor wg = wg0.Clone(), bg = bg0.Clone();
-    const Tensor dx =
-        Conv2dBackward(input, weight, grad_out, g, &wg_full, &bg_full);
-    EXPECT_EQ(dx.shape(), input.shape());
-    const Tensor none = Conv2dBackward(input, weight, grad_out, g, &wg, &bg,
-                                       /*input_grad=*/false);
-    EXPECT_TRUE(none.empty());
+    Tensor dx(input.shape());
+    Conv2dBackward(input, weight, grad_out, g, &wg_full, &bg_full, &dx);
+    Conv2dBackward(input, weight, grad_out, g, &wg, &bg, nullptr);
     EXPECT_EQ(0, std::memcmp(wg.data(), wg_full.data(),
                              sizeof(float) * static_cast<size_t>(
                                                  wg.num_elements())));
     EXPECT_EQ(0, std::memcmp(bg.data(), bg_full.data(),
                              sizeof(float) * static_cast<size_t>(c.cout)));
+  }
+}
+
+// The forward's kept im2col columns stand in for the ones backward would
+// rebuild: the same forward output, input gradient and parameter
+// gradients, bit for bit, including a batch of several sample blocks.
+TEST(Conv2dBackwardTest, ForwardColsReproduceTheRebuiltCols) {
+  ConvCase multi_block{0, 4, 8, 12, 12, 3, 2, 1};
+  multi_block.batch = 2 * Conv2dBlockSamples(GeomOf(multi_block), 12, 12) + 1;
+  const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 2, 1},
+                            {2, 3, 4, 7, 5, 1, 2, 0},
+                            {2, 3, 2, 4, 5, 3, 1, 3},
+                            MultiBlockGradOutConvCase(), multi_block};
+  Rng rng(809);
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "stride " << c.stride << " pad "
+                                      << c.padding << " batch " << c.batch);
+    const ConvGeom g = GeomOf(c);
+    const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+    const Tensor weight =
+        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+    const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
+    const Tensor grad_out =
+        RandomTensor(g.OutputShape(input.shape()), &rng);
+    const int64_t cols_floats = Conv2dBackwardColsFloats(g, input.shape());
+    Tensor cols(Shape{cols_floats + 1});  // nonempty for stride 1 too
+    const Tensor y = Conv2dForward(input, weight, bias, g);
+    const Tensor y_kept = Conv2dForward(input, weight, bias, g, Tensor(),
+                                        cols_floats > 0 ? cols.data()
+                                                        : nullptr);
+    EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
+                             sizeof(float) * static_cast<size_t>(
+                                                 y.num_elements())));
+    Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
+    Tensor wg_kept(weight.shape(), 0.0f), bg_kept(bias.shape(), 0.0f);
+    Tensor dx(input.shape()), dx_kept(input.shape());
+    Conv2dBackward(input, weight, grad_out, g, &wg, &bg, &dx);
+    Conv2dBackward(input, weight, grad_out, g, &wg_kept, &bg_kept, &dx_kept,
+                   cols_floats > 0 ? cols.data() : nullptr);
+    for (const auto& [got, want] :
+         {std::pair{&dx_kept, &dx}, {&wg_kept, &wg}, {&bg_kept, &bg}}) {
+      EXPECT_EQ(0, std::memcmp(got->data(), want->data(),
+                               sizeof(float) * static_cast<size_t>(
+                                                   want->num_elements())));
+    }
   }
 }
 
@@ -627,12 +669,11 @@ TEST(GlobalAvgPoolTest, ForwardBackwardConsistency) {
 
 TEST(MaxOverTimeTest, SelectsPerChannelMax) {
   Tensor input(Shape{1, 2, 3}, {1.0f, 9.0f, 2.0f, 4.0f, 3.0f, 8.0f});
-  std::vector<int64_t> argmax;
-  Tensor out = MaxOverTimeForward(input, &argmax);
+  Tensor out = MaxOverTimeForward(input);
   EXPECT_FLOAT_EQ(out.at(0, 0), 9.0f);
   EXPECT_FLOAT_EQ(out.at(0, 1), 8.0f);
   Tensor grad_out(Shape{1, 2}, {1.0f, 2.0f});
-  Tensor grad_in = MaxOverTimeBackward(input.shape(), grad_out, argmax);
+  Tensor grad_in = MaxOverTimeBackward(input, grad_out);
   EXPECT_FLOAT_EQ(grad_in.at(1), 1.0f);
   EXPECT_FLOAT_EQ(grad_in.at(5), 2.0f);
   EXPECT_DOUBLE_EQ(grad_in.Sum(), 3.0);

@@ -107,6 +107,34 @@ TEST(FlagsTest, ParsesEqualsAndSpaceForms) {
   EXPECT_EQ(flags.GetInt("seed"), 99);
 }
 
+TEST(FlagsTest, ParseIntInRangeRejectsJunkAndRange) {
+  int v = 0;
+  EXPECT_TRUE(FlagParser::ParseIntInRange("-7", -10, 10, &v));
+  EXPECT_EQ(v, -7);
+  EXPECT_TRUE(FlagParser::ParseIntInRange("10", -10, 10, &v));
+  for (const char* bad : {"", "abc", "12x", " 3", "3 ", "1.5", "+3", "11",
+                          "-11", "99999999999"}) {
+    EXPECT_FALSE(FlagParser::ParseIntInRange(bad, -10, 10, &v)) << bad;
+  }
+}
+
+TEST(FlagsTest, MalformedIntegerExitsTwo) {
+  for (const char* arg : {"--port=abc", "--port=12x", "--port=70000",
+                          "--port=99999999999", "--port="}) {
+    FlagParser flags;
+    flags.Define("port", "7433", "server port");
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)).ok());
+    EXPECT_EXIT(flags.GetInt("port", 1, 65535), ::testing::ExitedWithCode(2),
+                "invalid --port=")
+        << arg;
+  }
+  FlagParser flags;
+  flags.Define("seed", "12x", "rng seed");
+  EXPECT_EXIT(flags.GetInt("seed"), ::testing::ExitedWithCode(2),
+              "invalid --seed=12x");
+}
+
 TEST(FlagsTest, DefaultsApplyWhenUnset) {
   FlagParser flags;
   flags.Define("gamma", "0.1", "diversity strength");

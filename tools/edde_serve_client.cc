@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -70,23 +71,26 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  const int64_t dim = flags.GetInt("dim");
-  const int64_t rows = flags.GetInt("rows");
-  const int num_classes = flags.GetInt("num_classes");
-  const int num_requests = flags.GetInt("requests");
-  const int pool = std::max(1, static_cast<int>(flags.GetInt("pool")));
+  // A malformed or out-of-range integer exits 2 (FlagParser::GetInt).
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const int64_t dim = flags.GetInt("dim", 1, kIntMax);
+  const int64_t rows = flags.GetInt("rows", 1, kIntMax);
+  const int num_classes = flags.GetInt("num_classes", 1, kIntMax);
+  const int num_requests = flags.GetInt("requests", 0, kIntMax);
+  // Each connection is a thread.
+  const int pool = flags.GetInt("pool", 1, 256);
   const bool want_probs = flags.GetBool("probs");
   const std::string dump_path = flags.GetString("dump");
   const std::string host = flags.GetString("host");
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port"));
+  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 1, 65535));
   const bool allow_shed = flags.GetBool("allow_shed");
 
   serve::RetryPolicy policy;
-  policy.max_attempts = 1 + static_cast<int>(flags.GetInt("retries"));
-  policy.retry_budget = flags.GetInt("retry_budget");
-  policy.base_backoff_ms = flags.GetInt("backoff_ms");
-  policy.deadline_ms = flags.GetInt("deadline_ms");
-  policy.recv_timeout_ms = flags.GetInt("recv_timeout_ms");
+  policy.max_attempts = 1 + flags.GetInt("retries", 0, kIntMax - 1);
+  policy.retry_budget = flags.GetInt("retry_budget", 0, kIntMax);
+  policy.base_backoff_ms = flags.GetInt("backoff_ms", 0, kIntMax);
+  policy.deadline_ms = flags.GetInt("deadline_ms", 0, kIntMax);
+  policy.recv_timeout_ms = flags.GetInt("recv_timeout_ms", 0, kIntMax);
 
   // Payloads come from one sequential RNG pass, independent of how many
   // connections later carry them — request i is identical across runs.

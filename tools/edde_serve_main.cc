@@ -24,7 +24,6 @@
 #include <csignal>
 
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -52,14 +51,6 @@ constexpr int kIntMax = std::numeric_limits<int>::max();
 /// Each batch worker is an OS thread; more than this is a typo, not a pool.
 constexpr int kMaxWorkers = 256;
 
-/// Parses `text` as a decimal integer in [lo, hi] into `out`. False when it
-/// is non-numeric, has trailing junk, or lies outside the range.
-bool ParseIntInRange(const std::string& text, int lo, int hi, int* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
-}
-
 /// Parses --hidden's comma-separated widths (empty items are skipped) into
 /// `hidden`, replacing its contents. False when a width is not a positive
 /// decimal integer: non-numeric, trailing junk, out of int range, zero or
@@ -71,7 +62,7 @@ bool ParseHidden(const std::string& spec, std::vector<int>* hidden) {
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     int width = 0;
-    if (!ParseIntInRange(item, 1, kIntMax, &width)) return false;
+    if (!FlagParser::ParseIntInRange(item, 1, kIntMax, &width)) return false;
     hidden->push_back(width);
   }
   return true;
@@ -134,32 +125,21 @@ int Main(int argc, char** argv) {
 
   // Every integer flag must be a whole decimal number in its range; a
   // typo exits 2 instead of silently becoming 0 or wrapping.
-  bool bad_int = false;
-  const auto int_flag = [&](const char* name, int lo, int hi) {
-    int value = 0;
-    if (!ParseIntInRange(flags.GetString(name), lo, hi, &value)) {
-      std::fprintf(stderr, "invalid --%s=%s (an integer in [%d, %d])\n",
-                   name, flags.GetString(name).c_str(), lo, hi);
-      bad_int = true;
-    }
-    return value;
-  };
   MlpConfig mlp;
-  mlp.in_features = int_flag("input_dim", 1, kIntMax);
-  mlp.num_classes = int_flag("num_classes", 1, kIntMax);
+  mlp.in_features = flags.GetInt("input_dim", 1, kIntMax);
+  mlp.num_classes = flags.GetInt("num_classes", 1, kIntMax);
   serve::ServerConfig config;
-  config.port = static_cast<uint16_t>(int_flag("port", 0, 65535));
+  config.port = static_cast<uint16_t>(flags.GetInt("port", 0, 65535));
   config.cascade = flags.GetBool("cascade");
-  config.max_batch_rows = int_flag("max_batch_rows", 1, kIntMax);
-  config.max_delay_ms = int_flag("max_delay_ms", 0, kIntMax);
-  config.max_request_rows = int_flag("max_request_rows", 1, kIntMax);
-  config.num_batch_workers = int_flag("workers", 1, kMaxWorkers);
-  config.http_port = int_flag("http_port", -1, 65535);
-  config.max_request_ms = int_flag("max_request_ms", 0, kIntMax);
-  config.shed_queue_age_ms = int_flag("shed_queue_age_ms", 0, kIntMax);
-  config.send_timeout_ms = int_flag("send_timeout_ms", 0, kIntMax);
-  const int drain_ms = int_flag("drain_ms", 0, kIntMax);
-  if (bad_int) return 2;
+  config.max_batch_rows = flags.GetInt("max_batch_rows", 1, kIntMax);
+  config.max_delay_ms = flags.GetInt("max_delay_ms", 0, kIntMax);
+  config.max_request_rows = flags.GetInt("max_request_rows", 1, kIntMax);
+  config.num_batch_workers = flags.GetInt("workers", 1, kMaxWorkers);
+  config.http_port = flags.GetInt("http_port", -1, 65535);
+  config.max_request_ms = flags.GetInt("max_request_ms", 0, kIntMax);
+  config.shed_queue_age_ms = flags.GetInt("shed_queue_age_ms", 0, kIntMax);
+  config.send_timeout_ms = flags.GetInt("send_timeout_ms", 0, kIntMax);
+  const int drain_ms = flags.GetInt("drain_ms", 0, kIntMax);
 
   if (!ParseHidden(flags.GetString("hidden"), &mlp.hidden)) {
     std::fprintf(stderr,

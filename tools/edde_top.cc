@@ -17,6 +17,7 @@
 /// mid-watch.
 
 #include <cstdio>
+#include <limits>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -214,14 +215,16 @@ int Main(int argc, char** argv) {
     flags.PrintHelp("edde-top");
     return 0;
   }
-  const int port = flags.GetInt("port");
-  if (port <= 0 || port > 65535) {
+  // A malformed or out-of-range integer exits 2 (FlagParser::GetInt).
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const int port = flags.GetInt("port", 0, 65535);
+  if (port == 0) {
     std::fprintf(stderr, "--port is required (the edde-serve --http_port)\n");
     return 2;
   }
   return WatchLoop(flags.GetString("host"), static_cast<uint16_t>(port),
-                   flags.GetInt("interval_ms"), flags.GetBool("once"),
-                   flags.GetInt("frames"));
+                   flags.GetInt("interval_ms", 0, kIntMax),
+                   flags.GetBool("once"), flags.GetInt("frames", 0, kIntMax));
 }
 
 }  // namespace
