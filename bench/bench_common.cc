@@ -89,7 +89,8 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
                 "(empty = checkpointing off; each method gets a "
                 "subdirectory)");
   flags->Define("checkpoint_every", "1",
-                "checkpoint cadence, in completed rounds and epochs");
+                "checkpoint cadence, in completed rounds and epochs "
+                "(0 = a checkpoint every round, none inside a member)");
   flags->Define("resume", "true",
                 "resume from the newest valid checkpoint in "
                 "--checkpoint_dir (results are bit-identical to an "
@@ -122,8 +123,7 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
   BenchOutOverride() = flags->GetString("bench_out");
   CheckpointConfig& ckpt = BenchCheckpoint();
   ckpt.dir = flags->GetString("checkpoint_dir");
-  ckpt.every_rounds = flags->GetInt("checkpoint_every");
-  ckpt.every_epochs = flags->GetInt("checkpoint_every");
+  ckpt.every = flags->GetInt("checkpoint_every");
   ckpt.resume = flags->GetBool("resume");
   return true;
 }

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
                "directory for crash-consistent checkpoints of the EDDE run "
                "(empty = off); interrupt with Ctrl-C and rerun to resume");
   flags.Define("checkpoint_every", "1",
-               "checkpoint cadence, in completed rounds and epochs");
+               "checkpoint cadence, in completed rounds and epochs "
+               "(0 = a checkpoint every round, none inside a member)");
   flags.Define("resume", "true",
                "resume from the newest valid checkpoint in --checkpoint_dir");
   edde::DefineCommonFlags(&flags);
@@ -79,8 +80,7 @@ int main(int argc, char** argv) {
   edde::MethodConfig edde_cfg = method_cfg;
   edde_cfg.epochs_per_member = method_cfg.epochs_per_member * 3 / 4;
   edde_cfg.checkpoint.dir = flags.GetString("checkpoint_dir");
-  edde_cfg.checkpoint.every_rounds = flags.GetInt("checkpoint_every");
-  edde_cfg.checkpoint.every_epochs = flags.GetInt("checkpoint_every");
+  edde_cfg.checkpoint.every = flags.GetInt("checkpoint_every");
   edde_cfg.checkpoint.resume = flags.GetBool("resume");
   edde::EddeOptions edde_opts;
   edde_opts.gamma = 0.1f;

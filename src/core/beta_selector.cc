@@ -4,6 +4,7 @@
 
 #include "data/sampling.h"
 #include "metrics/metrics.h"
+#include "utils/crash.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/threadpool.h"
@@ -51,6 +52,7 @@ BetaProbeResult SelectBeta(const Dataset& train, const ModelFactory& factory,
     TraceScope trace("beta_probe/teacher");
     TrainModel(teacher.get(), teacher_data, teacher_tc, TrainContext{});
   }
+  if (ShutdownRequested()) GracefulShutdownExit();
 
   // The grid points are independent probes off the same frozen teacher, so
   // they train concurrently. Student construction and warm start draw from
@@ -78,6 +80,7 @@ BetaProbeResult SelectBeta(const Dataset& train, const ModelFactory& factory,
       MetricsRegistry::Global().GetCounter("beta_probe.probes");
   ParallelFor(0, num_betas, 1, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
+      if (ShutdownRequested()) continue;  // drain; the exit follows below
       TraceScope trace("beta_probe/probe");
       probe_counter->Increment();
       Probe& probe = probes[static_cast<size_t>(b)];
@@ -97,6 +100,7 @@ BetaProbeResult SelectBeta(const Dataset& train, const ModelFactory& factory,
       probe.unseen_acc /= config.probe_epochs;
     }
   });
+  if (ShutdownRequested()) GracefulShutdownExit();
 
   BetaProbeResult result;
   result.selected_beta = config.beta_grid.back();

@@ -9,7 +9,6 @@
 #include "metrics/diversity.h"
 #include "metrics/metrics.h"
 #include "tensor/ops.h"
-#include "utils/crash.h"
 #include "utils/durable_io.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
@@ -78,12 +77,9 @@ void RecordRoundStats(const EddeRoundStats& stats,
 }
 
 // EDDE's method-specific checkpoint blob: the per-round stats recorded so
-// far (so a resumed run hands observers the full history) and the eval
-// curve points (recomputing them would re-evaluate on the eval set, and the
-// paper's Fig. 7 data should survive a crash). Packed as a nested section
-// payload; the enclosing generation section carries the CRC.
-std::string PackEddeMethodState(const std::vector<EddeRoundStats>& stats,
-                                const std::vector<CurvePoint>& curve_points) {
+// far, so a resumed run hands observers the full history. Packed as a
+// nested section payload; the enclosing generation section carries the CRC.
+std::string PackRoundStats(const std::vector<EddeRoundStats>& stats) {
   SectionWriter blob;
   blob.WriteU64(stats.size());
   for (const EddeRoundStats& s : stats) {
@@ -98,23 +94,16 @@ std::string PackEddeMethodState(const std::vector<EddeRoundStats>& stats,
     blob.WriteF64(s.weight_max);
     blob.WriteF64(s.round_seconds);
   }
-  blob.WriteU64(curve_points.size());
-  for (const CurvePoint& p : curve_points) {
-    blob.WriteI64(p.first);
-    blob.WriteF64(p.second);
-  }
   return blob.payload();
 }
 
-Status UnpackEddeMethodState(const std::string& payload,
-                             std::vector<EddeRoundStats>* stats,
-                             std::vector<CurvePoint>* curve_points) {
+Status UnpackRoundStats(const std::string& payload,
+                        std::vector<EddeRoundStats>* stats) {
   SectionReader blob;
   blob.InitFromPayload(payload);
-  uint64_t stat_count = 0;
-  if (!blob.ReadU64(&stat_count)) return blob.status();
-  stats->clear();
-  for (uint64_t i = 0; i < stat_count; ++i) {
+  uint64_t count = 0;
+  if (!blob.ReadU64(&count)) return blob.status();
+  for (uint64_t i = 0; i < count; ++i) {
     EddeRoundStats s;
     int64_t round = 0;
     uint32_t clamped = 0;
@@ -129,17 +118,6 @@ Status UnpackEddeMethodState(const std::string& payload,
     s.round = static_cast<int>(round);
     s.alpha_clamped = clamped != 0;
     stats->push_back(s);
-  }
-  uint64_t point_count = 0;
-  if (!blob.ReadU64(&point_count)) return blob.status();
-  curve_points->clear();
-  for (uint64_t i = 0; i < point_count; ++i) {
-    int64_t epochs = 0;
-    double accuracy = 0.0;
-    if (!blob.ReadI64(&epochs) || !blob.ReadF64(&accuracy)) {
-      return blob.status();
-    }
-    curve_points->emplace_back(static_cast<int>(epochs), accuracy);
   }
   return Status::OK();
 }
@@ -202,7 +180,6 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
   std::vector<double> weights = initial_weights;
 
   EnsembleModel ensemble;
-  int cumulative_epochs = 0;
 
   // Round-stats collection is read-only observation: it draws nothing from
   // the RNG, so trained ensembles are bit-identical with telemetry on or
@@ -212,114 +189,51 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
                              MetricsRegistry::Global().events_enabled();
   std::vector<Tensor> member_train_probs;
 
-  // Crash consistency (DESIGN.md §11): one generation per completed round,
-  // plus inflight checkpoints inside each member via the TrainConfig. All
-  // checkpoint work is observation-only — it draws nothing from `rng` — so
-  // trained ensembles are bit-identical with checkpointing on or off.
-  RoundCheckpointer ckpt(config_.checkpoint, name(),
-                         MethodFingerprint(name(), config_, n));
-  std::vector<EddeRoundStats> stats_log;  // full tail, checkpointed
-  std::vector<CurvePoint> curve_log;
-  int start_round = 0;  // rounds already completed (resume)
-  if (ckpt.enabled() && config_.checkpoint.resume) {
-    TrainProgress p;
-    if (ckpt.LoadLatest(factory, &p).ok()) {
-      rng.RestoreState(p.rng);
-      weights = p.weights;
-      for (size_t i = 0; i < p.owned_members.size(); ++i) {
-        ensemble.AddMember(std::move(p.owned_members[i]), p.alphas[i]);
-      }
-      cumulative_epochs = p.cumulative_epochs;
-      start_round = p.round;
-      Status unpacked =
-          UnpackEddeMethodState(p.method_state, &stats_log, &curve_log);
-      if (!unpacked.ok()) {
-        // The generation passed its CRCs, so this is a version skew rather
-        // than corruption; the run continues with an empty history.
-        EDDE_LOG(WARNING) << "discarding EDDE method state: "
-                          << unpacked.ToString();
-        stats_log.clear();
-        curve_log.clear();
-      }
-      // Completed rounds are handed to the observer from the checkpoint
-      // (no JSONL re-emission — those records were already written by the
-      // original process). Derived per-member state is recomputed, which
-      // is exact because PredictProbs is deterministic.
-      if (options_.round_stats != nullptr) {
-        options_.round_stats->insert(options_.round_stats->end(),
-                                     stats_log.begin(), stats_log.end());
-      }
-      if (curve.enabled()) {
-        curve.points->insert(curve.points->end(), curve_log.begin(),
-                             curve_log.end());
-      }
-      if (collect_stats) {
-        for (int64_t i = 0; i < ensemble.size(); ++i) {
-          member_train_probs.push_back(PredictProbs(ensemble.member(i), train));
-        }
+  // Crash consistency (DESIGN.md §11): the round loop restores members, α,
+  // W_t, the RNG and the curve points; the blob carries the round stats.
+  RoundCheckpointer rounds(
+      config_, name(), n, curve,
+      {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
+  std::vector<EddeRoundStats> stats_log;  // full history, checkpointed
+  const std::string blob = rounds.Resume(factory);
+  if (rounds.rounds() > 0) {
+    Status unpacked = UnpackRoundStats(blob, &stats_log);
+    if (!unpacked.ok()) {
+      // The stats are observation only; a blob that passed the CRC and
+      // version checks yet does not parse costs the history, not the run.
+      EDDE_LOG(WARNING) << "discarding EDDE round stats: "
+                        << unpacked.ToString();
+      stats_log.clear();
+    }
+    // Completed rounds are handed to the observer from the checkpoint
+    // (no JSONL re-emission — those records were already written by the
+    // original process). Derived per-member state is recomputed, which
+    // is exact because PredictProbs is deterministic.
+    if (options_.round_stats != nullptr) {
+      options_.round_stats->insert(options_.round_stats->end(),
+                                   stats_log.begin(), stats_log.end());
+    }
+    if (collect_stats) {
+      for (int64_t i = 0; i < ensemble.size(); ++i) {
+        member_train_probs.push_back(PredictProbs(ensemble.member(i), train));
       }
     }
   }
-
-  auto make_train_config = [&](int epochs, int round, int attempt = 0) {
-    TrainConfig tc;
-    tc.epochs = epochs;
-    tc.batch_size = config_.batch_size;
-    tc.sgd = config_.sgd;
-    tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-    tc.augment = config_.augment;
-    tc.augment_config = config_.augment_config;
-    tc.seed = rng.NextU64();
-    if (ckpt.enabled()) {
-      tc.checkpoint.path = ckpt.InflightPath(round);
-      tc.checkpoint.every_epochs = config_.checkpoint.every_epochs;
-      // Divergence-recovery attempts (below) train a different trajectory
-      // into the same inflight slot; salting the fingerprint with the
-      // attempt keeps a crash mid-retry from resuming one attempt off
-      // another attempt's file (attempt 0 keeps the historical value, so
-      // pre-existing checkpoints stay valid).
-      tc.checkpoint.fingerprint = InflightFingerprint(
-          ckpt.fingerprint(), round + 1000003 * attempt);
-    }
-    return tc;
-  };
-
-  auto write_generation = [&](int round) {
-    if (!ckpt.ShouldWrite(round)) return;
-    TrainProgress p;
-    p.round = round;
-    p.cumulative_epochs = cumulative_epochs;
-    p.rng = rng.SaveState();
-    p.weights = weights;
-    p.alphas = ensemble.alphas();
-    for (int64_t i = 0; i < ensemble.size(); ++i) {
-      p.members.push_back(ensemble.member(i));
-    }
-    p.method_state = PackEddeMethodState(stats_log, curve_log);
-    Status s = ckpt.Write(p);
-    if (!s.ok()) {
-      // Degrade, don't die: a failed generation costs recoverability from
-      // this round, not the run itself.
-      EDDE_LOG(WARNING) << "round checkpoint failed: " << s.ToString();
-      return;
-    }
-    // The member's inflight file is superseded by the durable generation.
-    ckpt.RemoveInflight(round);
+  auto end_round = [&](int epochs, const EddeRoundStats& stats) {
+    RecordRoundStats(stats, options_.round_stats);
+    stats_log.push_back(stats);
+    rounds.EndRound(epochs, PackRoundStats(stats_log));
   };
 
   static const TraceRegion* const round_region = GetTraceRegion("edde/round");
 
   // ---- Line 3-5: first member, plain training on uniform weights. ----
-  if (start_round < 1) {
+  if (rounds.rounds() < 1) {
     TraceScope round_scope(round_region);
     Timer round_timer;
     std::unique_ptr<Module> h1 = factory(rng.NextU64());
-    TrainModel(h1.get(), train, make_train_config(first_epochs, /*round=*/1),
-               TrainContext{});
-    // A signal mid-member means TrainModel stopped at an epoch boundary
-    // after writing its inflight checkpoint; exit before recording a
-    // half-trained member as a completed round.
-    if (ShutdownRequested()) GracefulShutdownExit();
+    rounds.TrainMember(h1.get(), train,
+                       rounds.MemberConfig(1, first_epochs, rng.NextU64()));
 
     // Line 4 computes α₁ from the correct/incorrect count ratio. We take
     // the ½·log of that ratio so α₁ lives on the same scale as the later
@@ -342,12 +256,6 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
       member_train_probs.push_back(PredictProbs(h1.get(), train));
     }
     ensemble.AddMember(std::move(h1), alpha1);
-    cumulative_epochs += first_epochs;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-      curve_log.push_back(curve.points->back());
-    }
 
     EddeRoundStats stats;
     stats.round = 1;
@@ -358,14 +266,12 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     stats.mean_pairwise_div = 0.0;  // Eq. 7 needs T >= 2
     SummarizeWeights(weights, &stats);
     stats.round_seconds = round_timer.Seconds();
-    RecordRoundStats(stats, options_.round_stats);
-    stats_log.push_back(stats);
-    write_generation(1);
+    end_round(first_epochs, stats);
   }
 
   // ---- Lines 6-15: subsequent members. ----
-  for (int t = std::max(2, start_round + 1); t <= config_.num_members; ++t) {
-    if (ShutdownRequested()) GracefulShutdownExit();
+  for (int t = std::max(2, rounds.rounds() + 1); t <= config_.num_members;
+       ++t) {
     TraceScope round_scope(round_region);
     Timer round_timer;
     // Soft targets of the current ensemble H_{t−1} on the training set.
@@ -416,11 +322,10 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
         ctx.reference_probs = &diversity_reference;
         ctx.loss.diversity_gamma = options_.gamma;
       }
-      TrainModel(ht.get(), train,
-                 make_train_config(config_.epochs_per_member, /*round=*/t,
-                                   attempt),
-                 ctx);
-      if (ShutdownRequested()) GracefulShutdownExit();
+      rounds.TrainMember(ht.get(), train,
+                         rounds.MemberConfig(t, config_.epochs_per_member,
+                                             rng.NextU64(), attempt),
+                         ctx);
       member_probs = PredictProbs(ht.get(), train);
       member_finite = AllFinite(member_probs);
       if (member_finite) break;
@@ -445,7 +350,6 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
         options_.weight_update == EddeOptions::WeightUpdateBase::kFromInitial
             ? initial_weights
             : weights;
-    const std::vector<double> previous_weights = weights;
     std::vector<double> new_weights(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       const size_t s = static_cast<size_t>(i);
@@ -453,17 +357,16 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
       new_weights[s] = base[s] * (wrong ? std::exp(sim[s] + bias[s]) : 1.0);
     }
     NormalizeWeights(&new_weights);  // Z_t
-    weights = std::move(new_weights);
 
     // Line 12 (Eq. 15): member weight from the Sim-weighted correct vs
-    // incorrect mass. See EddeOptions::alpha_from_updated_weights for the
-    // choice between the as-printed W_t and the scale-consistent W_{t−1}.
-    const std::vector<double>& alpha_weights =
-        options_.alpha_from_updated_weights ? weights : previous_weights;
+    // incorrect mass, weighted by the pre-update W_{t−1}. Algorithm 1 as
+    // printed uses the updated W_t, whose mass sits on h_t's own errors; at
+    // moderate train accuracy that drives α_t to its floor while α₁ stays
+    // large, so the first member dominates the vote (DESIGN.md §5).
     double correct_mass = 0.0, wrong_mass = 0.0;
     for (int64_t i = 0; i < n; ++i) {
       const size_t s = static_cast<size_t>(i);
-      const double mass = sim[s] * alpha_weights[s];
+      const double mass = sim[s] * weights[s];
       if (preds[s] == train.labels()[s]) {
         correct_mass += mass;
       } else {
@@ -474,17 +377,12 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
         0.5 * std::log(std::max(correct_mass, 1e-12) /
                        std::max(wrong_mass, 1e-12));
     const double alpha = std::clamp(raw_alpha, kAlphaMin, kAlphaMax);
+    weights = std::move(new_weights);
 
     if (collect_stats) {
       member_train_probs.push_back(member_probs);
     }
     ensemble.AddMember(std::move(ht), alpha);
-    cumulative_epochs += config_.epochs_per_member;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-      curve_log.push_back(curve.points->back());
-    }
 
     EddeRoundStats stats;
     stats.round = t;
@@ -497,9 +395,7 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     }
     SummarizeWeights(weights, &stats);
     stats.round_seconds = round_timer.Seconds();
-    RecordRoundStats(stats, options_.round_stats);
-    stats_log.push_back(stats);
-    write_generation(t);
+    end_round(config_.epochs_per_member, stats);
   }
   return ensemble;
 }

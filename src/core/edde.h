@@ -62,16 +62,6 @@ struct EddeOptions {
   enum class WeightUpdateBase { kFromInitial, kMultiplicative };
   WeightUpdateBase weight_update = WeightUpdateBase::kFromInitial;
 
-  /// Design choice: which weights enter Eq. 15's member-weight ratio.
-  /// Algorithm 1 as printed computes α_t from the freshly *updated* W_t,
-  /// whose mass is concentrated on h_t's own errors; at moderate train
-  /// accuracy that drives α_t to its floor while α₁ (computed from plain
-  /// counts) stays large, so the first member dominates the vote. Using the
-  /// pre-update weights W_{t−1} keeps every α_t on α₁'s scale — the regimes
-  /// match only when members fit the training set almost perfectly, which
-  /// is the paper's (but not every) operating point. Default: pre-update.
-  bool alpha_from_updated_weights = false;
-
   /// Design choice: the soft target the diversity term pushes away from —
   /// the full ensemble H_{t−1} (paper) or just the previous member h_{t−1}.
   enum class DiversityTarget { kEnsemble, kPreviousMember };

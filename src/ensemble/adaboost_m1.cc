@@ -5,8 +5,8 @@
 #include <memory>
 
 #include "data/sampling.h"
+#include "ensemble/run_checkpoint.h"
 #include "metrics/metrics.h"
-#include "utils/logging.h"
 
 namespace edde {
 
@@ -19,22 +19,19 @@ EnsembleModel AdaBoostM1::Train(const Dataset& train,
   std::vector<double> weights(static_cast<size_t>(n),
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
-  int cumulative_epochs = 0;
+  RoundCheckpointer rounds(
+      config_, name(), n, curve,
+      {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
+  rounds.Resume(factory);
 
-  for (int t = 0; t < config_.num_members; ++t) {
+  for (int t = rounds.rounds(); t < config_.num_members; ++t) {
     const auto indices = WeightedResampleIndices(weights, n, &rng);
     const Dataset resampled = train.Subset(indices, train.name() + "/boost");
 
     std::unique_ptr<Module> model = factory(rng.NextU64());
-    TrainConfig tc;
-    tc.epochs = config_.epochs_per_member;
-    tc.batch_size = config_.batch_size;
-    tc.sgd = config_.sgd;
-    tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-    tc.augment = config_.augment;
-    tc.augment_config = config_.augment_config;
-    tc.seed = rng.NextU64();
-    TrainModel(model.get(), resampled, tc, TrainContext{});
+    rounds.TrainMember(
+        model.get(), resampled,
+        rounds.MemberConfig(t + 1, config_.epochs_per_member, rng.NextU64()));
 
     // Weighted training error on the full (unresampled) training set.
     const std::vector<int> preds = PredictLabels(model.get(), train);
@@ -66,11 +63,7 @@ EnsembleModel AdaBoostM1::Train(const Dataset& train,
     }
 
     ensemble.AddMember(std::move(model), std::max(alpha, 1e-3));
-    cumulative_epochs += config_.epochs_per_member;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-    }
+    rounds.EndRound(config_.epochs_per_member);
   }
   return ensemble;
 }

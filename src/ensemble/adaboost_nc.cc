@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "data/sampling.h"
+#include "ensemble/run_checkpoint.h"
 #include "metrics/metrics.h"
 #include "nn/checkpoint.h"
 #include "tensor/ops.h"
@@ -20,12 +21,19 @@ EnsembleModel AdaBoostNC::Train(const Dataset& train,
   std::vector<double> weights(static_cast<size_t>(n),
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
+  RoundCheckpointer rounds(
+      config_, name(), n, curve,
+      {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
+  rounds.Resume(factory);
   // Per-member hard predictions on the training set, kept for the ambiguity
-  // term.
+  // term. Recomputed for restored members, which is exact because
+  // prediction is deterministic.
   std::vector<std::vector<int>> member_train_preds;
-  int cumulative_epochs = 0;
+  for (int64_t i = 0; i < ensemble.size(); ++i) {
+    member_train_preds.push_back(PredictLabels(ensemble.member(i), train));
+  }
 
-  for (int t = 0; t < config_.num_members; ++t) {
+  for (int t = rounds.rounds(); t < config_.num_members; ++t) {
     const auto indices = WeightedResampleIndices(weights, n, &rng);
     const Dataset resampled = train.Subset(indices, train.name() + "/nc");
 
@@ -36,15 +44,9 @@ EnsembleModel AdaBoostNC::Train(const Dataset& train,
                                 model.get())
                      .ok());
     }
-    TrainConfig tc;
-    tc.epochs = config_.epochs_per_member;
-    tc.batch_size = config_.batch_size;
-    tc.sgd = config_.sgd;
-    tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-    tc.augment = config_.augment;
-    tc.augment_config = config_.augment_config;
-    tc.seed = rng.NextU64();
-    TrainModel(model.get(), resampled, tc, TrainContext{});
+    rounds.TrainMember(
+        model.get(), resampled,
+        rounds.MemberConfig(t + 1, config_.epochs_per_member, rng.NextU64()));
 
     member_train_preds.push_back(PredictLabels(model.get(), train));
     const std::vector<int>& preds = member_train_preds.back();
@@ -116,11 +118,7 @@ EnsembleModel AdaBoostNC::Train(const Dataset& train,
     NormalizeWeights(&weights);
 
     ensemble.AddMember(std::move(model), alpha);
-    cumulative_epochs += config_.epochs_per_member;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-    }
+    rounds.EndRound(config_.epochs_per_member);
   }
   return ensemble;
 }

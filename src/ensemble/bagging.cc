@@ -6,7 +6,6 @@
 #include "data/sampling.h"
 #include "ensemble/run_checkpoint.h"
 #include "utils/crash.h"
-#include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/threadpool.h"
 #include "utils/trace.h"
@@ -37,90 +36,40 @@ EnsembleModel Bagging::Train(const Dataset& train, const ModelFactory& factory,
   }
 
   // Crash consistency (DESIGN.md §11): every seed above is re-derived
-  // deterministically from config_.seed, so a resumed run only needs to
-  // know which member *slots* already finished. Completion order under
-  // ParallelFor is nondeterministic, so generations carry the slot list.
-  RoundCheckpointer ckpt(config_.checkpoint, name(),
-                         MethodFingerprint(name(), config_, train.size()));
+  // deterministically from config_.seed, so a resumed run only needs the
+  // members of the slots that already finished. Completion order under
+  // ParallelFor is nondeterministic, so generations are keyed by slot.
   std::vector<std::unique_ptr<Module>> models(
       static_cast<size_t>(num_members));
-  std::vector<char> done(static_cast<size_t>(num_members), 0);
-  int completed = 0;
-  if (ckpt.enabled() && config_.checkpoint.resume) {
-    TrainProgress p;
-    if (ckpt.LoadLatest(factory, &p).ok() &&
-        p.slots.size() == p.owned_members.size()) {
-      for (size_t i = 0; i < p.slots.size(); ++i) {
-        const size_t slot = static_cast<size_t>(p.slots[i]);
-        if (slot < models.size() && !done[slot]) {
-          models[slot] = std::move(p.owned_members[i]);
-          done[slot] = 1;
-          ++completed;
-        }
-      }
-    }
-  }
+  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+                           {.slot_members = &models});
+  rounds.Resume(factory);
 
-  // Serializes generation writes from concurrent workers; `done`, `models`
-  // and `completed` are only mutated pre-parallel or under this mutex.
-  std::mutex ckpt_mu;
-  auto record_completion = [&](int slot, std::unique_ptr<Module> model) {
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    models[static_cast<size_t>(slot)] = std::move(model);
-    done[static_cast<size_t>(slot)] = 1;
-    ++completed;
-    if (!ckpt.ShouldWrite(completed)) return;
-    TrainProgress p;
-    p.round = completed;
-    p.cumulative_epochs = completed * config_.epochs_per_member;
-    p.rng = rng.SaveState();  // post-plan state; resume re-draws the plans
-    for (int t = 0; t < num_members; ++t) {
-      if (!done[static_cast<size_t>(t)]) continue;
-      p.slots.push_back(static_cast<uint64_t>(t));
-      p.members.push_back(models[static_cast<size_t>(t)].get());
-      p.alphas.push_back(1.0);
-    }
-    Status s = ckpt.Write(p);
-    if (!s.ok()) {
-      // Degrade, don't die: the inflight files stay behind as the fallback.
-      EDDE_LOG(WARNING) << "bagging checkpoint failed: " << s.ToString();
-      return;
-    }
-    // Every member in the durable generation supersedes its inflight file.
-    for (uint64_t done_slot : p.slots) {
-      ckpt.RemoveInflight(static_cast<int>(done_slot));
-    }
-  };
-
+  // Serializes round ends from concurrent workers; a slot of `models` is
+  // only written by the worker that trains it, under this mutex.
+  std::mutex rounds_mu;
   static Counter* const member_counter =
       MetricsRegistry::Global().GetCounter("bagging.members_trained");
   ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
-      if (done[static_cast<size_t>(t)]) continue;  // restored from checkpoint
-      if (ShutdownRequested()) continue;  // drain; the caller owns the exit
+      const size_t slot = static_cast<size_t>(t);
+      if (models[slot] != nullptr) continue;  // restored from checkpoint
+      if (ShutdownRequested()) continue;  // drain; the exit follows below
       TraceScope trace("bagging/member");
       member_counter->Increment();
-      const MemberPlan& plan = plans[static_cast<size_t>(t)];
+      const MemberPlan& plan = plans[slot];
       std::unique_ptr<Module> model = factory(plan.factory_seed);
-      TrainConfig tc;
-      tc.epochs = config_.epochs_per_member;
-      tc.batch_size = config_.batch_size;
-      tc.sgd = config_.sgd;
-      tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-      tc.augment = config_.augment;
-      tc.augment_config = config_.augment_config;
-      tc.seed = plan.train_seed;
-      if (ckpt.enabled()) {
-        tc.checkpoint.path = ckpt.InflightPath(static_cast<int>(t));
-        tc.checkpoint.every_epochs = config_.checkpoint.every_epochs;
-        tc.checkpoint.fingerprint =
-            InflightFingerprint(ckpt.fingerprint(), static_cast<int>(t));
-      }
-      TrainModel(model.get(), plan.boot, tc, TrainContext{});
+      TrainModel(model.get(), plan.boot,
+                 rounds.MemberConfig(static_cast<int>(t),
+                                     config_.epochs_per_member,
+                                     plan.train_seed),
+                 TrainContext{});
       // A signal mid-member leaves the half-trained model to its inflight
       // checkpoint; recording it as complete would corrupt the ensemble.
       if (ShutdownRequested()) continue;
-      record_completion(static_cast<int>(t), std::move(model));
+      std::lock_guard<std::mutex> lock(rounds_mu);
+      models[slot] = std::move(model);
+      rounds.EndRound(config_.epochs_per_member);
     }
   });
   if (ShutdownRequested()) GracefulShutdownExit();

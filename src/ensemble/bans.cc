@@ -4,8 +4,6 @@
 
 #include "ensemble/run_checkpoint.h"
 #include "metrics/metrics.h"
-#include "utils/crash.h"
-#include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/trace.h"
 
@@ -15,85 +13,34 @@ EnsembleModel Bans::Train(const Dataset& train, const ModelFactory& factory,
                           const EvalCurve& curve) {
   Rng rng(config_.seed);
   EnsembleModel ensemble;
-  Tensor teacher_probs;  // previous generation's soft targets on `train`
-  int cumulative_epochs = 0;
-
-  // Crash consistency (DESIGN.md §11): generations store the members and
-  // the RNG stream; the teacher's soft targets are recomputed on resume,
-  // which is exact because PredictProbs is deterministic.
-  RoundCheckpointer ckpt(config_.checkpoint, name(),
-                         MethodFingerprint(name(), config_, train.size()));
-  int start_t = 0;
-  if (ckpt.enabled() && config_.checkpoint.resume) {
-    TrainProgress p;
-    if (ckpt.LoadLatest(factory, &p).ok()) {
-      rng.RestoreState(p.rng);
-      for (size_t i = 0; i < p.owned_members.size(); ++i) {
-        ensemble.AddMember(std::move(p.owned_members[i]), p.alphas[i]);
-      }
-      cumulative_epochs = p.cumulative_epochs;
-      start_t = p.round;
-      if (ensemble.size() > 0) {
-        teacher_probs =
-            PredictProbs(ensemble.member(ensemble.size() - 1), train);
-      }
-    }
+  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+                           {.ensemble = &ensemble, .rng = &rng});
+  rounds.Resume(factory);
+  // The previous generation's soft targets on `train`; recomputed for a
+  // restored teacher, which is exact because PredictProbs is deterministic.
+  Tensor teacher_probs;
+  if (ensemble.size() > 0) {
+    teacher_probs = PredictProbs(ensemble.member(ensemble.size() - 1), train);
   }
 
   static Counter* const member_counter =
       MetricsRegistry::Global().GetCounter("bans.members_trained");
-  for (int t = start_t; t < config_.num_members; ++t) {
-    if (ShutdownRequested()) GracefulShutdownExit();
+  for (int t = rounds.rounds(); t < config_.num_members; ++t) {
     TraceScope trace("bans/member");
     member_counter->Increment();
     std::unique_ptr<Module> model = factory(rng.NextU64());
-    TrainConfig tc;
-    tc.epochs = config_.epochs_per_member;
-    tc.batch_size = config_.batch_size;
-    tc.sgd = config_.sgd;
-    tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-    tc.augment = config_.augment;
-    tc.augment_config = config_.augment_config;
-    tc.seed = rng.NextU64();
-    if (ckpt.enabled()) {
-      tc.checkpoint.path = ckpt.InflightPath(t + 1);
-      tc.checkpoint.every_epochs = config_.checkpoint.every_epochs;
-      tc.checkpoint.fingerprint =
-          InflightFingerprint(ckpt.fingerprint(), t + 1);
-    }
-
+    const TrainConfig tc =
+        rounds.MemberConfig(t + 1, config_.epochs_per_member, rng.NextU64());
     TrainContext ctx;
     if (t > 0) {
       ctx.reference_probs = &teacher_probs;
       ctx.loss.distill_weight = distill_weight_;
     }
-    TrainModel(model.get(), train, tc, ctx);
-    if (ShutdownRequested()) GracefulShutdownExit();
+    rounds.TrainMember(model.get(), train, tc, ctx);
 
     teacher_probs = PredictProbs(model.get(), train);
     ensemble.AddMember(std::move(model), 1.0);
-    cumulative_epochs += config_.epochs_per_member;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-    }
-
-    if (ckpt.ShouldWrite(t + 1)) {
-      TrainProgress p;
-      p.round = t + 1;
-      p.cumulative_epochs = cumulative_epochs;
-      p.rng = rng.SaveState();
-      p.alphas = ensemble.alphas();
-      for (int64_t i = 0; i < ensemble.size(); ++i) {
-        p.members.push_back(ensemble.member(i));
-      }
-      Status s = ckpt.Write(p);
-      if (!s.ok()) {
-        EDDE_LOG(WARNING) << "BANs checkpoint failed: " << s.ToString();
-      } else {
-        ckpt.RemoveInflight(t + 1);
-      }
-    }
+    rounds.EndRound(config_.epochs_per_member);
   }
   return ensemble;
 }

@@ -11,18 +11,18 @@
 namespace edde {
 
 /// Crash-consistent checkpointing of a training run (DESIGN.md §11).
-/// When `dir` is set, methods write one checkpoint *generation* per
-/// completed round/member (atomic, CRC-framed; see ensemble/run_checkpoint)
-/// and, at `every_epochs` cadence, an *inflight* checkpoint of the member
-/// currently training. On start with `resume`, the newest generation that
-/// passes every CRC is loaded and training continues bit-identically to an
+/// When `dir` is set, methods write a checkpoint *generation* every `every`
+/// completed rounds (atomic, CRC-framed; see ensemble/run_checkpoint) and
+/// an *inflight* checkpoint of the member currently training every `every`
+/// epochs. `every` = 0 writes a generation every round and no inflight
+/// checkpoints. On start with `resume`, the newest generation that passes
+/// every CRC is loaded and training continues bit-identically to an
 /// uninterrupted run.
 struct CheckpointConfig {
-  std::string dir;      ///< Empty: checkpointing disabled (zero overhead).
-  int every_rounds = 1; ///< Write a generation every k completed rounds.
-  int every_epochs = 1; ///< Inflight cadence inside a member; 0 disables.
-  int keep = 3;         ///< Generations retained; older ones are deleted.
-  bool resume = true;   ///< Load the newest valid generation on Train().
+  std::string dir;    ///< Empty: checkpointing disabled (zero overhead).
+  int every = 1;      ///< Cadence in rounds (generations) and epochs (inflight).
+  int keep = 3;       ///< Generations retained; older ones are deleted.
+  bool resume = true; ///< Load the newest valid generation on Train().
 };
 
 /// Budget and training hyper-parameters shared by every ensemble method.
@@ -44,7 +44,9 @@ struct MethodConfig {
 using CurvePoint = std::pair<int, double>;
 
 /// Optional accuracy-vs-budget probe (the paper's Fig. 7): when `eval` is
-/// set, methods append a CurvePoint after each member completes.
+/// set, methods append a CurvePoint after each round (each member; Single
+/// at each member-budget boundary). Points of rounds restored from a
+/// checkpoint are replayed from it.
 struct EvalCurve {
   const Dataset* eval = nullptr;
   std::vector<CurvePoint>* points = nullptr;

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include "metrics/metrics.h"
 #include "nn/checkpoint.h"
+#include "utils/crash.h"
 #include "utils/durable_io.h"
 #include "utils/failpoint.h"
 #include "utils/logging.h"
@@ -31,7 +34,10 @@ constexpr uint32_t kTagRng = 2;
 constexpr uint32_t kTagOptim = 3;
 constexpr uint32_t kTagMethodState = 4;
 constexpr uint32_t kTagMember = 5;
-constexpr uint32_t kVersion = 1;
+/// Version 2 carries the curve points in the header; a generation of
+/// another version is skipped, not misread.
+constexpr uint32_t kGenerationVersion = 2;
+constexpr uint32_t kInflightVersion = 1;
 
 std::string GenerationPath(const std::string& dir, int round) {
   char name[32];
@@ -102,12 +108,13 @@ Status ReadRngState(SectionReader* in, RngState* rng) {
 Status ReadDoubleVector(SectionReader* in, std::vector<double>* out) {
   uint64_t count = 0;
   if (!in->ReadU64(&count)) return in->status();
+  if (count > in->remaining() / sizeof(double)) {
+    return Status::Corruption("vector length exceeds the section");
+  }
   out->resize(count);
   if (count > 0 && !in->ReadDoubles(out->data(), count)) return in->status();
   return Status::OK();
 }
-
-}  // namespace
 
 uint64_t MethodFingerprint(const std::string& method_name,
                            const MethodConfig& config, int64_t dataset_size) {
@@ -126,184 +133,333 @@ uint64_t InflightFingerprint(uint64_t method_fingerprint, int slot) {
   return FingerprintBytes(&slot, sizeof(slot), method_fingerprint);
 }
 
-RoundCheckpointer::RoundCheckpointer(const CheckpointConfig& config,
-                                     std::string method_name,
-                                     uint64_t method_fingerprint)
+/// One generation as read from disk, members rebuilt and restored.
+struct Generation {
+  int round = 0;
+  int cumulative_epochs = 0;
+  RngState rng;
+  std::vector<double> weights;
+  std::vector<double> alphas;
+  std::vector<uint64_t> slots;
+  std::vector<CurvePoint> points;
+  std::string method_state;
+  std::vector<std::unique_ptr<Module>> members;
+};
+
+Status ReadGeneration(const std::string& path, uint64_t fingerprint,
+                      const ModelFactory& factory, Generation* g) {
+  BinaryReader reader(path);
+  EDDE_RETURN_NOT_OK(reader.status());
+  uint32_t magic = 0;
+  if (!reader.ReadU32(&magic)) return reader.status();
+  if (magic != kGenerationMagic) {
+    return Status::Corruption("bad generation magic");
+  }
+
+  SectionReader header;
+  EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
+  if (header.version() != kGenerationVersion) {
+    return Status::FailedPrecondition(
+        "generation version " + std::to_string(header.version()) +
+        ", expected " + std::to_string(kGenerationVersion));
+  }
+  std::string method_name;
+  uint64_t saved_fingerprint = 0;
+  int64_t round = 0;
+  int64_t cumulative_epochs = 0;
+  uint64_t num_members = 0;
+  if (!header.ReadString(&method_name) ||
+      !header.ReadU64(&saved_fingerprint) || !header.ReadI64(&round) ||
+      !header.ReadI64(&cumulative_epochs) || !header.ReadU64(&num_members)) {
+    return header.status();
+  }
+  if (saved_fingerprint != fingerprint) {
+    return Status::FailedPrecondition(
+        "generation belongs to a different run (method/config/dataset "
+        "changed)");
+  }
+  // Every per-member array is num_members long; check the count against
+  // the payload before sizing anything by it.
+  if (num_members > header.remaining() / sizeof(double)) {
+    return Status::Corruption("member count exceeds the header");
+  }
+  EDDE_RETURN_NOT_OK(ReadDoubleVector(&header, &g->weights));
+  g->alphas.resize(num_members);
+  g->slots.resize(num_members);
+  if (num_members > 0 &&
+      !header.ReadDoubles(g->alphas.data(), g->alphas.size())) {
+    return header.status();
+  }
+  for (double alpha : g->alphas) {
+    if (!(alpha > 0.0) || !std::isfinite(alpha)) {
+      return Status::Corruption("member weight is not positive and finite");
+    }
+  }
+  for (uint64_t& s : g->slots) {
+    if (!header.ReadU64(&s)) return header.status();
+  }
+  uint64_t num_points = 0;
+  if (!header.ReadU64(&num_points)) return header.status();
+  for (uint64_t i = 0; i < num_points; ++i) {
+    int64_t epochs = 0;
+    double accuracy = 0.0;
+    if (!header.ReadI64(&epochs) || !header.ReadF64(&accuracy)) {
+      return header.status();
+    }
+    g->points.emplace_back(static_cast<int>(epochs), accuracy);
+  }
+  g->round = static_cast<int>(round);
+  g->cumulative_epochs = static_cast<int>(cumulative_epochs);
+
+  SectionReader rng;
+  EDDE_RETURN_NOT_OK(rng.Load(&reader, kTagRng));
+  EDDE_RETURN_NOT_OK(ReadRngState(&rng, &g->rng));
+
+  SectionReader method_state;
+  EDDE_RETURN_NOT_OK(method_state.Load(&reader, kTagMethodState));
+  g->method_state = method_state.TakeRemaining();
+
+  for (uint64_t i = 0; i < num_members; ++i) {
+    SectionReader section;
+    EDDE_RETURN_NOT_OK(section.Load(&reader, kTagMember));
+    std::unique_ptr<Module> member = factory(0);
+    EDDE_RETURN_NOT_OK(ReadModuleParams(member.get(), &section));
+    g->members.push_back(std::move(member));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+RoundCheckpointer::RoundCheckpointer(const MethodConfig& config,
+                                     const std::string& method_name,
+                                     int64_t dataset_size,
+                                     const EvalCurve& curve,
+                                     const RoundState& state)
     : config_(config),
-      method_name_(std::move(method_name)),
-      fingerprint_(method_fingerprint) {
-  if (!config_.dir.empty()) {
-    config_.dir += "/" + SanitizeForPath(method_name_);
+      method_name_(method_name),
+      fingerprint_(MethodFingerprint(method_name, config, dataset_size)),
+      curve_(curve),
+      state_(state) {
+  if (enabled()) {
+    dir_ = config_.checkpoint.dir + "/" + SanitizeForPath(method_name_);
     // Created eagerly: inflight checkpoints land here before the first
     // generation write. Failure degrades (every write will warn), it never
     // fails the run.
-    Status s = EnsureDir(config_.dir);
+    Status s = EnsureDir(dir_);
     if (!s.ok()) {
       EDDE_LOG(WARNING) << "cannot create checkpoint dir: " << s.ToString();
     }
   }
 }
 
-bool RoundCheckpointer::ShouldWrite(int round) const {
-  if (!enabled()) return false;
-  const int every = config_.every_rounds > 0 ? config_.every_rounds : 1;
-  return round % every == 0;
+std::string RoundCheckpointer::Resume(const ModelFactory& factory) {
+  if (!enabled() || !config_.checkpoint.resume) return "";
+  std::vector<int> rounds = ListGenerations(dir_);
+  std::sort(rounds.rbegin(), rounds.rend());  // newest first
+  for (int round : rounds) {
+    const std::string path = GenerationPath(dir_, round);
+    Generation g;
+    Status s = ReadGeneration(path, fingerprint_, factory, &g);
+    if (s.ok() && state_.weights != nullptr &&
+        g.weights.size() != state_.weights->size()) {
+      s = Status::Corruption("sample-weight count does not match the data");
+    }
+    if (s.ok() && state_.slot_members != nullptr) {
+      std::vector<char> seen(state_.slot_members->size(), 0);
+      for (uint64_t slot : g.slots) {
+        if (slot >= seen.size() || seen[slot]++) {
+          s = Status::Corruption("member slot out of range or repeated");
+          break;
+        }
+      }
+    }
+    if (!s.ok()) {
+      // Graceful degradation: a torn or bit-flipped newest generation must
+      // never kill the run — fall back to the next older one.
+      MetricsRegistry::Global()
+          .GetCounter("checkpoint.corrupt_generations_skipped")
+          ->Increment();
+      EDDE_LOG(WARNING) << method_name_ << ": skipping unusable generation "
+                        << path << ": " << s.ToString();
+      continue;
+    }
+    rounds_ = g.round;
+    epochs_ = g.cumulative_epochs;
+    slots_ = g.slots;
+    points_ = g.points;
+    if (state_.rng != nullptr) state_.rng->RestoreState(g.rng);
+    if (state_.weights != nullptr) *state_.weights = std::move(g.weights);
+    for (size_t i = 0; i < g.members.size(); ++i) {
+      if (state_.ensemble != nullptr) {
+        state_.ensemble->AddMember(std::move(g.members[i]), g.alphas[i]);
+      } else {
+        (*state_.slot_members)[g.slots[i]] = std::move(g.members[i]);
+      }
+    }
+    if (curve_.enabled()) {
+      curve_.points->insert(curve_.points->end(), points_.begin(),
+                            points_.end());
+    }
+    MetricsRegistry::Global().GetCounter("checkpoint.resumes")->Increment();
+    EDDE_LOG(INFO) << method_name_ << ": resuming from " << path
+                   << " (round " << rounds_ << ")";
+    return std::move(g.method_state);
+  }
+  return "";
 }
 
-Status RoundCheckpointer::Write(const TrainProgress& progress) {
-  if (!enabled()) return Status::OK();
+TrainConfig RoundCheckpointer::MemberConfig(
+    int slot, int epochs, uint64_t seed, int attempt,
+    std::shared_ptr<const LrSchedule> schedule) const {
+  TrainConfig tc;
+  tc.epochs = epochs;
+  tc.batch_size = config_.batch_size;
+  tc.sgd = config_.sgd;
+  tc.schedule = schedule != nullptr
+                    ? std::move(schedule)
+                    : std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
+  tc.augment = config_.augment;
+  tc.augment_config = config_.augment_config;
+  tc.seed = seed;
+  if (enabled()) {
+    tc.checkpoint.path = InflightPath(slot);
+    tc.checkpoint.every_epochs = config_.checkpoint.every;
+    tc.checkpoint.fingerprint =
+        InflightFingerprint(fingerprint_, slot + 1000003 * attempt);
+  }
+  return tc;
+}
+
+void RoundCheckpointer::TrainMember(Module* model, const Dataset& data,
+                                    const TrainConfig& config,
+                                    const TrainContext& context,
+                                    const EpochCallback& on_epoch) const {
+  TrainModel(model, data, config, context, on_epoch);
+  if (ShutdownRequested()) GracefulShutdownExit();
+}
+
+void RoundCheckpointer::EndRound(int epochs, const std::string& method_state,
+                                 Module* probe) {
+  ++rounds_;
+  epochs_ += epochs;
+  if (state_.ensemble != nullptr) {
+    // A sequential member's inflight slot is the round it completed in.
+    while (static_cast<int64_t>(slots_.size()) < state_.ensemble->size()) {
+      slots_.push_back(static_cast<uint64_t>(rounds_));
+    }
+    if (curve_.enabled()) {
+      const double accuracy =
+          probe != nullptr ? EvaluateAccuracy(probe, *curve_.eval)
+                           : state_.ensemble->EvaluateAccuracy(*curve_.eval);
+      curve_.points->emplace_back(epochs_, accuracy);
+      points_.push_back(curve_.points->back());
+    }
+  } else {
+    for (size_t slot = 0; slot < state_.slot_members->size(); ++slot) {
+      if ((*state_.slot_members)[slot] != nullptr &&
+          std::find(slots_.begin(), slots_.end(), slot) == slots_.end()) {
+        slots_.push_back(slot);
+      }
+    }
+  }
+  const int every = config_.checkpoint.every;
+  if (!enabled() || (every > 0 && rounds_ % every != 0)) return;
+  Status s = WriteGeneration(method_state);
+  if (!s.ok()) {
+    // Degrade, don't die: a failed generation costs recoverability from
+    // this round, not the run itself; the inflight files stay as fallback.
+    EDDE_LOG(WARNING) << method_name_
+                      << ": round checkpoint failed: " << s.ToString();
+    return;
+  }
+  // The durable generation supersedes its members' inflight files.
+  for (uint64_t slot : slots_) {
+    ::unlink(InflightPath(static_cast<int>(slot)).c_str());
+  }
+}
+
+Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
   TraceScope scope(GetTraceRegion("checkpoint/write"));
   EDDE_FAILPOINT_STATUS("checkpoint.round");
-  EDDE_RETURN_NOT_OK(EnsureDir(config_.dir));
+  EDDE_RETURN_NOT_OK(EnsureDir(dir_));
 
-  const std::string path = GenerationPath(config_.dir, progress.round);
+  std::vector<Module*> members;
+  std::vector<double> alphas;
+  if (state_.ensemble != nullptr) {
+    for (int64_t i = 0; i < state_.ensemble->size(); ++i) {
+      members.push_back(state_.ensemble->member(i));
+    }
+    alphas = state_.ensemble->alphas();
+  } else {
+    for (uint64_t slot : slots_) {
+      members.push_back((*state_.slot_members)[slot].get());
+    }
+    alphas.assign(members.size(), 1.0);
+  }
+  static const std::vector<double> kNoWeights;
+  const std::vector<double>& weights =
+      state_.weights != nullptr ? *state_.weights : kNoWeights;
+
+  const std::string path = GenerationPath(dir_, rounds_);
   BinaryWriter writer(path);
   writer.WriteU32(kGenerationMagic);
 
   SectionWriter header;
   header.WriteString(method_name_);
   header.WriteU64(fingerprint_);
-  header.WriteI64(progress.round);
-  header.WriteI64(progress.cumulative_epochs);
-  header.WriteU64(progress.members.size());
-  header.WriteU64(progress.weights.size());
-  header.WriteDoubles(progress.weights.data(), progress.weights.size());
-  header.WriteU64(progress.alphas.size());
-  header.WriteDoubles(progress.alphas.data(), progress.alphas.size());
-  header.WriteU64(progress.slots.size());
-  for (uint64_t s : progress.slots) header.WriteU64(s);
-  header.AppendTo(&writer, kTagHeader, kVersion);
+  header.WriteI64(rounds_);
+  header.WriteI64(epochs_);
+  header.WriteU64(members.size());
+  header.WriteU64(weights.size());
+  header.WriteDoubles(weights.data(), weights.size());
+  header.WriteDoubles(alphas.data(), alphas.size());
+  for (uint64_t s : slots_) header.WriteU64(s);
+  header.WriteU64(points_.size());
+  for (const CurvePoint& p : points_) {
+    header.WriteI64(p.first);
+    header.WriteF64(p.second);
+  }
+  header.AppendTo(&writer, kTagHeader, kGenerationVersion);
 
   SectionWriter rng;
-  WriteRngState(progress.rng, &rng);
-  rng.AppendTo(&writer, kTagRng, kVersion);
+  WriteRngState(state_.rng != nullptr ? state_.rng->SaveState() : RngState{},
+                &rng);
+  rng.AppendTo(&writer, kTagRng, kGenerationVersion);
 
-  SectionWriter method_state;
-  method_state.WriteBytes(progress.method_state.data(),
-                          progress.method_state.size());
-  method_state.AppendTo(&writer, kTagMethodState, kVersion);
+  SectionWriter blob;
+  blob.WriteBytes(method_state.data(), method_state.size());
+  blob.AppendTo(&writer, kTagMethodState, kGenerationVersion);
 
-  for (Module* member : progress.members) {
+  for (Module* member : members) {
     SectionWriter section;
     WriteModuleParams(member, &section);
-    section.AppendTo(&writer, kTagMember, kVersion);
+    section.AppendTo(&writer, kTagMember, kGenerationVersion);
   }
   EDDE_RETURN_NOT_OK(writer.Finish());
   MetricsRegistry::Global().GetCounter("checkpoint.generations")->Increment();
-  EDDE_LOG(INFO) << method_name_ << ": checkpointed round " << progress.round
+  EDDE_LOG(INFO) << method_name_ << ": checkpointed round " << rounds_
                  << " -> " << path;
 
   // The generation is durable; a crash between here and the end of rotation
   // only leaves extra old generations behind, which the next rotation
   // removes.
   EDDE_FAILPOINT("checkpoint.commit");
-  if (config_.keep > 0) {
-    std::vector<int> rounds = ListGenerations(config_.dir);
+  if (config_.checkpoint.keep > 0) {
+    std::vector<int> rounds = ListGenerations(dir_);
     std::sort(rounds.begin(), rounds.end());
-    const size_t keep = static_cast<size_t>(config_.keep);
-    if (rounds.size() > keep) {
-      for (size_t i = 0; i + keep < rounds.size(); ++i) {
-        ::unlink(GenerationPath(config_.dir, rounds[i]).c_str());
-      }
+    const size_t keep = static_cast<size_t>(config_.checkpoint.keep);
+    for (size_t i = 0; i + keep < rounds.size(); ++i) {
+      ::unlink(GenerationPath(dir_, rounds[i]).c_str());
     }
   }
   return Status::OK();
 }
 
-Status RoundCheckpointer::LoadLatest(const ModelFactory& factory,
-                                     TrainProgress* progress) {
-  if (!enabled()) return Status::NotFound("checkpointing disabled");
-  std::vector<int> rounds = ListGenerations(config_.dir);
-  std::sort(rounds.rbegin(), rounds.rend());  // newest first
-  for (int round : rounds) {
-    const std::string path = GenerationPath(config_.dir, round);
-    TrainProgress candidate;
-    Status s = [&]() -> Status {
-      BinaryReader reader(path);
-      EDDE_RETURN_NOT_OK(reader.status());
-      uint32_t magic = 0;
-      if (!reader.ReadU32(&magic)) return reader.status();
-      if (magic != kGenerationMagic) {
-        return Status::Corruption("bad generation magic");
-      }
-
-      SectionReader header;
-      EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
-      std::string method_name;
-      uint64_t fingerprint = 0;
-      int64_t saved_round = 0;
-      int64_t cumulative_epochs = 0;
-      uint64_t num_members = 0;
-      if (!header.ReadString(&method_name) ||
-          !header.ReadU64(&fingerprint) || !header.ReadI64(&saved_round) ||
-          !header.ReadI64(&cumulative_epochs) ||
-          !header.ReadU64(&num_members)) {
-        return header.status();
-      }
-      if (fingerprint != fingerprint_) {
-        return Status::FailedPrecondition(
-            "generation belongs to a different run (method/config/dataset "
-            "changed)");
-      }
-      EDDE_RETURN_NOT_OK(ReadDoubleVector(&header, &candidate.weights));
-      EDDE_RETURN_NOT_OK(ReadDoubleVector(&header, &candidate.alphas));
-      uint64_t num_slots = 0;
-      if (!header.ReadU64(&num_slots)) return header.status();
-      candidate.slots.resize(num_slots);
-      for (uint64_t& s : candidate.slots) {
-        if (!header.ReadU64(&s)) return header.status();
-      }
-      if (candidate.alphas.size() != num_members) {
-        return Status::Corruption("alpha count does not match member count");
-      }
-      candidate.round = static_cast<int>(saved_round);
-      candidate.cumulative_epochs = static_cast<int>(cumulative_epochs);
-
-      SectionReader rng;
-      EDDE_RETURN_NOT_OK(rng.Load(&reader, kTagRng));
-      EDDE_RETURN_NOT_OK(ReadRngState(&rng, &candidate.rng));
-
-      SectionReader method_state;
-      EDDE_RETURN_NOT_OK(method_state.Load(&reader, kTagMethodState));
-      candidate.method_state = method_state.TakeRemaining();
-
-      for (uint64_t i = 0; i < num_members; ++i) {
-        SectionReader section;
-        EDDE_RETURN_NOT_OK(section.Load(&reader, kTagMember));
-        std::unique_ptr<Module> member = factory(0);
-        EDDE_RETURN_NOT_OK(ReadModuleParams(member.get(), &section));
-        candidate.owned_members.push_back(std::move(member));
-      }
-      return Status::OK();
-    }();
-    if (s.ok()) {
-      *progress = std::move(candidate);
-      MetricsRegistry::Global().GetCounter("checkpoint.resumes")->Increment();
-      EDDE_LOG(INFO) << method_name_ << ": resuming from " << path
-                     << " (round " << progress->round << ")";
-      return Status::OK();
-    }
-    // Graceful degradation: a torn or bit-flipped newest generation must
-    // never kill the run — fall back to the next older one.
-    MetricsRegistry::Global()
-        .GetCounter("checkpoint.corrupt_generations_skipped")
-        ->Increment();
-    EDDE_LOG(WARNING) << method_name_ << ": skipping unusable generation "
-                      << path << ": " << s.ToString();
-  }
-  return Status::NotFound("no usable checkpoint generation in " +
-                          config_.dir);
-}
-
 std::string RoundCheckpointer::InflightPath(int slot) const {
   char name[36];
   std::snprintf(name, sizeof(name), "inflight_%04d.edde", slot);
-  return config_.dir + "/" + name;
-}
-
-void RoundCheckpointer::RemoveInflight(int slot) const {
-  if (!enabled()) return;
-  ::unlink(InflightPath(slot).c_str());
+  return dir_ + "/" + name;
 }
 
 Status SaveInflightCheckpoint(const std::string& path, Module* model,
@@ -316,19 +472,19 @@ Status SaveInflightCheckpoint(const std::string& path, Module* model,
   SectionWriter header;
   header.WriteU64(fingerprint);
   header.WriteI64(next_epoch);
-  header.AppendTo(&writer, kTagHeader, kVersion);
+  header.AppendTo(&writer, kTagHeader, kInflightVersion);
 
   SectionWriter rng_section;
   WriteRngState(rng.SaveState(), &rng_section);
-  rng_section.AppendTo(&writer, kTagRng, kVersion);
+  rng_section.AppendTo(&writer, kTagRng, kInflightVersion);
 
   SectionWriter params;
   WriteModuleParams(model, &params);
-  params.AppendTo(&writer, kTagMember, kVersion);
+  params.AppendTo(&writer, kTagMember, kInflightVersion);
 
   SectionWriter optim;
   optimizer.SaveState(&optim);
-  optim.AppendTo(&writer, kTagOptim, kVersion);
+  optim.AppendTo(&writer, kTagOptim, kInflightVersion);
 
   Status s = writer.Finish();
   if (s.ok()) {

@@ -18,84 +18,114 @@ namespace edde {
 /// A *generation* is one file, `ckpt_<round>.edde`, capturing everything a
 /// method needs to continue bit-identically after the given round: the
 /// serialized member modules, the combination weights α, the boosting
-/// sample-weight vector W_t, the method RNG stream, and an opaque
-/// method-specific blob (e.g. EDDE's round-stats tail + eval-curve points).
-/// Every piece lives in a CRC32-framed section and the file is committed
+/// sample-weight vector W_t, the method RNG stream, the Fig. 7 curve points
+/// so far, and an opaque method-specific blob (EDDE's round stats). Every
+/// piece lives in a CRC32-framed section and the file is committed
 /// atomically, so a generation is either fully valid or detectably bad —
-/// LoadLatest() walks generations newest-first and falls back past corrupt
-/// ones instead of crashing.
+/// resume walks generations newest-first and falls back past corrupt ones
+/// instead of crashing.
 ///
 /// An *inflight* checkpoint (`inflight_<slot>.edde`) covers the member
 /// currently training: model parameters, SGD momentum, the trainer RNG and
 /// the next epoch index, fingerprint-guarded so a stale file from another
 /// run or round is ignored.
 
-/// Everything one generation stores. `members` (non-owning) feeds Write();
-/// LoadLatest() rebuilds modules through the factory into `owned_members`.
-struct TrainProgress {
-  int round = 0;             ///< Completed rounds (1-based count).
-  int cumulative_epochs = 0;
-  RngState rng;              ///< Method RNG after round `round`'s draws.
-  std::vector<double> weights;  ///< Boosting W_t; empty for weightless methods.
-  std::vector<double> alphas;   ///< One α per member.
-  std::vector<uint64_t> slots;  ///< Member slot ids (parallel methods where
-                                ///< completion order ≠ slot order).
-  std::string method_state;     ///< Opaque method blob (nested sections).
-  std::vector<Module*> members;
-  std::vector<std::unique_ptr<Module>> owned_members;
+/// The state of a method that a generation snapshots and Resume restores.
+/// The method owns every object; a null field is state the method lacks.
+struct RoundState {
+  /// Members and α in round order (every method but Bagging).
+  EnsembleModel* ensemble = nullptr;
+  /// Bagging: members by plan slot, null until the slot's member completes.
+  std::vector<std::unique_ptr<Module>>* slot_members = nullptr;
+  Rng* rng = nullptr;                       ///< Method RNG stream.
+  std::vector<double>* weights = nullptr;   ///< Boosting W_t.
 };
 
-/// Identity of a training run for checkpoint compatibility: method name +
-/// budget hyper-parameters + seed + dataset size. A checkpoint whose
-/// fingerprint differs is from some other run and is never applied.
-uint64_t MethodFingerprint(const std::string& method_name,
-                           const MethodConfig& config, int64_t dataset_size);
-
-/// Fingerprint of one member-slot's inflight checkpoint within a run.
-uint64_t InflightFingerprint(uint64_t method_fingerprint, int slot);
-
-/// Generation writer/loader for one method run. The configured dir gains a
-/// per-method subdirectory (`<dir>/<sanitized method name>/`), so several
+/// The round loop of one EnsembleMethod::Train call. Every method runs
+/// through it: it turns the MethodConfig into each member's TrainConfig,
+/// trains members and exits gracefully on SIGINT/SIGTERM, resumes a run
+/// from its newest usable generation, and ends each round with its curve
+/// point, its generation and the removal of superseded inflight files.
+///
+/// Sequential methods call, per round: MemberConfig → TrainMember →
+/// (their own α / W_t update) → EndRound. With no checkpoint dir configured
+/// Resume restores nothing and EndRound only records the curve point. The
+/// object draws nothing from the method RNG, so trained ensembles are
+/// bit-identical with checkpointing on or off.
+///
+/// The generation dir is `<dir>/<sanitized method name>/`, so several
 /// methods sharing one --checkpoint_dir never rotate each other's files.
-/// Thread-compatible: callers that complete members concurrently (bagging)
-/// serialize Write() calls themselves.
+/// Thread-compatible: Bagging, whose members complete concurrently, calls
+/// EndRound under its own mutex.
 class RoundCheckpointer {
  public:
-  RoundCheckpointer(const CheckpointConfig& config, std::string method_name,
-                    uint64_t method_fingerprint);
+  RoundCheckpointer(const MethodConfig& config, const std::string& method_name,
+                    int64_t dataset_size, const EvalCurve& curve,
+                    const RoundState& state);
 
-  /// False when no checkpoint dir is configured — every other call is then
-  /// a no-op, so methods can call unconditionally.
-  bool enabled() const { return !config_.dir.empty(); }
+  /// When checkpointing and resume are on, loads the newest generation
+  /// whose sections all pass CRC and whose fingerprint and version match,
+  /// and restores from it the members and α, the RNG, W_t, the completed
+  /// rounds and epochs, and the curve points (appended to the EvalCurve).
+  /// Members are rebuilt through `factory(0)`. Corrupt or foreign
+  /// generations are skipped with a warning. Returns the generation's
+  /// method blob; "" when nothing was restored.
+  std::string Resume(const ModelFactory& factory);
 
-  /// True when a generation should be written after `round` completes.
-  bool ShouldWrite(int round) const;
+  /// Rounds completed so far (restored ones included).
+  int rounds() const { return rounds_; }
+  /// Training epochs those rounds spent.
+  int epochs() const { return epochs_; }
 
-  /// Writes generation `progress.round` atomically, then rotates: only the
-  /// newest `keep` generations survive. Failpoints: checkpoint.round
-  /// (before the write), checkpoint.commit (after commit, before rotation).
-  Status Write(const TrainProgress& progress);
+  /// The TrainConfig of one member: `epochs` epochs under `schedule` (null:
+  /// the step decay every method but Snapshot uses), shuffled from `seed`,
+  /// with inflight checkpoints in `slot`. A sequential method's slot is the
+  /// round its member completes; Bagging's is the plan index. Retries of a
+  /// member (EDDE's divergence recovery) pass their `attempt`, which salts
+  /// the inflight fingerprint so one attempt never resumes off another's
+  /// file.
+  TrainConfig MemberConfig(
+      int slot, int epochs, uint64_t seed, int attempt = 0,
+      std::shared_ptr<const LrSchedule> schedule = nullptr) const;
 
-  /// Loads the newest generation whose sections all pass CRC and whose
-  /// fingerprint matches, rebuilding members via `factory(0)` + restore.
-  /// Corrupt/foreign generations are skipped with a warning (graceful
-  /// degradation). NotFound when no usable generation exists.
-  Status LoadLatest(const ModelFactory& factory, TrainProgress* progress);
+  /// TrainModel, then the graceful exit (128+signal) when shutdown was
+  /// requested: the member stopped early and only its inflight checkpoint
+  /// holds it. Never call from a pool worker (Bagging calls TrainModel and
+  /// exits after its ParallelFor).
+  void TrainMember(Module* model, const Dataset& data,
+                   const TrainConfig& config,
+                   const TrainContext& context = TrainContext{},
+                   const EpochCallback& on_epoch = nullptr) const;
 
-  /// Path of member-slot `slot`'s inflight checkpoint.
-  std::string InflightPath(int slot) const;
-
-  /// Deletes slot `slot`'s inflight file (after the member completed and
-  /// its generation committed).
-  void RemoveInflight(int slot) const;
-
-  const CheckpointConfig& config() const { return config_; }
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// Ends the next round, which trained `epochs` epochs. Records the curve
+  /// point — the accuracy of `probe` when given, else of the ensemble;
+  /// Bagging records none here, its curve follows slot order — and, on
+  /// the checkpoint cadence, writes the generation with `method_state`.
+  /// Once it is durable, the inflight files of its members are removed.
+  /// A failed write degrades (warning), it never fails the run.
+  void EndRound(int epochs, const std::string& method_state = "",
+                Module* probe = nullptr);
 
  private:
-  CheckpointConfig config_;
+  bool enabled() const { return !config_.checkpoint.dir.empty(); }
+  std::string InflightPath(int slot) const;
+  /// Writes generation rounds() atomically, then rotates: only the newest
+  /// `keep` generations survive. Failpoints: checkpoint.round (before the
+  /// write), checkpoint.commit (after commit, before rotation).
+  Status WriteGeneration(const std::string& method_state);
+
+  MethodConfig config_;
   std::string method_name_;
+  std::string dir_;
   uint64_t fingerprint_ = 0;
+  EvalCurve curve_;
+  RoundState state_;
+  int rounds_ = 0;
+  int epochs_ = 0;
+  /// Inflight slot of each member in the state, in generation order.
+  std::vector<uint64_t> slots_;
+  /// Curve points so far, restored ones included.
+  std::vector<CurvePoint> points_;
 };
 
 /// Writes a mid-member checkpoint: module params, SGD momentum, trainer RNG

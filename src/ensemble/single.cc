@@ -2,43 +2,39 @@
 
 #include <memory>
 
-#include "metrics/metrics.h"
-#include "utils/logging.h"
+#include "ensemble/run_checkpoint.h"
 
 namespace edde {
 
 EnsembleModel SingleModel::Train(const Dataset& train,
                                  const ModelFactory& factory,
                                  const EvalCurve& curve) {
-  Rng rng(config_.seed);
-  const int total_epochs = config_.num_members * config_.epochs_per_member;
-  std::unique_ptr<Module> model = factory(rng.NextU64());
-
-  TrainConfig tc;
-  tc.epochs = total_epochs;
-  tc.batch_size = config_.batch_size;
-  tc.sgd = config_.sgd;
-  tc.schedule = std::make_shared<StepDecayLr>(config_.sgd.learning_rate);
-  tc.augment = config_.augment;
-  tc.augment_config = config_.augment_config;
-  tc.seed = rng.NextU64();
-
-  Module* raw = model.get();
-  EpochCallback cb = nullptr;
-  if (curve.enabled()) {
-    // Probe at member-budget boundaries so the curve is comparable to the
-    // ensemble methods'.
-    cb = [&](const EpochStats& stats) {
-      if ((stats.epoch + 1) % config_.epochs_per_member == 0) {
-        curve.points->emplace_back(stats.epoch + 1,
-                                   EvaluateAccuracy(raw, *curve.eval));
-      }
-    };
-  }
-  TrainModel(raw, train, tc, TrainContext{}, cb);
-
   EnsembleModel ensemble;
-  ensemble.AddMember(std::move(model), 1.0);
+  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+                           {.ensemble = &ensemble});
+  rounds.Resume(factory);
+  if (ensemble.size() > 0) return ensemble;  // finished before a restart
+
+  // One member trains for the whole budget. Its training counts as
+  // num_members rounds of epochs_per_member epochs, so its curve points and
+  // generations fall where the ensemble methods' do; the member joins the
+  // ensemble (and a generation) in the last one.
+  Rng rng(config_.seed);
+  std::unique_ptr<Module> model = factory(rng.NextU64());
+  Module* raw = model.get();
+  const int total_epochs = config_.num_members * config_.epochs_per_member;
+  const TrainConfig tc = rounds.MemberConfig(config_.num_members,
+                                             total_epochs, rng.NextU64());
+  auto end_round = [&](const EpochStats& stats) {
+    const int done = stats.epoch + 1;
+    // A resumed member replays epochs whose round a generation holds.
+    if (done % config_.epochs_per_member != 0 || done <= rounds.epochs()) {
+      return;
+    }
+    if (done == total_epochs) ensemble.AddMember(std::move(model), 1.0);
+    rounds.EndRound(config_.epochs_per_member, "", raw);
+  };
+  rounds.TrainMember(raw, train, tc, TrainContext{}, end_round);
   return ensemble;
 }
 

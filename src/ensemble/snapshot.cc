@@ -4,8 +4,6 @@
 
 #include "ensemble/run_checkpoint.h"
 #include "nn/checkpoint.h"
-#include "utils/crash.h"
-#include "utils/durable_io.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/trace.h"
@@ -18,97 +16,42 @@ EnsembleModel SnapshotEnsemble::Train(const Dataset& train,
   Rng rng(config_.seed);
   const int cycles = config_.num_members;
   const int cycle_epochs = config_.epochs_per_member;
-
-  // Crash consistency (DESIGN.md §11): the trunk model carries state across
-  // cycles, so a generation stores it in the method blob alongside the
-  // snapshot members. The RNG state is saved after a cycle's draws, so the
-  // resumed draw order matches an uninterrupted run exactly.
-  RoundCheckpointer ckpt(config_.checkpoint, name(),
-                         MethodFingerprint(name(), config_, train.size()));
   EnsembleModel ensemble;
-  std::unique_ptr<Module> model;  // trunk
-  int start_cycle = 0;
-  if (ckpt.enabled() && config_.checkpoint.resume) {
-    TrainProgress p;
-    if (ckpt.LoadLatest(factory, &p).ok()) {
-      std::unique_ptr<Module> trunk = factory(0);
-      SectionReader blob;
-      blob.InitFromPayload(p.method_state);
-      Status s = ReadModuleParams(trunk.get(), &blob);
-      if (s.ok()) {
-        model = std::move(trunk);
-        rng.RestoreState(p.rng);
-        for (size_t i = 0; i < p.owned_members.size(); ++i) {
-          ensemble.AddMember(std::move(p.owned_members[i]), p.alphas[i]);
-        }
-        start_cycle = p.round;
-      } else {
-        // The generation passed its CRCs, so this is version skew; train
-        // from scratch rather than continue from half a state.
-        EDDE_LOG(WARNING) << "discarding snapshot trunk state: "
-                          << s.ToString();
-      }
-    }
-  }
-  if (model == nullptr) {
+  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+                           {.ensemble = &ensemble, .rng = &rng});
+  rounds.Resume(factory);
+
+  // The trunk carries training across cycles. Between cycles it equals the
+  // newest snapshot bit for bit, so a resumed run rebuilds it from that.
+  std::unique_ptr<Module> model;
+  if (ensemble.size() > 0) {
+    model = factory(0);
+    EDDE_CHECK(CopyParameters(ensemble.member(ensemble.size() - 1),
+                              model.get())
+                   .ok());
+  } else {
     model = factory(rng.NextU64());
   }
 
   static Counter* const cycle_counter =
       MetricsRegistry::Global().GetCounter("snapshot.cycles");
-  for (int cycle = start_cycle; cycle < cycles; ++cycle) {
-    if (ShutdownRequested()) GracefulShutdownExit();
+  for (int cycle = rounds.rounds(); cycle < cycles; ++cycle) {
     TraceScope trace("snapshot/cycle");
     cycle_counter->Increment();
-    TrainConfig tc;
-    tc.epochs = cycle_epochs;
-    tc.batch_size = config_.batch_size;
-    tc.sgd = config_.sgd;
     // One full cosine cycle per call: the restart happens naturally because
     // each cycle starts at epoch 0 of a fresh schedule.
-    tc.schedule = std::make_shared<CosineRestartLr>(config_.sgd.learning_rate,
-                                                    cycle_epochs);
-    tc.augment = config_.augment;
-    tc.augment_config = config_.augment_config;
-    tc.seed = rng.NextU64();
-    if (ckpt.enabled()) {
-      tc.checkpoint.path = ckpt.InflightPath(cycle + 1);
-      tc.checkpoint.every_epochs = config_.checkpoint.every_epochs;
-      tc.checkpoint.fingerprint =
-          InflightFingerprint(ckpt.fingerprint(), cycle + 1);
-    }
-    TrainModel(model.get(), train, tc, TrainContext{});
-    if (ShutdownRequested()) GracefulShutdownExit();
+    rounds.TrainMember(
+        model.get(), train,
+        rounds.MemberConfig(cycle + 1, cycle_epochs, rng.NextU64(),
+                            /*attempt=*/0,
+                            std::make_shared<CosineRestartLr>(
+                                config_.sgd.learning_rate, cycle_epochs)));
 
     // Snapshot: deep copy of the current weights.
     std::unique_ptr<Module> snapshot = factory(rng.NextU64());
     EDDE_CHECK(CopyParameters(model.get(), snapshot.get()).ok());
     ensemble.AddMember(std::move(snapshot), 1.0);
-
-    if (curve.enabled()) {
-      curve.points->emplace_back((cycle + 1) * cycle_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-    }
-
-    if (ckpt.ShouldWrite(cycle + 1)) {
-      TrainProgress p;
-      p.round = cycle + 1;
-      p.cumulative_epochs = (cycle + 1) * cycle_epochs;
-      p.rng = rng.SaveState();
-      p.alphas = ensemble.alphas();
-      for (int64_t i = 0; i < ensemble.size(); ++i) {
-        p.members.push_back(ensemble.member(i));
-      }
-      SectionWriter blob;
-      WriteModuleParams(model.get(), &blob);
-      p.method_state = blob.payload();
-      Status s = ckpt.Write(p);
-      if (!s.ok()) {
-        EDDE_LOG(WARNING) << "snapshot checkpoint failed: " << s.ToString();
-      } else {
-        ckpt.RemoveInflight(cycle + 1);
-      }
-    }
+    rounds.EndRound(cycle_epochs);
   }
   return ensemble;
 }

@@ -186,17 +186,6 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents,
   return AtomicCommit(path, contents.data(), contents.size(), options);
 }
 
-AtomicFileWriter::AtomicFileWriter(std::string path, DurableIoOptions options)
-    : path_(std::move(path)), options_(options) {}
-
-void AtomicFileWriter::Append(const void* data, size_t size) {
-  buffer_.append(static_cast<const char*>(data), size);
-}
-
-Status AtomicFileWriter::Commit() {
-  return AtomicCommit(path_, buffer_.data(), buffer_.size(), options_);
-}
-
 void SectionWriter::WriteBytes(const void* data, size_t count) {
   payload_.append(static_cast<const char*>(data), count);
 }

@@ -12,8 +12,9 @@ namespace edde {
 /// Crash-consistent file IO (DESIGN.md §11).
 ///
 /// Two layers:
-///  1. Atomic commit — AtomicFileWriter / AtomicWriteFile stage content in a
-///     sibling temp file, fsync it, rename() over the destination, and fsync
+///  1. Atomic commit — AtomicCommit / AtomicWriteFile (and BinaryWriter,
+///     which buffers and commits through them) stage content in a sibling
+///     temp file, fsync it, rename() over the destination, and fsync
 ///     the parent directory. A reader (or a restarted process) observes
 ///     either the previous complete file or the new complete file, never a
 ///     prefix. Transient errors (EINTR/EAGAIN and failpoint-injected ones)
@@ -37,7 +38,7 @@ struct DurableIoOptions {
   int backoff_ms = 5;    ///< base backoff; doubles per retry
 };
 
-/// The staging path AtomicFileWriter uses for `path`
+/// The staging path AtomicCommit uses for `path`
 /// ("<path>.tmp.<pid>" — pid-suffixed so concurrent processes writing the
 /// same destination cannot stomp each other's staging file).
 std::string TempPathFor(const std::string& path);
@@ -51,30 +52,6 @@ Status AtomicCommit(const std::string& path, const void* data, size_t size,
 /// Convenience wrapper over AtomicCommit for string content.
 Status AtomicWriteFile(const std::string& path, const std::string& contents,
                        const DurableIoOptions& options = DurableIoOptions());
-
-/// Buffered atomic writer for callers that produce content incrementally.
-/// Append() never touches the filesystem; Commit() performs one
-/// AtomicCommit of the accumulated bytes. Abandoning the writer without
-/// Commit() leaves no trace on disk.
-class AtomicFileWriter {
- public:
-  explicit AtomicFileWriter(std::string path,
-                            DurableIoOptions options = DurableIoOptions());
-
-  void Append(const void* data, size_t size);
-  void Append(const std::string& chunk) { Append(chunk.data(), chunk.size()); }
-
-  /// Commits the buffer to the destination. Idempotence is not provided:
-  /// call exactly once.
-  Status Commit();
-
-  size_t size() const { return buffer_.size(); }
-
- private:
-  std::string path_;
-  DurableIoOptions options_;
-  std::string buffer_;
-};
 
 /// Builds one integrity-framed section payload in memory. Append the frame
 /// to a file with AppendTo(), or embed the raw payload in an enclosing

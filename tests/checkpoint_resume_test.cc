@@ -1,12 +1,14 @@
 /// Kill-and-resume torture tests for the crash-consistent checkpoint
 /// subsystem (DESIGN.md §11).
 ///
-/// The load-bearing claim: a training run killed at ANY failpoint site —
-/// including mid-rename and with torn (short) writes — and then restarted
-/// with the same flags produces a bit-identical ensemble: same serialized
-/// member bytes, same α vector, same predictions. Each crash scenario runs
-/// in a death-test child (threadsafe style, own process, real _exit), then
-/// the parent resumes from whatever files the child left behind.
+/// The load-bearing claim: a training run of any of the seven methods,
+/// killed at ANY failpoint site — including mid-rename and with torn
+/// (short) writes — or stopped by SIGTERM, and then restarted with the same
+/// flags produces a bit-identical ensemble (same serialized member bytes,
+/// same α vector, same predictions) and the same Fig. 7 curve points. Each
+/// crash scenario runs in a death-test child (threadsafe style, own
+/// process, real _exit), then the parent resumes from whatever files the
+/// child left behind.
 ///
 /// Death-test discipline: in threadsafe style the child re-executes the
 /// whole test up to its death statement, so everything a scenario mutates
@@ -31,13 +33,19 @@
 #include <vector>
 
 #include "core/edde.h"
+#include "ensemble/adaboost_m1.h"
+#include "ensemble/adaboost_nc.h"
 #include "ensemble/bagging.h"
+#include "ensemble/bans.h"
 #include "ensemble/ensemble_io.h"
+#include "ensemble/single.h"
+#include "ensemble/snapshot.h"
 #include "nn/mlp.h"
 #include "test_util.h"
 #include "utils/crash.h"
 #include "utils/durable_io.h"
 #include "utils/failpoint.h"
+#include "utils/metrics.h"
 #include "utils/threadpool.h"
 
 namespace edde {
@@ -69,8 +77,32 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// One small, fast EDDE workload shared by every scenario. Deterministic:
-/// the same seed always yields the same data, members, and predictions.
+/// The seven methods of the paper's comparison, each resumed by the shared
+/// round loop (ensemble/run_checkpoint).
+enum class Method { kSingle, kBagging, kAdaBoostM1, kAdaBoostNC, kSnapshot,
+                    kBans, kEdde };
+
+std::string MethodTag(Method method) {
+  switch (method) {
+    case Method::kSingle: return "single";
+    case Method::kBagging: return "bagging";
+    case Method::kAdaBoostM1: return "m1";
+    case Method::kAdaBoostNC: return "nc";
+    case Method::kSnapshot: return "snapshot";
+    case Method::kBans: return "bans";
+    case Method::kEdde: return "edde";
+  }
+  return "";
+}
+
+/// A trained ensemble and its Fig. 7 curve points on the test split.
+struct TrainedRun {
+  EnsembleModel model;
+  std::vector<CurvePoint> curve;
+};
+
+/// One small, fast workload shared by every scenario. Deterministic: the
+/// same seed always yields the same data, members, and predictions.
 struct Workload {
   testing::BlobSplit data = MakeBlobsSplit(256, 128, 6, 3, 11, /*spread=*/1.6f);
   ModelFactory factory = [](uint64_t seed) {
@@ -90,23 +122,38 @@ struct Workload {
     mc.sgd.weight_decay = 0.0f;
     mc.seed = 9;
     mc.checkpoint.dir = checkpoint_dir;
-    mc.checkpoint.every_rounds = 1;
-    mc.checkpoint.every_epochs = 1;
+    mc.checkpoint.every = 1;
     mc.checkpoint.keep = 10;  // keep everything; rotation has its own test
     return mc;
   }
 
-  EnsembleModel TrainEdde(const std::string& checkpoint_dir) const {
-    EddeOptions eo;
-    eo.gamma = 0.1f;
-    eo.beta = 0.7;
-    EddeMethod method(Config(checkpoint_dir), eo);
-    return method.Train(data.train, factory);
+  TrainedRun Train(Method method, const std::string& checkpoint_dir) const {
+    const MethodConfig mc = Config(checkpoint_dir);
+    std::unique_ptr<EnsembleMethod> m;
+    switch (method) {
+      case Method::kSingle: m = std::make_unique<SingleModel>(mc); break;
+      case Method::kBagging: m = std::make_unique<Bagging>(mc); break;
+      case Method::kAdaBoostM1: m = std::make_unique<AdaBoostM1>(mc); break;
+      case Method::kAdaBoostNC: m = std::make_unique<AdaBoostNC>(mc); break;
+      case Method::kSnapshot:
+        m = std::make_unique<SnapshotEnsemble>(mc);
+        break;
+      case Method::kBans: m = std::make_unique<Bans>(mc); break;
+      case Method::kEdde: {
+        EddeOptions eo;
+        eo.gamma = 0.1f;
+        eo.beta = 0.7;
+        m = std::make_unique<EddeMethod>(mc, eo);
+        break;
+      }
+    }
+    TrainedRun run;
+    run.model = m->Train(data.train, factory, EvalCurve{&data.test, &run.curve});
+    return run;
   }
 
-  EnsembleModel TrainBagging(const std::string& checkpoint_dir) const {
-    Bagging method(Config(checkpoint_dir));
-    return method.Train(data.train, factory);
+  EnsembleModel TrainEdde(const std::string& checkpoint_dir) const {
+    return Train(Method::kEdde, checkpoint_dir).model;
   }
 };
 
@@ -136,6 +183,14 @@ void ExpectBitIdentical(const EnsembleModel& resumed,
       << label << ": predictions differ";
 }
 
+/// Ensemble and curve points alike: a resumed run replays the points of the
+/// rounds it restored.
+void ExpectSameRun(const TrainedRun& resumed, const TrainedRun& reference,
+                   const Workload& workload, const std::string& label) {
+  ExpectBitIdentical(resumed.model, reference.model, workload, label);
+  EXPECT_EQ(resumed.curve, reference.curve) << label << ": curve differs";
+}
+
 class CheckpointTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -150,27 +205,32 @@ class CheckpointTortureTest : public ::testing::Test {
   Workload workload_;
 };
 
+class MethodResumeTest : public CheckpointTortureTest,
+                         public ::testing::WithParamInterface<Method> {};
+
 // ---------------------------------------------------------------------------
 // The tentpole: crash at every failpoint site, resume, compare bit-for-bit.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTortureTest, CrashAtEverySiteThenResumeIsBitIdentical) {
+TEST_P(MethodResumeTest, CrashAtEverySiteThenResumeIsBitIdentical) {
+  const Method method = GetParam();
   // Phase 1: one child per site. Each child wipes its own dir, arms
   // `<site>=crash:2` (the second hit, so some durable state exists by then)
   // and trains until the fault kills it mid-run with a raw _exit — no
   // flushes, no destructors; the closest a test gets to `kill -9`.
   std::vector<std::string> dirs;
   // Only the training-path prefix of the catalog: serving/shutdown sites
-  // are never reached by TrainEdde (their crash specs would just never
+  // are never reached by training (their crash specs would just never
   // fire) and have their own failpoint-driven tests.
   for (size_t i = 0; i < failpoint::kNumTrainingSites; ++i) {
     const std::string site = failpoint::kSites[i];
-    dirs.push_back(DirFor("torture_site_" + std::to_string(i)));
+    dirs.push_back(DirFor("torture_" + MethodTag(method) + "_site_" +
+                          std::to_string(i)));
     EXPECT_EXIT(
         {
           RemoveTree(dirs.back());
           (void)failpoint::SetSpec(site + "=crash:2");
-          (void)workload_.TrainEdde(dirs.back());
+          (void)workload_.Train(method, dirs.back());
           _exit(7);  // the site was never hit twice — fail the EXPECT_EXIT
         },
         ::testing::ExitedWithCode(failpoint::kCrashExitCode), "")
@@ -180,13 +240,57 @@ TEST_F(CheckpointTortureTest, CrashAtEverySiteThenResumeIsBitIdentical) {
   // Phase 2 (parent only): resume each wreck with faults disarmed and
   // compare against an uninterrupted run. Deterministic replay makes even
   // a crash *before* any checkpoint landed resolve to the identical result.
-  const EnsembleModel reference = workload_.TrainEdde("");
+  const TrainedRun reference = workload_.Train(method, "");
   for (size_t i = 0; i < dirs.size(); ++i) {
-    EnsembleModel resumed = workload_.TrainEdde(dirs[i]);
-    ExpectBitIdentical(resumed, reference, workload_,
-                       std::string(failpoint::kSites[i]));
+    const TrainedRun resumed = workload_.Train(method, dirs[i]);
+    ExpectSameRun(resumed, reference, workload_,
+                  MethodTag(method) + "_" + failpoint::kSites[i]);
   }
 }
+
+TEST_P(MethodResumeTest, GracefulShutdownThenResumeIsBitIdentical) {
+  const Method method = GetParam();
+  const std::string dir = DirFor("torture_shutdown_" + MethodTag(method));
+  EXPECT_EXIT(
+      {
+        RemoveTree(dir);
+        // As if SIGTERM arrived just before training: the first epoch
+        // completes, the inflight checkpoint lands, and the method exits
+        // 128+SIGTERM after flushing telemetry.
+        RequestShutdown(SIGTERM);
+        (void)workload_.Train(method, dir);
+        _exit(7);
+      },
+      ::testing::ExitedWithCode(128 + SIGTERM), "");
+
+  const TrainedRun resumed = workload_.Train(method, dir);
+  const TrainedRun reference = workload_.Train(method, "");
+  ExpectSameRun(resumed, reference, workload_,
+                "shutdown_" + MethodTag(method));
+}
+
+TEST_P(MethodResumeTest, CheckpointingItselfChangesNothing) {
+  // The acceptance bar for "observation-only": training with checkpoints
+  // enabled must be bit-identical to training with them off — and a rerun
+  // on the finished checkpoints restores the same ensemble and curve.
+  const Method method = GetParam();
+  const std::string dir = FreshDir("torture_noop_" + MethodTag(method));
+  const TrainedRun with_ckpt = workload_.Train(method, dir);
+  const TrainedRun without = workload_.Train(method, "");
+  ExpectSameRun(with_ckpt, without, workload_, "noop_" + MethodTag(method));
+  const TrainedRun restored = workload_.Train(method, dir);
+  ExpectSameRun(restored, without, workload_,
+                "restored_" + MethodTag(method));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, MethodResumeTest,
+    ::testing::Values(Method::kSingle, Method::kBagging, Method::kAdaBoostM1,
+                      Method::kAdaBoostNC, Method::kSnapshot, Method::kBans,
+                      Method::kEdde),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      return MethodTag(info.param);
+    });
 
 TEST_F(CheckpointTortureTest, BaggingCrashResumeIsBitIdenticalAcrossThreads) {
   const std::string dir = DirFor("torture_bagging");
@@ -195,7 +299,7 @@ TEST_F(CheckpointTortureTest, BaggingCrashResumeIsBitIdenticalAcrossThreads) {
         RemoveTree(dir);
         SetNumThreads(2);
         (void)failpoint::SetSpec("checkpoint.commit=crash:2");
-        (void)workload_.TrainBagging(dir);
+        (void)workload_.Train(Method::kBagging, dir);
         _exit(7);
       },
       ::testing::ExitedWithCode(failpoint::kCrashExitCode), "");
@@ -204,29 +308,10 @@ TEST_F(CheckpointTortureTest, BaggingCrashResumeIsBitIdenticalAcrossThreads) {
   // generations plus serially pre-drawn per-member seeds make the result
   // thread-count-independent.
   SetNumThreads(5);
-  EnsembleModel resumed = workload_.TrainBagging(dir);
+  const TrainedRun resumed = workload_.Train(Method::kBagging, dir);
   SetNumThreads(0);  // restore the default pool
-  const EnsembleModel reference = workload_.TrainBagging("");
-  ExpectBitIdentical(resumed, reference, workload_, "bagging");
-}
-
-TEST_F(CheckpointTortureTest, GracefulShutdownThenResumeIsBitIdentical) {
-  const std::string dir = DirFor("torture_shutdown");
-  EXPECT_EXIT(
-      {
-        RemoveTree(dir);
-        // As if SIGTERM arrived just before training: the first epoch
-        // completes, the inflight checkpoint lands, and the method exits
-        // 128+SIGTERM after flushing telemetry.
-        RequestShutdown(SIGTERM);
-        (void)workload_.TrainEdde(dir);
-        _exit(7);
-      },
-      ::testing::ExitedWithCode(128 + SIGTERM), "");
-
-  EnsembleModel resumed = workload_.TrainEdde(dir);
-  const EnsembleModel reference = workload_.TrainEdde("");
-  ExpectBitIdentical(resumed, reference, workload_, "shutdown");
+  const TrainedRun reference = workload_.Train(Method::kBagging, "");
+  ExpectSameRun(resumed, reference, workload_, "bagging");
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +369,30 @@ TEST_F(CheckpointTortureTest, EveryGenerationCorruptRetrainsFromScratch) {
   ExpectBitIdentical(resumed, reference, workload_, "corrupt_all");
 }
 
+TEST_F(CheckpointTortureTest, GenerationOfAnotherVersionIsSkipped) {
+  // A generation written by another format version (the section version
+  // field sits outside the CRC) is skipped, never misread: the run
+  // retrains from scratch and lands on the same result.
+  const std::string dir = FreshDir("torture_version");
+  const EnsembleModel reference = workload_.TrainEdde(dir);
+  const std::vector<std::string> files = ListGenerationFiles(dir + "/edde");
+  ASSERT_GE(files.size(), 2u);
+  for (const std::string& f : files) {
+    std::string bytes = ReadWholeFile(f);
+    // magic (u32), then the header section's tag (u32) and version (u32).
+    const uint32_t old_version = 1;
+    std::memcpy(&bytes[8], &old_version, sizeof(old_version));
+    std::ofstream(f, std::ios::binary | std::ios::trunc) << bytes;
+  }
+  Counter* const skipped = MetricsRegistry::Global().GetCounter(
+      "checkpoint.corrupt_generations_skipped");
+  const int64_t skipped_before = skipped->Value();
+  EnsembleModel resumed = workload_.TrainEdde(dir);
+  EXPECT_EQ(skipped->Value() - skipped_before,
+            static_cast<int64_t>(files.size()));
+  ExpectBitIdentical(resumed, reference, workload_, "other_version");
+}
+
 TEST_F(CheckpointTortureTest, TornWritesEverywhereStillRecoverable) {
   // Every durable write in the first run is torn (its tail dropped before
   // commit). Nothing on disk is trustworthy — but nothing may crash, and a
@@ -322,15 +431,6 @@ TEST_F(CheckpointTortureTest, ShortWriteThroughEnsembleArtifactIsRejected) {
 // ---------------------------------------------------------------------------
 // Invariants: zero behavior change, rotation.
 // ---------------------------------------------------------------------------
-
-TEST_F(CheckpointTortureTest, CheckpointingItselfChangesNothing) {
-  // The acceptance bar for "observation-only": training with checkpoints
-  // enabled must be bit-identical to training with them off.
-  const std::string dir = FreshDir("torture_noop");
-  const EnsembleModel with_ckpt = workload_.TrainEdde(dir);
-  const EnsembleModel without = workload_.TrainEdde("");
-  ExpectBitIdentical(with_ckpt, without, workload_, "noop");
-}
 
 TEST_F(CheckpointTortureTest, RotationKeepsOnlyNewestGenerations) {
   const std::string dir = FreshDir("torture_rotate");

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
 #include <memory>
 
 #include "core/beta_selector.h"
 #include "nn/mlp.h"
 #include "test_util.h"
+#include "utils/crash.h"
 
 namespace edde {
 namespace {
@@ -95,6 +98,38 @@ TEST(BetaSelectorDeathTest, NeedsThreeFolds) {
   BetaProbeConfig cfg = FastProbe();
   cfg.num_folds = 2;
   EXPECT_DEATH(SelectBeta(train, BlobFactory(), cfg), "folds");
+}
+
+// SIGINT/SIGTERM: the probe exits 128+signal at its safe points — after
+// the teacher, and after the probe ParallelFor (never from a worker).
+TEST(BetaSelectorDeathTest, ShutdownBeforeTeacherExitsGracefully) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset train = MakeBlobs(64, 6, 3, 7);
+  EXPECT_EXIT(
+      {
+        RequestShutdown(SIGTERM);
+        (void)SelectBeta(train, BlobFactory(), FastProbe());
+        _exit(7);
+      },
+      ::testing::ExitedWithCode(128 + SIGTERM), "");
+}
+
+TEST(BetaSelectorDeathTest, ShutdownDuringProbesExitsGracefully) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset train = MakeBlobs(64, 6, 3, 7);
+  // The signal lands while the students are built, after the teacher.
+  int calls = 0;
+  const ModelFactory base = BlobFactory();
+  const ModelFactory factory = [&](uint64_t seed) {
+    if (++calls == 2) RequestShutdown(SIGTERM);
+    return base(seed);
+  };
+  EXPECT_EXIT(
+      {
+        (void)SelectBeta(train, factory, FastProbe());
+        _exit(7);
+      },
+      ::testing::ExitedWithCode(128 + SIGTERM), "");
 }
 
 }  // namespace

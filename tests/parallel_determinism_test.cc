@@ -113,6 +113,26 @@ void ExpectIdenticalParameters(Module* a, Module* b) {
   }
 }
 
+TEST_F(ParallelDeterminismTest, BaggingCheckpointingChangesNothingAtFourThreads) {
+  // Members complete concurrently and end their rounds — generation write,
+  // inflight removal — under Bagging's mutex while other workers train
+  // into their own inflight files. The TSan job runs this binary.
+  Fixture fx;
+  SetNumThreads(4);
+  EnsembleModel without = Bagging(fx.config).Train(fx.data.train, fx.factory);
+  MethodConfig checkpointed = fx.config;
+  checkpointed.checkpoint.dir =
+      ::testing::TempDir() + "/determinism_bagging_ckpt";
+  checkpointed.checkpoint.resume = false;  // train, never restore
+  EnsembleModel with = Bagging(checkpointed).Train(fx.data.train, fx.factory);
+
+  ASSERT_EQ(with.size(), without.size());
+  EXPECT_EQ(with.alphas(), without.alphas());
+  for (int64_t t = 0; t < with.size(); ++t) {
+    ExpectIdenticalParameters(with.member(t), without.member(t));
+  }
+}
+
 TEST_F(ParallelDeterminismTest, RepeatedTrainingIsBitIdentical) {
   // Same factory, config and seed twice in the same process: every
   // parameter must match bit for bit — a regression gate for any hidden

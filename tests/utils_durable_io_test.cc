@@ -239,14 +239,14 @@ TEST_F(DurableIoTest, SectionReaderStringLengthClampedToPayload) {
   EXPECT_EQ(in.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(DurableIoTest, AtomicFileWriterBuffersUntilCommit) {
-  const std::string path = TestPath("afw.bin");
+TEST_F(DurableIoTest, BinaryWriterBuffersUntilFinish) {
+  const std::string path = TestPath("bw.bin");
   ::unlink(path.c_str());  // leftovers from a previous run of this binary
-  AtomicFileWriter writer(path);
-  writer.Append("part1 ", 6);
-  EXPECT_FALSE(FileExists(path)) << "nothing lands before Commit()";
-  writer.Append("part2", 5);
-  ASSERT_TRUE(writer.Commit().ok());
+  BinaryWriter writer(path);
+  writer.WriteBytes("part1 ", 6);
+  EXPECT_FALSE(FileExists(path)) << "nothing lands before Finish()";
+  writer.WriteBytes("part2", 5);
+  ASSERT_TRUE(writer.Finish().ok());
   EXPECT_EQ(ReadWholeFile(path), "part1 part2");
 }
 
