@@ -20,9 +20,9 @@ EnsembleModel AdaBoostM1::Train(const Dataset& train,
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
   RoundCheckpointer rounds(
-      config_, name(), n, curve,
+      config_, name(), n, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
-  rounds.Resume(factory);
+  rounds.Resume();
 
   for (int t = rounds.rounds(); t < config_.num_members; ++t) {
     const auto indices = WeightedResampleIndices(weights, n, &rng);

@@ -22,9 +22,9 @@ EnsembleModel AdaBoostNC::Train(const Dataset& train,
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
   RoundCheckpointer rounds(
-      config_, name(), n, curve,
+      config_, name(), n, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
-  rounds.Resume(factory);
+  rounds.Resume();
   // Per-member hard predictions on the training set, kept for the ambiguity
   // term. Recomputed for restored members, which is exact because
   // prediction is deterministic.

@@ -41,9 +41,9 @@ EnsembleModel Bagging::Train(const Dataset& train, const ModelFactory& factory,
   // ParallelFor is nondeterministic, so generations are keyed by slot.
   std::vector<std::unique_ptr<Module>> models(
       static_cast<size_t>(num_members));
-  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
                            {.slot_members = &models});
-  rounds.Resume(factory);
+  rounds.Resume();
 
   // Serializes round ends from concurrent workers; a slot of `models` is
   // only written by the worker that trains it, under this mutex.

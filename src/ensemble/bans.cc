@@ -13,9 +13,9 @@ EnsembleModel Bans::Train(const Dataset& train, const ModelFactory& factory,
                           const EvalCurve& curve) {
   Rng rng(config_.seed);
   EnsembleModel ensemble;
-  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
                            {.ensemble = &ensemble, .rng = &rng});
-  rounds.Resume(factory);
+  rounds.Resume();
   // The previous generation's soft targets on `train`; recomputed for a
   // restored teacher, which is exact because PredictProbs is deterministic.
   Tensor teacher_probs;

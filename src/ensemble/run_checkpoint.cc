@@ -129,6 +129,18 @@ uint64_t MethodFingerprint(const std::string& method_name,
   return FingerprintBytes(fields, sizeof(fields), fp);
 }
 
+/// Mixes the parameter names and shapes of `model` into `fp`.
+uint64_t StructureFingerprint(Module* model, uint64_t fp) {
+  for (Parameter* p : model->Parameters()) {
+    fp = FingerprintBytes(p->name.data(), p->name.size(), fp);
+    const std::vector<int64_t>& dims = p->value.shape().dims();
+    const uint64_t rank = dims.size();
+    fp = FingerprintBytes(&rank, sizeof(rank), fp);
+    fp = FingerprintBytes(dims.data(), rank * sizeof(int64_t), fp);
+  }
+  return fp;
+}
+
 uint64_t InflightFingerprint(uint64_t method_fingerprint, int slot) {
   return FingerprintBytes(&slot, sizeof(slot), method_fingerprint);
 }
@@ -234,14 +246,17 @@ Status ReadGeneration(const std::string& path, uint64_t fingerprint,
 RoundCheckpointer::RoundCheckpointer(const MethodConfig& config,
                                      const std::string& method_name,
                                      int64_t dataset_size,
+                                     const ModelFactory& factory,
                                      const EvalCurve& curve,
                                      const RoundState& state)
     : config_(config),
       method_name_(method_name),
+      factory_(factory),
       fingerprint_(MethodFingerprint(method_name, config, dataset_size)),
       curve_(curve),
       state_(state) {
   if (enabled()) {
+    fingerprint_ = StructureFingerprint(factory_(0).get(), fingerprint_);
     dir_ = config_.checkpoint.dir + "/" + SanitizeForPath(method_name_);
     // Created eagerly: inflight checkpoints land here before the first
     // generation write. Failure degrades (every write will warn), it never
@@ -253,14 +268,14 @@ RoundCheckpointer::RoundCheckpointer(const MethodConfig& config,
   }
 }
 
-std::string RoundCheckpointer::Resume(const ModelFactory& factory) {
+std::string RoundCheckpointer::Resume() {
   if (!enabled() || !config_.checkpoint.resume) return "";
   std::vector<int> rounds = ListGenerations(dir_);
   std::sort(rounds.rbegin(), rounds.rend());  // newest first
   for (int round : rounds) {
     const std::string path = GenerationPath(dir_, round);
     Generation g;
-    Status s = ReadGeneration(path, fingerprint_, factory, &g);
+    Status s = ReadGeneration(path, fingerprint_, factory_, &g);
     if (s.ok() && state_.weights != nullptr &&
         g.weights.size() != state_.weights->size()) {
       s = Status::Corruption("sample-weight count does not match the data");
@@ -335,6 +350,7 @@ void RoundCheckpointer::TrainMember(Module* model, const Dataset& data,
                                     const TrainConfig& config,
                                     const TrainContext& context,
                                     const EpochCallback& on_epoch) const {
+  if (ShutdownRequested()) GracefulShutdownExit();
   TrainModel(model, data, config, context, on_epoch);
   if (ShutdownRequested()) GracefulShutdownExit();
 }

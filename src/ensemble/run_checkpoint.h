@@ -59,9 +59,13 @@ struct RoundState {
 /// EndRound under its own mutex.
 class RoundCheckpointer {
  public:
+  /// `factory` builds the members. With checkpointing on, the parameter
+  /// names and shapes of `factory(0)` join the run fingerprint, so files of
+  /// another architecture never match — not even a generation with no
+  /// member to shape-check (Single's before its last round).
   RoundCheckpointer(const MethodConfig& config, const std::string& method_name,
-                    int64_t dataset_size, const EvalCurve& curve,
-                    const RoundState& state);
+                    int64_t dataset_size, const ModelFactory& factory,
+                    const EvalCurve& curve, const RoundState& state);
 
   /// When checkpointing and resume are on, loads the newest generation
   /// whose sections all pass CRC and whose fingerprint and version match,
@@ -70,7 +74,7 @@ class RoundCheckpointer {
   /// Members are rebuilt through `factory(0)`. Corrupt or foreign
   /// generations are skipped with a warning. Returns the generation's
   /// method blob; "" when nothing was restored.
-  std::string Resume(const ModelFactory& factory);
+  std::string Resume();
 
   /// Rounds completed so far (restored ones included).
   int rounds() const { return rounds_; }
@@ -88,10 +92,12 @@ class RoundCheckpointer {
       int slot, int epochs, uint64_t seed, int attempt = 0,
       std::shared_ptr<const LrSchedule> schedule = nullptr) const;
 
-  /// TrainModel, then the graceful exit (128+signal) when shutdown was
-  /// requested: the member stopped early and only its inflight checkpoint
-  /// holds it. Never call from a pool worker (Bagging calls TrainModel and
-  /// exits after its ParallelFor).
+  /// TrainModel, with the graceful exit (128+signal) before it and after it
+  /// when shutdown was requested: a signal during the previous round's end
+  /// never starts another member, and one during training leaves the
+  /// member stopped early, held only by its inflight checkpoint. Never call
+  /// from a pool worker (Bagging calls TrainModel and exits after its
+  /// ParallelFor).
   void TrainMember(Module* model, const Dataset& data,
                    const TrainConfig& config,
                    const TrainContext& context = TrainContext{},
@@ -116,6 +122,7 @@ class RoundCheckpointer {
 
   MethodConfig config_;
   std::string method_name_;
+  ModelFactory factory_;
   std::string dir_;
   uint64_t fingerprint_ = 0;
   EvalCurve curve_;

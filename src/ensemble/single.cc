@@ -10,9 +10,9 @@ EnsembleModel SingleModel::Train(const Dataset& train,
                                  const ModelFactory& factory,
                                  const EvalCurve& curve) {
   EnsembleModel ensemble;
-  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
                            {.ensemble = &ensemble});
-  rounds.Resume(factory);
+  rounds.Resume();
   if (ensemble.size() > 0) return ensemble;  // finished before a restart
 
   // One member trains for the whole budget. Its training counts as

@@ -17,9 +17,9 @@ EnsembleModel SnapshotEnsemble::Train(const Dataset& train,
   const int cycles = config_.num_members;
   const int cycle_epochs = config_.epochs_per_member;
   EnsembleModel ensemble;
-  RoundCheckpointer rounds(config_, name(), train.size(), curve,
+  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
                            {.ensemble = &ensemble, .rng = &rng});
-  rounds.Resume(factory);
+  rounds.Resume();
 
   // The trunk carries training across cycles. Between cycles it equals the
   // newest snapshot bit for bit, so a resumed run rebuilds it from that.

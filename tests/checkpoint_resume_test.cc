@@ -23,6 +23,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -191,6 +192,34 @@ void ExpectSameRun(const TrainedRun& resumed, const TrainedRun& reference,
   EXPECT_EQ(resumed.curve, reference.curve) << label << ": curve differs";
 }
 
+/// Requests SIGTERM at the `at`-th training batch the run's members see in
+/// total, so the signal lands inside a member the way a real one does.
+class ShutdownAtBatch : public Module {
+ public:
+  ShutdownAtBatch(std::unique_ptr<Module> inner,
+                  std::shared_ptr<std::atomic<int>> batches, int at)
+      : inner_(std::move(inner)), batches_(std::move(batches)), at_(at) {}
+
+  void CollectParameters(std::vector<Parameter*>* out) override {
+    inner_->CollectParameters(out);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override {
+    if (tape != nullptr && ++*batches_ == at_) RequestShutdown(SIGTERM);
+    return inner_->Forward(input, tape);
+  }
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override {
+    return inner_->Backward(grad_output, tape);
+  }
+
+ private:
+  std::unique_ptr<Module> inner_;
+  std::shared_ptr<std::atomic<int>> batches_;
+  int at_;
+};
+
 class CheckpointTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -254,9 +283,8 @@ TEST_P(MethodResumeTest, GracefulShutdownThenResumeIsBitIdentical) {
   EXPECT_EXIT(
       {
         RemoveTree(dir);
-        // As if SIGTERM arrived just before training: the first epoch
-        // completes, the inflight checkpoint lands, and the method exits
-        // 128+SIGTERM after flushing telemetry.
+        // As if SIGTERM arrived just before training: no member starts,
+        // and the method exits 128+SIGTERM after flushing telemetry.
         RequestShutdown(SIGTERM);
         (void)workload_.Train(method, dir);
         _exit(7);
@@ -267,6 +295,53 @@ TEST_P(MethodResumeTest, GracefulShutdownThenResumeIsBitIdentical) {
   const TrainedRun reference = workload_.Train(method, "");
   ExpectSameRun(resumed, reference, workload_,
                 "shutdown_" + MethodTag(method));
+}
+
+TEST_P(MethodResumeTest, ShutdownMidMemberThenResumeIsBitIdentical) {
+  const Method method = GetParam();
+  const std::string dir =
+      DirFor("torture_shutdown_mid_" + MethodTag(method));
+  // 8 batches an epoch, 3 epochs a member: batch 28 is in the first epoch
+  // of the second member's budget. That epoch completes, its inflight
+  // checkpoint lands, and the method exits 128+SIGTERM.
+  Workload signalled = workload_;
+  auto batches = std::make_shared<std::atomic<int>>(0);
+  signalled.factory = [base = workload_.factory, batches](uint64_t seed) {
+    return std::make_unique<ShutdownAtBatch>(base(seed), batches, 28);
+  };
+  EXPECT_EXIT(
+      {
+        RemoveTree(dir);
+        (void)signalled.Train(method, dir);
+        _exit(7);
+      },
+      ::testing::ExitedWithCode(128 + SIGTERM), "");
+
+  const TrainedRun resumed = workload_.Train(method, dir);
+  const TrainedRun reference = workload_.Train(method, "");
+  ExpectSameRun(resumed, reference, workload_,
+                "shutdown_mid_" + MethodTag(method));
+}
+
+TEST_P(MethodResumeTest, RunOfAnotherArchitectureIsNeverResumed) {
+  // Two runs of one method with different hidden widths share a dir. The
+  // second must not resume the first's files — Single's generations before
+  // its last round hold no member whose shapes could catch the mismatch,
+  // so the run fingerprint has to — and equals a clean run.
+  const Method method = GetParam();
+  const std::string dir = FreshDir("torture_other_arch_" + MethodTag(method));
+  (void)workload_.Train(method, dir);
+  Workload wider = workload_;
+  wider.factory = [](uint64_t seed) {
+    MlpConfig cfg;
+    cfg.in_features = 6;
+    cfg.hidden = {20};
+    cfg.num_classes = 3;
+    return std::make_unique<Mlp>(cfg, seed);
+  };
+  const TrainedRun resumed = wider.Train(method, dir);
+  const TrainedRun reference = wider.Train(method, "");
+  ExpectSameRun(resumed, reference, wider, "other_arch_" + MethodTag(method));
 }
 
 TEST_P(MethodResumeTest, CheckpointingItselfChangesNothing) {
