@@ -49,18 +49,10 @@ CheckpointConfig& BenchCheckpoint() {
   return *config;
 }
 
-/// Chained FNV-1a over a dataset split, so the manifest records which bytes
-/// a result was computed from (synthetic generators drift too).
+/// The manifest records which bytes a result was computed from (synthetic
+/// generators drift too).
 uint64_t FingerprintSplit(const TrainTestSplit& split) {
-  auto fold = [](const Dataset& d, uint64_t basis) {
-    const Tensor& x = d.features();
-    basis = FingerprintBytes(
-        x.data(), static_cast<size_t>(x.num_elements()) * sizeof(float),
-        basis);
-    return FingerprintBytes(d.labels().data(),
-                            d.labels().size() * sizeof(int), basis);
-  };
-  return fold(split.test, fold(split.train, 1469598103934665603ull));
+  return split.test.Fingerprint(split.train.Fingerprint());
 }
 
 }  // namespace
@@ -86,8 +78,8 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
                 "bit-identical across pool sizes)");
   flags->Define("checkpoint_dir", "",
                 "directory for crash-consistent round/epoch checkpoints "
-                "(empty = checkpointing off; each method gets a "
-                "subdirectory)");
+                "(empty = checkpointing off; each run gets a "
+                "subdirectory named by its fingerprint)");
   flags->Define("checkpoint_every", "1",
                 "checkpoint cadence, in completed rounds and epochs "
                 "(0 = a checkpoint every round, none inside a member)");

@@ -192,7 +192,7 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
   // Crash consistency (DESIGN.md §11): the round loop restores members, α,
   // W_t, the RNG and the curve points; the blob carries the round stats.
   RoundCheckpointer rounds(
-      config_, name(), n, factory, curve,
+      config_, name(), train, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
   std::vector<EddeRoundStats> stats_log;  // full history, checkpointed
   const std::string blob = rounds.Resume();

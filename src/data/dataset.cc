@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "utils/logging.h"
+#include "utils/run_manifest.h"
 
 namespace edde {
 
@@ -75,6 +76,14 @@ void Dataset::GatherLabelsInto(const int64_t* indices, int64_t count,
   for (int64_t i = 0; i < count; ++i) {
     (*out)[static_cast<size_t>(i)] = labels_[static_cast<size_t>(indices[i])];
   }
+}
+
+uint64_t Dataset::Fingerprint(uint64_t basis) const {
+  basis = FingerprintBytes(
+      features_.data(),
+      static_cast<size_t>(features_.num_elements()) * sizeof(float), basis);
+  return FingerprintBytes(labels_.data(), labels_.size() * sizeof(int),
+                          basis);
 }
 
 }  // namespace edde

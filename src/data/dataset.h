@@ -53,6 +53,11 @@ class Dataset {
   void GatherLabelsInto(const int64_t* indices, int64_t count,
                         std::vector<int>* out) const;
 
+  /// FNV-1a over the feature bytes then the label bytes, chained from
+  /// `basis`: which bytes a result was computed from (run manifest, run
+  /// checkpoint fingerprint).
+  uint64_t Fingerprint(uint64_t basis = 1469598103934665603ull) const;
+
  private:
   std::string name_;
   Tensor features_;

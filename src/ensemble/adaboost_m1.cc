@@ -20,7 +20,7 @@ EnsembleModel AdaBoostM1::Train(const Dataset& train,
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
   RoundCheckpointer rounds(
-      config_, name(), n, factory, curve,
+      config_, name(), train, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
   rounds.Resume();
 

@@ -22,7 +22,7 @@ EnsembleModel AdaBoostNC::Train(const Dataset& train,
                               1.0 / static_cast<double>(n));
   EnsembleModel ensemble;
   RoundCheckpointer rounds(
-      config_, name(), n, factory, curve,
+      config_, name(), train, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
   rounds.Resume();
   // Per-member hard predictions on the training set, kept for the ambiguity

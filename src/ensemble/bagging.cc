@@ -37,30 +37,31 @@ EnsembleModel Bagging::Train(const Dataset& train, const ModelFactory& factory,
 
   // Crash consistency (DESIGN.md §11): every seed above is re-derived
   // deterministically from config_.seed, so a resumed run only needs the
-  // members of the slots that already finished. Completion order under
-  // ParallelFor is nondeterministic, so generations are keyed by slot.
-  std::vector<std::unique_ptr<Module>> models(
-      static_cast<size_t>(num_members));
-  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
-                           {.slot_members = &models});
+  // members already committed. Members complete in any order under
+  // ParallelFor but join the ensemble in slot order, so the ensemble, its
+  // curve and its generations are those of the sequential run.
+  EnsembleModel ensemble;
+  RoundCheckpointer rounds(config_, name(), train, factory, curve,
+                           {.ensemble = &ensemble});
   rounds.Resume();
+  const int restored = rounds.rounds();
 
-  // Serializes round ends from concurrent workers; a slot of `models` is
-  // only written by the worker that trains it, under this mutex.
+  // Members finished out of slot order wait here for their turn; under
+  // `rounds_mu`, with the ensemble and the round ends.
+  std::vector<std::unique_ptr<Module>> finished(
+      static_cast<size_t>(num_members));
   std::mutex rounds_mu;
   static Counter* const member_counter =
       MetricsRegistry::Global().GetCounter("bagging.members_trained");
-  ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
+  ParallelFor(restored, num_members, 1, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
-      const size_t slot = static_cast<size_t>(t);
-      if (models[slot] != nullptr) continue;  // restored from checkpoint
       if (ShutdownRequested()) continue;  // drain; the exit follows below
       TraceScope trace("bagging/member");
       member_counter->Increment();
-      const MemberPlan& plan = plans[slot];
+      const MemberPlan& plan = plans[static_cast<size_t>(t)];
       std::unique_ptr<Module> model = factory(plan.factory_seed);
       TrainModel(model.get(), plan.boot,
-                 rounds.MemberConfig(static_cast<int>(t),
+                 rounds.MemberConfig(static_cast<int>(t) + 1,
                                      config_.epochs_per_member,
                                      plan.train_seed),
                  TrainContext{});
@@ -68,22 +69,17 @@ EnsembleModel Bagging::Train(const Dataset& train, const ModelFactory& factory,
       // checkpoint; recording it as complete would corrupt the ensemble.
       if (ShutdownRequested()) continue;
       std::lock_guard<std::mutex> lock(rounds_mu);
-      models[slot] = std::move(model);
-      rounds.EndRound(config_.epochs_per_member);
+      finished[static_cast<size_t>(t)] = std::move(model);
+      for (int64_t next = ensemble.size();
+           next < num_members && finished[static_cast<size_t>(next)];
+           ++next) {
+        ensemble.AddMember(std::move(finished[static_cast<size_t>(next)]),
+                           1.0);
+        rounds.EndRound(config_.epochs_per_member);
+      }
     }
   });
   if (ShutdownRequested()) GracefulShutdownExit();
-
-  EnsembleModel ensemble;
-  int cumulative_epochs = 0;
-  for (int t = 0; t < num_members; ++t) {
-    ensemble.AddMember(std::move(models[static_cast<size_t>(t)]), 1.0);
-    cumulative_epochs += config_.epochs_per_member;
-    if (curve.enabled()) {
-      curve.points->emplace_back(cumulative_epochs,
-                                 ensemble.EvaluateAccuracy(*curve.eval));
-    }
-  }
   return ensemble;
 }
 

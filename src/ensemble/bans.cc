@@ -13,7 +13,7 @@ EnsembleModel Bans::Train(const Dataset& train, const ModelFactory& factory,
                           const EvalCurve& curve) {
   Rng rng(config_.seed);
   EnsembleModel ensemble;
-  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
+  RoundCheckpointer rounds(config_, name(), train, factory, curve,
                            {.ensemble = &ensemble, .rng = &rng});
   rounds.Resume();
   // The previous generation's soft targets on `train`; recomputed for a

@@ -5,9 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cerrno>
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -34,9 +34,10 @@ constexpr uint32_t kTagRng = 2;
 constexpr uint32_t kTagOptim = 3;
 constexpr uint32_t kTagMethodState = 4;
 constexpr uint32_t kTagMember = 5;
-/// Version 2 carries the curve points in the header; a generation of
-/// another version is skipped, not misread.
-constexpr uint32_t kGenerationVersion = 2;
+/// Version 3: the header holds no per-member slot array, since member i
+/// trains in slot i+1. A generation of another version is skipped, not
+/// misread.
+constexpr uint32_t kGenerationVersion = 3;
 constexpr uint32_t kInflightVersion = 1;
 
 std::string GenerationPath(const std::string& dir, int round) {
@@ -61,7 +62,7 @@ std::vector<int> ListGenerations(const std::string& dir) {
   return rounds;
 }
 
-// mkdir -p: the checkpoint dir is nested (base dir + per-method subdir),
+// mkdir -p: the checkpoint dir is nested (base dir + per-run subdir),
 // and neither level may exist yet on a fresh run.
 Status EnsureDir(const std::string& dir) {
   for (size_t pos = 1; pos < dir.size(); ++pos) {
@@ -73,18 +74,6 @@ Status EnsureDir(const std::string& dir) {
   }
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
   return Status::IOError("mkdir(" + dir + "): " + std::strerror(errno));
-}
-
-// Methods sharing one --checkpoint_dir each get their own namespace, so
-// e.g. a bench running Bagging then EDDE never rotates away the other
-// method's generations.
-std::string SanitizeForPath(const std::string& name) {
-  std::string out;
-  for (char c : name) {
-    const auto u = static_cast<unsigned char>(c);
-    out += std::isalnum(u) ? static_cast<char>(std::tolower(u)) : '_';
-  }
-  return out;
 }
 
 void WriteRngState(const RngState& rng, SectionWriter* out) {
@@ -116,21 +105,19 @@ Status ReadDoubleVector(SectionReader* in, std::vector<double>* out) {
   return Status::OK();
 }
 
-uint64_t MethodFingerprint(const std::string& method_name,
-                           const MethodConfig& config, int64_t dataset_size) {
+/// The identity of a run: method, budget, seed, the training data's
+/// contents and the members' parameter names and shapes.
+uint64_t RunFingerprint(const std::string& method_name,
+                        const MethodConfig& config, const Dataset& train,
+                        Module* model) {
   uint64_t fp = FingerprintBytes(method_name.data(), method_name.size());
   const uint64_t fields[] = {
       config.seed,
       static_cast<uint64_t>(config.num_members),
       static_cast<uint64_t>(config.epochs_per_member),
       static_cast<uint64_t>(config.batch_size),
-      static_cast<uint64_t>(dataset_size),
   };
-  return FingerprintBytes(fields, sizeof(fields), fp);
-}
-
-/// Mixes the parameter names and shapes of `model` into `fp`.
-uint64_t StructureFingerprint(Module* model, uint64_t fp) {
+  fp = train.Fingerprint(FingerprintBytes(fields, sizeof(fields), fp));
   for (Parameter* p : model->Parameters()) {
     fp = FingerprintBytes(p->name.data(), p->name.size(), fp);
     const std::vector<int64_t>& dims = p->value.shape().dims();
@@ -152,7 +139,6 @@ struct Generation {
   RngState rng;
   std::vector<double> weights;
   std::vector<double> alphas;
-  std::vector<uint64_t> slots;
   std::vector<CurvePoint> points;
   std::string method_state;
   std::vector<std::unique_ptr<Module>> members;
@@ -190,14 +176,12 @@ Status ReadGeneration(const std::string& path, uint64_t fingerprint,
         "generation belongs to a different run (method/config/dataset "
         "changed)");
   }
-  // Every per-member array is num_members long; check the count against
-  // the payload before sizing anything by it.
+  EDDE_RETURN_NOT_OK(ReadDoubleVector(&header, &g->weights));
+  // Check each count against the payload before sizing anything by it.
   if (num_members > header.remaining() / sizeof(double)) {
     return Status::Corruption("member count exceeds the header");
   }
-  EDDE_RETURN_NOT_OK(ReadDoubleVector(&header, &g->weights));
   g->alphas.resize(num_members);
-  g->slots.resize(num_members);
   if (num_members > 0 &&
       !header.ReadDoubles(g->alphas.data(), g->alphas.size())) {
     return header.status();
@@ -207,11 +191,11 @@ Status ReadGeneration(const std::string& path, uint64_t fingerprint,
       return Status::Corruption("member weight is not positive and finite");
     }
   }
-  for (uint64_t& s : g->slots) {
-    if (!header.ReadU64(&s)) return header.status();
-  }
   uint64_t num_points = 0;
   if (!header.ReadU64(&num_points)) return header.status();
+  if (num_points > header.remaining() / (sizeof(int64_t) + sizeof(double))) {
+    return Status::Corruption("curve point count exceeds the header");
+  }
   for (uint64_t i = 0; i < num_points; ++i) {
     int64_t epochs = 0;
     double accuracy = 0.0;
@@ -245,19 +229,22 @@ Status ReadGeneration(const std::string& path, uint64_t fingerprint,
 
 RoundCheckpointer::RoundCheckpointer(const MethodConfig& config,
                                      const std::string& method_name,
-                                     int64_t dataset_size,
+                                     const Dataset& train,
                                      const ModelFactory& factory,
                                      const EvalCurve& curve,
                                      const RoundState& state)
     : config_(config),
       method_name_(method_name),
       factory_(factory),
-      fingerprint_(MethodFingerprint(method_name, config, dataset_size)),
       curve_(curve),
       state_(state) {
+  EDDE_CHECK(state_.ensemble != nullptr);
   if (enabled()) {
-    fingerprint_ = StructureFingerprint(factory_(0).get(), fingerprint_);
-    dir_ = config_.checkpoint.dir + "/" + SanitizeForPath(method_name_);
+    fingerprint_ =
+        RunFingerprint(method_name_, config_, train, factory_(0).get());
+    char name[20];
+    std::snprintf(name, sizeof(name), "%016" PRIx64, fingerprint_);
+    dir_ = config_.checkpoint.dir + "/" + name;
     // Created eagerly: inflight checkpoints land here before the first
     // generation write. Failure degrades (every write will warn), it never
     // fails the run.
@@ -280,14 +267,10 @@ std::string RoundCheckpointer::Resume() {
         g.weights.size() != state_.weights->size()) {
       s = Status::Corruption("sample-weight count does not match the data");
     }
-    if (s.ok() && state_.slot_members != nullptr) {
-      std::vector<char> seen(state_.slot_members->size(), 0);
-      for (uint64_t slot : g.slots) {
-        if (slot >= seen.size() || seen[slot]++) {
-          s = Status::Corruption("member slot out of range or repeated");
-          break;
-        }
-      }
+    if (s.ok() && (g.round < 1 || g.round > config_.num_members ||
+                   g.members.size() > static_cast<size_t>(g.round) ||
+                   g.points.size() > static_cast<size_t>(g.round))) {
+      s = Status::Corruption("round count out of range");
     }
     if (!s.ok()) {
       // Graceful degradation: a torn or bit-flipped newest generation must
@@ -301,16 +284,11 @@ std::string RoundCheckpointer::Resume() {
     }
     rounds_ = g.round;
     epochs_ = g.cumulative_epochs;
-    slots_ = g.slots;
     points_ = g.points;
     if (state_.rng != nullptr) state_.rng->RestoreState(g.rng);
     if (state_.weights != nullptr) *state_.weights = std::move(g.weights);
     for (size_t i = 0; i < g.members.size(); ++i) {
-      if (state_.ensemble != nullptr) {
-        state_.ensemble->AddMember(std::move(g.members[i]), g.alphas[i]);
-      } else {
-        (*state_.slot_members)[g.slots[i]] = std::move(g.members[i]);
-      }
+      state_.ensemble->AddMember(std::move(g.members[i]), g.alphas[i]);
     }
     if (curve_.enabled()) {
       curve_.points->insert(curve_.points->end(), points_.begin(),
@@ -359,25 +337,12 @@ void RoundCheckpointer::EndRound(int epochs, const std::string& method_state,
                                  Module* probe) {
   ++rounds_;
   epochs_ += epochs;
-  if (state_.ensemble != nullptr) {
-    // A sequential member's inflight slot is the round it completed in.
-    while (static_cast<int64_t>(slots_.size()) < state_.ensemble->size()) {
-      slots_.push_back(static_cast<uint64_t>(rounds_));
-    }
-    if (curve_.enabled()) {
-      const double accuracy =
-          probe != nullptr ? EvaluateAccuracy(probe, *curve_.eval)
-                           : state_.ensemble->EvaluateAccuracy(*curve_.eval);
-      curve_.points->emplace_back(epochs_, accuracy);
-      points_.push_back(curve_.points->back());
-    }
-  } else {
-    for (size_t slot = 0; slot < state_.slot_members->size(); ++slot) {
-      if ((*state_.slot_members)[slot] != nullptr &&
-          std::find(slots_.begin(), slots_.end(), slot) == slots_.end()) {
-        slots_.push_back(slot);
-      }
-    }
+  if (curve_.enabled()) {
+    const double accuracy =
+        probe != nullptr ? EvaluateAccuracy(probe, *curve_.eval)
+                         : state_.ensemble->EvaluateAccuracy(*curve_.eval);
+    curve_.points->emplace_back(epochs_, accuracy);
+    points_.push_back(curve_.points->back());
   }
   const int every = config_.checkpoint.every;
   if (!enabled() || (every > 0 && rounds_ % every != 0)) return;
@@ -390,7 +355,7 @@ void RoundCheckpointer::EndRound(int epochs, const std::string& method_state,
     return;
   }
   // The durable generation supersedes its members' inflight files.
-  for (uint64_t slot : slots_) {
+  for (int64_t slot = 1; slot <= state_.ensemble->size(); ++slot) {
     ::unlink(InflightPath(static_cast<int>(slot)).c_str());
   }
 }
@@ -400,19 +365,8 @@ Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
   EDDE_FAILPOINT_STATUS("checkpoint.round");
   EDDE_RETURN_NOT_OK(EnsureDir(dir_));
 
-  std::vector<Module*> members;
-  std::vector<double> alphas;
-  if (state_.ensemble != nullptr) {
-    for (int64_t i = 0; i < state_.ensemble->size(); ++i) {
-      members.push_back(state_.ensemble->member(i));
-    }
-    alphas = state_.ensemble->alphas();
-  } else {
-    for (uint64_t slot : slots_) {
-      members.push_back((*state_.slot_members)[slot].get());
-    }
-    alphas.assign(members.size(), 1.0);
-  }
+  const EnsembleModel& ensemble = *state_.ensemble;
+  const std::vector<double>& alphas = ensemble.alphas();
   static const std::vector<double> kNoWeights;
   const std::vector<double>& weights =
       state_.weights != nullptr ? *state_.weights : kNoWeights;
@@ -426,11 +380,10 @@ Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
   header.WriteU64(fingerprint_);
   header.WriteI64(rounds_);
   header.WriteI64(epochs_);
-  header.WriteU64(members.size());
+  header.WriteU64(alphas.size());
   header.WriteU64(weights.size());
   header.WriteDoubles(weights.data(), weights.size());
   header.WriteDoubles(alphas.data(), alphas.size());
-  for (uint64_t s : slots_) header.WriteU64(s);
   header.WriteU64(points_.size());
   for (const CurvePoint& p : points_) {
     header.WriteI64(p.first);
@@ -447,9 +400,9 @@ Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
   blob.WriteBytes(method_state.data(), method_state.size());
   blob.AppendTo(&writer, kTagMethodState, kGenerationVersion);
 
-  for (Module* member : members) {
+  for (int64_t i = 0; i < ensemble.size(); ++i) {
     SectionWriter section;
-    WriteModuleParams(member, &section);
+    WriteModuleParams(ensemble.member(i), &section);
     section.AppendTo(&writer, kTagMember, kGenerationVersion);
   }
   EDDE_RETURN_NOT_OK(writer.Finish());

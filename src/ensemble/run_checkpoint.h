@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "data/dataset.h"
 #include "ensemble/method.h"
 #include "ensemble/trainer.h"
 #include "optim/sgd.h"
@@ -25,18 +26,15 @@ namespace edde {
 /// resume walks generations newest-first and falls back past corrupt ones
 /// instead of crashing.
 ///
-/// An *inflight* checkpoint (`inflight_<slot>.edde`) covers the member
-/// currently training: model parameters, SGD momentum, the trainer RNG and
-/// the next epoch index, fingerprint-guarded so a stale file from another
-/// run or round is ignored.
+/// An *inflight* checkpoint (`inflight_<slot>.edde`) covers a member still
+/// training: model parameters, SGD momentum, the trainer RNG and the next
+/// epoch index, fingerprint-guarded so a stale file from another run or
+/// round is ignored. Member i of the ensemble trains in slot i+1.
 
 /// The state of a method that a generation snapshots and Resume restores.
 /// The method owns every object; a null field is state the method lacks.
 struct RoundState {
-  /// Members and α in round order (every method but Bagging).
-  EnsembleModel* ensemble = nullptr;
-  /// Bagging: members by plan slot, null until the slot's member completes.
-  std::vector<std::unique_ptr<Module>>* slot_members = nullptr;
+  EnsembleModel* ensemble = nullptr;        ///< Members and α; required.
   Rng* rng = nullptr;                       ///< Method RNG stream.
   std::vector<double>* weights = nullptr;   ///< Boosting W_t.
 };
@@ -47,30 +45,32 @@ struct RoundState {
 /// from its newest usable generation, and ends each round with its curve
 /// point, its generation and the removal of superseded inflight files.
 ///
-/// Sequential methods call, per round: MemberConfig → TrainMember →
-/// (their own α / W_t update) → EndRound. With no checkpoint dir configured
+/// Methods call, per round: MemberConfig → TrainMember → (their own α /
+/// W_t update, and AddMember) → EndRound. With no checkpoint dir configured
 /// Resume restores nothing and EndRound only records the curve point. The
 /// object draws nothing from the method RNG, so trained ensembles are
 /// bit-identical with checkpointing on or off.
 ///
-/// The generation dir is `<dir>/<sanitized method name>/`, so several
-/// methods sharing one --checkpoint_dir never rotate each other's files.
+/// The generation dir is `<dir>/<run fingerprint, 16 hex digits>/`, so
+/// runs sharing one --checkpoint_dir — other methods, architectures or
+/// data — never read or rotate each other's files.
 /// Thread-compatible: Bagging, whose members complete concurrently, calls
 /// EndRound under its own mutex.
 class RoundCheckpointer {
  public:
-  /// `factory` builds the members. With checkpointing on, the parameter
-  /// names and shapes of `factory(0)` join the run fingerprint, so files of
-  /// another architecture never match — not even a generation with no
-  /// member to shape-check (Single's before its last round).
+  /// `factory` builds the members. With checkpointing on, the run
+  /// fingerprint covers the method and its config, the contents of `train`,
+  /// and the parameter names and shapes of `factory(0)`, so files of other
+  /// data or another architecture never match — not even a generation with
+  /// no member to shape-check (Single's before its last round).
   RoundCheckpointer(const MethodConfig& config, const std::string& method_name,
-                    int64_t dataset_size, const ModelFactory& factory,
+                    const Dataset& train, const ModelFactory& factory,
                     const EvalCurve& curve, const RoundState& state);
 
   /// When checkpointing and resume are on, loads the newest generation
   /// whose sections all pass CRC and whose fingerprint and version match,
   /// and restores from it the members and α, the RNG, W_t, the completed
-  /// rounds and epochs, and the curve points (appended to the EvalCurve).
+  /// rounds, and the curve points (appended to the EvalCurve).
   /// Members are rebuilt through `factory(0)`. Corrupt or foreign
   /// generations are skipped with a warning. Returns the generation's
   /// method blob; "" when nothing was restored.
@@ -78,16 +78,13 @@ class RoundCheckpointer {
 
   /// Rounds completed so far (restored ones included).
   int rounds() const { return rounds_; }
-  /// Training epochs those rounds spent.
-  int epochs() const { return epochs_; }
 
   /// The TrainConfig of one member: `epochs` epochs under `schedule` (null:
   /// the step decay every method but Snapshot uses), shuffled from `seed`,
-  /// with inflight checkpoints in `slot`. A sequential method's slot is the
-  /// round its member completes; Bagging's is the plan index. Retries of a
-  /// member (EDDE's divergence recovery) pass their `attempt`, which salts
-  /// the inflight fingerprint so one attempt never resumes off another's
-  /// file.
+  /// with inflight checkpoints in `slot` — one more than the index the
+  /// member will take in the ensemble. Retries of a member (EDDE's
+  /// divergence recovery) pass their `attempt`, which salts the inflight
+  /// fingerprint so one attempt never resumes off another's file.
   TrainConfig MemberConfig(
       int slot, int epochs, uint64_t seed, int attempt = 0,
       std::shared_ptr<const LrSchedule> schedule = nullptr) const;
@@ -104,10 +101,10 @@ class RoundCheckpointer {
                    const EpochCallback& on_epoch = nullptr) const;
 
   /// Ends the next round, which trained `epochs` epochs. Records the curve
-  /// point — the accuracy of `probe` when given, else of the ensemble;
-  /// Bagging records none here, its curve follows slot order — and, on
-  /// the checkpoint cadence, writes the generation with `method_state`.
-  /// Once it is durable, the inflight files of its members are removed.
+  /// point — the accuracy of `probe` when given, else of the ensemble —
+  /// and, on the checkpoint cadence, writes the generation with
+  /// `method_state`. Once it is durable, the inflight files of the
+  /// ensemble's members are removed.
   /// A failed write degrades (warning), it never fails the run.
   void EndRound(int epochs, const std::string& method_state = "",
                 Module* probe = nullptr);
@@ -128,9 +125,7 @@ class RoundCheckpointer {
   EvalCurve curve_;
   RoundState state_;
   int rounds_ = 0;
-  int epochs_ = 0;
-  /// Inflight slot of each member in the state, in generation order.
-  std::vector<uint64_t> slots_;
+  int epochs_ = 0;  ///< training epochs the rounds spent
   /// Curve points so far, restored ones included.
   std::vector<CurvePoint> points_;
 };

@@ -17,7 +17,7 @@ EnsembleModel SnapshotEnsemble::Train(const Dataset& train,
   const int cycles = config_.num_members;
   const int cycle_epochs = config_.epochs_per_member;
   EnsembleModel ensemble;
-  RoundCheckpointer rounds(config_, name(), train.size(), factory, curve,
+  RoundCheckpointer rounds(config_, name(), train, factory, curve,
                            {.ensemble = &ensemble, .rng = &rng});
   rounds.Resume();
 

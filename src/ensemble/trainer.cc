@@ -9,6 +9,7 @@
 #include "utils/failpoint.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
+#include "utils/run_manifest.h"
 #include "utils/trace.h"
 
 namespace edde {
@@ -125,7 +126,12 @@ double TrainModel(Module* model, const Dataset& train,
         }
       }
 
-      tape.Reset();
+      // The step's Dropout masks: a function of the member's seed and the
+      // step alone, so a member resumed at an epoch draws the masks an
+      // uninterrupted run would. Nothing is drawn from `rng`.
+      const uint64_t step[] = {config.seed, static_cast<uint64_t>(epoch),
+                               static_cast<uint64_t>(b)};
+      tape.Reset(FingerprintBytes(step, sizeof(step)));
       Tensor logits = model->Forward(x, &tape);
       LossResult loss = SoftmaxCrossEntropyLoss(logits, y, weights, reference,
                                                 context.loss);

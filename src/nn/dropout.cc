@@ -4,7 +4,7 @@
 
 namespace edde {
 
-Dropout::Dropout(float rate, uint64_t seed) : rate_(rate), rng_(seed) {
+Dropout::Dropout(float rate) : rate_(rate) {
   EDDE_CHECK_GE(rate, 0.0f);
   EDDE_CHECK_LT(rate, 1.0f);
 }
@@ -19,9 +19,10 @@ Tensor Dropout::ForwardImpl(const Tensor& input, Tape* tape) {
   const float* x = input.data();
   float* y = output.data();
   float* m = mask.data();
+  Rng* masks = tape->masks();
   const int64_t n = input.num_elements();
   for (int64_t i = 0; i < n; ++i) {
-    const bool on = rng_.Bernoulli(keep);
+    const bool on = masks->Bernoulli(keep);
     m[i] = on ? scale : 0.0f;
     y[i] = x[i] * m[i];
   }

@@ -5,16 +5,16 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/rng.h"
 
 namespace edde {
 
 /// Inverted dropout: during training each element is zeroed with probability
 /// `rate` and survivors are scaled by 1/(1-rate); identity at eval time.
+/// The mask comes from the tape's mask stream (Tape::Reset).
 class Dropout : public Module {
  public:
-  /// `rate` in [0, 1); `seed` makes the mask stream reproducible.
-  Dropout(float rate, uint64_t seed);
+  /// `rate` in [0, 1).
+  explicit Dropout(float rate);
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
@@ -25,7 +25,6 @@ class Dropout : public Module {
 
  private:
   float rate_;
-  Rng rng_;  ///< the mask stream, drawn by training Forwards
 };
 
 }  // namespace edde

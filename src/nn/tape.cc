@@ -15,9 +15,10 @@ constexpr int64_t kMinSlabFloats = 1 << 14;
 
 }  // namespace
 
-void Tape::Reset() {
+void Tape::Reset(uint64_t mask_seed) {
   saved_.clear();
   data_ = nullptr;
+  masks_ = Rng(mask_seed);
   capacity_ = std::max(capacity_, step_floats_);
   const bool held = !slabs_.empty() && slabs_.back().shared();
   if (slabs_.size() > 1 || held) {

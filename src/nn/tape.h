@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace edde {
@@ -18,6 +19,10 @@ namespace edde {
 /// to first. Modules keep only their weights; the caller that trains owns
 /// the tape and resets it once per step (DESIGN.md §17).
 ///
+/// The tape also carries the step's mask stream: Reset seeds it, and a
+/// training-mode Dropout draws its mask from it. Masks are then a function
+/// of the step alone, so a member resumed mid-run draws the same ones.
+///
 /// NewTensor bump-allocates views of one resident slab. A step that
 /// outgrows the slab chains another, and the next Reset replaces the chain
 /// by one slab of the step's size, so a steady-state step allocates
@@ -30,9 +35,9 @@ class Tape {
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  /// Starts the next step: drops every saved tensor and the data mark, and
-  /// rewinds the memory.
-  void Reset();
+  /// Starts the next step: drops every saved tensor and the data mark,
+  /// rewinds the memory, and seeds the step's mask stream with `mask_seed`.
+  void Reset(uint64_t mask_seed = 0);
 
   /// An uninitialized tensor of `shape` from the step's memory.
   Tensor NewTensor(const Shape& shape);
@@ -48,6 +53,9 @@ class Tape {
   void MarkData(const Tensor& input) { data_ = input.data(); }
   bool IsData(const Tensor& t) const { return t.data() == data_; }
 
+  /// The step's mask stream.
+  Rng* masks() { return &masks_; }
+
   /// True when every saved tensor has been taken back.
   bool empty() const { return saved_.empty(); }
 
@@ -58,6 +66,7 @@ class Tape {
   int64_t step_floats_ = 0;    ///< floats handed out this step
   int64_t capacity_ = 0;       ///< largest step so far
   const float* data_ = nullptr;
+  Rng masks_{0};  ///< as after Reset(0)
 };
 
 /// A layer's output or gradient buffer: from the tape in a training step,

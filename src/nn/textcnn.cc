@@ -19,7 +19,7 @@ TextCnn::TextCnn(const TextCnnConfig& config, uint64_t seed)
         /*padding=*/0, /*use_bias=*/true, &rng));
     relus_.push_back(std::make_unique<ReLU>());
   }
-  dropout_ = std::make_unique<Dropout>(config.dropout_rate, rng.NextU64());
+  dropout_ = std::make_unique<Dropout>(config.dropout_rate);
   const int64_t feat = static_cast<int64_t>(config.kernel_sizes.size()) *
                        config.filters_per_size;
   classifier_ = std::make_unique<Dense>(feat, config.num_classes, &rng);

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "core/edde.h"
+#include "data/synthetic_text.h"
 #include "ensemble/adaboost_m1.h"
 #include "ensemble/adaboost_nc.h"
 #include "ensemble/bagging.h"
@@ -42,6 +44,7 @@
 #include "ensemble/single.h"
 #include "ensemble/snapshot.h"
 #include "nn/mlp.h"
+#include "nn/textcnn.h"
 #include "test_util.h"
 #include "utils/crash.h"
 #include "utils/durable_io.h"
@@ -76,6 +79,20 @@ std::string FreshDir(const std::string& name) {
   RemoveTree(dir);
   ::mkdir(dir.c_str(), 0755);
   return dir;
+}
+
+/// The one run directory a run made under `dir` (named by its fingerprint).
+std::string RunDir(const std::string& dir) {
+  std::vector<std::string> subdirs;
+  DIR* d = ::opendir(dir.c_str());
+  while (d != nullptr) {
+    const dirent* entry = ::readdir(d);
+    if (entry == nullptr) break;
+    if (entry->d_name[0] != '.') subdirs.push_back(dir + "/" + entry->d_name);
+  }
+  if (d != nullptr) ::closedir(d);
+  EXPECT_EQ(subdirs.size(), 1u) << dir;
+  return subdirs.empty() ? dir : subdirs.front();
 }
 
 /// The seven methods of the paper's comparison, each resumed by the shared
@@ -157,6 +174,33 @@ struct Workload {
     return Train(Method::kEdde, checkpoint_dir).model;
   }
 };
+
+/// The same budget on TextCNN members with dropout 0.5, whose masks a
+/// resumed member must draw exactly as an uninterrupted one does.
+Workload TextWorkload() {
+  SyntheticTextConfig text;
+  text.vocab_size = 40;
+  text.seq_len = 10;
+  text.train_size = 256;  // 8 batches an epoch, as the MLP workload
+  text.test_size = 64;
+  text.sentiment_vocab = 6;
+  text.negator_vocab = 2;
+  text.seed = 5;
+  const TrainTestSplit split = MakeSyntheticTextData(text);
+  Workload w;
+  w.data = {split.train, split.test};
+  w.factory = [](uint64_t seed) {
+    TextCnnConfig cfg;
+    cfg.vocab_size = 40;
+    cfg.embed_dim = 4;
+    cfg.seq_len = 10;
+    cfg.kernel_sizes = {2, 3};
+    cfg.filters_per_size = 4;
+    cfg.dropout_rate = 0.5f;
+    return std::make_unique<TextCnn>(cfg, seed);
+  };
+  return w;
+}
 
 /// Serializes `model` and returns the bytes — the strongest identity check
 /// available: every member parameter and every α, bit for bit.
@@ -243,37 +287,47 @@ class MethodResumeTest : public CheckpointTortureTest,
 
 TEST_P(MethodResumeTest, CrashAtEverySiteThenResumeIsBitIdentical) {
   const Method method = GetParam();
-  // Phase 1: one child per site. Each child wipes its own dir, arms
-  // `<site>=crash:2` (the second hit, so some durable state exists by then)
-  // and trains until the fault kills it mid-run with a raw _exit — no
-  // flushes, no destructors; the closest a test gets to `kill -9`.
+  const Workload text = TextWorkload();
+  const std::vector<std::pair<std::string, const Workload*>> workloads = {
+      {"mlp", &workload_}, {"textcnn", &text}};
+  // Phase 1: one child per site and workload. Each child wipes its own
+  // dir, arms `<site>=crash:2` (the second hit, so some durable state
+  // exists by then) and trains until the fault kills it mid-run with a raw
+  // _exit — no flushes, no destructors; the closest a test gets to
+  // `kill -9`.
   std::vector<std::string> dirs;
   // Only the training-path prefix of the catalog: serving/shutdown sites
   // are never reached by training (their crash specs would just never
   // fire) and have their own failpoint-driven tests.
-  for (size_t i = 0; i < failpoint::kNumTrainingSites; ++i) {
-    const std::string site = failpoint::kSites[i];
-    dirs.push_back(DirFor("torture_" + MethodTag(method) + "_site_" +
-                          std::to_string(i)));
-    EXPECT_EXIT(
-        {
-          RemoveTree(dirs.back());
-          (void)failpoint::SetSpec(site + "=crash:2");
-          (void)workload_.Train(method, dirs.back());
-          _exit(7);  // the site was never hit twice — fail the EXPECT_EXIT
-        },
-        ::testing::ExitedWithCode(failpoint::kCrashExitCode), "")
-        << "site " << site;
+  for (const auto& [tag, workload] : workloads) {
+    for (size_t i = 0; i < failpoint::kNumTrainingSites; ++i) {
+      const std::string site = failpoint::kSites[i];
+      dirs.push_back(DirFor("torture_" + MethodTag(method) + "_" + tag +
+                            "_site_" + std::to_string(i)));
+      EXPECT_EXIT(
+          {
+            RemoveTree(dirs.back());
+            (void)failpoint::SetSpec(site + "=crash:2");
+            (void)workload->Train(method, dirs.back());
+            _exit(7);  // the site was never hit twice — fail the EXPECT_EXIT
+          },
+          ::testing::ExitedWithCode(failpoint::kCrashExitCode), "")
+          << tag << " site " << site;
+    }
   }
 
   // Phase 2 (parent only): resume each wreck with faults disarmed and
   // compare against an uninterrupted run. Deterministic replay makes even
   // a crash *before* any checkpoint landed resolve to the identical result.
-  const TrainedRun reference = workload_.Train(method, "");
-  for (size_t i = 0; i < dirs.size(); ++i) {
-    const TrainedRun resumed = workload_.Train(method, dirs[i]);
-    ExpectSameRun(resumed, reference, workload_,
-                  MethodTag(method) + "_" + failpoint::kSites[i]);
+  size_t d = 0;
+  for (const auto& [tag, workload] : workloads) {
+    const TrainedRun reference = workload->Train(method, "");
+    for (size_t i = 0; i < failpoint::kNumTrainingSites; ++i, ++d) {
+      const TrainedRun resumed = workload->Train(method, dirs[d]);
+      ExpectSameRun(resumed, reference, *workload,
+                    MethodTag(method) + "_" + tag + "_" +
+                        failpoint::kSites[i]);
+    }
   }
 }
 
@@ -299,38 +353,50 @@ TEST_P(MethodResumeTest, GracefulShutdownThenResumeIsBitIdentical) {
 
 TEST_P(MethodResumeTest, ShutdownMidMemberThenResumeIsBitIdentical) {
   const Method method = GetParam();
-  const std::string dir =
-      DirFor("torture_shutdown_mid_" + MethodTag(method));
+  const Workload text = TextWorkload();
+  const std::vector<std::pair<std::string, const Workload*>> workloads = {
+      {"mlp", &workload_}, {"textcnn", &text}};
   // 8 batches an epoch, 3 epochs a member: batch 28 is in the first epoch
   // of the second member's budget. That epoch completes, its inflight
   // checkpoint lands, and the method exits 128+SIGTERM.
-  Workload signalled = workload_;
-  auto batches = std::make_shared<std::atomic<int>>(0);
-  signalled.factory = [base = workload_.factory, batches](uint64_t seed) {
-    return std::make_unique<ShutdownAtBatch>(base(seed), batches, 28);
-  };
-  EXPECT_EXIT(
-      {
-        RemoveTree(dir);
-        (void)signalled.Train(method, dir);
-        _exit(7);
-      },
-      ::testing::ExitedWithCode(128 + SIGTERM), "");
+  for (const auto& [tag, workload] : workloads) {
+    const std::string dir =
+        DirFor("torture_shutdown_mid_" + MethodTag(method) + "_" + tag);
+    Workload signalled = *workload;
+    auto batches = std::make_shared<std::atomic<int>>(0);
+    signalled.factory = [base = workload->factory, batches](uint64_t seed) {
+      return std::make_unique<ShutdownAtBatch>(base(seed), batches, 28);
+    };
+    EXPECT_EXIT(
+        {
+          RemoveTree(dir);
+          (void)signalled.Train(method, dir);
+          _exit(7);
+        },
+        ::testing::ExitedWithCode(128 + SIGTERM), "")
+        << tag;
+  }
 
-  const TrainedRun resumed = workload_.Train(method, dir);
-  const TrainedRun reference = workload_.Train(method, "");
-  ExpectSameRun(resumed, reference, workload_,
-                "shutdown_mid_" + MethodTag(method));
+  for (const auto& [tag, workload] : workloads) {
+    const std::string dir =
+        DirFor("torture_shutdown_mid_" + MethodTag(method) + "_" + tag);
+    const TrainedRun resumed = workload->Train(method, dir);
+    const TrainedRun reference = workload->Train(method, "");
+    ExpectSameRun(resumed, reference, *workload,
+                  "shutdown_mid_" + MethodTag(method) + "_" + tag);
+  }
 }
 
 TEST_P(MethodResumeTest, RunOfAnotherArchitectureIsNeverResumed) {
-  // Two runs of one method with different hidden widths share a dir. The
-  // second must not resume the first's files — Single's generations before
-  // its last round hold no member whose shapes could catch the mismatch,
-  // so the run fingerprint has to — and equals a clean run.
+  // Three runs of one method share a dir: the workload, one with wider
+  // members, and one of equal size on other data. None may resume another's
+  // files — Single's generations before its last round hold no member whose
+  // shapes could catch the mismatch, so the run fingerprint has to — and
+  // each equals a clean run. Then the first and the last rerun: each
+  // restores its own finished run, so neither's files were overwritten or
+  // rotated away by the others.
   const Method method = GetParam();
   const std::string dir = FreshDir("torture_other_arch_" + MethodTag(method));
-  (void)workload_.Train(method, dir);
   Workload wider = workload_;
   wider.factory = [](uint64_t seed) {
     MlpConfig cfg;
@@ -339,9 +405,27 @@ TEST_P(MethodResumeTest, RunOfAnotherArchitectureIsNeverResumed) {
     cfg.num_classes = 3;
     return std::make_unique<Mlp>(cfg, seed);
   };
-  const TrainedRun resumed = wider.Train(method, dir);
-  const TrainedRun reference = wider.Train(method, "");
-  ExpectSameRun(resumed, reference, wider, "other_arch_" + MethodTag(method));
+  Workload other_data = workload_;
+  other_data.data = MakeBlobsSplit(256, 128, 6, 3, 12, /*spread=*/1.6f);
+  const std::vector<std::pair<std::string, const Workload*>> workloads = {
+      {"first", &workload_}, {"wider", &wider}, {"other_data", &other_data}};
+  std::vector<TrainedRun> references;
+  for (const auto& [tag, workload] : workloads) {
+    const TrainedRun run = workload->Train(method, dir);
+    references.push_back(workload->Train(method, ""));
+    ExpectSameRun(run, references.back(), *workload,
+                  tag + "_" + MethodTag(method));
+  }
+  Counter* const epochs = MetricsRegistry::Global().GetCounter("trainer.epochs");
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    const auto& [tag, workload] = workloads[i];
+    const int64_t epochs_before = epochs->Value();
+    const TrainedRun rerun = workload->Train(method, dir);
+    EXPECT_EQ(epochs->Value(), epochs_before)
+        << tag << "_" << MethodTag(method) << ": a finished run retrained";
+    ExpectSameRun(rerun, references[i], *workload,
+                  "rerun_" + tag + "_" + MethodTag(method));
+  }
 }
 
 TEST_P(MethodResumeTest, CheckpointingItselfChangesNothing) {
@@ -379,8 +463,8 @@ TEST_F(CheckpointTortureTest, BaggingCrashResumeIsBitIdenticalAcrossThreads) {
       },
       ::testing::ExitedWithCode(failpoint::kCrashExitCode), "");
 
-  // Resume at a different pool size than the crashed run: slot-keyed
-  // generations plus serially pre-drawn per-member seeds make the result
+  // Resume at a different pool size than the crashed run: members joining
+  // in slot order plus serially pre-drawn per-member seeds make the result
   // thread-count-independent.
   SetNumThreads(5);
   const TrainedRun resumed = workload_.Train(Method::kBagging, dir);
@@ -415,7 +499,7 @@ void FlipByteInMiddle(const std::string& path) {
 TEST_F(CheckpointTortureTest, CorruptNewestGenerationFallsBackToOlder) {
   const std::string dir = FreshDir("torture_corrupt_newest");
   const EnsembleModel reference = workload_.TrainEdde(dir);
-  const std::vector<std::string> files = ListGenerationFiles(dir + "/edde");
+  const std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
   ASSERT_GE(files.size(), 2u);
   FlipByteInMiddle(files.back());
 
@@ -428,7 +512,7 @@ TEST_F(CheckpointTortureTest, CorruptNewestGenerationFallsBackToOlder) {
 TEST_F(CheckpointTortureTest, EveryGenerationCorruptRetrainsFromScratch) {
   const std::string dir = FreshDir("torture_corrupt_all");
   const EnsembleModel reference = workload_.TrainEdde(dir);
-  const std::vector<std::string> files = ListGenerationFiles(dir + "/edde");
+  const std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
   ASSERT_GE(files.size(), 2u);
   for (const std::string& f : files) FlipByteInMiddle(f);
   // A completed run leaves no inflight files, but corrupt any stragglers so
@@ -436,7 +520,7 @@ TEST_F(CheckpointTortureTest, EveryGenerationCorruptRetrainsFromScratch) {
   for (int slot = 0; slot < 8; ++slot) {
     char name[36];
     std::snprintf(name, sizeof(name), "inflight_%04d.edde", slot);
-    const std::string path = dir + "/edde/" + name;
+    const std::string path = RunDir(dir) + "/" + name;
     if (::access(path.c_str(), F_OK) == 0) FlipByteInMiddle(path);
   }
 
@@ -450,7 +534,7 @@ TEST_F(CheckpointTortureTest, GenerationOfAnotherVersionIsSkipped) {
   // retrains from scratch and lands on the same result.
   const std::string dir = FreshDir("torture_version");
   const EnsembleModel reference = workload_.TrainEdde(dir);
-  const std::vector<std::string> files = ListGenerationFiles(dir + "/edde");
+  const std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
   ASSERT_GE(files.size(), 2u);
   for (const std::string& f : files) {
     std::string bytes = ReadWholeFile(f);
@@ -516,7 +600,7 @@ TEST_F(CheckpointTortureTest, RotationKeepsOnlyNewestGenerations) {
   mc.checkpoint.keep = 2;
   EddeMethod method(mc, eo);
   (void)method.Train(workload_.data.train, workload_.factory);
-  const std::vector<std::string> files = ListGenerationFiles(dir + "/edde");
+  const std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
   EXPECT_EQ(files.size(), 2u) << "keep=2 must prune older generations";
 }
 

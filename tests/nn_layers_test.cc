@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
@@ -177,16 +178,18 @@ TEST(ReLUTest, ClampsNegatives) {
 }
 
 TEST(DropoutTest, EvalIsIdentity) {
-  Dropout layer(0.5f, 99);
+  Dropout layer(0.5f);
   Tensor input(Shape{8}, 3.0f);
-  Tensor out = layer.Forward(input, /*training=*/false);
+  Tensor out = layer.Forward(input, /*tape=*/nullptr);
   for (int64_t i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(out.at(i), 3.0f);
 }
 
 TEST(DropoutTest, TrainingZeroesAboutRateAndRescales) {
-  Dropout layer(0.25f, 7);
+  Dropout layer(0.25f);
+  Tape tape;
+  tape.Reset(7);
   Tensor input(Shape{4000}, 1.0f);
-  Tensor out = layer.Forward(input, /*training=*/true);
+  Tensor out = layer.Forward(input, &tape);
   int64_t zeros = 0;
   for (int64_t i = 0; i < out.num_elements(); ++i) {
     if (out.at(i) == 0.0f) {
@@ -200,11 +203,40 @@ TEST(DropoutTest, TrainingZeroesAboutRateAndRescales) {
   EXPECT_NEAR(out.Mean(), 1.0, 0.05);
 }
 
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout layer(0.5f, 3);
+/// One training step seeded with `step_seed` on ones: its mask times 1/keep.
+std::vector<float> MaskOfStep(Dropout* layer, uint64_t step_seed) {
+  Tape tape;
+  tape.Reset(step_seed);
+  const Tensor out = layer->Forward(Tensor(Shape{256}, 1.0f), &tape);
+  return std::vector<float>(out.data(), out.data() + out.num_elements());
+}
+
+TEST(DropoutTest, SameStepSeedGivesSameMask) {
+  // Masks come from the tape, not the layer: two layers, or one layer
+  // before and after other steps, draw one mask for one step seed.
+  Dropout a(0.5f);
+  Dropout b(0.5f);
+  const std::vector<float> first = MaskOfStep(&a, 41);
+  (void)MaskOfStep(&a, 42);
+  EXPECT_EQ(MaskOfStep(&a, 41), first);
+  EXPECT_EQ(MaskOfStep(&b, 41), first);
+}
+
+TEST(DropoutTest, AnotherStepGivesAnotherMask) {
+  Dropout layer(0.5f);
+  EXPECT_NE(MaskOfStep(&layer, 41), MaskOfStep(&layer, 42));
+}
+
+TEST(DropoutTest, BackwardAppliesTheForwardMask) {
+  Dropout layer(0.5f);
+  Tape tape;
+  tape.Reset(3);
   Tensor input(Shape{64}, 1.0f);
-  Tensor out = layer.Forward(input, /*training=*/true);
-  Tensor grad = layer.Backward(Tensor(Shape{64}, 1.0f));
+  Tensor out = layer.Forward(input, &tape);
+  // Draws after the Forward must not reach its Backward.
+  (void)tape.masks()->NextU64();
+  Tensor grad = layer.Backward(Tensor(Shape{64}, 1.0f), &tape);
+  EXPECT_TRUE(tape.empty());
   for (int64_t i = 0; i < 64; ++i) {
     EXPECT_FLOAT_EQ(grad.at(i), out.at(i));  // both are mask * scale
   }

@@ -114,18 +114,25 @@ void ExpectIdenticalParameters(Module* a, Module* b) {
 }
 
 TEST_F(ParallelDeterminismTest, BaggingCheckpointingChangesNothingAtFourThreads) {
-  // Members complete concurrently and end their rounds — generation write,
-  // inflight removal — under Bagging's mutex while other workers train
-  // into their own inflight files. The TSan job runs this binary.
+  // Members complete concurrently and, in slot order, join the ensemble
+  // and end their rounds — curve point, generation write, inflight removal
+  // — under Bagging's mutex while other workers train into their own
+  // inflight files. The TSan job runs this binary.
   Fixture fx;
   SetNumThreads(4);
-  EnsembleModel without = Bagging(fx.config).Train(fx.data.train, fx.factory);
+  std::vector<CurvePoint> curve_without;
+  EnsembleModel without = Bagging(fx.config).Train(
+      fx.data.train, fx.factory, EvalCurve{&fx.data.test, &curve_without});
   MethodConfig checkpointed = fx.config;
   checkpointed.checkpoint.dir =
       ::testing::TempDir() + "/determinism_bagging_ckpt";
   checkpointed.checkpoint.resume = false;  // train, never restore
-  EnsembleModel with = Bagging(checkpointed).Train(fx.data.train, fx.factory);
+  std::vector<CurvePoint> curve_with;
+  EnsembleModel with = Bagging(checkpointed).Train(
+      fx.data.train, fx.factory, EvalCurve{&fx.data.test, &curve_with});
 
+  ASSERT_EQ(curve_with.size(), static_cast<size_t>(fx.config.num_members));
+  EXPECT_EQ(curve_with, curve_without);
   ASSERT_EQ(with.size(), without.size());
   EXPECT_EQ(with.alphas(), without.alphas());
   for (int64_t t = 0; t < with.size(); ++t) {

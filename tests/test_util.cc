@@ -1,14 +1,64 @@
 #include "test_util.h"
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <string>
+
+#include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "utils/crash.h"
 #include "utils/logging.h"
 
 namespace edde {
 namespace testing {
 
 namespace {
+
+/// Death tests crash on purpose, and every crash writes a report
+/// (utils/crash). Each test binary points the reports at a temporary
+/// directory of its own and removes it when it exits. A threadsafe-style
+/// death-test child re-executes the binary and finds the directory in the
+/// environment; a forked one inherits it. Neither removes it.
+class CrashReportDir {
+ public:
+  CrashReportDir() {
+    if (const char* inherited = std::getenv(kEnv)) {
+      SetCrashReportDir(inherited);
+      return;
+    }
+    std::string dir = ::testing::TempDir();
+    if (dir.empty() || dir.back() != '/') dir += '/';
+    dir += "edde_test_crash_XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) return;  // reports stay in the cwd
+    dir_ = dir;
+    owner_ = ::getpid();
+    ::setenv(kEnv, dir_.c_str(), 1);
+    SetCrashReportDir(dir_);
+  }
+
+  ~CrashReportDir() {
+    if (dir_.empty() || ::getpid() != owner_) return;
+    if (DIR* d = ::opendir(dir_.c_str())) {
+      while (const dirent* entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name != "." && name != "..") ::unlink((dir_ + "/" + name).c_str());
+      }
+      ::closedir(d);
+    }
+    ::rmdir(dir_.c_str());
+  }
+
+ private:
+  static constexpr const char* kEnv = "EDDE_TEST_CRASH_REPORT_DIR";
+  std::string dir_;
+  pid_t owner_ = 0;
+};
+
+const CrashReportDir g_crash_report_dir;
 
 double Objective(Module* module, const Tensor& input, const Tensor& probe,
                  bool training) {
