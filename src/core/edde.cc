@@ -76,10 +76,9 @@ void RecordRoundStats(const EddeRoundStats& stats,
   }
 }
 
-// EDDE's method-specific checkpoint blob: the per-round stats recorded so
-// far, so a resumed run hands observers the full history. Packed as a
-// nested section payload; the enclosing generation section carries the CRC.
-std::string PackRoundStats(const std::vector<EddeRoundStats>& stats) {
+// EDDE's method-state checkpoint section: the per-round stats recorded so
+// far, so a resumed run hands observers the full history.
+SectionWriter PackRoundStats(const std::vector<EddeRoundStats>& stats) {
   SectionWriter blob;
   blob.WriteU64(stats.size());
   for (const EddeRoundStats& s : stats) {
@@ -94,26 +93,24 @@ std::string PackRoundStats(const std::vector<EddeRoundStats>& stats) {
     blob.WriteF64(s.weight_max);
     blob.WriteF64(s.round_seconds);
   }
-  return blob.payload();
+  return blob;
 }
 
-Status UnpackRoundStats(const std::string& payload,
+Status UnpackRoundStats(SectionReader* in,
                         std::vector<EddeRoundStats>* stats) {
-  SectionReader blob;
-  blob.InitFromPayload(payload);
   uint64_t count = 0;
-  if (!blob.ReadU64(&count)) return blob.status();
+  if (!in->ReadU64(&count)) return in->status();
   for (uint64_t i = 0; i < count; ++i) {
     EddeRoundStats s;
     int64_t round = 0;
     uint32_t clamped = 0;
-    if (!blob.ReadI64(&round) || !blob.ReadF64(&s.alpha) ||
-        !blob.ReadU32(&clamped) || !blob.ReadF64(&s.correct_sim_mass) ||
-        !blob.ReadF64(&s.wrong_sim_mass) ||
-        !blob.ReadF64(&s.mean_pairwise_div) || !blob.ReadF64(&s.weight_min) ||
-        !blob.ReadF64(&s.weight_mean) || !blob.ReadF64(&s.weight_max) ||
-        !blob.ReadF64(&s.round_seconds)) {
-      return blob.status();
+    if (!in->ReadI64(&round) || !in->ReadF64(&s.alpha) ||
+        !in->ReadU32(&clamped) || !in->ReadF64(&s.correct_sim_mass) ||
+        !in->ReadF64(&s.wrong_sim_mass) ||
+        !in->ReadF64(&s.mean_pairwise_div) || !in->ReadF64(&s.weight_min) ||
+        !in->ReadF64(&s.weight_mean) || !in->ReadF64(&s.weight_max) ||
+        !in->ReadF64(&s.round_seconds)) {
+      return in->status();
     }
     s.round = static_cast<int>(round);
     s.alpha_clamped = clamped != 0;
@@ -190,16 +187,17 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
   std::vector<Tensor> member_train_probs;
 
   // Crash consistency (DESIGN.md §11): the round loop restores members, α,
-  // W_t, the RNG and the curve points; the blob carries the round stats.
+  // W_t, the RNG and the curve points; the method-state section carries the
+  // round stats.
   RoundCheckpointer rounds(
       config_, name(), train, factory, curve,
       {.ensemble = &ensemble, .rng = &rng, .weights = &weights});
   std::vector<EddeRoundStats> stats_log;  // full history, checkpointed
-  const std::string blob = rounds.Resume();
+  SectionReader method_state = rounds.Resume();
   if (rounds.rounds() > 0) {
-    Status unpacked = UnpackRoundStats(blob, &stats_log);
+    Status unpacked = UnpackRoundStats(&method_state, &stats_log);
     if (!unpacked.ok()) {
-      // The stats are observation only; a blob that passed the CRC and
+      // The stats are observation only; a section that passed the CRC and
       // version checks yet does not parse costs the history, not the run.
       EDDE_LOG(WARNING) << "discarding EDDE round stats: "
                         << unpacked.ToString();

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "utils/durable_io.h"
-#include "utils/serialize.h"
 
 namespace edde {
 
@@ -58,49 +57,35 @@ Status SaveEnsemble(const EnsembleModel& ensemble, const std::string& path,
   if (ensemble.size() == 0) {
     return Status::InvalidArgument("cannot save an empty ensemble");
   }
-  BinaryWriter writer(path);
-  writer.WriteU32(kEnsembleMagicV3);
+  auto params = ensemble.member(0)->Parameters();
+  SectionWriter header;
+  header.WriteU64(static_cast<uint64_t>(ensemble.size()));
+  header.WriteU32(static_cast<uint32_t>(options.dtype));
+  // Recorded so a loader can cross-check the members it reconstructs; a
+  // disagreement means the file (or the factory) is lying about the
+  // architecture.
+  header.WriteI64(DeriveInputDim(params));
+  header.WriteI64(DeriveNumClasses(params));
 
-  {
-    auto params = ensemble.member(0)->Parameters();
-    SectionWriter header;
-    header.WriteU64(static_cast<uint64_t>(ensemble.size()));
-    header.WriteU32(static_cast<uint32_t>(options.dtype));
-    // Recorded so a loader can cross-check the members it reconstructs; a
-    // disagreement means the file (or the factory) is lying about the
-    // architecture.
-    header.WriteI64(DeriveInputDim(params));
-    header.WriteI64(DeriveNumClasses(params));
-    header.AppendTo(&writer, kTagHeader, kFormatVersion);
-  }
-
+  std::vector<SectionWriter> members(static_cast<size_t>(ensemble.size()));
+  std::vector<TaggedSection> sections = {{kTagHeader, &header}};
   for (int64_t t = 0; t < ensemble.size(); ++t) {
-    SectionWriter section;
+    SectionWriter& section = members[static_cast<size_t>(t)];
     section.WriteF32(static_cast<float>(ensemble.alpha(t)));
     WriteModuleParams(ensemble.member(t), &section, options.dtype);
-    section.AppendTo(&writer, kTagMember, kFormatVersion);
+    sections.push_back({kTagMember, &section});
   }
-  return writer.Finish();
+  return WriteSectionFile(path, kEnsembleMagicV3, kFormatVersion, sections);
 }
 
 Result<EnsembleModel> LoadEnsemble(const std::string& path,
                                    const ModelFactory& factory) {
-  BinaryReader reader(path);
-  if (!reader.status().ok()) return reader.status();
-  uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic != kEnsembleMagicV3) {
-    return Status::Corruption("bad ensemble magic");
-  }
-
+  Result<SectionFile> read =
+      ReadSectionFile(path, kEnsembleMagicV3, kFormatVersion);
+  EDDE_RETURN_NOT_OK(read.status());
+  SectionFile& file = read.ValueOrDie();
   SectionReader header;
-  EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
-  // The version field sits outside the payload CRC; checking it keeps the
-  // every-byte bit-flip guarantee (and rejects files from a future format).
-  if (header.version() != kFormatVersion) {
-    return Status::Corruption("unsupported ensemble section version " +
-                              std::to_string(header.version()));
-  }
+  EDDE_RETURN_NOT_OK(file.Next(kTagHeader, &header));
   uint64_t members = 0;
   uint32_t dtype_raw = 0;
   int64_t recorded_input_dim = 0;
@@ -122,11 +107,7 @@ Result<EnsembleModel> LoadEnsemble(const std::string& path,
   EnsembleModel ensemble;
   for (uint64_t t = 0; t < members; ++t) {
     SectionReader section;
-    EDDE_RETURN_NOT_OK(section.Load(&reader, kTagMember));
-    if (section.version() != kFormatVersion) {
-      return Status::Corruption("unsupported ensemble section version " +
-                                std::to_string(section.version()));
-    }
+    EDDE_RETURN_NOT_OK(file.Next(kTagMember, &section));
     float alpha = 0.0f;
     if (!section.ReadF32(&alpha)) return section.status();
     if (!(alpha > 0.0f)) {

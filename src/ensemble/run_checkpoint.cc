@@ -19,7 +19,6 @@
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/run_manifest.h"
-#include "utils/serialize.h"
 #include "utils/trace.h"
 
 namespace edde {
@@ -35,8 +34,8 @@ constexpr uint32_t kTagOptim = 3;
 constexpr uint32_t kTagMethodState = 4;
 constexpr uint32_t kTagMember = 5;
 /// Version 3: the header holds no per-member slot array, since member i
-/// trains in slot i+1. A generation of another version is skipped, not
-/// misread.
+/// trains in slot i+1. A generation of another version is refused by
+/// ReadSectionFile and skipped, not misread.
 constexpr uint32_t kGenerationVersion = 3;
 constexpr uint32_t kInflightVersion = 1;
 
@@ -140,27 +139,18 @@ struct Generation {
   std::vector<double> weights;
   std::vector<double> alphas;
   std::vector<CurvePoint> points;
-  std::string method_state;
+  SectionReader method_state;
   std::vector<std::unique_ptr<Module>> members;
 };
 
 Status ReadGeneration(const std::string& path, uint64_t fingerprint,
                       const ModelFactory& factory, Generation* g) {
-  BinaryReader reader(path);
-  EDDE_RETURN_NOT_OK(reader.status());
-  uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic != kGenerationMagic) {
-    return Status::Corruption("bad generation magic");
-  }
-
+  Result<SectionFile> read =
+      ReadSectionFile(path, kGenerationMagic, kGenerationVersion);
+  EDDE_RETURN_NOT_OK(read.status());
+  SectionFile& file = read.ValueOrDie();
   SectionReader header;
-  EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
-  if (header.version() != kGenerationVersion) {
-    return Status::FailedPrecondition(
-        "generation version " + std::to_string(header.version()) +
-        ", expected " + std::to_string(kGenerationVersion));
-  }
+  EDDE_RETURN_NOT_OK(file.Next(kTagHeader, &header));
   std::string method_name;
   uint64_t saved_fingerprint = 0;
   int64_t round = 0;
@@ -208,16 +198,13 @@ Status ReadGeneration(const std::string& path, uint64_t fingerprint,
   g->cumulative_epochs = static_cast<int>(cumulative_epochs);
 
   SectionReader rng;
-  EDDE_RETURN_NOT_OK(rng.Load(&reader, kTagRng));
+  EDDE_RETURN_NOT_OK(file.Next(kTagRng, &rng));
   EDDE_RETURN_NOT_OK(ReadRngState(&rng, &g->rng));
-
-  SectionReader method_state;
-  EDDE_RETURN_NOT_OK(method_state.Load(&reader, kTagMethodState));
-  g->method_state = method_state.TakeRemaining();
+  EDDE_RETURN_NOT_OK(file.Next(kTagMethodState, &g->method_state));
 
   for (uint64_t i = 0; i < num_members; ++i) {
     SectionReader section;
-    EDDE_RETURN_NOT_OK(section.Load(&reader, kTagMember));
+    EDDE_RETURN_NOT_OK(file.Next(kTagMember, &section));
     std::unique_ptr<Module> member = factory(0);
     EDDE_RETURN_NOT_OK(ReadModuleParams(member.get(), &section));
     g->members.push_back(std::move(member));
@@ -255,8 +242,8 @@ RoundCheckpointer::RoundCheckpointer(const MethodConfig& config,
   }
 }
 
-std::string RoundCheckpointer::Resume() {
-  if (!enabled() || !config_.checkpoint.resume) return "";
+SectionReader RoundCheckpointer::Resume() {
+  if (!enabled() || !config_.checkpoint.resume) return SectionReader();
   std::vector<int> rounds = ListGenerations(dir_);
   std::sort(rounds.rbegin(), rounds.rend());  // newest first
   for (int round : rounds) {
@@ -299,7 +286,7 @@ std::string RoundCheckpointer::Resume() {
                    << " (round " << rounds_ << ")";
     return std::move(g.method_state);
   }
-  return "";
+  return SectionReader();
 }
 
 TrainConfig RoundCheckpointer::MemberConfig(
@@ -333,7 +320,7 @@ void RoundCheckpointer::TrainMember(Module* model, const Dataset& data,
   if (ShutdownRequested()) GracefulShutdownExit();
 }
 
-void RoundCheckpointer::EndRound(int epochs, const std::string& method_state,
+void RoundCheckpointer::EndRound(int epochs, const SectionWriter& method_state,
                                  Module* probe) {
   ++rounds_;
   epochs_ += epochs;
@@ -360,7 +347,7 @@ void RoundCheckpointer::EndRound(int epochs, const std::string& method_state,
   }
 }
 
-Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
+Status RoundCheckpointer::WriteGeneration(const SectionWriter& method_state) {
   TraceScope scope(GetTraceRegion("checkpoint/write"));
   EDDE_FAILPOINT_STATUS("checkpoint.round");
   EDDE_RETURN_NOT_OK(EnsureDir(dir_));
@@ -372,9 +359,6 @@ Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
       state_.weights != nullptr ? *state_.weights : kNoWeights;
 
   const std::string path = GenerationPath(dir_, rounds_);
-  BinaryWriter writer(path);
-  writer.WriteU32(kGenerationMagic);
-
   SectionWriter header;
   header.WriteString(method_name_);
   header.WriteU64(fingerprint_);
@@ -389,23 +373,21 @@ Status RoundCheckpointer::WriteGeneration(const std::string& method_state) {
     header.WriteI64(p.first);
     header.WriteF64(p.second);
   }
-  header.AppendTo(&writer, kTagHeader, kGenerationVersion);
-
   SectionWriter rng;
   WriteRngState(state_.rng != nullptr ? state_.rng->SaveState() : RngState{},
                 &rng);
-  rng.AppendTo(&writer, kTagRng, kGenerationVersion);
 
-  SectionWriter blob;
-  blob.WriteBytes(method_state.data(), method_state.size());
-  blob.AppendTo(&writer, kTagMethodState, kGenerationVersion);
-
+  std::vector<SectionWriter> members(static_cast<size_t>(ensemble.size()));
+  std::vector<TaggedSection> sections = {{kTagHeader, &header},
+                                         {kTagRng, &rng},
+                                         {kTagMethodState, &method_state}};
   for (int64_t i = 0; i < ensemble.size(); ++i) {
-    SectionWriter section;
+    SectionWriter& section = members[static_cast<size_t>(i)];
     WriteModuleParams(ensemble.member(i), &section);
-    section.AppendTo(&writer, kTagMember, kGenerationVersion);
+    sections.push_back({kTagMember, &section});
   }
-  EDDE_RETURN_NOT_OK(writer.Finish());
+  EDDE_RETURN_NOT_OK(WriteSectionFile(path, kGenerationMagic,
+                                      kGenerationVersion, sections));
   MetricsRegistry::Global().GetCounter("checkpoint.generations")->Increment();
   EDDE_LOG(INFO) << method_name_ << ": checkpointed round " << rounds_
                  << " -> " << path;
@@ -435,27 +417,20 @@ Status SaveInflightCheckpoint(const std::string& path, Module* model,
                               const Sgd& optimizer, const Rng& rng,
                               int next_epoch, uint64_t fingerprint) {
   TraceScope scope(GetTraceRegion("checkpoint/inflight"));
-  BinaryWriter writer(path);
-  writer.WriteU32(kInflightMagic);
-
   SectionWriter header;
   header.WriteU64(fingerprint);
   header.WriteI64(next_epoch);
-  header.AppendTo(&writer, kTagHeader, kInflightVersion);
-
   SectionWriter rng_section;
   WriteRngState(rng.SaveState(), &rng_section);
-  rng_section.AppendTo(&writer, kTagRng, kInflightVersion);
-
   SectionWriter params;
   WriteModuleParams(model, &params);
-  params.AppendTo(&writer, kTagMember, kInflightVersion);
-
   SectionWriter optim;
   optimizer.SaveState(&optim);
-  optim.AppendTo(&writer, kTagOptim, kInflightVersion);
-
-  Status s = writer.Finish();
+  Status s = WriteSectionFile(path, kInflightMagic, kInflightVersion,
+                              {{kTagHeader, &header},
+                               {kTagRng, &rng_section},
+                               {kTagMember, &params},
+                               {kTagOptim, &optim}});
   if (s.ok()) {
     MetricsRegistry::Global().GetCounter("checkpoint.inflight_writes")
         ->Increment();
@@ -469,16 +444,12 @@ Status LoadInflightCheckpoint(const std::string& path, Module* model,
   if (::access(path.c_str(), F_OK) != 0) {
     return Status::NotFound("no inflight checkpoint at " + path);
   }
-  BinaryReader reader(path);
-  EDDE_RETURN_NOT_OK(reader.status());
-  uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic != kInflightMagic) {
-    return Status::Corruption("bad inflight checkpoint magic");
-  }
-
+  Result<SectionFile> read =
+      ReadSectionFile(path, kInflightMagic, kInflightVersion);
+  EDDE_RETURN_NOT_OK(read.status());
+  SectionFile& file = read.ValueOrDie();
   SectionReader header;
-  EDDE_RETURN_NOT_OK(header.Load(&reader, kTagHeader));
+  EDDE_RETURN_NOT_OK(file.Next(kTagHeader, &header));
   uint64_t saved_fingerprint = 0;
   int64_t epoch = 0;
   if (!header.ReadU64(&saved_fingerprint) || !header.ReadI64(&epoch)) {
@@ -490,18 +461,23 @@ Status LoadInflightCheckpoint(const std::string& path, Module* model,
   }
 
   SectionReader rng_section;
-  EDDE_RETURN_NOT_OK(rng_section.Load(&reader, kTagRng));
+  EDDE_RETURN_NOT_OK(file.Next(kTagRng, &rng_section));
   RngState rng_state;
   EDDE_RETURN_NOT_OK(ReadRngState(&rng_section, &rng_state));
 
+  // All or nothing: the momentum lands in a scratch optimizer, and the
+  // parameters — each read restores all or none — are the last fallible
+  // step, so a file refused anywhere leaves the model, the optimizer and
+  // the RNG as they were.
   SectionReader params;
-  EDDE_RETURN_NOT_OK(params.Load(&reader, kTagMember));
+  EDDE_RETURN_NOT_OK(file.Next(kTagMember, &params));
+  SectionReader optim;
+  EDDE_RETURN_NOT_OK(file.Next(kTagOptim, &optim));
+  Sgd momentum(model, optimizer->config());
+  EDDE_RETURN_NOT_OK(momentum.LoadState(&optim));
   EDDE_RETURN_NOT_OK(ReadModuleParams(model, &params));
 
-  SectionReader optim;
-  EDDE_RETURN_NOT_OK(optim.Load(&reader, kTagOptim));
-  EDDE_RETURN_NOT_OK(optimizer->LoadState(&optim));
-
+  *optimizer = std::move(momentum);
   rng->RestoreState(rng_state);
   *next_epoch = static_cast<int>(epoch);
   return Status::OK();

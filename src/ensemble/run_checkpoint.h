@@ -10,6 +10,7 @@
 #include "ensemble/trainer.h"
 #include "optim/sgd.h"
 #include "tensor/rng.h"
+#include "utils/durable_io.h"
 #include "utils/status.h"
 
 namespace edde {
@@ -20,11 +21,11 @@ namespace edde {
 /// method needs to continue bit-identically after the given round: the
 /// serialized member modules, the combination weights α, the boosting
 /// sample-weight vector W_t, the method RNG stream, the Fig. 7 curve points
-/// so far, and an opaque method-specific blob (EDDE's round stats). Every
-/// piece lives in a CRC32-framed section and the file is committed
-/// atomically, so a generation is either fully valid or detectably bad —
-/// resume walks generations newest-first and falls back past corrupt ones
-/// instead of crashing.
+/// so far, and a method-state section (EDDE's round stats). Every piece
+/// lives in a CRC32-framed section of one framed file (utils/durable_io),
+/// committed atomically, so a generation is either fully valid or
+/// detectably bad — resume walks generations newest-first and falls back
+/// past corrupt ones instead of crashing.
 ///
 /// An *inflight* checkpoint (`inflight_<slot>.edde`) covers a member still
 /// training: model parameters, SGD momentum, the trainer RNG and the next
@@ -73,8 +74,9 @@ class RoundCheckpointer {
   /// rounds, and the curve points (appended to the EvalCurve).
   /// Members are rebuilt through `factory(0)`. Corrupt or foreign
   /// generations are skipped with a warning. Returns the generation's
-  /// method blob; "" when nothing was restored.
-  std::string Resume();
+  /// method-state section (EndRound's `method_state`); an empty reader
+  /// when nothing was restored.
+  SectionReader Resume();
 
   /// Rounds completed so far (restored ones included).
   int rounds() const { return rounds_; }
@@ -103,10 +105,10 @@ class RoundCheckpointer {
   /// Ends the next round, which trained `epochs` epochs. Records the curve
   /// point — the accuracy of `probe` when given, else of the ensemble —
   /// and, on the checkpoint cadence, writes the generation with
-  /// `method_state`. Once it is durable, the inflight files of the
-  /// ensemble's members are removed.
+  /// `method_state` as its method-state section. Once it is durable, the
+  /// inflight files of the ensemble's members are removed.
   /// A failed write degrades (warning), it never fails the run.
-  void EndRound(int epochs, const std::string& method_state = "",
+  void EndRound(int epochs, const SectionWriter& method_state = {},
                 Module* probe = nullptr);
 
  private:
@@ -115,7 +117,7 @@ class RoundCheckpointer {
   /// Writes generation rounds() atomically, then rotates: only the newest
   /// `keep` generations survive. Failpoints: checkpoint.round (before the
   /// write), checkpoint.commit (after commit, before rotation).
-  Status WriteGeneration(const std::string& method_state);
+  Status WriteGeneration(const SectionWriter& method_state);
 
   MethodConfig config_;
   std::string method_name_;

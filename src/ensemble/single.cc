@@ -34,7 +34,7 @@ EnsembleModel SingleModel::Train(const Dataset& train,
       return;
     }
     if (done == total_epochs) ensemble.AddMember(std::move(model), 1.0);
-    rounds.EndRound(config_.epochs_per_member, "", raw);
+    rounds.EndRound(config_.epochs_per_member, {}, raw);
   };
   rounds.TrainMember(raw, train, tc, TrainContext{}, end_round);
   return ensemble;

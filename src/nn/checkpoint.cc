@@ -1,5 +1,6 @@
 #include "nn/checkpoint.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "tensor/quantize.h"
@@ -41,8 +42,12 @@ Status ReadModuleParams(Module* module, SectionReader* in,
         "checkpoint has " + std::to_string(count) + " parameters, model has " +
         std::to_string(params.size()));
   }
+  // Every value is read into scratch and copied in only once the whole
+  // payload has parsed, so a refused payload leaves the module as it was.
+  std::vector<std::vector<float>> values(params.size());
   std::vector<uint16_t> halves;
-  for (Parameter* p : params) {
+  for (size_t i = 0; i < params.size(); ++i) {
+    Parameter* p = params[i];
     std::string name;
     if (!in->ReadString(&name)) return in->status();
     // Rank and dims come from the file: bound them before they size an
@@ -62,15 +67,19 @@ Status ReadModuleParams(Module* module, SectionReader* in,
     // truncated payload fails the bounded read instead of driving an
     // allocation.
     const size_t elements = static_cast<size_t>(p->value.num_elements());
+    values[i].resize(elements);
     if (dtype == ArtifactDtype::kFloat16) {
       halves.resize(elements);
       if (!in->ReadRaw(halves.data(), elements * sizeof(uint16_t))) {
         return in->status();
       }
-      HalfsToFloats(halves.data(), p->value.data(), elements);
-    } else if (!in->ReadFloats(p->value.data(), elements)) {
+      HalfsToFloats(halves.data(), values[i].data(), elements);
+    } else if (!in->ReadFloats(values[i].data(), elements)) {
       return in->status();
     }
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::copy(values[i].begin(), values[i].end(), params[i]->value.data());
   }
   return Status::OK();
 }

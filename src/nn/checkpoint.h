@@ -31,7 +31,7 @@ void WriteModuleParams(Module* module, SectionWriter* out,
 /// into a structurally identical module. A parameter count or shape that
 /// disagrees with the module is InvalidArgument; an implausible rank, a
 /// negative dimension or a short payload is Corruption. Never aborts on
-/// hostile bytes.
+/// hostile bytes. All or nothing: on any error no parameter is written.
 Status ReadModuleParams(Module* module, SectionReader* in,
                         ArtifactDtype dtype = ArtifactDtype::kFloat32);
 

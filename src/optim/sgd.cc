@@ -55,16 +55,22 @@ Status Sgd::LoadState(SectionReader* in) {
                               std::to_string(count) + ", module " +
                               std::to_string(velocity_.size()));
   }
-  for (Tensor& v : velocity_) {
+  // Read into scratch and committed once every slot has read, so a file
+  // refused at any slot leaves the momentum as it was.
+  std::vector<Tensor> velocity;
+  velocity.reserve(velocity_.size());
+  for (const Tensor& v : velocity_) {
     uint64_t n = 0;
     if (!in->ReadU64(&n)) return in->status();
     if (n != static_cast<uint64_t>(v.num_elements())) {
       return Status::Corruption("optimizer slot size mismatch");
     }
-    if (!in->ReadFloats(v.data(), static_cast<size_t>(n))) {
+    Tensor& slot = velocity.emplace_back(v.shape());
+    if (!in->ReadFloats(slot.data(), static_cast<size_t>(n))) {
       return in->status();
     }
   }
+  velocity_ = std::move(velocity);
   return Status::OK();
 }
 

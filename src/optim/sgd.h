@@ -43,7 +43,7 @@ class Sgd {
 
   /// Restores momentum buffers written by SaveState. Fails with Corruption
   /// when the slot count or any slot size does not match this optimizer's
-  /// parameters (wrong module architecture).
+  /// parameters (wrong module architecture), and then restores no slot.
   Status LoadState(SectionReader* in);
 
  private:

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <thread>
 
@@ -209,62 +210,107 @@ void SectionWriter::WriteDoubles(const double* data, size_t count) {
   WriteBytes(data, count * sizeof(double));
 }
 
-void SectionWriter::AppendTo(BinaryWriter* out, uint32_t tag,
-                             uint32_t version) const {
-  out->WriteU32(tag);
-  out->WriteU32(version);
-  out->WriteU64(payload_.size());
-  out->WriteBytes(payload_.data(), payload_.size());
-  out->WriteU32(Crc32(payload_.data(), payload_.size()));
+namespace {
+
+template <typename T>
+void AppendRaw(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-Status SectionReader::Load(BinaryReader* in, uint32_t expected_tag) {
-  uint32_t tag = 0;
-  uint32_t version = 0;
-  uint64_t size = 0;
-  if (!in->ReadU32(&tag) || !in->ReadU32(&version) || !in->ReadU64(&size)) {
-    return Status::Corruption("truncated section header");
+}  // namespace
+
+Status WriteSectionFile(const std::string& path, uint32_t magic,
+                        uint32_t version,
+                        const std::vector<TaggedSection>& sections) {
+  std::string bytes;
+  AppendRaw(&bytes, magic);
+  for (const TaggedSection& s : sections) {
+    const std::string& payload = s.section->payload();
+    AppendRaw(&bytes, s.tag);
+    AppendRaw(&bytes, version);
+    AppendRaw<uint64_t>(&bytes, payload.size());
+    bytes += payload;
+    AppendRaw(&bytes, Crc32(payload.data(), payload.size()));
   }
-  if (expected_tag != 0 && tag != expected_tag) {
+  return AtomicWriteFile(path, bytes);
+}
+
+Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
+                                    uint32_t version) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) {
+    return Status::IOError("cannot open for reading: " + path);
+  }
+  const std::streamoff end = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (end < 0 || !in.good()) {
+    return Status::IOError("cannot determine file size: " + path);
+  }
+  // Every read is clamped against the bytes left, so no field read from
+  // the file can drive an overread or an allocation past the file's end.
+  uint64_t left = static_cast<uint64_t>(end);
+  auto read = [&](void* dst, uint64_t count) {
+    if (count > left) return false;
+    in.read(static_cast<char*>(dst), static_cast<std::streamsize>(count));
+    if (static_cast<uint64_t>(in.gcount()) != count) return false;
+    left -= count;
+    return true;
+  };
+
+  uint32_t file_magic = 0;
+  if (!read(&file_magic, sizeof(file_magic))) {
+    return Status::Corruption("truncated magic word: " + path);
+  }
+  if (file_magic != magic) return Status::Corruption("bad magic: " + path);
+  SectionFile file;
+  while (left > 0) {
+    uint32_t tag = 0;
+    uint32_t frame_version = 0;
+    uint64_t size = 0;
+    if (!read(&tag, sizeof(tag)) ||
+        !read(&frame_version, sizeof(frame_version)) ||
+        !read(&size, sizeof(size))) {
+      return Status::Corruption("truncated section header");
+    }
+    // The version sits outside the payload CRC; checking it on every frame
+    // keeps the every-byte bit-flip guarantee and refuses other formats.
+    if (frame_version != version) {
+      return Status::Corruption("section version " +
+                                std::to_string(frame_version) +
+                                ", expected " + std::to_string(version));
+    }
+    // The CRC trailer must also fit, so the payload can claim at most
+    // left − 4 bytes.
+    if (left < sizeof(uint32_t) || size > left - sizeof(uint32_t)) {
+      return Status::Corruption("section payload exceeds remaining file bytes");
+    }
+    std::string payload(size, '\0');
+    uint32_t stored_crc = 0;
+    if (!read(payload.data(), size) || !read(&stored_crc, sizeof(stored_crc))) {
+      return Status::Corruption("truncated section");
+    }
+    if (stored_crc != Crc32(payload.data(), payload.size())) {
+      return Status::Corruption("section CRC mismatch (tag " +
+                                std::to_string(tag) + ")");
+    }
+    file.sections_.emplace_back(tag, SectionReader(std::move(payload)));
+  }
+  return file;
+}
+
+Status SectionFile::Next(uint32_t tag, SectionReader* section) {
+  if (next_ == sections_.size()) {
+    return Status::Corruption("missing section (tag " + std::to_string(tag) +
+                              ")");
+  }
+  auto& [found, body] = sections_[next_++];
+  if (found != tag) {
     return Status::Corruption("section tag mismatch: expected " +
-                              std::to_string(expected_tag) + ", found " +
-                              std::to_string(tag));
+                              std::to_string(tag) + ", found " +
+                              std::to_string(found));
   }
-  // The CRC trailer must also fit, so the payload can claim at most
-  // remaining − 4 bytes. Checked before the resize: a bit-flipped size
-  // field must not drive a huge allocation.
-  if (in->remaining() < sizeof(uint32_t) ||
-      size > in->remaining() - sizeof(uint32_t)) {
-    return Status::Corruption("section payload exceeds remaining file bytes");
-  }
-  std::string payload;
-  payload.resize(size);
-  if (size > 0 && !in->ReadRaw(payload.data(), size)) {
-    return Status::Corruption("truncated section payload");
-  }
-  uint32_t stored_crc = 0;
-  if (!in->ReadU32(&stored_crc)) {
-    return Status::Corruption("truncated section CRC");
-  }
-  uint32_t actual_crc = Crc32(payload.data(), payload.size());
-  if (stored_crc != actual_crc) {
-    return Status::Corruption("section CRC mismatch (tag " +
-                              std::to_string(tag) + ")");
-  }
-  tag_ = tag;
-  version_ = version;
-  payload_ = std::move(payload);
-  offset_ = 0;
-  status_ = Status::OK();
+  *section = std::move(body);
   return Status::OK();
-}
-
-void SectionReader::InitFromPayload(std::string payload) {
-  tag_ = 0;
-  version_ = 0;
-  payload_ = std::move(payload);
-  offset_ = 0;
-  status_ = Status::OK();
 }
 
 bool SectionReader::ReadBytes(void* dst, size_t count) {
@@ -276,12 +322,6 @@ bool SectionReader::ReadBytes(void* dst, size_t count) {
   std::memcpy(dst, payload_.data() + offset_, count);
   offset_ += count;
   return true;
-}
-
-std::string SectionReader::TakeRemaining() {
-  std::string out = payload_.substr(offset_);
-  offset_ = payload_.size();
-  return out;
 }
 
 bool SectionReader::ReadU32(uint32_t* v) { return ReadBytes(v, sizeof(*v)); }

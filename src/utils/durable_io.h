@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "utils/serialize.h"
 #include "utils/status.h"
 
 namespace edde {
@@ -12,18 +13,21 @@ namespace edde {
 /// Crash-consistent file IO (DESIGN.md §11).
 ///
 /// Two layers:
-///  1. Atomic commit — AtomicCommit / AtomicWriteFile (and BinaryWriter,
-///     which buffers and commits through them) stage content in a sibling
-///     temp file, fsync it, rename() over the destination, and fsync
-///     the parent directory. A reader (or a restarted process) observes
-///     either the previous complete file or the new complete file, never a
-///     prefix. Transient errors (EINTR/EAGAIN and failpoint-injected ones)
-///     are retried with bounded exponential backoff.
-///  2. Integrity framing — SectionWriter / SectionReader wrap BinaryWriter /
-///     BinaryReader with [tag, version, size, payload, CRC32] sections so a
-///     torn or bit-flipped file is detected on load *before* any payload is
-///     parsed, turning corruption into a Status the caller can use to fall
-///     back to an older checkpoint generation.
+///  1. Atomic commit — AtomicCommit / AtomicWriteFile stage content in a
+///     sibling temp file, fsync it, rename() over the destination, and
+///     fsync the parent directory. A reader (or a restarted process)
+///     observes either the previous complete file or the new complete
+///     file, never a prefix. Transient errors (EINTR/EAGAIN and
+///     failpoint-injected ones) are retried with bounded exponential
+///     backoff.
+///  2. Framed files — every on-disk format (ensemble artifacts, run
+///     generations, inflight checkpoints) is a magic word followed by
+///     [tag, version, size, payload, CRC32] sections. WriteSectionFile
+///     commits one atomically; ReadSectionFile refuses it unless the magic
+///     and every frame's bounds, CRC and version check out, so a torn,
+///     bit-flipped or foreign-version file is a Status *before* any
+///     payload field is parsed, and the caller can fall back to an older
+///     checkpoint generation. Callers know only their field layouts.
 ///
 /// Every fallible step carries a failpoint site (utils/failpoint.h):
 /// durable.write, durable.fsync, durable.rename, durable.dirsync.
@@ -53,13 +57,7 @@ Status AtomicCommit(const std::string& path, const void* data, size_t size,
 Status AtomicWriteFile(const std::string& path, const std::string& contents,
                        const DurableIoOptions& options = DurableIoOptions());
 
-/// Builds one integrity-framed section payload in memory. Append the frame
-/// to a file with AppendTo(), or embed the raw payload in an enclosing
-/// section via payload() (nested blobs re-enter through
-/// SectionReader::InitFromPayload).
-///
-/// Frame layout (little-endian):
-///   u32 tag | u32 version | u64 payload_bytes | payload | u32 crc32(payload)
+/// Builds one section payload in memory, for WriteSectionFile.
 class SectionWriter {
  public:
   void WriteU32(uint32_t v);
@@ -72,31 +70,43 @@ class SectionWriter {
   void WriteDoubles(const double* data, size_t count);
   void WriteBytes(const void* data, size_t count);
 
-  /// Appends the framed section (header + payload + CRC) to `out`.
-  void AppendTo(BinaryWriter* out, uint32_t tag, uint32_t version) const;
-
   const std::string& payload() const { return payload_; }
 
  private:
   std::string payload_;
 };
 
-/// Reads one framed section and verifies its CRC before exposing any field.
-/// On CRC mismatch, truncated payload, or a declared size exceeding the
-/// bytes remaining in the file, Load() returns Corruption and the reader
-/// stays empty — no partially-validated data is ever visible.
+/// One section of a framed file: its tag and its payload.
+struct TaggedSection {
+  uint32_t tag;
+  const SectionWriter* section;
+};
+
+/// Atomically commits `magic`, then one frame per section, in order.
+///
+/// File layout (little-endian):
+///   u32 magic | frame* , frame =
+///   u32 tag | u32 version | u64 payload_bytes | payload | u32 crc32(payload)
+Status WriteSectionFile(const std::string& path, uint32_t magic,
+                        uint32_t version,
+                        const std::vector<TaggedSection>& sections);
+
+class SectionFile;
+
+/// Reads `path` once and refuses it — IOError when it cannot be read,
+/// Corruption otherwise — unless it starts with `magic` and its frames tile
+/// the rest of the file, each within bounds, with a matching CRC and
+/// version `version`. A declared size is checked against the bytes left
+/// before it sizes any allocation.
+Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
+                                    uint32_t version);
+
+/// The payload of one section that passed its frame checks. Every read is
+/// bounded by the payload: a read past its end fails, sets Corruption and
+/// leaves the reader failed. A default-constructed reader is empty.
 class SectionReader {
  public:
-  /// Reads the next section frame from `in`. `expected_tag` guards against
-  /// out-of-order sections; pass 0 to accept any tag.
-  Status Load(BinaryReader* in, uint32_t expected_tag = 0);
-
-  /// Adopts a raw payload extracted from an enclosing section (no frame, no
-  /// CRC — the enclosing section already vouched for these bytes).
-  void InitFromPayload(std::string payload);
-
-  uint32_t tag() const { return tag_; }
-  uint32_t version() const { return version_; }
+  SectionReader() = default;
 
   bool ReadU32(uint32_t* v);
   bool ReadU64(uint64_t* v);
@@ -112,19 +122,33 @@ class SectionReader {
   /// Bytes left in the payload. 0 when fully consumed.
   size_t remaining() const { return payload_.size() - offset_; }
 
-  /// Consumes and returns all unread payload bytes (nested blobs).
-  std::string TakeRemaining();
-
   const Status& status() const { return status_; }
 
  private:
+  friend Result<SectionFile> ReadSectionFile(const std::string&, uint32_t,
+                                             uint32_t);
+  explicit SectionReader(std::string payload) : payload_(std::move(payload)) {}
+
   bool ReadBytes(void* dst, size_t count);
 
-  uint32_t tag_ = 0;
-  uint32_t version_ = 0;
   std::string payload_;
   size_t offset_ = 0;
   Status status_;
+};
+
+/// The sections of a file ReadSectionFile accepted, in file order.
+class SectionFile {
+ public:
+  /// Moves the next section into `*section`. Corruption when no section is
+  /// left or the next one does not carry `tag`.
+  Status Next(uint32_t tag, SectionReader* section);
+
+ private:
+  friend Result<SectionFile> ReadSectionFile(const std::string&, uint32_t,
+                                             uint32_t);
+
+  std::vector<std::pair<uint32_t, SectionReader>> sections_;  ///< tag, body
+  size_t next_ = 0;
 };
 
 }  // namespace edde

@@ -1,14 +1,16 @@
-/// Seeded-mutation fuzz of the run-checkpoint readers (DESIGN.md §11): the
-/// generation reader behind RoundCheckpointer::Resume (format version 3)
-/// and LoadInflightCheckpoint.
+/// Seeded-mutation fuzz of the readers of every framed file (DESIGN.md
+/// §11): the generation reader behind RoundCheckpointer::Resume (format
+/// version 3), LoadInflightCheckpoint, and LoadEnsemble on fp32 and fp16
+/// artifacts — the ReadModuleParams codec included.
 ///
 /// Every mutated file is re-framed with fresh section CRCs, so the parser
 /// sees the hostile bytes instead of stopping at the CRC check. Whatever
 /// the bytes, a reader returns a Status — Resume skips the generation or
-/// restores it, LoadInflightCheckpoint rejects the file or loads it — and
-/// never crashes or sizes an allocation by an unchecked count. Huge member,
-/// curve-point and weight counts are also planted on purpose. Unmutated
-/// files round-trip. The crash-recovery CI job runs this binary under ASan.
+/// restores it, LoadInflightCheckpoint and LoadEnsemble reject the file or
+/// load it — and never crashes or sizes an allocation by an unchecked
+/// count. Huge counts are also planted on purpose. Unmutated files
+/// round-trip, and a single flipped bit anywhere in a file, unframed, is
+/// always refused. The crash-recovery CI job runs this binary under ASan.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "ensemble/ensemble_io.h"
 #include "ensemble/run_checkpoint.h"
 #include "nn/mlp.h"
 #include "test_util.h"
@@ -36,16 +39,14 @@ namespace {
 
 constexpr char kMethod[] = "fuzz";
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void WriteWholeFile(const std::string& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-}
+using testing::BuildFile;
+using testing::Frame;
+using testing::LoadWord;
+using testing::ParameterBytes;
+using testing::ParseFrames;
+using testing::ReadWholeFile;
+using testing::StoreWord;
+using testing::WriteWholeFile;
 
 /// The entries of `dir`, "." and ".." excepted.
 std::vector<std::string> ListDir(const std::string& dir) {
@@ -57,60 +58,6 @@ std::vector<std::string> ListDir(const std::string& dir) {
     ::closedir(d);
   }
   return names;
-}
-
-/// One CRC-framed section: u32 tag | u32 version | u64 size | payload |
-/// u32 crc32(payload) (utils/durable_io).
-struct Frame {
-  uint32_t tag = 0;
-  uint32_t version = 0;
-  std::string payload;
-};
-
-template <typename T>
-T Load(const std::string& bytes, size_t offset) {
-  T v;
-  std::memcpy(&v, bytes.data() + offset, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void Store(std::string* bytes, size_t offset, T v) {
-  std::memcpy(&(*bytes)[offset], &v, sizeof(T));
-}
-
-/// Splits a well-formed file into its magic word and sections.
-std::vector<Frame> ParseFrames(const std::string& bytes, uint32_t* magic) {
-  *magic = Load<uint32_t>(bytes, 0);
-  std::vector<Frame> frames;
-  size_t pos = sizeof(uint32_t);
-  while (pos < bytes.size()) {
-    Frame f;
-    f.tag = Load<uint32_t>(bytes, pos);
-    f.version = Load<uint32_t>(bytes, pos + 4);
-    const uint64_t size = Load<uint64_t>(bytes, pos + 8);
-    f.payload = bytes.substr(pos + 16, size);
-    pos += 16 + size + sizeof(uint32_t);
-    frames.push_back(std::move(f));
-  }
-  return frames;
-}
-
-/// Frames `frames` again, each with the CRC of its (possibly hostile)
-/// payload.
-std::string BuildFile(uint32_t magic, const std::vector<Frame>& frames) {
-  std::string out(sizeof(uint32_t), '\0');
-  Store(&out, 0, magic);
-  for (const Frame& f : frames) {
-    std::string head(16, '\0');
-    Store(&head, 0, f.tag);
-    Store(&head, 4, f.version);
-    Store<uint64_t>(&head, 8, f.payload.size());
-    std::string crc(sizeof(uint32_t), '\0');
-    Store(&crc, 0, Crc32(f.payload.data(), f.payload.size()));
-    out += head + f.payload + crc;
-  }
-  return out;
 }
 
 /// One seeded mutation of a section list: bit flips, huge or random
@@ -136,7 +83,7 @@ void Mutate(std::vector<Frame>* frames, Rng* rng) {
       if (p.size() >= 8) {
         const size_t word = static_cast<size_t>(
             rng->UniformInt(static_cast<int64_t>(p.size() / 8)));
-        Store(&p, word * 8,
+        StoreWord(&p, word * 8,
               kHostile[rng->UniformInt(sizeof(kHostile) / sizeof(uint64_t))]);
       }
       break;
@@ -186,7 +133,7 @@ struct Restored {
   EnsembleModel ensemble;
   Rng rng{0};
   std::vector<double> weights;
-  std::string blob;
+  std::string method_state;
   int rounds = 0;
   bool skipped = false;
 };
@@ -200,19 +147,11 @@ Restored ResumeFrom(const Fixture& fx) {
   RoundCheckpointer rounds(
       fx.config, kMethod, fx.data.train, fx.factory, EvalCurve{},
       {.ensemble = &r.ensemble, .rng = &r.rng, .weights = &r.weights});
-  r.blob = rounds.Resume();
+  SectionReader method_state = rounds.Resume();
+  (void)method_state.ReadString(&r.method_state);
   r.rounds = rounds.rounds();
   r.skipped = skipped->Value() != skipped_before;
   return r;
-}
-
-std::string ParameterBytes(Module* m) {
-  std::string out;
-  for (Parameter* p : m->Parameters()) {
-    out.append(reinterpret_cast<const char*>(p->value.data()),
-               static_cast<size_t>(p->value.num_elements()) * sizeof(float));
-  }
-  return out;
 }
 
 class CheckpointFuzzTest : public ::testing::Test {
@@ -224,8 +163,9 @@ class CheckpointFuzzTest : public ::testing::Test {
   }
   void TearDown() override { SetMinLogLevel(LogLevel::kInfo); }
 
-  /// Writes two rounds of a run — two members, W_t, the RNG and a method
-  /// blob — and returns the path of the surviving generation.
+  /// Writes two rounds of a run — two members, W_t, the RNG and a
+  /// method-state section — and returns the path of the surviving
+  /// generation.
   std::string WriteRun() {
     std::vector<double> weights(static_cast<size_t>(fx_.data.train.size()));
     for (size_t i = 0; i < weights.size(); ++i) weights[i] = 0.5 + 0.01 * i;
@@ -235,7 +175,9 @@ class CheckpointFuzzTest : public ::testing::Test {
     for (uint64_t seed : {5u, 6u}) {
       ensemble_.AddMember(fx_.factory(seed), 0.25 * static_cast<double>(seed));
       (void)rng_.NextU64();
-      rounds.EndRound(2, "blob" + std::to_string(seed));
+      SectionWriter method_state;
+      method_state.WriteString("state" + std::to_string(seed));
+      rounds.EndRound(2, method_state);
     }
     weights_ = weights;
     return GenerationFile();
@@ -265,7 +207,7 @@ TEST_F(CheckpointFuzzTest, ValidGenerationRoundTrips) {
   Restored r = ResumeFrom(fx_);
   EXPECT_FALSE(r.skipped);
   EXPECT_EQ(r.rounds, 2);
-  EXPECT_EQ(r.blob, "blob6");
+  EXPECT_EQ(r.method_state, "state6");
   EXPECT_EQ(r.weights, weights_);
   EXPECT_EQ(r.rng.NextU64(), rng_.NextU64());
   ASSERT_EQ(r.ensemble.size(), ensemble_.size());
@@ -281,7 +223,8 @@ TEST_F(CheckpointFuzzTest, HugeCountsInTheGenerationHeaderAreSkipped) {
   const std::string original = ReadWholeFile(path);
   uint32_t magic = 0;
   const std::vector<Frame> frames = ParseFrames(original, &magic);
-  ASSERT_EQ(frames.size(), 5u);  // header, rng, blob, two members
+  // header, rng, method state, two members
+  ASSERT_EQ(frames.size(), 5u);
   // Header: name (u64 length + bytes), fingerprint, round, epochs,
   // num_members, weight count, weights, alphas, num_points.
   const size_t name_end = sizeof(uint64_t) + std::strlen(kMethod);
@@ -289,19 +232,36 @@ TEST_F(CheckpointFuzzTest, HugeCountsInTheGenerationHeaderAreSkipped) {
   const size_t weights_at = name_end + 32;
   const size_t points_at =
       weights_at + 8 + 8 * weights_.size() + 8 * ensemble_.alphas().size();
-  ASSERT_EQ(Load<uint64_t>(frames[0].payload, members_at), 2u);
-  ASSERT_EQ(Load<uint64_t>(frames[0].payload, weights_at), weights_.size());
-  ASSERT_EQ(Load<uint64_t>(frames[0].payload, points_at), 0u);
+  ASSERT_EQ(LoadWord<uint64_t>(frames[0].payload, members_at), 2u);
+  ASSERT_EQ(LoadWord<uint64_t>(frames[0].payload, weights_at), weights_.size());
+  ASSERT_EQ(LoadWord<uint64_t>(frames[0].payload, points_at), 0u);
   for (size_t at : {members_at, weights_at, points_at}) {
     for (uint64_t huge : {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 32}) {
       std::vector<Frame> hostile = frames;
-      Store(&hostile[0].payload, at, huge);
+      StoreWord(&hostile[0].payload, at, huge);
       WriteWholeFile(path, BuildFile(magic, hostile));
       const Restored r = ResumeFrom(fx_);
       EXPECT_TRUE(r.skipped) << "offset " << at << " count " << huge;
       EXPECT_EQ(r.rounds, 0);
       EXPECT_EQ(r.ensemble.size(), 0);
     }
+  }
+}
+
+TEST_F(CheckpointFuzzTest, EveryByteBitFlipIsSkipped) {
+  // One flipped bit anywhere — the magic, a frame's tag, version, size or
+  // CRC, any payload byte — and Resume must skip the generation. The
+  // version fields sit outside the payload CRCs, so only the frame check
+  // of every section's version catches a flip there.
+  const std::string path = WriteRun();
+  const std::string good = ReadWholeFile(path);
+  for (size_t byte = 0; byte < good.size(); ++byte) {
+    std::string bad = good;
+    bad[byte] = static_cast<char>(bad[byte] ^ 0x10);
+    WriteWholeFile(path, bad);
+    const Restored r = ResumeFrom(fx_);
+    ASSERT_TRUE(r.skipped) << "bit flip at byte " << byte << " went undetected";
+    ASSERT_EQ(r.rounds, 0) << "byte " << byte;
   }
 }
 
@@ -385,6 +345,29 @@ TEST_F(InflightFuzzTest, ValidInflightRoundTrips) {
   EXPECT_EQ(velocity.payload(), velocity_);
 }
 
+TEST_F(InflightFuzzTest, EveryByteBitFlipIsRejected) {
+  // As for generations: every single-bit flip, version fields included,
+  // is refused, and a refused file leaves the model as it was.
+  const std::string path = WriteInflight();
+  const std::string good = ReadWholeFile(path);
+  const std::string untouched = ParameterBytes(fx_.factory(9).get());
+  for (size_t byte = 0; byte < good.size(); ++byte) {
+    std::string bad = good;
+    bad[byte] = static_cast<char>(bad[byte] ^ 0x10);
+    WriteWholeFile(path, bad);
+    std::unique_ptr<Module> model = fx_.factory(9);
+    Sgd optimizer(model.get(), SgdConfig{});
+    Rng rng(0);
+    int next_epoch = -1;
+    ASSERT_FALSE(LoadInflightCheckpoint(path, model.get(), &optimizer, &rng,
+                                        &next_epoch, kFingerprint)
+                     .ok())
+        << "bit flip at byte " << byte << " went undetected";
+    ASSERT_EQ(ParameterBytes(model.get()), untouched) << "byte " << byte;
+    ASSERT_EQ(next_epoch, -1) << "byte " << byte;
+  }
+}
+
 TEST_F(InflightFuzzTest, MutatedInflightFilesReturnAStatus) {
   const std::string path = WriteInflight();
   uint32_t magic = 0;
@@ -426,7 +409,7 @@ TEST_F(InflightFuzzTest, HugeWeightCountsAreRejected) {
   for (const auto& [frame, at] : counts) {
     for (uint64_t huge : {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 32}) {
       std::vector<Frame> hostile = frames;
-      Store(&hostile[frame].payload, at, huge);
+      StoreWord(&hostile[frame].payload, at, huge);
       WriteWholeFile(path, BuildFile(magic, hostile));
       std::unique_ptr<Module> model = fx_.factory(9);
       Sgd optimizer(model.get(), SgdConfig{});
@@ -437,6 +420,115 @@ TEST_F(InflightFuzzTest, HugeWeightCountsAreRejected) {
                        .ok())
           << "section " << frame << " offset " << at << " count " << huge;
     }
+  }
+}
+
+class EnsembleFuzzTest : public CheckpointFuzzTest {
+ protected:
+  /// Saves a two-member ensemble as `dtype` and returns its path.
+  std::string WriteArtifact(ArtifactDtype dtype) {
+    ensemble_.AddMember(fx_.factory(5), 0.75);
+    ensemble_.AddMember(fx_.factory(6), 1.5);
+    ::mkdir(fx_.config.checkpoint.dir.c_str(), 0755);
+    const std::string path = fx_.config.checkpoint.dir + "/ensemble.edde";
+    EnsembleSaveOptions options;
+    options.dtype = dtype;
+    EXPECT_TRUE(SaveEnsemble(ensemble_, path, options).ok());
+    return path;
+  }
+};
+
+constexpr ArtifactDtype kDtypes[] = {ArtifactDtype::kFloat32,
+                                     ArtifactDtype::kFloat16};
+
+TEST_F(EnsembleFuzzTest, ValidArtifactsRoundTrip) {
+  for (ArtifactDtype dtype : kDtypes) {
+    const std::string path = WriteArtifact(dtype);
+    const std::string original = ReadWholeFile(path);
+    Result<EnsembleModel> loaded = LoadEnsemble(path, fx_.factory);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const EnsembleModel& e = loaded.ValueOrDie();
+    EXPECT_EQ(e.alphas(), ensemble_.alphas());
+    if (dtype == ArtifactDtype::kFloat32) {
+      for (int64_t i = 0; i < e.size(); ++i) {
+        EXPECT_EQ(ParameterBytes(e.member(i)),
+                  ParameterBytes(ensemble_.member(i)));
+      }
+    }
+    // Saving what was loaded reproduces the file byte for byte (an fp16
+    // value converts to float and back exactly).
+    EnsembleSaveOptions options;
+    options.dtype = dtype;
+    ASSERT_TRUE(SaveEnsemble(e, path, options).ok());
+    EXPECT_EQ(ReadWholeFile(path), original);
+    ensemble_ = EnsembleModel();
+  }
+}
+
+TEST_F(EnsembleFuzzTest, HugeCountsAreRefused) {
+  for (ArtifactDtype dtype : kDtypes) {
+    const std::string path = WriteArtifact(dtype);
+    uint32_t magic = 0;
+    const std::vector<Frame> frames = ParseFrames(ReadWholeFile(path), &magic);
+    ASSERT_EQ(frames.size(), 3u);  // header, two members
+    // The header leads with the member count. A member section holds its
+    // α (f32), the parameter count, then the first parameter's name
+    // length, name and rank.
+    const std::string first_name = ensemble_.member(0)->Parameters()[0]->name;
+    const std::vector<std::pair<size_t, size_t>> counts = {
+        {0, 0}, {1, 4}, {1, 12}, {1, 20 + first_name.size()}};
+    ASSERT_EQ(LoadWord<uint64_t>(frames[1].payload, 12), first_name.size());
+    for (const auto& [frame, at] : counts) {
+      for (uint64_t huge :
+           {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 32}) {
+        std::vector<Frame> hostile = frames;
+        StoreWord(&hostile[frame].payload, at, huge);
+        WriteWholeFile(path, BuildFile(magic, hostile));
+        EXPECT_FALSE(LoadEnsemble(path, fx_.factory).ok())
+            << "section " << frame << " offset " << at << " count " << huge;
+      }
+    }
+    ensemble_ = EnsembleModel();
+  }
+}
+
+TEST_F(EnsembleFuzzTest, MutatedArtifactsReturnAStatus) {
+  Rng rng(31);
+  for (ArtifactDtype dtype : kDtypes) {
+    const std::string path = WriteArtifact(dtype);
+    uint32_t magic = 0;
+    const std::vector<Frame> frames = ParseFrames(ReadWholeFile(path), &magic);
+    int loaded = 0;
+    int refused = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+      std::vector<Frame> hostile = frames;
+      for (int64_t m = 0, n = 1 + rng.UniformInt(3);
+           m < n && !hostile.empty(); ++m) {
+        Mutate(&hostile, &rng);
+      }
+      std::string bytes = BuildFile(magic, hostile);
+      if (rng.UniformInt(8) == 0) {  // and now and then a torn file
+        bytes.resize(static_cast<size_t>(
+            rng.UniformInt(static_cast<int64_t>(bytes.size()))));
+      }
+      WriteWholeFile(path, bytes);
+      Result<EnsembleModel> r = LoadEnsemble(path, fx_.factory);
+      if (!r.ok()) {
+        ++refused;
+        continue;
+      }
+      // A loaded ensemble is whole: members built by the factory, each
+      // with a positive weight.
+      ++loaded;
+      const EnsembleModel& e = r.ValueOrDie();
+      ASSERT_GE(e.size(), 1) << "iteration " << iter;
+      for (int64_t i = 0; i < e.size(); ++i) {
+        ASSERT_GT(e.alpha(i), 0.0) << "iteration " << iter;
+      }
+    }
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(refused, 0);
+    ensemble_ = EnsembleModel();
   }
 }
 

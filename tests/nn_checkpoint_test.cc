@@ -10,10 +10,13 @@
 #include "nn/mlp.h"
 #include "nn/resnet.h"
 #include "optim/sgd.h"
-#include "utils/serialize.h"
+#include "test_util.h"
+#include "utils/durable_io.h"
 
 namespace edde {
 namespace {
+
+using testing::ParameterBytes;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -40,13 +43,34 @@ MlpConfig SmallMlpConfig() {
   return cfg;
 }
 
-/// Runs WriteModuleParams → ReadModuleParams through an in-memory payload.
+/// `out` as the one section of a framed file, read back. Sections reach
+/// their parsers only through ReadSectionFile.
+SectionReader Framed(const SectionWriter& out) {
+  constexpr uint32_t kMagic = 0x7E57F11E;
+  const std::string path = TempPath("framed.bin");
+  EXPECT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &out}}).ok());
+  Result<SectionFile> file = ReadSectionFile(path, kMagic, 1);
+  SectionReader in;
+  EXPECT_TRUE(file.ok()) << file.status();
+  if (file.ok()) {
+    EXPECT_TRUE(file.ValueOrDie().Next(1, &in).ok());
+  }
+  return in;
+}
+
+/// Runs WriteModuleParams → ReadModuleParams through a framed file.
 Status RoundTrip(Module* src, Module* dst) {
   SectionWriter out;
   WriteModuleParams(src, &out);
-  SectionReader in;
-  in.InitFromPayload(out.payload());
+  SectionReader in = Framed(out);
   return ReadModuleParams(dst, &in);
+}
+
+/// The optimizer's momentum as SaveState writes it.
+std::string MomentumBytes(const Sgd& optimizer) {
+  SectionWriter out;
+  optimizer.SaveState(&out);
+  return out.payload();
 }
 
 TEST(CheckpointTest, ModuleParamsRoundTripMlp) {
@@ -119,8 +143,7 @@ SectionWriter HostileParams(Module* module, const HostileHeader& header) {
 TEST(CheckpointTest, HostileRankOrDimIsCorruption) {
   for (const HostileHeader& header : kHostileHeaders) {
     Mlp model(SmallMlpConfig(), 1);
-    SectionReader in;
-    in.InitFromPayload(HostileParams(&model, header).payload());
+    SectionReader in = Framed(HostileParams(&model, header));
     EXPECT_EQ(ReadModuleParams(&model, &in).code(), StatusCode::kCorruption)
         << "rank " << header.rank;
   }
@@ -134,28 +157,15 @@ TEST(CheckpointTest, HostileInflightCheckpointIsCorruption) {
                                      Rng(2), /*next_epoch=*/3, kFingerprint)
                   .ok());
   for (const HostileHeader& header : kHostileHeaders) {
-    // Copy the good file section by section, swapping in the hostile
-    // parameter payload with a freshly computed CRC. Sections are: header,
-    // RNG, parameters, optimizer.
+    // Swap in the hostile parameter payload with a freshly computed CRC.
+    // Sections are: header, RNG, parameters, optimizer.
     const std::string bad = TempPath("inflight_hostile.edde");
-    BinaryReader reader(good);
     uint32_t magic = 0;
-    ASSERT_TRUE(reader.ReadU32(&magic));
-    BinaryWriter writer(bad);
-    writer.WriteU32(magic);
-    for (int i = 0; reader.remaining() > 0; ++i) {
-      SectionReader section;
-      ASSERT_TRUE(section.Load(&reader).ok());
-      SectionWriter copy;
-      if (i == 2) {
-        copy = HostileParams(&model, header);
-      } else {
-        const std::string payload = section.TakeRemaining();
-        copy.WriteBytes(payload.data(), payload.size());
-      }
-      copy.AppendTo(&writer, section.tag(), section.version());
-    }
-    ASSERT_TRUE(writer.Finish().ok());
+    std::vector<testing::Frame> frames =
+        testing::ParseFrames(testing::ReadWholeFile(good), &magic);
+    ASSERT_EQ(frames.size(), 4u);
+    frames[2].payload = HostileParams(&model, header).payload();
+    testing::WriteWholeFile(bad, testing::BuildFile(magic, frames));
 
     Mlp restored(SmallMlpConfig(), 2);
     Sgd optimizer(&restored, SgdConfig());
@@ -167,6 +177,120 @@ TEST(CheckpointTest, HostileInflightCheckpointIsCorruption) {
               StatusCode::kCorruption)
         << "rank " << header.rank;
   }
+}
+
+/// A model one SGD step in, its inflight file, and a second model with
+/// other weights, momentum and RNG to restore it into.
+class InflightRestoreTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kFingerprint = 91;
+
+  void SetUp() override {
+    Mlp saved(SmallMlpConfig(), 1);
+    Sgd optimizer(&saved, SgdConfig());
+    for (Parameter* p : saved.Parameters()) p->grad.Fill(0.5f);
+    optimizer.Step();
+    good_ = TempPath("inflight_restore.edde");
+    ASSERT_TRUE(SaveInflightCheckpoint(good_, &saved, optimizer, Rng(2),
+                                       /*next_epoch=*/3, kFingerprint)
+                    .ok());
+    for (Parameter* p : restored_.Parameters()) p->grad.Fill(-0.25f);
+    optimizer_.Step();
+  }
+
+  /// Loads the good file with frame `frame`'s payload replaced by
+  /// `payload` (CRC recomputed) and expects it refused with `code`, and
+  /// the model, momentum and RNG untouched.
+  void ExpectRefusedUntouched(size_t frame, const std::string& payload,
+                              StatusCode code) {
+    uint32_t magic = 0;
+    std::vector<testing::Frame> frames =
+        testing::ParseFrames(testing::ReadWholeFile(good_), &magic);
+    ASSERT_EQ(frames.size(), 4u);  // header, RNG, parameters, momentum
+    frames[frame].payload = payload;
+    const std::string bad = TempPath("inflight_refused.edde");
+    testing::WriteWholeFile(bad, testing::BuildFile(magic, frames));
+
+    const std::string weights = ParameterBytes(&restored_);
+    const std::string momentum = MomentumBytes(optimizer_);
+    Rng expected_rng = rng_;
+    int next_epoch = -1;
+    EXPECT_EQ(LoadInflightCheckpoint(bad, &restored_, &optimizer_, &rng_,
+                                     &next_epoch, kFingerprint)
+                  .code(),
+              code);
+    EXPECT_EQ(ParameterBytes(&restored_), weights);
+    EXPECT_EQ(MomentumBytes(optimizer_), momentum);
+    EXPECT_EQ(rng_.NextU64(), expected_rng.NextU64());
+    EXPECT_EQ(next_epoch, -1);
+  }
+
+  std::string good_;
+  Mlp restored_{SmallMlpConfig(), 7};
+  Sgd optimizer_{&restored_, SgdConfig()};
+  Rng rng_{11};
+};
+
+TEST_F(InflightRestoreTest, BadMomentumSlotCountLeavesEverythingUntouched) {
+  uint32_t magic = 0;
+  const std::vector<testing::Frame> frames =
+      testing::ParseFrames(testing::ReadWholeFile(good_), &magic);
+  std::string momentum = frames[3].payload;
+  testing::StoreWord<uint64_t>(&momentum, 0, 999);
+  ExpectRefusedUntouched(3, momentum, StatusCode::kCorruption);
+}
+
+TEST_F(InflightRestoreTest, WrongLastParameterShapeLeavesEverythingUntouched) {
+  // WriteModuleParams' layout, with the last parameter one row too long.
+  auto params = restored_.Parameters();
+  SectionWriter out;
+  out.WriteU64(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::vector<int64_t> dims = params[i]->value.shape().dims();
+    if (i + 1 == params.size()) ++dims[0];
+    int64_t elements = 1;
+    for (int64_t d : dims) elements *= d;
+    out.WriteString(params[i]->name);
+    out.WriteU64(dims.size());
+    for (int64_t d : dims) out.WriteI64(d);
+    const std::vector<float> values(static_cast<size_t>(elements), 3.0f);
+    out.WriteFloats(values.data(), values.size());
+  }
+  ExpectRefusedUntouched(2, out.payload(), StatusCode::kInvalidArgument);
+}
+
+TEST(SgdStateTest, BadLaterSlotRestoresNoSlot) {
+  Mlp model(SmallMlpConfig(), 1);
+  Sgd saved(&model, SgdConfig());
+  for (Parameter* p : model.Parameters()) p->grad.Fill(0.5f);
+  saved.Step();
+  SectionWriter state;
+  saved.SaveState(&state);
+  // The last slot's data is cut short, after every earlier slot parsed.
+  std::string payload = state.payload();
+  payload.resize(payload.size() - sizeof(float));
+  SectionWriter truncated;
+  truncated.WriteBytes(payload.data(), payload.size());
+
+  Sgd loaded(&model, SgdConfig());
+  const std::string before = MomentumBytes(loaded);
+  SectionReader in = Framed(truncated);
+  EXPECT_EQ(loaded.LoadState(&in).code(), StatusCode::kCorruption);
+  EXPECT_EQ(MomentumBytes(loaded), before);
+}
+
+TEST(CheckpointTest, BadLaterParameterRestoresNoParameter) {
+  Mlp src(SmallMlpConfig(), 1), dst(SmallMlpConfig(), 2);
+  SectionWriter out;
+  WriteModuleParams(&src, &out);
+  std::string payload = out.payload();
+  payload.resize(payload.size() - sizeof(float));
+  SectionWriter truncated;
+  truncated.WriteBytes(payload.data(), payload.size());
+  const std::string before = ParameterBytes(&dst);
+  SectionReader in = Framed(truncated);
+  EXPECT_EQ(ReadModuleParams(&dst, &in).code(), StatusCode::kCorruption);
+  EXPECT_EQ(ParameterBytes(&dst), before);
 }
 
 TEST(CopyParametersTest, CopiesValuesNotGradients) {

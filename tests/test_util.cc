@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
 #include "utils/crash.h"
+#include "utils/durable_io.h"
 #include "utils/logging.h"
 
 namespace edde {
@@ -231,6 +234,57 @@ DirCheckResult CheckDirectionalDerivative(Module* module, const Tensor& input,
       {std::fabs(result.analytic), std::fabs(result.numeric), 1e-6});
   result.rel_error = std::fabs(result.analytic - result.numeric) / denom;
   return result;
+}
+
+std::string ParameterBytes(Module* m) {
+  std::string out;
+  for (Parameter* p : m->Parameters()) {
+    out.append(reinterpret_cast<const char*>(p->value.data()),
+               static_cast<size_t>(p->value.num_elements()) * sizeof(float));
+  }
+  return out;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::vector<Frame> ParseFrames(const std::string& bytes, uint32_t* magic) {
+  *magic = LoadWord<uint32_t>(bytes, 0);
+  std::vector<Frame> frames;
+  size_t pos = sizeof(uint32_t);
+  while (pos < bytes.size()) {
+    Frame f;
+    f.tag = LoadWord<uint32_t>(bytes, pos);
+    f.version = LoadWord<uint32_t>(bytes, pos + 4);
+    const uint64_t size = LoadWord<uint64_t>(bytes, pos + 8);
+    f.payload = bytes.substr(pos + 16, size);
+    pos += 16 + size + sizeof(uint32_t);
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+std::string BuildFile(uint32_t magic, const std::vector<Frame>& frames) {
+  std::string out(sizeof(uint32_t), '\0');
+  StoreWord(&out, 0, magic);
+  for (const Frame& f : frames) {
+    std::string head(16, '\0');
+    StoreWord(&head, 0, f.tag);
+    StoreWord(&head, 4, f.version);
+    StoreWord<uint64_t>(&head, 8, f.payload.size());
+    std::string crc(sizeof(uint32_t), '\0');
+    StoreWord(&crc, 0, Crc32(f.payload.data(), f.payload.size()));
+    out += head + f.payload + crc;
+  }
+  return out;
 }
 
 }  // namespace testing

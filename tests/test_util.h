@@ -2,7 +2,10 @@
 #define EDDE_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -63,6 +66,41 @@ struct DirCheckResult {
 DirCheckResult CheckDirectionalDerivative(Module* module, const Tensor& input,
                                           bool training, Rng* rng,
                                           double epsilon = 1e-3);
+
+/// Every parameter value of `m`, as bytes.
+std::string ParameterBytes(Module* m);
+
+/// The whole contents of `path` ("" when it cannot be read).
+std::string ReadWholeFile(const std::string& path);
+void WriteWholeFile(const std::string& path, const std::string& bytes);
+
+/// The little-endian word at `offset` of `bytes`, and its store.
+template <typename T>
+T LoadWord(const std::string& bytes, size_t offset) {
+  T v;
+  std::memcpy(&v, bytes.data() + offset, sizeof(T));
+  return v;
+}
+template <typename T>
+void StoreWord(std::string* bytes, size_t offset, T v) {
+  std::memcpy(&(*bytes)[offset], &v, sizeof(T));
+}
+
+/// One section of a framed file (utils/durable_io):
+/// u32 tag | u32 version | u64 size | payload | u32 crc32(payload).
+struct Frame {
+  uint32_t tag = 0;
+  uint32_t version = 0;
+  std::string payload;
+};
+
+/// Splits a well-formed framed file into its magic word and sections.
+std::vector<Frame> ParseFrames(const std::string& bytes, uint32_t* magic);
+
+/// Frames `frames` again, each with the CRC of its (possibly hostile)
+/// payload, so a reader parses the hostile bytes instead of stopping at
+/// the CRC check.
+std::string BuildFile(uint32_t magic, const std::vector<Frame>& frames);
 
 }  // namespace testing
 }  // namespace edde

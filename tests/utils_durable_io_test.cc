@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "utils/failpoint.h"
-#include "utils/serialize.h"
 #include "utils/status.h"
 
 namespace edde {
@@ -90,80 +89,133 @@ TEST_F(DurableIoTest, PersistentErrorFailsAfterMaxAttemptsWithoutStaleTemp) {
       << "failed commits must clean up their staging file";
 }
 
-TEST_F(DurableIoTest, SectionRoundTrip) {
-  const std::string path = TestPath("section_roundtrip.bin");
-  SectionWriter section;
-  section.WriteU32(7);
-  section.WriteI64(-42);
-  section.WriteString("edde");
-  const std::vector<float> floats = {1.5f, -2.25f, 0.0f};
-  section.WriteU64(floats.size());
-  section.WriteFloats(floats.data(), floats.size());
-  BinaryWriter writer(path);
-  section.AppendTo(&writer, /*tag=*/3, /*version=*/2);
-  ASSERT_TRUE(writer.Finish().ok());
+constexpr uint32_t kMagic = 0xEDDE7E57;
 
-  BinaryReader reader(path);
+/// Reads `path` as a framed file of version `version` and takes its first
+/// section, which must carry `tag`.
+Status ReadFirstSection(const std::string& path, uint32_t tag,
+                        SectionReader* section, uint32_t version = 1) {
+  Result<SectionFile> file = ReadSectionFile(path, kMagic, version);
+  EDDE_RETURN_NOT_OK(file.status());
+  return file.ValueOrDie().Next(tag, section);
+}
+
+TEST_F(DurableIoTest, SectionFileRoundTripsEveryFieldType) {
+  const std::string path = TestPath("section_roundtrip.bin");
+  SectionWriter first;
+  first.WriteU32(7);
+  first.WriteU64(uint64_t{1} << 40);
+  first.WriteI64(-42);
+  first.WriteF32(0.5f);
+  first.WriteF64(-0.125);
+  first.WriteString("edde");
+  const std::vector<float> floats = {1.5f, -2.25f, 0.0f};
+  first.WriteU64(floats.size());
+  first.WriteFloats(floats.data(), floats.size());
+  const std::vector<double> doubles = {3.0, -1e300};
+  first.WriteDoubles(doubles.data(), doubles.size());
+  first.WriteBytes("raw", 3);
+  SectionWriter empty;
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, /*version=*/2,
+                               {{3, &first}, {5, &empty}})
+                  .ok());
+
+  Result<SectionFile> file = ReadSectionFile(path, kMagic, /*version=*/2);
+  ASSERT_TRUE(file.ok()) << file.status();
   SectionReader in;
-  ASSERT_TRUE(in.Load(&reader, /*expected_tag=*/3).ok());
-  EXPECT_EQ(in.tag(), 3u);
-  EXPECT_EQ(in.version(), 2u);
-  uint32_t u = 0;
-  int64_t i = 0;
+  ASSERT_TRUE(file.ValueOrDie().Next(/*tag=*/3, &in).ok());
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  float f32 = 0;
+  double f64 = 0;
   std::string s;
   uint64_t count = 0;
-  ASSERT_TRUE(in.ReadU32(&u));
-  ASSERT_TRUE(in.ReadI64(&i));
+  ASSERT_TRUE(in.ReadU32(&u32));
+  ASSERT_TRUE(in.ReadU64(&u64));
+  ASSERT_TRUE(in.ReadI64(&i64));
+  ASSERT_TRUE(in.ReadF32(&f32));
+  ASSERT_TRUE(in.ReadF64(&f64));
   ASSERT_TRUE(in.ReadString(&s));
   ASSERT_TRUE(in.ReadU64(&count));
   std::vector<float> back(count);
   ASSERT_TRUE(in.ReadFloats(back.data(), count));
-  EXPECT_EQ(u, 7u);
-  EXPECT_EQ(i, -42);
+  std::vector<double> back_doubles(doubles.size());
+  ASSERT_TRUE(in.ReadDoubles(back_doubles.data(), back_doubles.size()));
+  char raw[3];
+  ASSERT_TRUE(in.ReadRaw(raw, sizeof(raw)));
+  EXPECT_EQ(u32, 7u);
+  EXPECT_EQ(u64, uint64_t{1} << 40);
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(f32, 0.5f);
+  EXPECT_EQ(f64, -0.125);
   EXPECT_EQ(s, "edde");
   EXPECT_EQ(back, floats);
+  EXPECT_EQ(back_doubles, doubles);
+  EXPECT_EQ(std::string(raw, 3), "raw");
   EXPECT_EQ(in.remaining(), 0u);
+
+  SectionReader second;
+  ASSERT_TRUE(file.ValueOrDie().Next(/*tag=*/5, &second).ok());
+  EXPECT_EQ(second.remaining(), 0u);
+  EXPECT_EQ(file.ValueOrDie().Next(/*tag=*/5, &second).code(),
+            StatusCode::kCorruption)
+      << "no section is left";
+}
+
+TEST_F(DurableIoTest, SectionTagMismatchIsCorruption) {
+  const std::string path = TestPath("section_tag.bin");
+  SectionWriter section;
+  section.WriteU32(1);
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{2, &section}}).ok());
+  SectionReader in;
+  EXPECT_EQ(ReadFirstSection(path, /*tag=*/3, &in).code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(DurableIoTest, MissingFileIsIOError) {
+  Result<SectionFile> file =
+      ReadSectionFile("/nonexistent/path/file.bin", kMagic, 1);
+  EXPECT_EQ(file.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(DurableIoTest, WrongMagicOrVersionIsCorruption) {
+  const std::string path = TestPath("section_foreign.bin");
+  SectionWriter section;
+  section.WriteString("payload");
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok());
+  EXPECT_EQ(ReadSectionFile(path, kMagic + 1, 1).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ReadSectionFile(path, kMagic, 2).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(DurableIoTest, EveryPossibleBitFlipIsDetected) {
-  // Corruption acceptance: flip each byte of the framed file in turn; the
-  // section must either fail to load or (for the version field, which is
-  // not covered by the payload CRC) still load — it must never produce a
-  // wrong payload or crash.
+  // Corruption acceptance: flip each byte of a framed file in turn — the
+  // magic, both frames' tag, version, size and CRC, every payload byte.
+  // The file must fail to load, or the section to be taken: the payloads
+  // are covered by the CRCs, the frame fields by explicit checks (magic,
+  // version, bounds, the frames tiling the file, the tag).
   const std::string path = TestPath("section_bitflip.bin");
-  SectionWriter section;
-  section.WriteString("payload under test");
-  section.WriteU64(0xDEADBEEFCAFEBABEull);
-  BinaryWriter writer(path);
-  section.AppendTo(&writer, /*tag=*/1, /*version=*/1);
-  ASSERT_TRUE(writer.Finish().ok());
+  SectionWriter first;
+  first.WriteString("payload under test");
+  first.WriteU64(0xDEADBEEFCAFEBABEull);
+  SectionWriter second;
+  second.WriteU32(42);
+  ASSERT_TRUE(
+      WriteSectionFile(path, kMagic, 1, {{1, &first}, {2, &second}}).ok());
   const std::string good = ReadWholeFile(path);
 
-  int detected = 0, survived = 0;
   for (size_t i = 0; i < good.size(); ++i) {
     std::string bad = good;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
     ASSERT_TRUE(AtomicWriteFile(path, bad).ok());
-    BinaryReader reader(path);
+    Result<SectionFile> file = ReadSectionFile(path, kMagic, 1);
     SectionReader in;
-    const Status s = in.Load(&reader, /*expected_tag=*/1);
-    if (s.ok()) {
-      // Only a flip in the version field (bytes 4..8 of the frame) can
-      // slip through the CRC; the payload must still be intact.
-      ++survived;
-      std::string text;
-      uint64_t magic = 0;
-      ASSERT_TRUE(in.ReadString(&text));
-      ASSERT_TRUE(in.ReadU64(&magic));
-      EXPECT_EQ(text, "payload under test");
-      EXPECT_EQ(magic, 0xDEADBEEFCAFEBABEull);
-    } else {
-      ++detected;
-    }
+    const bool loaded = file.ok() && file.ValueOrDie().Next(1, &in).ok() &&
+                        file.ValueOrDie().Next(2, &in).ok();
+    EXPECT_FALSE(loaded) << "bit flip at byte " << i << " went undetected";
   }
-  EXPECT_GE(detected, static_cast<int>(good.size()) - 4)
-      << "every flip outside the 4-byte version field must be caught";
-  EXPECT_LE(survived, 4);
 }
 
 TEST_F(DurableIoTest, ShortWriteIsCaughtByCrc) {
@@ -173,81 +225,94 @@ TEST_F(DurableIoTest, ShortWriteIsCaughtByCrc) {
   ASSERT_TRUE(failpoint::SetSpec("durable.write=short_write:5").ok());
   SectionWriter section;
   section.WriteString("will be torn");
-  BinaryWriter writer(path);
-  section.AppendTo(&writer, /*tag=*/1, /*version=*/1);
-  ASSERT_TRUE(writer.Finish().ok()) << "the torn commit itself succeeds";
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok())
+      << "the torn commit itself succeeds";
   failpoint::Clear();
 
-  BinaryReader reader(path);
-  SectionReader in;
-  EXPECT_FALSE(in.Load(&reader, /*expected_tag=*/1).ok());
+  EXPECT_EQ(ReadSectionFile(path, kMagic, 1).status().code(),
+            StatusCode::kCorruption);
 }
 
-TEST_F(DurableIoTest, BitFlippedLengthYieldsCorruptionNotOverread) {
-  // Regression: BinaryReader used to trust on-disk lengths, so a flipped
-  // high bit in a length prefix drove a multi-gigabyte read.
+TEST_F(DurableIoTest, EveryTruncationIsCorruption) {
+  const std::string path = TestPath("section_truncated.bin");
+  SectionWriter section;
+  section.WriteU64(1);
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok());
+  const std::string good = ReadWholeFile(path);
+  // The magic word alone is a file of no sections, which has none to take.
+  for (size_t n = 0; n < good.size(); ++n) {
+    ASSERT_TRUE(AtomicWriteFile(path, good.substr(0, n)).ok());
+    SectionReader in;
+    EXPECT_EQ(ReadFirstSection(path, 1, &in).code(), StatusCode::kCorruption)
+        << "prefix of " << n << " bytes";
+  }
+  // Bytes past the last frame are refused too.
+  ASSERT_TRUE(AtomicWriteFile(path, good + '\0').ok());
+  EXPECT_EQ(ReadSectionFile(path, kMagic, 1).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(DurableIoTest, BitFlippedFrameSizeYieldsCorruptionNotOverread) {
+  // A flipped high bit in a frame's size field must be refused against the
+  // bytes left before it sizes the payload allocation.
   const std::string path = TestPath("bad_length.bin");
-  const std::string text = "short";
-  {
-    BinaryWriter writer(path);
-    writer.WriteU64(text.size());
-    writer.WriteBytes(text.data(), text.size());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  SectionWriter section;
+  section.WriteString("short");
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok());
   std::string bytes = ReadWholeFile(path);
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[7] = static_cast<char>(0x7F);  // length becomes ~2^63
+  // magic (4), tag (4), version (4), then the u64 size: its top byte.
+  bytes[4 + 4 + 4 + 7] = static_cast<char>(0x7F);  // size becomes ~2^63
   ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
-
-  BinaryReader reader(path);
-  uint64_t size = 0;
-  ASSERT_TRUE(reader.ReadU64(&size));
-  EXPECT_GT(size, reader.remaining());
-  std::string dst(text.size(), '\0');  // the clamp fires before any copy
-  EXPECT_FALSE(reader.ReadRaw(dst.data(), size));
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadSectionFile(path, kMagic, 1).status().code(),
+            StatusCode::kCorruption);
 }
 
-TEST_F(DurableIoTest, ReadPastEndYieldsCorruptionNotOverread) {
+TEST_F(DurableIoTest, ReadPastEndOfPayloadYieldsCorruptionNotOverread) {
   const std::string path = TestPath("bad_count.bin");
-  {
-    BinaryWriter writer(path);
-    const std::vector<float> floats = {1.0f, 2.0f};
-    writer.WriteU64(floats.size());
-    writer.WriteBytes(floats.data(), floats.size() * sizeof(float));
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  BinaryReader reader(path);
+  SectionWriter section;
+  const std::vector<float> floats = {1.0f, 2.0f};
+  section.WriteU64(floats.size());
+  section.WriteFloats(floats.data(), floats.size());
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok());
+  SectionReader in;
+  ASSERT_TRUE(ReadFirstSection(path, 1, &in).ok());
   uint64_t count = 0;
-  ASSERT_TRUE(reader.ReadU64(&count));
-  std::vector<float> dst(1024);  // claim far more than the file holds
-  EXPECT_FALSE(reader.ReadRaw(dst.data(), dst.size() * sizeof(float)));
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  ASSERT_TRUE(in.ReadU64(&count));
+  std::vector<float> dst(1024);  // claim far more than the payload holds
+  EXPECT_FALSE(in.ReadFloats(dst.data(), dst.size()));
+  EXPECT_EQ(in.status().code(), StatusCode::kCorruption);
   uint32_t next = 0;
-  EXPECT_FALSE(reader.ReadU32(&next)) << "a failed reader stays failed";
+  EXPECT_FALSE(in.ReadU32(&next)) << "a failed reader stays failed";
 }
 
-TEST_F(DurableIoTest, SectionReaderStringLengthClampedToPayload) {
+TEST_F(DurableIoTest, StringLengthClampedToPayload) {
+  const std::string path = TestPath("bad_string.bin");
+  SectionWriter section;
+  section.WriteU64(~0ull);
+  section.WriteBytes("tiny", 4);
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &section}}).ok());
   SectionReader in;
-  std::string payload;
-  const uint64_t huge = ~0ull;
-  payload.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  payload += "tiny";
-  in.InitFromPayload(payload);
+  ASSERT_TRUE(ReadFirstSection(path, 1, &in).ok());
   std::string s;
   EXPECT_FALSE(in.ReadString(&s));
   EXPECT_EQ(in.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(DurableIoTest, BinaryWriterBuffersUntilFinish) {
-  const std::string path = TestPath("bw.bin");
-  ::unlink(path.c_str());  // leftovers from a previous run of this binary
-  BinaryWriter writer(path);
-  writer.WriteBytes("part1 ", 6);
-  EXPECT_FALSE(FileExists(path)) << "nothing lands before Finish()";
-  writer.WriteBytes("part2", 5);
-  ASSERT_TRUE(writer.Finish().ok());
-  EXPECT_EQ(ReadWholeFile(path), "part1 part2");
+TEST_F(DurableIoTest, FailedSectionFileCommitLeavesTheOldFile) {
+  // WriteSectionFile commits whole or not at all: a failed commit leaves
+  // the previous file and no staging file.
+  const std::string path = TestPath("section_commit.bin");
+  SectionWriter old_section;
+  old_section.WriteString("old");
+  ASSERT_TRUE(WriteSectionFile(path, kMagic, 1, {{1, &old_section}}).ok());
+  const std::string old_bytes = ReadWholeFile(path);
+  ASSERT_TRUE(failpoint::SetSpec("durable.rename=error").ok());
+  SectionWriter new_section;
+  new_section.WriteString("new");
+  EXPECT_FALSE(WriteSectionFile(path, kMagic, 1, {{1, &new_section}}).ok());
+  failpoint::Clear();
+  EXPECT_EQ(ReadWholeFile(path), old_bytes);
+  EXPECT_FALSE(FileExists(TempPathFor(path)));
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "utils/flags.h"
-#include "utils/serialize.h"
 #include "utils/status.h"
 #include "utils/table.h"
 
@@ -165,52 +163,6 @@ TEST(FlagsTest, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)).ok());
   EXPECT_TRUE(flags.help_requested());
-}
-
-// ---------------------------------------------------------------------------
-// Binary serialization
-// ---------------------------------------------------------------------------
-
-TEST(SerializeTest, RoundTripsAllTypes) {
-  const std::string path = ::testing::TempDir() + "/serialize_roundtrip.bin";
-  const float xs[3] = {1.0f, -2.0f, 3.5f};
-  {
-    BinaryWriter w(path);
-    w.WriteU32(7);
-    w.WriteU64(1ull << 40);
-    w.WriteBytes(xs, sizeof(xs));
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path);
-  ASSERT_TRUE(r.status().ok());
-  uint32_t u32;
-  uint64_t u64;
-  float back[3];
-  ASSERT_TRUE(r.ReadU32(&u32));
-  ASSERT_TRUE(r.ReadU64(&u64));
-  ASSERT_TRUE(r.ReadRaw(back, sizeof(back)));
-  EXPECT_EQ(u32, 7u);
-  EXPECT_EQ(u64, 1ull << 40);
-  EXPECT_EQ(std::memcmp(back, xs, sizeof(xs)), 0);
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(SerializeTest, TruncatedFileIsCorruption) {
-  const std::string path = ::testing::TempDir() + "/serialize_truncated.bin";
-  {
-    BinaryWriter w(path);
-    w.WriteU32(1);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path);
-  uint64_t v;
-  EXPECT_FALSE(r.ReadU64(&v));
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-}
-
-TEST(SerializeTest, MissingFileIsIOError) {
-  BinaryReader r("/nonexistent/path/file.bin");
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 }  // namespace
