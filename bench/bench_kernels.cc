@@ -4,11 +4,13 @@
 /// every available kernel (scalar reference, portable SIMD, AVX2) and
 /// records GFLOP/s plus the allocation audit (tensor allocs + arena slab
 /// growth at steady state must both be zero) into BENCH_kernels.json.
+/// It also prints the Conv2d layer's forward and backward time per kernel
+/// tier at every conv shape of the tiny, small and paper ResNet members.
 ///
 /// CI gates on the *ratio* headlines (`gemm512.speedup_vs_scalar`,
 /// `alloc.steady_state_zero`), which are robust across machines because
 /// numerator and denominator come from the same run; the absolute GFLOP/s
-/// numbers are informational.
+/// numbers are informational, and the conv timings are printed only.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,6 +18,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "nn/conv2d.h"
+#include "nn/tape.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/ops.h"
@@ -146,6 +150,101 @@ double SteadyStateZeroAlloc(Rng* rng) {
                                                                    : 0.0;
 }
 
+/// Median wall time of `call` in µs, over as many calls as fit `seconds`
+/// (at least 3), after one warm-up call.
+template <typename Call>
+double MedianCallUs(double seconds, const Call& call) {
+  call();
+  std::vector<double> us;
+  Timer total;
+  while (us.size() < 3 || (total.Seconds() < seconds && us.size() < 2000)) {
+    Timer one;
+    call();
+    us.push_back(one.Seconds() * 1e6);
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  return us[us.size() / 2];
+}
+
+/// Prints the Conv2d layer's training forward and backward time per kernel
+/// tier at every conv shape of the ResNet members (bench_common's tiny,
+/// small and paper configs, batch 16): the stem, and per stage the first
+/// conv, the second and the 1x1 projection. The stem computes no input
+/// gradient. Printed only, not recorded as headlines.
+void PrintConvTimings(const std::vector<GemmKernel>& kernels,
+                      double seconds) {
+  struct ModelScale {
+    const char* name;
+    int64_t image, width;
+  };
+  struct ConvShape {
+    std::string name;
+    int64_t in, out, kernel, stride, size;
+  };
+  const ModelScale scales[] = {{"tiny", 6, 4}, {"small", 10, 8},
+                               {"paper", 32, 16}};
+  const int64_t batch = 16;
+  for (const ModelScale& scale : scales) {
+    std::vector<ConvShape> shapes = {
+        {"stem", 3, scale.width, 3, 1, scale.image}};
+    int64_t size = scale.image, width = scale.width;
+    for (int stage = 1; stage <= 3; ++stage) {
+      const int64_t out = scale.width << (stage - 1);
+      const int64_t stride = stage == 1 ? 1 : 2;
+      const std::string s = "s" + std::to_string(stage);
+      shapes.push_back({s + ".conv1", width, out, 3, stride, size});
+      const int64_t next = (size - 1) / stride + 1;
+      shapes.push_back({s + ".conv2", out, out, 3, 1, next});
+      if (stride != 1) shapes.push_back({s + ".proj", width, out, 1, 2, size});
+      size = next;
+      width = out;
+    }
+    for (GemmKernel kernel : kernels) {
+      SetGemmKernel(kernel);
+      for (const ConvShape& shape : shapes) {
+        Rng rng(7);
+        Conv2d conv(shape.in, shape.out, shape.kernel, shape.stride,
+                    shape.kernel / 2, /*use_bias=*/false, &rng);
+        Tensor x(Shape{batch, shape.in, shape.size, shape.size});
+        x.FillNormal(&rng, 0.0f, 1.0f);
+        Tape tape;
+        const bool stem = shape.name == "stem";
+        auto forward = [&] {
+          tape.Reset();
+          if (stem) tape.MarkData(x);
+          return conv.Forward(x, &tape);
+        };
+        Tensor dy(forward().shape());
+        dy.FillNormal(&rng, 0.0f, 1.0f);
+        const double fwd_us = MedianCallUs(seconds, forward);
+        // Each backward needs its forward's tape; only the backward is timed.
+        std::vector<double> bwd;
+        Timer total;
+        while (bwd.size() < 3 ||
+               (total.Seconds() < 2 * seconds && bwd.size() < 2000)) {
+          forward();
+          Timer one;
+          conv.Backward(dy, &tape);
+          bwd.push_back(one.Seconds() * 1e6);
+        }
+        std::nth_element(bwd.begin(), bwd.begin() + bwd.size() / 2,
+                         bwd.end());
+        std::printf("conv2d %-5s %-9s %3lld->%-3lld k%lld s%lld %2lldx%-2lld "
+                    "%-8s fwd %9.1f us  bwd %9.1f us\n",
+                    scale.name, shape.name.c_str(),
+                    static_cast<long long>(shape.in),
+                    static_cast<long long>(shape.out),
+                    static_cast<long long>(shape.kernel),
+                    static_cast<long long>(shape.stride),
+                    static_cast<long long>(shape.size),
+                    static_cast<long long>(shape.size),
+                    GemmKernelName(kernel), fwd_us, bwd[bwd.size() / 2]);
+      }
+    }
+  }
+  SetGemmKernel(GemmKernel::kAuto);
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags;
   if (!InitExperiment(&flags, argc, argv)) return 0;
@@ -248,6 +347,8 @@ int Run(int argc, char** argv) {
     std::printf("%-12s int8 speedup vs fp32 packed: %.2fx\n", shape.name,
                 int8_speedup);
   }
+
+  PrintConvTimings(kernels, min_seconds / 4);
 
   // Multi-threaded 512³ with automatic dispatch: proves the row partition
   // composes with the kernel (informational, not gated).

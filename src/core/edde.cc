@@ -77,9 +77,20 @@ void RecordRoundStats(const EddeRoundStats& stats,
 }
 
 // EDDE's method-state checkpoint section: the per-round stats recorded so
-// far, so a resumed run hands observers the full history.
+// far, so a resumed run hands observers the full history. Only values that
+// are a function of the run go in, so two identical runs write identical
+// generations: the wall-clock round_seconds stays in the JSONL record and
+// the in-memory observer, and reads back as 0.
+//
+// Version 1 payloads begin with the record count and end each record with
+// round_seconds. Version 2 payloads begin with kRoundStatsVersion2, a word
+// no version-1 count reaches (a count is bounded by the payload size), then
+// the count, and drop round_seconds.
+constexpr uint64_t kRoundStatsVersion2 = 0xEDDE000000000002;
+
 SectionWriter PackRoundStats(const std::vector<EddeRoundStats>& stats) {
   SectionWriter blob;
+  blob.WriteU64(kRoundStatsVersion2);
   blob.WriteU64(stats.size());
   for (const EddeRoundStats& s : stats) {
     blob.WriteI64(s.round);
@@ -91,7 +102,6 @@ SectionWriter PackRoundStats(const std::vector<EddeRoundStats>& stats) {
     blob.WriteF64(s.weight_min);
     blob.WriteF64(s.weight_mean);
     blob.WriteF64(s.weight_max);
-    blob.WriteF64(s.round_seconds);
   }
   return blob;
 }
@@ -100,6 +110,8 @@ Status UnpackRoundStats(SectionReader* in,
                         std::vector<EddeRoundStats>* stats) {
   uint64_t count = 0;
   if (!in->ReadU64(&count)) return in->status();
+  const bool version1 = count != kRoundStatsVersion2;
+  if (!version1 && !in->ReadU64(&count)) return in->status();
   for (uint64_t i = 0; i < count; ++i) {
     EddeRoundStats s;
     int64_t round = 0;
@@ -109,12 +121,15 @@ Status UnpackRoundStats(SectionReader* in,
         !in->ReadF64(&s.wrong_sim_mass) ||
         !in->ReadF64(&s.mean_pairwise_div) || !in->ReadF64(&s.weight_min) ||
         !in->ReadF64(&s.weight_mean) || !in->ReadF64(&s.weight_max) ||
-        !in->ReadF64(&s.round_seconds)) {
+        (version1 && !in->ReadF64(&s.round_seconds))) {
       return in->status();
     }
     s.round = static_cast<int>(round);
     s.alpha_clamped = clamped != 0;
     stats->push_back(s);
+  }
+  if (in->remaining() != 0) {
+    return Status::Corruption("EDDE round stats: trailing bytes");
   }
   return Status::OK();
 }

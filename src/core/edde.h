@@ -33,7 +33,9 @@ struct EddeRoundStats {
   double weight_min = 0.0;        ///< Per-sample weight distribution W_t
   double weight_mean = 0.0;       ///< after the round's update —
   double weight_max = 0.0;        ///< degenerate spreads flag collapse.
-  double round_seconds = 0.0;     ///< Wall time of the round.
+  double round_seconds = 0.0;     ///< Wall time of the round; not
+                                  ///< checkpointed, so 0 for a round
+                                  ///< restored from a generation.
 };
 
 /// Options of the EDDE algorithm (paper Algorithm 1) plus the ablation and

@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include "nn/init.h"
-#include "utils/logging.h"
 
 namespace edde {
 
@@ -32,15 +31,18 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
     }
     return Conv2dForward(input, weight_.value, bias_.value, geom_);
   }
-  EDDE_CHECK_EQ(input.shape().rank(), 4);
-  const int64_t cols_floats = Conv2dBackwardColsFloats(geom_, input.shape());
-  Tensor cols =
-      cols_floats > 0 ? tape->NewTensor(Shape{cols_floats}) : Tensor();
+  // The input handle keeps its shape and data mark for Backward; the
+  // batch-innermost copy, when the forward builds one, is what the
+  // kernels read.
+  const Tensor input_t =
+      Conv2dForwardBuildsInputCopy(geom_)
+          ? tape->NewTensor(Conv2dInputCopyShape(geom_, input.shape()))
+          : Tensor();
   tape->Save(input);
-  tape->Save(cols);
+  tape->Save(input_t);
   return Conv2dForward(input, weight_.value, bias_.value, geom_,
                        tape->NewTensor(geom_.OutputShape(input.shape())),
-                       cols_floats > 0 ? cols.data() : nullptr);
+                       input_t);
 }
 
 void Conv2d::SetPrecision(Precision precision) {
@@ -53,14 +55,13 @@ void Conv2d::SetPrecision(Precision precision) {
 }
 
 Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Tape* tape) {
-  const Tensor cols = tape->Take();
+  const Tensor input_t = tape->Take();
   const Tensor input = tape->Take();
   Tensor grad_input;
   if (!tape->IsData(input)) grad_input = tape->NewTensor(input.shape());
   Conv2dBackward(input, weight_.value, grad_output, geom_, &weight_.grad,
                  use_bias_ ? &bias_.grad : nullptr,
-                 grad_input.empty() ? nullptr : &grad_input,
-                 cols.empty() ? nullptr : cols.data());
+                 grad_input.empty() ? nullptr : &grad_input, input_t);
   return grad_input;
 }
 

@@ -14,10 +14,10 @@ namespace edde {
 /// He-normal weight init; bias optional (ResNet-style convs followed by
 /// batch-norm typically disable it).
 ///
-/// A training Forward saves its input and, for the geometries whose
-/// backward reads them (stride 2, Conv2dBackwardColsFloats), the im2col
-/// columns it built, so Backward does not rebuild them. Backward computes
-/// no input gradient when the input is the tape's data (a network's stem).
+/// A training Forward saves its input and the batch-innermost copy of it
+/// that the kernels built (Conv2dInputCopyShape; none for a 1x1 kernel),
+/// so Backward does not rebuild it. Backward computes no input gradient when the input is the
+/// tape's data (a network's stem).
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "utils/arena.h"
@@ -165,10 +166,10 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Im2Col and Col2Im move each value through a zero-bordered copy of its
-// (H, W) plane, (H+2p, W+2p), so that every kernel tap reads or writes
-// through one precomputed offset with no bounds test: an im2col row is only
-// OH·OW floats, and a per-element branch cost more than the copy itself.
+// Im2Col moves each value through a zero-bordered copy of its (H, W) plane,
+// (H+2p, W+2p), so that every kernel tap reads through one precomputed
+// offset with no bounds test: an im2col row is only OH·OW floats, and a
+// per-element branch cost more than the copy itself.
 struct PaddedPlanes {
   int64_t height, width, padding;
   int64_t ph, pw;  // bordered extents
@@ -187,17 +188,6 @@ struct PaddedPlanes {
       for (int64_t y = 0; y < height; ++y) {
         std::memcpy(dst + i * size() + (y + padding) * pw + padding,
                     src + (i * height + y) * width,
-                    sizeof(float) * static_cast<size_t>(width));
-      }
-    }
-  }
-
-  // Copies the interiors of `planes` bordered planes back to (H, W) planes.
-  void Unstage(const float* src, int64_t planes, float* dst) const {
-    for (int64_t i = 0; i < planes; ++i) {
-      for (int64_t y = 0; y < height; ++y) {
-        std::memcpy(dst + (i * height + y) * width,
-                    src + i * size() + (y + padding) * pw + padding,
                     sizeof(float) * static_cast<size_t>(width));
       }
     }
@@ -234,7 +224,7 @@ void Im2Col(const float* input, int64_t batch, int64_t channels,
   const int64_t taps = geom.kernel * geom.kernel;
   const int64_t plane = oh * ow;
   if (oh <= 0 || ow <= 0) return;
-  // Serial: the Conv2d kernels cap a block at 32 Ki floats of columns
+  // Serial: the im2col forwards cap a block at 32 Ki floats of columns
   // (Conv2dBlockSamples), too little copying to pay for a pool region.
   ArenaScope scope;
   const PaddedPlanes planes(height, width, geom.padding);
@@ -256,39 +246,6 @@ void Im2Col(const float* input, int64_t batch, int64_t channels,
       for (int64_t p = 0; p < plane; ++p) out[p] = src[tap[p]];
     }
   }
-}
-
-void Col2Im(const float* cols, int64_t batch, int64_t channels,
-            int64_t height, int64_t width, const ConvGeom& geom,
-            float* input_grad) {
-  const int64_t oh = geom.OutExtent(height);
-  const int64_t ow = geom.OutExtent(width);
-  const int64_t taps = geom.kernel * geom.kernel;
-  const int64_t plane = oh * ow;
-  if (oh <= 0 || ow <= 0) return;
-  ArenaScope scope;
-  const PaddedPlanes planes(height, width, geom.padding);
-  const int32_t* offsets = TapOffsets(geom, planes, oh, ow, &scope);
-  float* staged = input_grad;
-  if (geom.padding > 0) {
-    staged = scope.AllocFloats(batch * channels * planes.size());
-    planes.Stage(input_grad, batch * channels, staged);
-  }
-  // Kernel offsets of one channel accumulate into overlapping pixels; each
-  // pixel sums its (ky, kx, y, x) contributions in that fixed order, the
-  // same for any block size.
-  for (int64_t s = 0; s < batch; ++s) {
-    for (int64_t c = 0; c < channels; ++c) {
-      float* dst = staged + (s * channels + c) * planes.size();
-      for (int64_t t = 0; t < taps; ++t) {
-        const float* in_row = cols + ((c * taps + t) * batch + s) * plane;
-        const int32_t* tap = offsets + t * plane;
-#pragma GCC unroll 4
-        for (int64_t p = 0; p < plane; ++p) dst[tap[p]] += in_row[p];
-      }
-    }
-  }
-  if (geom.padding > 0) planes.Unstage(staged, batch * channels, input_grad);
 }
 
 int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
@@ -316,29 +273,14 @@ void TransposeBlock(const float* src, int64_t bn, int64_t channels,
   }
 }
 
-// dst (cols, rows) = src (rows, cols)^T.
-void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) dst[j * rows + i] = src[i * cols + j];
-  }
-}
-
-bool Conv2dBackwardIsCorrelation(const ConvGeom& geom) {
-  return geom.stride == 1 && geom.padding <= geom.kernel - 1;
-}
-
-// Common body of the two forward convolutions. Each sample block is
-// unrolled by one Im2Col, multiplied by `gemm(cols, ncols, out2d)` into
-// channel-major scratch and copied into the NCHW output. Blocks run
-// serially, so scratch stays at one block on one thread's arena; a batch
-// that fits one block (every training batch of the tiny models) is a
-// single GEMM and opens no pool region unless the GEMM itself is large.
-// With `keep_cols`, block b's columns land at its offset there instead of
-// in scratch.
+// The im2col forward: the int8 convolution's body, and the fp32 one of a
+// 1x1 kernel. Each sample block is unrolled by one Im2Col, multiplied by
+// `gemm(cols, ncols, out2d)` into channel-major scratch and copied into the
+// NCHW output. Blocks run serially, so scratch stays at one block on one
+// thread's arena.
 template <typename BlockGemm>
 Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
-                            const BlockGemm& gemm, Tensor output,
-                            float* keep_cols) {
+                            const BlockGemm& gemm, Tensor output) {
   EDDE_CHECK_EQ(input.shape().rank(), 4);
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = input.shape().dim(1);
@@ -350,19 +292,12 @@ Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
   const int64_t cols_rows = cin * geom.kernel * geom.kernel;
   const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
 
-  if (output.empty()) {
-    output = Tensor(geom.OutputShape(input.shape()));
-  } else {
-    EDDE_CHECK(output.shape() == geom.OutputShape(input.shape()));
-  }
+  if (output.empty()) output = Tensor(geom.OutputShape(input.shape()));
   ArenaScope scope;
-  float* cols = keep_cols != nullptr
-                    ? nullptr
-                    : scope.AllocFloats(cols_rows * block * plane);
+  float* cols = scope.AllocFloats(cols_rows * block * plane);
   float* out2d = scope.AllocFloats(oc * block * plane);
   for (int64_t n0 = 0; n0 < batch; n0 += block) {
     const int64_t bn = std::min(block, batch - n0);
-    if (keep_cols != nullptr) cols = keep_cols + n0 * cols_rows * plane;
     Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
     gemm(cols, bn * plane, out2d);
     TransposeBlock(out2d, bn, oc, plane, /*to_nchw=*/true,
@@ -371,34 +306,363 @@ Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
   return output;
 }
 
+using conv_internal::DirectConv;
+using conv_internal::DirectPass;
+using conv_internal::kLanes;
+using conv_internal::WeightGradPass;
+
+// Portable policy of the direct Conv2d kernels (tensor/conv_direct.h): a
+// vector is kLanes floats and each operation one `#pragma omp simd` loop.
+// Fma rounds the product and then the sum, as the packed GEMM's portable
+// micro-kernel and the scalar GEMM do.
+struct PortableOps {
+  struct V {
+    float f[kLanes];
+  };
+  static V Zero() {
+    V r;
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) r.f[l] = 0.0f;
+    return r;
+  }
+  static V Load(const float* p) {
+    V r;
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) r.f[l] = p[l];
+    return r;
+  }
+  static V Bcast(const float* p) {
+    V r;
+    const float s = *p;
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) r.f[l] = s;
+    return r;
+  }
+  static V Fma(V acc, V a, V b) {
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) acc.f[l] += a.f[l] * b.f[l];
+    return acc;
+  }
+  static V Add(V a, V b) {
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) a.f[l] += b.f[l];
+    return a;
+  }
+  static void Store(float* p, V v) {
+#pragma omp simd
+    for (int64_t l = 0; l < kLanes; ++l) p[l] = v.f[l];
+  }
+};
+
+int64_t Conv2dLanes(int64_t batch) {
+  return (batch + kLanes - 1) / kLanes * kLanes;
+}
+
+// Register tiles over `rows` rows of at most `max_rows` each: as few as
+// cover them. Their sizes differ by at most one (see DirectPass).
+int64_t TileCount(int64_t rows, int64_t max_rows) {
+  return std::max<int64_t>(1, (rows + max_rows - 1) / max_rows);
+}
+
+// The input pixels the direct kernels read. A 1x1 conv with stride s > 1
+// and no padding reads only every s-th pixel of every s-th row: its
+// batch-innermost copy holds just those, and the kernels run it as a
+// stride-1 conv on them, with the same sums. Any other geometry reads the
+// whole plane.
+struct InputGrid {
+  int64_t step = 1;  ///< pixel step of the grid in the NCHW plane
+  int64_t h = 0, w = 0;
+  int64_t stride = 1;  ///< the conv's stride on the grid
+};
+
+// The whole (h, w) plane.
+InputGrid PlaneGrid(int64_t h, int64_t w) { return InputGrid{1, h, w, 1}; }
+
+InputGrid GridOf(const ConvGeom& geom, int64_t h, int64_t w) {
+  if (geom.kernel == 1 && geom.padding == 0 && geom.stride > 1) {
+    return InputGrid{geom.stride, geom.OutExtent(h), geom.OutExtent(w), 1};
+  }
+  return InputGrid{1, h, w, geom.stride};
+}
+
+// NCHW (n, c, h, w) -> batch-innermost (c, grid, lanes): grid pixel (y, x)
+// is plane pixel (y·step, x·step); the lanes past n are zero. Runs of
+// kLanes pixels keep the scattered stores within a few lines.
+void ToBatchInnermost(const float* src, int64_t n, int64_t c, int64_t h,
+                      int64_t w, const InputGrid& grid, int64_t lanes,
+                      float* dst, GemmKernel kernel) {
+  if (grid.step == 1 && kernel == GemmKernel::kAvx2) {
+    return conv_internal::ToBatchInnermostAvx2(src, n, c, h * w, lanes, dst);
+  }
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t y = 0; y < grid.h; ++y) {
+      float* row = dst + (ch * grid.h + y) * grid.w * lanes;
+      for (int64_t x0 = 0; x0 < grid.w; x0 += kLanes) {
+        const int64_t x1 = std::min(grid.w, x0 + kLanes);
+        for (int64_t i = 0; i < n; ++i) {
+          const float* img = src + ((i * c + ch) * h + y * grid.step) * w;
+          for (int64_t x = x0; x < x1; ++x) {
+            row[x * lanes + i] = img[x * grid.step];
+          }
+        }
+        for (int64_t x = x0; x < x1; ++x) {
+          for (int64_t i = n; i < lanes; ++i) row[x * lanes + i] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+// Batch-innermost (c, grid, lanes) -> NCHW (n, c, h, w), the inverse of
+// ToBatchInnermost: the padded lanes are dropped and plane pixels off the
+// grid are zero.
+void FromBatchInnermost(const float* src, int64_t n, int64_t c, int64_t h,
+                        int64_t w, const InputGrid& grid, int64_t lanes,
+                        float* dst, GemmKernel kernel) {
+  if (grid.step == 1 && kernel == GemmKernel::kAvx2) {
+    return conv_internal::FromBatchInnermostAvx2(src, n, c, h * w, lanes,
+                                                 dst);
+  }
+  if (grid.step > 1) {
+    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(n * c * h * w));
+  }
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t y = 0; y < grid.h; ++y) {
+      const float* row = src + (ch * grid.h + y) * grid.w * lanes;
+      for (int64_t x0 = 0; x0 < grid.w; x0 += kLanes) {
+        const int64_t x1 = std::min(grid.w, x0 + kLanes);
+        for (int64_t i = 0; i < n; ++i) {
+          float* img = dst + ((i * c + ch) * h + y * grid.step) * w;
+          for (int64_t x = x0; x < x1; ++x) {
+            img[x * grid.step] = row[x * lanes + i];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Packs `rows` weight rows of `depth` values, value(r, j), into the
+// register tiles a DirectPass broadcasts from.
+template <typename Value>
+void PackRows(int64_t rows, int64_t depth, int64_t tiles, const Value& value,
+              float* dst) {
+  for (int64_t tile = 0; tile < tiles; ++tile) {
+    const int64_t r0 = tile * rows / tiles;
+    const int64_t rs = (tile + 1) * rows / tiles - r0;
+    float* block = dst + r0 * depth;
+    for (int64_t j = 0; j < depth; ++j) {
+      for (int64_t r = 0; r < rs; ++r) block[j * rs + r] = value(r0 + r, j);
+    }
+  }
+}
+
+// Sorts the outputs of one axis into classes by the taps [lo, hi) that fall
+// inside the input: cls[o] is the class of output o, and the classes'
+// ranges are written to lo/hi in order of first appearance. Returns the
+// number of classes.
+int64_t ClassifyAxis(int64_t outs, int64_t in, const DirectPass& pass,
+                     int64_t* cls, int64_t* lo, int64_t* hi) {
+  int64_t classes = 0;
+  for (int64_t o = 0; o < outs; ++o) {
+    const int64_t i0 = o * pass.stride - pass.padding;
+    const int64_t l = std::max<int64_t>(0, -i0);
+    const int64_t h = std::min(pass.kernel, in - i0);
+    int64_t q = 0;
+    while (q < classes && (lo[q] != l || hi[q] != h)) ++q;
+    if (q == classes) {
+      lo[q] = l;
+      hi[q] = h;
+      ++classes;
+    }
+    cls[o] = q;
+  }
+  return classes;
+}
+
+// Fills the step tables of a kGather pass (DirectPass) from `scope`: per
+// pixel class, its valid taps in depth order, cut at the kc blocks.
+void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
+  const auto ints = [scope](int64_t n) {
+    return static_cast<int64_t*>(scope->Alloc(
+        sizeof(int64_t) * static_cast<size_t>(std::max<int64_t>(n, 1))));
+  };
+  const int64_t k = pass->kernel, kk = k * k, depth = pass->in_ch * kk;
+  const int64_t blocks = (depth + pass->kc - 1) / pass->kc;
+  int64_t* row_class = ints(pass->oh);
+  int64_t* col_class = ints(pass->ow);
+  int64_t* ky_lo = ints(pass->oh);
+  int64_t* ky_hi = ints(pass->oh);
+  int64_t* kx_lo = ints(pass->ow);
+  int64_t* kx_hi = ints(pass->ow);
+  const int64_t rows =
+      ClassifyAxis(pass->oh, pass->ih, *pass, row_class, ky_lo, ky_hi);
+  const int64_t cols =
+      ClassifyAxis(pass->ow, pass->iw, *pass, col_class, kx_lo, kx_hi);
+  int64_t* begin = ints(rows * cols * blocks + 1);
+  int64_t* offset = ints(rows * cols * depth);
+  int64_t* depth_index = ints(rows * cols * depth);
+  const int64_t in_plane = pass->ih * pass->iw * pass->lanes;
+  int64_t e = 0;
+  for (int64_t qy = 0; qy < rows; ++qy) {
+    for (int64_t qx = 0; qx < cols; ++qx) {
+      int64_t* class_begin = begin + (qy * cols + qx) * blocks;
+      int64_t b = 0;
+      for (int64_t c = 0; c < pass->in_ch; ++c) {
+        for (int64_t ky = ky_lo[qy]; ky < ky_hi[qy]; ++ky) {
+          for (int64_t kx = kx_lo[qx]; kx < kx_hi[qx]; ++kx) {
+            const int64_t j = c * kk + ky * k + kx;
+            while (b <= j / pass->kc) class_begin[b++] = e;
+            offset[e] = c * in_plane + (ky * pass->iw + kx) * pass->lanes;
+            depth_index[e] = j;
+            ++e;
+          }
+        }
+      }
+      while (b < blocks) class_begin[b++] = e;
+    }
+  }
+  begin[rows * cols * blocks] = e;
+  pass->row_class = row_class;
+  pass->col_class = col_class;
+  pass->col_classes = cols;
+  pass->step_begin = begin;
+  pass->step_offset = offset;
+  pass->step_depth = depth_index;
+}
+
+// Chunks of about 2^18 multiply-adds, so the tiny models' layers never
+// open a pool region.
+int64_t DirectGrain(int64_t work_per_item) {
+  return RowGrain(work_per_item, int64_t{1} << 18);
+}
+
+void RunDirectPass(DirectPass pass, GemmKernel kernel) {
+  ArenaScope scope;
+  if (pass.kind == DirectPass::Kind::kGather) BuildGatherSteps(&pass, &scope);
+  const int64_t items = pass.row_blocks * pass.oh;
+  const int64_t work = (pass.out_rows + pass.row_blocks - 1) /
+                       pass.row_blocks * pass.ow * pass.in_ch * pass.kernel *
+                       pass.kernel * pass.lanes;
+  ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
+    if (kernel == GemmKernel::kAvx2) {
+      conv_internal::DirectPassAvx2(pass, i0, i1);
+    } else {
+      DirectConv<PortableOps>::RunItems(pass, i0, i1);
+    }
+  });
+}
+
+void RunWeightGradPass(const WeightGradPass& pass, GemmKernel kernel) {
+  const int64_t items = pass.row_blocks * pass.col_blocks;
+  const int64_t work = (pass.oc + pass.row_blocks - 1) / pass.row_blocks *
+                       ((pass.c + pass.col_blocks - 1) / pass.col_blocks) *
+                       pass.kernel * pass.kernel * pass.oh * pass.ow *
+                       pass.lanes;
+  ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
+    if (kernel == GemmKernel::kAvx2) {
+      conv_internal::WeightGradPassAvx2(pass, i0, i1);
+    } else {
+      DirectConv<PortableOps>::RunWeightGradItems(pass, i0, i1);
+    }
+  });
+}
+
+// The batch-innermost copy of `input`'s grid: `kept` when it is given
+// (filled here), else arena scratch of `scope`.
+const float* BatchInnermostInput(const Tensor& input, const ConvGeom& geom,
+                                 Tensor kept, GemmKernel kernel,
+                                 ArenaScope* scope) {
+  const Shape shape = Conv2dInputCopyShape(geom, input.shape());
+  float* dst = kept.data();
+  if (kept.empty()) {
+    dst = scope->AllocFloats(shape.num_elements());
+  } else {
+    EDDE_CHECK(kept.shape() == shape);
+  }
+  const Shape& in = input.shape();
+  ToBatchInnermost(input.data(), in.dim(0), in.dim(1), in.dim(2), in.dim(3),
+                   GridOf(geom, in.dim(2), in.dim(3)), shape.dim(3), dst,
+                   kernel);
+  return dst;
+}
+
 }  // namespace
 
-int64_t Conv2dBackwardColsFloats(const ConvGeom& geom, const Shape& input) {
-  if (Conv2dBackwardIsCorrelation(geom)) return 0;
-  return input.dim(0) * geom.in_channels * geom.kernel * geom.kernel *
-         geom.OutExtent(input.dim(2)) * geom.OutExtent(input.dim(3));
+bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom) {
+  return geom.kernel > 1;
+}
+
+Shape Conv2dInputCopyShape(const ConvGeom& geom, const Shape& input) {
+  EDDE_CHECK_EQ(input.rank(), 4);
+  const InputGrid grid = GridOf(geom, input.dim(2), input.dim(3));
+  return Shape{input.dim(1), grid.h, grid.w, Conv2dLanes(input.dim(0))};
 }
 
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& geom, Tensor output,
-                     float* cols) {
+                     Tensor input_t) {
+  EDDE_CHECK_EQ(input.shape().rank(), 4);
+  EDDE_CHECK_EQ(input.shape().dim(1), geom.in_channels);
   EDDE_CHECK_EQ(weight.shape().dim(0), geom.out_channels);
-  const int64_t cols_rows = geom.in_channels * geom.kernel * geom.kernel;
-  GemmEpilogue epi;
-  if (!bias.empty()) {
-    // Output rows are channels, so the bias broadcast is per C row and the
-    // gemm writes finished activations; only the NCHW row copy follows.
-    epi.bias = GemmEpilogue::Bias::kPerRow;
-    epi.bias_data = bias.data();
+  const Shape out_shape = geom.OutputShape(input.shape());
+  if (output.empty()) {
+    output = Tensor(out_shape);
+  } else {
+    EDDE_CHECK(output.shape() == out_shape);
   }
-  // out2d = W (OC, C·k²) @ cols (C·k², ncols).
-  return Conv2dForwardBlocked(
-      input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
-        GemmRaw(false, false, geom.out_channels, ncols, cols_rows, 1.0f,
-                weight.data(), cols_rows, cols, ncols, 0.0f, out2d, ncols,
-                epi);
-      },
-      std::move(output), cols);
+  const InputGrid grid =
+      GridOf(geom, input.shape().dim(2), input.shape().dim(3));
+  const GemmKernel kernel = ActiveGemmKernel();
+  ArenaScope scope;
+  if (!Conv2dForwardBuildsInputCopy(geom)) {
+    if (!input_t.empty()) {
+      BatchInnermostInput(input, geom, input_t, kernel, &scope);
+    }
+    const int64_t depth = geom.in_channels;
+    GemmEpilogue epi;
+    if (!bias.empty()) {
+      epi.bias = GemmEpilogue::Bias::kPerRow;
+      epi.bias_data = bias.data();
+    }
+    return Conv2dForwardBlocked(
+        input, geom,
+        [&](const float* cols, int64_t ncols, float* out2d) {
+          GemmRaw(false, false, geom.out_channels, ncols, depth, 1.0f,
+                  weight.data(), depth, cols, ncols, 0.0f, out2d, ncols, epi);
+        },
+        std::move(output));
+  }
+  DirectPass pass;
+  pass.in = BatchInnermostInput(input, geom, input_t, kernel, &scope);
+  pass.in_ch = geom.in_channels;
+  pass.ih = grid.h;
+  pass.iw = grid.w;
+  pass.out_rows = geom.out_channels;
+  pass.oh = out_shape.dim(2);
+  pass.ow = out_shape.dim(3);
+  pass.lanes = Conv2dLanes(input.shape().dim(0));
+  pass.kernel = geom.kernel;
+  pass.stride = grid.stride;
+  pass.padding = geom.padding;
+  pass.row_blocks = TileCount(pass.out_rows, conv_internal::kMaxRows);
+  pass.bias = bias.empty() ? nullptr : bias.data();
+  const int64_t depth = geom.in_channels * geom.kernel * geom.kernel;
+  // The scalar tier sums each output in one block, as the scalar GEMM does.
+  pass.kc = kernel == GemmKernel::kScalar ? depth : gemm_internal::kKC;
+  float* packed = scope.AllocFloats(pass.out_rows * depth);
+  PackRows(pass.out_rows, depth, pass.row_blocks,
+           [&](int64_t r, int64_t j) { return weight.data()[r * depth + j]; },
+           packed);
+  pass.w = packed;
+  float* out_t = scope.AllocFloats(pass.out_rows * pass.oh * pass.ow *
+                                   pass.lanes);
+  pass.out = out_t;
+  RunDirectPass(pass, kernel);
+  FromBatchInnermost(out_t, out_shape.dim(0), pass.out_rows, pass.oh,
+                     pass.ow, PlaneGrid(pass.oh, pass.ow),
+                     pass.lanes, output.data(), kernel);
+  return output;
 }
 
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
@@ -412,193 +676,118 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
     epi.bias_data = bias.data();
   }
   // trans_a reads the columns of cols as activation rows (one per output
-  // pixel, quantized on its own) and trans_c lands the result in the same
-  // (OC, ncols) layout as the fp32 GemmRaw call.
+  // pixel, quantized on its own) and trans_c lands the result in the
+  // (OC, ncols) layout of the channel-major block.
   return Conv2dForwardBlocked(
       input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
         GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
                  ncols, weight, out2d, ncols, epi);
       },
-      Tensor(), nullptr);
+      Tensor());
 }
-
-namespace {
-
-// The stride-1 correlation's weight, w̃ (C, OC·k²): w̃[c][oc][t] =
-// w[oc][c][k²−1−t], the kernel transposed and flipped in both axes.
-void FlipTransposeKernel(const float* w, int64_t oc, int64_t c, int64_t taps,
-                         float* dst) {
-  for (int64_t o = 0; o < oc; ++o) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* src = w + (o * c + ch) * taps;
-      float* out = dst + (ch * oc + o) * taps + taps - 1;
-      for (int64_t t = 0; t < taps; ++t) out[-t] = src[t];
-    }
-  }
-}
-
-// Moves a weight gradient between its (OC, C, k²) layout and the stride-1
-// correlation's transposed w̃ gradient, (OC·k², C) with the taps reversed.
-void FlipKernelGrad(const float* src, int64_t oc, int64_t c, int64_t taps,
-                    bool to_flipped, float* dst) {
-  for (int64_t o = 0; o < oc; ++o) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      for (int64_t t = 0; t < taps; ++t) {
-        const int64_t natural = (o * c + ch) * taps + t;
-        const int64_t flipped = (o * taps + taps - 1 - t) * c + ch;
-        dst[to_flipped ? flipped : natural] =
-            src[to_flipped ? natural : flipped];
-      }
-    }
-  }
-}
-
-// Stride-1 backward with p ≤ k−1. dX is the forward correlation of dY,
-// zero-bordered by k−1−p, with w̃; one Im2Col of dY per block (geometry
-// in = OC, out = C, padding k−1−p, output extent H×W) feeds both gradients:
-//   dX (C, bn·H·W)     = w̃ (C, OC·k²) · dYcols
-//   w̃gradᵀ (OC·k², C) += dYcols · X2dᵀ
-// where X2d is the block's input channel-major. dW sums the same nonzero
-// products dY·X as the input-cols form; only zero border terms differ.
-void Conv2dBackwardStride1(const Tensor& input, const Tensor& weight,
-                           const Tensor& grad_out, const ConvGeom& geom,
-                           Tensor* weight_grad, Tensor* grad_input) {
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  const int64_t oc = geom.out_channels;
-  const int64_t oh = geom.OutExtent(h);
-  const int64_t ow = geom.OutExtent(w);
-  const int64_t taps = geom.kernel * geom.kernel;
-  const int64_t depth = oc * taps;
-  const int64_t plane = h * w;
-  ConvGeom corr;
-  corr.in_channels = oc;
-  corr.out_channels = cin;
-  corr.kernel = geom.kernel;
-  corr.stride = 1;
-  corr.padding = geom.kernel - 1 - geom.padding;
-  const int64_t block = std::min(Conv2dBlockSamples(corr, oh, ow), batch);
-
-  ArenaScope scope;
-  float* dy_cols = scope.AllocFloats(depth * block * plane);
-  float* x2d = scope.AllocFloats(cin * block * plane);
-  float* wg_t = scope.AllocFloats(depth * cin);
-  FlipKernelGrad(weight_grad->data(), oc, cin, taps, /*to_flipped=*/true,
-                 wg_t);
-  float* w_flip = nullptr;
-  float* dx2d = nullptr;
-  if (grad_input != nullptr) {
-    w_flip = scope.AllocFloats(cin * depth);
-    FlipTransposeKernel(weight.data(), oc, cin, taps, w_flip);
-    dx2d = scope.AllocFloats(cin * block * plane);
-  }
-
-  // Blocks run serially in batch order: dW accumulates across them.
-  for (int64_t n0 = 0; n0 < batch; n0 += block) {
-    const int64_t bn = std::min(block, batch - n0);
-    const int64_t ncols = bn * plane;
-    Im2Col(grad_out.data() + n0 * oc * oh * ow, bn, oc, oh, ow, corr,
-           dy_cols);
-    TransposeBlock(input.data() + n0 * cin * plane, bn, cin, plane,
-                   /*to_nchw=*/false, x2d);
-    GemmRaw(false, true, depth, cin, ncols, 1.0f, dy_cols, ncols, x2d, ncols,
-            1.0f, wg_t, cin);
-    if (grad_input != nullptr) {
-      GemmRaw(false, false, cin, ncols, depth, 1.0f, w_flip, depth, dy_cols,
-              ncols, 0.0f, dx2d, ncols);
-      TransposeBlock(dx2d, bn, cin, plane, /*to_nchw=*/true,
-                     grad_input->data() + n0 * cin * plane);
-    }
-  }
-  FlipKernelGrad(wg_t, oc, cin, taps, /*to_flipped=*/false,
-                 weight_grad->data());
-}
-
-// Any other geometry: dW from the input's cols (the forward's, when it
-// kept them), dX by Col2Im of dCols = Wᵀ · dY. A stride-2 correlation
-// would need a dY that is 3/4 zeros.
-void Conv2dBackwardCol2Im(const Tensor& input, const Tensor& weight,
-                          const Tensor& grad_out, const ConvGeom& geom,
-                          Tensor* weight_grad, Tensor* grad_input,
-                          const float* saved_cols) {
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  const int64_t oc = geom.out_channels;
-  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
-  const int64_t cols_rows = cin * geom.kernel * geom.kernel;
-  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
-
-  ArenaScope scope;
-  float* cols = saved_cols != nullptr
-                    ? nullptr
-                    : scope.AllocFloats(cols_rows * block * plane);
-  float* go2d = scope.AllocFloats(oc * block * plane);
-  float* grad_cols = grad_input != nullptr
-                         ? scope.AllocFloats(cols_rows * block * plane)
-                         : nullptr;
-  const float* w2d = weight.data();       // (OC, C*k*k)
-  // dW accumulates transposed, (C*k*k, OC): the GEMM then reads cols where
-  // they lie and packs only the OC-wide dY^T, instead of packing cols^T.
-  // Every element sums the same products in the same order as dW += dY @
-  // cols^T would, so the gradient is bit-identical.
-  float* wg_t = scope.AllocFloats(cols_rows * oc);
-  Transpose(weight_grad->data(), oc, cols_rows, wg_t);
-
-  // Blocks run serially in batch order: dW accumulates across them.
-  for (int64_t n0 = 0; n0 < batch; n0 += block) {
-    const int64_t bn = std::min(block, batch - n0);
-    const int64_t ncols = bn * plane;
-    TransposeBlock(grad_out.data() + n0 * oc * plane, bn, oc, plane,
-                   /*to_nchw=*/false, go2d);
-
-    // dW^T += cols @ dY^T
-    const float* block_cols = cols;
-    if (saved_cols != nullptr) {
-      block_cols = saved_cols + n0 * cols_rows * plane;
-    } else {
-      Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
-    }
-    GemmRaw(false, true, cols_rows, oc, ncols, 1.0f, block_cols, ncols, go2d,
-            ncols, 1.0f, wg_t, oc);
-
-    if (grad_input != nullptr) {
-      // dCols = W^T @ dY ; dX = col2im(dCols)
-      GemmRaw(true, false, cols_rows, ncols, oc, 1.0f, w2d, cols_rows, go2d,
-              ncols, 0.0f, grad_cols, ncols);
-      Col2Im(grad_cols, bn, cin, h, w, geom,
-             grad_input->data() + n0 * cin * h * w);
-    }
-  }
-  Transpose(wg_t, cols_rows, oc, weight_grad->data());
-}
-
-}  // namespace
 
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_out, const ConvGeom& geom,
                     Tensor* weight_grad, Tensor* bias_grad,
-                    Tensor* grad_input, const float* cols) {
+                    Tensor* grad_input, const Tensor& input_t) {
+  EDDE_CHECK_EQ(input.shape().rank(), 4);
+  const int64_t batch = input.shape().dim(0);
+  const int64_t cin = geom.in_channels;
+  const int64_t oc = geom.out_channels;
+  const int64_t k = geom.kernel;
+  const int64_t kk = k * k;
+  const Shape out_shape = geom.OutputShape(input.shape());
+  const int64_t oh = out_shape.dim(2);
+  const int64_t ow = out_shape.dim(3);
+  EDDE_CHECK(grad_out.shape() == out_shape);
   if (grad_input != nullptr) {
     EDDE_CHECK(grad_input->shape() == input.shape());
   }
-  if (Conv2dBackwardIsCorrelation(geom)) {
-    Conv2dBackwardStride1(input, weight, grad_out, geom, weight_grad,
-                          grad_input);
-  } else {
-    // The correlation writes every element; Col2Im accumulates into zeros.
-    if (grad_input != nullptr) grad_input->Fill(0.0f);
-    Conv2dBackwardCol2Im(input, weight, grad_out, geom, weight_grad,
-                         grad_input, cols);
+  const InputGrid grid =
+      GridOf(geom, input.shape().dim(2), input.shape().dim(3));
+  const GemmKernel kernel = ActiveGemmKernel();
+  const int64_t lanes = Conv2dLanes(batch);
+  ArenaScope scope;
+  float* dy_t = scope.AllocFloats(oc * oh * ow * lanes);
+  ToBatchInnermost(grad_out.data(), batch, oc, oh, ow,
+                   PlaneGrid(oh, ow), lanes, dy_t, kernel);
+
+  WeightGradPass wg;
+  wg.x = input_t.empty()
+             ? BatchInnermostInput(input, geom, Tensor(), kernel, &scope)
+             : input_t.data();
+  if (!input_t.empty()) {
+    EDDE_CHECK(input_t.shape() == Conv2dInputCopyShape(geom, input.shape()));
+  }
+  wg.dy = dy_t;
+  wg.wg = weight_grad->data();
+  wg.c = cin;
+  wg.h = grid.h;
+  wg.w = grid.w;
+  wg.oc = oc;
+  wg.oh = oh;
+  wg.ow = ow;
+  wg.lanes = lanes;
+  wg.kernel = k;
+  wg.stride = grid.stride;
+  wg.padding = geom.padding;
+  wg.row_blocks = TileCount(oc, conv_internal::kGradRows);
+  wg.col_blocks = TileCount(cin, conv_internal::kGradCols);
+  RunWeightGradPass(wg, kernel);
+
+  if (grad_input != nullptr) {
+    // dX sums as the GEMM tier would over im2col columns. A stride-1 conv
+    // with p ≤ k−1 sums it as the forward correlation of dY, zero-bordered
+    // by k−1−p, with the flipped, transposed kernel (depth oc·k² + tap,
+    // channel-major); any other geometry as Col2Im of Wᵀ·dY, tap by tap,
+    // each tap's sum over the OC channels folded in. On a subsampled grid
+    // (InputGrid) the two orders coincide: one tap, the OC channels in
+    // order.
+    DirectPass pass;
+    pass.in = dy_t;
+    pass.in_ch = oc;
+    pass.ih = oh;
+    pass.iw = ow;
+    pass.out_rows = cin;
+    pass.oh = grid.h;
+    pass.ow = grid.w;
+    pass.lanes = lanes;
+    pass.kernel = k;
+    pass.row_blocks = TileCount(cin, conv_internal::kMaxRows);
+    const int64_t depth = oc * kk;
+    float* packed = scope.AllocFloats(cin * depth);
+    const float* wd = weight.data();
+    if (grid.stride == 1 && geom.padding <= k - 1) {
+      pass.kind = DirectPass::Kind::kGather;
+      pass.padding = k - 1 - geom.padding;
+      pass.kc = kernel == GemmKernel::kScalar ? depth : gemm_internal::kKC;
+      PackRows(cin, depth, pass.row_blocks,
+               [&](int64_t c, int64_t j) {
+                 return wd[(j / kk * cin + c) * kk + kk - 1 - j % kk];
+               },
+               packed);
+    } else {
+      pass.kind = DirectPass::Kind::kTransposed;
+      pass.stride = geom.stride;
+      pass.padding = geom.padding;
+      pass.kc = kernel == GemmKernel::kScalar ? oc : gemm_internal::kKC;
+      PackRows(cin, depth, pass.row_blocks,
+               [&](int64_t c, int64_t j) {
+                 return wd[(j % oc * cin + c) * kk + j / oc];
+               },
+               packed);
+    }
+    pass.w = packed;
+    float* dx_t = scope.AllocFloats(cin * grid.h * grid.w * lanes);
+    pass.out = dx_t;
+    RunDirectPass(pass, kernel);
+    FromBatchInnermost(dx_t, batch, cin, input.shape().dim(2),
+                       input.shape().dim(3), grid, lanes, grad_input->data(),
+                       kernel);
   }
 
   if (bias_grad != nullptr && !bias_grad->empty()) {
-    const int64_t batch = input.shape().dim(0);
-    const int64_t oc = geom.out_channels;
-    const int64_t plane = grad_out.shape().dim(2) * grad_out.shape().dim(3);
+    const int64_t plane = oh * ow;
     for (int64_t n = 0; n < batch; ++n) {
       for (int64_t c = 0; c < oc; ++c) {
         double acc = 0.0;

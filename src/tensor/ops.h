@@ -67,7 +67,7 @@ std::vector<int> ArgmaxRows(const Tensor& m);
 std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b);
 
 // ---------------------------------------------------------------------------
-// Convolution via im2col (NCHW layout)
+// 2-D convolution (NCHW layout)
 // ---------------------------------------------------------------------------
 
 /// Geometry of a 2-D convolution (square kernels).
@@ -96,43 +96,53 @@ struct ConvGeom {
 /// The samples are staged into zero-bordered (H+2p, W+2p) planes, one
 /// memcpy per row, and every column entry is gathered through an int32
 /// offset map with no bounds test; map and staging are arena scratch of
-/// the call.
+/// the call. Only the int8 forward runs on it.
 void Im2Col(const float* input, int64_t batch, int64_t channels,
             int64_t height, int64_t width, const ConvGeom& geom, float* cols);
 
-/// Adjoint of Im2Col: accumulates a column block (C*k*k, N*OH*OW) back into
-/// the N (C, H, W) images (zero `input_grad` first for a plain col2im).
-/// Scatter-adds through Im2Col's offset map into a bordered copy of
-/// `input_grad`; each pixel adds its (ky, kx, y, x) terms in that order,
-/// exactly as an element-by-element loop would.
-void Col2Im(const float* cols, int64_t batch, int64_t channels,
-            int64_t height, int64_t width, const ConvGeom& geom,
-            float* input_grad);
-
-/// Samples per im2col block of the Conv2d kernels: as many as keep the
+/// Samples per im2col block of the int8 forward: as many as keep the
 /// block's columns within 32 Ki floats, and at least one. A function of
 /// the shapes only — never of the batch or the thread count — so the
 /// blocking, and with it every result, is the same on any pool.
 int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
                            int64_t width);
 
-/// Floats of the im2col columns Conv2dBackward reads for an (N, C, H, W)
-/// `input`: every sample block's (C·k², bn·OH·OW) block, one after the
-/// other. 0 for the stride-1 geometries, whose backward unrolls dY instead.
-int64_t Conv2dBackwardColsFloats(const ConvGeom& geom, const Shape& input);
+/// Shape (C, H', W', N') of the batch-innermost copy of an (N, C, H, W)
+/// input that the fp32 Conv2d kernels run on: the batch is the innermost
+/// axis, padded with zero samples to N', a multiple of the kernels' 8
+/// vector lanes. The copy holds the pixels the conv reads: the whole
+/// (H, W) plane, except for a 1x1 kernel with stride s > 1 and no padding,
+/// which reads the (OH, OW) grid of every s-th pixel of every s-th row.
+Shape Conv2dInputCopyShape(const ConvGeom& geom, const Shape& input);
+
+/// True when Conv2dForward runs on a batch-innermost copy of its input,
+/// which a training caller then keeps for Conv2dBackward. A 1x1 kernel
+/// runs as Im2Col + GemmRaw on NCHW sample blocks instead: its im2col only
+/// gathers the pixels it reads and its GEMM writes NCHW rows, which costs
+/// less than the two layout transposes; Conv2dBackward builds the copy.
+bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom);
 
 /// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, k, k),
 /// optional bias (OC) -> output (N, OC, OH, OW). Writes into `output` when
-/// it is given (shape geom.OutputShape), else allocates it. A non-null
-/// `cols` (Conv2dBackwardColsFloats floats) keeps the im2col columns there
-/// for Conv2dBackward to reuse.
+/// it is given (shape geom.OutputShape), else allocates it. A non-empty
+/// `input_t` (shape Conv2dInputCopyShape) receives the batch-innermost copy
+/// of the input, for Conv2dBackward to read.
+///
+/// Direct kernels on the batch-innermost copy (tensor/conv_direct.h),
+/// picked by the GEMM kernel tier; a 1x1 kernel runs as Im2Col + GemmRaw
+/// (Conv2dForwardBuildsInputCopy). Each output sums its C·k² products in
+/// im2col depth order, in blocks of the packed GEMM's kKC depth steps on
+/// the portable and AVX2 tiers and in one block on the scalar tier, then
+/// adds the bias: bit for bit what Im2Col + GemmRaw computes on that tier.
+/// The result does not depend on the batch size or the thread count.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& geom,
-                     Tensor output = Tensor(), float* cols = nullptr);
+                     Tensor output = Tensor(), Tensor input_t = Tensor());
 
 /// Quantized forward 2-D convolution: same contract as Conv2dForward but
 /// the kernel is a per-channel int8 matrix (OC rows of depth C·k²; see
-/// tensor/quantize.h). Inference only — there is no int8 backward.
+/// tensor/quantize.h), run as Im2Col + GemmInt8. Inference only — there
+/// is no int8 backward.
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
                          const Tensor& bias, const ConvGeom& geom);
 
@@ -140,18 +150,18 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
 /// (callers zero them at the start of each step) and writes the input
 /// gradient into `grad_input` (input-shaped), or skips it when that is null
 /// (the input is data, e.g. a network's stem); the parameter gradients are
-/// the same either way. `cols`, when non-null, holds the forward's im2col
-/// columns (Conv2dForward's `cols`), which are then not rebuilt. Stride-1
-/// layers with padding ≤ k−1 take both gradients from
-/// one im2col of dY per sample block: dX is the forward correlation of the
-/// zero-bordered dY with the flipped, transposed kernel, and dW multiplies
-/// the same dY columns by the block's input. Other geometries take dW from
-/// the input's im2col and dX by Col2Im of Wᵀ·dY. Sample blocks run in a
-/// fixed serial order, so the result is the same at any thread count.
+/// the same either way. `input_t`, when non-empty, is the forward's
+/// batch-innermost copy of `input`, which is then not rebuilt.
+///
+/// dW is a set of lane-parallel sums over the output pixels, each folded
+/// across its lanes in a fixed order. dX sums bit for bit as the GEMM
+/// tier would over im2col columns: for stride 1 with p ≤ k−1 as the
+/// forward correlation of dY with the flipped kernel, otherwise as Col2Im
+/// of Wᵀ·dY, tap by tap. The result does not depend on the thread count.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_out, const ConvGeom& geom,
                     Tensor* weight_grad, Tensor* bias_grad,
-                    Tensor* grad_input, const float* cols = nullptr);
+                    Tensor* grad_input, const Tensor& input_t = Tensor());
 
 // ---------------------------------------------------------------------------
 // 1-D convolution over sequences (N, C, L), for TextCNN

@@ -552,6 +552,89 @@ TEST_F(CheckpointTortureTest, GenerationOfAnotherVersionIsSkipped) {
   ExpectBitIdentical(resumed, reference, workload_, "other_version");
 }
 
+// EDDE with a round-stats observer, on the shared workload.
+EnsembleModel TrainEddeObserved(const Workload& w, const std::string& dir,
+                                std::vector<EddeRoundStats>* stats) {
+  EddeOptions eo;
+  eo.gamma = 0.1f;
+  eo.beta = 0.7;
+  eo.round_stats = stats;
+  return EddeMethod(w.Config(dir), eo).Train(w.data.train, w.factory);
+}
+
+TEST_F(CheckpointTortureTest, IdenticalEddeRunsWriteIdenticalGenerations) {
+  // Durable state is a function of the run: two identical runs write the
+  // same generation bytes, with no field masked.
+  const std::string dir_a = FreshDir("identical_runs_a");
+  const std::string dir_b = FreshDir("identical_runs_b");
+  std::vector<EddeRoundStats> stats_a, stats_b;
+  (void)TrainEddeObserved(workload_, dir_a, &stats_a);
+  (void)TrainEddeObserved(workload_, dir_b, &stats_b);
+  const std::vector<std::string> a = ListGenerationFiles(RunDir(dir_a));
+  const std::vector<std::string> b = ListGenerationFiles(RunDir(dir_b));
+  ASSERT_GE(a.size(), 3u);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(ReadWholeFile(a[i]) == ReadWholeFile(b[i])) << a[i];
+  }
+}
+
+TEST_F(CheckpointTortureTest, VersionOneRoundStatsStillResume) {
+  // Generations written before the round stats dropped round_seconds keep
+  // the version-1 layout of EDDE's method-state section: the record count
+  // first, and round_seconds ending each record. A run resumes from them,
+  // hands their stats, seconds included, to the observer, and lands on the
+  // uninterrupted result.
+  const std::string dir = FreshDir("stats_version1");
+  std::vector<EddeRoundStats> original;
+  const EnsembleModel reference = TrainEddeObserved(workload_, dir, &original);
+  std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
+  ASSERT_EQ(files.size(), 3u);
+  ASSERT_EQ(original.size(), 3u);
+  constexpr uint32_t kTagMethodState = 4;
+  constexpr size_t kRecordBytes = 68;  // version 2, without round_seconds
+  for (const std::string& path : files) {
+    uint32_t magic = 0;
+    std::vector<testing::Frame> frames =
+        testing::ParseFrames(ReadWholeFile(path), &magic);
+    for (testing::Frame& f : frames) {
+      if (f.tag != kTagMethodState) continue;
+      const uint64_t count = testing::LoadWord<uint64_t>(f.payload, 8);
+      ASSERT_EQ(f.payload.size(), 16 + count * kRecordBytes) << path;
+      std::string v1(sizeof(uint64_t), '\0');
+      testing::StoreWord<uint64_t>(&v1, 0, count);
+      for (uint64_t r = 0; r < count; ++r) {
+        std::string seconds(sizeof(double), '\0');
+        testing::StoreWord<double>(&seconds, 0,
+                                   0.25 * static_cast<double>(r + 1));
+        v1 += f.payload.substr(16 + r * kRecordBytes, kRecordBytes) + seconds;
+      }
+      f.payload = v1;
+    }
+    testing::WriteWholeFile(path, testing::BuildFile(magic, frames));
+  }
+  // Resume from round 2; round 3 trains again.
+  ASSERT_EQ(std::remove(files.back().c_str()), 0);
+
+  std::vector<EddeRoundStats> resumed_stats;
+  const EnsembleModel resumed =
+      TrainEddeObserved(workload_, dir, &resumed_stats);
+  ExpectBitIdentical(resumed, reference, workload_, "stats_version1");
+  ASSERT_EQ(resumed_stats.size(), 3u);
+  for (size_t i = 0; i < resumed_stats.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "round " << i + 1);
+    EXPECT_EQ(resumed_stats[i].round, original[i].round);
+    EXPECT_EQ(resumed_stats[i].alpha, original[i].alpha);
+    EXPECT_EQ(resumed_stats[i].mean_pairwise_div,
+              original[i].mean_pairwise_div);
+    EXPECT_EQ(resumed_stats[i].weight_max, original[i].weight_max);
+    if (i < 2) {
+      EXPECT_EQ(resumed_stats[i].round_seconds,
+                0.25 * static_cast<double>(i + 1));
+    }
+  }
+}
+
 TEST_F(CheckpointTortureTest, TornWritesEverywhereStillRecoverable) {
   // Every durable write in the first run is torn (its tail dropped before
   // commit). Nothing on disk is trustworthy — but nothing may crash, and a

@@ -263,9 +263,9 @@ TEST_F(ParallelDeterminismTest, BetaProbeIdenticalAcrossThreadCounts) {
   }
 }
 
-// A conv member trained on a batch that spans several im2col sample blocks.
-// The blocking depends on layer shapes only, so the thread count must not
-// change a single bit of the parameters.
+// A conv member trained on a batch large enough that its conv passes split
+// into pool chunks. Every output element belongs to one chunk, so the
+// thread count must not change a single bit of the parameters.
 std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
   SetNumThreads(threads);
   ResNetConfig cfg;
@@ -290,29 +290,29 @@ std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
 }
 
 TEST_F(ParallelDeterminismTest, ResNetTrainingIdenticalAcrossThreadCounts) {
-  ConvGeom stem;
-  stem.in_channels = 3;
-  stem.out_channels = 4;
-  ASSERT_LT(Conv2dBlockSamples(stem, 8, 8), 48) << "batch must span blocks";
+  Counter* regions = MetricsRegistry::Global().GetCounter("threadpool.regions");
   std::unique_ptr<ResNet> serial = TrainResNetSteps(1);
+  const int64_t before = regions->Value();
   std::unique_ptr<ResNet> threaded = TrainResNetSteps(4);
+  ASSERT_GT(regions->Value(), before) << "the batch must reach the pool";
   ExpectIdenticalParameters(serial.get(), threaded.get());
 }
 
-TEST_F(ParallelDeterminismTest, Conv2dBlockedBatchMatchesSingleSamples) {
-  // Forward outputs and input gradients do not depend on how samples are
-  // grouped into im2col blocks: each element keeps its GEMM depth order.
+TEST_F(ParallelDeterminismTest, Conv2dLaneBlocksMatchSingleSamples) {
+  // Forward outputs and input gradients do not depend on which lane of
+  // which register tile a sample lands in, nor on the pool: a batch of two
+  // 16-sample tiles and a padded 8-lane tail, on four threads, gives each
+  // sample the bits it gets alone (lane 0 of a padded vector) on one.
   ConvGeom g;
   g.in_channels = 5;
   g.out_channels = 6;
   g.stride = 2;
   const int64_t h = 11, w = 9;
-  const int64_t block = Conv2dBlockSamples(g, h, w);
-  ASSERT_GT(block, 1);
-  const int64_t batch = 3 * block + 2;
+  const int64_t batch = 35;
   Rng rng(41);
   Tensor x(Shape{batch, g.in_channels, h, w});
   x.FillNormal(&rng, 0.0f, 1.0f);
+  ASSERT_EQ(Conv2dInputCopyShape(g, x.shape()).dim(3), 40);
   Tensor weight(Shape{g.out_channels, g.in_channels, 3, 3});
   weight.FillNormal(&rng, 0.0f, 0.3f);
   Tensor bias(Shape{g.out_channels});

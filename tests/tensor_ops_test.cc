@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
 #include "tensor/rng.h"
@@ -163,30 +164,9 @@ TEST(RowL2DistanceTest, MatchesManualNorm) {
 // Convolution
 // ---------------------------------------------------------------------------
 
-TEST(Im2ColTest, Col2ImIsAdjoint) {
-  // <im2col(x), y> == <x, col2im(y)> certifies the backward pass wiring.
-  Rng rng(33);
-  ConvGeom g;
-  g.in_channels = 2;
-  g.out_channels = 1;
-  g.kernel = 3;
-  g.stride = 2;
-  g.padding = 1;
-  const int64_t h = 5, w = 5;
-  const int64_t oh = g.OutExtent(h), ow = g.OutExtent(w);
-  const int64_t batch = 3;  // one column block of three samples
-  Tensor x = RandomTensor(Shape{batch, 2, h, w}, &rng);
-  Tensor y = RandomTensor(Shape{2 * 3 * 3, batch * oh * ow}, &rng);
-  Tensor cols(Shape{2 * 3 * 3, batch * oh * ow});
-  Im2Col(x.data(), batch, 2, h, w, g, cols.data());
-  Tensor xgrad(Shape{batch, 2, h, w}, 0.0f);
-  Col2Im(y.data(), batch, 2, h, w, g, xgrad.data());
-  EXPECT_NEAR(Dot(cols, y), Dot(x, xgrad), 1e-2);
-}
-
 // ---------------------------------------------------------------------------
-// Conv2d differential checker: the blocked im2col kernels against a float64
-// reference on random and degenerate shapes
+// Conv2d differential checker: the direct batch-innermost kernels against a
+// float64 reference on random and degenerate shapes
 // ---------------------------------------------------------------------------
 
 struct ConvCase {
@@ -342,15 +322,15 @@ std::vector<ConvCase> DegenerateConvCases() {
       {2, 5, 7, 5, 5, 3, 1, 1},  // odd channel counts
       {2, 3, 3, 6, 6, 3, 1, 0},  // padding 0
       {2, 3, 3, 3, 3, 3, 2, 0},  // padding 0, single output pixel
-      // Stride 1 with p ≤ k−1 runs backward as a correlation over dY's
-      // im2col: k = 3 at p = k−1, and k = 5 at every p.
+      // Stride 1 with p ≤ k−1 sums dX as a correlation of dY with the
+      // flipped kernel: k = 3 at p = k−1, and k = 5 at every p.
       {2, 3, 4, 6, 6, 3, 1, 2},
       {2, 2, 3, 7, 6, 5, 1, 0},
       {2, 2, 3, 6, 7, 5, 1, 1},
       {2, 3, 2, 5, 5, 5, 1, 2},
       {2, 2, 3, 4, 3, 5, 1, 3},
       {2, 3, 2, 2, 2, 5, 1, 4},  // output larger than the input
-      // Stride 1 with p ≥ k falls back to Col2Im.
+      // Stride 1 with p ≥ k sums dX tap by tap, as Col2Im did.
       {2, 3, 2, 4, 5, 1, 1, 1},
       {2, 2, 3, 3, 4, 2, 1, 2},
       {1, 2, 2, 3, 3, 3, 1, 3},
@@ -376,21 +356,32 @@ std::vector<ConvCase> RandomConvCases() {
   return cases;
 }
 
-// Two full blocks of Conv2dBlockSamples and a one-sample tail.
-ConvCase MultiBlockConvCase() {
-  ConvCase c{0, 8, 4, 12, 12, 3, 1, 1};
-  c.batch = 2 * Conv2dBlockSamples(GeomOf(c), c.h, c.w) + 1;
-  return c;
+// Large batches: several 16-sample register tiles and a lane tail.
+ConvCase MultiBlockConvCase() { return {37, 8, 4, 12, 12, 3, 1, 1}; }
+ConvCase MultiBlockGradOutConvCase() { return {41, 4, 8, 12, 12, 3, 1, 1}; }
+
+// Every batch size around the kernels' 8-lane vectors and 16-sample tiles:
+// full vectors, padded tails and a tail after full tiles, on both dX
+// orders.
+std::vector<ConvCase> LaneTailConvCases() {
+  std::vector<ConvCase> cases;
+  for (int64_t batch : {1, 7, 8, 9, 15, 16, 17, 33}) {
+    cases.push_back({batch, 3, 5, 6, 6, 3, 1, 1});
+    cases.push_back({batch, 4, 7, 7, 6, 3, 2, 1});
+  }
+  return cases;
 }
 
-// Two full blocks of the dY im2col (in = cout) and a one-sample tail; the
-// input's im2col would block this batch differently.
-ConvCase MultiBlockGradOutConvCase() {
-  ConvCase c{0, 4, 8, 12, 12, 3, 1, 1};
-  ConvGeom dy = GeomOf(c);
-  dy.in_channels = c.cout;
-  c.batch = 2 * Conv2dBlockSamples(dy, c.h, c.w) + 1;
-  return c;
+// C·k² > 256: the forward and the stride-1 dX (depth OC·k²) sum in several
+// kKC blocks of the packed GEMM.
+std::vector<ConvCase> DeepConvCases() {
+  return {
+      {3, 29, 5, 5, 5, 3, 1, 1},   // depth 261: one step past a block
+      {2, 64, 7, 4, 4, 3, 1, 1},   // depth 576: three blocks
+      {2, 40, 30, 5, 4, 3, 1, 1},  // dX depth 270 as well
+      {2, 30, 9, 6, 6, 3, 2, 1},   // stride 2: forward depth 270
+      {2, 300, 3, 3, 3, 1, 1, 0},  // 1x1 kernel, depth 300
+  };
 }
 
 TEST(Conv2dDifferentialTest, DegenerateShapes) {
@@ -408,17 +399,27 @@ TEST(Conv2dDifferentialTest, RandomShapes) {
 }
 
 TEST(Conv2dDifferentialTest, BatchSpanningSeveralBlocksWithPartialTail) {
-  const ConvCase c = MultiBlockConvCase();
-  ASSERT_GT(c.batch, 3);
-  CheckConvAgainstReference(c, 1234);
-  const ConvCase dy = MultiBlockGradOutConvCase();
-  ASSERT_GT(dy.batch, 3);
-  CheckConvAgainstReference(dy, 1235);
+  CheckConvAgainstReference(MultiBlockConvCase(), 1234);
+  CheckConvAgainstReference(MultiBlockGradOutConvCase(), 1235);
+}
+
+TEST(Conv2dDifferentialTest, LaneTails) {
+  uint64_t seed = 1300;
+  for (const ConvCase& c : LaneTailConvCases()) {
+    CheckConvAgainstReference(c, seed++);
+  }
+}
+
+TEST(Conv2dDifferentialTest, DepthBeyondOneGemmBlock) {
+  uint64_t seed = 1400;
+  for (const ConvCase& c : DeepConvCases()) {
+    CheckConvAgainstReference(c, seed++);
+  }
 }
 
 // Without the input gradient, backward returns an empty tensor and the
-// parameter gradients are the same bits as the full call's, on the
-// correlation path (stride 1) and the Col2Im path (stride 2, p ≥ k).
+// parameter gradients are the same bits as the full call's, for both dX
+// orders: the correlation (stride 1) and tap by tap (stride 2, p ≥ k).
 TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
   const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 1, 1},
                             {3, 3, 4, 6, 6, 3, 2, 1},
@@ -450,16 +451,16 @@ TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
   }
 }
 
-// The forward's kept im2col columns stand in for the ones backward would
-// rebuild: the same forward output, input gradient and parameter
-// gradients, bit for bit, including a batch of several sample blocks.
-TEST(Conv2dBackwardTest, ForwardColsReproduceTheRebuiltCols) {
-  ConvCase multi_block{0, 4, 8, 12, 12, 3, 2, 1};
-  multi_block.batch = 2 * Conv2dBlockSamples(GeomOf(multi_block), 12, 12) + 1;
+// The forward's kept batch-innermost copy stands in for the one backward
+// would rebuild: the same forward output, input gradient and parameter
+// gradients, bit for bit. The copy itself is the input pixels the conv
+// reads, with the batch innermost and the padded lanes zero.
+TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
   const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 2, 1},
                             {2, 3, 4, 7, 5, 1, 2, 0},
                             {2, 3, 2, 4, 5, 3, 1, 3},
-                            MultiBlockGradOutConvCase(), multi_block};
+                            {16, 3, 4, 6, 6, 3, 1, 1},
+                            MultiBlockGradOutConvCase(), MultiBlockConvCase()};
   Rng rng(809);
   for (const ConvCase& c : cases) {
     SCOPED_TRACE(::testing::Message() << "stride " << c.stride << " pad "
@@ -471,21 +472,39 @@ TEST(Conv2dBackwardTest, ForwardColsReproduceTheRebuiltCols) {
     const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
     const Tensor grad_out =
         RandomTensor(g.OutputShape(input.shape()), &rng);
-    const int64_t cols_floats = Conv2dBackwardColsFloats(g, input.shape());
-    Tensor cols(Shape{cols_floats + 1});  // nonempty for stride 1 too
+    // A 1x1 kernel with stride s and no padding reads every s-th pixel of
+    // every s-th row, and the copy holds just those.
+    const int64_t step =
+        c.kernel == 1 && c.padding == 0 && c.stride > 1 ? c.stride : 1;
+    const int64_t gh = (c.h - 1) / step + 1, gw = (c.w - 1) / step + 1;
+    const int64_t lanes = (c.batch + 7) / 8 * 8;
+    const Shape kept_shape = Conv2dInputCopyShape(g, input.shape());
+    ASSERT_EQ(kept_shape, Shape({c.cin, gh, gw, lanes}));
+    Tensor kept(kept_shape, 123.0f);  // every element must be written
     const Tensor y = Conv2dForward(input, weight, bias, g);
-    const Tensor y_kept = Conv2dForward(input, weight, bias, g, Tensor(),
-                                        cols_floats > 0 ? cols.data()
-                                                        : nullptr);
+    const Tensor y_kept = Conv2dForward(input, weight, bias, g, Tensor(), kept);
     EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
                              sizeof(float) * static_cast<size_t>(
                                                  y.num_elements())));
+    for (int64_t ch = 0; ch < c.cin; ++ch) {
+      for (int64_t p = 0; p < gh * gw; ++p) {
+        const int64_t pixel = (p / gw * c.w + p % gw) * step;
+        for (int64_t n = 0; n < lanes; ++n) {
+          const float want =
+              n < c.batch
+                  ? input.data()[(n * c.cin + ch) * c.h * c.w + pixel]
+                  : 0.0f;
+          ASSERT_EQ(kept.data()[(ch * gh * gw + p) * lanes + n], want)
+              << "channel " << ch << " pixel " << p << " lane " << n;
+        }
+      }
+    }
     Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
     Tensor wg_kept(weight.shape(), 0.0f), bg_kept(bias.shape(), 0.0f);
     Tensor dx(input.shape()), dx_kept(input.shape());
     Conv2dBackward(input, weight, grad_out, g, &wg, &bg, &dx);
     Conv2dBackward(input, weight, grad_out, g, &wg_kept, &bg_kept, &dx_kept,
-                   cols_floats > 0 ? cols.data() : nullptr);
+                   kept);
     for (const auto& [got, want] :
          {std::pair{&dx_kept, &dx}, {&wg_kept, &wg}, {&bg_kept, &bg}}) {
       EXPECT_EQ(0, std::memcmp(got->data(), want->data(),
@@ -495,8 +514,30 @@ TEST(Conv2dBackwardTest, ForwardColsReproduceTheRebuiltCols) {
   }
 }
 
+// <conv(x), dy> == <x, dX(dy)>: the input gradient is the forward's
+// adjoint on both dX orders.
+TEST(Conv2dBackwardTest, InputGradientIsTheForwardsAdjoint) {
+  const ConvCase cases[] = {{3, 2, 3, 5, 5, 3, 2, 1},
+                            {9, 2, 3, 5, 6, 3, 1, 1},
+                            {2, 3, 2, 4, 5, 1, 1, 1}};
+  Rng rng(33);
+  for (const ConvCase& c : cases) {
+    const ConvGeom g = GeomOf(c);
+    const Tensor x = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+    const Tensor weight =
+        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+    const Tensor dy = RandomTensor(g.OutputShape(x.shape()), &rng);
+    const Tensor y = Conv2dForward(x, weight, Tensor(), g);
+    Tensor wg(weight.shape(), 0.0f);
+    Tensor dx(x.shape());
+    Conv2dBackward(x, weight, dy, g, &wg, nullptr, &dx);
+    EXPECT_NEAR(Dot(y, dy), Dot(x, dx), 1e-3 * (1.0 + std::fabs(Dot(y, dy))));
+  }
+}
+
 // Element-by-element im2col and its adjoint with a bounds test per value:
-// the bit-exact reference for the offset-map kernels.
+// the bit-exact reference for the offset-map im2col, and the Col2Im order
+// the tap-by-tap input gradient keeps.
 void NaiveIm2Col(const float* input, int64_t batch, int64_t channels,
                  int64_t height, int64_t width, const ConvGeom& geom,
                  float* cols) {
@@ -567,17 +608,181 @@ TEST(Im2ColTest, BitIdenticalToElementwiseLoops) {
     ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                              sizeof(float) * static_cast<size_t>(ncols * rows)))
         << "im2col";
+  }
+}
 
-    // Col2Im accumulates onto whatever the gradient already holds.
-    const Tensor dcols = RandomTensor(Shape{rows, ncols}, &rng);
-    Tensor dx_got = RandomTensor(x.shape(), &rng);
-    Tensor dx_want = dx_got.Clone();
-    Col2Im(dcols.data(), c.batch, c.cin, c.h, c.w, g, dx_got.data());
-    NaiveCol2Im(dcols.data(), c.batch, c.cin, c.h, c.w, g, dx_want.data());
-    ASSERT_EQ(0, std::memcmp(dx_got.data(), dx_want.data(),
-                             sizeof(float) *
-                                 static_cast<size_t>(x.num_elements())))
-        << "col2im";
+// ---------------------------------------------------------------------------
+// The direct kernels keep the im2col + GEMM summation order, tier by tier
+// ---------------------------------------------------------------------------
+
+std::vector<GemmKernel> AvailableTiers() {
+  std::vector<GemmKernel> tiers = {GemmKernel::kScalar, GemmKernel::kPortable};
+  if (gemm_internal::Avx2Available()) tiers.push_back(GemmKernel::kAvx2);
+  return tiers;
+}
+
+// Restores the default tier when a test leaves, pass or fail.
+struct TierGuard {
+  ~TierGuard() { SetGemmKernel(GemmKernel::kAuto); }
+};
+
+// Channel-major (C, N·P) -> NCHW (N, C, P).
+Tensor ChannelMajorToNchw(const Tensor& cm, const Shape& nchw) {
+  const int64_t batch = nchw.dim(0), c = nchw.dim(1);
+  const int64_t plane = nchw.dim(2) * nchw.dim(3);
+  Tensor out(nchw);
+  for (int64_t n = 0; n < batch; ++n) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      std::copy_n(cm.data() + (ch * batch + n) * plane, plane,
+                  out.data() + (n * c + ch) * plane);
+    }
+  }
+  return out;
+}
+
+// The forward as W · Im2Col(x) on the active tier, bias fused.
+Tensor Im2ColGemmForward(const Tensor& input, const Tensor& weight,
+                         const Tensor& bias, const ConvGeom& g) {
+  const Shape out_shape = g.OutputShape(input.shape());
+  const int64_t batch = input.shape().dim(0);
+  const int64_t depth = g.in_channels * g.kernel * g.kernel;
+  const int64_t ncols = batch * out_shape.dim(2) * out_shape.dim(3);
+  Tensor cols(Shape{depth, ncols});
+  Im2Col(input.data(), batch, g.in_channels, input.shape().dim(2),
+         input.shape().dim(3), g, cols.data());
+  GemmEpilogue epi;
+  epi.bias = GemmEpilogue::Bias::kPerRow;
+  epi.bias_data = bias.data();
+  Tensor out2d(Shape{g.out_channels, ncols});
+  GemmRaw(false, false, g.out_channels, ncols, depth, 1.0f, weight.data(),
+          depth, cols.data(), ncols, 0.0f, out2d.data(), ncols, epi);
+  return ChannelMajorToNchw(out2d, out_shape);
+}
+
+// The input gradient as the im2col path summed it on the active tier: for
+// stride 1 with p ≤ k−1 the correlation of dY, zero-bordered by k−1−p,
+// with the flipped, transposed kernel; otherwise Col2Im of Wᵀ·dY.
+Tensor Im2ColGemmInputGrad(const Tensor& weight, const Tensor& grad_out,
+                           const ConvGeom& g, const Shape& input_shape) {
+  const int64_t batch = input_shape.dim(0), cin = g.in_channels;
+  const int64_t h = input_shape.dim(2), w = input_shape.dim(3);
+  const int64_t oc = g.out_channels, kk = g.kernel * g.kernel;
+  const int64_t oh = grad_out.shape().dim(2), ow = grad_out.shape().dim(3);
+  if (g.stride == 1 && g.padding <= g.kernel - 1) {
+    ConvGeom corr;
+    corr.in_channels = oc;
+    corr.out_channels = cin;
+    corr.kernel = g.kernel;
+    corr.stride = 1;
+    corr.padding = g.kernel - 1 - g.padding;
+    Tensor w_flip(Shape{cin, oc * kk});
+    for (int64_t o = 0; o < oc; ++o) {
+      for (int64_t c = 0; c < cin; ++c) {
+        for (int64_t t = 0; t < kk; ++t) {
+          w_flip.data()[(c * oc + o) * kk + t] =
+              weight.data()[(o * cin + c) * kk + kk - 1 - t];
+        }
+      }
+    }
+    const int64_t ncols = batch * h * w;
+    Tensor cols(Shape{oc * kk, ncols});
+    Im2Col(grad_out.data(), batch, oc, oh, ow, corr, cols.data());
+    Tensor dx2d(Shape{cin, ncols});
+    GemmRaw(false, false, cin, ncols, oc * kk, 1.0f, w_flip.data(), oc * kk,
+            cols.data(), ncols, 0.0f, dx2d.data(), ncols);
+    return ChannelMajorToNchw(dx2d, input_shape);
+  }
+  const int64_t ncols = batch * oh * ow;
+  Tensor go2d(Shape{oc, ncols});
+  for (int64_t n = 0; n < batch; ++n) {
+    for (int64_t o = 0; o < oc; ++o) {
+      std::copy_n(grad_out.data() + (n * oc + o) * oh * ow, oh * ow,
+                  go2d.data() + (o * batch + n) * oh * ow);
+    }
+  }
+  Tensor dcols(Shape{cin * kk, ncols});
+  GemmRaw(true, false, cin * kk, ncols, oc, 1.0f, weight.data(), cin * kk,
+          go2d.data(), ncols, 0.0f, dcols.data(), ncols);
+  Tensor dx(input_shape, 0.0f);
+  NaiveCol2Im(dcols.data(), batch, cin, h, w, g, dx.data());
+  return dx;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < want.num_elements(); ++i) {
+    uint32_t gb = 0, wb = 0;
+    std::memcpy(&gb, got.data() + i, sizeof(gb));
+    std::memcpy(&wb, want.data() + i, sizeof(wb));
+    ASSERT_EQ(gb, wb) << what << " element " << i << ": got " << got.data()[i]
+                      << ", want " << want.data()[i];
+  }
+}
+
+std::vector<ConvCase> AllConvCases() {
+  std::vector<ConvCase> cases = DegenerateConvCases();
+  for (const auto& more : {RandomConvCases(), LaneTailConvCases(),
+                           DeepConvCases()}) {
+    cases.insert(cases.end(), more.begin(), more.end());
+  }
+  // The ResNet-8 member's layers at the training batch.
+  for (const ConvCase& c : std::vector<ConvCase>{{16, 3, 4, 6, 6, 3, 1, 1},
+                                                 {16, 4, 8, 6, 6, 3, 2, 1},
+                                                 {16, 4, 8, 6, 6, 1, 2, 0},
+                                                 {16, 16, 16, 2, 2, 3, 1, 1}}) {
+    cases.push_back(c);
+  }
+  cases.push_back(MultiBlockConvCase());
+  cases.push_back(MultiBlockGradOutConvCase());
+  return cases;
+}
+
+TEST(Conv2dTierTest, ForwardIsIm2ColGemmBitForBitOnEveryTier) {
+  TierGuard guard;
+  for (GemmKernel tier : AvailableTiers()) {
+    SetGemmKernel(tier);
+    Rng rng(2024);
+    for (const ConvCase& c : AllConvCases()) {
+      SCOPED_TRACE(::testing::Message()
+                   << GemmKernelName(tier) << " batch " << c.batch << " cin "
+                   << c.cin << " cout " << c.cout << " " << c.h << "x" << c.w
+                   << " k " << c.kernel << " stride " << c.stride << " pad "
+                   << c.padding);
+      const ConvGeom g = GeomOf(c);
+      const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+      const Tensor weight =
+          RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+      const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
+      ExpectSameBits(Conv2dForward(input, weight, bias, g),
+                     Im2ColGemmForward(input, weight, bias, g), "forward");
+    }
+  }
+}
+
+TEST(Conv2dTierTest, InputGradientKeepsTheIm2ColOrderOnEveryTier) {
+  TierGuard guard;
+  for (GemmKernel tier : AvailableTiers()) {
+    SetGemmKernel(tier);
+    Rng rng(2025);
+    for (const ConvCase& c : AllConvCases()) {
+      SCOPED_TRACE(::testing::Message()
+                   << GemmKernelName(tier) << " batch " << c.batch << " cin "
+                   << c.cin << " cout " << c.cout << " " << c.h << "x" << c.w
+                   << " k " << c.kernel << " stride " << c.stride << " pad "
+                   << c.padding);
+      const ConvGeom g = GeomOf(c);
+      const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
+      const Tensor weight =
+          RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+      const Tensor grad_out =
+          RandomTensor(g.OutputShape(input.shape()), &rng);
+      Tensor wg(weight.shape(), 0.0f);
+      Tensor dx(input.shape());
+      Conv2dBackward(input, weight, grad_out, g, &wg, nullptr, &dx);
+      ExpectSameBits(dx,
+                     Im2ColGemmInputGrad(weight, grad_out, g, input.shape()),
+                     "input gradient");
+    }
   }
 }
 
