@@ -80,17 +80,11 @@ void RecordRoundStats(const EddeRoundStats& stats,
 // far, so a resumed run hands observers the full history. Only values that
 // are a function of the run go in, so two identical runs write identical
 // generations: the wall-clock round_seconds stays in the JSONL record and
-// the in-memory observer, and reads back as 0.
-//
-// Version 1 payloads begin with the record count and end each record with
-// round_seconds. Version 2 payloads begin with kRoundStatsVersion2, a word
-// no version-1 count reaches (a count is bounded by the payload size), then
-// the count, and drop round_seconds.
-constexpr uint64_t kRoundStatsVersion2 = 0xEDDE000000000002;
-
+// the in-memory observer, and reads back as 0. A section written while
+// the records still ended with round_seconds leaves trailing bytes, fails
+// to parse, and is discarded by Train's fallback.
 SectionWriter PackRoundStats(const std::vector<EddeRoundStats>& stats) {
   SectionWriter blob;
-  blob.WriteU64(kRoundStatsVersion2);
   blob.WriteU64(stats.size());
   for (const EddeRoundStats& s : stats) {
     blob.WriteI64(s.round);
@@ -110,8 +104,6 @@ Status UnpackRoundStats(SectionReader* in,
                         std::vector<EddeRoundStats>* stats) {
   uint64_t count = 0;
   if (!in->ReadU64(&count)) return in->status();
-  const bool version1 = count != kRoundStatsVersion2;
-  if (!version1 && !in->ReadU64(&count)) return in->status();
   for (uint64_t i = 0; i < count; ++i) {
     EddeRoundStats s;
     int64_t round = 0;
@@ -120,8 +112,7 @@ Status UnpackRoundStats(SectionReader* in,
         !in->ReadU32(&clamped) || !in->ReadF64(&s.correct_sim_mass) ||
         !in->ReadF64(&s.wrong_sim_mass) ||
         !in->ReadF64(&s.mean_pairwise_div) || !in->ReadF64(&s.weight_min) ||
-        !in->ReadF64(&s.weight_mean) || !in->ReadF64(&s.weight_max) ||
-        (version1 && !in->ReadF64(&s.round_seconds))) {
+        !in->ReadF64(&s.weight_mean) || !in->ReadF64(&s.weight_max)) {
       return in->status();
     }
     s.round = static_cast<int>(round);

@@ -36,7 +36,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
   // kernels read.
   const Tensor input_t =
       Conv2dForwardBuildsInputCopy(geom_)
-          ? tape->NewTensor(Conv2dInputCopyShape(geom_, input.shape()))
+          ? tape->NewTensor(Conv2dInputCopyShape(input.shape()))
           : Tensor();
   tape->Save(input);
   tape->Save(input_t);

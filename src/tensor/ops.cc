@@ -364,79 +364,42 @@ int64_t TileCount(int64_t rows, int64_t max_rows) {
   return std::max<int64_t>(1, (rows + max_rows - 1) / max_rows);
 }
 
-// The input pixels the direct kernels read. A 1x1 conv with stride s > 1
-// and no padding reads only every s-th pixel of every s-th row: its
-// batch-innermost copy holds just those, and the kernels run it as a
-// stride-1 conv on them, with the same sums. Any other geometry reads the
-// whole plane.
-struct InputGrid {
-  int64_t step = 1;  ///< pixel step of the grid in the NCHW plane
-  int64_t h = 0, w = 0;
-  int64_t stride = 1;  ///< the conv's stride on the grid
-};
-
-// The whole (h, w) plane.
-InputGrid PlaneGrid(int64_t h, int64_t w) { return InputGrid{1, h, w, 1}; }
-
-InputGrid GridOf(const ConvGeom& geom, int64_t h, int64_t w) {
-  if (geom.kernel == 1 && geom.padding == 0 && geom.stride > 1) {
-    return InputGrid{geom.stride, geom.OutExtent(h), geom.OutExtent(w), 1};
-  }
-  return InputGrid{1, h, w, geom.stride};
-}
-
-// NCHW (n, c, h, w) -> batch-innermost (c, grid, lanes): grid pixel (y, x)
-// is plane pixel (y·step, x·step); the lanes past n are zero. Runs of
-// kLanes pixels keep the scattered stores within a few lines.
-void ToBatchInnermost(const float* src, int64_t n, int64_t c, int64_t h,
-                      int64_t w, const InputGrid& grid, int64_t lanes,
-                      float* dst, GemmKernel kernel) {
-  if (grid.step == 1 && kernel == GemmKernel::kAvx2) {
-    return conv_internal::ToBatchInnermostAvx2(src, n, c, h * w, lanes, dst);
+// NCHW (n, c, p) -> batch-innermost (c, p, lanes), the lanes past n zero.
+// Runs of kLanes pixels keep the scattered stores within a few lines.
+void ToBatchInnermost(const float* src, int64_t n, int64_t c, int64_t p,
+                      int64_t lanes, float* dst, GemmKernel kernel) {
+  if (kernel == GemmKernel::kAvx2) {
+    return conv_internal::ToBatchInnermostAvx2(src, n, c, p, lanes, dst);
   }
   for (int64_t ch = 0; ch < c; ++ch) {
-    for (int64_t y = 0; y < grid.h; ++y) {
-      float* row = dst + (ch * grid.h + y) * grid.w * lanes;
-      for (int64_t x0 = 0; x0 < grid.w; x0 += kLanes) {
-        const int64_t x1 = std::min(grid.w, x0 + kLanes);
-        for (int64_t i = 0; i < n; ++i) {
-          const float* img = src + ((i * c + ch) * h + y * grid.step) * w;
-          for (int64_t x = x0; x < x1; ++x) {
-            row[x * lanes + i] = img[x * grid.step];
-          }
-        }
-        for (int64_t x = x0; x < x1; ++x) {
-          for (int64_t i = n; i < lanes; ++i) row[x * lanes + i] = 0.0f;
-        }
+    float* plane = dst + ch * p * lanes;
+    for (int64_t x0 = 0; x0 < p; x0 += kLanes) {
+      const int64_t x1 = std::min(p, x0 + kLanes);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* img = src + (i * c + ch) * p;
+        for (int64_t x = x0; x < x1; ++x) plane[x * lanes + i] = img[x];
+      }
+      for (int64_t x = x0; x < x1; ++x) {
+        for (int64_t i = n; i < lanes; ++i) plane[x * lanes + i] = 0.0f;
       }
     }
   }
 }
 
-// Batch-innermost (c, grid, lanes) -> NCHW (n, c, h, w), the inverse of
-// ToBatchInnermost: the padded lanes are dropped and plane pixels off the
-// grid are zero.
-void FromBatchInnermost(const float* src, int64_t n, int64_t c, int64_t h,
-                        int64_t w, const InputGrid& grid, int64_t lanes,
-                        float* dst, GemmKernel kernel) {
-  if (grid.step == 1 && kernel == GemmKernel::kAvx2) {
-    return conv_internal::FromBatchInnermostAvx2(src, n, c, h * w, lanes,
-                                                 dst);
-  }
-  if (grid.step > 1) {
-    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(n * c * h * w));
+// Batch-innermost (c, p, lanes) -> NCHW (n, c, p), the inverse of
+// ToBatchInnermost: the padded lanes are dropped.
+void FromBatchInnermost(const float* src, int64_t n, int64_t c, int64_t p,
+                        int64_t lanes, float* dst, GemmKernel kernel) {
+  if (kernel == GemmKernel::kAvx2) {
+    return conv_internal::FromBatchInnermostAvx2(src, n, c, p, lanes, dst);
   }
   for (int64_t ch = 0; ch < c; ++ch) {
-    for (int64_t y = 0; y < grid.h; ++y) {
-      const float* row = src + (ch * grid.h + y) * grid.w * lanes;
-      for (int64_t x0 = 0; x0 < grid.w; x0 += kLanes) {
-        const int64_t x1 = std::min(grid.w, x0 + kLanes);
-        for (int64_t i = 0; i < n; ++i) {
-          float* img = dst + ((i * c + ch) * h + y * grid.step) * w;
-          for (int64_t x = x0; x < x1; ++x) {
-            img[x * grid.step] = row[x * lanes + i];
-          }
-        }
+    const float* plane = src + ch * p * lanes;
+    for (int64_t x0 = 0; x0 < p; x0 += kLanes) {
+      const int64_t x1 = std::min(p, x0 + kLanes);
+      for (int64_t i = 0; i < n; ++i) {
+        float* img = dst + (i * c + ch) * p;
+        for (int64_t x = x0; x < x1; ++x) img[x] = plane[x * lanes + i];
       }
     }
   }
@@ -568,12 +531,11 @@ void RunWeightGradPass(const WeightGradPass& pass, GemmKernel kernel) {
   });
 }
 
-// The batch-innermost copy of `input`'s grid: `kept` when it is given
+// The batch-innermost copy of `input`: `kept` when it is given
 // (filled here), else arena scratch of `scope`.
-const float* BatchInnermostInput(const Tensor& input, const ConvGeom& geom,
-                                 Tensor kept, GemmKernel kernel,
-                                 ArenaScope* scope) {
-  const Shape shape = Conv2dInputCopyShape(geom, input.shape());
+const float* BatchInnermostInput(const Tensor& input, Tensor kept,
+                                 GemmKernel kernel, ArenaScope* scope) {
+  const Shape shape = Conv2dInputCopyShape(input.shape());
   float* dst = kept.data();
   if (kept.empty()) {
     dst = scope->AllocFloats(shape.num_elements());
@@ -581,9 +543,8 @@ const float* BatchInnermostInput(const Tensor& input, const ConvGeom& geom,
     EDDE_CHECK(kept.shape() == shape);
   }
   const Shape& in = input.shape();
-  ToBatchInnermost(input.data(), in.dim(0), in.dim(1), in.dim(2), in.dim(3),
-                   GridOf(geom, in.dim(2), in.dim(3)), shape.dim(3), dst,
-                   kernel);
+  ToBatchInnermost(input.data(), in.dim(0), in.dim(1), in.dim(2) * in.dim(3),
+                   shape.dim(3), dst, kernel);
   return dst;
 }
 
@@ -593,10 +554,10 @@ bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom) {
   return geom.kernel > 1;
 }
 
-Shape Conv2dInputCopyShape(const ConvGeom& geom, const Shape& input) {
+Shape Conv2dInputCopyShape(const Shape& input) {
   EDDE_CHECK_EQ(input.rank(), 4);
-  const InputGrid grid = GridOf(geom, input.dim(2), input.dim(3));
-  return Shape{input.dim(1), grid.h, grid.w, Conv2dLanes(input.dim(0))};
+  return Shape{input.dim(1), input.dim(2), input.dim(3),
+               Conv2dLanes(input.dim(0))};
 }
 
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
@@ -611,14 +572,10 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   } else {
     EDDE_CHECK(output.shape() == out_shape);
   }
-  const InputGrid grid =
-      GridOf(geom, input.shape().dim(2), input.shape().dim(3));
   const GemmKernel kernel = ActiveGemmKernel();
   ArenaScope scope;
   if (!Conv2dForwardBuildsInputCopy(geom)) {
-    if (!input_t.empty()) {
-      BatchInnermostInput(input, geom, input_t, kernel, &scope);
-    }
+    EDDE_CHECK(input_t.empty());
     const int64_t depth = geom.in_channels;
     GemmEpilogue epi;
     if (!bias.empty()) {
@@ -634,16 +591,16 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
         std::move(output));
   }
   DirectPass pass;
-  pass.in = BatchInnermostInput(input, geom, input_t, kernel, &scope);
+  pass.in = BatchInnermostInput(input, input_t, kernel, &scope);
   pass.in_ch = geom.in_channels;
-  pass.ih = grid.h;
-  pass.iw = grid.w;
+  pass.ih = input.shape().dim(2);
+  pass.iw = input.shape().dim(3);
   pass.out_rows = geom.out_channels;
   pass.oh = out_shape.dim(2);
   pass.ow = out_shape.dim(3);
   pass.lanes = Conv2dLanes(input.shape().dim(0));
   pass.kernel = geom.kernel;
-  pass.stride = grid.stride;
+  pass.stride = geom.stride;
   pass.padding = geom.padding;
   pass.row_blocks = TileCount(pass.out_rows, conv_internal::kMaxRows);
   pass.bias = bias.empty() ? nullptr : bias.data();
@@ -659,9 +616,8 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                                    pass.lanes);
   pass.out = out_t;
   RunDirectPass(pass, kernel);
-  FromBatchInnermost(out_t, out_shape.dim(0), pass.out_rows, pass.oh,
-                     pass.ow, PlaneGrid(pass.oh, pass.ow),
-                     pass.lanes, output.data(), kernel);
+  FromBatchInnermost(out_t, out_shape.dim(0), pass.out_rows,
+                     pass.oh * pass.ow, pass.lanes, output.data(), kernel);
   return output;
 }
 
@@ -703,33 +659,32 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   if (grad_input != nullptr) {
     EDDE_CHECK(grad_input->shape() == input.shape());
   }
-  const InputGrid grid =
-      GridOf(geom, input.shape().dim(2), input.shape().dim(3));
+  const int64_t ih = input.shape().dim(2);
+  const int64_t iw = input.shape().dim(3);
   const GemmKernel kernel = ActiveGemmKernel();
   const int64_t lanes = Conv2dLanes(batch);
   ArenaScope scope;
   float* dy_t = scope.AllocFloats(oc * oh * ow * lanes);
-  ToBatchInnermost(grad_out.data(), batch, oc, oh, ow,
-                   PlaneGrid(oh, ow), lanes, dy_t, kernel);
+  ToBatchInnermost(grad_out.data(), batch, oc, oh * ow, lanes, dy_t, kernel);
 
   WeightGradPass wg;
   wg.x = input_t.empty()
-             ? BatchInnermostInput(input, geom, Tensor(), kernel, &scope)
+             ? BatchInnermostInput(input, Tensor(), kernel, &scope)
              : input_t.data();
   if (!input_t.empty()) {
-    EDDE_CHECK(input_t.shape() == Conv2dInputCopyShape(geom, input.shape()));
+    EDDE_CHECK(input_t.shape() == Conv2dInputCopyShape(input.shape()));
   }
   wg.dy = dy_t;
   wg.wg = weight_grad->data();
   wg.c = cin;
-  wg.h = grid.h;
-  wg.w = grid.w;
+  wg.h = ih;
+  wg.w = iw;
   wg.oc = oc;
   wg.oh = oh;
   wg.ow = ow;
   wg.lanes = lanes;
   wg.kernel = k;
-  wg.stride = grid.stride;
+  wg.stride = geom.stride;
   wg.padding = geom.padding;
   wg.row_blocks = TileCount(oc, conv_internal::kGradRows);
   wg.col_blocks = TileCount(cin, conv_internal::kGradCols);
@@ -740,24 +695,22 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     // with p ≤ k−1 sums it as the forward correlation of dY, zero-bordered
     // by k−1−p, with the flipped, transposed kernel (depth oc·k² + tap,
     // channel-major); any other geometry as Col2Im of Wᵀ·dY, tap by tap,
-    // each tap's sum over the OC channels folded in. On a subsampled grid
-    // (InputGrid) the two orders coincide: one tap, the OC channels in
-    // order.
+    // each tap's sum over the OC channels folded in.
     DirectPass pass;
     pass.in = dy_t;
     pass.in_ch = oc;
     pass.ih = oh;
     pass.iw = ow;
     pass.out_rows = cin;
-    pass.oh = grid.h;
-    pass.ow = grid.w;
+    pass.oh = ih;
+    pass.ow = iw;
     pass.lanes = lanes;
     pass.kernel = k;
     pass.row_blocks = TileCount(cin, conv_internal::kMaxRows);
     const int64_t depth = oc * kk;
     float* packed = scope.AllocFloats(cin * depth);
     const float* wd = weight.data();
-    if (grid.stride == 1 && geom.padding <= k - 1) {
+    if (geom.stride == 1 && geom.padding <= k - 1) {
       pass.kind = DirectPass::Kind::kGather;
       pass.padding = k - 1 - geom.padding;
       pass.kc = kernel == GemmKernel::kScalar ? depth : gemm_internal::kKC;
@@ -778,11 +731,10 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
                packed);
     }
     pass.w = packed;
-    float* dx_t = scope.AllocFloats(cin * grid.h * grid.w * lanes);
+    float* dx_t = scope.AllocFloats(cin * ih * iw * lanes);
     pass.out = dx_t;
     RunDirectPass(pass, kernel);
-    FromBatchInnermost(dx_t, batch, cin, input.shape().dim(2),
-                       input.shape().dim(3), grid, lanes, grad_input->data(),
+    FromBatchInnermost(dx_t, batch, cin, ih * iw, lanes, grad_input->data(),
                        kernel);
   }
 

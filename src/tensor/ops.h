@@ -110,10 +110,8 @@ int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
 /// Shape (C, H', W', N') of the batch-innermost copy of an (N, C, H, W)
 /// input that the fp32 Conv2d kernels run on: the batch is the innermost
 /// axis, padded with zero samples to N', a multiple of the kernels' 8
-/// vector lanes. The copy holds the pixels the conv reads: the whole
-/// (H, W) plane, except for a 1x1 kernel with stride s > 1 and no padding,
-/// which reads the (OH, OW) grid of every s-th pixel of every s-th row.
-Shape Conv2dInputCopyShape(const ConvGeom& geom, const Shape& input);
+/// vector lanes.
+Shape Conv2dInputCopyShape(const Shape& input);
 
 /// True when Conv2dForward runs on a batch-innermost copy of its input,
 /// which a training caller then keeps for Conv2dBackward. A 1x1 kernel
@@ -126,7 +124,8 @@ bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom);
 /// optional bias (OC) -> output (N, OC, OH, OW). Writes into `output` when
 /// it is given (shape geom.OutputShape), else allocates it. A non-empty
 /// `input_t` (shape Conv2dInputCopyShape) receives the batch-innermost copy
-/// of the input, for Conv2dBackward to read.
+/// of the input, for Conv2dBackward to read; it must be empty when
+/// Conv2dForwardBuildsInputCopy is false.
 ///
 /// Direct kernels on the batch-innermost copy (tensor/conv_direct.h),
 /// picked by the GEMM kernel tier; a 1x1 kernel runs as Im2Col + GemmRaw

@@ -579,37 +579,32 @@ TEST_F(CheckpointTortureTest, IdenticalEddeRunsWriteIdenticalGenerations) {
   }
 }
 
-TEST_F(CheckpointTortureTest, VersionOneRoundStatsStillResume) {
-  // Generations written before the round stats dropped round_seconds keep
-  // the version-1 layout of EDDE's method-state section: the record count
-  // first, and round_seconds ending each record. A run resumes from them,
-  // hands their stats, seconds included, to the observer, and lands on the
-  // uninterrupted result.
-  const std::string dir = FreshDir("stats_version1");
+TEST_F(CheckpointTortureTest, RoundStatsWithSecondsAreDiscarded) {
+  // Generations written while the round stats still carried round_seconds
+  // (8 more bytes ending each record) fail the stats parse: the run drops
+  // that history with a warning, resumes, and lands on the uninterrupted
+  // result, with only the retrained round's stats observed.
+  const std::string dir = FreshDir("stats_with_seconds");
   std::vector<EddeRoundStats> original;
   const EnsembleModel reference = TrainEddeObserved(workload_, dir, &original);
   std::vector<std::string> files = ListGenerationFiles(RunDir(dir));
   ASSERT_EQ(files.size(), 3u);
-  ASSERT_EQ(original.size(), 3u);
   constexpr uint32_t kTagMethodState = 4;
-  constexpr size_t kRecordBytes = 68;  // version 2, without round_seconds
+  constexpr size_t kRecordBytes = 68;
   for (const std::string& path : files) {
     uint32_t magic = 0;
     std::vector<testing::Frame> frames =
         testing::ParseFrames(ReadWholeFile(path), &magic);
     for (testing::Frame& f : frames) {
       if (f.tag != kTagMethodState) continue;
-      const uint64_t count = testing::LoadWord<uint64_t>(f.payload, 8);
-      ASSERT_EQ(f.payload.size(), 16 + count * kRecordBytes) << path;
-      std::string v1(sizeof(uint64_t), '\0');
-      testing::StoreWord<uint64_t>(&v1, 0, count);
+      const uint64_t count = testing::LoadWord<uint64_t>(f.payload, 0);
+      ASSERT_EQ(f.payload.size(), 8 + count * kRecordBytes) << path;
+      std::string old = f.payload.substr(0, 8);
       for (uint64_t r = 0; r < count; ++r) {
-        std::string seconds(sizeof(double), '\0');
-        testing::StoreWord<double>(&seconds, 0,
-                                   0.25 * static_cast<double>(r + 1));
-        v1 += f.payload.substr(16 + r * kRecordBytes, kRecordBytes) + seconds;
+        old += f.payload.substr(8 + r * kRecordBytes, kRecordBytes) +
+               std::string(sizeof(double), '\0');
       }
-      f.payload = v1;
+      f.payload = old;
     }
     testing::WriteWholeFile(path, testing::BuildFile(magic, frames));
   }
@@ -619,20 +614,10 @@ TEST_F(CheckpointTortureTest, VersionOneRoundStatsStillResume) {
   std::vector<EddeRoundStats> resumed_stats;
   const EnsembleModel resumed =
       TrainEddeObserved(workload_, dir, &resumed_stats);
-  ExpectBitIdentical(resumed, reference, workload_, "stats_version1");
-  ASSERT_EQ(resumed_stats.size(), 3u);
-  for (size_t i = 0; i < resumed_stats.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "round " << i + 1);
-    EXPECT_EQ(resumed_stats[i].round, original[i].round);
-    EXPECT_EQ(resumed_stats[i].alpha, original[i].alpha);
-    EXPECT_EQ(resumed_stats[i].mean_pairwise_div,
-              original[i].mean_pairwise_div);
-    EXPECT_EQ(resumed_stats[i].weight_max, original[i].weight_max);
-    if (i < 2) {
-      EXPECT_EQ(resumed_stats[i].round_seconds,
-                0.25 * static_cast<double>(i + 1));
-    }
-  }
+  ExpectBitIdentical(resumed, reference, workload_, "stats_with_seconds");
+  ASSERT_EQ(resumed_stats.size(), 1u);
+  EXPECT_EQ(resumed_stats[0].round, original[2].round);
+  EXPECT_EQ(resumed_stats[0].alpha, original[2].alpha);
 }
 
 TEST_F(CheckpointTortureTest, TornWritesEverywhereStillRecoverable) {

@@ -290,11 +290,35 @@ std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
 }
 
 TEST_F(ParallelDeterminismTest, ResNetTrainingIdenticalAcrossThreadCounts) {
+  // The premise: at this batch the stem's forward and a stage-1 conv's
+  // backward each split over the pool on their own.
+  SetNumThreads(4);
   Counter* regions = MetricsRegistry::Global().GetCounter("threadpool.regions");
+  Rng rng(29);
+  ConvGeom g;
+  g.in_channels = 3;
+  g.out_channels = 4;
+  Tensor x(Shape{48, 3, 8, 8});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor w(Shape{4, 3, 3, 3});
+  w.FillNormal(&rng, 0.0f, 1.0f);
+  int64_t before = regions->Value();
+  (void)Conv2dForward(x, w, Tensor(), g);
+  ASSERT_GT(regions->Value(), before) << "the stem forward must split";
+  g.in_channels = 4;
+  Tensor h(Shape{48, 4, 8, 8});
+  h.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor w1(Shape{4, 4, 3, 3});
+  w1.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor dy(h.shape());
+  dy.FillNormal(&rng, 0.0f, 1.0f);
+  Tensor wg(w1.shape(), 0.0f), dx(h.shape());
+  before = regions->Value();
+  Conv2dBackward(h, w1, dy, g, &wg, nullptr, &dx);
+  ASSERT_GT(regions->Value(), before) << "the stage-1 backward must split";
+
   std::unique_ptr<ResNet> serial = TrainResNetSteps(1);
-  const int64_t before = regions->Value();
   std::unique_ptr<ResNet> threaded = TrainResNetSteps(4);
-  ASSERT_GT(regions->Value(), before) << "the batch must reach the pool";
   ExpectIdenticalParameters(serial.get(), threaded.get());
 }
 
@@ -312,7 +336,7 @@ TEST_F(ParallelDeterminismTest, Conv2dLaneBlocksMatchSingleSamples) {
   Rng rng(41);
   Tensor x(Shape{batch, g.in_channels, h, w});
   x.FillNormal(&rng, 0.0f, 1.0f);
-  ASSERT_EQ(Conv2dInputCopyShape(g, x.shape()).dim(3), 40);
+  ASSERT_EQ(Conv2dInputCopyShape(x.shape()).dim(3), 40);
   Tensor weight(Shape{g.out_channels, g.in_channels, 3, 3});
   weight.FillNormal(&rng, 0.0f, 0.3f);
   Tensor bias(Shape{g.out_channels});

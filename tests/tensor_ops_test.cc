@@ -453,8 +453,9 @@ TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
 
 // The forward's kept batch-innermost copy stands in for the one backward
 // would rebuild: the same forward output, input gradient and parameter
-// gradients, bit for bit. The copy itself is the input pixels the conv
-// reads, with the batch innermost and the padded lanes zero.
+// gradients, bit for bit. The copy itself is the input with the batch
+// innermost and the padded lanes zero. A 1x1 forward builds no copy; the
+// copy laid out by hand stands in for the one its backward rebuilds.
 TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
   const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 2, 1},
                             {2, 3, 4, 7, 5, 1, 2, 0},
@@ -463,8 +464,9 @@ TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
                             MultiBlockGradOutConvCase(), MultiBlockConvCase()};
   Rng rng(809);
   for (const ConvCase& c : cases) {
-    SCOPED_TRACE(::testing::Message() << "stride " << c.stride << " pad "
-                                      << c.padding << " batch " << c.batch);
+    SCOPED_TRACE(::testing::Message() << "kernel " << c.kernel << " stride "
+                                      << c.stride << " pad " << c.padding
+                                      << " batch " << c.batch);
     const ConvGeom g = GeomOf(c);
     const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
     const Tensor weight =
@@ -472,32 +474,31 @@ TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
     const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
     const Tensor grad_out =
         RandomTensor(g.OutputShape(input.shape()), &rng);
-    // A 1x1 kernel with stride s and no padding reads every s-th pixel of
-    // every s-th row, and the copy holds just those.
-    const int64_t step =
-        c.kernel == 1 && c.padding == 0 && c.stride > 1 ? c.stride : 1;
-    const int64_t gh = (c.h - 1) / step + 1, gw = (c.w - 1) / step + 1;
+    const int64_t plane = c.h * c.w;
     const int64_t lanes = (c.batch + 7) / 8 * 8;
-    const Shape kept_shape = Conv2dInputCopyShape(g, input.shape());
-    ASSERT_EQ(kept_shape, Shape({c.cin, gh, gw, lanes}));
-    Tensor kept(kept_shape, 123.0f);  // every element must be written
-    const Tensor y = Conv2dForward(input, weight, bias, g);
-    const Tensor y_kept = Conv2dForward(input, weight, bias, g, Tensor(), kept);
-    EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
-                             sizeof(float) * static_cast<size_t>(
-                                                 y.num_elements())));
+    const Shape kept_shape = Conv2dInputCopyShape(input.shape());
+    ASSERT_EQ(kept_shape, Shape({c.cin, c.h, c.w, lanes}));
+    Tensor want(kept_shape, 0.0f);
     for (int64_t ch = 0; ch < c.cin; ++ch) {
-      for (int64_t p = 0; p < gh * gw; ++p) {
-        const int64_t pixel = (p / gw * c.w + p % gw) * step;
-        for (int64_t n = 0; n < lanes; ++n) {
-          const float want =
-              n < c.batch
-                  ? input.data()[(n * c.cin + ch) * c.h * c.w + pixel]
-                  : 0.0f;
-          ASSERT_EQ(kept.data()[(ch * gh * gw + p) * lanes + n], want)
-              << "channel " << ch << " pixel " << p << " lane " << n;
+      for (int64_t p = 0; p < plane; ++p) {
+        for (int64_t n = 0; n < c.batch; ++n) {
+          want.data()[(ch * plane + p) * lanes + n] =
+              input.data()[(n * c.cin + ch) * plane + p];
         }
       }
+    }
+    Tensor kept = want;
+    if (Conv2dForwardBuildsInputCopy(g)) {
+      kept = Tensor(kept_shape, 123.0f);  // every element must be written
+      const Tensor y = Conv2dForward(input, weight, bias, g);
+      const Tensor y_kept =
+          Conv2dForward(input, weight, bias, g, Tensor(), kept);
+      EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
+                               sizeof(float) * static_cast<size_t>(
+                                                   y.num_elements())));
+      ASSERT_EQ(0, std::memcmp(kept.data(), want.data(),
+                               sizeof(float) * static_cast<size_t>(
+                                                   want.num_elements())));
     }
     Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
     Tensor wg_kept(weight.shape(), 0.0f), bg_kept(bias.shape(), 0.0f);
