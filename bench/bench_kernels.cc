@@ -1,16 +1,17 @@
 /// Kernel micro-benchmarks for the packed GEMM layer and the row kernels
 /// behind it (DESIGN.md §10). Sweeps paper-relevant shapes — the 512³
 /// acceptance shape, dense-layer and im2col-conv shaped GEMMs — across
-/// every available kernel (scalar reference, portable SIMD, AVX2) and
-/// records GFLOP/s plus the allocation audit (tensor allocs + arena slab
-/// growth at steady state must both be zero) into BENCH_kernels.json.
-/// It also prints the Conv2d layer's forward and backward time per kernel
-/// tier at every conv shape of the tiny, small and paper ResNet members.
+/// every available kernel (portable SIMD, AVX2) and records GFLOP/s plus
+/// the allocation audit (tensor allocs + arena slab growth at steady state
+/// must both be zero) into BENCH_kernels.json. It also prints the Conv2d
+/// layer's forward and backward time per kernel tier at every conv shape
+/// of the tiny, small and paper ResNet members.
 ///
-/// CI gates on the *ratio* headlines (`gemm512.speedup_vs_scalar`,
-/// `alloc.steady_state_zero`), which are robust across machines because
-/// numerator and denominator come from the same run; the absolute GFLOP/s
-/// numbers are informational, and the conv timings are printed only.
+/// CI diffs every headline against the committed baseline with a generous
+/// threshold: `*.packed_gflops` (the best tier's GFLOP/s) catches a silent
+/// fall-back from AVX2 to portable, which loses ~80% at 512³, and
+/// `alloc.steady_state_zero` a hot loop that allocates again. The conv
+/// timings are printed only.
 
 #include <algorithm>
 #include <cstdio>
@@ -252,8 +253,8 @@ int Run(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   PrintBanner("Kernels: packed GEMM + row-kernel micro-benchmarks",
               "not a paper experiment — measures the tensor kernel layer "
-              "(DESIGN.md §10): GFLOP/s per kernel per shape, speedup over "
-              "the scalar reference, steady-state allocation audit",
+              "(DESIGN.md §10): GFLOP/s per kernel per shape, "
+              "steady-state allocation audit",
               scale, seed);
   Rng rng(seed);
 
@@ -270,12 +271,10 @@ int Run(int argc, char** argv) {
       {"conv_im2col", 32, 1024, 288},
   };
 
-  std::vector<GemmKernel> kernels = {GemmKernel::kScalar,
-                                     GemmKernel::kPortable};
+  std::vector<GemmKernel> kernels = {GemmKernel::kPortable};
   if (gemm_internal::Avx2Available()) kernels.push_back(GemmKernel::kAvx2);
 
   for (const GemmShape& shape : shapes) {
-    double scalar_gflops = 0.0;
     double best_packed = 0.0;
     for (GemmKernel kernel : kernels) {
       TraceScope ts(GetTraceRegion(
@@ -290,18 +289,9 @@ int Run(int argc, char** argv) {
       RecordHeadline(std::string(shape.name) + "." + GemmKernelName(kernel) +
                          "_gflops",
                      gflops);
-      if (kernel == GemmKernel::kScalar) {
-        scalar_gflops = gflops;
-      } else {
-        best_packed = std::max(best_packed, gflops);
-      }
+      best_packed = std::max(best_packed, gflops);
     }
     RecordHeadline(std::string(shape.name) + ".packed_gflops", best_packed);
-    const double speedup =
-        scalar_gflops > 0.0 ? best_packed / scalar_gflops : 0.0;
-    RecordHeadline(std::string(shape.name) + ".speedup_vs_scalar", speedup);
-    std::printf("%-12s packed speedup vs scalar: %.2fx\n", shape.name,
-                speedup);
 
     // int8 path (DESIGN.md §13): same shapes, same effective-GFLOP/s
     // accounting. CI gates the 512³ ratio against the best fp32 kernel —
@@ -315,7 +305,6 @@ int Run(int argc, char** argv) {
       bool vnni;
     };
     std::vector<Int8Variant> int8_variants = {
-        {"scalar", GemmKernel::kScalar, false},
         {"portable", GemmKernel::kPortable, false}};
     if (gemm_internal::Int8Avx2Available()) {
       int8_variants.push_back({"avx2", GemmKernel::kAvx2, false});

@@ -32,12 +32,8 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
     return Conv2dForward(input, weight_.value, bias_.value, geom_);
   }
   // The input handle keeps its shape and data mark for Backward; the
-  // batch-innermost copy, when the forward builds one, is what the
-  // kernels read.
-  const Tensor input_t =
-      Conv2dForwardBuildsInputCopy(geom_)
-          ? tape->NewTensor(Conv2dInputCopyShape(input.shape()))
-          : Tensor();
+  // batch-innermost copy is what the kernels read.
+  const Tensor input_t = tape->NewTensor(Conv2dInputCopyShape(input.shape()));
   tape->Save(input);
   tape->Save(input_t);
   return Conv2dForward(input, weight_.value, bias_.value, geom_,

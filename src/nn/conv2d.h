@@ -15,8 +15,8 @@ namespace edde {
 /// batch-norm typically disable it).
 ///
 /// A training Forward saves its input and the batch-innermost copy of it
-/// that the kernels built (Conv2dInputCopyShape; none for a 1x1 kernel),
-/// so Backward does not rebuild it. Backward computes no input gradient when the input is the
+/// that the kernels built (Conv2dInputCopyShape), so Backward does not
+/// rebuild it. Backward computes no input gradient when the input is the
 /// tape's data (a network's stem).
 class Conv2d : public Module {
  public:

@@ -13,21 +13,22 @@
 // The loop nests are written once, as templates over an `Ops` policy that
 // supplies the vector type and its Zero/Load/Bcast/Fma/Add/Store. tensor/
 // ops.cc instantiates them with `#pragma omp simd` lane loops (the portable
-// and scalar tiers); conv_avx2.cc, compiled with -mavx2 -mfma, instantiates
+// tier); conv_avx2.cc, compiled with -mavx2 -mfma, instantiates
 // them with AVX2 intrinsics. Each policy type lives in its .cc's anonymous
 // namespace, so every instantiation has internal linkage and no code built
 // for AVX2 can be picked by the linker for the baseline build.
 //
 // Summation order. An output value is a fold of partial sums: each partial
-// accumulates the steps of one block of `kc` consecutive depth indices,
+// accumulates the steps of one block of kKC consecutive depth indices,
 // starting from zero, and the blocks add into the output in depth order —
-// exactly the packed GEMM's kKC blocks and the scalar GEMM's single block
-// (kc = depth) over Im2Col's columns, so the forward matches Im2Col +
-// GemmRaw bit for bit on every tier. Taps that fall on padding are skipped:
-// their products are ±0, and adding ±0 to a sum that started at +0 (which
-// can never become −0) changes no bit.
+// exactly the packed GEMM's kKC blocks over Im2Col's columns, so the
+// forward matches Im2Col + GemmRaw bit for bit on both tiers. Taps that
+// fall on padding are skipped: their products are ±0, and adding ±0 to a
+// sum that started at +0 (which can never become −0) changes no bit.
 
 #include <cstdint>
+
+#include "tensor/gemm.h"
 
 namespace edde {
 namespace conv_internal {
@@ -77,12 +78,10 @@ struct DirectPass {
   int64_t lanes = 0;
   int64_t kernel = 1, stride = 1, padding = 0;
   int64_t row_blocks = 1;
-  int64_t kc = 1;  ///< depth indices per partial sum (channels for
-                   ///< kTransposed)
   // kGather: pixel (oy, ox) is of class row_class[oy]·col_classes +
   // col_class[ox]. The steps of class q in depth block b (depth indices
-  // [b·kc, (b+1)·kc)) are entries [step_begin[q·blocks + b],
-  // step_begin[q·blocks + b + 1]), blocks = ⌈depth/kc⌉; entry e reads the
+  // [b·kKC, (b+1)·kKC)) are entries [step_begin[q·blocks + b],
+  // step_begin[q·blocks + b + 1]), blocks = ⌈depth/kKC⌉; entry e reads the
   // input at the pixel's corner ((oy·s − p)·iw + ox·s − p)·lanes plus
   // step_offset[e], with the weights of depth index step_depth[e].
   const int64_t* row_class = nullptr;
@@ -137,6 +136,8 @@ template <class Ops>
 struct DirectConv {
   using V = typename Ops::V;
   static constexpr int64_t L = kLanes;
+  // Depth indices per partial sum (dY channels for kTransposed).
+  static constexpr int64_t KC = gemm_internal::kKC;
 
   // A member, so that nothing in this header is an inline function shared
   // between the baseline and the AVX2 translation units.
@@ -172,7 +173,7 @@ struct DirectConv {
   static void GatherTile(const DirectPass& a, int64_t r0, int64_t oy,
                          int64_t ox, int64_t n0) {
     const int64_t depth = a.in_ch * a.kernel * a.kernel;
-    const int64_t blocks = (depth + a.kc - 1) / a.kc;
+    const int64_t blocks = (depth + KC - 1) / KC;
     const int64_t out_plane = a.oh * a.ow * a.lanes;
     const int64_t corner =
         ((oy * a.stride - a.padding) * a.iw + ox * a.stride - a.padding) *
@@ -235,16 +236,16 @@ struct DirectConv {
         const float* x =
             a.in + ((ny / a.stride) * a.iw + nx / a.stride) * a.lanes + n0;
         const float* wt = wblk + (ky * k + kx) * a.in_ch * R;
-        // The tap's sum over the dY channels, in blocks of kc channels.
+        // The tap's sum over the dY channels, in blocks of KC channels.
         V sum[R][VV];
         Zero(sum);
-        for (int64_t oc = 0; oc < Min(a.in_ch, a.kc); ++oc) {
+        for (int64_t oc = 0; oc < Min(a.in_ch, KC); ++oc) {
           Step<R, VV>(wt + oc * R, x + oc * in_plane, sum);
         }
-        for (int64_t o0 = a.kc; o0 < a.in_ch; o0 += a.kc) {
+        for (int64_t o0 = KC; o0 < a.in_ch; o0 += KC) {
           V part[R][VV];
           Zero(part);
-          for (int64_t oc = o0; oc < Min(a.in_ch, o0 + a.kc); ++oc) {
+          for (int64_t oc = o0; oc < Min(a.in_ch, o0 + KC); ++oc) {
             Step<R, VV>(wt + oc * R, x + oc * in_plane, part);
           }
 #pragma GCC unroll 8

@@ -22,14 +22,6 @@ namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Row-grain targeting roughly `target_work` scalar ops per chunk; mirrors
-// the helper in ops.cc so tiny problems stay on the serial path.
-int64_t RowGrain(int64_t work_per_row, int64_t target_work) {
-  if (work_per_row < 1) work_per_row = 1;
-  const int64_t grain = target_work / work_per_row;
-  return grain < 1 ? 1 : grain;
-}
-
 // ---------------------------------------------------------------------------
 // Kernel dispatch
 // ---------------------------------------------------------------------------
@@ -40,9 +32,7 @@ GemmKernel ResolveDefaultKernel() {
   const char* env = std::getenv("EDDE_GEMM_KERNEL");
   if (env != nullptr && env[0] != '\0') {
     const std::string want(env);
-    if (want == "scalar") {
-      kernel = GemmKernel::kScalar;
-    } else if (want == "portable") {
+    if (want == "portable") {
       kernel = GemmKernel::kPortable;
     } else if (want == "avx2") {
       if (gemm_internal::Avx2Available()) {
@@ -80,8 +70,6 @@ GemmKernel ActiveGemmKernel() {
 
 const char* GemmKernelName(GemmKernel kernel) {
   switch (kernel) {
-    case GemmKernel::kScalar:
-      return "scalar";
     case GemmKernel::kPortable:
       return "portable";
     case GemmKernel::kAvx2:
@@ -106,99 +94,8 @@ void SetGemmKernel(GemmKernel kernel) {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar reference path — the pre-packing cache-blocked kernel, kept
-// verbatim (minus the vectorization-hostile zero-skip) so the fallback is
-// bit-identical to the original implementation and serves as the baseline
-// for bench_kernels' speedup headline.
-// ---------------------------------------------------------------------------
-
-void GemmBlockNN(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
-                 int64_t lda, const float* b, int64_t ldb, float* c,
-                 int64_t ldc) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = alpha * arow[p];
-      const float* brow = b + p * ldb;
-      for (int64_t j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void GemmScalar(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                float alpha, const float* a, int64_t lda_in, const float* b,
-                int64_t ldb_in, float beta, float* c, int64_t ldc) {
-  if (beta == 0.0f) {
-    for (int64_t i = 0; i < m; ++i) {
-      std::memset(c + i * ldc, 0, sizeof(float) * static_cast<size_t>(n));
-    }
-  } else if (beta != 1.0f) {
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
-      for (int64_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
-
-  // Materialize transposed operands once (into arena scratch rather than
-  // fresh Tensors); the copies are small relative to the O(MNK) work and
-  // keep this path a single kernel variant.
-  ArenaScope scope;
-  const float* pa = a;
-  const float* pb = b;
-  int64_t lda = lda_in;
-  int64_t ldb = ldb_in;
-  if (trans_a) {
-    float* a_copy = scope.AllocFloats(m * k);
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t p = 0; p < k; ++p) {
-        a_copy[i * k + p] = a[p * lda_in + i];
-      }
-    }
-    pa = a_copy;
-    lda = k;
-  }
-  if (trans_b) {
-    float* b_copy = scope.AllocFloats(k * n);
-    for (int64_t p = 0; p < k; ++p) {
-      for (int64_t j = 0; j < n; ++j) {
-        b_copy[p * n + j] = b[j * ldb_in + p];
-      }
-    }
-    pb = b_copy;
-    ldb = n;
-  }
-
-  // Cache blocking; the row dimension is additionally split across the
-  // thread pool. Each chunk owns a disjoint set of C rows and walks the
-  // k/n blocks in the same serial order as the single-threaded code, so the
-  // accumulation order per row — and hence the result — is bit-identical
-  // regardless of thread count.
-  constexpr int64_t kBlockM = 64;
-  constexpr int64_t kBlockN = 256;
-  constexpr int64_t kBlockK = 64;
-  const int64_t grain = std::max(kBlockM, RowGrain(n * k, 1 << 18));
-  ParallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i0 = r0; i0 < r1; i0 += kBlockM) {
-      const int64_t mb = std::min(kBlockM, r1 - i0);
-      for (int64_t p0 = 0; p0 < k; p0 += kBlockK) {
-        const int64_t kblk = std::min(kBlockK, k - p0);
-        for (int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const int64_t nb = std::min(kBlockN, n - j0);
-          GemmBlockNN(mb, nb, kblk, alpha, pa + i0 * lda + p0, lda,
-                      pb + p0 * ldb + j0, ldb, c + i0 * ldc + j0, ldc);
-        }
-      }
-    }
-  });
-}
-
-// Epilogue as a separate pass; the scalar path reproduces the pre-fusion
-// layer behavior (gemm, then bias loop) bit for bit.
-void ApplyEpilogueScalar(int64_t m, int64_t n, float* c, int64_t ldc,
+// Epilogue as a separate pass, for the degenerate k <= 0 product.
+void ApplyEpilogue(int64_t m, int64_t n, float* c, int64_t ldc,
                          const GemmEpilogue& epi) {
   for (int64_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
@@ -224,9 +121,8 @@ void ApplyEpilogueScalar(int64_t m, int64_t n, float* c, int64_t ldc,
 // Layouts (see DESIGN.md §10):
 //   A panels: for each group of kMR rows, kc steps of kMR contiguous
 //     floats: ap[panel][kk][i] = alpha * opA(row0 + panel*kMR + i, pc + kk),
-//     zero-padded past the matrix edge. Folding alpha into the pack keeps
-//     the micro-kernel multiply order identical to `av = alpha * a` in the
-//     scalar kernel.
+//     zero-padded past the matrix edge. Folding alpha into the pack costs
+//     one multiply per packed value instead of one per product.
 //   B panels: for each group of kNR columns, kc steps of kNR contiguous
 //     floats: bp[panel][kk][j] = opB(pc + kk, panel*kNR + j), zero-padded.
 //
@@ -442,18 +338,11 @@ void GemmRaw(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         crow[j] = beta == 0.0f ? 0.0f : beta * crow[j];
       }
     }
-    ApplyEpilogueScalar(m, n, c, ldc, epilogue);
+    ApplyEpilogue(m, n, c, ldc, epilogue);
     return;
   }
-  const GemmKernel kernel = ActiveGemmKernel();
-  if (kernel == GemmKernel::kScalar) {
-    GemmScalar(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-               ldc);
-    if (!epilogue.empty()) ApplyEpilogueScalar(m, n, c, ldc, epilogue);
-    return;
-  }
-  GemmPacked(kernel, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta,
-             c, ldc, epilogue);
+  GemmPacked(ActiveGemmKernel(), trans_a, trans_b, m, n, k, alpha, a, lda, b,
+             ldb, beta, c, ldc, epilogue);
 }
 
 }  // namespace edde

@@ -9,13 +9,8 @@ namespace edde {
 // Packed GEMM micro-kernel layer (see DESIGN.md §10)
 // ---------------------------------------------------------------------------
 //
-// Three kernel implementations sit behind one dispatch point:
+// Two kernel implementations sit behind one dispatch point:
 //
-//  - kScalar: the original cache-blocked triple loop. Kept verbatim as the
-//    reference implementation; bit-identical to the pre-packing code on any
-//    input without exact zeros in op(A) (the old kernel skipped zero
-//    multiplters, which also swallowed NaN/Inf from B — see
-//    tensor_ops_test NaN-propagation coverage).
 //  - kPortable: packed 6x16 register-tile micro-kernel written in
 //    compiler-vectorizable form (`#pragma omp simd`). Works on any target;
 //    compiles to SSE2 at the default baseline and to AVX2 under
@@ -24,19 +19,17 @@ namespace edde {
 //    compiled in its own translation unit with -mavx2 -mfma and selected
 //    at runtime only when the CPU reports both features.
 //
-// Dispatch resolves once per process: EDDE_GEMM_KERNEL=scalar|portable|
-// avx2|auto if set (invalid or unsupported values fall back with a
-// warning), else AVX2 when available, else portable. SetGemmKernel
-// overrides programmatically (tests, benches). For a fixed dispatch path
-// results are bit-identical across thread counts and across repeated runs;
-// different kernels differ from each other in final-ulp rounding (the FMA
-// contraction in kAvx2, vector reassociation in kPortable), which is why
-// accuracy tests compare against a float64 reference rather than across
-// kernels.
+// Dispatch resolves once per process: EDDE_GEMM_KERNEL=portable|avx2|auto
+// if set (invalid or unsupported values fall back with a warning), else
+// AVX2 when available, else portable. SetGemmKernel overrides
+// programmatically (tests, benches). For a fixed dispatch path results are
+// bit-identical across thread counts and across repeated runs; the two
+// kernels differ from each other in final-ulp rounding (the FMA
+// contraction in kAvx2), which is why accuracy tests compare against a
+// float64 reference rather than across kernels.
 
 enum class GemmKernel {
   kAuto = 0,  ///< resolve from EDDE_GEMM_KERNEL / CPU features
-  kScalar,
   kPortable,
   kAvx2,
 };
@@ -44,7 +37,7 @@ enum class GemmKernel {
 /// The kernel GemmRaw will run (never kAuto).
 GemmKernel ActiveGemmKernel();
 
-/// "scalar" / "portable" / "avx2".
+/// "portable" / "avx2" ("auto" for kAuto).
 const char* GemmKernelName(GemmKernel kernel);
 
 /// Overrides kernel selection; kAuto restores the default resolution.

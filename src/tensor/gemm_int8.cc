@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "utils/arena.h"
 #include "utils/logging.h"
@@ -12,14 +11,6 @@
 namespace edde {
 
 namespace {
-
-// Mirrors gemm.cc's helper: rows per parallel chunk targeting roughly
-// `target_work` scalar ops so tiny problems stay serial.
-int64_t RowGrain(int64_t work_per_row, int64_t target_work) {
-  if (work_per_row < 1) work_per_row = 1;
-  const int64_t grain = target_work / work_per_row;
-  return grain < 1 ? 1 : grain;
-}
 
 /// Records which int8 kernel tier actually ran (including the VNNI
 /// drop-in), once per tier change, so the run manifest carries
@@ -35,25 +26,11 @@ void RecordInt8Kernel(GemmKernel kernel, bool vnni) {
   }
 }
 
-/// One activation row against every weight row, exact int32 accumulation.
-/// Any tier may compute any row: the result is integer-exact, so tiers are
-/// interchangeable per row without breaking cross-kernel bit-identity.
-void ComputeRowScalar(const uint8_t* qa, const QuantizedMatrix& w,
-                      int32_t* acc) {
-  const int64_t k = w.cols;
-  for (int64_t j = 0; j < w.rows; ++j) {
-    const int8_t* wr = w.row(j);
-    int32_t sum = 0;
-    for (int64_t p = 0; p < k; ++p) {
-      sum += static_cast<int32_t>(qa[p]) * static_cast<int32_t>(wr[p]);
-    }
-    acc[j] = sum;
-  }
-}
-
-/// Same loop shaped for the auto-vectorizer (u8/s8 widening multiplies
-/// reduce well under -march=x86-64-v3). Exactness makes the codegen
-/// difference unobservable in the output.
+/// One activation row against every weight row, exact int32 accumulation,
+/// shaped for the auto-vectorizer (u8/s8 widening multiplies reduce well
+/// under -march=x86-64-v3). Any tier may compute any row: the result is
+/// integer-exact, so tiers are interchangeable per row without breaking
+/// cross-kernel bit-identity.
 void ComputeRowPortable(const uint8_t* qa, const QuantizedMatrix& w,
                         int32_t* acc) {
   const int64_t k = w.cols;
@@ -160,12 +137,7 @@ namespace gemm_internal {
 
 namespace {
 
-bool VnniEnabledDefault() {
-  const char* env = std::getenv("EDDE_INT8_VNNI");
-  return env == nullptr || env[0] != '0';
-}
-
-std::atomic<bool> g_int8_vnni_enabled{VnniEnabledDefault()};
+std::atomic<bool> g_int8_vnni_enabled{true};
 
 }  // namespace
 
@@ -229,20 +201,12 @@ void GemmInt8(bool trans_a, bool trans_c, int64_t m, int64_t k,
             QuantizeActivationRow(src, k, trans_a ? lda : 1, qa + r * kpad,
                                   kpad);
       }
-      switch (kernel) {
-        case GemmKernel::kScalar:
-          for (int64_t r = 0; r < rows; ++r) {
-            ComputeRowScalar(qa + r * kpad, w, acc + r * n);
-          }
-          break;
-        case GemmKernel::kAvx2:
-          ComputeTileAvx2(qa, rows, kpad, w, acc, n, use_vnni);
-          break;
-        default:
-          for (int64_t r = 0; r < rows; ++r) {
-            ComputeRowPortable(qa + r * kpad, w, acc + r * n);
-          }
-          break;
+      if (kernel == GemmKernel::kAvx2) {
+        ComputeTileAvx2(qa, rows, kpad, w, acc, n, use_vnni);
+      } else {
+        for (int64_t r = 0; r < rows; ++r) {
+          ComputeRowPortable(qa + r * kpad, w, acc + r * n);
+        }
       }
       for (int64_t r = 0; r < rows; ++r) {
         FinalizeRow(params[r], w, acc + r * n, trans_c, c, t + r, ldc,

@@ -18,10 +18,11 @@ namespace edde {
 //
 //   1. each activation row is dynamically quantized to u8 with a zero
 //      point (shared scalar code for every kernel tier),
-//   2. the u8·s8 dot products accumulate exactly in int32 (scalar loop,
-//      compiler-vectorized portable loop, or AVX2 vpmaddubsw/vpmaddwd —
-//      selected by the same ActiveGemmKernel() dispatch as the fp32 path
-//      and recorded in the manifest as `gemm_int8_kernel`),
+//   2. the u8·s8 dot products accumulate exactly in int32 (compiler-
+//      vectorized portable loop, or AVX2 vpmaddubsw/vpmaddwd with the VNNI
+//      drop-in where the CPU has it — selected by the same
+//      ActiveGemmKernel() dispatch as the fp32 path and recorded in the
+//      manifest as `gemm_int8_kernel`),
 //   3. one shared float finalization applies the scales, the zero-point
 //      correction via W's precomputed row sums, and the fused epilogue.
 //
@@ -69,10 +70,10 @@ bool Int8VnniAvailable();
 void MicroKernelInt8Vnni(int64_t kpad, const uint8_t* qa, const int8_t* w,
                          int64_t stride, int32_t* out8);
 
-/// Process-wide switch for the VNNI drop-in (default on; setting
-/// EDDE_INT8_VNNI=0 in the environment starts it off). bench_kernels and
-/// the differential tests use it to pin the kAvx2 tier to the vpmaddubsw
-/// path and compare the two sub-tiers bit-for-bit.
+/// Process-wide switch for the VNNI drop-in (default on; CPU detection
+/// decides whether it runs). bench_kernels and the differential tests use
+/// it to pin the kAvx2 tier to the vpmaddubsw path and compare the two
+/// sub-tiers bit-for-bit.
 void SetInt8VnniEnabled(bool enabled);
 bool Int8VnniEnabled();
 

@@ -16,18 +16,6 @@ namespace edde {
 
 namespace {
 
-// Row-grain targeting roughly `target_work` scalar ops per chunk, so tiny
-// tensors (tests, small gemms) take the serial path inside ParallelFor
-// and stay bit-identical to the pre-threading implementation. Row-parallel
-// kernels write disjoint rows and keep the serial accumulation order within
-// each row, so results are bit-identical for every thread count anyway; the
-// grain only controls scheduling overhead.
-int64_t RowGrain(int64_t work_per_row, int64_t target_work) {
-  if (work_per_row < 1) work_per_row = 1;
-  const int64_t grain = target_work / work_per_row;
-  return grain < 1 ? 1 : grain;
-}
-
 void CheckGemmShapes(bool trans_a, bool trans_b, const Tensor& a,
                      const Tensor& b, const Tensor& c, int64_t* m, int64_t* n,
                      int64_t* k) {
@@ -224,7 +212,7 @@ void Im2Col(const float* input, int64_t batch, int64_t channels,
   const int64_t taps = geom.kernel * geom.kernel;
   const int64_t plane = oh * ow;
   if (oh <= 0 || ow <= 0) return;
-  // Serial: the im2col forwards cap a block at 32 Ki floats of columns
+  // Serial: the int8 forward caps a block at 32 Ki floats of columns
   // (Conv2dBlockSamples), too little copying to pay for a pool region.
   ArenaScope scope;
   const PaddedPlanes planes(height, width, geom.padding);
@@ -258,63 +246,30 @@ int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
 
 namespace {
 
-// Moves `bn` samples between NCHW (bn, C, P) and the im2col GEMM's
-// channel-major (C, bn·P) layout, where each channel row holds the block's
-// planes side by side.
-void TransposeBlock(const float* src, int64_t bn, int64_t channels,
-                    int64_t plane, bool to_nchw, float* dst) {
+// Moves `bn` samples from the im2col GEMM's channel-major (C, bn·P)
+// layout, where each channel row holds the block's planes side by side, to
+// NCHW (bn, C, P).
+void ChannelMajorToNchw(const float* src, int64_t bn, int64_t channels,
+                        int64_t plane, float* dst) {
   for (int64_t s = 0; s < bn; ++s) {
     for (int64_t c = 0; c < channels; ++c) {
-      const int64_t nchw = (s * channels + c) * plane;
-      const int64_t cm = (c * bn + s) * plane;
-      std::memcpy(dst + (to_nchw ? nchw : cm), src + (to_nchw ? cm : nchw),
+      std::memcpy(dst + (s * channels + c) * plane,
+                  src + (c * bn + s) * plane,
                   sizeof(float) * static_cast<size_t>(plane));
     }
   }
-}
-
-// The im2col forward: the int8 convolution's body, and the fp32 one of a
-// 1x1 kernel. Each sample block is unrolled by one Im2Col, multiplied by
-// `gemm(cols, ncols, out2d)` into channel-major scratch and copied into the
-// NCHW output. Blocks run serially, so scratch stays at one block on one
-// thread's arena.
-template <typename BlockGemm>
-Tensor Conv2dForwardBlocked(const Tensor& input, const ConvGeom& geom,
-                            const BlockGemm& gemm, Tensor output) {
-  EDDE_CHECK_EQ(input.shape().rank(), 4);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  EDDE_CHECK_EQ(cin, geom.in_channels);
-  const int64_t oc = geom.out_channels;
-  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
-  const int64_t cols_rows = cin * geom.kernel * geom.kernel;
-  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
-
-  if (output.empty()) output = Tensor(geom.OutputShape(input.shape()));
-  ArenaScope scope;
-  float* cols = scope.AllocFloats(cols_rows * block * plane);
-  float* out2d = scope.AllocFloats(oc * block * plane);
-  for (int64_t n0 = 0; n0 < batch; n0 += block) {
-    const int64_t bn = std::min(block, batch - n0);
-    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
-    gemm(cols, bn * plane, out2d);
-    TransposeBlock(out2d, bn, oc, plane, /*to_nchw=*/true,
-                   output.data() + n0 * oc * plane);
-  }
-  return output;
 }
 
 using conv_internal::DirectConv;
 using conv_internal::DirectPass;
 using conv_internal::kLanes;
 using conv_internal::WeightGradPass;
+using gemm_internal::kKC;
 
 // Portable policy of the direct Conv2d kernels (tensor/conv_direct.h): a
 // vector is kLanes floats and each operation one `#pragma omp simd` loop.
 // Fma rounds the product and then the sum, as the packed GEMM's portable
-// micro-kernel and the scalar GEMM do.
+// micro-kernel does.
 struct PortableOps {
   struct V {
     float f[kLanes];
@@ -444,14 +399,14 @@ int64_t ClassifyAxis(int64_t outs, int64_t in, const DirectPass& pass,
 }
 
 // Fills the step tables of a kGather pass (DirectPass) from `scope`: per
-// pixel class, its valid taps in depth order, cut at the kc blocks.
+// pixel class, its valid taps in depth order, cut at the kKC blocks.
 void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
   const auto ints = [scope](int64_t n) {
     return static_cast<int64_t*>(scope->Alloc(
         sizeof(int64_t) * static_cast<size_t>(std::max<int64_t>(n, 1))));
   };
   const int64_t k = pass->kernel, kk = k * k, depth = pass->in_ch * kk;
-  const int64_t blocks = (depth + pass->kc - 1) / pass->kc;
+  const int64_t blocks = (depth + kKC - 1) / kKC;
   int64_t* row_class = ints(pass->oh);
   int64_t* col_class = ints(pass->ow);
   int64_t* ky_lo = ints(pass->oh);
@@ -475,7 +430,7 @@ void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
         for (int64_t ky = ky_lo[qy]; ky < ky_hi[qy]; ++ky) {
           for (int64_t kx = kx_lo[qx]; kx < kx_hi[qx]; ++kx) {
             const int64_t j = c * kk + ky * k + kx;
-            while (b <= j / pass->kc) class_begin[b++] = e;
+            while (b <= j / kKC) class_begin[b++] = e;
             offset[e] = c * in_plane + (ky * pass->iw + kx) * pass->lanes;
             depth_index[e] = j;
             ++e;
@@ -550,10 +505,6 @@ const float* BatchInnermostInput(const Tensor& input, Tensor kept,
 
 }  // namespace
 
-bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom) {
-  return geom.kernel > 1;
-}
-
 Shape Conv2dInputCopyShape(const Shape& input) {
   EDDE_CHECK_EQ(input.rank(), 4);
   return Shape{input.dim(1), input.dim(2), input.dim(3),
@@ -574,22 +525,6 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   }
   const GemmKernel kernel = ActiveGemmKernel();
   ArenaScope scope;
-  if (!Conv2dForwardBuildsInputCopy(geom)) {
-    EDDE_CHECK(input_t.empty());
-    const int64_t depth = geom.in_channels;
-    GemmEpilogue epi;
-    if (!bias.empty()) {
-      epi.bias = GemmEpilogue::Bias::kPerRow;
-      epi.bias_data = bias.data();
-    }
-    return Conv2dForwardBlocked(
-        input, geom,
-        [&](const float* cols, int64_t ncols, float* out2d) {
-          GemmRaw(false, false, geom.out_channels, ncols, depth, 1.0f,
-                  weight.data(), depth, cols, ncols, 0.0f, out2d, ncols, epi);
-        },
-        std::move(output));
-  }
   DirectPass pass;
   pass.in = BatchInnermostInput(input, input_t, kernel, &scope);
   pass.in_ch = geom.in_channels;
@@ -605,8 +540,6 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   pass.row_blocks = TileCount(pass.out_rows, conv_internal::kMaxRows);
   pass.bias = bias.empty() ? nullptr : bias.data();
   const int64_t depth = geom.in_channels * geom.kernel * geom.kernel;
-  // The scalar tier sums each output in one block, as the scalar GEMM does.
-  pass.kc = kernel == GemmKernel::kScalar ? depth : gemm_internal::kKC;
   float* packed = scope.AllocFloats(pass.out_rows * depth);
   PackRows(pass.out_rows, depth, pass.row_blocks,
            [&](int64_t r, int64_t j) { return weight.data()[r * depth + j]; },
@@ -623,23 +556,42 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
 
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
                          const Tensor& bias, const ConvGeom& geom) {
+  EDDE_CHECK_EQ(input.shape().rank(), 4);
+  const int64_t batch = input.shape().dim(0);
+  const int64_t cin = input.shape().dim(1);
+  const int64_t h = input.shape().dim(2);
+  const int64_t w = input.shape().dim(3);
+  EDDE_CHECK_EQ(cin, geom.in_channels);
   EDDE_CHECK_EQ(weight.rows, geom.out_channels);
-  const int64_t cols_rows = geom.in_channels * geom.kernel * geom.kernel;
+  const int64_t cols_rows = cin * geom.kernel * geom.kernel;
   EDDE_CHECK_EQ(weight.cols, cols_rows);
   GemmEpilogue epi;
   if (!bias.empty()) {
     epi.bias = GemmEpilogue::Bias::kPerRow;
     epi.bias_data = bias.data();
   }
-  // trans_a reads the columns of cols as activation rows (one per output
-  // pixel, quantized on its own) and trans_c lands the result in the
-  // (OC, ncols) layout of the channel-major block.
-  return Conv2dForwardBlocked(
-      input, geom, [&](const float* cols, int64_t ncols, float* out2d) {
-        GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
-                 ncols, weight, out2d, ncols, epi);
-      },
-      Tensor());
+  const int64_t oc = geom.out_channels;
+  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
+  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
+  Tensor output(geom.OutputShape(input.shape()));
+  // Each sample block is unrolled by one Im2Col, multiplied into
+  // channel-major scratch and copied into the NCHW output. Blocks run
+  // serially, so scratch stays at one block on one thread's arena.
+  ArenaScope scope;
+  float* cols = scope.AllocFloats(cols_rows * block * plane);
+  float* out2d = scope.AllocFloats(oc * block * plane);
+  for (int64_t n0 = 0; n0 < batch; n0 += block) {
+    const int64_t bn = std::min(block, batch - n0);
+    const int64_t ncols = bn * plane;
+    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
+    // trans_a reads the columns of cols as activation rows (one per output
+    // pixel, quantized on its own) and trans_c lands the result in the
+    // (OC, ncols) layout of the channel-major block.
+    GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
+             ncols, weight, out2d, ncols, epi);
+    ChannelMajorToNchw(out2d, bn, oc, plane, output.data() + n0 * oc * plane);
+  }
+  return output;
 }
 
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
@@ -713,7 +665,6 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     if (geom.stride == 1 && geom.padding <= k - 1) {
       pass.kind = DirectPass::Kind::kGather;
       pass.padding = k - 1 - geom.padding;
-      pass.kc = kernel == GemmKernel::kScalar ? depth : gemm_internal::kKC;
       PackRows(cin, depth, pass.row_blocks,
                [&](int64_t c, int64_t j) {
                  return wd[(j / kk * cin + c) * kk + kk - 1 - j % kk];
@@ -723,7 +674,6 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
       pass.kind = DirectPass::Kind::kTransposed;
       pass.stride = geom.stride;
       pass.padding = geom.padding;
-      pass.kc = kernel == GemmKernel::kScalar ? oc : gemm_internal::kKC;
       PackRows(cin, depth, pass.row_blocks,
                [&](int64_t c, int64_t j) {
                  return wd[(j % oc * cin + c) * kk + j / oc];

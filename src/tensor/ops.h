@@ -113,27 +113,18 @@ int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
 /// vector lanes.
 Shape Conv2dInputCopyShape(const Shape& input);
 
-/// True when Conv2dForward runs on a batch-innermost copy of its input,
-/// which a training caller then keeps for Conv2dBackward. A 1x1 kernel
-/// runs as Im2Col + GemmRaw on NCHW sample blocks instead: its im2col only
-/// gathers the pixels it reads and its GEMM writes NCHW rows, which costs
-/// less than the two layout transposes; Conv2dBackward builds the copy.
-bool Conv2dForwardBuildsInputCopy(const ConvGeom& geom);
-
 /// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, k, k),
 /// optional bias (OC) -> output (N, OC, OH, OW). Writes into `output` when
 /// it is given (shape geom.OutputShape), else allocates it. A non-empty
 /// `input_t` (shape Conv2dInputCopyShape) receives the batch-innermost copy
-/// of the input, for Conv2dBackward to read; it must be empty when
-/// Conv2dForwardBuildsInputCopy is false.
+/// of the input, for Conv2dBackward to read.
 ///
-/// Direct kernels on the batch-innermost copy (tensor/conv_direct.h),
-/// picked by the GEMM kernel tier; a 1x1 kernel runs as Im2Col + GemmRaw
-/// (Conv2dForwardBuildsInputCopy). Each output sums its C·k² products in
-/// im2col depth order, in blocks of the packed GEMM's kKC depth steps on
-/// the portable and AVX2 tiers and in one block on the scalar tier, then
-/// adds the bias: bit for bit what Im2Col + GemmRaw computes on that tier.
-/// The result does not depend on the batch size or the thread count.
+/// Direct kernels on the batch-innermost copy (tensor/conv_direct.h) for
+/// every kernel size, picked by the GEMM kernel tier. Each output sums its
+/// C·k² products in im2col depth order, in blocks of the packed GEMM's kKC
+/// depth steps, then adds the bias: bit for bit what Im2Col + GemmRaw
+/// computes on that tier. The result does not depend on the batch size or
+/// the thread count.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& geom,
                      Tensor output = Tensor(), Tensor input_t = Tensor());

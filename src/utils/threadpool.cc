@@ -262,4 +262,10 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   });
 }
 
+int64_t RowGrain(int64_t work_per_row, int64_t target_work) {
+  if (work_per_row < 1) work_per_row = 1;
+  const int64_t grain = target_work / work_per_row;
+  return grain < 1 ? 1 : grain;
+}
+
 }  // namespace edde

@@ -43,6 +43,13 @@ void SetNumThreads(int n);
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 
+/// ParallelFor grain for rows of `work_per_row` scalar ops: as many rows
+/// as make about `target_work` ops, and at least one. Tiny problems (tests,
+/// the tiny models' layers) then stay on the serial path. Kernels that
+/// write disjoint rows and keep each row's serial order are bit-identical
+/// for every grain, so the grain only sets the scheduling overhead.
+int64_t RowGrain(int64_t work_per_row, int64_t target_work);
+
 /// Blocks until any in-flight ParallelFor region has fully drained.
 ///
 /// The graceful-shutdown path calls this before flushing the metrics/trace

@@ -2,7 +2,8 @@
 /// DESIGN.md §14): request parsing edge cases, response rendering, live
 /// server behavior over real loopback sockets (404, HEAD, pipelining,
 /// oversized headers, slow-loris timeout without wedging the acceptor),
-/// and a crash-at-failpoint death test with fresh-server resume.
+/// a seeded-mutation fuzz of the request parser, and a crash-at-failpoint
+/// death test with fresh-server resume.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,11 @@
 
 #include <sys/socket.h>
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/http.h"
 #include "utils/failpoint.h"
@@ -121,6 +125,163 @@ TEST_F(ServeHttpTest, PipelinedRequestsParseSequentially) {
   ASSERT_TRUE(ParseHttpRequest(buffer, kDefaultMax, &req, &consumed).ok());
   EXPECT_EQ(req.path, "/metrics");
   EXPECT_EQ(consumed, second.size());
+}
+
+// Seeded mutations of raw requests: bit flips, truncations, splices of two
+// requests, delimiters inserted or replaced, hostile header lines, and
+// header values inflated past a small size cap.
+class HttpMutator {
+ public:
+  explicit HttpMutator(uint64_t seed) : rng_(seed) {}
+
+  size_t Below(size_t n) { return n == 0 ? 0 : rng_() % n; }
+
+  std::string Mutate(std::string raw, const std::vector<std::string>& corpus) {
+    static const char kDelims[] = " :\r\n\t/";
+    static const char* const kLines[] = {
+        "Content-Length: 7\r\n", "Content-Length: 0\r\n", ": x\r\n",
+        "x y: z\r\n", "no colon\r\n", "\r\n", "\n", "Host:\r\n",
+        " GET / HTTP/1.1\r\n"};
+    const int rounds = 1 + static_cast<int>(Below(3));
+    for (int i = 0; i < rounds; ++i) {
+      const size_t at = Below(raw.size() + 1);
+      switch (Below(7)) {
+        case 0:  // bit flip
+          if (!raw.empty()) {
+            raw[Below(raw.size())] ^= static_cast<char>(1u << Below(8));
+          }
+          break;
+        case 1:  // truncation
+          raw.resize(at);
+          break;
+        case 2: {  // splice with another request
+          const std::string& other = corpus[Below(corpus.size())];
+          raw = raw.substr(0, at) + other.substr(Below(other.size() + 1));
+          break;
+        }
+        case 3:  // inserted delimiter
+          raw.insert(at, 1, kDelims[Below(sizeof(kDelims) - 1)]);
+          break;
+        case 4:  // replaced delimiter
+          if (!raw.empty()) {
+            raw[Below(raw.size())] = kDelims[Below(sizeof(kDelims) - 1)];
+          }
+          break;
+        case 5: {  // a hostile line at the start of a line
+          const size_t eol = raw.find('\n', at);
+          const size_t line = eol == std::string::npos ? raw.size() : eol + 1;
+          raw.insert(line, kLines[Below(sizeof(kLines) / sizeof(kLines[0]))]);
+          break;
+        }
+        default:  // an inflated run
+          raw.insert(at, Below(200), 'a');
+          break;
+      }
+    }
+    return raw;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+std::vector<std::string> HttpSeedCorpus() {
+  return {
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "HEAD /healthz HTTP/1.0\r\n\r\n",
+      "GET /statusz HTTP/1.1\r\nHost: 127.0.0.1:9000\r\n"
+      "Connection: keep-alive\r\nAccept: */*\r\n\r\n",
+      "GET /metrics HTTP/1.1\nHost: x\n\n",  // bare-LF client
+      "GET / HTTP/1.1\r\nContent-Length: 0\r\nX-Custom:  spaced value \r\n"
+      "\r\n",
+      "POST /metrics HTTP/1.1\r\nUser-Agent: edde-top\r\n\r\n",
+      "GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+      "GET /a%20b?q=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+      // Malformed ones, so splices carry their pieces.
+      "GARBAGE\r\n\r\n",
+      "GET /x\r\n\r\n",
+      "GET / HTTP/1.1\r\nno colon here\r\n\r\n",
+      "GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+  };
+}
+
+bool SameRequest(const HttpRequest& a, const HttpRequest& b) {
+  return a.method == b.method && a.path == b.path && a.version == b.version &&
+         a.headers == b.headers;
+}
+
+// Every mutant is answered with one of the parser's three outcomes, and a
+// parse never claims bytes past the buffer. Small caps reach the 431 path.
+TEST_F(ServeHttpTest, MutatedRequestsParseToADefinedOutcome) {
+  HttpMutator m(20261019);
+  const std::vector<std::string> corpus = HttpSeedCorpus();
+  int complete = 0, incomplete = 0, malformed = 0, too_large = 0;
+  constexpr int kCases = 20000;
+  for (int i = 0; i < kCases; ++i) {
+    const std::string raw = m.Mutate(corpus[m.Below(corpus.size())], corpus);
+    const size_t cap = m.Below(4) == 0 ? 64 : kDefaultMax;
+    HttpRequest req;
+    size_t consumed = 0;
+    const Status s = ParseHttpRequest(raw, cap, &req, &consumed);
+    ASSERT_LE(consumed, raw.size()) << raw;
+    switch (s.code()) {
+      case StatusCode::kOk:
+        if (consumed == 0) {
+          ++incomplete;
+        } else {
+          ++complete;
+          ASSERT_FALSE(req.path.empty()) << raw;
+          ASSERT_EQ(req.version.rfind("HTTP/", 0), 0u) << raw;
+        }
+        break;
+      case StatusCode::kInvalidArgument:
+        ASSERT_EQ(consumed, 0u) << raw;
+        ++malformed;
+        break;
+      case StatusCode::kFailedPrecondition:
+        ASSERT_EQ(consumed, 0u) << raw;
+        ++too_large;
+        break;
+      default:
+        FAIL() << "unexpected status " << s << " on: " << raw;
+    }
+  }
+  // The mutants reach every outcome, not only the syntax errors.
+  EXPECT_GT(complete, kCases / 50);
+  EXPECT_GT(incomplete, kCases / 50);
+  EXPECT_GT(malformed, kCases / 50);
+  EXPECT_GT(too_large, kCases / 50);
+}
+
+// A request that arrives in two reads parses as it does in one: every
+// prefix short of the request asks for more bytes, and every longer one
+// yields the same request and the same byte count.
+TEST_F(ServeHttpTest, RequestSplitAtEveryByteParsesAsWhole) {
+  int valid = 0;
+  for (const std::string& raw : HttpSeedCorpus()) {
+    HttpRequest whole;
+    size_t whole_consumed = 0;
+    if (!ParseHttpRequest(raw, kDefaultMax, &whole, &whole_consumed).ok() ||
+        whole_consumed == 0) {
+      continue;
+    }
+    ++valid;
+    for (size_t split = 0; split <= raw.size(); ++split) {
+      SCOPED_TRACE(::testing::Message() << "split " << split << " of: " << raw);
+      HttpRequest req;
+      size_t consumed = 0;
+      ASSERT_TRUE(
+          ParseHttpRequest(raw.substr(0, split), kDefaultMax, &req, &consumed)
+              .ok());
+      if (split < whole_consumed) {
+        ASSERT_EQ(consumed, 0u);
+      } else {
+        ASSERT_EQ(consumed, whole_consumed);
+        ASSERT_TRUE(SameRequest(req, whole));
+      }
+    }
+  }
+  EXPECT_EQ(valid, 8);
 }
 
 TEST_F(ServeHttpTest, RenderResponseHeadKeepsHeadersDropsBody) {

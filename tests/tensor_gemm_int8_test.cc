@@ -33,7 +33,6 @@ struct Int8KernelVariant {
 
 std::vector<Int8KernelVariant> Int8Variants() {
   std::vector<Int8KernelVariant> variants = {
-      {GemmKernel::kScalar, false, "scalar"},
       {GemmKernel::kPortable, false, "portable"}};
   if (gemm_internal::Int8Avx2Available()) {
     variants.push_back({GemmKernel::kAvx2, false, "avx2"});
@@ -215,7 +214,7 @@ TEST(GemmInt8DeterminismTest, BitIdenticalAcrossKernels) {
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(0, std::memcmp(results[0].data(), results[i].data(),
                              sizeof(float) * static_cast<size_t>(m * n)))
-        << variants[i].name << " differs from scalar bits";
+        << variants[i].name << " differs from portable bits";
   }
 }
 

@@ -1,5 +1,5 @@
 // Exhaustive correctness coverage of the packed GEMM layer: every kernel
-// (scalar reference, portable SIMD, AVX2 when available) against a float64
+// (portable SIMD, AVX2 when available) against a float64
 // naive reference across odd/tail shapes and transpose combinations, plus
 // epilogue fusion, NaN propagation and bit-determinism guarantees.
 
@@ -21,8 +21,7 @@ namespace edde {
 namespace {
 
 std::vector<GemmKernel> AvailableKernels() {
-  std::vector<GemmKernel> kernels = {GemmKernel::kScalar,
-                                     GemmKernel::kPortable};
+  std::vector<GemmKernel> kernels = {GemmKernel::kPortable};
   if (gemm_internal::Avx2Available()) kernels.push_back(GemmKernel::kAvx2);
   return kernels;
 }
@@ -164,8 +163,8 @@ TEST(GemmEpilogueTest, BiasAndReluAllKernels) {
 }
 
 // A zero in A must not short-circuit the k-loop: 0 * NaN = NaN has to reach
-// C on every kernel (the old scalar kernel's `av == 0` skip silently
-// dropped NaN/Inf coming from B).
+// C on every kernel (a zero-skip in the k-loop would silently drop NaN/Inf
+// coming from B).
 TEST(GemmNanTest, ZeroTimesNanPropagatesAllKernels) {
   KernelGuard guard;
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -418,18 +417,19 @@ TEST(GemmBitExactTest, SlicesOfCMatchTheFullProduct) {
 
 TEST(GemmDispatchTest, KernelNamesAndForcing) {
   KernelGuard guard;
-  EXPECT_STREQ("scalar", GemmKernelName(GemmKernel::kScalar));
   EXPECT_STREQ("portable", GemmKernelName(GemmKernel::kPortable));
   EXPECT_STREQ("avx2", GemmKernelName(GemmKernel::kAvx2));
-  SetGemmKernel(GemmKernel::kScalar);
-  EXPECT_EQ(GemmKernel::kScalar, ActiveGemmKernel());
+  SetGemmKernel(GemmKernel::kPortable);
+  EXPECT_EQ(GemmKernel::kPortable, ActiveGemmKernel());
   SetGemmKernel(GemmKernel::kAuto);
   const GemmKernel resolved = ActiveGemmKernel();
   EXPECT_NE(GemmKernel::kAuto, resolved);
-  // Auto never picks the slow path on its own — but EDDE_GEMM_KERNEL may
-  // force it (CI runs this suite with the env var pinned to each kernel).
+  // Auto picks the fastest kernel the CPU runs — unless EDDE_GEMM_KERNEL
+  // forces one (CI runs this suite with the env var pinned to portable).
   if (std::getenv("EDDE_GEMM_KERNEL") == nullptr) {
-    EXPECT_NE(GemmKernel::kScalar, resolved);
+    EXPECT_EQ(gemm_internal::Avx2Available() ? GemmKernel::kAvx2
+                                             : GemmKernel::kPortable,
+              resolved);
   }
 }
 

@@ -384,6 +384,21 @@ std::vector<ConvCase> DeepConvCases() {
   };
 }
 
+// 1x1 kernels, as the ResNet projections use them: stride 1 and 2, every
+// batch around the 8-lane vectors and 16-sample tiles, and depth 300, one
+// kKC block and then some.
+std::vector<ConvCase> OneByOneConvCases() {
+  std::vector<ConvCase> cases;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t batch : {1, 7, 8, 9, 15, 16, 17, 33}) {
+      cases.push_back({batch, 4, 8, 6, 6, 1, stride, 0});
+    }
+    cases.push_back({3, 300, 5, 5, 4, 1, stride, 0});
+    cases.push_back({17, 300, 7, 3, 3, 1, stride, 0});
+  }
+  return cases;
+}
+
 TEST(Conv2dDifferentialTest, DegenerateShapes) {
   uint64_t seed = 500;
   for (const ConvCase& c : DegenerateConvCases()) {
@@ -413,6 +428,13 @@ TEST(Conv2dDifferentialTest, LaneTails) {
 TEST(Conv2dDifferentialTest, DepthBeyondOneGemmBlock) {
   uint64_t seed = 1400;
   for (const ConvCase& c : DeepConvCases()) {
+    CheckConvAgainstReference(c, seed++);
+  }
+}
+
+TEST(Conv2dDifferentialTest, OneByOneKernels) {
+  uint64_t seed = 1500;
+  for (const ConvCase& c : OneByOneConvCases()) {
     CheckConvAgainstReference(c, seed++);
   }
 }
@@ -454,8 +476,7 @@ TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
 // The forward's kept batch-innermost copy stands in for the one backward
 // would rebuild: the same forward output, input gradient and parameter
 // gradients, bit for bit. The copy itself is the input with the batch
-// innermost and the padded lanes zero. A 1x1 forward builds no copy; the
-// copy laid out by hand stands in for the one its backward rebuilds.
+// innermost and the padded lanes zero, for 1x1 kernels too.
 TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
   const ConvCase cases[] = {{3, 3, 4, 6, 6, 3, 2, 1},
                             {2, 3, 4, 7, 5, 1, 2, 0},
@@ -487,19 +508,15 @@ TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
         }
       }
     }
-    Tensor kept = want;
-    if (Conv2dForwardBuildsInputCopy(g)) {
-      kept = Tensor(kept_shape, 123.0f);  // every element must be written
-      const Tensor y = Conv2dForward(input, weight, bias, g);
-      const Tensor y_kept =
-          Conv2dForward(input, weight, bias, g, Tensor(), kept);
-      EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
-                               sizeof(float) * static_cast<size_t>(
-                                                   y.num_elements())));
-      ASSERT_EQ(0, std::memcmp(kept.data(), want.data(),
-                               sizeof(float) * static_cast<size_t>(
-                                                   want.num_elements())));
-    }
+    Tensor kept(kept_shape, 123.0f);  // every element must be written
+    const Tensor y = Conv2dForward(input, weight, bias, g);
+    const Tensor y_kept = Conv2dForward(input, weight, bias, g, Tensor(), kept);
+    EXPECT_EQ(0, std::memcmp(y.data(), y_kept.data(),
+                             sizeof(float) * static_cast<size_t>(
+                                                 y.num_elements())));
+    ASSERT_EQ(0, std::memcmp(kept.data(), want.data(),
+                             sizeof(float) * static_cast<size_t>(
+                                                 want.num_elements())));
     Tensor wg(weight.shape(), 0.0f), bg(bias.shape(), 0.0f);
     Tensor wg_kept(weight.shape(), 0.0f), bg_kept(bias.shape(), 0.0f);
     Tensor dx(input.shape()), dx_kept(input.shape());
@@ -617,7 +634,7 @@ TEST(Im2ColTest, BitIdenticalToElementwiseLoops) {
 // ---------------------------------------------------------------------------
 
 std::vector<GemmKernel> AvailableTiers() {
-  std::vector<GemmKernel> tiers = {GemmKernel::kScalar, GemmKernel::kPortable};
+  std::vector<GemmKernel> tiers = {GemmKernel::kPortable};
   if (gemm_internal::Avx2Available()) tiers.push_back(GemmKernel::kAvx2);
   return tiers;
 }
@@ -723,7 +740,7 @@ void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
 std::vector<ConvCase> AllConvCases() {
   std::vector<ConvCase> cases = DegenerateConvCases();
   for (const auto& more : {RandomConvCases(), LaneTailConvCases(),
-                           DeepConvCases()}) {
+                           DeepConvCases(), OneByOneConvCases()}) {
     cases.insert(cases.end(), more.begin(), more.end());
   }
   // The ResNet-8 member's layers at the training batch.
