@@ -306,7 +306,7 @@ int Run(int argc, char** argv) {
     };
     std::vector<Int8Variant> int8_variants = {
         {"portable", GemmKernel::kPortable, false}};
-    if (gemm_internal::Int8Avx2Available()) {
+    if (gemm_internal::Avx2Available()) {
       int8_variants.push_back({"avx2", GemmKernel::kAvx2, false});
       if (gemm_internal::Int8VnniAvailable()) {
         int8_variants.push_back({"vnni", GemmKernel::kAvx2, true});

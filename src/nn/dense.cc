@@ -37,7 +37,7 @@ Tensor Dense::ForwardImpl(const Tensor& input, Tape* tape) {
              out_features_, epi);
     return output;
   }
-  GemmEx(false, true, 1.0f, input, weight_.value, 0.0f, &output, epi);
+  Gemm(false, true, 1.0f, input, weight_.value, 0.0f, &output, epi);
   return output;
 }
 

@@ -13,10 +13,11 @@
 // The loop nests are written once, as templates over an `Ops` policy that
 // supplies the vector type and its Zero/Load/Bcast/Fma/Add/Store. tensor/
 // ops.cc instantiates them with `#pragma omp simd` lane loops (the portable
-// tier); conv_avx2.cc, compiled with -mavx2 -mfma, instantiates
+// tier); kernels_avx2.cc, compiled with -mavx2 -mfma, instantiates
 // them with AVX2 intrinsics. Each policy type lives in its .cc's anonymous
 // namespace, so every instantiation has internal linkage and no code built
-// for AVX2 can be picked by the linker for the baseline build.
+// for AVX2 can be picked by the linker for the baseline build. The packed
+// GEMM (tensor/gemm.cc) runs the same register tile, DirectConv::GemmTile.
 //
 // Summation order. An output value is a fold of partial sums: each partial
 // accumulates the steps of one block of kKC consecutive depth indices,
@@ -38,6 +39,7 @@ namespace conv_internal {
 constexpr int64_t kLanes = 8;
 /// Output rows (channels) one register tile of the forward and input
 /// gradient blocks over; packed weights are grouped by these row blocks.
+/// The widest tile, kMaxRows × 2·kLanes, is also the packed GEMM's.
 constexpr int64_t kMaxRows = 6;
 /// Tile of the weight gradient: output channels × input channels.
 constexpr int64_t kGradRows = 4;
@@ -120,9 +122,17 @@ struct WeightGradPass {
 /// ranges gives the same bits however the ranges fall.
 ///
 /// Items [i0, i1) of a pass on the AVX2/FMA policy, compiled in
-/// conv_avx2.cc. Call only when gemm_internal::Avx2Available().
+/// kernels_avx2.cc. Call only when gemm_internal::Avx2Available().
 void DirectPassAvx2(const DirectPass& pass, int64_t i0, int64_t i1);
 void WeightGradPassAvx2(const WeightGradPass& pass, int64_t i0, int64_t i1);
+
+/// The packed GEMM's micro-kernel, DirectConv<Ops>::GemmTile, on the
+/// portable policy (ops.cc) and on AVX2/FMA (kernels_avx2.cc; call only
+/// when gemm_internal::Avx2Available()).
+void GemmTilePortable(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
+                      const float* b, int64_t b_ks, float* acc);
+void GemmTileAvx2(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
+                  const float* b, int64_t b_ks, float* acc);
 
 /// NCHW (n, c, p) -> batch-innermost (c, p, lanes) with the lanes past n
 /// zero, and back (the padded lanes dropped), on AVX2. Pure data movement:
@@ -143,17 +153,17 @@ struct DirectConv {
   // between the baseline and the AVX2 translation units.
   static int64_t Min(int64_t a, int64_t b) { return a < b ? a : b; }
 
-  // acc[r][v] += w[r] · x[v·L ..]: one depth step of an R×VV tile. Always
-  // inlined, so that the tile's accumulators can live in registers.
+  // acc[r][v] += w[r·w_rs] · x[v·L ..]: one depth step of an R×VV tile.
+  // Always inlined, so that the tile's accumulators can live in registers.
   template <int R, int VV>
-  [[gnu::always_inline]] static void Step(const float* w, const float* x,
-                                          V (&acc)[R][VV]) {
+  [[gnu::always_inline]] static void Step(const float* w, int64_t w_rs,
+                                          const float* x, V (&acc)[R][VV]) {
     V xv[VV];
 #pragma GCC unroll 8
     for (int v = 0; v < VV; ++v) xv[v] = Ops::Load(x + v * L);
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      const V b = Ops::Bcast(w + r);
+      const V b = Ops::Bcast(w + r * w_rs);
 #pragma GCC unroll 8
       for (int v = 0; v < VV; ++v) acc[r][v] = Ops::Fma(acc[r][v], b, xv[v]);
     }
@@ -165,6 +175,31 @@ struct DirectConv {
     for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
       for (int v = 0; v < VV; ++v) acc[r][v] = Ops::Zero();
+    }
+  }
+
+  // The packed GEMM's micro-kernel: acc = A·B over kc steps from zero, for
+  // a kMaxRows × 2·L tile. Element (i, kk) of the A tile is
+  // a[i·a_rs + kk·a_ks]; row kk of the B tile is the 2·L floats at
+  // b + kk·b_ks. `acc` is row-major, 2·L floats a row.
+  static void GemmTile(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
+                       const float* b, int64_t b_ks, float* acc) {
+    V c[kMaxRows][2];
+    Zero(c);
+    // Advancing the pointers, rather than indexing by kk, lets the compiler
+    // hold the row offsets 1..5·a_rs in registers: each broadcast is then
+    // one base + index load, where indexing rebuilt rows 3 and 5 with two
+    // extra instructions a step (~10% at 512³ on AVX2, where the step is
+    // issue-bound).
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      Step<kMaxRows, 2>(a, a_rs, b, c);
+      a += a_ks;
+      b += b_ks;
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kMaxRows; ++r) {
+      Ops::Store(acc + 2 * r * L, c[r][0]);
+      Ops::Store(acc + (2 * r + 1) * L, c[r][1]);
     }
   }
 
@@ -187,7 +222,7 @@ struct DirectConv {
       V acc[R][VV];
       Zero(acc);
       for (int64_t e = begin[b]; e < begin[b + 1]; ++e) {
-        Step<R, VV>(wblk + a.step_depth[e] * R,
+        Step<R, VV>(wblk + a.step_depth[e] * R, 1,
                     a.in + (corner + a.step_offset[e]), acc);
       }
 #pragma GCC unroll 8
@@ -240,13 +275,13 @@ struct DirectConv {
         V sum[R][VV];
         Zero(sum);
         for (int64_t oc = 0; oc < Min(a.in_ch, KC); ++oc) {
-          Step<R, VV>(wt + oc * R, x + oc * in_plane, sum);
+          Step<R, VV>(wt + oc * R, 1, x + oc * in_plane, sum);
         }
         for (int64_t o0 = KC; o0 < a.in_ch; o0 += KC) {
           V part[R][VV];
           Zero(part);
           for (int64_t oc = o0; oc < Min(a.in_ch, o0 + KC); ++oc) {
-            Step<R, VV>(wt + oc * R, x + oc * in_plane, part);
+            Step<R, VV>(wt + oc * R, 1, x + oc * in_plane, part);
           }
 #pragma GCC unroll 8
           for (int r = 0; r < R; ++r) {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "tensor/conv_direct.h"
 #include "utils/arena.h"
 #include "utils/logging.h"
 #include "utils/run_manifest.h"
@@ -14,11 +14,17 @@
 namespace edde {
 
 using gemm_internal::kKC;
-using gemm_internal::kMC;
-using gemm_internal::kMR;
-using gemm_internal::kNR;
 
 namespace {
+
+// The register tile: A panels interleave kMR rows per k step, B panels kNR
+// columns. It is the direct conv's widest tile, run by the same code
+// (DirectConv<Ops>::GemmTile).
+constexpr int64_t kMR = conv_internal::kMaxRows;
+constexpr int64_t kNR = 2 * conv_internal::kLanes;
+// Rows of A packed per block (kMC*kKC ~ L2); a multiple of kMR.
+constexpr int64_t kMC = 132;
+static_assert(kMC % kMR == 0, "A blocks hold whole panels");
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -182,26 +188,6 @@ void PackB(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
   }
 }
 
-// Portable micro-kernel: the same 6x16 tile and the same strides as the
-// AVX2 kernel in plain loops the compiler can vectorize (SSE2 at the
-// default baseline, AVX2 under -march=x86-64-v3).
-void MicroKernelPortable(int64_t kc, const float* ap, int64_t a_rs,
-                         int64_t a_ks, const float* bp, int64_t b_ks,
-                         float* acc) {
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* arow = ap + kk * a_ks;
-    const float* brow = bp + kk * b_ks;
-    for (int64_t i = 0; i < kMR; ++i) {
-      const float av = arow[i * a_rs];
-      float* crow = acc + i * kNR;
-#pragma omp simd
-      for (int64_t j = 0; j < kNR; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
 // Folds one micro-tile of accumulated products into C. `first` applies the
 // beta scaling (beta == 0 is a plain store, so C may start uninitialized);
 // `last` applies the fused epilogue. Edge tiles clip to mr x nr — the
@@ -248,7 +234,9 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
                 int64_t n, int64_t k, float alpha, const float* a,
                 int64_t lda, const float* b, int64_t ldb, float beta,
                 float* c, int64_t ldc, const GemmEpilogue& epi) {
-  const bool use_avx2 = kernel == GemmKernel::kAvx2;
+  const auto tile = kernel == GemmKernel::kAvx2
+                        ? conv_internal::GemmTileAvx2
+                        : conv_internal::GemmTilePortable;
   // The micro-kernel reads a full tile in place when packing would only
   // copy it: A when alpha == 1 (packing folds alpha in), B when it is not
   // transposed (a transposed B row is kNR strided floats). Edge tiles are
@@ -304,13 +292,7 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
                            : apack + (ir - m_direct) * kc;
             const int64_t rs = a_in_place ? a_rs : 1;
             const int64_t ks = a_in_place ? a_ks : kMR;
-            if (use_avx2) {
-              gemm_internal::MicroKernelAvx2(kc, asub, rs, ks, bsub, b_ks,
-                                             acc);
-            } else {
-              std::memset(acc, 0, sizeof(acc));
-              MicroKernelPortable(kc, asub, rs, ks, bsub, b_ks, acc);
-            }
+            tile(kc, asub, rs, ks, bsub, b_ks, acc);
             MergeTile(acc, c + (ic + ir) * ldc + jr, ldc, mr, nr, beta,
                       first, last, epi, ic + ir, jr);
           }

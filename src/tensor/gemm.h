@@ -9,15 +9,17 @@ namespace edde {
 // Packed GEMM micro-kernel layer (see DESIGN.md §10)
 // ---------------------------------------------------------------------------
 //
-// Two kernel implementations sit behind one dispatch point:
+// Two kernel tiers sit behind one dispatch point. Both run the same 6x16
+// register tile, DirectConv<Ops>::GemmTile (tensor/conv_direct.h), which
+// is also the direct Conv2d kernels' widest tile:
 //
-//  - kPortable: packed 6x16 register-tile micro-kernel written in
-//    compiler-vectorizable form (`#pragma omp simd`). Works on any target;
-//    compiles to SSE2 at the default baseline and to AVX2 under
-//    -march=x86-64-v3.
-//  - kAvx2: the same 6x16 tile as hand-written AVX2/FMA intrinsics,
-//    compiled in its own translation unit with -mavx2 -mfma and selected
-//    at runtime only when the CPU reports both features.
+//  - kPortable: the tile's `#pragma omp simd` policy (tensor/ops.cc).
+//    Works on any target; compiles to SSE2 at the default baseline and to
+//    AVX2 under -march=x86-64-v3.
+//  - kAvx2: the tile's AVX2/FMA intrinsics policy, in kernels_avx2.cc —
+//    the one translation unit compiled with -mavx2 -mfma, holding every
+//    AVX2 kernel — selected at runtime only when the CPU reports both
+//    features.
 //
 // Dispatch resolves once per process: EDDE_GEMM_KERNEL=portable|avx2|auto
 // if set (invalid or unsupported values fall back with a warning), else
@@ -71,28 +73,14 @@ void GemmRaw(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 namespace gemm_internal {
 
-/// Register-tile footprint of the micro-kernels. A panels interleave kMR
-/// rows per k step, B panels interleave kNR columns per k step.
-constexpr int64_t kMR = 6;
-constexpr int64_t kNR = 16;
 /// Cache blocking: kKC k-steps per packed panel (A block kMC*kKC ~ L2,
-/// B sub-panel kKC*kNR ~ L1).
+/// B sub-panel kKC*kNR ~ L1). The register tile, kMR x kNR, is defined
+/// in gemm.cc from the direct conv's (tensor/conv_direct.h).
 constexpr int64_t kKC = 256;
-constexpr int64_t kMC = 132;  // multiple of kMR
 
-/// True when the AVX2/FMA micro-kernel is compiled in and the CPU
-/// supports it.
+/// True when the AVX2/FMA kernels (kernels_avx2.cc) are compiled in and the
+/// CPU supports both features. Gates the fp32 and the int8 kAvx2 tier.
 bool Avx2Available();
-
-/// acc[kMR*kNR] = A tile x B tile over kc steps (overwrites acc;
-/// accumulation happens in registers). Element (i, kk) of the A tile is
-/// ap[i * a_rs + kk * a_ks]; row kk of the B tile is the kNR contiguous
-/// floats at bp + kk * b_ks. Packed panels are the strides (1, kMR, kNR);
-/// a full tile of an operand that needs no packing is read where it lies.
-/// Implemented with AVX2/FMA intrinsics in gemm_avx2.cc; call only when
-/// Avx2Available(). `acc` must be 64-byte aligned.
-void MicroKernelAvx2(int64_t kc, const float* ap, int64_t a_rs,
-                     int64_t a_ks, const float* bp, int64_t b_ks, float* acc);
 
 }  // namespace gemm_internal
 

@@ -110,7 +110,7 @@ void FinalizeRow(const QuantizedRowParams& params, const QuantizedMatrix& w,
       epi.bias != GemmEpilogue::Bias::kNone ? epi.bias_data : nullptr;
   int64_t j0 = 0;
   if (!trans_c && w.cols <= kInt8FinalizeInt32Depth &&
-      gemm_internal::Int8Avx2Available()) {
+      gemm_internal::Avx2Available()) {
     // Elementwise-identical 8-wide version of the loop below; it runs for
     // every kernel tier alike, so tiers still agree bit-for-bit.
     j0 = gemm_internal::FinalizeRowAvx2(params.scale, params.zero,
@@ -168,10 +168,7 @@ void GemmInt8(bool trans_a, bool trans_c, int64_t m, int64_t k,
         << "int8 epilogue bias must broadcast over output channels";
   }
 
-  GemmKernel kernel = ActiveGemmKernel();
-  if (kernel == GemmKernel::kAvx2 && !gemm_internal::Int8Avx2Available()) {
-    kernel = GemmKernel::kPortable;
-  }
+  const GemmKernel kernel = ActiveGemmKernel();
   const bool use_vnni = kernel == GemmKernel::kAvx2 &&
                         gemm_internal::Int8VnniAvailable() &&
                         gemm_internal::Int8VnniEnabled();

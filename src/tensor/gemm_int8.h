@@ -45,14 +45,10 @@ void GemmInt8(bool trans_a, bool trans_c, int64_t m, int64_t k,
 
 namespace gemm_internal {
 
-/// True when the AVX2 int8 micro-kernel is compiled in and the CPU
-/// supports it (same feature gate as the fp32 kernel).
-bool Int8Avx2Available();
-
 /// out8[0..7] = Σ_k qa[k]·w_row_r[k] for 8 consecutive weight rows starting
 /// at `w` (each `stride` bytes apart, stride a multiple of kInt8KStride and
-/// ≥ kpad). Implemented in gemm_int8_avx2.cc; call only when
-/// Int8Avx2Available(). `qa` holds kpad bytes, kpad a multiple of
+/// ≥ kpad). Implemented in kernels_avx2.cc; call only when
+/// Avx2Available(). `qa` holds kpad bytes, kpad a multiple of
 /// kInt8KStride.
 void MicroKernelInt8Avx2(int64_t kpad, const uint8_t* qa, const int8_t* w,
                          int64_t stride, int32_t* out8);
@@ -83,7 +79,8 @@ bool Int8VnniEnabled();
 /// [+ bias[j]] [relu] with exactly the scalar FinalizeRow's per-element
 /// operations (32-bit correction — caller guarantees it cannot overflow —
 /// separate multiplies/add, no FMA contraction), so output bits match the
-/// scalar path. Call only when Int8Avx2Available().
+/// scalar path. Implemented in kernels_avx2.cc; call only when
+/// Avx2Available().
 int64_t FinalizeRowAvx2(float act_scale, int32_t act_zero,
                         const float* w_scales, const int32_t* row_sums,
                         const int32_t* acc, int64_t n, const float* bias,

@@ -34,13 +34,8 @@ void CheckGemmShapes(bool trans_a, bool trans_b, const Tensor& a,
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor* c) {
-  GemmEx(trans_a, trans_b, alpha, a, b, beta, c, GemmEpilogue());
-}
-
-void GemmEx(bool trans_a, bool trans_b, float alpha, const Tensor& a,
-            const Tensor& b, float beta, Tensor* c,
-            const GemmEpilogue& epilogue) {
+          const Tensor& b, float beta, Tensor* c,
+          const GemmEpilogue& epilogue) {
   int64_t m = 0, n = 0, k = 0;
   CheckGemmShapes(trans_a, trans_b, a, b, *c, &m, &n, &k);
   GemmRaw(trans_a, trans_b, m, n, k, alpha, a.data(), a.shape().dim(1),
@@ -266,10 +261,10 @@ using conv_internal::kLanes;
 using conv_internal::WeightGradPass;
 using gemm_internal::kKC;
 
-// Portable policy of the direct Conv2d kernels (tensor/conv_direct.h): a
-// vector is kLanes floats and each operation one `#pragma omp simd` loop.
-// Fma rounds the product and then the sum, as the packed GEMM's portable
-// micro-kernel does.
+// Portable policy of the direct Conv2d kernels and of the packed GEMM's
+// register tile (tensor/conv_direct.h): a vector is kLanes floats and each
+// operation one `#pragma omp simd` loop. Fma rounds the product and then
+// the sum.
 struct PortableOps {
   struct V {
     float f[kLanes];
@@ -504,6 +499,12 @@ const float* BatchInnermostInput(const Tensor& input, Tensor kept,
 }
 
 }  // namespace
+
+void conv_internal::GemmTilePortable(int64_t kc, const float* a, int64_t a_rs,
+                                     int64_t a_ks, const float* b,
+                                     int64_t b_ks, float* acc) {
+  DirectConv<PortableOps>::GemmTile(kc, a, a_rs, a_ks, b, b_ks, acc);
+}
 
 Shape Conv2dInputCopyShape(const Shape& input) {
   EDDE_CHECK_EQ(input.rank(), 4);

@@ -17,14 +17,11 @@ namespace edde {
 /// C = alpha * op(A) @ op(B) + beta * C, with op controlled by the transpose
 /// flags. A is (M, K) after op, B is (K, N) after op, C must be (M, N).
 /// Packed, cache-blocked, SIMD row-major implementation (tensor/gemm.h).
+/// The optional epilogue (bias broadcast and/or ReLU) is fused into the
+/// final C tiles, so layer forward passes skip an extra activation sweep.
 void Gemm(bool trans_a, bool trans_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor* c);
-
-/// Gemm with a fused epilogue (bias broadcast and/or ReLU) applied to the
-/// final C tiles, so layer forward passes skip the extra activation sweep.
-void GemmEx(bool trans_a, bool trans_b, float alpha, const Tensor& a,
-            const Tensor& b, float beta, Tensor* c,
-            const GemmEpilogue& epilogue);
+          const Tensor& b, float beta, Tensor* c,
+          const GemmEpilogue& epilogue = GemmEpilogue());
 
 // ---------------------------------------------------------------------------
 // Elementwise / BLAS-1

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -42,38 +44,40 @@ Registry& registry() {
   return *r;
 }
 
-bool ParseRule(const std::string& site, const std::string& rhs, SiteRule* out) {
-  std::string action = rhs;
-  std::string param;
-  size_t colon = rhs.find(':');
-  if (colon != std::string::npos) {
-    action = rhs.substr(0, colon);
-    param = rhs.substr(colon + 1);
-  }
+bool ParseRule(const std::string& rhs, SiteRule* out) {
+  const size_t colon = rhs.find(':');
+  const std::string action = rhs.substr(0, colon);
+  const bool has_param = colon != std::string::npos;
   long long value = -1;
-  if (!param.empty()) {
-    char* end = nullptr;
-    value = std::strtoll(param.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || value < 0) return false;
+  if (has_param) {
+    // Decimal digits only: no sign, no blanks, no overflow.
+    const std::string param = rhs.substr(colon + 1);
+    const char* end = param.data() + param.size();
+    unsigned long long digits = 0;
+    const auto [ptr, ec] = std::from_chars(param.data(), end, digits);
+    if (ec != std::errc() || ptr != end ||
+        digits > static_cast<unsigned long long>(LLONG_MAX)) {
+      return false;
+    }
+    value = static_cast<long long>(digits);
   }
   if (action == "error") {
     out->action = Action::kError;
-    out->param = param.empty() ? -1 : value;
+    out->param = value;
   } else if (action == "crash") {
     out->action = Action::kCrash;
-    out->param = param.empty() ? 1 : value;
+    out->param = has_param ? value : 1;
     if (out->param < 1) return false;
   } else if (action == "short_write") {
     out->action = Action::kShortWrite;
-    out->param = param.empty() ? 16 : value;
+    out->param = has_param ? value : 16;
   } else if (action == "delay") {
     out->action = Action::kDelay;
-    if (param.empty()) return false;  // delay needs an explicit duration
+    if (!has_param) return false;  // delay needs an explicit duration
     out->param = value;
   } else {
     return false;
   }
-  (void)site;
   return true;
 }
 
@@ -97,13 +101,12 @@ Status SetSpec(const std::string& spec) {
       return Status::InvalidArgument("failpoint spec entry '" + entry +
                                      "' is not site=action[:param]");
     }
-    std::string site = entry.substr(0, eq);
     SiteRule rule;
-    if (!ParseRule(site, entry.substr(eq + 1), &rule)) {
+    if (!ParseRule(entry.substr(eq + 1), &rule)) {
       return Status::InvalidArgument("failpoint spec entry '" + entry +
                                      "' has an unknown action or bad param");
     }
-    rules[site] = rule;
+    rules[entry.substr(0, eq)] = rule;
   }
   Registry& r = registry();
   {

@@ -31,6 +31,8 @@ namespace failpoint {
 ///                     simulates a torn write the CRC framing must catch
 ///   site=delay:N      sleep N milliseconds per hit (race-window widening)
 ///
+/// N is decimal digits only (no sign or blanks) and at most 2^63 − 1.
+///
 /// Cost contract: when no spec is armed, a compiled-in site is exactly one
 /// relaxed atomic load and an untaken branch. Results are bit-identical
 /// with the framework compiled in but inactive.

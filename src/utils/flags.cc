@@ -87,8 +87,12 @@ bool FlagParser::ParseIntInRange(const std::string& text, int lo, int hi,
 }
 
 bool FlagParser::GetBool(const std::string& name) const {
-  std::string v = GetString(name);
-  return v == "true" || v == "1" || v == "yes";
+  const std::string v = GetString(name);
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  std::fprintf(stderr, "invalid --%s=%s (true|false|1|0|yes|no)\n",
+               name.c_str(), v.c_str());
+  std::exit(2);
 }
 
 bool FlagParser::Has(const std::string& name) const {

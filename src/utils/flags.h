@@ -43,6 +43,9 @@ class FlagParser {
              int lo = std::numeric_limits<int>::min(),
              int hi = std::numeric_limits<int>::max()) const;
 
+  /// The flag's value as true|1|yes or false|0|no. Any other value is a
+  /// usage error, as for GetInt: the message goes to stderr and the
+  /// process exits 2.
   bool GetBool(const std::string& name) const;
 
   /// Parses `text` as a decimal integer in [lo, hi] into `out`. False when

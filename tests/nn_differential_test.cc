@@ -1,10 +1,12 @@
 // Differential checker for the layers a training step runs fused or on the
 // tape: BatchNorm (plain, with the fused ReLU, with the fused residual
-// addition and ReLU), ReLU, GlobalAvgPool2d and Dense. Each fp32 forward,
-// input gradient and parameter gradient is compared with a naive float64
-// reference, within a bound for its precision, on seeded random shapes and
-// on degenerate ones (N = 1, 1×1 planes, rank-2 input, channel counts that
-// do not fill BatchNorm's channel group, a constant channel).
+// addition and ReLU), ReLU, GlobalAvgPool2d, Dense, Conv1d and TextCNN's
+// max-over-time pooling. Each fp32 forward, input gradient and parameter
+// gradient is compared with a naive float64 reference, within a bound for
+// its precision, on seeded random shapes and on degenerate ones (N = 1,
+// 1×1 planes, rank-2 input, channel counts that do not fill BatchNorm's
+// channel group, a constant channel; Conv1d strides 2–3, padding up to
+// k−1, a kernel as long as the sequence, one output position; tied maxima).
 
 #include <gtest/gtest.h>
 
@@ -15,9 +17,11 @@
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
+#include "nn/conv1d.h"
 #include "nn/dense.h"
 #include "nn/pooling.h"
 #include "nn/tape.h"
+#include "tensor/ops.h"
 
 namespace edde {
 namespace {
@@ -386,6 +390,155 @@ TEST(DenseDifferentialTest, MatchesFloat64Reference) {
   for (int trial = 0; trial < 8; ++trial) {
     CheckDense(1 + shapes.UniformInt(12), 1 + shapes.UniformInt(40),
                1 + shapes.UniformInt(12), 20 + static_cast<uint64_t>(trial));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Conv1d, MaxOverTime
+// ---------------------------------------------------------------------------
+
+struct Conv1dCase {
+  int64_t n, cin, cout, len, kernel, stride, padding;
+};
+
+void CheckConv1d(const Conv1dCase& c, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "conv1d n=" << c.n << " " << c.cin << "->" << c.cout
+               << " len=" << c.len << " k=" << c.kernel << " s=" << c.stride
+               << " p=" << c.padding);
+  Rng rng(seed);
+  Conv1d conv(c.cin, c.cout, c.kernel, c.stride, c.padding,
+              /*use_bias=*/true, &rng);
+  const std::vector<Parameter*> params = conv.Parameters();
+  params[1]->value.FillNormal(&rng, 0.0f, 0.5f);  // nonzero bias
+  const Tensor& w = params[0]->value;
+  const Tensor& b = params[1]->value;
+  const int64_t olen = (c.len + 2 * c.padding - c.kernel) / c.stride + 1;
+  ASSERT_GT(olen, 0);
+  const Tensor x = Random(Shape{c.n, c.cin, c.len}, &rng);
+  const Tensor dy = Random(Shape{c.n, c.cout, olen}, &rng);
+
+  Tape tape;
+  const Tensor y = conv.Forward(x, &tape);
+  ASSERT_EQ(y.shape(), dy.shape());
+  const Tensor dx = conv.Backward(dy, &tape);
+  const auto xi = [&](int64_t i, int64_t ch, int64_t t) {
+    return static_cast<size_t>((i * c.cin + ch) * c.len + t);
+  };
+  const auto wi = [&](int64_t o, int64_t ch, int64_t k) {
+    return static_cast<size_t>((o * c.cin + ch) * c.kernel + k);
+  };
+  const size_t ysize = static_cast<size_t>(y.num_elements());
+  std::vector<double> y_want(ysize), y_mag(ysize);
+  std::vector<double> dx_want(x.num_elements()), dx_mag(x.num_elements());
+  std::vector<double> dw_want(w.num_elements()), dw_mag(w.num_elements());
+  std::vector<double> db_want(c.cout), db_mag(c.cout);
+  for (int64_t i = 0; i < c.n; ++i) {
+    for (int64_t o = 0; o < c.cout; ++o) {
+      for (int64_t t = 0; t < olen; ++t) {
+        const size_t e = static_cast<size_t>((i * c.cout + o) * olen + t);
+        double acc = b.data()[o], mag = std::fabs(b.data()[o]);
+        const double g = dy.data()[e];
+        db_want[o] += g;
+        db_mag[o] += std::fabs(g);
+        for (int64_t ch = 0; ch < c.cin; ++ch) {
+          for (int64_t k = 0; k < c.kernel; ++k) {
+            const int64_t pos = t * c.stride - c.padding + k;
+            if (pos < 0 || pos >= c.len) continue;
+            const double xv = x.data()[xi(i, ch, pos)];
+            const double wv = w.data()[wi(o, ch, k)];
+            acc += xv * wv;
+            mag += std::fabs(xv * wv);
+            dw_want[wi(o, ch, k)] += g * xv;
+            dw_mag[wi(o, ch, k)] += std::fabs(g * xv);
+            dx_want[xi(i, ch, pos)] += g * wv;
+            dx_mag[xi(i, ch, pos)] += std::fabs(g * wv);
+          }
+        }
+        y_want[e] = acc;
+        y_mag[e] = mag;
+      }
+    }
+  }
+  ExpectWithin(y.data(), y_want, y_mag, c.cin * c.kernel + 2.0, kFp32Unit,
+               "y");
+  ExpectWithin(dx.data(), dx_want, dx_mag, c.cout * c.kernel + 1.0,
+               kFp32Unit, "dx");
+  ExpectWithin(params[0]->grad.data(), dw_want, dw_mag, c.n * olen + 1.0,
+               kFp32Unit, "dW");
+  ExpectWithin(params[1]->grad.data(), db_want, db_mag, c.n + 1.0, kFp32Unit,
+               "db");
+}
+
+TEST(Conv1dDifferentialTest, DegenerateShapes) {
+  const Conv1dCase cases[] = {
+      {1, 1, 1, 1, 1, 1, 0},   // one of everything
+      {2, 3, 4, 5, 5, 1, 0},   // kernel = sequence: one output position
+      {3, 2, 3, 4, 4, 2, 0},   // kernel = sequence at stride 2
+      {2, 2, 2, 3, 3, 1, 2},   // padding k−1, kernel = sequence
+      {1, 3, 2, 7, 3, 2, 0},   // stride 2
+      {2, 2, 3, 8, 3, 3, 1},   // stride 3
+      {3, 4, 2, 9, 4, 2, 3},   // stride 2, padding k−1
+      {1, 2, 5, 10, 5, 3, 4},  // stride 3, padding k−1
+      {4, 1, 1, 6, 2, 2, 1},   // single channels
+      {1, 5, 3, 2, 3, 1, 1},   // sequence shorter than the kernel
+  };
+  uint64_t seed = 500;
+  for (const Conv1dCase& c : cases) CheckConv1d(c, seed++);
+}
+
+TEST(Conv1dDifferentialTest, SeededRandomShapes) {
+  Rng shapes(4242);
+  for (int trial = 0; trial < 24; ++trial) {
+    Conv1dCase c;
+    c.n = 1 + shapes.UniformInt(5);
+    c.cin = 1 + shapes.UniformInt(8);
+    c.cout = 1 + shapes.UniformInt(8);
+    c.kernel = 1 + shapes.UniformInt(5);
+    c.stride = 1 + shapes.UniformInt(3);
+    c.padding = shapes.UniformInt(c.kernel);  // 0 .. k−1
+    // At least one output position: len + 2p ≥ k.
+    const int64_t min_len = std::max<int64_t>(1, c.kernel - 2 * c.padding);
+    c.len = min_len + shapes.UniformInt(12);
+    CheckConv1d(c, 600 + static_cast<uint64_t>(trial));
+  }
+}
+
+TEST(MaxOverTimeDifferentialTest, MaximaAndFirstOfTiedGetTheGradient) {
+  for (const Shape& shape : {Shape{1, 1, 1}, Shape{2, 3, 1}, Shape{3, 4, 7},
+                             Shape{5, 2, 16}}) {
+    SCOPED_TRACE(::testing::Message() << "shape " << shape.dim(0) << "x"
+                                      << shape.dim(1) << "x" << shape.dim(2));
+    Rng rng(shape.num_elements() + 31);
+    Tensor x = Random(shape, &rng);
+    const int64_t rows = shape.dim(0) * shape.dim(1);
+    const int64_t len = shape.dim(2);
+    // Quantize some rows to a few levels so their maxima tie, and make one
+    // row constant: the gradient must go to the first maximum.
+    for (int64_t r = 0; r < rows; r += 2) {
+      float* row = x.data() + r * len;
+      for (int64_t t = 0; t < len; ++t) row[t] = std::round(row[t]);
+    }
+    std::fill_n(x.data() + (rows - 1) * len, len, -2.5f);
+    const Tensor dy = Random(Shape{shape.dim(0), shape.dim(1)}, &rng);
+    const Tensor y = MaxOverTimeForward(x);
+    const Tensor dx = MaxOverTimeBackward(x, dy);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* row = x.data() + r * len;
+      double best = row[0];
+      int64_t first = 0;
+      for (int64_t t = 1; t < len; ++t) {
+        if (static_cast<double>(row[t]) > best) {
+          best = row[t];
+          first = t;
+        }
+      }
+      ASSERT_EQ(y.data()[r], best) << "row " << r;
+      for (int64_t t = 0; t < len; ++t) {
+        ASSERT_EQ(dx.data()[r * len + t], t == first ? dy.data()[r] : 0.0f)
+            << "row " << r << " position " << t;
+      }
+    }
   }
 }
 

@@ -86,7 +86,7 @@ TEST(QuantPrecisionSwitchTest, QuantizedProbsBitIdenticalAcrossKernels) {
   const auto data = MakeBlobsSplit(32, 0, 6, 3, 3);
 
   std::vector<GemmKernel> kernels = {GemmKernel::kPortable};
-  if (gemm_internal::Int8Avx2Available()) kernels.push_back(GemmKernel::kAvx2);
+  if (gemm_internal::Avx2Available()) kernels.push_back(GemmKernel::kAvx2);
   std::vector<Tensor> probs;
   for (GemmKernel kernel : kernels) {
     SetGemmKernel(kernel);

@@ -10,9 +10,10 @@
 # --seed), the reload target. Outputs (dumps, server logs, scraped pages)
 # go to the current directory. Needs curl and python3.
 #
-# 1. Malformed flags exit 2 without crashing or serving: --hidden widths
-#    and every integer flag (non-numeric, trailing junk, out of range) of
-#    edde-serve, edde-serve-client and edde-top.
+# 1. Malformed flags exit 2 without crashing or serving: --hidden widths,
+#    every integer flag (non-numeric, trailing junk, out of range) and a
+#    boolean flag that is none of true|false|1|0|yes|no, of edde-serve,
+#    edde-serve-client and edde-top.
 # 2. The same deterministic request stream served at --workers=1 and
 #    --workers=4 dumps byte-identical labels, cascade depths and float32
 #    probabilities, with the cascade on and with it off (DESIGN.md §15).
@@ -59,7 +60,7 @@ BAD_FLAGS=(
   --input_dim=16x --num_classes=0
   --max_batch_rows=0 --max_delay_ms=1.5 --max_request_rows=-1
   --max_request_ms=-1 --shed_queue_age_ms=x --send_timeout_ms=99999999999
-  --drain_ms=-1
+  --drain_ms=-1 --cascade=maybe
 )
 for FLAG in "${BAD_FLAGS[@]}"; do
   CODE=0
@@ -74,13 +75,14 @@ for FLAG in "${BAD_FLAGS[@]}"; do
 done
 echo "malformed flags: ${#BAD_FLAGS[@]} edde-serve cases exit 2"
 
-# The client and edde-top parse their integer flags the same way: a bad
+# The client and edde-top parse their integer and boolean flags the same
+# way: a bad
 # value exits 2 before anything dials out (port 1 refuses connections, so
 # a value that slipped through would exit with another code).
 BAD_CLIENT_FLAGS=(
   --port=abc --port=0 --port=70000 --port=7433x --rows=4x --rows=0
   --dim= --requests=-1 --pool=0 --pool=1000 --retries=-2 --seed=1.5
-  --deadline_ms=99999999999
+  --deadline_ms=99999999999 --probs=maybe
 )
 for FLAG in "${BAD_CLIENT_FLAGS[@]}"; do
   CODE=0
@@ -92,7 +94,8 @@ for FLAG in "${BAD_CLIENT_FLAGS[@]}"; do
     exit 1
   fi
 done
-BAD_TOP_FLAGS=(--port=abc --port=70000 --interval_ms=x --frames=-1)
+BAD_TOP_FLAGS=(--port=abc --port=70000 --interval_ms=x --frames=-1
+  --once=maybe)
 for FLAG in "${BAD_TOP_FLAGS[@]}"; do
   CODE=0
   timeout 20 "$TOP" --port=1 --once "$FLAG" > serve_smoke_bad_flag.log 2>&1 \

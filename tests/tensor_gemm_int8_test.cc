@@ -34,7 +34,7 @@ struct Int8KernelVariant {
 std::vector<Int8KernelVariant> Int8Variants() {
   std::vector<Int8KernelVariant> variants = {
       {GemmKernel::kPortable, false, "portable"}};
-  if (gemm_internal::Int8Avx2Available()) {
+  if (gemm_internal::Avx2Available()) {
     variants.push_back({GemmKernel::kAvx2, false, "avx2"});
     if (gemm_internal::Int8VnniAvailable()) {
       variants.push_back({GemmKernel::kAvx2, true, "avx2+vnni"});

@@ -143,7 +143,7 @@ TEST(GemmEpilogueTest, BiasAndReluAllKernels) {
         epi.bias_data = bias.data();
       }
       Tensor c(Shape{m, n});
-      GemmEx(false, false, 1.0f, a, b, 0.0f, &c, epi);
+      Gemm(false, false, 1.0f, a, b, 0.0f, &c, epi);
       const Tensor zero(Shape{m, n}, 0.0f);
       const std::vector<double> plain =
           NaiveGemm(false, false, m, n, k, 1.0f, a, b, 0.0f, zero);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "utils/logging.h"
 #include "utils/status.h"
@@ -122,6 +126,132 @@ TEST_F(FailpointTest, InitFromEnvArmsSpec) {
         std::exit(armed ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+// ---------------------------------------------------------------------------
+// SetSpec fuzzing: seeded mutants of valid specs
+// ---------------------------------------------------------------------------
+
+// The spec grammar of failpoint.h, written independently of the parser:
+// comma-separated entries, empty ones skipped; each is site=action with
+// an optional :N of decimal digits; crash needs N ≥ 1, delay needs an N.
+bool ReferenceAccepts(const std::string& spec) {
+  size_t start = 0;
+  while (start <= spec.size()) {
+    size_t comma = spec.find(',', start);
+    if (comma == std::string::npos) comma = spec.size();
+    const std::string entry = spec.substr(start, comma - start);
+    start = comma + 1;
+    if (entry.empty()) continue;
+    const size_t eq = entry.find('=');
+    if (eq == std::string::npos || eq == 0) return false;
+    const std::string rhs = entry.substr(eq + 1);
+    const size_t colon = rhs.find(':');
+    const std::string action = rhs.substr(0, colon);
+    const bool has_param = colon != std::string::npos;
+    const std::string param = has_param ? rhs.substr(colon + 1) : "";
+    if (has_param) {
+      if (param.empty()) return false;
+      for (char c : param) {
+        if (c < '0' || c > '9') return false;
+      }
+      // At most 2^63 − 1.
+      const std::string digits = param.substr(
+          std::min(param.find_first_not_of('0'), param.size()));
+      if (digits.size() > 19 ||
+          (digits.size() == 19 && digits > "9223372036854775807")) {
+        return false;
+      }
+    }
+    if (action == "crash") {
+      if (has_param && param.find_first_not_of('0') == std::string::npos) {
+        return false;  // crash:0
+      }
+    } else if (action == "delay") {
+      if (!has_param) return false;
+    } else if (action != "error" && action != "short_write") {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string MutateSpec(const std::vector<std::string>& corpus,
+                       std::mt19937* rng) {
+  static const std::string kAlphabet = "abcdelorswy_.=:,-+ 0123456789\t";
+  const auto pick = [rng](size_t n) {
+    return static_cast<size_t>((*rng)() % n);
+  };
+  std::string s = corpus[pick(corpus.size())];
+  const int edits = 1 + static_cast<int>(pick(4));
+  for (int e = 0; e < edits; ++e) {
+    const size_t at = s.empty() ? 0 : pick(s.size() + 1);
+    switch (pick(6)) {
+      case 0:  // insert a grammar-relevant character
+        s.insert(at, 1, kAlphabet[pick(kAlphabet.size())]);
+        break;
+      case 1:  // delete a run
+        if (!s.empty() && at < s.size()) s.erase(at, 1 + pick(4));
+        break;
+      case 2:  // overwrite a character
+        if (at < s.size()) s[at] = kAlphabet[pick(kAlphabet.size())];
+        break;
+      case 3:  // splice in another corpus entry
+        s.insert(at, "," + corpus[pick(corpus.size())]);
+        break;
+      case 4:  // a long or huge parameter
+        s.insert(at, pick(2) == 0 ? "99999999999999999999" : "0000007");
+        break;
+      default:  // any byte, NUL and high bytes included
+        s.insert(at, 1, static_cast<char>(pick(256)));
+        break;
+    }
+  }
+  return s;
+}
+
+TEST_F(FailpointTest, FuzzedSpecsAreAcceptedExactlyWhenValid) {
+  const std::vector<std::string> corpus = {
+      "durable.write=error",
+      "durable.write=error:3",
+      "durable.rename=crash",
+      "durable.rename=crash:2",
+      "durable.fsync=short_write",
+      "durable.fsync=short_write:4",
+      "serve.batch=delay:5",
+      "durable.write=error:1,durable.fsync=short_write:4",
+      "a=error,,b=delay:0,",
+  };
+  for (const std::string& spec : corpus) {
+    ASSERT_TRUE(failpoint::SetSpec(spec).ok()) << spec;
+    EXPECT_EQ(failpoint::CurrentSpec(), spec);
+  }
+  // Arming logs a warning per spec; keep the fuzz loop quiet.
+  const LogLevel saved = MinLogLevel();
+  SetMinLogLevel(LogLevel::kError);
+  std::mt19937 rng(20261019);
+  int accepted = 0, refused = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string spec = MutateSpec(corpus, &rng);
+    const std::string before = failpoint::CurrentSpec();
+    const Status s = failpoint::SetSpec(spec);
+    ASSERT_TRUE(s.ok() || s.code() == StatusCode::kInvalidArgument)
+        << s.ToString();
+    ASSERT_EQ(s.ok(), ReferenceAccepts(spec)) << "spec '" << spec << "'";
+    if (s.ok()) {
+      ++accepted;
+      ASSERT_EQ(failpoint::CurrentSpec(), spec);
+      // An accepted spec parses again from what CurrentSpec reports.
+      ASSERT_TRUE(failpoint::SetSpec(failpoint::CurrentSpec()).ok());
+    } else {
+      ++refused;
+      ASSERT_EQ(failpoint::CurrentSpec(), before) << "spec '" << spec << "'";
+    }
+  }
+  SetMinLogLevel(saved);
+  // The mutants reach both outcomes often.
+  EXPECT_GT(accepted, 400);
+  EXPECT_GT(refused, 400);
 }
 
 }  // namespace
