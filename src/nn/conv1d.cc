@@ -4,14 +4,31 @@
 
 namespace edde {
 
+namespace {
+
+// (A, B, L) viewed as (A, B, 1, L): a sequence as a height-1 plane, a
+// length-k kernel as a 1 × k one.
+Tensor AsRow(const Tensor& t) {
+  const Shape& s = t.shape();
+  return t.Reshape(Shape{s.dim(0), s.dim(1), 1, s.dim(2)});
+}
+
+// The inverse of AsRow.
+Tensor FromRow(const Tensor& t) {
+  const Shape& s = t.shape();
+  return t.Reshape(Shape{s.dim(0), s.dim(1), s.dim(3)});
+}
+
+}  // namespace
+
 Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,
-               int64_t stride, int64_t padding, bool use_bias, Rng* rng)
+               bool use_bias, Rng* rng)
     : use_bias_(use_bias) {
   geom_.in_channels = in_channels;
   geom_.out_channels = out_channels;
-  geom_.kernel = kernel;
-  geom_.stride = stride;
-  geom_.padding = padding;
+  geom_.kernel_h = 1;
+  geom_.kernel_w = kernel;
+  geom_.padding = 0;
 
   weight_.name = "weight";
   weight_.value = Tensor(Shape{out_channels, in_channels, kernel});
@@ -25,13 +42,27 @@ Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 }
 
 Tensor Conv1d::ForwardImpl(const Tensor& input, Tape* tape) {
-  if (tape != nullptr) tape->Save(input);
-  return Conv1dForward(input, weight_.value, bias_.value, geom_);
+  const Tensor x = AsRow(input);
+  Tensor x_t;
+  if (tape != nullptr) {
+    x_t = tape->NewTensor(Conv2dInputCopyShape(x.shape()));
+    tape->Save(input);
+    tape->Save(x_t);
+  }
+  return FromRow(Conv2dForward(x, AsRow(weight_.value), bias_.value, geom_,
+                               NewTensor(tape, geom_.OutputShape(x.shape())),
+                               x_t));
 }
 
 Tensor Conv1d::BackwardImpl(const Tensor& grad_output, Tape* tape) {
-  return Conv1dBackward(tape->Take(), weight_.value, grad_output, geom_,
-                        &weight_.grad, use_bias_ ? &bias_.grad : nullptr);
+  const Tensor x_t = tape->Take();
+  const Tensor input = tape->Take();
+  Tensor grad_input = AsRow(tape->NewTensor(input.shape()));
+  Tensor weight_grad = AsRow(weight_.grad);
+  Conv2dBackward(AsRow(input), AsRow(weight_.value), AsRow(grad_output),
+                 geom_, &weight_grad, use_bias_ ? &bias_.grad : nullptr,
+                 &grad_input, x_t);
+  return FromRow(grad_input);
 }
 
 void Conv1d::CollectParameters(std::vector<Parameter*>* out) {
@@ -42,7 +73,7 @@ void Conv1d::CollectParameters(std::vector<Parameter*>* out) {
 std::string Conv1d::name() const {
   return "conv1d(" + std::to_string(geom_.in_channels) + "->" +
          std::to_string(geom_.out_channels) + ",k" +
-         std::to_string(geom_.kernel) + ")";
+         std::to_string(geom_.kernel_w) + ")";
 }
 
 }  // namespace edde

@@ -9,7 +9,8 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
     : use_bias_(use_bias) {
   geom_.in_channels = in_channels;
   geom_.out_channels = out_channels;
-  geom_.kernel = kernel;
+  geom_.kernel_h = kernel;
+  geom_.kernel_w = kernel;
   geom_.stride = stride;
   geom_.padding = padding;
 
@@ -69,7 +70,7 @@ void Conv2d::CollectParameters(std::vector<Parameter*>* out) {
 std::string Conv2d::name() const {
   return "conv2d(" + std::to_string(geom_.in_channels) + "->" +
          std::to_string(geom_.out_channels) + ",k" +
-         std::to_string(geom_.kernel) + ",s" + std::to_string(geom_.stride) +
+         std::to_string(geom_.kernel_w) + ",s" + std::to_string(geom_.stride) +
          ")";
 }
 

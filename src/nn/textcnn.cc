@@ -14,9 +14,9 @@ TextCnn::TextCnn(const TextCnnConfig& config, uint64_t seed)
                                            config.embed_dim, &rng);
   for (int k : config.kernel_sizes) {
     EDDE_CHECK_LE(k, config.seq_len) << "kernel larger than sequence";
-    convs_.push_back(std::make_unique<Conv1d>(
-        config.embed_dim, config.filters_per_size, k, /*stride=*/1,
-        /*padding=*/0, /*use_bias=*/true, &rng));
+    convs_.push_back(std::make_unique<Conv1d>(config.embed_dim,
+                                              config.filters_per_size, k,
+                                              /*use_bias=*/true, &rng));
     relus_.push_back(std::make_unique<ReLU>());
   }
   dropout_ = std::make_unique<Dropout>(config.dropout_rate);

@@ -48,20 +48,21 @@ constexpr int64_t kGradCols = 3;
 /// One forward-shaped pass: out[r][o][n] = Σ_j W(r, j) · in[src(o, j)][n].
 ///
 /// kGather (the forward, and the input gradient of a stride-1 conv with
-/// padding ≤ k−1, which is the forward correlation of dY zero-bordered by
-/// k−1−p with the flipped, transposed kernel): output pixel (oy, ox) and
-/// tap (ky, kx) read input pixel (oy·s − p + ky, ox·s − p + kx); the depth
-/// index is j = c·k² + ky·k + kx, channel-major. The valid steps of a pixel
+/// padding p ≤ kh−1 and p ≤ kw−1, which is the forward correlation of dY
+/// zero-bordered by kh−1−p rows and kw−1−p columns with the flipped,
+/// transposed kernel): output pixel (oy, ox) and tap (ky, kx) read input
+/// pixel (oy·s − pad_h + ky, ox·s − pad_w + kx); the depth index is
+/// j = c·kh·kw + ky·kw + kx, channel-major. The valid steps of a pixel
 /// depend only on its class — which taps fall inside the input — and come
 /// from a table built once per pass, so the hot loop is one flat run of
 /// steps with no bounds test.
 ///
 /// kTransposed (the input gradient of every other geometry): output pixel
 /// (iy, ix) of the input plane and tap (ky, kx) read dY pixel
-/// ((iy + p − ky)/s, (ix + p − kx)/s) when both divide; the depth index is
-/// j = (ky·k + kx)·OC + oc, and each tap's sum over the dY channels is
-/// folded into the output before the next tap — the order of Col2Im
-/// accumulating the columns of Wᵀ·dY.
+/// ((iy + pad_h − ky)/s, (ix + pad_w − kx)/s) when both divide; the depth
+/// index is j = (ky·kw + kx)·OC + oc, and each tap's sum over the dY
+/// channels is folded into the output before the next tap — the order of
+/// Col2Im accumulating the columns of Wᵀ·dY.
 ///
 /// The output rows are cut into `row_blocks` register tiles of at most
 /// kMaxRows rows: tile b holds rows [b·rows/row_blocks, (b+1)·rows/
@@ -78,14 +79,14 @@ struct DirectPass {
   int64_t in_ch = 0, ih = 0, iw = 0;
   int64_t out_rows = 0, oh = 0, ow = 0;
   int64_t lanes = 0;
-  int64_t kernel = 1, stride = 1, padding = 0;
+  int64_t kh = 1, kw = 1, stride = 1, pad_h = 0, pad_w = 0;
   int64_t row_blocks = 1;
   // kGather: pixel (oy, ox) is of class row_class[oy]·col_classes +
   // col_class[ox]. The steps of class q in depth block b (depth indices
   // [b·kKC, (b+1)·kKC)) are entries [step_begin[q·blocks + b],
   // step_begin[q·blocks + b + 1]), blocks = ⌈depth/kKC⌉; entry e reads the
-  // input at the pixel's corner ((oy·s − p)·iw + ox·s − p)·lanes plus
-  // step_offset[e], with the weights of depth index step_depth[e].
+  // input at the pixel's corner ((oy·s − pad_h)·iw + ox·s − pad_w)·lanes
+  // plus step_offset[e], with the weights of depth index step_depth[e].
   const int64_t* row_class = nullptr;
   const int64_t* col_class = nullptr;
   int64_t col_classes = 0;
@@ -102,11 +103,11 @@ struct DirectPass {
 struct WeightGradPass {
   const float* x = nullptr;   ///< (c, h, w, lanes)
   const float* dy = nullptr;  ///< (oc, oh, ow, lanes)
-  float* wg = nullptr;        ///< (oc, c, k, k)
+  float* wg = nullptr;        ///< (oc, c, kh, kw)
   int64_t c = 0, h = 0, w = 0;
   int64_t oc = 0, oh = 0, ow = 0;
   int64_t lanes = 0;
-  int64_t kernel = 1, stride = 1, padding = 0;
+  int64_t kh = 1, kw = 1, stride = 1, padding = 0;
   /// Register tiles, cut as DirectPass cuts its rows: row_blocks over the
   /// output channels (at most kGradRows each), col_blocks over the input
   /// channels (at most kGradCols each).
@@ -207,11 +208,11 @@ struct DirectConv {
   template <int R, int VV>
   static void GatherTile(const DirectPass& a, int64_t r0, int64_t oy,
                          int64_t ox, int64_t n0) {
-    const int64_t depth = a.in_ch * a.kernel * a.kernel;
+    const int64_t depth = a.in_ch * a.kh * a.kw;
     const int64_t blocks = (depth + KC - 1) / KC;
     const int64_t out_plane = a.oh * a.ow * a.lanes;
     const int64_t corner =
-        ((oy * a.stride - a.padding) * a.iw + ox * a.stride - a.padding) *
+        ((oy * a.stride - a.pad_h) * a.iw + ox * a.stride - a.pad_w) *
             a.lanes + n0;
     const int64_t* begin =
         a.step_begin + (a.row_class[oy] * a.col_classes + a.col_class[ox]) *
@@ -251,7 +252,7 @@ struct DirectConv {
   template <int R, int VV>
   static void TransposedTile(const DirectPass& a, int64_t r0, int64_t iy,
                              int64_t ix, int64_t n0) {
-    const int64_t k = a.kernel, depth = k * k * a.in_ch;
+    const int64_t depth = a.kh * a.kw * a.in_ch;
     const int64_t in_plane = a.ih * a.iw * a.lanes;
     const int64_t out_plane = a.oh * a.ow * a.lanes;
     const float* wblk = a.w + r0 * depth;
@@ -262,15 +263,15 @@ struct DirectConv {
       for (int v = 0; v < VV; ++v) Ops::Store(out + r * out_plane + v * L,
                                               Ops::Zero());
     }
-    for (int64_t ky = 0; ky < k; ++ky) {
-      const int64_t ny = iy + a.padding - ky;
+    for (int64_t ky = 0; ky < a.kh; ++ky) {
+      const int64_t ny = iy + a.pad_h - ky;
       if (ny < 0 || ny % a.stride != 0 || ny / a.stride >= a.ih) continue;
-      for (int64_t kx = 0; kx < k; ++kx) {
-        const int64_t nx = ix + a.padding - kx;
+      for (int64_t kx = 0; kx < a.kw; ++kx) {
+        const int64_t nx = ix + a.pad_w - kx;
         if (nx < 0 || nx % a.stride != 0 || nx / a.stride >= a.iw) continue;
         const float* x =
             a.in + ((ny / a.stride) * a.iw + nx / a.stride) * a.lanes + n0;
-        const float* wt = wblk + (ky * k + kx) * a.in_ch * R;
+        const float* wt = wblk + (ky * a.kw + kx) * a.in_ch * R;
         // The tap's sum over the dY channels, in blocks of KC channels.
         V sum[R][VV];
         Zero(sum);
@@ -347,7 +348,7 @@ struct DirectConv {
   template <int R, int Q>
   static void WeightGradTile(const WeightGradPass& a, int64_t oc0, int64_t c0,
                              int64_t t) {
-    const int64_t k = a.kernel, ky = t / k, kx = t % k;
+    const int64_t ky = t / a.kw, kx = t % a.kw;
     // Output rows whose tap row lands inside the input:
     // 0 ≤ oy·s − p + ky < h, likewise for columns.
     const auto first = [&](int64_t off) {
@@ -386,7 +387,7 @@ struct DirectConv {
         }
       }
     }
-    const int64_t kk = k * k;
+    const int64_t kk = a.kh * a.kw;
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
@@ -420,7 +421,7 @@ struct DirectConv {
       const int64_t rows = (rt + 1) * a.oc / a.row_blocks - oc0;
       const int64_t c0 = ct * a.c / a.col_blocks;
       const int64_t cols = (ct + 1) * a.c / a.col_blocks - c0;
-      for (int64_t t = 0; t < a.kernel * a.kernel; ++t) {
+      for (int64_t t = 0; t < a.kh * a.kw; ++t) {
         switch (rows) {
           case 1: WeightGradCols<1>(a, oc0, c0, cols, t); break;
           case 2: WeightGradCols<2>(a, oc0, c0, cols, t); break;

@@ -177,16 +177,16 @@ struct PaddedPlanes {
   }
 };
 
-// Offset map of one channel: entry (ky·k + kx)·OH·OW + y·OW + x is where
+// Offset map of one channel: entry (ky·kw + kx)·OH·OW + y·OW + x is where
 // output pixel (y, x) of tap (ky, kx) sits in a bordered plane.
 int32_t* TapOffsets(const ConvGeom& geom, const PaddedPlanes& planes,
                     int64_t oh, int64_t ow, ArenaScope* scope) {
-  const int64_t k = geom.kernel;
+  const int64_t taps = geom.kernel_h * geom.kernel_w;
   int32_t* offsets = static_cast<int32_t*>(
-      scope->Alloc(sizeof(int32_t) * static_cast<size_t>(k * k * oh * ow)));
+      scope->Alloc(sizeof(int32_t) * static_cast<size_t>(taps * oh * ow)));
   int32_t* out = offsets;
-  for (int64_t ky = 0; ky < k; ++ky) {
-    for (int64_t kx = 0; kx < k; ++kx) {
+  for (int64_t ky = 0; ky < geom.kernel_h; ++ky) {
+    for (int64_t kx = 0; kx < geom.kernel_w; ++kx) {
       for (int64_t y = 0; y < oh; ++y) {
         for (int64_t x = 0; x < ow; ++x) {
           *out++ = static_cast<int32_t>((y * geom.stride + ky) * planes.pw +
@@ -202,9 +202,9 @@ int32_t* TapOffsets(const ConvGeom& geom, const PaddedPlanes& planes,
 
 void Im2Col(const float* input, int64_t batch, int64_t channels,
             int64_t height, int64_t width, const ConvGeom& geom, float* cols) {
-  const int64_t oh = geom.OutExtent(height);
-  const int64_t ow = geom.OutExtent(width);
-  const int64_t taps = geom.kernel * geom.kernel;
+  const int64_t oh = geom.OutHeight(height);
+  const int64_t ow = geom.OutWidth(width);
+  const int64_t taps = geom.kernel_h * geom.kernel_w;
   const int64_t plane = oh * ow;
   if (oh <= 0 || ow <= 0) return;
   // Serial: the int8 forward caps a block at 32 Ki floats of columns
@@ -234,8 +234,9 @@ void Im2Col(const float* input, int64_t batch, int64_t channels,
 int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
                            int64_t width) {
   constexpr int64_t kColsBudget = 32 * 1024;  // floats
-  const int64_t per_sample = geom.in_channels * geom.kernel * geom.kernel *
-                             geom.OutExtent(height) * geom.OutExtent(width);
+  const int64_t per_sample = geom.in_channels * geom.kernel_h *
+                             geom.kernel_w * geom.OutHeight(height) *
+                             geom.OutWidth(width);
   return std::max<int64_t>(1, kColsBudget / std::max<int64_t>(1, per_sample));
 }
 
@@ -370,17 +371,18 @@ void PackRows(int64_t rows, int64_t depth, int64_t tiles, const Value& value,
   }
 }
 
-// Sorts the outputs of one axis into classes by the taps [lo, hi) that fall
-// inside the input: cls[o] is the class of output o, and the classes'
-// ranges are written to lo/hi in order of first appearance. Returns the
-// number of classes.
-int64_t ClassifyAxis(int64_t outs, int64_t in, const DirectPass& pass,
-                     int64_t* cls, int64_t* lo, int64_t* hi) {
+// Sorts the outputs of one axis into classes by the taps [lo, hi) of its
+// `kernel` that fall inside the input: cls[o] is the class of output o,
+// and the classes' ranges are written to lo/hi in order of first
+// appearance. Returns the number of classes.
+int64_t ClassifyAxis(int64_t outs, int64_t in, int64_t kernel,
+                     int64_t padding, int64_t stride, int64_t* cls,
+                     int64_t* lo, int64_t* hi) {
   int64_t classes = 0;
   for (int64_t o = 0; o < outs; ++o) {
-    const int64_t i0 = o * pass.stride - pass.padding;
+    const int64_t i0 = o * stride - padding;
     const int64_t l = std::max<int64_t>(0, -i0);
-    const int64_t h = std::min(pass.kernel, in - i0);
+    const int64_t h = std::min(kernel, in - i0);
     int64_t q = 0;
     while (q < classes && (lo[q] != l || hi[q] != h)) ++q;
     if (q == classes) {
@@ -400,7 +402,7 @@ void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
     return static_cast<int64_t*>(scope->Alloc(
         sizeof(int64_t) * static_cast<size_t>(std::max<int64_t>(n, 1))));
   };
-  const int64_t k = pass->kernel, kk = k * k, depth = pass->in_ch * kk;
+  const int64_t kw = pass->kw, kk = pass->kh * kw, depth = pass->in_ch * kk;
   const int64_t blocks = (depth + kKC - 1) / kKC;
   int64_t* row_class = ints(pass->oh);
   int64_t* col_class = ints(pass->ow);
@@ -408,10 +410,10 @@ void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
   int64_t* ky_hi = ints(pass->oh);
   int64_t* kx_lo = ints(pass->ow);
   int64_t* kx_hi = ints(pass->ow);
-  const int64_t rows =
-      ClassifyAxis(pass->oh, pass->ih, *pass, row_class, ky_lo, ky_hi);
-  const int64_t cols =
-      ClassifyAxis(pass->ow, pass->iw, *pass, col_class, kx_lo, kx_hi);
+  const int64_t rows = ClassifyAxis(pass->oh, pass->ih, pass->kh, pass->pad_h,
+                                    pass->stride, row_class, ky_lo, ky_hi);
+  const int64_t cols = ClassifyAxis(pass->ow, pass->iw, kw, pass->pad_w,
+                                    pass->stride, col_class, kx_lo, kx_hi);
   int64_t* begin = ints(rows * cols * blocks + 1);
   int64_t* offset = ints(rows * cols * depth);
   int64_t* depth_index = ints(rows * cols * depth);
@@ -424,7 +426,7 @@ void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
       for (int64_t c = 0; c < pass->in_ch; ++c) {
         for (int64_t ky = ky_lo[qy]; ky < ky_hi[qy]; ++ky) {
           for (int64_t kx = kx_lo[qx]; kx < kx_hi[qx]; ++kx) {
-            const int64_t j = c * kk + ky * k + kx;
+            const int64_t j = c * kk + ky * kw + kx;
             while (b <= j / kKC) class_begin[b++] = e;
             offset[e] = c * in_plane + (ky * pass->iw + kx) * pass->lanes;
             depth_index[e] = j;
@@ -455,8 +457,8 @@ void RunDirectPass(DirectPass pass, GemmKernel kernel) {
   if (pass.kind == DirectPass::Kind::kGather) BuildGatherSteps(&pass, &scope);
   const int64_t items = pass.row_blocks * pass.oh;
   const int64_t work = (pass.out_rows + pass.row_blocks - 1) /
-                       pass.row_blocks * pass.ow * pass.in_ch * pass.kernel *
-                       pass.kernel * pass.lanes;
+                       pass.row_blocks * pass.ow * pass.in_ch * pass.kh *
+                       pass.kw * pass.lanes;
   ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
     if (kernel == GemmKernel::kAvx2) {
       conv_internal::DirectPassAvx2(pass, i0, i1);
@@ -470,8 +472,7 @@ void RunWeightGradPass(const WeightGradPass& pass, GemmKernel kernel) {
   const int64_t items = pass.row_blocks * pass.col_blocks;
   const int64_t work = (pass.oc + pass.row_blocks - 1) / pass.row_blocks *
                        ((pass.c + pass.col_blocks - 1) / pass.col_blocks) *
-                       pass.kernel * pass.kernel * pass.oh * pass.ow *
-                       pass.lanes;
+                       pass.kh * pass.kw * pass.oh * pass.ow * pass.lanes;
   ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
     if (kernel == GemmKernel::kAvx2) {
       conv_internal::WeightGradPassAvx2(pass, i0, i1);
@@ -518,6 +519,10 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   EDDE_CHECK_EQ(input.shape().rank(), 4);
   EDDE_CHECK_EQ(input.shape().dim(1), geom.in_channels);
   EDDE_CHECK_EQ(weight.shape().dim(0), geom.out_channels);
+  EDDE_CHECK_GT(geom.OutHeight(input.shape().dim(2)), 0)
+      << "conv output is empty";
+  EDDE_CHECK_GT(geom.OutWidth(input.shape().dim(3)), 0)
+      << "conv output is empty";
   const Shape out_shape = geom.OutputShape(input.shape());
   if (output.empty()) {
     output = Tensor(out_shape);
@@ -535,12 +540,14 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   pass.oh = out_shape.dim(2);
   pass.ow = out_shape.dim(3);
   pass.lanes = Conv2dLanes(input.shape().dim(0));
-  pass.kernel = geom.kernel;
+  pass.kh = geom.kernel_h;
+  pass.kw = geom.kernel_w;
   pass.stride = geom.stride;
-  pass.padding = geom.padding;
+  pass.pad_h = geom.padding;
+  pass.pad_w = geom.padding;
   pass.row_blocks = TileCount(pass.out_rows, conv_internal::kMaxRows);
   pass.bias = bias.empty() ? nullptr : bias.data();
-  const int64_t depth = geom.in_channels * geom.kernel * geom.kernel;
+  const int64_t depth = geom.in_channels * geom.kernel_h * geom.kernel_w;
   float* packed = scope.AllocFloats(pass.out_rows * depth);
   PackRows(pass.out_rows, depth, pass.row_blocks,
            [&](int64_t r, int64_t j) { return weight.data()[r * depth + j]; },
@@ -564,7 +571,7 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
   const int64_t w = input.shape().dim(3);
   EDDE_CHECK_EQ(cin, geom.in_channels);
   EDDE_CHECK_EQ(weight.rows, geom.out_channels);
-  const int64_t cols_rows = cin * geom.kernel * geom.kernel;
+  const int64_t cols_rows = cin * geom.kernel_h * geom.kernel_w;
   EDDE_CHECK_EQ(weight.cols, cols_rows);
   GemmEpilogue epi;
   if (!bias.empty()) {
@@ -572,7 +579,7 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
     epi.bias_data = bias.data();
   }
   const int64_t oc = geom.out_channels;
-  const int64_t plane = geom.OutExtent(h) * geom.OutExtent(w);
+  const int64_t plane = geom.OutHeight(h) * geom.OutWidth(w);
   const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
   Tensor output(geom.OutputShape(input.shape()));
   // Each sample block is unrolled by one Im2Col, multiplied into
@@ -603,8 +610,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   const int64_t batch = input.shape().dim(0);
   const int64_t cin = geom.in_channels;
   const int64_t oc = geom.out_channels;
-  const int64_t k = geom.kernel;
-  const int64_t kk = k * k;
+  const int64_t kh = geom.kernel_h, kw = geom.kernel_w, kk = kh * kw;
   const Shape out_shape = geom.OutputShape(input.shape());
   const int64_t oh = out_shape.dim(2);
   const int64_t ow = out_shape.dim(3);
@@ -636,7 +642,8 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   wg.oh = oh;
   wg.ow = ow;
   wg.lanes = lanes;
-  wg.kernel = k;
+  wg.kh = kh;
+  wg.kw = kw;
   wg.stride = geom.stride;
   wg.padding = geom.padding;
   wg.row_blocks = TileCount(oc, conv_internal::kGradRows);
@@ -645,10 +652,11 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
 
   if (grad_input != nullptr) {
     // dX sums as the GEMM tier would over im2col columns. A stride-1 conv
-    // with p ≤ k−1 sums it as the forward correlation of dY, zero-bordered
-    // by k−1−p, with the flipped, transposed kernel (depth oc·k² + tap,
-    // channel-major); any other geometry as Col2Im of Wᵀ·dY, tap by tap,
-    // each tap's sum over the OC channels folded in.
+    // with p ≤ kh−1 and p ≤ kw−1 sums it as the forward correlation of dY,
+    // zero-bordered by kh−1−p rows and kw−1−p columns, with the flipped,
+    // transposed kernel (depth oc·kh·kw + tap, channel-major; flipping a
+    // kh × kw kernel reverses its taps); any other geometry as Col2Im of
+    // Wᵀ·dY, tap by tap, each tap's sum over the OC channels folded in.
     DirectPass pass;
     pass.in = dy_t;
     pass.in_ch = oc;
@@ -658,14 +666,17 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     pass.oh = ih;
     pass.ow = iw;
     pass.lanes = lanes;
-    pass.kernel = k;
+    pass.kh = kh;
+    pass.kw = kw;
+    pass.stride = geom.stride;
     pass.row_blocks = TileCount(cin, conv_internal::kMaxRows);
     const int64_t depth = oc * kk;
     float* packed = scope.AllocFloats(cin * depth);
     const float* wd = weight.data();
-    if (geom.stride == 1 && geom.padding <= k - 1) {
+    if (geom.stride == 1 && geom.padding <= std::min(kh, kw) - 1) {
       pass.kind = DirectPass::Kind::kGather;
-      pass.padding = k - 1 - geom.padding;
+      pass.pad_h = kh - 1 - geom.padding;
+      pass.pad_w = kw - 1 - geom.padding;
       PackRows(cin, depth, pass.row_blocks,
                [&](int64_t c, int64_t j) {
                  return wd[(j / kk * cin + c) * kk + kk - 1 - j % kk];
@@ -673,8 +684,8 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
                packed);
     } else {
       pass.kind = DirectPass::Kind::kTransposed;
-      pass.stride = geom.stride;
-      pass.padding = geom.padding;
+      pass.pad_h = geom.padding;
+      pass.pad_w = geom.padding;
       PackRows(cin, depth, pass.row_blocks,
                [&](int64_t c, int64_t j) {
                  return wd[(j % oc * cin + c) * kk + j / oc];
@@ -700,107 +711,6 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
       }
     }
   }
-}
-
-Tensor Conv1dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const Conv1dGeom& geom) {
-  EDDE_CHECK_EQ(input.shape().rank(), 3);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t len = input.shape().dim(2);
-  EDDE_CHECK_EQ(cin, geom.in_channels);
-  const int64_t olen = geom.OutExtent(len);
-  EDDE_CHECK_GT(olen, 0) << "conv1d output is empty";
-
-  Tensor output(Shape{batch, geom.out_channels, olen});
-  // Each (c, k) tap is an axpy over the valid output positions, which
-  // vectorizes over t (the old layout reduced over the short c*k axis per
-  // output element and could not). Samples are independent, so the batch
-  // loop parallelizes; per-sample work stays serial and deterministic.
-  const int64_t work =
-      geom.out_channels * olen * (cin * geom.kernel + 1);
-  ParallelFor(0, batch, RowGrain(work, 1 << 16), [&](int64_t n0, int64_t n1) {
-    for (int64_t n = n0; n < n1; ++n) {
-      const float* in = input.data() + n * cin * len;
-      float* out = output.data() + n * geom.out_channels * olen;
-      for (int64_t oc = 0; oc < geom.out_channels; ++oc) {
-        const float* wrow = weight.data() + oc * cin * geom.kernel;
-        float* orow = out + oc * olen;
-        const float bv = bias.empty() ? 0.0f : bias.data()[oc];
-#pragma omp simd
-        for (int64_t t = 0; t < olen; ++t) orow[t] = bv;
-        for (int64_t c = 0; c < cin; ++c) {
-          const float* irow = in + c * len;
-          const float* wk = wrow + c * geom.kernel;
-          for (int64_t k = 0; k < geom.kernel; ++k) {
-            const float wv = wk[k];
-            // Valid t: 0 <= t*stride + off < len.
-            const int64_t off = k - geom.padding;
-            const int64_t t_lo =
-                off >= 0 ? 0 : (-off + geom.stride - 1) / geom.stride;
-            const int64_t t_hi = std::min(
-                olen, off >= len ? int64_t{0}
-                                 : (len - off + geom.stride - 1) / geom.stride);
-            if (geom.stride == 1) {
-              const float* src = irow + off;
-#pragma omp simd
-              for (int64_t t = t_lo; t < t_hi; ++t) orow[t] += wv * src[t];
-            } else {
-              for (int64_t t = t_lo; t < t_hi; ++t) {
-                orow[t] += wv * irow[t * geom.stride + off];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-  return output;
-}
-
-Tensor Conv1dBackward(const Tensor& input, const Tensor& weight,
-                      const Tensor& grad_out, const Conv1dGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad) {
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t len = input.shape().dim(2);
-  const int64_t olen = geom.OutExtent(len);
-
-  Tensor grad_input(input.shape(), 0.0f);
-  for (int64_t n = 0; n < batch; ++n) {
-    const float* in = input.data() + n * cin * len;
-    float* gin = grad_input.data() + n * cin * len;
-    const float* go = grad_out.data() + n * geom.out_channels * olen;
-    for (int64_t oc = 0; oc < geom.out_channels; ++oc) {
-      const float* wrow = weight.data() + oc * cin * geom.kernel;
-      float* wgrow = weight_grad->data() + oc * cin * geom.kernel;
-      const float* gorow = go + oc * olen;
-      for (int64_t t = 0; t < olen; ++t) {
-        const float g = gorow[t];
-        if (g == 0.0f) continue;
-        const int64_t start = t * geom.stride - geom.padding;
-        for (int64_t c = 0; c < cin; ++c) {
-          const float* irow = in + c * len;
-          float* girow = gin + c * len;
-          const float* wk = wrow + c * geom.kernel;
-          float* wgk = wgrow + c * geom.kernel;
-          for (int64_t k = 0; k < geom.kernel; ++k) {
-            const int64_t pos = start + k;
-            if (pos >= 0 && pos < len) {
-              wgk[k] += g * irow[pos];
-              girow[pos] += g * wk[k];
-            }
-          }
-        }
-      }
-      if (bias_grad != nullptr && !bias_grad->empty()) {
-        double acc = 0.0;
-        for (int64_t t = 0; t < olen; ++t) acc += gorow[t];
-        bias_grad->data()[oc] += static_cast<float>(acc);
-      }
-    }
-  }
-  return grad_input;
 }
 
 Tensor AvgPool2dForward(const Tensor& input, int64_t window) {
@@ -917,6 +827,7 @@ Tensor MaxOverTimeForward(const Tensor& input) {
   EDDE_CHECK_EQ(input.shape().rank(), 3);
   const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
   const int64_t len = input.shape().dim(2);
+  EDDE_CHECK_GT(len, 0) << "max over an empty sequence";
   Tensor out(Shape{input.shape().dim(0), input.shape().dim(1)});
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = input.data() + r * len;
@@ -928,6 +839,7 @@ Tensor MaxOverTimeForward(const Tensor& input) {
 Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out) {
   const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
   const int64_t len = input.shape().dim(2);
+  EDDE_CHECK_GT(len, 0) << "max over an empty sequence";
   EDDE_CHECK_EQ(grad_out.num_elements(), rows);
   Tensor grad_input(input.shape(), 0.0f);
   for (int64_t r = 0; r < rows; ++r) {

@@ -67,28 +67,34 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b);
 // 2-D convolution (NCHW layout)
 // ---------------------------------------------------------------------------
 
-/// Geometry of a 2-D convolution (square kernels).
+/// Geometry of a 2-D convolution with a kernel_h × kernel_w kernel; the
+/// stride and the padding are the same on both axes. Conv1d runs as a
+/// height-1 plane under a 1 × k kernel.
 struct ConvGeom {
   int64_t in_channels = 0;
   int64_t out_channels = 0;
-  int64_t kernel = 3;
+  int64_t kernel_h = 3;
+  int64_t kernel_w = 3;
   int64_t stride = 1;
   int64_t padding = 1;
 
-  /// Output spatial extent for input extent `in`.
-  int64_t OutExtent(int64_t in) const {
-    return (in + 2 * padding - kernel) / stride + 1;
+  /// Output extents for an input of height `h` and width `w`.
+  int64_t OutHeight(int64_t h) const {
+    return (h + 2 * padding - kernel_h) / stride + 1;
+  }
+  int64_t OutWidth(int64_t w) const {
+    return (w + 2 * padding - kernel_w) / stride + 1;
   }
 
   /// Output shape (N, OC, OH, OW) for an (N, C, H, W) input.
   Shape OutputShape(const Shape& input) const {
-    return Shape{input.dim(0), out_channels, OutExtent(input.dim(2)),
-                 OutExtent(input.dim(3))};
+    return Shape{input.dim(0), out_channels, OutHeight(input.dim(2)),
+                 OutWidth(input.dim(3))};
   }
 };
 
 /// Unrolls `batch` consecutive samples (N, C, H, W) into one column block
-/// (C*k*k, N*OH*OW) for gemm-based convolution: sample s fills columns
+/// (C·kh·kw, N·OH·OW) for gemm-based convolution: sample s fills columns
 /// [s*OH*OW, (s+1)*OH*OW). `cols` must be preallocated with that shape.
 /// The samples are staged into zero-bordered (H+2p, W+2p) planes, one
 /// memcpy per row, and every column entry is gathered through an int32
@@ -110,15 +116,16 @@ int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
 /// vector lanes.
 Shape Conv2dInputCopyShape(const Shape& input);
 
-/// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, k, k),
-/// optional bias (OC) -> output (N, OC, OH, OW). Writes into `output` when
-/// it is given (shape geom.OutputShape), else allocates it. A non-empty
+/// Forward 2-D convolution: input (N, C, H, W), weight (OC, C, kh, kw),
+/// optional bias (OC) -> output (N, OC, OH, OW); both output extents must
+/// be positive. Writes into `output` when it is given (shape
+/// geom.OutputShape), else allocates it. A non-empty
 /// `input_t` (shape Conv2dInputCopyShape) receives the batch-innermost copy
 /// of the input, for Conv2dBackward to read.
 ///
 /// Direct kernels on the batch-innermost copy (tensor/conv_direct.h) for
 /// every kernel size, picked by the GEMM kernel tier. Each output sums its
-/// C·k² products in im2col depth order, in blocks of the packed GEMM's kKC
+/// C·kh·kw products in im2col depth order, in blocks of the packed GEMM's kKC
 /// depth steps, then adds the bias: bit for bit what Im2Col + GemmRaw
 /// computes on that tier. The result does not depend on the batch size or
 /// the thread count.
@@ -127,7 +134,7 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      Tensor output = Tensor(), Tensor input_t = Tensor());
 
 /// Quantized forward 2-D convolution: same contract as Conv2dForward but
-/// the kernel is a per-channel int8 matrix (OC rows of depth C·k²; see
+/// the kernel is a per-channel int8 matrix (OC rows of depth C·kh·kw; see
 /// tensor/quantize.h), run as Im2Col + GemmInt8. Inference only — there
 /// is no int8 backward.
 Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
@@ -142,40 +149,14 @@ Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
 ///
 /// dW is a set of lane-parallel sums over the output pixels, each folded
 /// across its lanes in a fixed order. dX sums bit for bit as the GEMM
-/// tier would over im2col columns: for stride 1 with p ≤ k−1 as the
-/// forward correlation of dY with the flipped kernel, otherwise as Col2Im
-/// of Wᵀ·dY, tap by tap. The result does not depend on the thread count.
+/// tier would over im2col columns: for stride 1 with p ≤ kh−1 and
+/// p ≤ kw−1 as the forward correlation of dY with the flipped kernel,
+/// otherwise as Col2Im of Wᵀ·dY, tap by tap. The result does not depend
+/// on the thread count.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_out, const ConvGeom& geom,
                     Tensor* weight_grad, Tensor* bias_grad,
                     Tensor* grad_input, const Tensor& input_t = Tensor());
-
-// ---------------------------------------------------------------------------
-// 1-D convolution over sequences (N, C, L), for TextCNN
-// ---------------------------------------------------------------------------
-
-/// Geometry of a 1-D convolution.
-struct Conv1dGeom {
-  int64_t in_channels = 0;
-  int64_t out_channels = 0;
-  int64_t kernel = 3;
-  int64_t stride = 1;
-  int64_t padding = 0;
-
-  int64_t OutExtent(int64_t in) const {
-    return (in + 2 * padding - kernel) / stride + 1;
-  }
-};
-
-/// Forward 1-D convolution: input (N, C, L), weight (OC, C, k), bias (OC)
-/// -> output (N, OC, OL).
-Tensor Conv1dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const Conv1dGeom& geom);
-
-/// Backward 1-D convolution; mirrors Conv2dBackward.
-Tensor Conv1dBackward(const Tensor& input, const Tensor& weight,
-                      const Tensor& grad_out, const Conv1dGeom& geom,
-                      Tensor* weight_grad, Tensor* bias_grad);
 
 // ---------------------------------------------------------------------------
 // Pooling
@@ -198,8 +179,8 @@ Tensor GlobalAvgPool2dBackward(const Shape& input_shape,
                                const Tensor& grad_out,
                                Tensor grad_input = Tensor());
 
-/// Max over the sequence axis: (N, C, L) -> (N, C). This is TextCNN's
-/// max-over-time pooling.
+/// Max over the sequence axis: (N, C, L) -> (N, C), L > 0. This is
+/// TextCNN's max-over-time pooling.
 Tensor MaxOverTimeForward(const Tensor& input);
 
 /// Backward of max-over-time pooling: each row's gradient goes to the first

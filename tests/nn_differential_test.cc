@@ -5,13 +5,16 @@
 // gradient is compared with a naive float64 reference, within a bound for
 // its precision, on seeded random shapes and on degenerate ones (N = 1,
 // 1×1 planes, rank-2 input, channel counts that do not fill BatchNorm's
-// channel group, a constant channel; Conv1d strides 2–3, padding up to
-// k−1, a kernel as long as the sequence, one output position; tied maxima).
+// channel group, a constant channel; a Conv1d kernel as long as the
+// sequence, one output position, NaN and Inf behind a zero dY; tied
+// maxima).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -398,25 +401,48 @@ TEST(DenseDifferentialTest, MatchesFloat64Reference) {
 // ---------------------------------------------------------------------------
 
 struct Conv1dCase {
-  int64_t n, cin, cout, len, kernel, stride, padding;
+  int64_t n, cin, cout, len, kernel;
 };
 
-void CheckConv1d(const Conv1dCase& c, uint64_t seed) {
+// ExpectWithin where the reference is finite; where it is NaN or ±Inf, the
+// fp32 value must be non-finite too.
+void ExpectWithinOrNonFinite(const float* got, const std::vector<double>& want,
+                             const std::vector<double>& mag, double terms,
+                             const std::string& what) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (!std::isfinite(want[i])) {
+      ASSERT_FALSE(std::isfinite(got[i]))
+          << what << " element " << i << ": got " << got[i] << ", want "
+          << want[i];
+      continue;
+    }
+    const double bound = terms * kFp32Unit * mag[i] + 1e-30;
+    ASSERT_LE(std::fabs(got[i] - want[i]), bound)
+        << what << " element " << i << ": got " << got[i] << ", want "
+        << want[i] << ", magnitude " << mag[i];
+  }
+}
+
+// Runs a training Forward and Backward of a Conv1d (stride 1, no padding)
+// against the float64 reference. `edit`, when given, changes the input, the
+// weights and dY before the layer runs.
+void CheckConv1d(
+    const Conv1dCase& c, uint64_t seed,
+    const std::function<void(Tensor* x, Tensor* w, Tensor* dy)>& edit = {}) {
   SCOPED_TRACE(::testing::Message()
                << "conv1d n=" << c.n << " " << c.cin << "->" << c.cout
-               << " len=" << c.len << " k=" << c.kernel << " s=" << c.stride
-               << " p=" << c.padding);
+               << " len=" << c.len << " k=" << c.kernel);
   Rng rng(seed);
-  Conv1d conv(c.cin, c.cout, c.kernel, c.stride, c.padding,
-              /*use_bias=*/true, &rng);
+  Conv1d conv(c.cin, c.cout, c.kernel, /*use_bias=*/true, &rng);
   const std::vector<Parameter*> params = conv.Parameters();
   params[1]->value.FillNormal(&rng, 0.0f, 0.5f);  // nonzero bias
-  const Tensor& w = params[0]->value;
+  Tensor& w = params[0]->value;
   const Tensor& b = params[1]->value;
-  const int64_t olen = (c.len + 2 * c.padding - c.kernel) / c.stride + 1;
+  const int64_t olen = c.len - c.kernel + 1;
   ASSERT_GT(olen, 0);
-  const Tensor x = Random(Shape{c.n, c.cin, c.len}, &rng);
-  const Tensor dy = Random(Shape{c.n, c.cout, olen}, &rng);
+  Tensor x = Random(Shape{c.n, c.cin, c.len}, &rng);
+  Tensor dy = Random(Shape{c.n, c.cout, olen}, &rng);
+  if (edit) edit(&x, &w, &dy);
 
   Tape tape;
   const Tensor y = conv.Forward(x, &tape);
@@ -443,16 +469,14 @@ void CheckConv1d(const Conv1dCase& c, uint64_t seed) {
         db_mag[o] += std::fabs(g);
         for (int64_t ch = 0; ch < c.cin; ++ch) {
           for (int64_t k = 0; k < c.kernel; ++k) {
-            const int64_t pos = t * c.stride - c.padding + k;
-            if (pos < 0 || pos >= c.len) continue;
-            const double xv = x.data()[xi(i, ch, pos)];
+            const double xv = x.data()[xi(i, ch, t + k)];
             const double wv = w.data()[wi(o, ch, k)];
             acc += xv * wv;
             mag += std::fabs(xv * wv);
             dw_want[wi(o, ch, k)] += g * xv;
             dw_mag[wi(o, ch, k)] += std::fabs(g * xv);
-            dx_want[xi(i, ch, pos)] += g * wv;
-            dx_mag[xi(i, ch, pos)] += std::fabs(g * wv);
+            dx_want[xi(i, ch, t + k)] += g * wv;
+            dx_mag[xi(i, ch, t + k)] += std::fabs(g * wv);
           }
         }
         y_want[e] = acc;
@@ -460,28 +484,29 @@ void CheckConv1d(const Conv1dCase& c, uint64_t seed) {
       }
     }
   }
-  ExpectWithin(y.data(), y_want, y_mag, c.cin * c.kernel + 2.0, kFp32Unit,
-               "y");
-  ExpectWithin(dx.data(), dx_want, dx_mag, c.cout * c.kernel + 1.0,
-               kFp32Unit, "dx");
-  ExpectWithin(params[0]->grad.data(), dw_want, dw_mag, c.n * olen + 1.0,
-               kFp32Unit, "dW");
-  ExpectWithin(params[1]->grad.data(), db_want, db_mag, c.n + 1.0, kFp32Unit,
-               "db");
+  ExpectWithinOrNonFinite(y.data(), y_want, y_mag, c.cin * c.kernel + 2.0,
+                          "y");
+  ExpectWithinOrNonFinite(dx.data(), dx_want, dx_mag,
+                          c.cout * c.kernel + 1.0, "dx");
+  ExpectWithinOrNonFinite(params[0]->grad.data(), dw_want, dw_mag,
+                          c.n * olen + 1.0, "dW");
+  ExpectWithinOrNonFinite(params[1]->grad.data(), db_want, db_mag, c.n + 1.0,
+                          "db");
 }
 
 TEST(Conv1dDifferentialTest, DegenerateShapes) {
   const Conv1dCase cases[] = {
-      {1, 1, 1, 1, 1, 1, 0},   // one of everything
-      {2, 3, 4, 5, 5, 1, 0},   // kernel = sequence: one output position
-      {3, 2, 3, 4, 4, 2, 0},   // kernel = sequence at stride 2
-      {2, 2, 2, 3, 3, 1, 2},   // padding k−1, kernel = sequence
-      {1, 3, 2, 7, 3, 2, 0},   // stride 2
-      {2, 2, 3, 8, 3, 3, 1},   // stride 3
-      {3, 4, 2, 9, 4, 2, 3},   // stride 2, padding k−1
-      {1, 2, 5, 10, 5, 3, 4},  // stride 3, padding k−1
-      {4, 1, 1, 6, 2, 2, 1},   // single channels
-      {1, 5, 3, 2, 3, 1, 1},   // sequence shorter than the kernel
+      {1, 1, 1, 1, 1},     // one of everything
+      {2, 3, 4, 5, 5},     // kernel = sequence: one output position
+      {3, 2, 3, 4, 4},     // kernel = sequence
+      {2, 2, 2, 3, 3},     // kernel = sequence
+      {1, 3, 2, 7, 3},
+      {2, 2, 3, 8, 3},
+      {3, 4, 2, 9, 4},
+      {1, 2, 5, 10, 5},
+      {4, 1, 1, 6, 2},     // single channels
+      {33, 8, 6, 32, 5},   // TextCNN tiny, two 16-sample tiles and a tail
+      {3, 60, 4, 12, 5},   // depth 300: more than one kKC block
   };
   uint64_t seed = 500;
   for (const Conv1dCase& c : cases) CheckConv1d(c, seed++);
@@ -495,13 +520,30 @@ TEST(Conv1dDifferentialTest, SeededRandomShapes) {
     c.cin = 1 + shapes.UniformInt(8);
     c.cout = 1 + shapes.UniformInt(8);
     c.kernel = 1 + shapes.UniformInt(5);
-    c.stride = 1 + shapes.UniformInt(3);
-    c.padding = shapes.UniformInt(c.kernel);  // 0 .. k−1
-    // At least one output position: len + 2p ≥ k.
-    const int64_t min_len = std::max<int64_t>(1, c.kernel - 2 * c.padding);
-    c.len = min_len + shapes.UniformInt(12);
+    c.len = c.kernel + shapes.UniformInt(12);  // at least one output
     CheckConv1d(c, 600 + static_cast<uint64_t>(trial));
   }
+}
+
+// NaN in the input and +Inf in the weights reach dW and dX even where dY is
+// zero: 0·NaN and 0·Inf are NaN, so no product may be skipped for a zero
+// gradient (DESIGN.md §10).
+TEST(Conv1dDifferentialTest, NonFiniteValuesReachTheGradientsThroughZeroDy) {
+  const Conv1dCase c{2, 3, 4, 9, 3};
+  CheckConv1d(c, 700, [&](Tensor* x, Tensor* w, Tensor* dy) {
+    const int64_t olen = c.len - c.kernel + 1;
+    // x[0][1][4] is read by outputs t = 2..4 of sample 0; their dY is zero
+    // in every channel.
+    x->data()[(0 * c.cin + 1) * c.len + 4] = std::nanf("");
+    for (int64_t o = 0; o < c.cout; ++o) {
+      for (int64_t t = 2; t <= 4; ++t) dy->data()[o * olen + t] = 0.0f;
+    }
+    // w[2][0][1] = +Inf; sample 1's dY is zero in channel 2, so the Inf
+    // reaches its dX only as 0·Inf.
+    w->data()[(2 * c.cin + 0) * c.kernel + 1] =
+        std::numeric_limits<float>::infinity();
+    std::fill_n(dy->data() + (1 * c.cout + 2) * olen, olen, 0.0f);
+  });
 }
 
 TEST(MaxOverTimeDifferentialTest, MaximaAndFirstOfTiedGetTheGradient) {

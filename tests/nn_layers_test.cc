@@ -60,8 +60,7 @@ TEST(Conv2dTest, StridedGradientsMatchFiniteDifferences) {
 
 TEST(Conv1dTest, GradientsMatchFiniteDifferences) {
   Rng rng(7);
-  Conv1d layer(3, 4, /*kernel=*/3, /*stride=*/1, /*padding=*/0,
-               /*use_bias=*/true, &rng);
+  Conv1d layer(3, 4, /*kernel=*/3, /*use_bias=*/true, &rng);
   const auto result = CheckModuleGradients(
       &layer, RandomInput(Shape{2, 3, 8}, 8), /*training=*/true, &rng);
   EXPECT_LT(result.max_rel_error, kGradCheckTolerance);

@@ -12,6 +12,8 @@
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "nn/resnet.h"
+#include "nn/tape.h"
+#include "nn/textcnn.h"
 #include "optim/sgd.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -320,6 +322,79 @@ TEST_F(ParallelDeterminismTest, ResNetTrainingIdenticalAcrossThreadCounts) {
   std::unique_ptr<ResNet> serial = TrainResNetSteps(1);
   std::unique_ptr<ResNet> threaded = TrainResNetSteps(4);
   ExpectIdenticalParameters(serial.get(), threaded.get());
+}
+
+// A TextCNN member whose conv passes split into pool chunks: 24 filters
+// per branch make four register tiles of output channels, and each tile of
+// a Conv1d pass at the training batch holds more than 2¹⁸ multiply-adds.
+TextCnnConfig SplittingTextCnnConfig() {
+  TextCnnConfig cfg;
+  cfg.vocab_size = 60;
+  cfg.embed_dim = 16;
+  cfg.seq_len = 64;
+  cfg.kernel_sizes = {3, 4, 5};
+  cfg.filters_per_size = 24;
+  return cfg;
+}
+
+Tensor RandomTokens(int64_t rows, const TextCnnConfig& cfg, Rng* rng) {
+  Tensor ids(Shape{rows, cfg.seq_len});
+  for (int64_t i = 0; i < ids.num_elements(); ++i) {
+    ids.data()[i] = static_cast<float>(rng->UniformInt(cfg.vocab_size));
+  }
+  return ids;
+}
+
+// A few SGD steps at batch 32 (dropout on), then the eval logits of 128
+// sequences.
+std::unique_ptr<TextCnn> TrainTextCnnSteps(int threads, Tensor* eval_logits) {
+  SetNumThreads(threads);
+  const TextCnnConfig cfg = SplittingTextCnnConfig();
+  auto net = std::make_unique<TextCnn>(cfg, 19);
+  Rng rng(37);
+  const Tensor x = RandomTokens(32, cfg, &rng);
+  std::vector<int> labels(32);
+  for (int& label : labels) label = static_cast<int>(rng.UniformInt(2));
+  Sgd sgd(net.get(), SgdConfig{});
+  Tape tape;
+  for (int step = 0; step < 3; ++step) {
+    tape.Reset(static_cast<uint64_t>(step));
+    net->ZeroGrad();
+    const LossResult loss =
+        SoftmaxCrossEntropyLoss(net->Forward(x, &tape), labels);
+    net->Backward(loss.grad_logits, &tape);
+    sgd.Step();
+  }
+  *eval_logits = net->Forward(RandomTokens(128, cfg, &rng), nullptr);
+  return net;
+}
+
+TEST_F(ParallelDeterminismTest, TextCnnTrainingIdenticalAcrossThreadCounts) {
+  // The premise: at the training batch a branch's Conv1d forward and
+  // backward each split over the pool on their own.
+  SetNumThreads(4);
+  Counter* regions = MetricsRegistry::Global().GetCounter("threadpool.regions");
+  const TextCnnConfig cfg = SplittingTextCnnConfig();
+  Rng rng(41);
+  Conv1d conv(cfg.embed_dim, cfg.filters_per_size, 3, /*use_bias=*/true,
+              &rng);
+  Tensor x(Shape{32, cfg.embed_dim, cfg.seq_len});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  Tape tape;
+  int64_t before = regions->Value();
+  const Tensor y = conv.Forward(x, &tape);
+  ASSERT_GT(regions->Value(), before) << "the Conv1d forward must split";
+  Tensor dy(y.shape());
+  dy.FillNormal(&rng, 0.0f, 1.0f);
+  before = regions->Value();
+  (void)conv.Backward(dy, &tape);
+  ASSERT_GT(regions->Value(), before) << "the Conv1d backward must split";
+
+  Tensor logits1, logits4;
+  std::unique_ptr<TextCnn> serial = TrainTextCnnSteps(1, &logits1);
+  std::unique_ptr<TextCnn> threaded = TrainTextCnnSteps(4, &logits4);
+  ExpectIdenticalParameters(serial.get(), threaded.get());
+  ExpectIdenticalProbs(logits1, logits4);
 }
 
 TEST_F(ParallelDeterminismTest, Conv2dLaneBlocksMatchSingleSamples) {

@@ -76,10 +76,11 @@ TEST_P(ConvPropertyTest, ForwardIsLinearInInput) {
   ConvGeom g;
   g.in_channels = 2;
   g.out_channels = 3;
-  g.kernel = kernel;
+  g.kernel_h = kernel;
+  g.kernel_w = kernel;
   g.stride = stride;
   g.padding = padding;
-  if (g.OutExtent(6) <= 0) GTEST_SKIP();
+  if (g.OutHeight(6) <= 0) GTEST_SKIP();
   Tensor w = RandomTensor(Shape{3, 2, kernel, kernel}, 19);
   Tensor bias;  // no bias: strict linearity
   Tensor x1 = RandomTensor(Shape{2, 2, 6, 6}, 23);
@@ -95,10 +96,11 @@ TEST_P(ConvPropertyTest, ForwardIsLinearInInput) {
 TEST_P(ConvPropertyTest, LayerGradientsMatchFiniteDifferences) {
   const auto [kernel, stride, padding] = GetParam();
   ConvGeom probe;
-  probe.kernel = kernel;
+  probe.kernel_h = kernel;
+  probe.kernel_w = kernel;
   probe.stride = stride;
   probe.padding = padding;
-  if (probe.OutExtent(6) <= 0) GTEST_SKIP();
+  if (probe.OutHeight(6) <= 0) GTEST_SKIP();
   Rng rng(31);
   Conv2d layer(2, 2, kernel, stride, padding, /*use_bias=*/true, &rng);
   const auto result = testing::CheckModuleGradients(

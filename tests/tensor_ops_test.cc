@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -171,13 +172,26 @@ TEST(RowL2DistanceTest, MatchesManualNorm) {
 
 struct ConvCase {
   int64_t batch, cin, cout, h, w, kernel, stride, padding;
+  /// A 1 × kernel kernel, as TextCNN's Conv1d runs on a height-1 plane,
+  /// instead of kernel × kernel.
+  bool row_kernel = false;
+
+  int64_t kh() const { return row_kernel ? 1 : kernel; }
+  Shape WeightShape() const { return Shape{cout, cin, kh(), kernel}; }
 };
+
+std::ostream& operator<<(std::ostream& os, const ConvCase& c) {
+  return os << "batch " << c.batch << " cin " << c.cin << " cout " << c.cout
+            << " " << c.h << "x" << c.w << " k " << c.kh() << "x" << c.kernel
+            << " stride " << c.stride << " pad " << c.padding;
+}
 
 ConvGeom GeomOf(const ConvCase& c) {
   ConvGeom g;
   g.in_channels = c.cin;
   g.out_channels = c.cout;
-  g.kernel = c.kernel;
+  g.kernel_h = c.kh();
+  g.kernel_w = c.kernel;
   g.stride = c.stride;
   g.padding = c.padding;
   return g;
@@ -196,9 +210,9 @@ ConvReference NaiveConv2dReference(const Tensor& input, const Tensor& weight,
   const int64_t batch = input.shape().dim(0);
   const int64_t h = input.shape().dim(2);
   const int64_t w = input.shape().dim(3);
-  const int64_t oh = g.OutExtent(h);
-  const int64_t ow = g.OutExtent(w);
-  const int64_t k = g.kernel;
+  const int64_t oh = g.OutHeight(h);
+  const int64_t ow = g.OutWidth(w);
+  const int64_t kh = g.kernel_h, kw = g.kernel_w;
   ConvReference ref;
   ref.y.assign(static_cast<size_t>(grad_out.num_elements()), 0.0);
   ref.y_mag = ref.y;
@@ -220,15 +234,15 @@ ConvReference NaiveConv2dReference(const Tensor& input, const Tensor& weight,
           ref.db[oc] += go;
           ref.db_mag[oc] += std::fabs(go);
           for (int64_t ic = 0; ic < g.in_channels; ++ic) {
-            for (int64_t ky = 0; ky < k; ++ky) {
-              for (int64_t kx = 0; kx < k; ++kx) {
+            for (int64_t ky = 0; ky < kh; ++ky) {
+              for (int64_t kx = 0; kx < kw; ++kx) {
                 const int64_t iy = y * g.stride + ky - g.padding;
                 const int64_t ix = x * g.stride + kx - g.padding;
                 if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
                 const size_t xi = static_cast<size_t>(
                     ((n * g.in_channels + ic) * h + iy) * w + ix);
                 const size_t wi = static_cast<size_t>(
-                    ((oc * g.in_channels + ic) * k + ky) * k + kx);
+                    ((oc * g.in_channels + ic) * kh + ky) * kw + kx);
                 const double xv = input.data()[xi];
                 const double wv = weight.data()[wi];
                 acc += xv * wv;
@@ -265,18 +279,14 @@ void ExpectWithinF32Bound(const Tensor& got, const std::vector<double>& want,
 }
 
 void CheckConvAgainstReference(const ConvCase& c, uint64_t seed) {
-  SCOPED_TRACE(::testing::Message()
-               << "batch " << c.batch << " cin " << c.cin << " cout " << c.cout
-               << " " << c.h << "x" << c.w << " k " << c.kernel << " stride "
-               << c.stride << " pad " << c.padding);
+  SCOPED_TRACE(::testing::Message() << c);
   const ConvGeom g = GeomOf(c);
-  const int64_t oh = g.OutExtent(c.h), ow = g.OutExtent(c.w);
+  const int64_t oh = g.OutHeight(c.h), ow = g.OutWidth(c.w);
   ASSERT_GT(oh, 0);
   ASSERT_GT(ow, 0);
   Rng rng(seed);
   const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-  const Tensor weight =
-      RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+  const Tensor weight = RandomTensor(c.WeightShape(), &rng);
   const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
   const Tensor grad_out = RandomTensor(Shape{c.batch, c.cout, oh, ow}, &rng);
   const ConvReference ref =
@@ -284,7 +294,7 @@ void CheckConvAgainstReference(const ConvCase& c, uint64_t seed) {
 
   const Tensor y = Conv2dForward(input, weight, bias, g);
   ASSERT_EQ(y.shape(), Shape({c.batch, c.cout, oh, ow}));
-  ExpectWithinF32Bound(y, ref.y, ref.y_mag, c.cin * c.kernel * c.kernel + 1,
+  ExpectWithinF32Bound(y, ref.y, ref.y_mag, c.cin * c.kh() * c.kernel + 1,
                        "y");
 
   Tensor wg(weight.shape(), 0.0f);
@@ -292,7 +302,7 @@ void CheckConvAgainstReference(const ConvCase& c, uint64_t seed) {
   Tensor dx(input.shape());
   Conv2dBackward(input, weight, grad_out, g, &wg, &bg, &dx);
   ExpectWithinF32Bound(dx, ref.dx, ref.dx_mag,
-                       c.cout * c.kernel * c.kernel, "dx");
+                       c.cout * c.kh() * c.kernel, "dx");
   ExpectWithinF32Bound(wg, ref.dw, ref.dw_mag, c.batch * oh * ow, "dw");
   ExpectWithinF32Bound(bg, ref.db, ref.db_mag, c.batch * oh * ow, "db");
 }
@@ -384,6 +394,25 @@ std::vector<ConvCase> DeepConvCases() {
   };
 }
 
+// TextCNN's Conv1d: a 1 × k kernel over a height-1 plane of L tokens with E
+// channels, stride 1, no padding. The tiny and small members' branches (E →
+// F filters, k = 3..5, batch 32) on both synthetic datasets' lengths, lane
+// tails, and a kernel as long as the sequence (one output position).
+std::vector<ConvCase> RowKernelConvCases() {
+  std::vector<ConvCase> cases;
+  for (int64_t k : {3, 4, 5}) {
+    cases.push_back({32, 8, 6, 1, 32, k, 1, 0, true});    // tiny, IMDB-like
+    cases.push_back({32, 8, 6, 1, 16, k, 1, 0, true});    // tiny, MR-like
+    cases.push_back({32, 16, 12, 1, 64, k, 1, 0, true});  // small, IMDB-like
+    cases.push_back({32, 16, 12, 1, 24, k, 1, 0, true});  // small, MR-like
+  }
+  cases.push_back({9, 8, 6, 1, 16, 4, 1, 0, true});
+  cases.push_back({33, 8, 6, 1, 32, 5, 1, 0, true});
+  cases.push_back({7, 8, 6, 1, 5, 5, 1, 0, true});  // k = L
+  cases.push_back({3, 60, 4, 1, 9, 5, 1, 0, true});  // depth 300
+  return cases;
+}
+
 // 1x1 kernels, as the ResNet projections use them: stride 1 and 2, every
 // batch around the 8-lane vectors and 16-sample tiles, and depth 300, one
 // kKC block and then some.
@@ -439,6 +468,26 @@ TEST(Conv2dDifferentialTest, OneByOneKernels) {
   }
 }
 
+TEST(Conv2dDifferentialTest, RowKernels) {
+  uint64_t seed = 1600;
+  for (const ConvCase& c : RowKernelConvCases()) {
+    CheckConvAgainstReference(c, seed++);
+  }
+}
+
+// A 1 × 5 kernel on a length-3 sequence has no output position.
+TEST(Conv2dDeathTest, EmptyOutputAborts) {
+  ConvGeom g;
+  g.in_channels = 2;
+  g.out_channels = 3;
+  g.kernel_h = 1;
+  g.kernel_w = 5;
+  g.padding = 0;
+  const Tensor x(Shape{4, 2, 1, 3}, 1.0f);
+  const Tensor w(Shape{3, 2, 1, 5}, 1.0f);
+  EXPECT_DEATH(Conv2dForward(x, w, Tensor(), g), "conv output is empty");
+}
+
 // Without the input gradient, backward returns an empty tensor and the
 // parameter gradients are the same bits as the full call's, for both dX
 // orders: the correlation (stride 1) and tap by tap (stride 2, p ≥ k).
@@ -453,10 +502,8 @@ TEST(Conv2dBackwardTest, NoInputGradientKeepsParameterGradients) {
                                       << c.padding << " batch " << c.batch);
     const ConvGeom g = GeomOf(c);
     const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-    const Tensor weight =
-        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
-    const Tensor grad_out = RandomTensor(
-        Shape{c.batch, c.cout, g.OutExtent(c.h), g.OutExtent(c.w)}, &rng);
+    const Tensor weight = RandomTensor(c.WeightShape(), &rng);
+    const Tensor grad_out = RandomTensor(g.OutputShape(input.shape()), &rng);
     // Accumulation starts from a nonzero gradient, as in a second step.
     const Tensor wg0 = RandomTensor(weight.shape(), &rng);
     const Tensor bg0 = RandomTensor(Shape{c.cout}, &rng);
@@ -485,13 +532,10 @@ TEST(Conv2dBackwardTest, ForwardCopyReproducesTheRebuiltCopy) {
                             MultiBlockGradOutConvCase(), MultiBlockConvCase()};
   Rng rng(809);
   for (const ConvCase& c : cases) {
-    SCOPED_TRACE(::testing::Message() << "kernel " << c.kernel << " stride "
-                                      << c.stride << " pad " << c.padding
-                                      << " batch " << c.batch);
+    SCOPED_TRACE(::testing::Message() << c);
     const ConvGeom g = GeomOf(c);
     const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-    const Tensor weight =
-        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+    const Tensor weight = RandomTensor(c.WeightShape(), &rng);
     const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
     const Tensor grad_out =
         RandomTensor(g.OutputShape(input.shape()), &rng);
@@ -542,8 +586,7 @@ TEST(Conv2dBackwardTest, InputGradientIsTheForwardsAdjoint) {
   for (const ConvCase& c : cases) {
     const ConvGeom g = GeomOf(c);
     const Tensor x = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-    const Tensor weight =
-        RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+    const Tensor weight = RandomTensor(c.WeightShape(), &rng);
     const Tensor dy = RandomTensor(g.OutputShape(x.shape()), &rng);
     const Tensor y = Conv2dForward(x, weight, Tensor(), g);
     Tensor wg(weight.shape(), 0.0f);
@@ -559,10 +602,10 @@ TEST(Conv2dBackwardTest, InputGradientIsTheForwardsAdjoint) {
 void NaiveIm2Col(const float* input, int64_t batch, int64_t channels,
                  int64_t height, int64_t width, const ConvGeom& geom,
                  float* cols) {
-  const int64_t oh = geom.OutExtent(height), ow = geom.OutExtent(width);
-  const int64_t k = geom.kernel;
-  for (int64_t row = 0; row < channels * k * k; ++row) {
-    const int64_t c = row / (k * k), ky = (row / k) % k, kx = row % k;
+  const int64_t oh = geom.OutHeight(height), ow = geom.OutWidth(width);
+  const int64_t kh = geom.kernel_h, kw = geom.kernel_w;
+  for (int64_t row = 0; row < channels * kh * kw; ++row) {
+    const int64_t c = row / (kh * kw), ky = (row / kw) % kh, kx = row % kw;
     for (int64_t s = 0; s < batch; ++s) {
       const float* img = input + (s * channels + c) * height * width;
       float* out = cols + (row * batch + s) * oh * ow;
@@ -581,14 +624,14 @@ void NaiveIm2Col(const float* input, int64_t batch, int64_t channels,
 void NaiveCol2Im(const float* cols, int64_t batch, int64_t channels,
                  int64_t height, int64_t width, const ConvGeom& geom,
                  float* input_grad) {
-  const int64_t oh = geom.OutExtent(height), ow = geom.OutExtent(width);
-  const int64_t k = geom.kernel;
+  const int64_t oh = geom.OutHeight(height), ow = geom.OutWidth(width);
+  const int64_t kh = geom.kernel_h, kw = geom.kernel_w;
   for (int64_t s = 0; s < batch; ++s) {
     for (int64_t c = 0; c < channels; ++c) {
       float* img = input_grad + (s * channels + c) * height * width;
-      for (int64_t ky = 0; ky < k; ++ky) {
-        for (int64_t kx = 0; kx < k; ++kx) {
-          const int64_t row = (c * k + ky) * k + kx;
+      for (int64_t ky = 0; ky < kh; ++ky) {
+        for (int64_t kx = 0; kx < kw; ++kx) {
+          const int64_t row = (c * kh + ky) * kw + kx;
           const float* in = cols + (row * batch + s) * oh * ow;
           for (int64_t y = 0; y < oh; ++y) {
             for (int64_t x = 0; x < ow; ++x) {
@@ -607,18 +650,16 @@ void NaiveCol2Im(const float* cols, int64_t batch, int64_t channels,
 
 TEST(Im2ColTest, BitIdenticalToElementwiseLoops) {
   std::vector<ConvCase> cases = DegenerateConvCases();
-  for (const ConvCase& c : RandomConvCases()) cases.push_back(c);
+  for (const auto& more : {RandomConvCases(), RowKernelConvCases()}) {
+    cases.insert(cases.end(), more.begin(), more.end());
+  }
   cases.push_back(MultiBlockConvCase());
   Rng rng(4242);
   for (const ConvCase& c : cases) {
-    SCOPED_TRACE(::testing::Message()
-                 << "batch " << c.batch << " cin " << c.cin << " " << c.h
-                 << "x" << c.w << " k " << c.kernel << " stride " << c.stride
-                 << " pad " << c.padding);
+    SCOPED_TRACE(::testing::Message() << c);
     const ConvGeom g = GeomOf(c);
-    const int64_t ncols =
-        c.batch * g.OutExtent(c.h) * g.OutExtent(c.w);
-    const int64_t rows = c.cin * c.kernel * c.kernel;
+    const int64_t ncols = c.batch * g.OutHeight(c.h) * g.OutWidth(c.w);
+    const int64_t rows = c.cin * c.kh() * c.kernel;
     const Tensor x = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
     Tensor got(Shape{rows, ncols}), want(Shape{rows, ncols});
     Im2Col(x.data(), c.batch, c.cin, c.h, c.w, g, got.data());
@@ -663,7 +704,7 @@ Tensor Im2ColGemmForward(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const ConvGeom& g) {
   const Shape out_shape = g.OutputShape(input.shape());
   const int64_t batch = input.shape().dim(0);
-  const int64_t depth = g.in_channels * g.kernel * g.kernel;
+  const int64_t depth = g.in_channels * g.kernel_h * g.kernel_w;
   const int64_t ncols = batch * out_shape.dim(2) * out_shape.dim(3);
   Tensor cols(Shape{depth, ncols});
   Im2Col(input.data(), batch, g.in_channels, input.shape().dim(2),
@@ -678,21 +719,35 @@ Tensor Im2ColGemmForward(const Tensor& input, const Tensor& weight,
 }
 
 // The input gradient as the im2col path summed it on the active tier: for
-// stride 1 with p ≤ k−1 the correlation of dY, zero-bordered by k−1−p,
-// with the flipped, transposed kernel; otherwise Col2Im of Wᵀ·dY.
+// stride 1 with p ≤ kh−1 and p ≤ kw−1 the correlation of dY, zero-bordered
+// by kh−1−p rows and kw−1−p columns, with the flipped, transposed kernel;
+// otherwise Col2Im of Wᵀ·dY.
 Tensor Im2ColGemmInputGrad(const Tensor& weight, const Tensor& grad_out,
                            const ConvGeom& g, const Shape& input_shape) {
   const int64_t batch = input_shape.dim(0), cin = g.in_channels;
   const int64_t h = input_shape.dim(2), w = input_shape.dim(3);
-  const int64_t oc = g.out_channels, kk = g.kernel * g.kernel;
+  const int64_t kh = g.kernel_h, kw = g.kernel_w;
+  const int64_t oc = g.out_channels, kk = kh * kw;
   const int64_t oh = grad_out.shape().dim(2), ow = grad_out.shape().dim(3);
-  if (g.stride == 1 && g.padding <= g.kernel - 1) {
+  if (g.stride == 1 && g.padding <= std::min(kh, kw) - 1) {
+    // The border differs per axis, so it is written into a copy of dY and
+    // the correlation runs unpadded.
+    const int64_t bh = kh - 1 - g.padding, bw = kw - 1 - g.padding;
+    const int64_t ph = oh + 2 * bh, pw = ow + 2 * bw;
+    Tensor bordered(Shape{batch, oc, ph, pw}, 0.0f);
+    for (int64_t p = 0; p < batch * oc; ++p) {
+      for (int64_t y = 0; y < oh; ++y) {
+        std::copy_n(grad_out.data() + (p * oh + y) * ow, ow,
+                    bordered.data() + (p * ph + y + bh) * pw + bw);
+      }
+    }
     ConvGeom corr;
     corr.in_channels = oc;
     corr.out_channels = cin;
-    corr.kernel = g.kernel;
+    corr.kernel_h = kh;
+    corr.kernel_w = kw;
     corr.stride = 1;
-    corr.padding = g.kernel - 1 - g.padding;
+    corr.padding = 0;
     Tensor w_flip(Shape{cin, oc * kk});
     for (int64_t o = 0; o < oc; ++o) {
       for (int64_t c = 0; c < cin; ++c) {
@@ -704,7 +759,7 @@ Tensor Im2ColGemmInputGrad(const Tensor& weight, const Tensor& grad_out,
     }
     const int64_t ncols = batch * h * w;
     Tensor cols(Shape{oc * kk, ncols});
-    Im2Col(grad_out.data(), batch, oc, oh, ow, corr, cols.data());
+    Im2Col(bordered.data(), batch, oc, ph, pw, corr, cols.data());
     Tensor dx2d(Shape{cin, ncols});
     GemmRaw(false, false, cin, ncols, oc * kk, 1.0f, w_flip.data(), oc * kk,
             cols.data(), ncols, 0.0f, dx2d.data(), ncols);
@@ -740,7 +795,8 @@ void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
 std::vector<ConvCase> AllConvCases() {
   std::vector<ConvCase> cases = DegenerateConvCases();
   for (const auto& more : {RandomConvCases(), LaneTailConvCases(),
-                           DeepConvCases(), OneByOneConvCases()}) {
+                           DeepConvCases(), OneByOneConvCases(),
+                           RowKernelConvCases()}) {
     cases.insert(cases.end(), more.begin(), more.end());
   }
   // The ResNet-8 member's layers at the training batch.
@@ -761,15 +817,10 @@ TEST(Conv2dTierTest, ForwardIsIm2ColGemmBitForBitOnEveryTier) {
     SetGemmKernel(tier);
     Rng rng(2024);
     for (const ConvCase& c : AllConvCases()) {
-      SCOPED_TRACE(::testing::Message()
-                   << GemmKernelName(tier) << " batch " << c.batch << " cin "
-                   << c.cin << " cout " << c.cout << " " << c.h << "x" << c.w
-                   << " k " << c.kernel << " stride " << c.stride << " pad "
-                   << c.padding);
+      SCOPED_TRACE(::testing::Message() << GemmKernelName(tier) << " " << c);
       const ConvGeom g = GeomOf(c);
       const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-      const Tensor weight =
-          RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+      const Tensor weight = RandomTensor(c.WeightShape(), &rng);
       const Tensor bias = RandomTensor(Shape{c.cout}, &rng);
       ExpectSameBits(Conv2dForward(input, weight, bias, g),
                      Im2ColGemmForward(input, weight, bias, g), "forward");
@@ -783,15 +834,10 @@ TEST(Conv2dTierTest, InputGradientKeepsTheIm2ColOrderOnEveryTier) {
     SetGemmKernel(tier);
     Rng rng(2025);
     for (const ConvCase& c : AllConvCases()) {
-      SCOPED_TRACE(::testing::Message()
-                   << GemmKernelName(tier) << " batch " << c.batch << " cin "
-                   << c.cin << " cout " << c.cout << " " << c.h << "x" << c.w
-                   << " k " << c.kernel << " stride " << c.stride << " pad "
-                   << c.padding);
+      SCOPED_TRACE(::testing::Message() << GemmKernelName(tier) << " " << c);
       const ConvGeom g = GeomOf(c);
       const Tensor input = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-      const Tensor weight =
-          RandomTensor(Shape{c.cout, c.cin, c.kernel, c.kernel}, &rng);
+      const Tensor weight = RandomTensor(c.WeightShape(), &rng);
       const Tensor grad_out =
           RandomTensor(g.OutputShape(input.shape()), &rng);
       Tensor wg(weight.shape(), 0.0f);
@@ -848,16 +894,19 @@ TEST(Conv2dInt8Test, MultiBlockBatchMatchesPerSampleCalls) {
 }
 
 TEST(Conv1dTest, KnownKernelValues) {
+  // A sequence as a height-1 plane under a 1 × 3 kernel, as Conv1d runs it.
   // Single channel, kernel [1, 0, -1]: discrete derivative.
-  Conv1dGeom g;
+  ConvGeom g;
   g.in_channels = 1;
   g.out_channels = 1;
-  g.kernel = 3;
-  Tensor input(Shape{1, 1, 5}, {1.0f, 2.0f, 4.0f, 8.0f, 16.0f});
-  Tensor weight(Shape{1, 1, 3}, {1.0f, 0.0f, -1.0f});
+  g.kernel_h = 1;
+  g.kernel_w = 3;
+  g.padding = 0;
+  Tensor input(Shape{1, 1, 1, 5}, {1.0f, 2.0f, 4.0f, 8.0f, 16.0f});
+  Tensor weight(Shape{1, 1, 1, 3}, {1.0f, 0.0f, -1.0f});
   Tensor bias(Shape{1}, 0.0f);
-  Tensor out = Conv1dForward(input, weight, bias, g);
-  ASSERT_EQ(out.shape(), Shape({1, 1, 3}));
+  Tensor out = Conv2dForward(input, weight, bias, g);
+  ASSERT_EQ(out.shape(), Shape({1, 1, 1, 3}));
   EXPECT_FLOAT_EQ(out.at(0), 1.0f - 4.0f);
   EXPECT_FLOAT_EQ(out.at(1), 2.0f - 8.0f);
   EXPECT_FLOAT_EQ(out.at(2), 4.0f - 16.0f);
@@ -888,6 +937,13 @@ TEST(GlobalAvgPoolTest, ForwardBackwardConsistency) {
   Tensor grad_in = GlobalAvgPool2dBackward(input.shape(), grad_out);
   EXPECT_NEAR(grad_in.at(0), 1.0f / 16.0f, 1e-6);
   EXPECT_NEAR(grad_in.Sum(), 6.0, 1e-4);
+}
+
+TEST(MaxOverTimeDeathTest, EmptySequenceAborts) {
+  const Tensor x(Shape{2, 3, 0});
+  EXPECT_DEATH(MaxOverTimeForward(x), "empty sequence");
+  EXPECT_DEATH(MaxOverTimeBackward(x, Tensor(Shape{2, 3}, 1.0f)),
+               "empty sequence");
 }
 
 TEST(MaxOverTimeTest, SelectsPerChannelMax) {
