@@ -3,9 +3,11 @@
 /// acceptance shape, dense-layer and im2col-conv shaped GEMMs — across
 /// every available kernel (portable SIMD, AVX2) and records GFLOP/s plus
 /// the allocation audit (tensor allocs + arena slab growth at steady state
-/// must both be zero) into BENCH_kernels.json. It also prints the Conv2d
-/// layer's forward and backward time per kernel tier at every conv shape
-/// of the tiny, small and paper ResNet members.
+/// must both be zero) into BENCH_kernels.json. It also records the serving
+/// path at its row counts (GemmRaw with and without a PackedB, and the
+/// served MLP's packed eval), and prints the Conv2d layer's forward and
+/// backward time per kernel tier at every conv shape of the tiny, small
+/// and paper ResNet members.
 ///
 /// CI diffs every headline against the committed baseline with a generous
 /// threshold: `*.packed_gflops` (the best tier's GFLOP/s) catches a silent
@@ -20,11 +22,10 @@
 
 #include "bench_common.h"
 #include "nn/conv2d.h"
+#include "nn/mlp.h"
 #include "nn/tape.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 #include "tensor/ops.h"
-#include "tensor/quantize.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "utils/arena.h"
@@ -64,40 +65,6 @@ double TimeGemmGflops(GemmKernel kernel, const GemmShape& shape,
   for (int r = 0; r < reps; ++r) {
     Gemm(false, false, 1.0f, a, b, 0.0f, &c);
   }
-  const double seconds = timer.Seconds() / reps;
-  const double flops = 2.0 * static_cast<double>(shape.m) *
-                       static_cast<double>(shape.n) *
-                       static_cast<double>(shape.k);
-  return flops / seconds / 1e9;
-}
-
-/// Times `GemmInt8` for one kernel at one shape. Effective GFLOP/s uses
-/// the same 2·m·n·k op count as the fp32 rows so int8 and fp32 numbers are
-/// directly comparable; the cost of per-row activation quantization is
-/// inside the timed region (it is part of every real int8 call).
-double TimeGemmInt8Gflops(GemmKernel kernel, const GemmShape& shape,
-                          double min_seconds, Rng* rng) {
-  SetGemmKernel(kernel);
-  Tensor a(Shape{shape.m, shape.k});
-  Tensor w(Shape{shape.n, shape.k});
-  Tensor c(Shape{shape.m, shape.n});
-  a.FillUniform(rng, -1.0f, 1.0f);
-  w.FillUniform(rng, -1.0f, 1.0f);
-  const QuantizedMatrix qw = QuantizeWeightsPerChannel(w);
-
-  auto call = [&] {
-    GemmInt8(false, false, shape.m, shape.k, a.data(), shape.k, qw, c.data(),
-             shape.n);
-  };
-  call();  // warm-up
-  Timer calibrate;
-  call();
-  const double once = std::max(calibrate.Seconds(), 1e-6);
-  const int reps =
-      static_cast<int>(std::max(1.0, std::min(1000.0, min_seconds / once)));
-
-  Timer timer;
-  for (int r = 0; r < reps; ++r) call();
   const double seconds = timer.Seconds() / reps;
   const double flops = 2.0 * static_cast<double>(shape.m) *
                        static_cast<double>(shape.n) *
@@ -246,6 +213,64 @@ void PrintConvTimings(const std::vector<GemmKernel>& kernels,
   SetGemmKernel(GemmKernel::kAuto);
 }
 
+/// The serving path at its shapes, per kernel tier: GemmRaw at
+/// bench_serve's first layer, x (m, 108) @ Wᵀ with W (48, 108), with W
+/// packed on every call and with a PackedB built once; then the served
+/// MLP, 108-48-10, packed for eval as an ensemble member is. m covers one
+/// row, bench_serve's 3-row requests, one full 6-row tile and coalesced
+/// batches. Each line records its effective GFLOP/s (2·m·n·k a product).
+void PrintServedTimings(const std::vector<GemmKernel>& kernels,
+                        double seconds, Rng* rng) {
+  const int64_t n = 48, k = 108;
+  Tensor w(Shape{n, k});
+  w.FillUniform(rng, -1.0f, 1.0f);
+  const PackedB packed(/*trans_b=*/true, k, n, w.data(), k);
+  MlpConfig config;
+  config.in_features = static_cast<int>(k);
+  config.hidden = {static_cast<int>(n)};
+  config.num_classes = 10;
+  Mlp mlp(config, 5);
+  mlp.PackForEval();
+  const double mlp_flops_per_row = 2.0 * (k * n + n * 10);
+  const auto report = [](const std::string& key, const char* what,
+                         double us, double flops) {
+    std::printf("%-28s %-26s %8.2f us  %6.2f GFLOP/s\n", key.c_str(), what,
+                us, flops / us / 1e3);
+    RecordHeadline(key + "_gflops", flops / us / 1e3);
+  };
+  for (GemmKernel kernel : kernels) {
+    SetGemmKernel(kernel);
+    const std::string tier = GemmKernelName(kernel);
+    for (int64_t m : {1, 3, 6, 16, 64}) {
+      Tensor x(Shape{m, k}), y(Shape{m, n});
+      x.FillUniform(rng, -1.0f, 1.0f);
+      const std::string shape = "served_m" + std::to_string(m) + "." + tier;
+      const double flops = 2.0 * m * n * k;
+      report(shape + "_unpacked", "GemmRaw Wᵀ packed per call",
+             MedianCallUs(seconds, [&] {
+               GemmRaw(false, true, m, n, k, 1.0f, x.data(), k, w.data(), k,
+                       0.0f, y.data(), n);
+             }),
+             flops);
+      report(shape + "_packed", "GemmRaw PackedB",
+             MedianCallUs(seconds, [&] {
+               GemmRaw(false, m, 1.0f, x.data(), k, packed, 0.0f, y.data(),
+                       n);
+             }),
+             flops);
+    }
+    for (int64_t rows : {1, 3, 16, 64}) {
+      Tensor x(Shape{rows, k});
+      x.FillUniform(rng, -1.0f, 1.0f);
+      report("served_mlp_rows" + std::to_string(rows) + "." + tier,
+             "MLP 108-48-10 packed eval",
+             MedianCallUs(seconds, [&] { mlp.Forward(x, nullptr); }),
+             mlp_flops_per_row * rows);
+    }
+  }
+  SetGemmKernel(GemmKernel::kAuto);
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags;
   if (!InitExperiment(&flags, argc, argv)) return 0;
@@ -292,51 +317,9 @@ int Run(int argc, char** argv) {
       best_packed = std::max(best_packed, gflops);
     }
     RecordHeadline(std::string(shape.name) + ".packed_gflops", best_packed);
-
-    // int8 path (DESIGN.md §13): same shapes, same effective-GFLOP/s
-    // accounting. CI gates the 512³ ratio against the best fp32 kernel —
-    // both sides come from this run, so the ratio travels across machines.
-    double best_int8 = 0.0;
-    // The kAvx2 dispatch tier hides the VNNI drop-in; pin it off to time
-    // the vpmaddubsw path on its own, then on for the vpdpbusd row.
-    struct Int8Variant {
-      const char* name;
-      GemmKernel kernel;
-      bool vnni;
-    };
-    std::vector<Int8Variant> int8_variants = {
-        {"portable", GemmKernel::kPortable, false}};
-    if (gemm_internal::Avx2Available()) {
-      int8_variants.push_back({"avx2", GemmKernel::kAvx2, false});
-      if (gemm_internal::Int8VnniAvailable()) {
-        int8_variants.push_back({"vnni", GemmKernel::kAvx2, true});
-      }
-    }
-    for (const Int8Variant& variant : int8_variants) {
-      gemm_internal::SetInt8VnniEnabled(variant.vnni);
-      const double gflops =
-          TimeGemmInt8Gflops(variant.kernel, shape, min_seconds, &rng);
-      std::printf("%-12s int8:%-7s m=%-4lld n=%-4lld k=%-4lld  %7.2f "
-                  "GFLOP/s (eff)\n",
-                  shape.name, variant.name,
-                  static_cast<long long>(shape.m),
-                  static_cast<long long>(shape.n),
-                  static_cast<long long>(shape.k), gflops);
-      RecordHeadline(std::string(shape.name) + ".int8_" + variant.name +
-                         "_gflops",
-                     gflops);
-      best_int8 = std::max(best_int8, gflops);
-    }
-    gemm_internal::SetInt8VnniEnabled(true);
-    RecordHeadline(std::string(shape.name) + ".int8_gflops", best_int8);
-    const double int8_speedup = best_packed > 0.0 ? best_int8 / best_packed
-                                                  : 0.0;
-    RecordHeadline(std::string(shape.name) + ".int8_speedup_vs_fp32",
-                   int8_speedup);
-    std::printf("%-12s int8 speedup vs fp32 packed: %.2fx\n", shape.name,
-                int8_speedup);
   }
 
+  PrintServedTimings(kernels, min_seconds / 4, &rng);
   PrintConvTimings(kernels, min_seconds / 4);
 
   // Multi-threaded 512³ with automatic dispatch: proves the row partition

@@ -34,15 +34,9 @@ double CascadeSlack(const std::vector<double>& alphas, double alpha_sum) {
 void EnsembleModel::AddMember(std::unique_ptr<Module> model, double alpha) {
   EDDE_CHECK(model != nullptr);
   EDDE_CHECK_GT(alpha, 0.0) << "member weight must be positive";
-  // A member joining a quantized ensemble inherits the ensemble precision.
-  if (precision_ != Precision::kFloat32) model->SetPrecision(precision_);
+  model->PackForEval();
   members_.push_back(std::move(model));
   alphas_.push_back(alpha);
-}
-
-void EnsembleModel::SetPrecision(Precision precision) {
-  precision_ = precision;
-  for (auto& member : members_) member->SetPrecision(precision);
 }
 
 double EnsembleModel::AlphaSum() const {

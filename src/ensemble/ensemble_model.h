@@ -20,21 +20,15 @@ class EnsembleModel {
   EnsembleModel(EnsembleModel&&) = default;
   EnsembleModel& operator=(EnsembleModel&&) = default;
 
-  /// Adds a trained member with combination weight `alpha` (> 0).
+  /// Adds a trained member with combination weight `alpha` (> 0) and packs
+  /// it for eval (Module::PackForEval): the member is final, and nothing
+  /// may train it or change its weights afterwards.
   void AddMember(std::unique_ptr<Module> model, double alpha);
 
   int64_t size() const { return static_cast<int64_t>(members_.size()); }
   Module* member(int64_t i) const { return members_[static_cast<size_t>(i)].get(); }
   double alpha(int64_t i) const { return alphas_[static_cast<size_t>(i)]; }
   const std::vector<double>& alphas() const { return alphas_; }
-
-  /// Switches every member's inference precision (see Module::SetPrecision).
-  /// kInt8 quantizes each member's weight matrices for eval-mode forwards;
-  /// kFloat32 restores bit-exact float inference. Idempotent.
-  void SetPrecision(Precision precision);
-
-  /// Precision of the last SetPrecision call (kFloat32 initially).
-  Precision precision() const { return precision_; }
 
   /// Sum of the member weights (the Eq. 16 normalizer).
   double AlphaSum() const;
@@ -78,7 +72,6 @@ class EnsembleModel {
  private:
   std::vector<std::unique_ptr<Module>> members_;
   std::vector<double> alphas_;
-  Precision precision_ = Precision::kFloat32;
 };
 
 /// Early-exit state of one α-ordered ensemble prediction (the serving

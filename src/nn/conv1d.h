@@ -19,8 +19,7 @@ namespace edde {
 /// (Conv2dForward/Conv2dBackward): the same direct kernels, tiers, pool
 /// split and tape use as Conv2d, with no second conv implementation. The
 /// weight keeps its (OC, C, k) shape, so checkpoints and artifacts are
-/// unchanged. The layer has no int8 path: it runs float32 at every
-/// precision.
+/// unchanged.
 class Conv1d : public Module {
  public:
   Conv1d(int64_t in_channels, int64_t out_channels, int64_t kernel,

@@ -27,9 +27,6 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 
 Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
   if (tape == nullptr) {
-    if (precision_ == Precision::kInt8) {
-      return Conv2dForwardInt8(input, qweight_, bias_.value, geom_);
-    }
     return Conv2dForward(input, weight_.value, bias_.value, geom_);
   }
   // The input handle keeps its shape and data mark for Backward; the
@@ -40,15 +37,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, Tape* tape) {
   return Conv2dForward(input, weight_.value, bias_.value, geom_,
                        tape->NewTensor(geom_.OutputShape(input.shape())),
                        input_t);
-}
-
-void Conv2d::SetPrecision(Precision precision) {
-  precision_ = precision;
-  if (precision == Precision::kInt8) {
-    qweight_ = QuantizeWeightsPerChannel(weight_.value);
-  } else {
-    qweight_ = QuantizedMatrix();
-  }
 }
 
 Tensor Conv2d::BackwardImpl(const Tensor& grad_output, Tape* tape) {

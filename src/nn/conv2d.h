@@ -26,10 +26,6 @@ class Conv2d : public Module {
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
-  /// kInt8 quantizes the kernel per output channel ((OC, C·k²) view) for
-  /// eval-mode Forward; training and Backward stay float32.
-  void SetPrecision(Precision precision) override;
-
   const ConvGeom& geom() const { return geom_; }
 
  protected:
@@ -41,7 +37,6 @@ class Conv2d : public Module {
   bool use_bias_;
   Parameter weight_;
   Parameter bias_;
-  QuantizedMatrix qweight_;  ///< populated iff precision_ == kInt8
 };
 
 }  // namespace edde

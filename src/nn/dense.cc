@@ -1,7 +1,6 @@
 #include "nn/dense.h"
 
 #include "nn/init.h"
-#include "tensor/gemm_int8.h"
 #include "tensor/ops.h"
 #include "utils/logging.h"
 
@@ -21,7 +20,10 @@ Dense::Dense(int64_t in_features, int64_t out_features, Rng* rng)
 Tensor Dense::ForwardImpl(const Tensor& input, Tape* tape) {
   EDDE_CHECK_EQ(input.shape().rank(), 2);
   EDDE_CHECK_EQ(input.shape().dim(1), in_features_);
-  if (tape != nullptr) tape->Save(input);
+  if (tape != nullptr) {
+    EDDE_CHECK(packed_weight_.empty()) << "training a layer packed for eval";
+    tape->Save(input);
+  }
   const int64_t n = input.shape().dim(0);
   Tensor output = NewTensor(tape, Shape{n, out_features_});
   // y = x @ W^T + b, with the bias broadcast fused into the gemm epilogue
@@ -29,12 +31,9 @@ Tensor Dense::ForwardImpl(const Tensor& input, Tape* tape) {
   GemmEpilogue epi;
   epi.bias = GemmEpilogue::Bias::kPerCol;
   epi.bias_data = bias_.value.data();
-  if (precision_ == Precision::kInt8 && tape == nullptr) {
-    // x @ W^T is exactly the int8 gemm's native orientation: activation
-    // rows against quantized weight rows (output channels).
-    GemmInt8(/*trans_a=*/false, /*trans_c=*/false, n, in_features_,
-             input.data(), in_features_, qweight_, output.data(),
-             out_features_, epi);
+  if (!packed_weight_.empty()) {
+    GemmRaw(/*trans_a=*/false, n, 1.0f, input.data(), in_features_,
+            packed_weight_, 0.0f, output.data(), out_features_, epi);
     return output;
   }
   Gemm(false, true, 1.0f, input, weight_.value, 0.0f, &output, epi);
@@ -42,6 +41,7 @@ Tensor Dense::ForwardImpl(const Tensor& input, Tape* tape) {
 }
 
 Tensor Dense::BackwardImpl(const Tensor& grad_output, Tape* tape) {
+  EDDE_CHECK(packed_weight_.empty()) << "training a layer packed for eval";
   const Tensor input = tape->Take();
   const int64_t n = grad_output.shape().dim(0);
   // dW += dY^T @ X ; db += colsum(dY) ; dX = dY @ W
@@ -55,13 +55,9 @@ Tensor Dense::BackwardImpl(const Tensor& grad_output, Tape* tape) {
   return grad_input;
 }
 
-void Dense::SetPrecision(Precision precision) {
-  precision_ = precision;
-  if (precision == Precision::kInt8) {
-    qweight_ = QuantizeWeightsPerChannel(weight_.value);
-  } else {
-    qweight_ = QuantizedMatrix();
-  }
+void Dense::PackForEval() {
+  packed_weight_ = PackedB(/*trans_b=*/true, in_features_, out_features_,
+                           weight_.value.data(), in_features_);
 }
 
 void Dense::CollectParameters(std::vector<Parameter*>* out) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/quantize.h"
+#include "tensor/gemm.h"
 #include "tensor/rng.h"
 
 namespace edde {
@@ -19,9 +19,9 @@ class Dense : public Module {
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
 
-  /// kInt8 quantizes the weight per output channel for eval-mode Forward;
-  /// training-mode Forward and Backward always use the float weights.
-  void SetPrecision(Precision precision) override;
+  /// Packs Wᵀ once into the GEMM's panels, which eval Forward then reads
+  /// instead of packing W on every call.
+  void PackForEval() override;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -35,7 +35,7 @@ class Dense : public Module {
   int64_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  QuantizedMatrix qweight_;  ///< populated iff precision_ == kInt8
+  PackedB packed_weight_;  ///< Wᵀ, built by PackForEval
 };
 
 }  // namespace edde

@@ -40,11 +40,6 @@ std::string DenseLayer::name() const {
   return "dense_layer(+" + std::to_string(conv_.geom().out_channels) + ")";
 }
 
-void DenseLayer::SetPrecision(Precision precision) {
-  precision_ = precision;
-  conv_.SetPrecision(precision);
-}
-
 TransitionLayer::TransitionLayer(int64_t in_channels, int64_t out_channels,
                                  Rng* rng)
     : bn_(in_channels),
@@ -71,11 +66,6 @@ void TransitionLayer::CollectParameters(std::vector<Parameter*>* out) {
 }
 
 std::string TransitionLayer::name() const { return "transition"; }
-
-void TransitionLayer::SetPrecision(Precision precision) {
-  precision_ = precision;
-  conv_.SetPrecision(precision);
-}
 
 DenseNet::DenseNet(const DenseNetConfig& config, uint64_t seed)
     : config_(config) {
@@ -131,11 +121,6 @@ std::string DenseNet::name() const {
          std::to_string(config_.growth) + ")";
 }
 
-void DenseNet::SetPrecision(Precision precision) {
-  precision_ = precision;
-  stem_->SetPrecision(precision);
-  for (auto& layer : body_) layer->SetPrecision(precision);
-  classifier_->SetPrecision(precision);
-}
+void DenseNet::PackForEval() { classifier_->PackForEval(); }
 
 }  // namespace edde

@@ -35,7 +35,6 @@ class DenseLayer : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
 
  protected:
   Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
@@ -55,7 +54,6 @@ class TransitionLayer : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
 
  protected:
   Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
@@ -75,7 +73,7 @@ class DenseNet : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
+  void PackForEval() override;
 
   const DenseNetConfig& config() const { return config_; }
 

@@ -33,9 +33,6 @@ std::string Mlp::name() const {
          std::to_string(config_.num_classes) + ")";
 }
 
-void Mlp::SetPrecision(Precision precision) {
-  precision_ = precision;
-  body_.SetPrecision(precision);
-}
+void Mlp::PackForEval() { body_.PackForEval(); }
 
 }  // namespace edde

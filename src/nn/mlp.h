@@ -25,7 +25,7 @@ class Mlp : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
+  void PackForEval() override;
 
   const MlpConfig& config() const { return config_; }
 

@@ -4,16 +4,6 @@
 
 namespace edde {
 
-const char* PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kInt8:
-      return "int8";
-    case Precision::kFloat32:
-      break;
-  }
-  return "fp32";
-}
-
 Tensor Module::Forward(const Tensor& input, bool training) {
   if (!training) return ForwardImpl(input, nullptr);
   if (tape_ == nullptr) tape_ = std::make_unique<Tape>();

@@ -23,17 +23,6 @@ struct Parameter {
   bool trainable = true;
 };
 
-/// Numeric precision of a module's inference path. Training always runs in
-/// float32; kInt8 only changes eval-mode Forward (weights are quantized
-/// per output channel, activations dynamically per row — DESIGN.md §13).
-enum class Precision : uint8_t {
-  kFloat32 = 0,
-  kInt8 = 1,
-};
-
-/// Stable lowercase name ("fp32", "int8") for manifests and logs.
-const char* PrecisionName(Precision precision);
-
 /// Base class for all neural-network layers and models.
 ///
 /// Modules implement explicit reverse-mode differentiation. A training
@@ -90,14 +79,13 @@ class Module {
   /// Human-readable layer name, e.g. "conv2d(16->32,k3)".
   virtual std::string name() const = 0;
 
-  /// Switches the inference precision. The default implementation records
-  /// the tag; layers with weights override to (re)quantize, containers
-  /// override to forward the call to their children. Switching back to
-  /// kFloat32 restores bit-exact fp32 behaviour — the float weights are
-  /// never modified. Call again after mutating weights while at kInt8.
-  virtual void SetPrecision(Precision precision) { precision_ = precision; }
-
-  Precision precision() const { return precision_; }
+  /// Freezes the module for serving: a layer whose eval Forward reads its
+  /// weights in another layout (Dense: GEMM panels) builds that copy once,
+  /// and containers forward the call to their children. Eval outputs keep
+  /// their bits. Afterwards the weights must not change, since eval reads
+  /// the copy; a training-mode Forward or a Backward on a packed layer is a
+  /// checked error. EnsembleModel::AddMember calls it on every member.
+  virtual void PackForEval() {}
 
   /// Flattened, depth-ordered parameter list.
   std::vector<Parameter*> Parameters();
@@ -111,8 +99,6 @@ class Module {
  protected:
   virtual Tensor ForwardImpl(const Tensor& input, Tape* tape) = 0;
   virtual Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) = 0;
-
-  Precision precision_ = Precision::kFloat32;
 
  private:
   std::unique_ptr<Tape> tape_;  ///< the bool wrappers' tape

@@ -74,13 +74,6 @@ std::string ResidualBlock::name() const {
   return "res_block(" + conv1_.name() + ")";
 }
 
-void ResidualBlock::SetPrecision(Precision precision) {
-  precision_ = precision;
-  conv1_.SetPrecision(precision);
-  conv2_.SetPrecision(precision);
-  if (has_projection_) proj_conv_->SetPrecision(precision);
-}
-
 ResNet::ResNet(const ResNetConfig& config, uint64_t seed) : config_(config) {
   Rng rng(seed);
   const int n = config.BlocksPerStage();
@@ -134,11 +127,6 @@ std::string ResNet::name() const {
          std::to_string(config_.base_width) + ")";
 }
 
-void ResNet::SetPrecision(Precision precision) {
-  precision_ = precision;
-  stem_->SetPrecision(precision);
-  for (auto& block : blocks_) block->SetPrecision(precision);
-  classifier_->SetPrecision(precision);
-}
+void ResNet::PackForEval() { classifier_->PackForEval(); }
 
 }  // namespace edde

@@ -43,7 +43,6 @@ class ResidualBlock : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
 
  protected:
   Tensor ForwardImpl(const Tensor& input, Tape* tape) override;
@@ -68,7 +67,7 @@ class ResNet : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
+  void PackForEval() override;
 
   const ResNetConfig& config() const { return config_; }
 

@@ -36,9 +36,8 @@ std::string Sequential::name() const {
   return s + "]";
 }
 
-void Sequential::SetPrecision(Precision precision) {
-  precision_ = precision;
-  for (auto& layer : layers_) layer->SetPrecision(precision);
+void Sequential::PackForEval() {
+  for (auto& layer : layers_) layer->PackForEval();
 }
 
 }  // namespace edde

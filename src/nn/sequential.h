@@ -20,7 +20,7 @@ class Sequential : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
+  void PackForEval() override;
 
   size_t size() const { return layers_.size(); }
   Module* layer(size_t i) { return layers_[i].get(); }

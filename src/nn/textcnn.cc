@@ -36,7 +36,8 @@ Tensor TextCnn::ForwardImpl(const Tensor& input, Tape* tape) {
     Tensor h = convs_[b]->Forward(embedded, tape);  // (N, F, OL)
     h = relus_[b]->Forward(h, tape);
     if (tape != nullptr) tape->Save(h);  // the pooling's argmax source
-    Tensor pooled = MaxOverTimeForward(h);  // (N, F)
+    const Tensor pooled =
+        MaxOverTimeForward(h, NewTensor(tape, Shape{n, f}));  // (N, F)
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(
           features.data() + i * branches * f + static_cast<int64_t>(b) * f,
@@ -65,7 +66,9 @@ Tensor TextCnn::BackwardImpl(const Tensor& grad_output, Tape* tape) {
                   g.data() + i * branches * f + static_cast<int64_t>(b) * f,
                   sizeof(float) * f);
     }
-    Tensor gh = MaxOverTimeBackward(tape->Take(), grad_pooled);
+    const Tensor h = tape->Take();
+    Tensor gh = MaxOverTimeBackward(h, grad_pooled,
+                                    tape->NewTensor(h.shape()));
     gh = relus_[b]->Backward(gh, tape);
     grad_branch[b] = convs_[b]->Backward(gh, tape);  // (N, E, L)
   }
@@ -87,11 +90,6 @@ std::string TextCnn::name() const {
          std::to_string(config_.embed_dim) + ")";
 }
 
-void TextCnn::SetPrecision(Precision precision) {
-  precision_ = precision;
-  embedding_->SetPrecision(precision);
-  for (auto& conv : convs_) conv->SetPrecision(precision);
-  classifier_->SetPrecision(precision);
-}
+void TextCnn::PackForEval() { classifier_->PackForEval(); }
 
 }  // namespace edde

@@ -35,7 +35,7 @@ class TextCnn : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
   std::string name() const override;
-  void SetPrecision(Precision precision) override;
+  void PackForEval() override;
 
   const TextCnnConfig& config() const { return config_; }
 

@@ -47,8 +47,8 @@ struct ServingGeneration {
 /// cheap, wait-free of the swap path except for one mutex — and keep
 /// evaluating their snapshot even while Install() publishes a successor.
 ///
-/// Validation is the *caller's* job (the server checks geometry, precision
-/// and CheckPredictable before installing); the registry only guarantees
+/// Validation is the *caller's* job (the server checks geometry and
+/// CheckPredictable before installing); the registry only guarantees
 /// the swap itself is atomic and the generation id is monotonic.
 class ModelRegistry {
  public:

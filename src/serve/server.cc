@@ -36,7 +36,6 @@ InferenceServer::InferenceServer(const EnsembleModel* model,
                                                      [](const EnsembleModel*) {
                                                      }),
                 "(initial)"),
-      expected_precision_(model->precision()),
       input_dim_(input_dim),
       num_classes_(num_classes),
       config_(config),
@@ -118,12 +117,6 @@ Status InferenceServer::Reload(std::shared_ptr<const EnsembleModel> model,
       return Status::InvalidArgument("reload candidate is null");
     }
     EDDE_RETURN_NOT_OK(model->CheckPredictable());
-    if (model->precision() != expected_precision_) {
-      return Status::FailedPrecondition(
-          std::string("reload candidate precision ") +
-          PrecisionName(model->precision()) + " != serving precision " +
-          PrecisionName(expected_precision_));
-    }
     // Geometry check against the weight shapes themselves (the request
     // validation path pins input_dim_/num_classes_, so a model with other
     // shapes would EDDE_CHECK-crash inside a worker — reject it here
@@ -767,7 +760,6 @@ std::string InferenceServer::StatuszJson() const {
   server.Add("model_source", gen->source);
   server.Add("reloads", static_cast<int64_t>(registry_.reloads()));
   server.Add("members", gen->model->size());
-  server.Add("precision", PrecisionName(gen->model->precision()));
   server.Add("cascade", config_.cascade);
   server.Add("num_batch_workers", static_cast<int64_t>(num_workers_));
   server.Add("max_batch_rows", config_.max_batch_rows);

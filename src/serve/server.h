@@ -26,10 +26,9 @@
 namespace edde {
 namespace serve {
 
-/// A freshly loaded (and precision-applied) candidate model for hot
-/// reload, plus its provenance string — what ServerConfig::reload_source
-/// returns. The server validates the candidate (geometry, precision,
-/// predictable α) before swapping it in.
+/// A freshly loaded candidate model for hot reload, plus its provenance
+/// string — what ServerConfig::reload_source returns. The server validates
+/// the candidate (geometry, predictable α) before swapping it in.
 struct ReloadCandidate {
   std::shared_ptr<const EnsembleModel> model;
   std::string source;
@@ -89,7 +88,7 @@ struct ServerConfig {
   /// wedged reader). <= 0 = block indefinitely (pre-§16 behavior).
   int64_t send_timeout_ms = 5000;
   /// Hot-reload loader: returns a freshly loaded candidate (e.g. re-reads
-  /// the --model artifact, applying the serving precision). Invoked by
+  /// the --model artifact). Invoked by
   /// /reloadz and ReloadFromSource(); unset = reload unsupported. Runs on
   /// the caller's thread under the server's reload lock.
   std::function<Result<ReloadCandidate>()> reload_source;
@@ -153,8 +152,8 @@ class InferenceServer {
 
   /// Hot model reload (DESIGN.md §16): validates `model` — geometry
   /// derived from its weight shapes must match the serving
-  /// input_dim/num_classes, its precision must match the generation it
-  /// replaces, and it must satisfy CheckPredictable() — then atomically
+  /// input_dim/num_classes, and it must satisfy CheckPredictable() — then
+  /// atomically
   /// publishes it as the next generation. In-flight batches finish on the
   /// generation they started with; batches formed after the swap use the
   /// new model. On any validation failure the old generation keeps
@@ -243,9 +242,6 @@ class InferenceServer {
   /// caller's raw pointer in a non-owning generation 1; reloads install
   /// owned successors.
   ModelRegistry registry_;
-  /// Serving precision, captured from the initial model: reload candidates
-  /// must match it (a reload must never silently flip int8 ↔ fp32).
-  const Precision expected_precision_;
   const int64_t input_dim_;
   const int64_t num_classes_;
   const ServerConfig config_;

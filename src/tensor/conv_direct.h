@@ -22,8 +22,8 @@
 // Summation order. An output value is a fold of partial sums: each partial
 // accumulates the steps of one block of kKC consecutive depth indices,
 // starting from zero, and the blocks add into the output in depth order —
-// exactly the packed GEMM's kKC blocks over Im2Col's columns, so the
-// forward matches Im2Col + GemmRaw bit for bit on both tiers. Taps that
+// exactly the packed GEMM's kKC blocks over im2col's columns, so the
+// forward matches im2col + GemmRaw bit for bit on both tiers. Taps that
 // fall on padding are skipped: their products are ±0, and adding ±0 to a
 // sum that started at +0 (which can never become −0) changes no bit.
 
@@ -41,6 +41,11 @@ constexpr int64_t kLanes = 8;
 /// gradient blocks over; packed weights are grouped by these row blocks.
 /// The widest tile, kMaxRows × 2·kLanes, is also the packed GEMM's.
 constexpr int64_t kMaxRows = 6;
+/// B panels (2·kLanes columns each) that one packed-GEMM tile of r rows
+/// steps together, r = 1..kMaxRows: a tile of one or two rows would
+/// otherwise keep two or four FMA chains in flight, too few to hide the
+/// FMA latency.
+constexpr int64_t kGemmPanels[kMaxRows + 1] = {0, 4, 2, 1, 1, 1, 1};
 /// Tile of the weight gradient: output channels × input channels.
 constexpr int64_t kGradRows = 4;
 constexpr int64_t kGradCols = 3;
@@ -127,13 +132,15 @@ struct WeightGradPass {
 void DirectPassAvx2(const DirectPass& pass, int64_t i0, int64_t i1);
 void WeightGradPassAvx2(const WeightGradPass& pass, int64_t i0, int64_t i1);
 
-/// The packed GEMM's micro-kernel, DirectConv<Ops>::GemmTile, on the
+/// The packed GEMM's micro-kernel, DirectConv<Ops>::GemmTiles, on the
 /// portable policy (ops.cc) and on AVX2/FMA (kernels_avx2.cc; call only
 /// when gemm_internal::Avx2Available()).
-void GemmTilePortable(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
-                      const float* b, int64_t b_ks, float* acc);
-void GemmTileAvx2(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
-                  const float* b, int64_t b_ks, float* acc);
+void GemmTilePortable(int64_t rows, int64_t panels, int64_t kc,
+                      const float* a, int64_t a_rs, int64_t a_ks,
+                      const float* b, int64_t b_ks, int64_t b_ps, float* acc);
+void GemmTileAvx2(int64_t rows, int64_t panels, int64_t kc, const float* a,
+                  int64_t a_rs, int64_t a_ks, const float* b, int64_t b_ks,
+                  int64_t b_ps, float* acc);
 
 /// NCHW (n, c, p) -> batch-innermost (c, p, lanes) with the lanes past n
 /// zero, and back (the padded lanes dropped), on AVX2. Pure data movement:
@@ -180,27 +187,62 @@ struct DirectConv {
   }
 
   // The packed GEMM's micro-kernel: acc = A·B over kc steps from zero, for
-  // a kMaxRows × 2·L tile. Element (i, kk) of the A tile is
-  // a[i·a_rs + kk·a_ks]; row kk of the B tile is the 2·L floats at
-  // b + kk·b_ks. `acc` is row-major, 2·L floats a row.
+  // an R × P·2·L tile. Element (i, kk) of the A tile is a[i·a_rs + kk·a_ks];
+  // row kk of B panel p is the 2·L floats at b + p·b_ps + kk·b_ks. `acc` is
+  // row-major, P·2·L floats a row. Every output sums its products in kk
+  // order from zero, so its bits do not depend on R or P.
+  template <int R, int P>
   static void GemmTile(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
-                       const float* b, int64_t b_ks, float* acc) {
-    V c[kMaxRows][2];
-    Zero(c);
+                       const float* b, int64_t b_ks, int64_t b_ps,
+                       float* acc) {
+    V c[P][R][2];
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) Zero(c[p]);
     // Advancing the pointers, rather than indexing by kk, lets the compiler
     // hold the row offsets 1..5·a_rs in registers: each broadcast is then
     // one base + index load, where indexing rebuilt rows 3 and 5 with two
     // extra instructions a step (~10% at 512³ on AVX2, where the step is
     // issue-bound).
     for (int64_t kk = 0; kk < kc; ++kk) {
-      Step<kMaxRows, 2>(a, a_rs, b, c);
+#pragma GCC unroll 8
+      for (int p = 0; p < P; ++p) Step<R, 2>(a, a_rs, b + p * b_ps, c[p]);
       a += a_ks;
       b += b_ks;
     }
 #pragma GCC unroll 8
-    for (int r = 0; r < kMaxRows; ++r) {
-      Ops::Store(acc + 2 * r * L, c[r][0]);
-      Ops::Store(acc + (2 * r + 1) * L, c[r][1]);
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+      for (int p = 0; p < P; ++p) {
+        Ops::Store(acc + (2 * (r * P + p)) * L, c[p][r][0]);
+        Ops::Store(acc + (2 * (r * P + p) + 1) * L, c[p][r][1]);
+      }
+    }
+  }
+
+  // GemmTile<rows, panels> for 1 ≤ rows ≤ kMaxRows and
+  // 1 ≤ panels ≤ kGemmPanels[rows].
+  static void GemmTiles(int64_t rows, int64_t panels, int64_t kc,
+                        const float* a, int64_t a_rs, int64_t a_ks,
+                        const float* b, int64_t b_ks, int64_t b_ps,
+                        float* acc) {
+    static_assert(kMaxRows == 6 && kGemmPanels[1] == 4 &&
+                      kGemmPanels[2] == 2 && kGemmPanels[3] == 1,
+                  "GemmTiles covers the tiles kGemmPanels allows");
+    const auto run = [&](auto tile) { tile(kc, a, a_rs, a_ks, b, b_ks, b_ps, acc); };
+    switch (rows) {
+      case 1:
+        switch (panels) {
+          case 1: return run(GemmTile<1, 1>);
+          case 2: return run(GemmTile<1, 2>);
+          case 3: return run(GemmTile<1, 3>);
+          default: return run(GemmTile<1, 4>);
+        }
+      case 2:
+        return panels == 1 ? run(GemmTile<2, 1>) : run(GemmTile<2, 2>);
+      case 3: return run(GemmTile<3, 1>);
+      case 4: return run(GemmTile<4, 1>);
+      case 5: return run(GemmTile<5, 1>);
+      default: return run(GemmTile<6, 1>);
     }
   }
 

@@ -133,9 +133,9 @@ void ApplyEpilogue(int64_t m, int64_t n, float* c, int64_t ldc,
 //     floats: bp[panel][kk][j] = opB(pc + kk, panel*kNR + j), zero-padded.
 //
 // Both packs absorb the transpose flags, so transposed operands cost a
-// strided read during packing instead of a materialized copy. Full tiles
+// strided read during packing instead of a materialized copy. Operands
 // that need neither alpha nor a transpose absorbed skip packing
-// (GemmPacked).
+// (GemmPacked), and a PackedB holds B's panels for good.
 
 void PackA(bool trans_a, const float* a, int64_t lda, int64_t i0, int64_t pc,
            int64_t mb, int64_t kc, float alpha, float* dst) {
@@ -188,16 +188,17 @@ void PackB(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
   }
 }
 
-// Folds one micro-tile of accumulated products into C. `first` applies the
-// beta scaling (beta == 0 is a plain store, so C may start uninitialized);
-// `last` applies the fused epilogue. Edge tiles clip to mr x nr — the
-// padded lanes of `acc` are simply dropped.
-void MergeTile(const float* acc, float* c, int64_t ldc, int64_t mr,
-               int64_t nr, float beta, bool first, bool last,
+// Folds one micro-tile of accumulated products, `acc` with rows acc_ld
+// floats apart, into C. `first` applies the beta scaling (beta == 0 is a
+// plain store, so C may start uninitialized); `last` applies the fused
+// epilogue. Edge tiles clip to mr x nr — the padded lanes of `acc` are
+// simply dropped.
+void MergeTile(const float* acc, int64_t acc_ld, float* c, int64_t ldc,
+               int64_t mr, int64_t nr, float beta, bool first, bool last,
                const GemmEpilogue& epi, int64_t i0, int64_t j0) {
   for (int64_t i = 0; i < mr; ++i) {
     float* crow = c + i * ldc;
-    const float* arow = acc + i * kNR;
+    const float* arow = acc + i * acc_ld;
     if (first) {
       if (beta == 0.0f) {
 #pragma omp simd
@@ -230,26 +231,41 @@ void MergeTile(const float* acc, float* c, int64_t ldc, int64_t mr,
   }
 }
 
-void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
-                int64_t n, int64_t k, float alpha, const float* a,
-                int64_t lda, const float* b, int64_t ldb, float beta,
-                float* c, int64_t ldc, const GemmEpilogue& epi) {
+// op(B) as GemmPacked reads it: the stored matrix, whose panels it packs
+// per k block, or the panels of a PackedB (`panels` non-null; block pc
+// starts at panels + pc·⌈n/kNR⌉·kNR).
+struct BOperand {
+  bool trans = false;
+  const float* data = nullptr;
+  int64_t ld = 0;
+  const float* panels = nullptr;
+};
+
+void GemmPacked(GemmKernel kernel, bool trans_a, int64_t m, int64_t n,
+                int64_t k, float alpha, const float* a, int64_t lda,
+                const BOperand& b, float beta, float* c, int64_t ldc,
+                const GemmEpilogue& epi) {
   const auto tile = kernel == GemmKernel::kAvx2
                         ? conv_internal::GemmTileAvx2
                         : conv_internal::GemmTilePortable;
-  // The micro-kernel reads a full tile in place when packing would only
-  // copy it: A when alpha == 1 (packing folds alpha in), B when it is not
-  // transposed (a transposed B row is kNR strided floats). Edge tiles are
-  // packed for their zero padding. A tile whose k steps are rows of the
+  // The micro-kernel reads A and B in place when packing would only copy
+  // them: A when alpha == 1 (packing folds alpha in), B when it is neither
+  // transposed (a transposed B row is kNR strided floats) nor an edge panel
+  // (packed for its zero padding). An operand whose k steps are rows of the
   // stored matrix (B, transposed A) is read in place only within one k
   // block: past kKC rows at a stride of ld floats fight over a few cache
   // sets, and the packed strip is the faster read (512^3 stays on B
-  // panels). A non-transposed A tile is kMR rows running along k and is
-  // read in place at any depth. Packed or not, each tile sees the same
-  // values in the same order, so results do not depend on which path ran.
+  // panels). A non-transposed A is kMR rows running along k and is read in
+  // place at any depth. A block's last rows, fewer than kMR, run as a tile
+  // of their own height, several B panels wide when it is one or two rows
+  // (kGemmPanels). Packed or not, and whatever the tile, each output sees
+  // the same values in the same order, so results do not depend on which
+  // path ran.
   const bool one_block = k <= kKC;
   const bool a_direct = alpha == 1.0f && (!trans_a || one_block);
-  const int64_t n_direct = one_block && !trans_b ? n / kNR * kNR : 0;
+  const int64_t n_direct =
+      b.panels == nullptr && one_block && !b.trans ? n / kNR * kNR : 0;
+  const int64_t n_pad = CeilDiv(n, kNR) * kNR;
   const int64_t a_rs = trans_a ? 1 : lda;
   const int64_t a_ks = trans_a ? lda : 1;
   // One shared B panel per k block, packed serially by the caller; A blocks
@@ -260,46 +276,81 @@ void GemmPacked(GemmKernel kernel, bool trans_a, bool trans_b, int64_t m,
   // shallow or short operand (conv's dCols GEMM has k = OC) must not grow
   // every thread's arena to full kKC/kMC panels.
   ArenaScope scope;
-  float* bpack = scope.AllocFloats(std::min(k, kKC) *
-                                   CeilDiv(n - n_direct, kNR) * kNR);
+  float* bpack = b.panels != nullptr
+                     ? nullptr
+                     : scope.AllocFloats(std::min(k, kKC) *
+                                         CeilDiv(n - n_direct, kNR) * kNR);
   const int64_t grain = std::max(kMC, RowGrain(n * k, 1 << 18));
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    PackB(trans_b, b, ldb, pc, kc, n_direct, n, bpack);
+    const float* bpanels = bpack;
+    if (b.panels != nullptr) {
+      bpanels = b.panels + pc * n_pad;
+    } else {
+      PackB(b.trans, b.data, b.ld, pc, kc, n_direct, n, bpack);
+    }
     const bool first = pc == 0;
     const bool last = pc + kc >= k;
     ParallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
       ArenaScope worker_scope;
-      const int64_t rows = a_direct ? kMR : std::min(kMC, r1 - r0);
-      float* apack = worker_scope.AllocFloats(CeilDiv(rows, kMR) * kMR * kc);
+      float* apack =
+          a_direct ? nullptr
+                   : worker_scope.AllocFloats(
+                         CeilDiv(std::min(kMC, r1 - r0), kMR) * kMR * kc);
       alignas(64) float acc[kMR * kNR];
+      // The rows [ir, ir + mr) of the block at ic times the B panels
+      // [jr, jr + panels·kNR), which lie all in place or all packed.
+      const auto run = [&](int64_t ic, int64_t ir, int64_t mr, int64_t jr,
+                           int64_t panels) {
+        const float* asub = a_direct ? a + (ic + ir) * a_rs + pc * a_ks
+                                     : apack + ir * kc;
+        const bool b_in_place = jr < n_direct;
+        const float* bsub = b_in_place ? b.data + pc * b.ld + jr
+                                       : bpanels + (jr - n_direct) * kc;
+        tile(mr, panels, kc, asub, a_direct ? a_rs : 1, a_direct ? a_ks : kMR,
+             bsub, b_in_place ? b.ld : kNR, b_in_place ? kNR : kNR * kc, acc);
+        MergeTile(acc, panels * kNR, c + (ic + ir) * ldc + jr, ldc, mr,
+                  std::min(panels * kNR, n - jr), beta, first, last, epi,
+                  ic + ir, jr);
+      };
       for (int64_t ic = r0; ic < r1; ic += kMC) {
         const int64_t mb = std::min(kMC, r1 - ic);
-        const int64_t m_direct = a_direct ? mb / kMR * kMR : 0;
-        PackA(trans_a, a, lda, ic + m_direct, pc, mb - m_direct, kc, alpha,
-              apack);
+        if (!a_direct) PackA(trans_a, a, lda, ic, pc, mb, kc, alpha, apack);
+        const int64_t m_full = mb / kMR * kMR;
         for (int64_t jr = 0; jr < n; jr += kNR) {
-          const int64_t nr = std::min(kNR, n - jr);
-          const bool b_in_place = jr < n_direct;
-          const float* bsub = b_in_place ? b + pc * ldb + jr
-                                         : bpack + (jr - n_direct) * kc;
-          const int64_t b_ks = b_in_place ? ldb : kNR;
-          for (int64_t ir = 0; ir < mb; ir += kMR) {
-            const int64_t mr = std::min(kMR, mb - ir);
-            const bool a_in_place = ir < m_direct;
-            const float* asub =
-                a_in_place ? a + (ic + ir) * a_rs + pc * a_ks
-                           : apack + (ir - m_direct) * kc;
-            const int64_t rs = a_in_place ? a_rs : 1;
-            const int64_t ks = a_in_place ? a_ks : kMR;
-            tile(kc, asub, rs, ks, bsub, b_ks, acc);
-            MergeTile(acc, c + (ic + ir) * ldc + jr, ldc, mr, nr, beta,
-                      first, last, epi, ic + ir, jr);
-          }
+          for (int64_t ir = 0; ir < m_full; ir += kMR) run(ic, ir, kMR, jr, 1);
+        }
+        if (m_full == mb) continue;
+        const int64_t mr = mb - m_full;
+        for (int64_t jr = 0; jr < n;) {
+          const int64_t run_end = jr < n_direct ? n_direct : n;
+          const int64_t panels = std::min(conv_internal::kGemmPanels[mr],
+                                          CeilDiv(run_end - jr, kNR));
+          run(ic, m_full, mr, jr, panels);
+          jr += panels * kNR;
         }
       }
     });
   }
+}
+
+// C = beta * C plus the epilogue when the product is empty (k <= 0);
+// returns whether there was nothing more to do.
+bool GemmDegenerate(int64_t m, int64_t n, int64_t k, float beta, float* c,
+                    int64_t ldc, const GemmEpilogue& epilogue) {
+  if (m <= 0 || n <= 0) return true;
+  if (epilogue.bias != GemmEpilogue::Bias::kNone) {
+    EDDE_CHECK(epilogue.bias_data != nullptr) << "bias epilogue without data";
+  }
+  if (k > 0) return false;
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    for (int64_t j = 0; j < n; ++j) {
+      crow[j] = beta == 0.0f ? 0.0f : beta * crow[j];
+    }
+  }
+  ApplyEpilogue(m, n, c, ldc, epilogue);
+  return true;
 }
 
 }  // namespace
@@ -308,23 +359,30 @@ void GemmRaw(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, int64_t lda, const float* b,
              int64_t ldb, float beta, float* c, int64_t ldc,
              const GemmEpilogue& epilogue) {
-  if (m <= 0 || n <= 0) return;
-  if (epilogue.bias != GemmEpilogue::Bias::kNone) {
-    EDDE_CHECK(epilogue.bias_data != nullptr) << "bias epilogue without data";
+  if (GemmDegenerate(m, n, k, beta, c, ldc, epilogue)) return;
+  GemmPacked(ActiveGemmKernel(), trans_a, m, n, k, alpha, a, lda,
+             BOperand{trans_b, b, ldb, nullptr}, beta, c, ldc, epilogue);
+}
+
+PackedB::PackedB(bool trans_b, int64_t k, int64_t n, const float* b,
+                 int64_t ldb)
+    : k_(k), n_(n) {
+  EDDE_CHECK(k >= 0 && n >= 0) << "negative PackedB extent";
+  const int64_t n_pad = CeilDiv(n, kNR) * kNR;
+  panels_.resize(static_cast<size_t>(k * n_pad));
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    PackB(trans_b, b, ldb, pc, std::min(kKC, k - pc), 0, n,
+          panels_.data() + pc * n_pad);
   }
-  if (k <= 0) {
-    // Degenerate inner dimension: C = beta * C plus the epilogue.
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
-      for (int64_t j = 0; j < n; ++j) {
-        crow[j] = beta == 0.0f ? 0.0f : beta * crow[j];
-      }
-    }
-    ApplyEpilogue(m, n, c, ldc, epilogue);
-    return;
-  }
-  GemmPacked(ActiveGemmKernel(), trans_a, trans_b, m, n, k, alpha, a, lda, b,
-             ldb, beta, c, ldc, epilogue);
+}
+
+void GemmRaw(bool trans_a, int64_t m, float alpha, const float* a,
+             int64_t lda, const PackedB& b, float beta, float* c, int64_t ldc,
+             const GemmEpilogue& epilogue) {
+  if (GemmDegenerate(m, b.n_, b.k_, beta, c, ldc, epilogue)) return;
+  GemmPacked(ActiveGemmKernel(), trans_a, m, b.n_, b.k_, alpha, a, lda,
+             BOperand{false, nullptr, 0, b.panels_.data()}, beta, c, ldc,
+             epilogue);
 }
 
 }  // namespace edde

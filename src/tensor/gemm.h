@@ -2,6 +2,7 @@
 #define EDDE_TENSOR_GEMM_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace edde {
 
@@ -9,9 +10,9 @@ namespace edde {
 // Packed GEMM micro-kernel layer (see DESIGN.md §10)
 // ---------------------------------------------------------------------------
 //
-// Two kernel tiers sit behind one dispatch point. Both run the same 6x16
-// register tile, DirectConv<Ops>::GemmTile (tensor/conv_direct.h), which
-// is also the direct Conv2d kernels' widest tile:
+// Two kernel tiers sit behind one dispatch point. Both run the same
+// register tiles, DirectConv<Ops>::GemmTile (tensor/conv_direct.h), whose
+// widest, 6x16, is also the direct Conv2d kernels' widest tile:
 //
 //  - kPortable: the tile's `#pragma omp simd` policy (tensor/ops.cc).
 //    Works on any target; compiles to SSE2 at the default baseline and to
@@ -71,6 +72,37 @@ void GemmRaw(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              int64_t ldb, float beta, float* c, int64_t ldc,
              const GemmEpilogue& epilogue = GemmEpilogue());
 
+/// op(B) of a GemmRaw packed once, for a B that many calls share: a layer's
+/// weights frozen for eval (Module::PackForEval). Holds op(B) (k, n) in the
+/// micro-kernel's panel layout, which is private to gemm.cc. Immutable once
+/// built, so any number of threads may multiply by it at once. A product
+/// with a PackedB has the bits of the same product with B unpacked.
+class PackedB {
+ public:
+  PackedB() = default;
+  /// Packs op(B): B is stored (k, n) row-major at `b` with leading
+  /// dimension ldb, or (n, k) when `trans_b`. Copies; `b` may then change.
+  PackedB(bool trans_b, int64_t k, int64_t n, const float* b, int64_t ldb);
+
+  bool empty() const { return n_ == 0; }
+  int64_t k() const { return k_; }
+  int64_t n() const { return n_; }
+
+ private:
+  friend void GemmRaw(bool trans_a, int64_t m, float alpha, const float* a,
+                      int64_t lda, const PackedB& b, float beta, float* c,
+                      int64_t ldc, const GemmEpilogue& epilogue);
+
+  int64_t k_ = 0;
+  int64_t n_ = 0;
+  std::vector<float> panels_;
+};
+
+/// GemmRaw with op(B) taken from a PackedB: (m, b.k()) @ (b.k(), b.n()).
+void GemmRaw(bool trans_a, int64_t m, float alpha, const float* a,
+             int64_t lda, const PackedB& b, float beta, float* c, int64_t ldc,
+             const GemmEpilogue& epilogue = GemmEpilogue());
+
 namespace gemm_internal {
 
 /// Cache blocking: kKC k-steps per packed panel (A block kMC*kKC ~ L2,
@@ -79,7 +111,7 @@ namespace gemm_internal {
 constexpr int64_t kKC = 256;
 
 /// True when the AVX2/FMA kernels (kernels_avx2.cc) are compiled in and the
-/// CPU supports both features. Gates the fp32 and the int8 kAvx2 tier.
+/// CPU supports both features. Gates the kAvx2 tier.
 bool Avx2Available();
 
 }  // namespace gemm_internal

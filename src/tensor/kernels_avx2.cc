@@ -1,14 +1,12 @@
 // Every AVX2/FMA kernel of the library: the policy of the direct Conv2d
-// kernels and of the packed GEMM's register tile (tensor/conv_direct.h),
-// the batch-innermost transposes, and the int8 GEMM's micro-kernel and
-// finalization (tensor/gemm_int8.h). This translation unit is compiled
+// kernels and of the packed GEMM's register tile (tensor/conv_direct.h)
+// and the batch-innermost transposes. This translation unit is compiled
 // with -mavx2 -mfma (see src/CMakeLists.txt) while the rest of the library
 // stays at the project baseline, so everything here must be reached only
 // through the runtime dispatch on Avx2Available().
 
 #include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
 #define EDDE_HAVE_AVX2_KERNEL 1
@@ -141,11 +139,13 @@ void WeightGradPassAvx2(const WeightGradPass& pass, int64_t i0, int64_t i1) {
   DirectConv<Avx2Ops>::RunWeightGradItems(pass, i0, i1);
 }
 
-// 6 rows x 2 vectors = 12 YMM accumulators; with the two B vectors and one
-// A broadcast that fills 15 of the 16 YMM registers.
-void GemmTileAvx2(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
-                  const float* b, int64_t b_ks, float* acc) {
-  DirectConv<Avx2Ops>::GemmTile(kc, a, a_rs, a_ks, b, b_ks, acc);
+// The widest tile, 6 rows x 2 vectors, keeps 12 YMM accumulators; with the
+// two B vectors and one A broadcast that fills 15 of the 16 YMM registers.
+void GemmTileAvx2(int64_t rows, int64_t panels, int64_t kc, const float* a,
+                  int64_t a_rs, int64_t a_ks, const float* b, int64_t b_ks,
+                  int64_t b_ps, float* acc) {
+  DirectConv<Avx2Ops>::GemmTiles(rows, panels, kc, a, a_rs, a_ks, b, b_ks,
+                                 b_ps, acc);
 }
 
 }  // namespace conv_internal
@@ -158,95 +158,6 @@ bool Avx2Available() {
   return available;
 }
 
-// The int8 GEMM's AVX2 tier. Shape: one u8 activation row against 8
-// consecutive s8 weight rows, 32 bytes of depth per step. vpmaddubsw
-// multiplies u8×s8 into int16 pairs — safe from saturation because weight
-// codes are clamped to ±63 (2·255·63 = 32130 < 32767) — then vpmaddwd·1
-// widens the pairs to int32. The accumulation is exact integer arithmetic,
-// so this tier produces the same bits as the portable loop.
-
-namespace {
-
-/// Horizontally reduces 8 per-row int32 accumulators into 8 ordered sums.
-/// hadd pairs lanes within 128-bit halves, so after the 3-level tree the
-/// low half of (h0123, h4567) holds rows {0,1,2,3,4,5,6,7}'s partial sums
-/// split across two registers; the permute/add recombines the halves.
-inline __m256i ReduceRows8(__m256i a0, __m256i a1, __m256i a2, __m256i a3,
-                           __m256i a4, __m256i a5, __m256i a6, __m256i a7) {
-  const __m256i h01 = _mm256_hadd_epi32(a0, a1);
-  const __m256i h23 = _mm256_hadd_epi32(a2, a3);
-  const __m256i h45 = _mm256_hadd_epi32(a4, a5);
-  const __m256i h67 = _mm256_hadd_epi32(a6, a7);
-  const __m256i h0123 = _mm256_hadd_epi32(h01, h23);
-  const __m256i h4567 = _mm256_hadd_epi32(h45, h67);
-  const __m256i lo = _mm256_permute2x128_si256(h0123, h4567, 0x20);
-  const __m256i hi = _mm256_permute2x128_si256(h0123, h4567, 0x31);
-  return _mm256_add_epi32(lo, hi);
-}
-
-}  // namespace
-
-void MicroKernelInt8Avx2(int64_t kpad, const uint8_t* qa, const int8_t* w,
-                         int64_t stride, int32_t* out8) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  __m256i acc4 = _mm256_setzero_si256();
-  __m256i acc5 = _mm256_setzero_si256();
-  __m256i acc6 = _mm256_setzero_si256();
-  __m256i acc7 = _mm256_setzero_si256();
-  for (int64_t p = 0; p < kpad; p += 32) {
-    const __m256i q =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qa + p));
-#define EDDE_INT8_ROW(idx)                                                    \
-  {                                                                           \
-    const __m256i wrow = _mm256_loadu_si256(                                  \
-        reinterpret_cast<const __m256i*>(w + (idx)*stride + p));              \
-    const __m256i pairs = _mm256_maddubs_epi16(q, wrow);                      \
-    acc##idx = _mm256_add_epi32(acc##idx, _mm256_madd_epi16(pairs, ones));    \
-  }
-    EDDE_INT8_ROW(0)
-    EDDE_INT8_ROW(1)
-    EDDE_INT8_ROW(2)
-    EDDE_INT8_ROW(3)
-    EDDE_INT8_ROW(4)
-    EDDE_INT8_ROW(5)
-    EDDE_INT8_ROW(6)
-    EDDE_INT8_ROW(7)
-#undef EDDE_INT8_ROW
-  }
-  const __m256i sums =
-      ReduceRows8(acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out8), sums);
-}
-
-int64_t FinalizeRowAvx2(float act_scale, int32_t act_zero,
-                        const float* w_scales, const int32_t* row_sums,
-                        const int32_t* acc, int64_t n, const float* bias,
-                        bool relu, float* out) {
-  const __m256i vzp = _mm256_set1_epi32(act_zero);
-  const __m256 vscale = _mm256_set1_ps(act_scale);
-  const __m256 vzero = _mm256_setzero_ps();
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t j = 0; j < n8; j += 8) {
-    const __m256i sums = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row_sums + j));
-    const __m256i corrected = _mm256_sub_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j)),
-        _mm256_mullo_epi32(vzp, sums));
-    // Same evaluation order as the scalar path: (s_a·s_w) · corrected,
-    // then + bias — three distinct roundings, no FMA contraction.
-    const __m256 combined = _mm256_mul_ps(vscale, _mm256_loadu_ps(w_scales + j));
-    __m256 v = _mm256_mul_ps(combined, _mm256_cvtepi32_ps(corrected));
-    if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j));
-    if (relu) v = _mm256_max_ps(v, vzero);
-    _mm256_storeu_ps(out + j, v);
-  }
-  return n8;
-}
-
 }  // namespace gemm_internal
 
 #else  // !EDDE_HAVE_AVX2_KERNEL
@@ -254,17 +165,6 @@ int64_t FinalizeRowAvx2(float act_scale, int32_t act_zero,
 namespace gemm_internal {
 
 bool Avx2Available() { return false; }
-
-void MicroKernelInt8Avx2(int64_t, const uint8_t*, const int8_t*, int64_t,
-                         int32_t*) {
-  EDDE_CHECK(false) << "AVX2 kernels not compiled in";
-}
-
-int64_t FinalizeRowAvx2(float, int32_t, const float*, const int32_t*,
-                        const int32_t*, int64_t, const float*, bool, float*) {
-  EDDE_CHECK(false) << "AVX2 kernels not compiled in";
-  return 0;
-}
 
 }  // namespace gemm_internal
 
@@ -288,8 +188,8 @@ void WeightGradPassAvx2(const WeightGradPass&, int64_t, int64_t) {
   EDDE_CHECK(false) << "AVX2 kernels not compiled in";
 }
 
-void GemmTileAvx2(int64_t, const float*, int64_t, int64_t, const float*,
-                  int64_t, float*) {
+void GemmTileAvx2(int64_t, int64_t, int64_t, const float*, int64_t, int64_t,
+                  const float*, int64_t, int64_t, float*) {
   EDDE_CHECK(false) << "AVX2 kernels not compiled in";
 }
 

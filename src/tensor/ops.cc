@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 #include "utils/arena.h"
 #include "utils/logging.h"
 #include "utils/threadpool.h"
@@ -148,113 +146,6 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b) {
 }
 
 namespace {
-
-// Im2Col moves each value through a zero-bordered copy of its (H, W) plane,
-// (H+2p, W+2p), so that every kernel tap reads through one precomputed
-// offset with no bounds test: an im2col row is only OH·OW floats, and a
-// per-element branch cost more than the copy itself.
-struct PaddedPlanes {
-  int64_t height, width, padding;
-  int64_t ph, pw;  // bordered extents
-
-  PaddedPlanes(int64_t h, int64_t w, int64_t p)
-      : height(h), width(w), padding(p), ph(h + 2 * p), pw(w + 2 * p) {
-    EDDE_CHECK_LE(ph * pw, std::numeric_limits<int32_t>::max())
-        << "conv plane too large for int32 offsets";
-  }
-  int64_t size() const { return ph * pw; }
-
-  // Copies `planes` (H, W) planes into bordered planes whose border is zero.
-  void Stage(const float* src, int64_t planes, float* dst) const {
-    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(planes * size()));
-    for (int64_t i = 0; i < planes; ++i) {
-      for (int64_t y = 0; y < height; ++y) {
-        std::memcpy(dst + i * size() + (y + padding) * pw + padding,
-                    src + (i * height + y) * width,
-                    sizeof(float) * static_cast<size_t>(width));
-      }
-    }
-  }
-};
-
-// Offset map of one channel: entry (ky·kw + kx)·OH·OW + y·OW + x is where
-// output pixel (y, x) of tap (ky, kx) sits in a bordered plane.
-int32_t* TapOffsets(const ConvGeom& geom, const PaddedPlanes& planes,
-                    int64_t oh, int64_t ow, ArenaScope* scope) {
-  const int64_t taps = geom.kernel_h * geom.kernel_w;
-  int32_t* offsets = static_cast<int32_t*>(
-      scope->Alloc(sizeof(int32_t) * static_cast<size_t>(taps * oh * ow)));
-  int32_t* out = offsets;
-  for (int64_t ky = 0; ky < geom.kernel_h; ++ky) {
-    for (int64_t kx = 0; kx < geom.kernel_w; ++kx) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          *out++ = static_cast<int32_t>((y * geom.stride + ky) * planes.pw +
-                                        x * geom.stride + kx);
-        }
-      }
-    }
-  }
-  return offsets;
-}
-
-}  // namespace
-
-void Im2Col(const float* input, int64_t batch, int64_t channels,
-            int64_t height, int64_t width, const ConvGeom& geom, float* cols) {
-  const int64_t oh = geom.OutHeight(height);
-  const int64_t ow = geom.OutWidth(width);
-  const int64_t taps = geom.kernel_h * geom.kernel_w;
-  const int64_t plane = oh * ow;
-  if (oh <= 0 || ow <= 0) return;
-  // Serial: the int8 forward caps a block at 32 Ki floats of columns
-  // (Conv2dBlockSamples), too little copying to pay for a pool region.
-  ArenaScope scope;
-  const PaddedPlanes planes(height, width, geom.padding);
-  const int32_t* offsets = TapOffsets(geom, planes, oh, ow, &scope);
-  const float* staged = input;
-  if (geom.padding > 0) {
-    float* dst = scope.AllocFloats(batch * channels * planes.size());
-    planes.Stage(input, batch * channels, dst);
-    staged = dst;
-  }
-  for (int64_t row = 0; row < channels * taps; ++row) {
-    const int32_t* tap = offsets + (row % taps) * plane;
-    for (int64_t s = 0; s < batch; ++s) {
-      const float* src = staged + (s * channels + row / taps) * planes.size();
-      float* out = cols + (row * batch + s) * plane;
-      // Rows are a few floats long; unrolling halves the loop overhead
-      // that dominates them.
-#pragma GCC unroll 4
-      for (int64_t p = 0; p < plane; ++p) out[p] = src[tap[p]];
-    }
-  }
-}
-
-int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
-                           int64_t width) {
-  constexpr int64_t kColsBudget = 32 * 1024;  // floats
-  const int64_t per_sample = geom.in_channels * geom.kernel_h *
-                             geom.kernel_w * geom.OutHeight(height) *
-                             geom.OutWidth(width);
-  return std::max<int64_t>(1, kColsBudget / std::max<int64_t>(1, per_sample));
-}
-
-namespace {
-
-// Moves `bn` samples from the im2col GEMM's channel-major (C, bn·P)
-// layout, where each channel row holds the block's planes side by side, to
-// NCHW (bn, C, P).
-void ChannelMajorToNchw(const float* src, int64_t bn, int64_t channels,
-                        int64_t plane, float* dst) {
-  for (int64_t s = 0; s < bn; ++s) {
-    for (int64_t c = 0; c < channels; ++c) {
-      std::memcpy(dst + (s * channels + c) * plane,
-                  src + (c * bn + s) * plane,
-                  sizeof(float) * static_cast<size_t>(plane));
-    }
-  }
-}
 
 using conv_internal::DirectConv;
 using conv_internal::DirectPass;
@@ -501,10 +392,12 @@ const float* BatchInnermostInput(const Tensor& input, Tensor kept,
 
 }  // namespace
 
-void conv_internal::GemmTilePortable(int64_t kc, const float* a, int64_t a_rs,
+void conv_internal::GemmTilePortable(int64_t rows, int64_t panels,
+                                     int64_t kc, const float* a, int64_t a_rs,
                                      int64_t a_ks, const float* b,
-                                     int64_t b_ks, float* acc) {
-  DirectConv<PortableOps>::GemmTile(kc, a, a_rs, a_ks, b, b_ks, acc);
+                                     int64_t b_ks, int64_t b_ps, float* acc) {
+  DirectConv<PortableOps>::GemmTiles(rows, panels, kc, a, a_rs, a_ks, b, b_ks,
+                                     b_ps, acc);
 }
 
 Shape Conv2dInputCopyShape(const Shape& input) {
@@ -559,46 +452,6 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   RunDirectPass(pass, kernel);
   FromBatchInnermost(out_t, out_shape.dim(0), pass.out_rows,
                      pass.oh * pass.ow, pass.lanes, output.data(), kernel);
-  return output;
-}
-
-Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
-                         const Tensor& bias, const ConvGeom& geom) {
-  EDDE_CHECK_EQ(input.shape().rank(), 4);
-  const int64_t batch = input.shape().dim(0);
-  const int64_t cin = input.shape().dim(1);
-  const int64_t h = input.shape().dim(2);
-  const int64_t w = input.shape().dim(3);
-  EDDE_CHECK_EQ(cin, geom.in_channels);
-  EDDE_CHECK_EQ(weight.rows, geom.out_channels);
-  const int64_t cols_rows = cin * geom.kernel_h * geom.kernel_w;
-  EDDE_CHECK_EQ(weight.cols, cols_rows);
-  GemmEpilogue epi;
-  if (!bias.empty()) {
-    epi.bias = GemmEpilogue::Bias::kPerRow;
-    epi.bias_data = bias.data();
-  }
-  const int64_t oc = geom.out_channels;
-  const int64_t plane = geom.OutHeight(h) * geom.OutWidth(w);
-  const int64_t block = std::min(Conv2dBlockSamples(geom, h, w), batch);
-  Tensor output(geom.OutputShape(input.shape()));
-  // Each sample block is unrolled by one Im2Col, multiplied into
-  // channel-major scratch and copied into the NCHW output. Blocks run
-  // serially, so scratch stays at one block on one thread's arena.
-  ArenaScope scope;
-  float* cols = scope.AllocFloats(cols_rows * block * plane);
-  float* out2d = scope.AllocFloats(oc * block * plane);
-  for (int64_t n0 = 0; n0 < batch; n0 += block) {
-    const int64_t bn = std::min(block, batch - n0);
-    const int64_t ncols = bn * plane;
-    Im2Col(input.data() + n0 * cin * h * w, bn, cin, h, w, geom, cols);
-    // trans_a reads the columns of cols as activation rows (one per output
-    // pixel, quantized on its own) and trans_c lands the result in the
-    // (OC, ncols) layout of the channel-major block.
-    GemmInt8(/*trans_a=*/true, /*trans_c=*/true, ncols, cols_rows, cols,
-             ncols, weight, out2d, ncols, epi);
-    ChannelMajorToNchw(out2d, bn, oc, plane, output.data() + n0 * oc * plane);
-  }
   return output;
 }
 
@@ -823,12 +676,14 @@ int64_t ArgmaxOverTime(const float* row, int64_t len) {
 
 }  // namespace
 
-Tensor MaxOverTimeForward(const Tensor& input) {
+Tensor MaxOverTimeForward(const Tensor& input, Tensor out) {
   EDDE_CHECK_EQ(input.shape().rank(), 3);
   const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
   const int64_t len = input.shape().dim(2);
   EDDE_CHECK_GT(len, 0) << "max over an empty sequence";
-  Tensor out(Shape{input.shape().dim(0), input.shape().dim(1)});
+  const Shape out_shape{input.shape().dim(0), input.shape().dim(1)};
+  if (out.empty()) out = Tensor(out_shape);
+  EDDE_CHECK(out.shape() == out_shape);
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = input.data() + r * len;
     out.data()[r] = row[ArgmaxOverTime(row, len)];
@@ -836,12 +691,15 @@ Tensor MaxOverTimeForward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out) {
+Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out,
+                           Tensor grad_input) {
   const int64_t rows = input.shape().dim(0) * input.shape().dim(1);
   const int64_t len = input.shape().dim(2);
   EDDE_CHECK_GT(len, 0) << "max over an empty sequence";
   EDDE_CHECK_EQ(grad_out.num_elements(), rows);
-  Tensor grad_input(input.shape(), 0.0f);
+  if (grad_input.empty()) grad_input = Tensor(input.shape());
+  EDDE_CHECK(grad_input.shape() == input.shape());
+  grad_input.Fill(0.0f);
   for (int64_t r = 0; r < rows; ++r) {
     grad_input.data()[r * len + ArgmaxOverTime(input.data() + r * len, len)] +=
         grad_out.data()[r];

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tensor/gemm.h"
-#include "tensor/quantize.h"
 #include "tensor/tensor.h"
 
 namespace edde {
@@ -93,23 +92,6 @@ struct ConvGeom {
   }
 };
 
-/// Unrolls `batch` consecutive samples (N, C, H, W) into one column block
-/// (C·kh·kw, N·OH·OW) for gemm-based convolution: sample s fills columns
-/// [s*OH*OW, (s+1)*OH*OW). `cols` must be preallocated with that shape.
-/// The samples are staged into zero-bordered (H+2p, W+2p) planes, one
-/// memcpy per row, and every column entry is gathered through an int32
-/// offset map with no bounds test; map and staging are arena scratch of
-/// the call. Only the int8 forward runs on it.
-void Im2Col(const float* input, int64_t batch, int64_t channels,
-            int64_t height, int64_t width, const ConvGeom& geom, float* cols);
-
-/// Samples per im2col block of the int8 forward: as many as keep the
-/// block's columns within 32 Ki floats, and at least one. A function of
-/// the shapes only — never of the batch or the thread count — so the
-/// blocking, and with it every result, is the same on any pool.
-int64_t Conv2dBlockSamples(const ConvGeom& geom, int64_t height,
-                           int64_t width);
-
 /// Shape (C, H', W', N') of the batch-innermost copy of an (N, C, H, W)
 /// input that the fp32 Conv2d kernels run on: the batch is the innermost
 /// axis, padded with zero samples to N', a multiple of the kernels' 8
@@ -126,19 +108,12 @@ Shape Conv2dInputCopyShape(const Shape& input);
 /// Direct kernels on the batch-innermost copy (tensor/conv_direct.h) for
 /// every kernel size, picked by the GEMM kernel tier. Each output sums its
 /// C·kh·kw products in im2col depth order, in blocks of the packed GEMM's kKC
-/// depth steps, then adds the bias: bit for bit what Im2Col + GemmRaw
-/// computes on that tier. The result does not depend on the batch size or
+/// depth steps, then adds the bias: bit for bit what an im2col unrolling
+/// times the weights computes through GemmRaw on that tier. The result does not depend on the batch size or
 /// the thread count.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& geom,
                      Tensor output = Tensor(), Tensor input_t = Tensor());
-
-/// Quantized forward 2-D convolution: same contract as Conv2dForward but
-/// the kernel is a per-channel int8 matrix (OC rows of depth C·kh·kw; see
-/// tensor/quantize.h), run as Im2Col + GemmInt8. Inference only — there
-/// is no int8 backward.
-Tensor Conv2dForwardInt8(const Tensor& input, const QuantizedMatrix& weight,
-                         const Tensor& bias, const ConvGeom& geom);
 
 /// Backward 2-D convolution. Accumulates into weight_grad/bias_grad
 /// (callers zero them at the start of each step) and writes the input
@@ -179,13 +154,15 @@ Tensor GlobalAvgPool2dBackward(const Shape& input_shape,
                                const Tensor& grad_out,
                                Tensor grad_input = Tensor());
 
-/// Max over the sequence axis: (N, C, L) -> (N, C), L > 0. This is
-/// TextCNN's max-over-time pooling.
-Tensor MaxOverTimeForward(const Tensor& input);
+/// Max over the sequence axis: (N, C, L) -> (N, C), L > 0, into `output`
+/// when it is given. This is TextCNN's max-over-time pooling.
+Tensor MaxOverTimeForward(const Tensor& input, Tensor output = Tensor());
 
 /// Backward of max-over-time pooling: each row's gradient goes to the first
-/// position of its maximum in `input`, as the forward picked it.
-Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out);
+/// position of its maximum in `input`, as the forward picked it; every
+/// other position gets zero. Into `grad_input` when it is given.
+Tensor MaxOverTimeBackward(const Tensor& input, const Tensor& grad_out,
+                           Tensor grad_input = Tensor());
 
 // ---------------------------------------------------------------------------
 // Misc

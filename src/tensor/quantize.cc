@@ -1,17 +1,6 @@
 #include "tensor/quantize.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define EDDE_QUANTIZE_SSE2 1
-#include <emmintrin.h>
-#else
-#define EDDE_QUANTIZE_SSE2 0
-#endif
-
-#include "utils/logging.h"
 
 namespace edde {
 
@@ -86,201 +75,6 @@ void FloatsToHalfs(const float* src, uint16_t* dst, size_t count) {
 
 void HalfsToFloats(const uint16_t* src, float* dst, size_t count) {
   for (size_t i = 0; i < count; ++i) dst[i] = HalfToFloat(src[i]);
-}
-
-// ---------------------------------------------------------------------------
-// int8 weight quantization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-int64_t PadTo(int64_t v, int64_t multiple) {
-  return (v + multiple - 1) / multiple * multiple;
-}
-
-/// Round-to-nearest-even float→int32. std::lrintf stays a libm PLT call
-/// at -O2 (errno-aware math) and dominated the per-element cost of the
-/// activation quantization pass; cvtss2si performs the same RNE rounding
-/// under the default MXCSR mode, so the codes are bit-identical either
-/// way and the quantize→kernel bit-identity contract is unaffected.
-inline int32_t RoundNearestInt(float v) {
-#if EDDE_QUANTIZE_SSE2
-  return _mm_cvtss_si32(_mm_set_ss(v));
-#else
-  return static_cast<int32_t>(std::lrintf(v));
-#endif
-}
-
-/// Scalar reference for one activation code; the SSE2 block below performs
-/// the identical per-element operations (same multiply, same RNE convert,
-/// same clamp), so both paths produce the same bytes and either may cover
-/// any element without breaking cross-kernel bit-identity.
-inline uint8_t ActivationCode(float v, float inv, int32_t zero) {
-  int32_t code = RoundNearestInt(v * inv) + zero;
-  if (code < 0) code = 0;
-  if (code > 255) code = 255;
-  return static_cast<uint8_t>(code);
-}
-
-}  // namespace
-
-QuantizedMatrix QuantizeWeightsPerChannel(const float* w, int64_t rows,
-                                          int64_t cols) {
-  EDDE_CHECK_GT(rows, 0);
-  EDDE_CHECK_GT(cols, 0);
-  EDDE_CHECK_LE(cols, kInt8MaxDepth);
-  QuantizedMatrix q;
-  q.rows = rows;
-  q.cols = cols;
-  q.stride = PadTo(cols, kInt8KStride);
-  q.data.assign(static_cast<size_t>(rows * q.stride), 0);
-  q.scales.resize(static_cast<size_t>(rows));
-  q.row_sums.resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* src = w + r * cols;
-    float amax = 0.0f;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float a = std::fabs(src[c]);
-      if (a > amax) amax = a;
-    }
-    const float scale =
-        amax > 0.0f ? amax / static_cast<float>(kWeightQuantMax) : 1.0f;
-    int8_t* dst = q.data.data() + r * q.stride;
-    int32_t sum = 0;
-    for (int64_t c = 0; c < cols; ++c) {
-      int32_t code = RoundNearestInt(src[c] / scale);
-      if (code > kWeightQuantMax) code = kWeightQuantMax;
-      if (code < -kWeightQuantMax) code = -kWeightQuantMax;
-      dst[c] = static_cast<int8_t>(code);
-      sum += code;
-    }
-    q.scales[static_cast<size_t>(r)] = scale;
-    q.row_sums[static_cast<size_t>(r)] = sum;
-  }
-  return q;
-}
-
-QuantizedMatrix QuantizeWeightsPerChannel(const Tensor& w) {
-  EDDE_CHECK_GE(w.shape().rank(), 2);
-  const int64_t rows = w.shape().dim(0);
-  const int64_t cols = w.num_elements() / rows;
-  return QuantizeWeightsPerChannel(w.data(), rows, cols);
-}
-
-void DequantizeWeights(const QuantizedMatrix& q, float* out) {
-  for (int64_t r = 0; r < q.rows; ++r) {
-    const int8_t* src = q.row(r);
-    const float scale = q.scales[static_cast<size_t>(r)];
-    float* dst = out + r * q.cols;
-    for (int64_t c = 0; c < q.cols; ++c) {
-      dst[c] = scale * static_cast<float>(src[c]);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// activation row quantization
-// ---------------------------------------------------------------------------
-
-QuantizedRowParams QuantizeActivationRow(const float* src, int64_t k,
-                                         int64_t src_stride, uint8_t* dst,
-                                         int64_t padded_k) {
-  EDDE_CHECK_GE(padded_k, k);
-  QuantizedRowParams params;
-  float mn = src[0];
-  float mx = src[0];
-  int64_t head = 1;
-#if EDDE_QUANTIZE_SSE2
-  // min/max are exact and order-independent, so the 4-wide reduction finds
-  // the same extrema the scalar loop would (activations are finite here).
-  if (src_stride == 1 && k >= 8) {
-    __m128 vmn = _mm_loadu_ps(src);
-    __m128 vmx = vmn;
-    int64_t i = 4;
-    for (; i + 4 <= k; i += 4) {
-      const __m128 v = _mm_loadu_ps(src + i);
-      vmn = _mm_min_ps(vmn, v);
-      vmx = _mm_max_ps(vmx, v);
-    }
-    float lanes[4];
-    _mm_storeu_ps(lanes, vmn);
-    mn = std::min(std::min(lanes[0], lanes[1]), std::min(lanes[2], lanes[3]));
-    _mm_storeu_ps(lanes, vmx);
-    mx = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-    head = i;
-  }
-#endif
-  for (int64_t i = head; i < k; ++i) {
-    const float v = src[i * src_stride];
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  }
-  if (mx > mn) {
-    // Extend the range to include zero. This keeps the zero point inside
-    // [0, 255] for one-sided rows (all-positive after ReLU, or
-    // all-negative), where z = round(−mn/s) would otherwise clamp and
-    // saturate every code; it also makes any end-of-range clamp below an
-    // error of at most scale/2 (the representable span covers [mn, mx] to
-    // within half a step on each side), which the differential tests'
-    // proven bound relies on.
-    const float lo = mn < 0.0f ? mn : 0.0f;
-    const float hi = mx > 0.0f ? mx : 0.0f;
-    params.scale = (hi - lo) / 255.0f;
-    int32_t zero = RoundNearestInt(-lo / params.scale);
-    if (zero < 0) zero = 0;
-    if (zero > 255) zero = 255;
-    params.zero = zero;
-    const float inv = 1.0f / params.scale;
-    int64_t i = 0;
-#if EDDE_QUANTIZE_SSE2
-    // 16 codes per step: multiply, RNE convert (cvtps2dq — the same
-    // rounding as RoundNearestInt per lane), add the zero point, then the
-    // two saturating packs realize exactly the scalar [0, 255] clamp
-    // (codes fit int16: scale spans the row's range, so code + zero stays
-    // within a few hundred).
-    if (src_stride == 1) {
-      const __m128 vinv = _mm_set1_ps(inv);
-      const __m128i vzero = _mm_set1_epi32(zero);
-      for (; i + 16 <= k; i += 16) {
-        const __m128i c0 = _mm_add_epi32(
-            _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(src + i), vinv)), vzero);
-        const __m128i c1 = _mm_add_epi32(
-            _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(src + i + 4), vinv)),
-            vzero);
-        const __m128i c2 = _mm_add_epi32(
-            _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(src + i + 8), vinv)),
-            vzero);
-        const __m128i c3 = _mm_add_epi32(
-            _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(src + i + 12), vinv)),
-            vzero);
-        const __m128i p01 = _mm_packs_epi32(c0, c1);
-        const __m128i p23 = _mm_packs_epi32(c2, c3);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                         _mm_packus_epi16(p01, p23));
-      }
-    }
-#endif
-    for (; i < k; ++i) {
-      dst[i] = ActivationCode(src[i * src_stride], inv, zero);
-    }
-  } else {
-    // Constant row: represent the single value exactly. q − z ∈ {−1, 0, 1}
-    // with scale |v| covers every sign; all-zero rows use zero codes.
-    const float v = mn;
-    if (v == 0.0f) {
-      params.scale = 1.0f;
-      params.zero = 0;
-      std::memset(dst, 0, static_cast<size_t>(k));
-    } else {
-      params.scale = std::fabs(v);
-      params.zero = v > 0.0f ? 0 : 1;
-      std::memset(dst, v > 0.0f ? 1 : 0, static_cast<size_t>(k));
-    }
-  }
-  if (padded_k > k) {
-    std::memset(dst + k, 0, static_cast<size_t>(padded_k - k));
-  }
-  return params;
 }
 
 }  // namespace edde

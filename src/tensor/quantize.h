@@ -1,10 +1,8 @@
 #ifndef EDDE_TENSOR_QUANTIZE_H_
 #define EDDE_TENSOR_QUANTIZE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "tensor/tensor.h"
 
 namespace edde {
 
@@ -25,86 +23,6 @@ float HalfToFloat(uint16_t half);
 
 void FloatsToHalfs(const float* src, uint16_t* dst, size_t count);
 void HalfsToFloats(const uint16_t* src, float* dst, size_t count);
-
-// ---------------------------------------------------------------------------
-// int8 inference quantization (see DESIGN.md §13)
-// ---------------------------------------------------------------------------
-//
-// Weights: symmetric per-output-channel int8 with codes clamped to
-// ±kWeightQuantMax (7-bit magnitudes). The reduced range is what lets the
-// AVX2 kernel use vpmaddubsw without int16 saturation: u8·s8 pair sums are
-// bounded by 2·255·63 = 32130 < 32767.
-//
-// Activations: dynamic per-row asymmetric u8 with zero point z, so
-// x ≈ s_a (q - z), over the row's [min, max] range nudged to include
-// zero (keeps z inside [0, 255] for one-sided rows and every
-// representation error ≤ s_a/2). The affine form keeps ReLU outputs
-// (all ≥ 0) at full 8-bit resolution. The zero point is corrected
-// exactly via the
-// precomputed per-channel weight code sums:
-//   y[i,j] = s_a[i]·s_w[j]·(Σ_k q[i,k]·w[j,k] − z_i·Σ_k w[j,k]) + bias[j]
-// Integer accumulation is exact, so the int32 matrix — and therefore the
-// float output — is bit-identical for every kernel tier and thread count.
-
-/// Weight codes live in [-kWeightQuantMax, kWeightQuantMax].
-constexpr int32_t kWeightQuantMax = 63;
-
-/// Reduction depths accepted by GemmInt8. Bounds the exact int32
-/// accumulation: k·255·63 < 2^31 requires k < 133672.
-constexpr int64_t kInt8MaxDepth = 131072;
-
-/// Weight rows are stored padded to a multiple of this many bytes
-/// (zero-filled), the chunk the AVX2 kernel consumes per step.
-constexpr int64_t kInt8KStride = 32;
-
-/// A per-channel-quantized weight matrix: `rows` output channels, each a
-/// length-`cols` reduction vector stored row-major with stride `stride`
-/// (cols padded to kInt8KStride with zero codes).
-struct QuantizedMatrix {
-  int64_t rows = 0;
-  int64_t cols = 0;
-  int64_t stride = 0;
-  std::vector<int8_t> data;       ///< rows x stride codes, zero padded
-  std::vector<float> scales;      ///< per-row dequantization scale
-  std::vector<int32_t> row_sums;  ///< per-row Σ codes (zero-point correction)
-
-  bool empty() const { return rows == 0; }
-  const int8_t* row(int64_t r) const {
-    return data.data() + static_cast<size_t>(r * stride);
-  }
-};
-
-/// Quantizes a row-major (rows, cols) float matrix, one scale per row:
-/// scale = max|row| / kWeightQuantMax (1.0 for all-zero rows), codes
-/// round-to-nearest and clamp to ±kWeightQuantMax.
-QuantizedMatrix QuantizeWeightsPerChannel(const float* w, int64_t rows,
-                                          int64_t cols);
-
-/// Tensor overload: dim 0 indexes output channels, the remaining dims
-/// flatten into the reduction axis — matches Dense's (out, in) weight and
-/// Conv2d's (OC, C, k, k) kernel viewed as (OC, C·k²).
-QuantizedMatrix QuantizeWeightsPerChannel(const Tensor& w);
-
-/// Reconstructs the float matrix (rows x cols, unpadded) from the codes.
-/// Per-element error is bounded by scales[row] / 2.
-void DequantizeWeights(const QuantizedMatrix& q, float* out);
-
-/// Per-row activation quantization result: x ≈ scale · (q − zero).
-struct QuantizedRowParams {
-  float scale = 1.0f;
-  int32_t zero = 0;
-};
-
-/// Quantizes one activation row of `k` values read at `src_stride` (1 for
-/// contiguous rows, the leading dimension for transposed reads) into u8
-/// codes. `dst` receives `padded_k` bytes; the [k, padded_k) tail is
-/// zero-filled (weight pads are zero codes, so tail bytes never
-/// contribute). Shared scalar code: every kernel tier quantizes through
-/// this one function, which is one of the two legs of the cross-kernel
-/// bit-identity contract.
-QuantizedRowParams QuantizeActivationRow(const float* src, int64_t k,
-                                         int64_t src_stride, uint8_t* dst,
-                                         int64_t padded_k);
 
 }  // namespace edde
 

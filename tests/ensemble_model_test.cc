@@ -315,18 +315,70 @@ TEST(EvalForwardTest, LeavesThePendingBackwardCacheAlone) {
   }
 }
 
+TEST(PackForEvalTest, PackedEvalHasTheUnpackedBits) {
+  // Every row count from one row to past two 6-row GEMM tiles, then two
+  // batches that span many tiles.
+  std::vector<int64_t> row_counts;
+  for (int64_t rows = 1; rows <= 13; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(64);
+  row_counts.push_back(128);
+  for (const EvalFamily& family : EvalFamilies()) {
+    SCOPED_TRACE(family.name);
+    std::unique_ptr<Module> member = family.make();
+    member->Forward(family.batch(4, 99), /*training=*/true);
+    std::vector<Tensor> unpacked;
+    for (int64_t rows : row_counts) {
+      unpacked.push_back(member->Forward(family.batch(rows, 50), nullptr));
+    }
+    member->PackForEval();
+    for (size_t i = 0; i < row_counts.size(); ++i) {
+      SCOPED_TRACE(row_counts[i]);
+      const Tensor got = member->Forward(family.batch(row_counts[i], 50),
+                                         nullptr);
+      ASSERT_EQ(got.shape(), unpacked[i].shape());
+      EXPECT_EQ(std::memcmp(got.data(), unpacked[i].data(),
+                            sizeof(float) * static_cast<size_t>(
+                                                got.num_elements())),
+                0);
+    }
+  }
+}
+
+TEST(PackForEvalDeathTest, TrainingAPackedMemberAborts) {
+  for (const EvalFamily& family : EvalFamilies()) {
+    SCOPED_TRACE(family.name);
+    std::unique_ptr<Module> member = family.make();
+    member->PackForEval();
+    const Tensor x = family.batch(3, 5);
+    EXPECT_DEATH(
+        {
+          Tape tape;
+          member->Forward(x, &tape);
+        },
+        "training a layer packed for eval");
+  }
+}
+
+// The member runs unpacked (Forward on the bare module) or packed (through
+// an ensemble, whose AddMember packs it), so the threads share either the
+// weights or the pack.
 class ConcurrentEvalTest
-    : public ::testing::TestWithParam<std::tuple<size_t, Precision>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
 
 TEST_P(ConcurrentEvalTest, ThreadsOnOneMemberMatchSerialBitForBit) {
   const EvalFamily& family = EvalFamilies()[std::get<0>(GetParam())];
+  const bool packed = std::get<1>(GetParam());
   std::unique_ptr<Module> member = family.make();
   // One training pass first: BatchNorm's running statistics leave their
   // defaults, and every layer holds a Backward cache eval must not touch.
   member->Forward(family.batch(4, 99), /*training=*/true);
-  member->SetPrecision(std::get<1>(GetParam()));
+  Module* const bare = member.get();
   EnsembleModel ensemble;
-  ensemble.AddMember(std::move(member), 1.0);
+  if (packed) ensemble.AddMember(std::move(member), 1.0);
+  const auto eval = [&](const Tensor& x) {
+    return packed ? ensemble.MemberProbsOnBatch(0, x)
+                  : bare->Forward(x, nullptr);
+  };
 
   // Each thread gets its own batch, of its own row count: a cache shared
   // between concurrent calls would cross their shapes or their values.
@@ -336,14 +388,14 @@ TEST_P(ConcurrentEvalTest, ThreadsOnOneMemberMatchSerialBitForBit) {
   std::vector<Tensor> serial;
   for (int i = 0; i < kThreads; ++i) {
     inputs.push_back(family.batch(2 + i, 100 + static_cast<uint64_t>(i)));
-    serial.push_back(ensemble.MemberProbsOnBatch(0, inputs.back()));
+    serial.push_back(eval(inputs.back()));
   }
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       for (int r = 0; r < kRounds; ++r) {
-        const Tensor got = ensemble.MemberProbsOnBatch(0, inputs[i]);
+        const Tensor got = eval(inputs[i]);
         const Tensor& want = serial[static_cast<size_t>(i)];
         if (got.shape() != want.shape() ||
             std::memcmp(got.data(), want.data(),
@@ -361,13 +413,11 @@ TEST_P(ConcurrentEvalTest, ThreadsOnOneMemberMatchSerialBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    FamiliesAndPrecisions, ConcurrentEvalTest,
-    ::testing::Combine(::testing::Range<size_t>(0, 4),
-                       ::testing::Values(Precision::kFloat32,
-                                         Precision::kInt8)),
+    FamiliesPackedAndNot, ConcurrentEvalTest,
+    ::testing::Combine(::testing::Range<size_t>(0, 4), ::testing::Bool()),
     [](const ::testing::TestParamInfo<ConcurrentEvalTest::ParamType>& info) {
-      return EvalFamilies()[std::get<0>(info.param)].name + "_" +
-             PrecisionName(std::get<1>(info.param));
+      return EvalFamilies()[std::get<0>(info.param)].name +
+             (std::get<1>(info.param) ? "_packed" : "_unpacked");
     });
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Differential checker for the layers a training step runs fused or on the
 // tape: BatchNorm (plain, with the fused ReLU, with the fused residual
-// addition and ReLU), ReLU, GlobalAvgPool2d, Dense, Conv1d and TextCNN's
-// max-over-time pooling. Each fp32 forward, input gradient and parameter
-// gradient is compared with a naive float64 reference, within a bound for
-// its precision, on seeded random shapes and on degenerate ones (N = 1,
-// 1×1 planes, rank-2 input, channel counts that do not fill BatchNorm's
-// channel group, a constant channel; a Conv1d kernel as long as the
-// sequence, one output position, NaN and Inf behind a zero dY; tied
-// maxima).
+// addition and ReLU), ReLU, GlobalAvgPool2d, Dense, Conv1d, TextCNN's
+// max-over-time pooling and the training loss. Each fp32 forward, input
+// gradient and parameter gradient is compared with a naive float64
+// reference, within a bound for its precision, on seeded random shapes and
+// on degenerate ones (N = 1, 1×1 planes, rank-2 input, channel counts that
+// do not fill BatchNorm's channel group, a constant channel; a Conv1d
+// kernel as long as the sequence, one output position, NaN and Inf behind
+// a zero dY; tied maxima; two classes, saturated logits, p == q).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -22,9 +23,11 @@
 #include "nn/batchnorm.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
 #include "nn/pooling.h"
 #include "nn/tape.h"
 #include "tensor/ops.h"
+#include "tensor/rng.h"
 
 namespace edde {
 namespace {
@@ -359,30 +362,15 @@ void CheckDense(int64_t n, int64_t in, int64_t out, uint64_t seed) {
   ExpectWithin(params[1]->grad.data(), db_want, db_mag, n + 1.0, kFp32Unit,
                "db");
 
-  // int8 eval: weight codes step by max|w_o|/63, activation codes by the
-  // row's range/255; each product is off by at most a step of either
-  // factor times the other.
-  dense.SetPrecision(Precision::kInt8);
-  const Tensor y8 = dense.Forward(x, nullptr);
-  std::vector<double> y8_mag(n * out);
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = x.data() + i * in;
-    const double lo = std::min(0.0f, *std::min_element(row, row + in));
-    const double hi = std::max(0.0f, *std::max_element(row, row + in));
-    for (int64_t o = 0; o < out; ++o) {
-      const float* wrow = w.data() + o * in;
-      double wmax = 0.0, sum_x = 0.0, sum_w = 0.0;
-      for (int64_t k = 0; k < in; ++k) {
-        wmax = std::max(wmax, static_cast<double>(std::fabs(wrow[k])));
-        sum_x += std::fabs(row[k]);
-        sum_w += std::fabs(wrow[k]);
-      }
-      y8_mag[i * out + o] = sum_x * wmax / 63.0 +
-                            (sum_w + in * wmax / 63.0) * (hi - lo) / 255.0 +
-                            (in + 2.0) * kFp32Unit * y_mag[i * out + o];
-    }
-  }
-  ExpectWithin(y8.data(), y_want, y8_mag, 1, 1.0, "int8 y");
+  // Packed for eval: the same bound, and the unpacked eval's bits.
+  const Tensor y_eval = dense.Forward(x, nullptr);
+  dense.PackForEval();
+  const Tensor y_packed = dense.Forward(x, nullptr);
+  ExpectWithin(y_packed.data(), y_want, y_mag, in + 2.0, kFp32Unit,
+               "packed y");
+  EXPECT_EQ(std::memcmp(y_packed.data(), y_eval.data(),
+                        sizeof(float) * static_cast<size_t>(n * out)),
+            0);
 }
 
 TEST(DenseDifferentialTest, MatchesFloat64Reference) {
@@ -582,6 +570,161 @@ TEST(MaxOverTimeDifferentialTest, MaximaAndFirstOfTiedGetTheGradient) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// SoftmaxCrossEntropyLoss
+// ---------------------------------------------------------------------------
+
+// The loss and its logit gradient in float64: per sample i with weight w,
+//   L_i = w·(−log p_y − γ‖p − q‖₂ + λ·Σ_c −q_c log p_c),  L = Σ_i L_i / N,
+//   ∂L/∂z_c = w/N·(p_c − [c = y] − γ·p_c·(u_c − p·u) + λ·(p_c − q_c)),
+// with u = (p − q)/‖p − q‖₂ (Eq. 10/11). log p is taken of max(p, 1e-8),
+// the loss's floor for saturated logits. The magnitudes bound the float32
+// rounding: p carries a few ulps of relative error (a float exp, one
+// reciprocal, one product), and u divides p − q by ‖p − q‖₂, so its error
+// grows as 1/‖p − q‖₂.
+void CheckLoss(const Tensor& logits, const std::vector<int>& labels,
+               const std::vector<float>& weights, const Tensor& ref,
+               const LossConfig& config, const std::string& what) {
+  SCOPED_TRACE(what);
+  const int64_t n = logits.shape().dim(0), k = logits.shape().dim(1);
+  const double gamma = config.diversity_gamma, lambda = config.distill_weight;
+  const LossResult got =
+      SoftmaxCrossEntropyLoss(logits, labels, weights, ref, config);
+  std::vector<double> g_want(static_cast<size_t>(n * k));
+  std::vector<double> g_mag(g_want.size());
+  double loss_want = 0.0, loss_mag = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float* z = logits.data() + i * k;
+    const double w = weights.empty() ? 1.0 : weights[static_cast<size_t>(i)];
+    const int y = labels[static_cast<size_t>(i)];
+    double mx = z[0];
+    for (int64_t c = 1; c < k; ++c) mx = std::max(mx, static_cast<double>(z[c]));
+    std::vector<double> p(static_cast<size_t>(k));
+    double total = 0.0;
+    for (int64_t c = 0; c < k; ++c) total += p[c] = std::exp(z[c] - mx);
+    for (double& v : p) v /= total;
+    const auto log_p = [&](int64_t c) { return std::log(std::max(p[c], 1e-8)); };
+    double li = -log_p(y), li_mag = 1.0 + std::fabs(log_p(y));
+    std::vector<double> u(static_cast<size_t>(k), 0.0);
+    double d = 0.0, pu = 0.0;
+    if (gamma != 0.0) {
+      for (int64_t c = 0; c < k; ++c) {
+        const double diff = p[c] - ref.data()[i * k + c];
+        d += diff * diff;
+      }
+      d = std::sqrt(d);
+      for (int64_t c = 0; c < k; ++c) {
+        u[c] = (p[c] - ref.data()[i * k + c]) / d;
+        pu += p[c] * u[c];
+      }
+      li -= gamma * d;
+      li_mag += gamma * (1.0 + d);
+    }
+    for (int64_t c = 0; c < k; ++c) {
+      const double q = lambda != 0.0 ? ref.data()[i * k + c] : 0.0;
+      if (lambda != 0.0) {
+        li += lambda * -q * log_p(c);
+        li_mag += lambda * q * (1.0 + std::fabs(log_p(c)));
+      }
+      const double onehot = c == y ? 1.0 : 0.0;
+      const size_t e = static_cast<size_t>(i * k + c);
+      g_want[e] = w / n *
+                  (p[c] - onehot - gamma * p[c] * (u[c] - pu) +
+                   lambda * (p[c] - q));
+      const double u_mag =
+          gamma != 0.0 ? std::fabs(u[c]) + std::fabs(pu) + 4.0 / d + 4.0 : 0.0;
+      g_mag[e] = std::fabs(w) / n *
+                 (p[c] + onehot + gamma * p[c] * u_mag + lambda * (p[c] + q));
+    }
+    loss_want += w * li / n;
+    loss_mag += std::fabs(w) * li_mag / n;
+  }
+  for (int64_t e = 0; e < n * k; ++e) {
+    ASSERT_TRUE(std::isfinite(got.grad_logits.data()[e])) << "element " << e;
+  }
+  ExpectWithin(got.grad_logits.data(), g_want, g_mag, 64, kFp32Unit, "dz");
+  EXPECT_LE(std::fabs(got.loss - loss_want), 64 * kFp32Unit * loss_mag)
+      << "loss " << got.loss << ", want " << loss_want;
+}
+
+struct LossCase {
+  Tensor logits;
+  std::vector<int> labels;
+  std::vector<float> weights;
+  Tensor ref;  ///< a distribution per row
+};
+
+LossCase RandomLossCase(int64_t n, int64_t k, float logit_scale, Rng* rng) {
+  LossCase c;
+  c.logits = Random(Shape{n, k}, rng, logit_scale);
+  c.ref = Softmax(Random(Shape{n, k}, rng, 2.0f));
+  for (int64_t i = 0; i < n; ++i) {
+    c.labels.push_back(static_cast<int>(rng->UniformInt(k)));
+    c.weights.push_back(static_cast<float>(rng->Uniform(0.1, 3.0)));
+  }
+  return c;
+}
+
+std::vector<LossConfig> LossConfigs() {
+  LossConfig plain, diverse, distill, both;
+  diverse.diversity_gamma = 0.5f;
+  distill.distill_weight = 0.7f;
+  both.diversity_gamma = 0.3f;
+  both.distill_weight = 0.4f;
+  return {plain, diverse, distill, both};
+}
+
+TEST(LossDifferentialTest, SeededRandomShapesAndWeights) {
+  Rng rng(91);
+  for (int trial = 0; trial < 12; ++trial) {
+    const int64_t n = 1 + rng.UniformInt(40), k = 2 + rng.UniformInt(12);
+    const LossCase c = RandomLossCase(n, k, 3.0f, &rng);
+    for (const LossConfig& config : LossConfigs()) {
+      const std::string what = "trial " + std::to_string(trial) + " γ=" +
+                               std::to_string(config.diversity_gamma) +
+                               " λ=" + std::to_string(config.distill_weight);
+      CheckLoss(c.logits, c.labels, c.weights, c.ref, config, what);
+      CheckLoss(c.logits, c.labels, {}, c.ref, config, what + " unweighted");
+    }
+  }
+}
+
+TEST(LossDifferentialTest, DegenerateShapesAndSaturatedLogits) {
+  Rng rng(92);
+  for (const LossConfig& config : LossConfigs()) {
+    const LossCase one = RandomLossCase(1, 7, 2.0f, &rng);
+    CheckLoss(one.logits, one.labels, one.weights, one.ref, config, "N = 1");
+    const LossCase two = RandomLossCase(9, 2, 2.0f, &rng);
+    CheckLoss(two.logits, two.labels, two.weights, two.ref, config, "K = 2");
+    // |z| ~ 200: p is one-hot to float precision and log p hits the floor.
+    const LossCase sat = RandomLossCase(6, 5, 200.0f, &rng);
+    CheckLoss(sat.logits, sat.labels, sat.weights, sat.ref, config,
+              "saturated");
+  }
+}
+
+TEST(LossDifferentialTest, EqualDistributionsGiveTheDiversityFreeLoss) {
+  // q == p bit for bit (the reference is this member's own softmax):
+  // ‖p − q‖₂ = 0 has no gradient, and the loss takes the diversity term's
+  // subgradient 0, so γ changes no bit of the loss or the gradient.
+  Rng rng(93);
+  const LossCase c = RandomLossCase(8, 6, 2.0f, &rng);
+  const Tensor q = Softmax(c.logits);
+  LossConfig diverse;
+  diverse.diversity_gamma = 0.5f;
+  const LossResult got =
+      SoftmaxCrossEntropyLoss(c.logits, c.labels, c.weights, q, diverse);
+  const LossResult plain =
+      SoftmaxCrossEntropyLoss(c.logits, c.labels, c.weights, q, LossConfig{});
+  EXPECT_EQ(got.loss, plain.loss);
+  for (int64_t e = 0; e < got.grad_logits.num_elements(); ++e) {
+    ASSERT_TRUE(std::isfinite(got.grad_logits.data()[e]));
+  }
+  EXPECT_EQ(0, std::memcmp(got.grad_logits.data(), plain.grad_logits.data(),
+                           sizeof(float) * static_cast<size_t>(
+                                               got.grad_logits.num_elements())));
 }
 
 }  // namespace

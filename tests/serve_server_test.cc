@@ -117,46 +117,6 @@ TEST_F(ServeServerTest, ServedLabelsMatchLocalPredictBothModes) {
   }
 }
 
-TEST_F(ServeServerTest, QuantizedEnsembleServesExactLocalLabelsBothModes) {
-  // Same exactness contract as above, but with every member running the
-  // int8 path (DESIGN.md §13): what the wire returns must match what a
-  // local PredictProbs over the same quantized model computes — serving
-  // adds batching and the cascade on top of quantization, never more noise.
-  EnsembleModel model = MakeModel();
-  model.SetPrecision(Precision::kInt8);
-  const Dataset data = MakeBlobs(32, kDim, kClasses, 5);
-  const std::vector<int> reference = model.PredictLabels(data);
-
-  for (const bool cascade : {true, false}) {
-    serve::ServerConfig config;
-    config.cascade = cascade;
-    config.max_batch_rows = 8;
-    serve::InferenceServer server(&model, kDim, kClasses, config);
-    ASSERT_TRUE(server.Start().ok());
-
-    Result<serve::ServeClient> conn =
-        serve::ServeClient::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    serve::ServeClient& client = conn.ValueOrDie();
-
-    for (int64_t start = 0; start < 32; start += 3) {
-      const int64_t rows = std::min<int64_t>(3, 32 - start);
-      Result<serve::PredictResponse> resp =
-          client.Predict(RequestForRows(data, start, rows, start));
-      ASSERT_TRUE(resp.ok()) << resp.status();
-      const serve::PredictResponse& r = resp.ValueOrDie();
-      ASSERT_TRUE(r.ok) << r.error;
-      ASSERT_EQ(static_cast<int64_t>(r.labels.size()), rows);
-      for (int64_t i = 0; i < rows; ++i) {
-        EXPECT_EQ(r.labels[static_cast<size_t>(i)],
-                  reference[static_cast<size_t>(start + i)])
-            << "int8 cascade=" << cascade << " row " << start + i;
-      }
-    }
-    server.Stop();
-  }
-}
-
 TEST_F(ServeServerTest, DeadlineShipsPartialBatch) {
   // max_batch_rows is far larger than the single row we send, so only the
   // max_delay deadline can flush the batch; a hung server would block
@@ -433,7 +393,6 @@ TEST_F(ServeServerTest, StatuszReportsModelCascadeAndQueue) {
   const JsonValue* srv = root.Get("server");
   ASSERT_NE(srv, nullptr);
   EXPECT_DOUBLE_EQ(srv->GetNumberOr("members", 0), 3.0);
-  EXPECT_EQ(srv->GetStringOr("precision", ""), "fp32");
   EXPECT_TRUE(srv->Get("cascade")->AsBool());
   EXPECT_TRUE(srv->Get("ready")->AsBool());
   EXPECT_GE(srv->GetNumberOr("uptime_seconds", -1.0), 0.0);
@@ -790,13 +749,6 @@ TEST_F(ServeServerTest, ReloadRejectsBadCandidatesAndKeepsServing) {
     auto wrong = std::make_shared<EnsembleModel>();
     wrong->AddMember(std::make_unique<Mlp>(cfg, 1), 1.0);
     const Status s = server.Reload(wrong, "wrong-dim");
-    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
-  }
-  // Wrong precision.
-  {
-    auto wrong = std::make_shared<EnsembleModel>(MakeModelV2());
-    wrong->SetPrecision(Precision::kInt8);
-    const Status s = server.Reload(wrong, "wrong-precision");
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
   }
   // Null candidate.

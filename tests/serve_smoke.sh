@@ -13,7 +13,9 @@
 # 1. Malformed flags exit 2 without crashing or serving: --hidden widths,
 #    every integer flag (non-numeric, trailing junk, out of range) and a
 #    boolean flag that is none of true|false|1|0|yes|no, of edde-serve,
-#    edde-serve-client and edde-top.
+#    edde-serve-client and edde-top; and edde-serve's removed --precision
+#    flag, so that a script still asking for int8 fails instead of being
+#    served fp32.
 # 2. The same deterministic request stream served at --workers=1 and
 #    --workers=4 dumps byte-identical labels, cascade depths and float32
 #    probabilities, with the cascade on and with it off (DESIGN.md §15).
@@ -61,6 +63,7 @@ BAD_FLAGS=(
   --max_batch_rows=0 --max_delay_ms=1.5 --max_request_rows=-1
   --max_request_ms=-1 --shed_queue_age_ms=x --send_timeout_ms=99999999999
   --drain_ms=-1 --cascade=maybe
+  --precision=int8
 )
 for FLAG in "${BAD_FLAGS[@]}"; do
   CODE=0

@@ -314,6 +314,16 @@ TEST(GemmBitExactTest, StorageDoesNotChangeABit) {
                 GemmRaw(ta != 0, tb != 0, m, n, k, sc.alpha, sa.data(), lda,
                         sb.data(), ldb, sc.beta, c.data(), n, epi);
 
+                // B prepacked once, as a layer packed for eval holds it.
+                const PackedB packed(tb != 0, k, n, sb.data(), ldb);
+                std::vector<float> c_packed(c0.data(), c0.data() + m * n);
+                GemmRaw(ta != 0, m, sc.alpha, sa.data(), lda, packed, sc.beta,
+                        c_packed.data(), n, epi);
+                ASSERT_EQ(0, std::memcmp(c_packed.data(), c.data(),
+                                         sizeof(float) * c.size()))
+                    << "ta=" << ta << " tb=" << tb
+                    << ": prepacked B differs from unpacked";
+
                 WideMatrix wa(sa.data(), sa.shape().dim(0), lda);
                 WideMatrix wb(sb.data(), sb.shape().dim(0), ldb);
                 WideMatrix wc(c0.data(), m, n);

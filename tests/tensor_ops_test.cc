@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <tuple>
 #include <vector>
@@ -597,8 +598,8 @@ TEST(Conv2dBackwardTest, InputGradientIsTheForwardsAdjoint) {
 }
 
 // Element-by-element im2col and its adjoint with a bounds test per value:
-// the bit-exact reference for the offset-map im2col, and the Col2Im order
-// the tap-by-tap input gradient keeps.
+// the columns the direct kernels' summation order is defined over, and the
+// Col2Im order the tap-by-tap input gradient keeps.
 void NaiveIm2Col(const float* input, int64_t batch, int64_t channels,
                  int64_t height, int64_t width, const ConvGeom& geom,
                  float* cols) {
@@ -648,28 +649,6 @@ void NaiveCol2Im(const float* cols, int64_t batch, int64_t channels,
   }
 }
 
-TEST(Im2ColTest, BitIdenticalToElementwiseLoops) {
-  std::vector<ConvCase> cases = DegenerateConvCases();
-  for (const auto& more : {RandomConvCases(), RowKernelConvCases()}) {
-    cases.insert(cases.end(), more.begin(), more.end());
-  }
-  cases.push_back(MultiBlockConvCase());
-  Rng rng(4242);
-  for (const ConvCase& c : cases) {
-    SCOPED_TRACE(::testing::Message() << c);
-    const ConvGeom g = GeomOf(c);
-    const int64_t ncols = c.batch * g.OutHeight(c.h) * g.OutWidth(c.w);
-    const int64_t rows = c.cin * c.kh() * c.kernel;
-    const Tensor x = RandomTensor(Shape{c.batch, c.cin, c.h, c.w}, &rng);
-    Tensor got(Shape{rows, ncols}), want(Shape{rows, ncols});
-    Im2Col(x.data(), c.batch, c.cin, c.h, c.w, g, got.data());
-    NaiveIm2Col(x.data(), c.batch, c.cin, c.h, c.w, g, want.data());
-    ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                             sizeof(float) * static_cast<size_t>(ncols * rows)))
-        << "im2col";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The direct kernels keep the im2col + GEMM summation order, tier by tier
 // ---------------------------------------------------------------------------
@@ -699,7 +678,7 @@ Tensor ChannelMajorToNchw(const Tensor& cm, const Shape& nchw) {
   return out;
 }
 
-// The forward as W · Im2Col(x) on the active tier, bias fused.
+// The forward as W · im2col(x) on the active tier, bias fused.
 Tensor Im2ColGemmForward(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const ConvGeom& g) {
   const Shape out_shape = g.OutputShape(input.shape());
@@ -707,8 +686,8 @@ Tensor Im2ColGemmForward(const Tensor& input, const Tensor& weight,
   const int64_t depth = g.in_channels * g.kernel_h * g.kernel_w;
   const int64_t ncols = batch * out_shape.dim(2) * out_shape.dim(3);
   Tensor cols(Shape{depth, ncols});
-  Im2Col(input.data(), batch, g.in_channels, input.shape().dim(2),
-         input.shape().dim(3), g, cols.data());
+  NaiveIm2Col(input.data(), batch, g.in_channels, input.shape().dim(2),
+              input.shape().dim(3), g, cols.data());
   GemmEpilogue epi;
   epi.bias = GemmEpilogue::Bias::kPerRow;
   epi.bias_data = bias.data();
@@ -759,7 +738,7 @@ Tensor Im2ColGemmInputGrad(const Tensor& weight, const Tensor& grad_out,
     }
     const int64_t ncols = batch * h * w;
     Tensor cols(Shape{oc * kk, ncols});
-    Im2Col(bordered.data(), batch, oc, ph, pw, corr, cols.data());
+    NaiveIm2Col(bordered.data(), batch, oc, ph, pw, corr, cols.data());
     Tensor dx2d(Shape{cin, ncols});
     GemmRaw(false, false, cin, ncols, oc * kk, 1.0f, w_flip.data(), oc * kk,
             cols.data(), ncols, 0.0f, dx2d.data(), ncols);
@@ -850,49 +829,6 @@ TEST(Conv2dTierTest, InputGradientKeepsTheIm2ColOrderOnEveryTier) {
   }
 }
 
-TEST(Conv2dBlockSamplesTest, FitsColumnBudget) {
-  ConvGeom g;
-  g.in_channels = 4;
-  g.out_channels = 4;
-  // 36 rows x 36 pixels per sample: 25 samples fit 32 Ki floats.
-  EXPECT_EQ(Conv2dBlockSamples(g, 6, 6), 25);
-  // A single sample over budget still makes a block of one.
-  g.in_channels = 64;
-  EXPECT_EQ(Conv2dBlockSamples(g, 32, 32), 1);
-}
-
-TEST(Conv2dInt8Test, MultiBlockBatchMatchesPerSampleCalls) {
-  // Activations quantize per output pixel, so how samples are grouped into
-  // blocks must not change a single bit.
-  Rng rng(61);
-  ConvGeom g;
-  g.in_channels = 6;
-  g.out_channels = 5;
-  const int64_t h = 10, w = 10;
-  const int64_t block = Conv2dBlockSamples(g, h, w);
-  ASSERT_GT(block, 1);
-  const int64_t batch = 2 * block + 1;
-  const Tensor input = RandomTensor(Shape{batch, g.in_channels, h, w}, &rng);
-  const Tensor weight = RandomTensor(Shape{g.out_channels, g.in_channels, 3, 3},
-                                     &rng, 0.3f);
-  const Tensor bias = RandomTensor(Shape{g.out_channels}, &rng);
-  const QuantizedMatrix q = QuantizeWeightsPerChannel(weight);
-  const Tensor all = Conv2dForwardInt8(input, q, bias, g);
-  const int64_t in_size = g.in_channels * h * w;
-  const int64_t out_size = all.num_elements() / batch;
-  for (int64_t n = 0; n < batch; ++n) {
-    Tensor one(Shape{1, g.in_channels, h, w});
-    std::copy(input.data() + n * in_size, input.data() + (n + 1) * in_size,
-              one.data());
-    const Tensor got = Conv2dForwardInt8(one, q, bias, g);
-    ASSERT_EQ(got.num_elements(), out_size);
-    for (int64_t i = 0; i < out_size; ++i) {
-      ASSERT_EQ(got.data()[i], all.data()[n * out_size + i])
-          << "sample " << n << " element " << i;
-    }
-  }
-}
-
 TEST(Conv1dTest, KnownKernelValues) {
   // A sequence as a height-1 plane under a 1 × 3 kernel, as Conv1d runs it.
   // Single channel, kernel [1, 0, -1]: discrete derivative.
@@ -977,6 +913,87 @@ TEST(ConcatChannelsTest, RoundTripsThroughSplit) {
   }
   for (int64_t i = 0; i < b.num_elements(); ++i) {
     EXPECT_FLOAT_EQ(gb.at(i), b.at(i));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// fp16 conversion properties
+// ---------------------------------------------------------------------------
+
+TEST(HalfConversionTest, ExactValuesRoundTripExactly) {
+  const float exact[] = {0.0f,   -0.0f,  1.0f,    -1.0f,  0.5f,
+                         2.0f,   1.5f,   65504.0f, -65504.0f,
+                         0.25f,  1024.0f, 6.103515625e-05f /* 2^-14 */};
+  for (float v : exact) {
+    const float back = HalfToFloat(FloatToHalf(v));
+    EXPECT_EQ(v, back) << "v=" << v;
+    // Signed zero must keep its sign bit.
+    if (v == 0.0f) {
+      EXPECT_EQ(std::signbit(v), std::signbit(back));
+    }
+  }
+}
+
+TEST(HalfConversionTest, NormalsRoundTripWithinRelativeEpsilon) {
+  Rng rng(31);
+  Tensor values(Shape{4096});
+  values.FillUniform(&rng, -1000.0f, 1000.0f);
+  for (int64_t i = 0; i < values.num_elements(); ++i) {
+    const float v = values.data()[i];
+    const float back = HalfToFloat(FloatToHalf(v));
+    // binary16 has 11 significand bits: RNE error ≤ 2^-11 relative.
+    EXPECT_NEAR(back, v, std::fabs(v) * 0x1p-11f + 1e-8f) << "i=" << i;
+  }
+}
+
+TEST(HalfConversionTest, SubnormalsAndEdges) {
+  // Largest half subnormal and the smallest one.
+  EXPECT_EQ(0x03FF, FloatToHalf(HalfToFloat(0x03FF)));
+  EXPECT_EQ(0x0001, FloatToHalf(HalfToFloat(0x0001)));
+  // Below half of the smallest subnormal: underflow to signed zero.
+  EXPECT_EQ(0x0000, FloatToHalf(1e-9f));
+  EXPECT_EQ(0x8000, FloatToHalf(-1e-9f));
+  // Overflow saturates to ±inf.
+  EXPECT_EQ(0x7C00, FloatToHalf(1e6f));
+  EXPECT_EQ(0xFC00, FloatToHalf(-1e6f));
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(0x7C00, FloatToHalf(inf));
+  EXPECT_EQ(inf, HalfToFloat(0x7C00));
+  EXPECT_TRUE(std::isnan(
+      HalfToFloat(FloatToHalf(std::numeric_limits<float>::quiet_NaN()))));
+  // Every half value round-trips bit-exactly through float (half ⊂ float).
+  for (uint32_t bits = 0; bits < 0x10000u; ++bits) {
+    const uint16_t h = static_cast<uint16_t>(bits);
+    const uint32_t exp = (h >> 10) & 0x1Fu;
+    if (exp == 0x1Fu && (h & 0x3FFu) != 0) continue;  // NaN payloads vary
+    ASSERT_EQ(h, FloatToHalf(HalfToFloat(h))) << "half bits " << bits;
+  }
+}
+
+TEST(HalfConversionTest, RoundsToNearestEven) {
+  // Half spacing at 1.0 is 2^-10. 1 + 2^-11 is the exact midpoint of
+  // [1.0, 1 + 2^-10]; RNE picks the even mantissa (1.0). 1 + 3·2^-11 is the
+  // midpoint of [1 + 2^-10, 1 + 2^-9] whose lower neighbor has an odd
+  // mantissa, so RNE rounds up to 1 + 2^-9.
+  EXPECT_EQ(FloatToHalf(1.0f), FloatToHalf(1.0f + 0x1p-11f));
+  EXPECT_EQ(FloatToHalf(1.0f + 0x1p-9f), FloatToHalf(1.0f + 3 * 0x1p-11f));
+  // Just above the midpoint rounds up.
+  EXPECT_EQ(FloatToHalf(1.0f + 0x1p-10f),
+            FloatToHalf(1.0f + 0x1p-11f + 0x1p-20f));
+}
+
+TEST(HalfConversionTest, BulkConvertersMatchScalar) {
+  Rng rng(41);
+  Tensor values(Shape{257});
+  values.FillUniform(&rng, -10.0f, 10.0f);
+  const size_t n = static_cast<size_t>(values.num_elements());
+  std::vector<uint16_t> halves(n);
+  FloatsToHalfs(values.data(), halves.data(), n);
+  std::vector<float> back(n);
+  HalfsToFloats(halves.data(), back.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(halves[i], FloatToHalf(values.data()[i]));
+    EXPECT_EQ(back[i], HalfToFloat(halves[i]));
   }
 }
 

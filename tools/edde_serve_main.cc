@@ -16,7 +16,7 @@
 ///
 /// SIGHUP (or POST /reloadz on the observability port) hot-reloads
 /// --model from disk: the artifact is re-read, validated against the
-/// serving geometry/precision, and atomically installed as the next
+/// serving geometry, and atomically installed as the next
 /// generation. In-flight batches finish on the generation they started
 /// on; a corrupt or mismatched artifact is rejected and the old
 /// generation keeps serving (DESIGN.md §16).
@@ -77,7 +77,6 @@ int Main(int argc, char** argv) {
   flags.Define("num_classes", "10", "output classes");
   flags.Define("port", "7433", "TCP port on 127.0.0.1 (0 = ephemeral)");
   flags.Define("cascade", "true", "alpha-ordered early-exit cascade");
-  flags.Define("precision", "fp32", "inference precision: fp32 | int8");
   flags.Define("max_batch_rows", "64", "rows that make a batch full");
   flags.Define("max_delay_ms", "2", "partial-batch deadline");
   flags.Define("max_request_rows", "1024", "per-request row cap");
@@ -162,29 +161,18 @@ int Main(int argc, char** argv) {
   }
   EnsembleModel model = std::move(loaded).ValueOrDie();
 
-  const std::string precision = flags.GetString("precision");
-  if (precision == "int8") {
-    model.SetPrecision(Precision::kInt8);
-  } else if (precision != "fp32") {
-    std::fprintf(stderr, "unknown --precision=%s (supported: fp32, int8)\n",
-                 precision.c_str());
-    return 2;
-  }
-
-  // Hot reload re-reads --model with the same factory and precision. The
+  // Hot reload re-reads --model with the same factory. The
   // closure runs on whatever thread triggers the reload (main loop for
   // SIGHUP, the HTTP thread for /reloadz); LoadEnsemble validates shapes
   // against the factory, so a swapped-out artifact with different
   // geometry fails here and the serving generation is untouched.
   const std::string model_path = flags.GetString("model");
-  const bool use_int8 = (precision == "int8");
   config.reload_source =
-      [model_path, factory, use_int8]() -> Result<serve::ReloadCandidate> {
+      [model_path, factory]() -> Result<serve::ReloadCandidate> {
     Result<EnsembleModel> reloaded = LoadEnsemble(model_path, factory);
     if (!reloaded.ok()) return reloaded.status();
     auto next = std::make_shared<EnsembleModel>(
         std::move(reloaded).ValueOrDie());
-    if (use_int8) next->SetPrecision(Precision::kInt8);
     serve::ReloadCandidate candidate;
     candidate.model = std::move(next);
     candidate.source = model_path;

@@ -94,12 +94,11 @@ int WatchLoop(const std::string& host, uint16_t port, int interval_ms,
 
     if (!once) std::fputs("\x1b[H\x1b[2J", stdout);  // home + clear
     std::printf(
-        "edde-top — %s:%u  up %.1fs  gen=%lld  members=%lld  precision=%s  "
-        "cascade=%s  workers=%lld  %s\n",
+        "edde-top — %s:%u  up %.1fs  gen=%lld  members=%lld  cascade=%s  "
+        "workers=%lld  %s\n",
         host.c_str(), port, cur.at_seconds,
         static_cast<long long>(server->GetNumberOr("generation", 1)),
         static_cast<long long>(server->GetNumberOr("members", 0)),
-        server->GetStringOr("precision", "?").c_str(),
         server->Get("cascade") != nullptr && server->Get("cascade")->AsBool()
             ? "on"
             : "off",
