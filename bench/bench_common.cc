@@ -106,9 +106,9 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
     SetNumThreads(num_threads);
   } else if ((env_threads == nullptr || env_threads[0] == '\0') &&
              std::thread::hardware_concurrency() < 4) {
-    // On small CI boxes auto-detection would serialize the pool; the chunk
-    // boundaries are thread-count-independent so this cannot change any
-    // result, only the timeline's worker tracks and the wall time. An
+    // On small CI boxes auto-detection would serialize the pool; members
+    // join in slot order whatever the thread count, so this cannot change
+    // any result, only the timeline's worker tracks and the wall time. An
     // explicit EDDE_NUM_THREADS (or --num_threads) always wins.
     SetNumThreads(4);
   }

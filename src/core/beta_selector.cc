@@ -78,27 +78,25 @@ BetaProbeResult SelectBeta(const Dataset& train, const ModelFactory& factory,
 
   static Counter* const probe_counter =
       MetricsRegistry::Global().GetCounter("beta_probe.probes");
-  ParallelFor(0, num_betas, 1, [&](int64_t b0, int64_t b1) {
-    for (int64_t b = b0; b < b1; ++b) {
-      if (ShutdownRequested()) continue;  // drain; the exit follows below
-      TraceScope trace("beta_probe/probe");
-      probe_counter->Increment();
-      Probe& probe = probes[static_cast<size_t>(b)];
-      // Mean accuracy on the two probe folds over the first epochs.
-      TrainConfig student_tc;
-      student_tc.epochs = config.probe_epochs;
-      student_tc.batch_size = config.batch_size;
-      student_tc.sgd = config.sgd;
-      student_tc.seed = probe.train_seed;
-      Module* raw = probe.student.get();
-      TrainModel(raw, student_data, student_tc, TrainContext{},
-                 [&](const EpochStats& /*stats*/) {
-                   probe.seen_acc += EvaluateAccuracy(raw, seen_fold);
-                   probe.unseen_acc += EvaluateAccuracy(raw, unseen_fold);
-                 });
-      probe.seen_acc /= config.probe_epochs;
-      probe.unseen_acc /= config.probe_epochs;
-    }
+  ParallelFor(0, num_betas, [&](int64_t b) {
+    if (ShutdownRequested()) return;  // drain; the exit follows below
+    TraceScope trace("beta_probe/probe");
+    probe_counter->Increment();
+    Probe& probe = probes[static_cast<size_t>(b)];
+    // Mean accuracy on the two probe folds over the first epochs.
+    TrainConfig student_tc;
+    student_tc.epochs = config.probe_epochs;
+    student_tc.batch_size = config.batch_size;
+    student_tc.sgd = config.sgd;
+    student_tc.seed = probe.train_seed;
+    Module* raw = probe.student.get();
+    TrainModel(raw, student_data, student_tc, TrainContext{},
+               [&](const EpochStats& /*stats*/) {
+                 probe.seen_acc += EvaluateAccuracy(raw, seen_fold);
+                 probe.unseen_acc += EvaluateAccuracy(raw, unseen_fold);
+               });
+    probe.seen_acc /= config.probe_epochs;
+    probe.unseen_acc /= config.probe_epochs;
   });
   if (ShutdownRequested()) GracefulShutdownExit();
 

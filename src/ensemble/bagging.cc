@@ -53,30 +53,25 @@ EnsembleModel Bagging::Train(const Dataset& train, const ModelFactory& factory,
   std::mutex rounds_mu;
   static Counter* const member_counter =
       MetricsRegistry::Global().GetCounter("bagging.members_trained");
-  ParallelFor(restored, num_members, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      if (ShutdownRequested()) continue;  // drain; the exit follows below
-      TraceScope trace("bagging/member");
-      member_counter->Increment();
-      const MemberPlan& plan = plans[static_cast<size_t>(t)];
-      std::unique_ptr<Module> model = factory(plan.factory_seed);
-      TrainModel(model.get(), plan.boot,
-                 rounds.MemberConfig(static_cast<int>(t) + 1,
-                                     config_.epochs_per_member,
-                                     plan.train_seed),
-                 TrainContext{});
-      // A signal mid-member leaves the half-trained model to its inflight
-      // checkpoint; recording it as complete would corrupt the ensemble.
-      if (ShutdownRequested()) continue;
-      std::lock_guard<std::mutex> lock(rounds_mu);
-      finished[static_cast<size_t>(t)] = std::move(model);
-      for (int64_t next = ensemble.size();
-           next < num_members && finished[static_cast<size_t>(next)];
-           ++next) {
-        ensemble.AddMember(std::move(finished[static_cast<size_t>(next)]),
-                           1.0);
-        rounds.EndRound(config_.epochs_per_member);
-      }
+  ParallelFor(restored, num_members, [&](int64_t t) {
+    if (ShutdownRequested()) return;  // drain; the exit follows below
+    TraceScope trace("bagging/member");
+    member_counter->Increment();
+    const MemberPlan& plan = plans[static_cast<size_t>(t)];
+    std::unique_ptr<Module> model = factory(plan.factory_seed);
+    TrainModel(model.get(), plan.boot,
+               rounds.MemberConfig(static_cast<int>(t) + 1,
+                                   config_.epochs_per_member, plan.train_seed),
+               TrainContext{});
+    // A signal mid-member leaves the half-trained model to its inflight
+    // checkpoint; recording it as complete would corrupt the ensemble.
+    if (ShutdownRequested()) return;
+    std::lock_guard<std::mutex> lock(rounds_mu);
+    finished[static_cast<size_t>(t)] = std::move(model);
+    for (int64_t next = ensemble.size();
+         next < num_members && finished[static_cast<size_t>(next)]; ++next) {
+      ensemble.AddMember(std::move(finished[static_cast<size_t>(next)]), 1.0);
+      rounds.EndRound(config_.epochs_per_member);
     }
   });
   if (ShutdownRequested()) GracefulShutdownExit();

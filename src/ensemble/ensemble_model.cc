@@ -112,11 +112,9 @@ std::vector<Tensor> EnsembleModel::MemberProbs(const Dataset& data,
                                                int64_t batch_size) const {
   const int64_t num_members = size();
   std::vector<Tensor> out(static_cast<size_t>(num_members));
-  ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      out[static_cast<size_t>(t)] = edde::PredictProbs(
-          members_[static_cast<size_t>(t)].get(), data, batch_size);
-    }
+  ParallelFor(0, num_members, [&](int64_t t) {
+    out[static_cast<size_t>(t)] = edde::PredictProbs(
+        members_[static_cast<size_t>(t)].get(), data, batch_size);
   });
   return out;
 }
@@ -126,11 +124,9 @@ double EnsembleModel::AverageMemberAccuracy(const Dataset& data,
   EDDE_CHECK(!members_.empty());
   const int64_t num_members = size();
   std::vector<double> member_acc(static_cast<size_t>(num_members), 0.0);
-  ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      member_acc[static_cast<size_t>(t)] = edde::EvaluateAccuracy(
-          members_[static_cast<size_t>(t)].get(), data, batch_size);
-    }
+  ParallelFor(0, num_members, [&](int64_t t) {
+    member_acc[static_cast<size_t>(t)] = edde::EvaluateAccuracy(
+        members_[static_cast<size_t>(t)].get(), data, batch_size);
   });
   double acc = 0.0;
   for (double a : member_acc) acc += a;

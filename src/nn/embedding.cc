@@ -23,8 +23,9 @@ Tensor Embedding::ForwardImpl(const Tensor& input, Tape* tape) {
   Tensor output = NewTensor(tape, Shape{n, embed_dim_, len});
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t t = 0; t < len; ++t) {
-      const int64_t id = static_cast<int64_t>(
-          std::lround(input.data()[i * len + t]));
+      const float v = input.data()[i * len + t];
+      EDDE_CHECK(std::isfinite(v)) << "token id " << v;
+      const int64_t id = static_cast<int64_t>(std::lround(v));
       EDDE_CHECK_GE(id, 0);
       EDDE_CHECK_LT(id, vocab_size_);
       const float* row = table_.value.data() + id * embed_dim_;

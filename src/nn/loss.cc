@@ -5,7 +5,6 @@
 
 #include "tensor/ops.h"
 #include "utils/logging.h"
-#include "utils/threadpool.h"
 
 namespace edde {
 
@@ -39,91 +38,68 @@ LossResult SoftmaxCrossEntropyLoss(const Tensor& logits,
 
   // One fused pass per sample: softmax (via SoftmaxRow, so probs stays
   // bit-identical to Softmax(logits)), loss terms and the finished
-  // (already 1/n-scaled) gradient row — the old code made three extra
-  // sweeps over (n, k) for softmax staging, grad zero-fill and Scale.
-  // Rows parallelize; each chunk accumulates its loss partial in double
-  // and the partials are reduced in chunk order, so the total is the same
-  // for every thread count (the chunk partition depends only on n and the
-  // grain).
-  const int64_t row_work = k * (use_ref ? 8 : 3);
-  int64_t grain = (1 << 14) / (row_work < 1 ? 1 : row_work);
-  if (grain < 1) grain = 1;
-  const int64_t num_chunks = (n + grain - 1) / grain;
-  std::vector<double> partial(static_cast<size_t>(num_chunks), 0.0);
-  auto process_chunk = [&](int64_t r0, int64_t r1) {
-    double chunk_loss = 0.0;
-    for (int64_t i = r0; i < r1; ++i) {
-      const float w = weighted ? sample_weights[static_cast<size_t>(i)] : 1.0f;
-      float* p = result.probs.data() + i * k;
-      float* g = result.grad_logits.data() + i * k;
-      const int y = labels[static_cast<size_t>(i)];
-      EDDE_CHECK_GE(y, 0);
-      EDDE_CHECK_LT(y, static_cast<int>(k));
+  // (already 1/n-scaled) gradient row. The loss sums in double, row by row.
+  double total_loss = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float w = weighted ? sample_weights[static_cast<size_t>(i)] : 1.0f;
+    float* p = result.probs.data() + i * k;
+    float* g = result.grad_logits.data() + i * k;
+    const int y = labels[static_cast<size_t>(i)];
+    EDDE_CHECK_GE(y, 0);
+    EDDE_CHECK_LT(y, static_cast<int>(k));
 
-      SoftmaxRow(logits.data() + i * k, k, p);
+    SoftmaxRow(logits.data() + i * k, k, p);
 
-      // Cross-entropy term: -log p_y ; d/dz = p - onehot(y).
-      chunk_loss += -w * std::log(std::max(p[y], kEps));
+    // Cross-entropy term: -log p_y ; d/dz = p - onehot(y).
+    total_loss += -w * std::log(std::max(p[y], kEps));
 #pragma omp simd
-      for (int64_t c = 0; c < k; ++c) g[c] = w * p[c];
-      g[y] -= w;
+    for (int64_t c = 0; c < k; ++c) g[c] = w * p[c];
+    g[y] -= w;
 
-      if (use_ref) {
-        const float* q = reference_probs.data() + i * k;
+    if (use_ref) {
+      const float* q = reference_probs.data() + i * k;
 
-        if (config.diversity_gamma != 0.0f) {
-          // Diversity term (Eq. 10): -γ‖p − q‖₂.
-          // With u_c = (p_c − q_c)/‖p − q‖₂, the logit gradient of ‖p − q‖₂
-          // through the softmax Jacobian is p ⊙ (u − (p·u)); we subtract γ
-          // times it (the term is a reward, Eq. 11).
-          double d2 = 0.0;
-          for (int64_t c = 0; c < k; ++c) {
-            const double diff = static_cast<double>(p[c]) - q[c];
-            d2 += diff * diff;
-          }
-          const float d = static_cast<float>(std::sqrt(d2));
-          chunk_loss += -w * config.diversity_gamma * d;
-          const float inv_d = 1.0f / std::max(d, kEps);
-          double pu = 0.0;
-          for (int64_t c = 0; c < k; ++c) {
-            pu += static_cast<double>(p[c]) * (p[c] - q[c]) * inv_d;
-          }
-          for (int64_t c = 0; c < k; ++c) {
-            const float u = (p[c] - q[c]) * inv_d;
-            g[c] -= w * config.diversity_gamma * p[c] *
-                    (u - static_cast<float>(pu));
-          }
+      if (config.diversity_gamma != 0.0f) {
+        // Diversity term (Eq. 10): -γ‖p − q‖₂.
+        // With u_c = (p_c − q_c)/‖p − q‖₂, the logit gradient of ‖p − q‖₂
+        // through the softmax Jacobian is p ⊙ (u − (p·u)); we subtract γ
+        // times it (the term is a reward, Eq. 11).
+        double d2 = 0.0;
+        for (int64_t c = 0; c < k; ++c) {
+          const double diff = static_cast<double>(p[c]) - q[c];
+          d2 += diff * diff;
         }
-
-        if (config.distill_weight != 0.0f) {
-          // Distillation: λ·CE(q, p) = -λ Σ q_c log p_c ; d/dz = λ(p − q).
-          double ce = 0.0;
-          for (int64_t c = 0; c < k; ++c) {
-            ce += -static_cast<double>(q[c]) * std::log(std::max(p[c], kEps));
-          }
-          chunk_loss += w * config.distill_weight * ce;
-          for (int64_t c = 0; c < k; ++c) {
-            g[c] += w * config.distill_weight * (p[c] - q[c]);
-          }
+        const float d = static_cast<float>(std::sqrt(d2));
+        total_loss += -w * config.diversity_gamma * d;
+        const float inv_d = 1.0f / std::max(d, kEps);
+        double pu = 0.0;
+        for (int64_t c = 0; c < k; ++c) {
+          pu += static_cast<double>(p[c]) * (p[c] - q[c]) * inv_d;
+        }
+        for (int64_t c = 0; c < k; ++c) {
+          const float u = (p[c] - q[c]) * inv_d;
+          g[c] -= w * config.diversity_gamma * p[c] *
+                  (u - static_cast<float>(pu));
         }
       }
 
-#pragma omp simd
-      for (int64_t c = 0; c < k; ++c) g[c] *= inv_n;
+      if (config.distill_weight != 0.0f) {
+        // Distillation: λ·CE(q, p) = -λ Σ q_c log p_c ; d/dz = λ(p − q).
+        double ce = 0.0;
+        for (int64_t c = 0; c < k; ++c) {
+          ce += -static_cast<double>(q[c]) * std::log(std::max(p[c], kEps));
+        }
+        total_loss += w * config.distill_weight * ce;
+        for (int64_t c = 0; c < k; ++c) {
+          g[c] += w * config.distill_weight * (p[c] - q[c]);
+        }
+      }
     }
-    partial[static_cast<size_t>(r0 / grain)] = chunk_loss;
-  };
-  ParallelFor(0, n, grain, [&](int64_t c_lo, int64_t c_hi) {
-    // Walk the logical grain partition even when ParallelFor hands this
-    // worker a larger range (the serial fallback gets [0, n) in one call),
-    // so the double-sum grouping never depends on the thread count.
-    for (int64_t r0 = c_lo; r0 < c_hi; r0 += grain) {
-      process_chunk(r0, r0 + grain < c_hi ? r0 + grain : c_hi);
-    }
-  });
 
-  double total_loss = 0.0;
-  for (const double chunk_loss : partial) total_loss += chunk_loss;
+#pragma omp simd
+    for (int64_t c = 0; c < k; ++c) g[c] *= inv_n;
+  }
+
   result.loss = total_loss * inv_n;
   return result;
 }

@@ -120,17 +120,10 @@ struct WeightGradPass {
   int64_t col_blocks = 1;
 };
 
-/// A pass is split into independent items: a DirectPass item is one row
-/// tile of one output row (item i: tile i / oh, row i % oh), a
-/// WeightGradPass item one (output-channel tile, input-channel tile) over
-/// all taps (item i: tiles i / col_blocks, i % col_blocks).
-/// Every output element belongs to one item, so a pass split into item
-/// ranges gives the same bits however the ranges fall.
-///
-/// Items [i0, i1) of a pass on the AVX2/FMA policy, compiled in
-/// kernels_avx2.cc. Call only when gemm_internal::Avx2Available().
-void DirectPassAvx2(const DirectPass& pass, int64_t i0, int64_t i1);
-void WeightGradPassAvx2(const WeightGradPass& pass, int64_t i0, int64_t i1);
+/// A whole pass on the AVX2/FMA policy, compiled in kernels_avx2.cc. Call
+/// only when gemm_internal::Avx2Available().
+void DirectPassAvx2(const DirectPass& pass);
+void WeightGradPassAvx2(const WeightGradPass& pass);
 
 /// The packed GEMM's micro-kernel, DirectConv<Ops>::GemmTiles, on the
 /// portable policy (ops.cc) and on AVX2/FMA (kernels_avx2.cc; call only
@@ -369,19 +362,21 @@ struct DirectConv {
     }
   }
 
-  static void RunItems(const DirectPass& a, int64_t i0, int64_t i1) {
+  // Every row tile at every output pixel; each output element belongs to
+  // one (tile, pixel) pair.
+  static void Run(const DirectPass& a) {
     static_assert(kMaxRows == 6, "TileRows covers 1..6 rows");
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t tile = i / a.oh;
+    for (int64_t tile = 0; tile < a.row_blocks; ++tile) {
       const int64_t r0 = tile * a.out_rows / a.row_blocks;
       const int64_t rows = (tile + 1) * a.out_rows / a.row_blocks - r0;
-      const int64_t y = i % a.oh;
-      for (int64_t x = 0; x < a.ow; ++x) {
-        int64_t n0 = 0;
-        for (; n0 + 2 * L <= a.lanes; n0 += 2 * L) {
-          TileRows<2>(a, r0, rows, y, x, n0);
+      for (int64_t y = 0; y < a.oh; ++y) {
+        for (int64_t x = 0; x < a.ow; ++x) {
+          int64_t n0 = 0;
+          for (; n0 + 2 * L <= a.lanes; n0 += 2 * L) {
+            TileRows<2>(a, r0, rows, y, x, n0);
+          }
+          if (n0 < a.lanes) TileRows<1>(a, r0, rows, y, x, n0);
         }
-        if (n0 < a.lanes) TileRows<1>(a, r0, rows, y, x, n0);
       }
     }
   }
@@ -453,22 +448,24 @@ struct DirectConv {
     }
   }
 
-  static void RunWeightGradItems(const WeightGradPass& a, int64_t i0,
-                                 int64_t i1) {
+  // Every (output-channel tile, input-channel tile) over all taps; each
+  // weight-gradient element belongs to one pair.
+  static void RunWeightGrad(const WeightGradPass& a) {
     static_assert(kGradRows == 4 && kGradCols == 3,
-                  "RunWeightGradItems covers 1..4 x 1..3 tiles");
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t rt = i / a.col_blocks, ct = i % a.col_blocks;
+                  "RunWeightGrad covers 1..4 x 1..3 tiles");
+    for (int64_t rt = 0; rt < a.row_blocks; ++rt) {
       const int64_t oc0 = rt * a.oc / a.row_blocks;
       const int64_t rows = (rt + 1) * a.oc / a.row_blocks - oc0;
-      const int64_t c0 = ct * a.c / a.col_blocks;
-      const int64_t cols = (ct + 1) * a.c / a.col_blocks - c0;
-      for (int64_t t = 0; t < a.kh * a.kw; ++t) {
-        switch (rows) {
-          case 1: WeightGradCols<1>(a, oc0, c0, cols, t); break;
-          case 2: WeightGradCols<2>(a, oc0, c0, cols, t); break;
-          case 3: WeightGradCols<3>(a, oc0, c0, cols, t); break;
-          default: WeightGradCols<4>(a, oc0, c0, cols, t); break;
+      for (int64_t ct = 0; ct < a.col_blocks; ++ct) {
+        const int64_t c0 = ct * a.c / a.col_blocks;
+        const int64_t cols = (ct + 1) * a.c / a.col_blocks - c0;
+        for (int64_t t = 0; t < a.kh * a.kw; ++t) {
+          switch (rows) {
+            case 1: WeightGradCols<1>(a, oc0, c0, cols, t); break;
+            case 2: WeightGradCols<2>(a, oc0, c0, cols, t); break;
+            case 3: WeightGradCols<3>(a, oc0, c0, cols, t); break;
+            default: WeightGradCols<4>(a, oc0, c0, cols, t); break;
+          }
         }
       }
     }

@@ -9,7 +9,6 @@
 #include "utils/arena.h"
 #include "utils/logging.h"
 #include "utils/run_manifest.h"
-#include "utils/threadpool.h"
 
 namespace edde {
 
@@ -268,19 +267,19 @@ void GemmPacked(GemmKernel kernel, bool trans_a, int64_t m, int64_t n,
   const int64_t n_pad = CeilDiv(n, kNR) * kNR;
   const int64_t a_rs = trans_a ? 1 : lda;
   const int64_t a_ks = trans_a ? lda : 1;
-  // One shared B panel per k block, packed serially by the caller; A blocks
-  // are packed per worker chunk. C rows are written by exactly one chunk
-  // and the k blocks advance in the same serial order for every chunking,
-  // so results are bit-identical for any thread count and grain.
-  // Panels are sized by the block they hold, not by the blocking caps: a
-  // shallow or short operand (conv's dCols GEMM has k = OC) must not grow
-  // every thread's arena to full kKC/kMC panels.
+  // Per k block, B is packed once and A once per kMC-row block, both into
+  // this call's arena. Panels are sized by the block they hold, not by the
+  // blocking caps: a shallow or short operand (a Dense layer over a few
+  // inputs) must not grow the arena to full kKC/kMC panels.
   ArenaScope scope;
   float* bpack = b.panels != nullptr
                      ? nullptr
                      : scope.AllocFloats(std::min(k, kKC) *
                                          CeilDiv(n - n_direct, kNR) * kNR);
-  const int64_t grain = std::max(kMC, RowGrain(n * k, 1 << 18));
+  float* apack = a_direct ? nullptr
+                          : scope.AllocFloats(CeilDiv(std::min(kMC, m), kMR) *
+                                              kMR * std::min(k, kKC));
+  alignas(64) float acc[kMR * kNR];
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
     const float* bpanels = bpack;
@@ -291,46 +290,38 @@ void GemmPacked(GemmKernel kernel, bool trans_a, int64_t m, int64_t n,
     }
     const bool first = pc == 0;
     const bool last = pc + kc >= k;
-    ParallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
-      ArenaScope worker_scope;
-      float* apack =
-          a_direct ? nullptr
-                   : worker_scope.AllocFloats(
-                         CeilDiv(std::min(kMC, r1 - r0), kMR) * kMR * kc);
-      alignas(64) float acc[kMR * kNR];
-      // The rows [ir, ir + mr) of the block at ic times the B panels
-      // [jr, jr + panels·kNR), which lie all in place or all packed.
-      const auto run = [&](int64_t ic, int64_t ir, int64_t mr, int64_t jr,
-                           int64_t panels) {
-        const float* asub = a_direct ? a + (ic + ir) * a_rs + pc * a_ks
-                                     : apack + ir * kc;
-        const bool b_in_place = jr < n_direct;
-        const float* bsub = b_in_place ? b.data + pc * b.ld + jr
-                                       : bpanels + (jr - n_direct) * kc;
-        tile(mr, panels, kc, asub, a_direct ? a_rs : 1, a_direct ? a_ks : kMR,
-             bsub, b_in_place ? b.ld : kNR, b_in_place ? kNR : kNR * kc, acc);
-        MergeTile(acc, panels * kNR, c + (ic + ir) * ldc + jr, ldc, mr,
-                  std::min(panels * kNR, n - jr), beta, first, last, epi,
-                  ic + ir, jr);
-      };
-      for (int64_t ic = r0; ic < r1; ic += kMC) {
-        const int64_t mb = std::min(kMC, r1 - ic);
-        if (!a_direct) PackA(trans_a, a, lda, ic, pc, mb, kc, alpha, apack);
-        const int64_t m_full = mb / kMR * kMR;
-        for (int64_t jr = 0; jr < n; jr += kNR) {
-          for (int64_t ir = 0; ir < m_full; ir += kMR) run(ic, ir, kMR, jr, 1);
-        }
-        if (m_full == mb) continue;
-        const int64_t mr = mb - m_full;
-        for (int64_t jr = 0; jr < n;) {
-          const int64_t run_end = jr < n_direct ? n_direct : n;
-          const int64_t panels = std::min(conv_internal::kGemmPanels[mr],
-                                          CeilDiv(run_end - jr, kNR));
-          run(ic, m_full, mr, jr, panels);
-          jr += panels * kNR;
-        }
+    // The rows [ir, ir + mr) of the block at ic times the B panels
+    // [jr, jr + panels·kNR), which lie all in place or all packed.
+    const auto run = [&](int64_t ic, int64_t ir, int64_t mr, int64_t jr,
+                         int64_t panels) {
+      const float* asub =
+          a_direct ? a + (ic + ir) * a_rs + pc * a_ks : apack + ir * kc;
+      const bool b_in_place = jr < n_direct;
+      const float* bsub = b_in_place ? b.data + pc * b.ld + jr
+                                     : bpanels + (jr - n_direct) * kc;
+      tile(mr, panels, kc, asub, a_direct ? a_rs : 1, a_direct ? a_ks : kMR,
+           bsub, b_in_place ? b.ld : kNR, b_in_place ? kNR : kNR * kc, acc);
+      MergeTile(acc, panels * kNR, c + (ic + ir) * ldc + jr, ldc, mr,
+                std::min(panels * kNR, n - jr), beta, first, last, epi,
+                ic + ir, jr);
+    };
+    for (int64_t ic = 0; ic < m; ic += kMC) {
+      const int64_t mb = std::min(kMC, m - ic);
+      if (!a_direct) PackA(trans_a, a, lda, ic, pc, mb, kc, alpha, apack);
+      const int64_t m_full = mb / kMR * kMR;
+      for (int64_t jr = 0; jr < n; jr += kNR) {
+        for (int64_t ir = 0; ir < m_full; ir += kMR) run(ic, ir, kMR, jr, 1);
       }
-    });
+      if (m_full == mb) continue;
+      const int64_t mr = mb - m_full;
+      for (int64_t jr = 0; jr < n;) {
+        const int64_t run_end = jr < n_direct ? n_direct : n;
+        const int64_t panels = std::min(conv_internal::kGemmPanels[mr],
+                                        CeilDiv(run_end - jr, kNR));
+        run(ic, m_full, mr, jr, panels);
+        jr += panels * kNR;
+      }
+    }
   }
 }
 

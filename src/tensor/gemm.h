@@ -26,10 +26,10 @@ namespace edde {
 // if set (invalid or unsupported values fall back with a warning), else
 // AVX2 when available, else portable. SetGemmKernel overrides
 // programmatically (tests, benches). For a fixed dispatch path results are
-// bit-identical across thread counts and across repeated runs; the two
-// kernels differ from each other in final-ulp rounding (the FMA
-// contraction in kAvx2), which is why accuracy tests compare against a
-// float64 reference rather than across kernels.
+// bit-identical across repeated runs; the two kernels differ from each
+// other in final-ulp rounding (the FMA contraction in kAvx2), which is why
+// accuracy tests compare against a float64 reference rather than across
+// kernels.
 
 enum class GemmKernel {
   kAuto = 0,  ///< resolve from EDDE_GEMM_KERNEL / CPU features

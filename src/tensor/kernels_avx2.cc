@@ -131,12 +131,12 @@ void FromBatchInnermostAvx2(const float* src, int64_t n, int64_t c,
   }
 }
 
-void DirectPassAvx2(const DirectPass& pass, int64_t i0, int64_t i1) {
-  DirectConv<Avx2Ops>::RunItems(pass, i0, i1);
+void DirectPassAvx2(const DirectPass& pass) {
+  DirectConv<Avx2Ops>::Run(pass);
 }
 
-void WeightGradPassAvx2(const WeightGradPass& pass, int64_t i0, int64_t i1) {
-  DirectConv<Avx2Ops>::RunWeightGradItems(pass, i0, i1);
+void WeightGradPassAvx2(const WeightGradPass& pass) {
+  DirectConv<Avx2Ops>::RunWeightGrad(pass);
 }
 
 // The widest tile, 6 rows x 2 vectors, keeps 12 YMM accumulators; with the
@@ -180,11 +180,11 @@ void FromBatchInnermostAvx2(const float*, int64_t, int64_t, int64_t, int64_t,
   EDDE_CHECK(false) << "AVX2 kernels not compiled in";
 }
 
-void DirectPassAvx2(const DirectPass&, int64_t, int64_t) {
+void DirectPassAvx2(const DirectPass&) {
   EDDE_CHECK(false) << "AVX2 kernels not compiled in";
 }
 
-void WeightGradPassAvx2(const WeightGradPass&, int64_t, int64_t) {
+void WeightGradPassAvx2(const WeightGradPass&) {
   EDDE_CHECK(false) << "AVX2 kernels not compiled in";
 }
 

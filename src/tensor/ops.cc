@@ -8,7 +8,6 @@
 #include "tensor/gemm.h"
 #include "utils/arena.h"
 #include "utils/logging.h"
-#include "utils/threadpool.h"
 
 namespace edde {
 
@@ -96,11 +95,9 @@ Tensor Softmax(const Tensor& logits) {
   const int64_t n = logits.shape().dim(0);
   const int64_t k = logits.shape().dim(1);
   Tensor out(logits.shape());
-  ParallelFor(0, n, RowGrain(k, 1 << 14), [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      SoftmaxRow(logits.data() + i * k, k, out.data() + i * k);
-    }
-  });
+  for (int64_t i = 0; i < n; ++i) {
+    SoftmaxRow(logits.data() + i * k, k, out.data() + i * k);
+  }
   return out;
 }
 
@@ -126,22 +123,20 @@ std::vector<float> RowL2Distance(const Tensor& a, const Tensor& b) {
   const int64_t n = a.shape().dim(0);
   const int64_t k = a.shape().dim(1);
   std::vector<float> out(static_cast<size_t>(n));
-  ParallelFor(0, n, RowGrain(k, 1 << 14), [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* ra = a.data() + i * k;
-      const float* rb = b.data() + i * k;
-      double acc = 0.0;
-      // Vector reassociation of the double sum is fine here: the value is
-      // deterministic for a fixed binary and thread-count independent
-      // (per-row), and no test compares it against a serial reference.
+  for (int64_t i = 0; i < n; ++i) {
+    const float* ra = a.data() + i * k;
+    const float* rb = b.data() + i * k;
+    double acc = 0.0;
+    // Vector reassociation of the double sum is fine here: the value is
+    // deterministic for a fixed binary, and no test compares it against a
+    // serial reference.
 #pragma omp simd reduction(+ : acc)
-      for (int64_t j = 0; j < k; ++j) {
-        const double d = static_cast<double>(ra[j]) - rb[j];
-        acc += d * d;
-      }
-      out[static_cast<size_t>(i)] = static_cast<float>(std::sqrt(acc));
+    for (int64_t j = 0; j < k; ++j) {
+      const double d = static_cast<double>(ra[j]) - rb[j];
+      acc += d * d;
     }
-  });
+    out[static_cast<size_t>(i)] = static_cast<float>(std::sqrt(acc));
+  }
   return out;
 }
 
@@ -337,40 +332,22 @@ void BuildGatherSteps(DirectPass* pass, ArenaScope* scope) {
   pass->step_depth = depth_index;
 }
 
-// Chunks of about 2^18 multiply-adds, so the tiny models' layers never
-// open a pool region.
-int64_t DirectGrain(int64_t work_per_item) {
-  return RowGrain(work_per_item, int64_t{1} << 18);
-}
-
 void RunDirectPass(DirectPass pass, GemmKernel kernel) {
   ArenaScope scope;
   if (pass.kind == DirectPass::Kind::kGather) BuildGatherSteps(&pass, &scope);
-  const int64_t items = pass.row_blocks * pass.oh;
-  const int64_t work = (pass.out_rows + pass.row_blocks - 1) /
-                       pass.row_blocks * pass.ow * pass.in_ch * pass.kh *
-                       pass.kw * pass.lanes;
-  ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
-    if (kernel == GemmKernel::kAvx2) {
-      conv_internal::DirectPassAvx2(pass, i0, i1);
-    } else {
-      DirectConv<PortableOps>::RunItems(pass, i0, i1);
-    }
-  });
+  if (kernel == GemmKernel::kAvx2) {
+    conv_internal::DirectPassAvx2(pass);
+  } else {
+    DirectConv<PortableOps>::Run(pass);
+  }
 }
 
 void RunWeightGradPass(const WeightGradPass& pass, GemmKernel kernel) {
-  const int64_t items = pass.row_blocks * pass.col_blocks;
-  const int64_t work = (pass.oc + pass.row_blocks - 1) / pass.row_blocks *
-                       ((pass.c + pass.col_blocks - 1) / pass.col_blocks) *
-                       pass.kh * pass.kw * pass.oh * pass.ow * pass.lanes;
-  ParallelFor(0, items, DirectGrain(work), [&](int64_t i0, int64_t i1) {
-    if (kernel == GemmKernel::kAvx2) {
-      conv_internal::WeightGradPassAvx2(pass, i0, i1);
-    } else {
-      DirectConv<PortableOps>::RunWeightGradItems(pass, i0, i1);
-    }
-  });
+  if (kernel == GemmKernel::kAvx2) {
+    conv_internal::WeightGradPassAvx2(pass);
+  } else {
+    DirectConv<PortableOps>::RunWeightGrad(pass);
+  }
 }
 
 // The batch-innermost copy of `input`: `kept` when it is given

@@ -109,8 +109,8 @@ Shape Conv2dInputCopyShape(const Shape& input);
 /// every kernel size, picked by the GEMM kernel tier. Each output sums its
 /// C·kh·kw products in im2col depth order, in blocks of the packed GEMM's kKC
 /// depth steps, then adds the bias: bit for bit what an im2col unrolling
-/// times the weights computes through GemmRaw on that tier. The result does not depend on the batch size or
-/// the thread count.
+/// times the weights computes through GemmRaw on that tier. The result does
+/// not depend on the batch size.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& geom,
                      Tensor output = Tensor(), Tensor input_t = Tensor());
@@ -126,8 +126,7 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
 /// across its lanes in a fixed order. dX sums bit for bit as the GEMM
 /// tier would over im2col columns: for stride 1 with p ≤ kh−1 and
 /// p ≤ kw−1 as the forward correlation of dY with the flipped kernel,
-/// otherwise as Col2Im of Wᵀ·dY, tap by tap. The result does not depend
-/// on the thread count.
+/// otherwise as Col2Im of Wᵀ·dY, tap by tap.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_out, const ConvGeom& geom,
                     Tensor* weight_grad, Tensor* bias_grad,

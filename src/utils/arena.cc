@@ -20,8 +20,9 @@ size_t AlignUp(size_t n) { return (n + kAlignment - 1) & ~(kAlignment - 1); }
 // TotalArenaReservedBytes never has to walk other threads' arenas.
 std::atomic<size_t> g_reserved_bytes{0};
 
-// thread_local so ParallelFor workers get disjoint scratch for free. The
-// arena is destroyed (and its bytes unaccounted) when the thread exits.
+// thread_local so member threads and serving workers get disjoint scratch
+// for free. The arena is destroyed (and its bytes unaccounted) when the
+// thread exits.
 thread_local ScratchArena t_arena;
 
 // Depth of nested ArenaScopes on this thread; depth 0 -> 1 marks the

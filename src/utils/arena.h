@@ -9,9 +9,8 @@ namespace edde {
 
 /// Per-thread bump-pointer scratch memory for kernel workspaces.
 ///
-/// The tensor kernels (GEMM packing panels, im2col columns, per-sample conv
-/// scratch) need short-lived buffers on every call, and before the arena
-/// they allocated fresh Tensors inside ParallelFor workers — per-batch
+/// The tensor kernels (GEMM packing panels, conv step tables) need
+/// short-lived buffers on every call; fresh Tensors would be per-batch
 /// malloc traffic on the training hot path. A ScratchArena instead hands
 /// out 64-byte-aligned slices of a thread-local slab: allocation is a
 /// pointer bump, release is restoring an offset, and the slab itself is
@@ -22,9 +21,10 @@ namespace edde {
 ///  - Scratch is only valid while the ArenaScope that covers its
 ///    allocation is alive. Never store arena pointers in objects that
 ///    outlive the kernel call.
-///  - Each thread owns its arena (thread_local), so ParallelFor workers
-///    never share scratch and need no synchronization. A worker chunk that
-///    needs scratch opens its own ArenaScope; nesting is free.
+///  - Each thread owns its arena (thread_local), so member threads and
+///    serving workers never share scratch and need no synchronization.
+///    A kernel that needs scratch opens its own ArenaScope; nesting is
+///    free.
 ///  - Growth never moves live allocations: when the current slab is
 ///    exhausted a new one is chained, and the next top-level ArenaScope
 ///    exit consolidates every chained slab into one slab sized at the

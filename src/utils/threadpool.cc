@@ -235,37 +235,17 @@ void SetNumThreads(int n) {
   g_pool.reset();  // rebuilt lazily at the next ParallelFor / NumThreads
 }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+void ParallelFor(int64_t begin, int64_t end,
+                 const std::function<void(int64_t)>& fn) {
   if (begin >= end) return;
-  const int64_t range = end - begin;
-  if (grain < 1) grain = 1;
-  if (range <= grain || t_inside_parallel_region) {
-    fn(begin, end);
+  ThreadPool* pool = end - begin == 1 || t_inside_parallel_region
+                         ? nullptr
+                         : GetPool();
+  if (pool == nullptr || pool->parallelism() <= 1) {
+    for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  ThreadPool* pool = GetPool();
-  const int threads = pool->parallelism();
-  if (threads <= 1) {
-    fn(begin, end);
-    return;
-  }
-  // Chunk size is a function of grain and range only — independent of the
-  // thread count — so the chunk boundaries (and thus any per-chunk partial
-  // reductions a caller combines in chunk order) are identical whether the
-  // pool has 1 or 64 threads.
-  const int64_t num_chunks = (range + grain - 1) / grain;
-  pool->Run(num_chunks, [&](int64_t chunk) {
-    const int64_t lo = begin + chunk * grain;
-    const int64_t hi = lo + grain < end ? lo + grain : end;
-    fn(lo, hi);
-  });
-}
-
-int64_t RowGrain(int64_t work_per_row, int64_t target_work) {
-  if (work_per_row < 1) work_per_row = 1;
-  const int64_t grain = target_work / work_per_row;
-  return grain < 1 ? 1 : grain;
+  pool->Run(end - begin, [&](int64_t task) { fn(begin + task); });
 }
 
 }  // namespace edde

@@ -8,21 +8,20 @@ namespace edde {
 
 /// Shared parallel-execution substrate.
 ///
-/// All intra-op (tensor kernels) and inter-op (ensemble members, probe
-/// students) parallelism in EDDE goes through ParallelFor below, backed by
-/// one lazily created process-wide worker pool. The pool size defaults to
+/// EDDE parallelizes across ensemble members only: member evaluation,
+/// Bagging's members and the β probes' students go through ParallelFor
+/// below, backed by one lazily created process-wide worker pool. Tensor
+/// kernels and layers never enter the pool; a member's forward and backward
+/// run serially on the thread that trains it. The pool size defaults to
 /// std::thread::hardware_concurrency and can be overridden either by the
 /// EDDE_NUM_THREADS environment variable (read once, at first use) or
 /// programmatically via SetNumThreads.
 ///
-/// Determinism contract: ParallelFor splits [begin, end) into contiguous
-/// chunks and invokes `fn(chunk_begin, chunk_end)` exactly once per chunk.
-/// Each chunk runs serially in index order inside one worker, so per-row
-/// reductions keep their serial accumulation order. Kernels that only write
-/// disjoint rows therefore produce bit-identical results for every thread
-/// count, including 1. Cross-chunk reductions are the caller's
-/// responsibility and must combine partials in chunk order to stay
-/// deterministic.
+/// Determinism contract: ParallelFor runs `fn(i)` exactly once for every
+/// index, and a task that writes only its own index's outputs gives the
+/// same results for every thread count, including 1. Anything shared
+/// between tasks (an ensemble joined in slot order) is ordered by the
+/// caller.
 
 /// Number of threads ParallelFor may use (>= 1). Resolves, in order:
 /// SetNumThreads override, EDDE_NUM_THREADS, hardware_concurrency.
@@ -33,22 +32,13 @@ int NumThreads();
 /// parallel work is in flight; intended for tests, benches and main().
 void SetNumThreads(int n);
 
-/// Runs `fn(chunk_begin, chunk_end)` over contiguous chunks covering
-/// [begin, end). Chunks contain at least `grain` indices (except possibly
-/// the last), so callers pick `grain` such that one grain amortizes the
-/// scheduling overhead. Runs serially when the range is at most one grain,
-/// when the pool has one thread, or when called from inside another
-/// ParallelFor (no nested parallelism). Blocks until every chunk finished;
-/// the first exception thrown by `fn` is rethrown in the caller.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
-
-/// ParallelFor grain for rows of `work_per_row` scalar ops: as many rows
-/// as make about `target_work` ops, and at least one. Tiny problems (tests,
-/// the tiny models' layers) then stay on the serial path. Kernels that
-/// write disjoint rows and keep each row's serial order are bit-identical
-/// for every grain, so the grain only sets the scheduling overhead.
-int64_t RowGrain(int64_t work_per_row, int64_t target_work);
+/// Runs `fn(i)` for every i in [begin, end), one index per pool task. Runs
+/// serially in index order when the range holds one index, when the pool
+/// has one thread, or when called from inside another ParallelFor (no
+/// nested parallelism). Blocks until every task finished; the first
+/// exception thrown by `fn` is rethrown in the caller.
+void ParallelFor(int64_t begin, int64_t end,
+                 const std::function<void(int64_t)>& fn);
 
 /// Blocks until any in-flight ParallelFor region has fully drained.
 ///

@@ -1,13 +1,14 @@
 // Differential checker for the layers a training step runs fused or on the
 // tape: BatchNorm (plain, with the fused ReLU, with the fused residual
 // addition and ReLU), ReLU, GlobalAvgPool2d, Dense, Conv1d, TextCNN's
-// max-over-time pooling and the training loss. Each fp32 forward, input
-// gradient and parameter gradient is compared with a naive float64
-// reference, within a bound for its precision, on seeded random shapes and
-// on degenerate ones (N = 1, 1×1 planes, rank-2 input, channel counts that
-// do not fill BatchNorm's channel group, a constant channel; a Conv1d
-// kernel as long as the sequence, one output position, NaN and Inf behind
-// a zero dY; tied maxima; two classes, saturated logits, p == q).
+// max-over-time pooling, Embedding, Dropout and the training loss. Each fp32
+// forward, input gradient and parameter gradient is compared with a naive
+// float64 reference, within a bound for its precision, on seeded random
+// shapes and on degenerate ones (N = 1, 1×1 planes, rank-2 input, channel
+// counts that do not fill BatchNorm's channel group, a constant channel; a
+// Conv1d kernel as long as the sequence, one output position, NaN and Inf
+// behind a zero dY; tied maxima; repeated and out-of-range token ids;
+// dropout rate 0; two classes, saturated logits, p == q).
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,15 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
+#include "nn/dropout.h"
+#include "nn/embedding.h"
 #include "nn/loss.h"
 #include "nn/pooling.h"
 #include "nn/tape.h"
@@ -570,6 +574,133 @@ TEST(MaxOverTimeDifferentialTest, MaximaAndFirstOfTiedGetTheGradient) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Embedding, Dropout
+// ---------------------------------------------------------------------------
+
+// (n, len) token ids drawn from [0, vocab), as floats.
+Tensor RandomIds(int64_t n, int64_t len, int64_t vocab, Rng* rng) {
+  Tensor ids(Shape{n, len});
+  for (int64_t i = 0; i < ids.num_elements(); ++i) {
+    ids.data()[i] = static_cast<float>(rng->UniformInt(vocab));
+  }
+  return ids;
+}
+
+// The forward is a gather, so exact; the table gradient scatter-adds dY
+// over every position that holds the id, compared with a float64 sum.
+void CheckEmbedding(int64_t n, int64_t len, int64_t vocab, int64_t dim,
+                    uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "embedding " << n << "x" << len
+                                    << ", vocab " << vocab << ", dim " << dim);
+  Rng rng(seed);
+  Embedding embedding(vocab, dim, &rng);
+  Parameter* table = embedding.Parameters()[0];
+  const Tensor ids = RandomIds(n, len, vocab, &rng);
+  const Tensor dy = Random(Shape{n, dim, len}, &rng);
+  Tape tape;
+  const Tensor y = embedding.Forward(ids, &tape);
+  ASSERT_TRUE(y.shape() == (Shape{n, dim, len}));
+  EXPECT_TRUE(embedding.Backward(dy, &tape).empty());
+  std::vector<double> dw_want(static_cast<size_t>(vocab * dim));
+  std::vector<double> dw_mag(dw_want.size());
+  std::vector<double> uses(static_cast<size_t>(vocab));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t t = 0; t < len; ++t) {
+      const auto id = static_cast<int64_t>(ids.data()[i * len + t]);
+      uses[static_cast<size_t>(id)] += 1.0;
+      for (int64_t e = 0; e < dim; ++e) {
+        const int64_t at = (i * dim + e) * len + t;
+        ASSERT_EQ(y.data()[at], table->value.data()[id * dim + e])
+            << "sample " << i << " position " << t << " dim " << e;
+        dw_want[static_cast<size_t>(id * dim + e)] += dy.data()[at];
+        dw_mag[static_cast<size_t>(id * dim + e)] += std::fabs(dy.data()[at]);
+      }
+    }
+  }
+  const double most = *std::max_element(uses.begin(), uses.end());
+  ExpectWithin(table->grad.data(), dw_want, dw_mag, most + 1.0, kFp32Unit,
+               "table gradient");
+}
+
+TEST(EmbeddingDifferentialTest, GatherAndScatterAddOfRepeatedIds) {
+  CheckEmbedding(1, 1, 1, 1, 61);  // one id, used once
+  CheckEmbedding(3, 9, 2, 5, 62);  // two ids over 27 positions
+  CheckEmbedding(4, 16, 7, 3, 63);
+  CheckEmbedding(8, 32, 60, 16, 64);
+}
+
+TEST(EmbeddingDifferentialDeathTest, IdsOutsideTheVocabularyAbort) {
+  Rng rng(65);
+  Embedding embedding(/*vocab_size=*/5, /*embed_dim=*/3, &rng);
+  const std::pair<float, const char*> cases[] = {{-1.0f, "id >= 0"},
+                                                 {5.0f, "id < vocab_size_"},
+                                                 {std::nanf(""), "isfinite"}};
+  for (const auto& [bad, check] : cases) {
+    Tensor ids = RandomIds(2, 4, 5, &rng);
+    ids.data()[6] = bad;
+    EXPECT_DEATH(embedding.Forward(ids, nullptr), check) << "id " << bad;
+  }
+}
+
+TEST(DropoutDifferentialTest, TapeMaskFromAFixedSeed) {
+  constexpr uint64_t kSeed = 71;
+  for (const float rate : {0.1f, 0.5f, 0.9f}) {
+    SCOPED_TRACE(::testing::Message() << "rate " << rate);
+    Rng rng(72);
+    const Tensor x = Random(Shape{6, 5, 7}, &rng);
+    const Tensor dy = Random(x.shape(), &rng);
+    Dropout dropout(rate);
+    Tape tape;
+    tape.Reset(kSeed);
+    const Tensor y = dropout.Forward(x, &tape);
+    const Tensor dx = dropout.Backward(dy, &tape);
+    // The mask is the tape's stream from kSeed, one Bernoulli(1 − rate)
+    // draw per element in order; survivors are scaled by 1/(1 − rate).
+    Rng masks(kSeed);
+    const float keep = 1.0f - rate;
+    const int64_t n = x.num_elements();
+    std::vector<double> y_want(static_cast<size_t>(n)), y_mag(y_want.size());
+    std::vector<double> dx_want(y_want.size()), dx_mag(y_want.size());
+    int64_t kept = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const bool on = masks.Bernoulli(keep);
+      kept += on ? 1 : 0;
+      const size_t at = static_cast<size_t>(i);
+      y_want[at] = on ? x.data()[i] / keep : 0.0;
+      dx_want[at] = on ? dy.data()[i] / keep : 0.0;
+      y_mag[at] = std::fabs(y_want[at]);
+      dx_mag[at] = std::fabs(dx_want[at]);
+      if (!on) {
+        ASSERT_EQ(y.data()[i], 0.0f) << "dropped element " << i;
+        ASSERT_EQ(dx.data()[i], 0.0f) << "dropped element " << i;
+      }
+    }
+    EXPECT_GT(kept, 0);
+    EXPECT_LT(kept, n);
+    // The scale is rounded once and the product once.
+    ExpectWithin(y.data(), y_want, y_mag, 2, kFp32Unit, "y");
+    ExpectWithin(dx.data(), dx_want, dx_mag, 2, kFp32Unit, "dx");
+  }
+}
+
+TEST(DropoutDifferentialTest, RateZeroAndEvalAreTheIdentity) {
+  Rng rng(73);
+  const Tensor x = Random(Shape{4, 9}, &rng);
+  const Tensor dy = Random(x.shape(), &rng);
+  const size_t bytes = sizeof(float) * static_cast<size_t>(x.num_elements());
+  Dropout off(0.0f);
+  Tape tape;
+  tape.Reset(74);
+  const Tensor y = off.Forward(x, &tape);
+  const Tensor dx = off.Backward(dy, &tape);
+  EXPECT_EQ(std::memcmp(y.data(), x.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(dx.data(), dy.data(), bytes), 0);
+  Dropout half(0.5f);
+  const Tensor y_eval = half.Forward(x, nullptr);
+  EXPECT_EQ(std::memcmp(y_eval.data(), x.data(), bytes), 0);
 }
 
 // ---------------------------------------------------------------------------

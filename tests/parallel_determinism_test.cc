@@ -28,9 +28,9 @@ using testing::MakeBlobsSplit;
 
 // The determinism contract of the parallel substrate (DESIGN.md): the same
 // seeds must produce the same ensemble regardless of the thread count. All
-// RNG draws happen serially in a fixed order, and the row-parallel kernels
-// keep their serial per-row accumulation order, so 1 thread and 4 threads
-// must match bit for bit — not merely approximately.
+// RNG draws happen serially in a fixed order, members run in parallel but
+// join in slot order, and each member's kernels run serially, so 1 thread
+// and 4 threads must match bit for bit — not merely approximately.
 
 struct Fixture {
   testing::BlobSplit data = MakeBlobsSplit(256, 128, 6, 3, 1, /*spread=*/1.5f);
@@ -265,9 +265,8 @@ TEST_F(ParallelDeterminismTest, BetaProbeIdenticalAcrossThreadCounts) {
   }
 }
 
-// A conv member trained on a batch large enough that its conv passes split
-// into pool chunks. Every output element belongs to one chunk, so the
-// thread count must not change a single bit of the parameters.
+// A conv member trained a few steps; the thread count must not change a
+// single bit of the parameters.
 std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
   SetNumThreads(threads);
   ResNetConfig cfg;
@@ -292,41 +291,13 @@ std::unique_ptr<ResNet> TrainResNetSteps(int threads) {
 }
 
 TEST_F(ParallelDeterminismTest, ResNetTrainingIdenticalAcrossThreadCounts) {
-  // The premise: at this batch the stem's forward and a stage-1 conv's
-  // backward each split over the pool on their own.
-  SetNumThreads(4);
-  Counter* regions = MetricsRegistry::Global().GetCounter("threadpool.regions");
-  Rng rng(29);
-  ConvGeom g;
-  g.in_channels = 3;
-  g.out_channels = 4;
-  Tensor x(Shape{48, 3, 8, 8});
-  x.FillNormal(&rng, 0.0f, 1.0f);
-  Tensor w(Shape{4, 3, 3, 3});
-  w.FillNormal(&rng, 0.0f, 1.0f);
-  int64_t before = regions->Value();
-  (void)Conv2dForward(x, w, Tensor(), g);
-  ASSERT_GT(regions->Value(), before) << "the stem forward must split";
-  g.in_channels = 4;
-  Tensor h(Shape{48, 4, 8, 8});
-  h.FillNormal(&rng, 0.0f, 1.0f);
-  Tensor w1(Shape{4, 4, 3, 3});
-  w1.FillNormal(&rng, 0.0f, 1.0f);
-  Tensor dy(h.shape());
-  dy.FillNormal(&rng, 0.0f, 1.0f);
-  Tensor wg(w1.shape(), 0.0f), dx(h.shape());
-  before = regions->Value();
-  Conv2dBackward(h, w1, dy, g, &wg, nullptr, &dx);
-  ASSERT_GT(regions->Value(), before) << "the stage-1 backward must split";
-
   std::unique_ptr<ResNet> serial = TrainResNetSteps(1);
   std::unique_ptr<ResNet> threaded = TrainResNetSteps(4);
   ExpectIdenticalParameters(serial.get(), threaded.get());
 }
 
-// A TextCNN member whose conv passes split into pool chunks: 24 filters
-// per branch make four register tiles of output channels, and each tile of
-// a Conv1d pass at the training batch holds more than 2¹⁸ multiply-adds.
+// A TextCNN member whose 24 filters per branch make four register tiles of
+// output channels.
 TextCnnConfig SplittingTextCnnConfig() {
   TextCnnConfig cfg;
   cfg.vocab_size = 60;
@@ -370,26 +341,6 @@ std::unique_ptr<TextCnn> TrainTextCnnSteps(int threads, Tensor* eval_logits) {
 }
 
 TEST_F(ParallelDeterminismTest, TextCnnTrainingIdenticalAcrossThreadCounts) {
-  // The premise: at the training batch a branch's Conv1d forward and
-  // backward each split over the pool on their own.
-  SetNumThreads(4);
-  Counter* regions = MetricsRegistry::Global().GetCounter("threadpool.regions");
-  const TextCnnConfig cfg = SplittingTextCnnConfig();
-  Rng rng(41);
-  Conv1d conv(cfg.embed_dim, cfg.filters_per_size, 3, /*use_bias=*/true,
-              &rng);
-  Tensor x(Shape{32, cfg.embed_dim, cfg.seq_len});
-  x.FillNormal(&rng, 0.0f, 1.0f);
-  Tape tape;
-  int64_t before = regions->Value();
-  const Tensor y = conv.Forward(x, &tape);
-  ASSERT_GT(regions->Value(), before) << "the Conv1d forward must split";
-  Tensor dy(y.shape());
-  dy.FillNormal(&rng, 0.0f, 1.0f);
-  before = regions->Value();
-  (void)conv.Backward(dy, &tape);
-  ASSERT_GT(regions->Value(), before) << "the Conv1d backward must split";
-
   Tensor logits1, logits4;
   std::unique_ptr<TextCnn> serial = TrainTextCnnSteps(1, &logits1);
   std::unique_ptr<TextCnn> threaded = TrainTextCnnSteps(4, &logits4);

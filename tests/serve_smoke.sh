@@ -28,7 +28,19 @@
 # 5. Drain: after SIGTERM, /healthz answers 503 within --drain_ms.
 #
 # ctest runs it under the label serve_smoke, on models its fixture trains.
-set -euo pipefail
+# A command that fails prints its line, the command and the tail of the log
+# of the server started last.
+set -Eeuo pipefail
+
+CURRENT_LOG=
+on_error() {
+  echo "FAIL: line $2 exited $1: $3" >&2
+  if [ -n "$CURRENT_LOG" ] && [ -f "$CURRENT_LOG" ]; then
+    echo "--- tail of $CURRENT_LOG ---" >&2
+    tail -n 20 "$CURRENT_LOG" >&2 || true
+  fi
+}
+trap 'on_error "$?" "$LINENO" "$BASH_COMMAND"' ERR
 
 if [ $# -ne 4 ]; then
   echo "usage: $0 TOOLS_DIR MODEL BENCH_SERVE_LOG MODEL_V2" >&2
@@ -126,6 +138,7 @@ trap cleanup EXIT
 start_server() {
   local log=$1
   shift
+  CURRENT_LOG=$log
   # shellcheck disable=SC2086
   "$SERVE" --model="$MODEL" $MODEL_FLAGS --port=0 "$@" > "$log" 2>&1 &
   SERVER_PID=$!
@@ -230,6 +243,7 @@ echo "reload: the reloaded generation answers as a fresh server on MODEL_V2"
 
 # --- 5. Drain -----------------------------------------------------------
 SERVER_PID=$PLANE_PID
+CURRENT_LOG=serve_smoke_plane.log
 kill -TERM "$SERVER_PID"
 CODE=000
 for _ in $(seq 1 50); do

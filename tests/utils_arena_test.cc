@@ -85,31 +85,29 @@ TEST(ArenaTest, GrowthNeverMovesLiveAllocations) {
   }
 }
 
-// Workers get disjoint thread-local arenas: concurrent chunks fill their
-// scratch with a chunk-unique pattern and verify it after a reread, which
+// Workers get disjoint thread-local arenas: concurrent tasks fill their
+// scratch with a task-unique pattern and verify it after a reread, which
 // fails under ASan (and in value checks) if any two workers shared bytes.
 TEST(ArenaTest, ConcurrentWorkersGetDisjointScratch) {
   SetNumThreads(4);
-  const int64_t chunks = 64;
-  std::vector<int> ok(static_cast<size_t>(chunks), 0);
-  ParallelFor(0, chunks, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
-      ArenaScope scope;
-      const int64_t elems = 20'000 + c * 16;
-      float* buf = scope.AllocFloats(elems);
-      const float tag = static_cast<float>(c + 1);
-      for (int64_t i = 0; i < elems; ++i) buf[i] = tag;
-      // A second allocation in the same scope must not alias the first.
-      float* buf2 = scope.AllocFloats(1024);
-      std::memset(buf2, 0xAB, 1024 * sizeof(float));
-      bool good = true;
-      for (int64_t i = 0; i < elems; ++i) good = good && buf[i] == tag;
-      ok[static_cast<size_t>(c)] = good ? 1 : 0;
-    }
+  const int64_t tasks = 64;
+  std::vector<int> ok(static_cast<size_t>(tasks), 0);
+  ParallelFor(0, tasks, [&](int64_t c) {
+    ArenaScope scope;
+    const int64_t elems = 20'000 + c * 16;
+    float* buf = scope.AllocFloats(elems);
+    const float tag = static_cast<float>(c + 1);
+    for (int64_t i = 0; i < elems; ++i) buf[i] = tag;
+    // A second allocation in the same scope must not alias the first.
+    float* buf2 = scope.AllocFloats(1024);
+    std::memset(buf2, 0xAB, 1024 * sizeof(float));
+    bool good = true;
+    for (int64_t i = 0; i < elems; ++i) good = good && buf[i] == tag;
+    ok[static_cast<size_t>(c)] = good ? 1 : 0;
   });
   SetNumThreads(0);
-  for (int64_t c = 0; c < chunks; ++c) {
-    EXPECT_EQ(1, ok[static_cast<size_t>(c)]) << "chunk " << c;
+  for (int64_t c = 0; c < tasks; ++c) {
+    EXPECT_EQ(1, ok[static_cast<size_t>(c)]) << "task " << c;
   }
 }
 

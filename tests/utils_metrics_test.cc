@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <fstream>
@@ -48,11 +49,11 @@ TEST(CounterTest, ConcurrentIncrementsSumExactly) {
   // post-region Value() read exact. Run under TSan in CI.
   SetNumThreads(4);
   Counter c;
-  constexpr int64_t kN = 100000;
-  ParallelFor(0, kN, 1000, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) c.Increment();
+  constexpr int64_t kTasks = 100, kPerTask = 1000;
+  ParallelFor(0, kTasks, [&](int64_t) {
+    for (int64_t i = 0; i < kPerTask; ++i) c.Increment();
   });
-  EXPECT_EQ(c.Value(), kN);
+  EXPECT_EQ(c.Value(), kTasks * kPerTask);
   SetNumThreads(0);
 }
 
@@ -135,9 +136,9 @@ TEST(HistogramTest, ApproxQuantileBracketsTheTrueValue) {
 TEST(HistogramTest, ConcurrentRecordsAreExactAfterJoin) {
   SetNumThreads(4);
   Histogram h;
-  constexpr int64_t kN = 50000;
-  ParallelFor(0, kN, 500, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) h.Record(1.0);
+  constexpr int64_t kTasks = 100, kPerTask = 500, kN = kTasks * kPerTask;
+  ParallelFor(0, kTasks, [&](int64_t) {
+    for (int64_t i = 0; i < kPerTask; ++i) h.Record(1.0);
   });
   EXPECT_EQ(h.Count(), kN);
   EXPECT_DOUBLE_EQ(h.Sum(), static_cast<double>(kN));
@@ -481,8 +482,10 @@ TEST(PrometheusExpositionTest, ScrapeWhileHammeringNeverBlocksWriters) {
       EXPECT_NE(text.find("edde_test_hammer_counter"), std::string::npos);
     }
   });
-  ParallelFor(0, kN, 64, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
+  constexpr int64_t kPerTask = 64;
+  ParallelFor(0, (kN + kPerTask - 1) / kPerTask, [&](int64_t task) {
+    const int64_t end = std::min(kN, (task + 1) * kPerTask);
+    for (int64_t i = task * kPerTask; i < end; ++i) {
       c->Increment();
       h->Record(static_cast<double>(i % 13) * 1e-4);
     }
@@ -533,11 +536,7 @@ TEST(TraceScopeTest, ConcurrentScopesAllLand) {
   const TraceRegion* region = GetTraceRegion("test.trace.concurrent");
   const int64_t before = h->Count();
   constexpr int64_t kN = 1000;
-  ParallelFor(0, kN, 10, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      TraceScope scope(region);
-    }
-  });
+  ParallelFor(0, kN, [&](int64_t) { TraceScope scope(region); });
   EXPECT_EQ(h->Count(), before + kN);
   SetNumThreads(0);
 }

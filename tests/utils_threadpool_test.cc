@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "tensor/ops.h"
+#include "ensemble/bagging.h"
+#include "nn/densenet.h"
+#include "nn/loss.h"
+#include "nn/mlp.h"
+#include "nn/resnet.h"
+#include "nn/tape.h"
+#include "nn/textcnn.h"
+#include "optim/sgd.h"
 #include "tensor/rng.h"
+#include "test_util.h"
+#include "utils/metrics.h"
 #include "utils/threadpool.h"
 
 namespace edde {
@@ -24,9 +34,7 @@ TEST_F(ParallelForTest, CoversEveryIndexExactlyOnce) {
   constexpr int64_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  ParallelFor(0, kN, 7, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)]++;
-  });
+  ParallelFor(0, kN, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
   for (int64_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
@@ -35,62 +43,41 @@ TEST_F(ParallelForTest, CoversEveryIndexExactlyOnce) {
 TEST_F(ParallelForTest, EmptyRangeNeverInvokesBody) {
   SetNumThreads(4);
   int calls = 0;
-  ParallelFor(0, 0, 1, [&](int64_t, int64_t) { ++calls; });
-  ParallelFor(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
-  ParallelFor(10, 3, 1, [&](int64_t, int64_t) { ++calls; });
+  ParallelFor(0, 0, [&](int64_t) { ++calls; });
+  ParallelFor(5, 5, [&](int64_t) { ++calls; });
+  ParallelFor(10, 3, [&](int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
-TEST_F(ParallelForTest, GrainLargerThanRangeRunsSerially) {
-  SetNumThreads(4);
-  int calls = 0;
-  int64_t seen_lo = -1, seen_hi = -1;
-  ParallelFor(3, 10, 100, [&](int64_t lo, int64_t hi) {
-    ++calls;  // single serial invocation: no synchronization needed
-    seen_lo = lo;
-    seen_hi = hi;
+TEST_F(ParallelForTest, OneThreadRunsIndicesInOrderOnTheCaller) {
+  SetNumThreads(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int64_t> seen;
+  ParallelFor(3, 10, [&](int64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(i);
   });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(seen_lo, 3);
-  EXPECT_EQ(seen_hi, 10);
-}
-
-TEST_F(ParallelForTest, ChunksRespectGrain) {
-  SetNumThreads(4);
-  std::atomic<int64_t> min_chunk{1 << 30};
-  ParallelFor(0, 100, 8, [&](int64_t lo, int64_t hi) {
-    const int64_t len = hi - lo;
-    int64_t cur = min_chunk.load();
-    while (len < cur && !min_chunk.compare_exchange_weak(cur, len)) {
-    }
-  });
-  // Every chunk except possibly the final remainder holds >= grain indices;
-  // 100 = 12 * 8 + 4, so the smallest chunk is the 4-wide remainder.
-  EXPECT_GE(min_chunk.load(), 4);
+  EXPECT_EQ(seen, (std::vector<int64_t>{3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST_F(ParallelForTest, ExceptionPropagatesToCaller) {
   SetNumThreads(4);
   EXPECT_THROW(
-      ParallelFor(0, 64, 1,
-                  [&](int64_t lo, int64_t) {
-                    if (lo == 13) throw std::runtime_error("chunk 13 failed");
+      ParallelFor(0, 64,
+                  [&](int64_t i) {
+                    if (i == 13) throw std::runtime_error("task 13 failed");
                   }),
       std::runtime_error);
   // The pool must survive a throwing region and keep scheduling work.
   std::atomic<int64_t> sum{0};
-  ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) {
-    int64_t local = 0;
-    for (int64_t i = lo; i < hi; ++i) local += i;
-    sum += local;
-  });
+  ParallelFor(0, 64, [&](int64_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 64 * 63 / 2);
 }
 
 TEST_F(ParallelForTest, ExceptionPropagatesFromSerialFallback) {
   SetNumThreads(1);
-  EXPECT_THROW(ParallelFor(0, 8, 1,
-                           [](int64_t, int64_t) {
+  EXPECT_THROW(ParallelFor(0, 8,
+                           [](int64_t) {
                              throw std::runtime_error("serial failure");
                            }),
                std::runtime_error);
@@ -99,19 +86,19 @@ TEST_F(ParallelForTest, ExceptionPropagatesFromSerialFallback) {
 TEST_F(ParallelForTest, NestedCallsRunSerially) {
   SetNumThreads(4);
   std::atomic<int> inner_calls{0};
-  ParallelFor(0, 8, 1, [&](int64_t, int64_t) {
-    // Inside a region the nested loop must collapse to one serial call
-    // rather than re-entering the pool.
-    int calls = 0;
-    ParallelFor(0, 100, 1, [&](int64_t lo, int64_t hi) {
-      ++calls;
-      EXPECT_EQ(lo, 0);
-      EXPECT_EQ(hi, 100);
+  ParallelFor(0, 8, [&](int64_t) {
+    // Inside a region the nested loop must run serially, in index order on
+    // this thread, rather than re-entering the pool.
+    const std::thread::id outer = std::this_thread::get_id();
+    int64_t next = 0;
+    ParallelFor(0, 100, [&](int64_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), outer);
+      EXPECT_EQ(i, next++);
     });
-    EXPECT_EQ(calls, 1);
-    inner_calls += calls;
+    EXPECT_EQ(next, 100);
+    inner_calls += static_cast<int>(next);
   });
-  EXPECT_EQ(inner_calls.load(), 8);
+  EXPECT_EQ(inner_calls.load(), 800);
 }
 
 TEST_F(ParallelForTest, SetNumThreadsControlsPoolSize) {
@@ -123,38 +110,108 @@ TEST_F(ParallelForTest, SetNumThreadsControlsPoolSize) {
   EXPECT_GE(NumThreads(), 1);
 }
 
-// Kernel-level determinism: the row-parallel kernels must be bit-identical
-// across thread counts (the contract DESIGN.md documents).
-TEST_F(ParallelForTest, GemmBitIdenticalAcrossThreadCounts) {
-  Rng rng(42);
-  Tensor a(Shape{97, 63});
-  Tensor b(Shape{63, 41});
-  a.FillNormal(&rng, 0.0f, 1.0f);
-  b.FillNormal(&rng, 0.0f, 1.0f);
-
-  Tensor c1(Shape{97, 41});
-  Tensor c4(Shape{97, 41});
-  SetNumThreads(1);
-  Gemm(false, false, 1.0f, a, b, 0.0f, &c1);
-  SetNumThreads(4);
-  Gemm(false, false, 1.0f, a, b, 0.0f, &c4);
-  for (int64_t i = 0; i < c1.num_elements(); ++i) {
-    ASSERT_EQ(c1.data()[i], c4.data()[i]) << "element " << i;
+// Parallelism is across members only: a member's training step and its
+// evaluation run serially on the calling thread, however large the pool.
+// The shapes are large enough to give every conv pass several register
+// tiles and the MLP's GEMMs several row blocks.
+class MemberLevelParallelismTest : public ParallelForTest {
+ protected:
+  static int64_t Regions() {
+    return MetricsRegistry::Global().GetCounter("threadpool.regions")->Value();
   }
+
+  // One SGD step on `x` and one eval batch, at four threads; returns how
+  // many pool regions they opened.
+  static int64_t RegionsOfStepAndEval(Module* net, const Tensor& x,
+                                      int num_classes) {
+    SetNumThreads(4);
+    Rng rng(5);
+    std::vector<int> labels(static_cast<size_t>(x.shape().dim(0)));
+    for (int& label : labels) {
+      label = static_cast<int>(rng.UniformInt(num_classes));
+    }
+    Sgd sgd(net, SgdConfig{});
+    const int64_t before = Regions();
+    Tape tape;
+    tape.Reset(1);
+    net->ZeroGrad();
+    const LossResult loss =
+        SoftmaxCrossEntropyLoss(net->Forward(x, &tape), labels);
+    net->Backward(loss.grad_logits, &tape);
+    sgd.Step();
+    (void)net->Forward(x, nullptr);
+    return Regions() - before;
+  }
+};
+
+TEST_F(MemberLevelParallelismTest, ResNetStepAndEvalOpenNoRegion) {
+  ResNetConfig cfg;
+  cfg.depth = 8;
+  cfg.base_width = 4;
+  cfg.num_classes = 5;
+  ResNet net(cfg, 17);
+  Rng rng(23);
+  Tensor x(Shape{48, 3, 8, 8});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  EXPECT_EQ(RegionsOfStepAndEval(&net, x, cfg.num_classes), 0);
 }
 
-TEST_F(ParallelForTest, SoftmaxBitIdenticalAcrossThreadCounts) {
-  Rng rng(43);
-  Tensor logits(Shape{513, 11});
-  logits.FillNormal(&rng, 0.0f, 3.0f);
+TEST_F(MemberLevelParallelismTest, DenseNetStepAndEvalOpenNoRegion) {
+  DenseNetConfig cfg;
+  cfg.num_classes = 5;
+  DenseNet net(cfg, 17);
+  Rng rng(23);
+  Tensor x(Shape{48, 3, 8, 8});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  EXPECT_EQ(RegionsOfStepAndEval(&net, x, cfg.num_classes), 0);
+}
 
-  SetNumThreads(1);
-  const Tensor p1 = Softmax(logits);
-  SetNumThreads(4);
-  const Tensor p4 = Softmax(logits);
-  for (int64_t i = 0; i < p1.num_elements(); ++i) {
-    ASSERT_EQ(p1.data()[i], p4.data()[i]);
+TEST_F(MemberLevelParallelismTest, TextCnnStepAndEvalOpenNoRegion) {
+  TextCnnConfig cfg;
+  cfg.vocab_size = 60;
+  cfg.seq_len = 64;
+  cfg.filters_per_size = 24;
+  TextCnn net(cfg, 19);
+  Rng rng(37);
+  Tensor ids(Shape{32, cfg.seq_len});
+  for (int64_t i = 0; i < ids.num_elements(); ++i) {
+    ids.data()[i] = static_cast<float>(rng.UniformInt(cfg.vocab_size));
   }
+  EXPECT_EQ(RegionsOfStepAndEval(&net, ids, cfg.num_classes), 0);
+}
+
+TEST_F(MemberLevelParallelismTest, MlpStepAndEvalOpenNoRegion) {
+  MlpConfig cfg;
+  cfg.in_features = 300;
+  cfg.hidden = {256, 64};
+  cfg.num_classes = 100;
+  Mlp net(cfg, 17);
+  Rng rng(23);
+  Tensor x(Shape{512, cfg.in_features});
+  x.FillNormal(&rng, 0.0f, 1.0f);
+  EXPECT_EQ(RegionsOfStepAndEval(&net, x, cfg.num_classes), 0);
+}
+
+TEST_F(MemberLevelParallelismTest, BaggingTrainsMembersInPoolRegions) {
+  SetNumThreads(4);
+  const testing::BlobSplit data =
+      testing::MakeBlobsSplit(64, 16, 4, 3, 1, /*spread=*/1.5f);
+  MethodConfig mc;
+  mc.num_members = 3;
+  mc.epochs_per_member = 1;
+  mc.batch_size = 16;
+  mc.seed = 11;
+  const ModelFactory factory = [](uint64_t seed) {
+    MlpConfig cfg;
+    cfg.in_features = 4;
+    cfg.hidden = {8};
+    cfg.num_classes = 3;
+    return std::make_unique<Mlp>(cfg, seed);
+  };
+  const int64_t before = Regions();
+  EnsembleModel ensemble = Bagging(mc).Train(data.train, factory);
+  EXPECT_EQ(ensemble.size(), 3);
+  EXPECT_GT(Regions(), before);
 }
 
 }  // namespace

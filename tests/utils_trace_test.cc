@@ -56,17 +56,17 @@ TEST_F(TraceExportTest, ExportIsStructurallyValidUnderParallelFor) {
   SetTraceThreadName("main");
   {
     TraceScope outer("trace_test/outer");
-    // Rendezvous workload: four chunks that each wait until all four have
+    // Rendezvous workload: four tasks that each wait until all four have
     // started. The caller drains the queue too, so this pins exactly one
-    // chunk to each of the four pool threads even when the scheduler would
+    // task to each of the four pool threads even when the scheduler would
     // otherwise let the caller run everything — worker-tid attribution
     // stays deterministic on a loaded single-core CI box.
     std::atomic<int> started{0};
-    ParallelFor(0, 4, 1, [&started](int64_t begin, int64_t end) {
+    ParallelFor(0, 4, [&started](int64_t) {
       static const TraceRegion* const region =
           GetTraceRegion("trace_test/chunk");
       TraceScope chunk(region);
-      started.fetch_add(static_cast<int>(end - begin));
+      started.fetch_add(1);
       while (started.load() < 4) std::this_thread::yield();
     });
     TraceCounter("trace_test/progress", 1.0);
@@ -107,7 +107,7 @@ TEST_F(TraceExportTest, ExportIsStructurallyValidUnderParallelFor) {
   }
 
   // One track per pool worker plus the named main thread. With a 4-thread
-  // pool, ParallelFor hands chunks to 3 workers and the caller.
+  // pool, ParallelFor hands tasks to 3 workers and the caller.
   std::set<std::string> names;
   for (const auto& [tid, name] : track_names) names.insert(name);
   EXPECT_TRUE(names.count("main")) << "main track missing";
