@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,9 +72,9 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
                 "path of the machine-readable bench output "
                 "(default: BENCH_<name>.json in the working directory)");
   flags->Define("num_threads", "0",
-                "thread-pool size (0 = auto; benches floor auto at 4 so the "
-                "parallel substrate is always exercised — results are "
-                "bit-identical across pool sizes)");
+                "thread-pool size (0 = the library default: "
+                "EDDE_NUM_THREADS if set, else the hardware concurrency; "
+                "results are bit-identical across pool sizes)");
   flags->Define("checkpoint_dir", "",
                 "directory for crash-consistent round/epoch checkpoints "
                 "(empty = checkpointing off; each run gets a "
@@ -101,17 +100,7 @@ bool InitExperiment(FlagParser* flags, int argc, char** argv) {
   SetTraceThreadName("main");
   ApplyCommonFlags(*flags);
   const int num_threads = flags->GetInt("num_threads");
-  const char* env_threads = std::getenv("EDDE_NUM_THREADS");
-  if (num_threads > 0) {
-    SetNumThreads(num_threads);
-  } else if ((env_threads == nullptr || env_threads[0] == '\0') &&
-             std::thread::hardware_concurrency() < 4) {
-    // On small CI boxes auto-detection would serialize the pool; members
-    // join in slot order whatever the thread count, so this cannot change
-    // any result, only the timeline's worker tracks and the wall time. An
-    // explicit EDDE_NUM_THREADS (or --num_threads) always wins.
-    SetNumThreads(4);
-  }
+  if (num_threads > 0) SetNumThreads(num_threads);
   BenchOutOverride() = flags->GetString("bench_out");
   CheckpointConfig& ckpt = BenchCheckpoint();
   ckpt.dir = flags->GetString("checkpoint_dir");

@@ -17,6 +17,8 @@
 #include "ensemble/adaboost_nc.h"
 #include "ensemble/snapshot.h"
 #include "metrics/diversity.h"
+#include "metrics/metrics.h"
+#include "tensor/ops.h"
 #include "utils/table.h"
 #include "utils/trace.h"
 
@@ -70,9 +72,11 @@ int Run(int argc, char** argv) {
         Row{"EDDE", edde_method.get(), edde_total},
         Row{"AdaBoost.NC", &nc, baseline_total}}) {
     EnsembleModel model = row.method->Train(w.data.train, factory);
-    const double avg = model.AverageMemberAccuracy(w.data.test);
-    const double ens = model.EvaluateAccuracy(w.data.test);
-    const double div = EnsembleDiversity(model.MemberProbs(w.data.test));
+    const std::vector<Tensor> probs = model.MemberProbs(w.data.test);
+    const double avg = MeanMemberAccuracy(probs, w.data.test.labels());
+    const double ens =
+        Accuracy(ArgmaxRows(model.Combine(probs)), w.data.test.labels());
+    const double div = EnsembleDiversity(probs);
     RecordHeadline(row.name + "/ensemble_acc", ens);
     RecordHeadline(row.name + "/diversity", div);
     table.AddRow({row.name, std::to_string(row.epochs), FormatPercent(avg),

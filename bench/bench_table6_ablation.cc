@@ -20,6 +20,8 @@
 #include "bench_common.h"
 #include "ensemble/adaboost_nc.h"
 #include "metrics/diversity.h"
+#include "metrics/metrics.h"
+#include "tensor/ops.h"
 #include "utils/table.h"
 #include "utils/trace.h"
 
@@ -49,12 +51,13 @@ int Run(int argc, char** argv) {
 
   auto add_row = [&](const std::string& name, EnsembleMethod* method) {
     EnsembleModel model = method->Train(w.data.train, factory);
-    const double acc = model.EvaluateAccuracy(w.data.test);
+    const std::vector<Tensor> probs = model.MemberProbs(w.data.test);
+    const std::vector<int>& labels = w.data.test.labels();
+    const double acc = Accuracy(ArgmaxRows(model.Combine(probs)), labels);
     RecordHeadline(name + "/ensemble_acc", acc);
     table.AddRow({name, FormatPercent(acc),
-                  FormatFloat(EnsembleDiversity(model.MemberProbs(w.data.test)),
-                              4),
-                  FormatPercent(model.AverageMemberAccuracy(w.data.test))});
+                  FormatFloat(EnsembleDiversity(probs), 4),
+                  FormatPercent(MeanMemberAccuracy(probs, labels))});
     std::fprintf(stderr, "[table6] %s done (%.1fs elapsed)\n", name.c_str(),
                  total.Seconds());
   };

@@ -17,7 +17,9 @@
 #include "ensemble/single.h"
 #include "ensemble/snapshot.h"
 #include "metrics/diversity.h"
+#include "metrics/metrics.h"
 #include "nn/resnet.h"
+#include "tensor/ops.h"
 #include "utils/flags.h"
 #include "utils/table.h"
 #include "utils/trace.h"
@@ -82,13 +84,13 @@ int main(int argc, char** argv) {
   for (auto& method : methods) {
     edde::Timer timer;
     edde::EnsembleModel model = method->Train(data.train, factory);
-    const double acc = model.EvaluateAccuracy(data.test);
-    const double avg = model.AverageMemberAccuracy(data.test);
+    const std::vector<edde::Tensor> probs = model.MemberProbs(data.test);
+    const double acc = edde::Accuracy(edde::ArgmaxRows(model.Combine(probs)),
+                                      data.test.labels());
+    const double avg = edde::MeanMemberAccuracy(probs, data.test.labels());
     const std::string div =
-        model.size() >= 2
-            ? edde::FormatFloat(
-                  edde::EnsembleDiversity(model.MemberProbs(data.test)), 4)
-            : "-";
+        model.size() >= 2 ? edde::FormatFloat(edde::EnsembleDiversity(probs), 4)
+                          : "-";
     table.AddRow({method->name(), edde::FormatPercent(acc),
                   edde::FormatPercent(avg), div,
                   edde::FormatFloat(timer.Seconds(), 1) + "s"});

@@ -15,7 +15,9 @@
 #include "data/synthetic_image.h"
 #include "ensemble/single.h"
 #include "metrics/diversity.h"
+#include "metrics/metrics.h"
 #include "nn/resnet.h"
+#include "tensor/ops.h"
 #include "utils/flags.h"
 #include "utils/trace.h"
 
@@ -92,10 +94,12 @@ int main(int argc, char** argv) {
   edde::Timer timer;
   edde::EnsembleModel ensemble = edde_method.Train(data.train, factory);
   const double edde_time = timer.Seconds();
-  const double edde_acc = ensemble.EvaluateAccuracy(data.test);
-  const double avg_acc = ensemble.AverageMemberAccuracy(data.test);
-  const double diversity =
-      edde::EnsembleDiversity(ensemble.MemberProbs(data.test));
+  // One pass of every member over the test set feeds all three numbers.
+  const std::vector<edde::Tensor> probs = ensemble.MemberProbs(data.test);
+  const double edde_acc = edde::Accuracy(
+      edde::ArgmaxRows(ensemble.Combine(probs)), data.test.labels());
+  const double avg_acc = edde::MeanMemberAccuracy(probs, data.test.labels());
+  const double diversity = edde::EnsembleDiversity(probs);
 
   // 5. Single model with the same total budget.
   edde::SingleModel single(method_cfg);

@@ -184,12 +184,9 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
 
   EnsembleModel ensemble;
 
-  // Round-stats collection is read-only observation: it draws nothing from
-  // the RNG, so trained ensembles are bit-identical with telemetry on or
-  // off. The Eq. 7 diversity recomputation needs every member's training
-  // probs, so that history is kept only when somebody is listening.
-  const bool collect_stats = options_.round_stats != nullptr ||
-                             MetricsRegistry::Global().events_enabled();
+  // Every member's soft targets on `train`, in member order, each computed
+  // once, in the round that trained it: H_{t−1} is their Eq. 16
+  // combination, and Eq. 7 diversity reads them too.
   std::vector<Tensor> member_train_probs;
 
   // Crash consistency (DESIGN.md §11): the round loop restores members, α,
@@ -211,17 +208,14 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     }
     // Completed rounds are handed to the observer from the checkpoint
     // (no JSONL re-emission — those records were already written by the
-    // original process). Derived per-member state is recomputed, which
-    // is exact because PredictProbs is deterministic.
+    // original process). The restored members' soft targets are
+    // recomputed, one pass each: eval is deterministic and packing a
+    // member for eval keeps its bits, so they equal the lost originals.
     if (options_.round_stats != nullptr) {
       options_.round_stats->insert(options_.round_stats->end(),
                                    stats_log.begin(), stats_log.end());
     }
-    if (collect_stats) {
-      for (int64_t i = 0; i < ensemble.size(); ++i) {
-        member_train_probs.push_back(PredictProbs(ensemble.member(i), train));
-      }
-    }
+    member_train_probs = ensemble.MemberProbs(train);
   }
   auto end_round = [&](int epochs, const EddeRoundStats& stats) {
     RecordRoundStats(stats, options_.round_stats);
@@ -243,7 +237,8 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     // the ½·log of that ratio so α₁ lives on the same scale as the later
     // α_t of Eq. 15 (the paper's line 4 as printed would give the first
     // member an outsized vote).
-    const std::vector<int> preds = PredictLabels(h1.get(), train);
+    Tensor h1_probs = PredictProbs(h1.get(), train);
+    const std::vector<int> preds = ArgmaxRows(h1_probs);
     int64_t correct = 0;
     for (int64_t i = 0; i < n; ++i) {
       if (preds[static_cast<size_t>(i)] ==
@@ -256,9 +251,7 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
         0.5 * std::log(std::max(static_cast<double>(correct), 1.0) /
                        std::max(wrong, 1.0));
     const double alpha1 = std::clamp(raw_alpha1, kAlphaMin, kAlphaMax);
-    if (collect_stats) {
-      member_train_probs.push_back(PredictProbs(h1.get(), train));
-    }
+    member_train_probs.push_back(std::move(h1_probs));
     ensemble.AddMember(std::move(h1), alpha1);
 
     EddeRoundStats stats;
@@ -279,13 +272,12 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     TraceScope round_scope(round_region);
     Timer round_timer;
     // Soft targets of the current ensemble H_{t−1} on the training set.
-    const Tensor ensemble_probs = ensemble.PredictProbs(train);
-    Tensor diversity_reference = ensemble_probs;
-    if (options_.diversity_target ==
-        EddeOptions::DiversityTarget::kPreviousMember) {
-      diversity_reference =
-          PredictProbs(ensemble.member(ensemble.size() - 1), train);
-    }
+    const Tensor ensemble_probs = ensemble.Combine(member_train_probs);
+    const Tensor& diversity_reference =
+        options_.diversity_target ==
+                EddeOptions::DiversityTarget::kPreviousMember
+            ? member_train_probs.back()
+            : ensemble_probs;
 
     // Line 7: I(D, W_{t−1}, h_{t−1}, H_{t−1}, γ, β) — warm start + train.
     //
@@ -383,9 +375,7 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     const double alpha = std::clamp(raw_alpha, kAlphaMin, kAlphaMax);
     weights = std::move(new_weights);
 
-    if (collect_stats) {
-      member_train_probs.push_back(member_probs);
-    }
+    member_train_probs.push_back(std::move(member_probs));
     ensemble.AddMember(std::move(ht), alpha);
 
     EddeRoundStats stats;
@@ -394,9 +384,7 @@ EnsembleModel EddeMethod::Train(const Dataset& train,
     stats.alpha_clamped = raw_alpha != alpha;
     stats.correct_sim_mass = correct_mass;
     stats.wrong_sim_mass = wrong_mass;
-    if (collect_stats) {
-      stats.mean_pairwise_div = EnsembleDiversity(member_train_probs);
-    }
+    stats.mean_pairwise_div = EnsembleDiversity(member_train_probs);
     SummarizeWeights(weights, &stats);
     stats.round_seconds = round_timer.Seconds();
     end_round(config_.epochs_per_member, stats);

@@ -17,9 +17,10 @@ inline constexpr double kAlphaMax = 4.0;
 
 /// Telemetry of one EDDE boosting round (Algorithm 1 lines 6-15): the
 /// quantities the paper analyses in Tables IV-VI, captured while training
-/// instead of recomputed afterwards. Collected only when a metrics sink is
-/// configured or EddeOptions::round_stats is set; collection is read-only
-/// (no RNG draws), so it never perturbs the trained ensemble.
+/// instead of recomputed afterwards. Collected in every run from state the
+/// round computes anyway (the diversity from the members' training-set
+/// soft targets, which EDDE keeps for H_{t−1}); collection is read-only (no
+/// RNG draws), so it never perturbs the trained ensemble.
 struct EddeRoundStats {
   int round = 0;                  ///< t, 1-based.
   double alpha = 0.0;             ///< α_t after clamping.

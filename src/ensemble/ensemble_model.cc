@@ -77,15 +77,19 @@ std::vector<int64_t> EnsembleModel::AlphaDescendingOrder() const {
 
 Tensor EnsembleModel::PredictProbs(const Dataset& data,
                                    int64_t batch_size) const {
-  EDDE_CHECK(!members_.empty()) << "empty ensemble";
+  return Combine(MemberProbs(data, batch_size));
+}
+
+Tensor EnsembleModel::Combine(const std::vector<Tensor>& member_probs) const {
+  EDDE_CHECK(!member_probs.empty()) << "empty ensemble";
+  EDDE_CHECK_EQ(member_probs.size(), alphas_.size())
+      << "one soft-target tensor per member";
+  // Serial in member order, so the float32 reduction is deterministic.
   const double alpha_sum = AlphaSum();
-  // Members are evaluated concurrently — each owns its model, so the only
-  // shared state is the read-only dataset. The α-weighted combination stays
-  // serial in member order, keeping the reduction deterministic.
-  const std::vector<Tensor> probs = MemberProbs(data, batch_size);
-  Tensor combined(Shape{data.size(), data.num_classes()}, 0.0f);
-  for (size_t t = 0; t < probs.size(); ++t) {
-    Axpy(static_cast<float>(alphas_[t] / alpha_sum), probs[t], &combined);
+  Tensor combined(member_probs[0].shape(), 0.0f);
+  for (size_t t = 0; t < member_probs.size(); ++t) {
+    Axpy(static_cast<float>(alphas_[t] / alpha_sum), member_probs[t],
+         &combined);
   }
   return combined;
 }
@@ -93,8 +97,7 @@ Tensor EnsembleModel::PredictProbs(const Dataset& data,
 Tensor EnsembleModel::MemberProbsOnBatch(int64_t t, const Tensor& batch) const {
   EDDE_CHECK_GE(t, 0);
   EDDE_CHECK_LT(t, size());
-  Tensor logits =
-      members_[static_cast<size_t>(t)]->Forward(batch, /*training=*/false);
+  Tensor logits = members_[static_cast<size_t>(t)]->Forward(batch, nullptr);
   return Softmax(logits);
 }
 
@@ -117,20 +120,6 @@ std::vector<Tensor> EnsembleModel::MemberProbs(const Dataset& data,
         members_[static_cast<size_t>(t)].get(), data, batch_size);
   });
   return out;
-}
-
-double EnsembleModel::AverageMemberAccuracy(const Dataset& data,
-                                            int64_t batch_size) const {
-  EDDE_CHECK(!members_.empty());
-  const int64_t num_members = size();
-  std::vector<double> member_acc(static_cast<size_t>(num_members), 0.0);
-  ParallelFor(0, num_members, [&](int64_t t) {
-    member_acc[static_cast<size_t>(t)] = edde::EvaluateAccuracy(
-        members_[static_cast<size_t>(t)].get(), data, batch_size);
-  });
-  double acc = 0.0;
-  for (double a : member_acc) acc += a;
-  return acc / static_cast<double>(num_members);
 }
 
 // ---------------------------------------------------------------------------

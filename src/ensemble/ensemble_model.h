@@ -44,8 +44,16 @@ class EnsembleModel {
   /// evaluation order of the serving cascade: heaviest voters first.
   std::vector<int64_t> AlphaDescendingOrder() const;
 
-  /// α-weighted average of the members' softmax outputs on `data` (Eq. 16).
+  /// α-weighted average of the members' softmax outputs on `data` (Eq. 16):
+  /// Combine(MemberProbs(data)).
   Tensor PredictProbs(const Dataset& data, int64_t batch_size = 128) const;
+
+  /// Eq. 16 over soft targets already computed, one (N, K) tensor per
+  /// member in member order: Σ_t (α_t/Σα)·p_t, accumulated in float32 in
+  /// member order. The one combination path: PredictProbs runs it, and
+  /// callers holding every member's probs (EDDE's H_{t−1}, the benches'
+  /// one MemberProbs pass) run it without evaluating a member again.
+  Tensor Combine(const std::vector<Tensor>& member_probs) const;
 
   /// Eval-mode softmax probs of member `t` on a raw feature batch whose
   /// leading axis indexes rows. The serving path feeds coalesced request
@@ -59,15 +67,11 @@ class EnsembleModel {
   /// Ensemble accuracy on `data`.
   double EvaluateAccuracy(const Dataset& data, int64_t batch_size = 128) const;
 
-  /// Each member's own (N, K) soft targets on `data` — inputs to the
-  /// diversity measures and to the Fig. 8 similarity heatmaps.
+  /// Each member's own (N, K) soft targets on `data` — inputs to Combine,
+  /// to the diversity measures, to MeanMemberAccuracy (metrics/metrics.h)
+  /// and to the Fig. 8 similarity heatmaps. Members run concurrently.
   std::vector<Tensor> MemberProbs(const Dataset& data,
                                   int64_t batch_size = 128) const;
-
-  /// Mean accuracy of the individual members ("Average accuracy" in the
-  /// paper's Table IV/VI).
-  double AverageMemberAccuracy(const Dataset& data,
-                               int64_t batch_size = 128) const;
 
  private:
   std::vector<std::unique_ptr<Module>> members_;

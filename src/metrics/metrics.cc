@@ -26,7 +26,7 @@ Tensor PredictProbs(Module* model, const Dataset& data, int64_t batch_size) {
   const auto batches = MakeBatches(n, batch_size, /*shuffle=*/false, nullptr);
   for (const auto& batch : batches) {
     Tensor x = data.GatherFeatures(batch);
-    Tensor logits = model->Forward(x, /*training=*/false);
+    Tensor logits = model->Forward(x, nullptr);
     Tensor p = Softmax(logits);
     for (size_t i = 0; i < batch.size(); ++i) {
       std::memcpy(probs.data() + batch[i] * k,
@@ -44,6 +44,16 @@ std::vector<int> PredictLabels(Module* model, const Dataset& data,
 double EvaluateAccuracy(Module* model, const Dataset& data,
                         int64_t batch_size) {
   return Accuracy(PredictLabels(model, data, batch_size), data.labels());
+}
+
+double MeanMemberAccuracy(const std::vector<Tensor>& member_probs,
+                          const std::vector<int>& labels) {
+  EDDE_CHECK(!member_probs.empty());
+  double total = 0.0;
+  for (const Tensor& probs : member_probs) {
+    total += Accuracy(ArgmaxRows(probs), labels);
+  }
+  return total / static_cast<double>(member_probs.size());
 }
 
 }  // namespace edde

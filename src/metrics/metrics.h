@@ -25,6 +25,13 @@ std::vector<int> PredictLabels(Module* model, const Dataset& data,
 double EvaluateAccuracy(Module* model, const Dataset& data,
                         int64_t batch_size = 128);
 
+/// Mean of the members' own accuracies ("Average accuracy" in the paper's
+/// Tables IV and VI), from each member's (N, K) soft targets — e.g. one
+/// EnsembleModel::MemberProbs pass, which Combine and the diversity
+/// measures read too.
+double MeanMemberAccuracy(const std::vector<Tensor>& member_probs,
+                          const std::vector<int>& labels);
+
 }  // namespace edde
 
 #endif  // EDDE_METRICS_METRICS_H_

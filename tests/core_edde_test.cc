@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "core/edde.h"
+#include "data/synthetic_image.h"
 #include "metrics/diversity.h"
 #include "metrics/metrics.h"
 #include "nn/mlp.h"
+#include "nn/resnet.h"
 #include "test_util.h"
+#include "utils/json.h"
+#include "utils/metrics.h"
+#include "utils/trace.h"
 
 namespace edde {
 namespace {
@@ -88,7 +97,8 @@ TEST(EddeTest, EnsembleBeatsAverageMember) {
   EddeMethod method(fx.config, fx.options);
   EnsembleModel model = method.Train(fx.train, fx.factory);
   EXPECT_GT(model.EvaluateAccuracy(fx.test),
-            model.AverageMemberAccuracy(fx.test) - 1e-9);
+            MeanMemberAccuracy(model.MemberProbs(fx.test), fx.test.labels()) -
+                1e-9);
 }
 
 TEST(EddeTest, AccuracyIsWellAboveChance) {
@@ -186,8 +196,171 @@ TEST(EddeTest, MultiplicativeWeightUpdateVariantRuns) {
 }
 
 // ---------------------------------------------------------------------------
+// Member passes over the training set: EDDE evaluates each member on
+// `train` once, in the round that trains it, and keeps those soft targets
+// for H_{t−1}, the kPreviousMember reference and Eq. 7.
+// ---------------------------------------------------------------------------
+
+/// Counts the rows that eval-mode Forward sees and the batches that
+/// training-mode Forward sees, summed over every member of one factory
+/// (MemberProbs may evaluate members concurrently).
+class PassCounter : public Module {
+ public:
+  struct Counts {
+    std::atomic<int64_t> eval_rows{0};
+    std::atomic<int64_t> train_batches{0};
+  };
+
+  PassCounter(std::unique_ptr<Module> inner, std::shared_ptr<Counts> counts)
+      : inner_(std::move(inner)), counts_(std::move(counts)) {}
+
+  void CollectParameters(std::vector<Parameter*>* out) override {
+    inner_->CollectParameters(out);
+  }
+  std::string name() const override { return inner_->name(); }
+  void PackForEval() override { inner_->PackForEval(); }
+
+ protected:
+  Tensor ForwardImpl(const Tensor& input, Tape* tape) override {
+    if (tape == nullptr) {
+      counts_->eval_rows += input.shape().dim(0);
+    } else {
+      ++counts_->train_batches;
+    }
+    return inner_->Forward(input, tape);
+  }
+  Tensor BackwardImpl(const Tensor& grad_output, Tape* tape) override {
+    return inner_->Backward(grad_output, tape);
+  }
+
+ private:
+  std::unique_ptr<Module> inner_;
+  std::shared_ptr<Counts> counts_;
+};
+
+struct PassFixture {
+  TrainTestSplit data = [] {
+    SyntheticImageConfig cfg;
+    cfg.num_classes = 3;
+    cfg.train_size = 96;
+    cfg.test_size = 16;
+    cfg.image_size = 8;
+    cfg.seed = 3;
+    return MakeSyntheticImageData(cfg);
+  }();
+  std::shared_ptr<PassCounter::Counts> counts =
+      std::make_shared<PassCounter::Counts>();
+  ModelFactory factory = [counts = counts](uint64_t seed) {
+    ResNetConfig cfg;
+    cfg.depth = 8;
+    cfg.base_width = 2;
+    cfg.num_classes = 3;
+    return std::make_unique<PassCounter>(std::make_unique<ResNet>(cfg, seed),
+                                         counts);
+  };
+  MethodConfig config = [] {
+    MethodConfig mc;
+    mc.num_members = 4;
+    mc.epochs_per_member = 1;
+    mc.batch_size = 32;
+    mc.seed = 5;
+    return mc;
+  }();
+
+  /// Eval-mode rows that `passes` passes over the training set take.
+  int64_t PassRows(int64_t passes) const { return passes * data.train.size(); }
+};
+
+class EddeTrainPassesTest
+    : public ::testing::TestWithParam<EddeOptions::DiversityTarget> {};
+
+TEST_P(EddeTrainPassesTest, EachMemberEvaluatesTrainOnce) {
+  PassFixture fx;
+  EddeOptions eo;
+  eo.diversity_target = GetParam();
+  EnsembleModel model =
+      EddeMethod(fx.config, eo).Train(fx.data.train, fx.factory);
+  ASSERT_EQ(model.size(), 4);
+  EXPECT_EQ(fx.counts->eval_rows.load(), fx.PassRows(4));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DiversityTargets, EddeTrainPassesTest,
+    ::testing::Values(EddeOptions::DiversityTarget::kEnsemble,
+                      EddeOptions::DiversityTarget::kPreviousMember));
+
+TEST(EddeTrainPassesResumeTest, ResumedRunEvaluatesEachMemberOnce) {
+  // A run resumed after round 2 evaluates its two restored members once
+  // each, then each of the two members it trains once: T passes again.
+  namespace fs = std::filesystem;
+  PassFixture fx;
+  const fs::path dir = fs::path(::testing::TempDir()) / "edde_pass_resume";
+  fs::remove_all(dir);
+  fx.config.checkpoint.dir = dir.string();
+  fx.config.checkpoint.every = 1;
+  fx.config.checkpoint.keep = 10;
+  const EddeOptions eo;
+  const EnsembleModel reference =
+      EddeMethod(fx.config, eo).Train(fx.data.train, fx.factory);
+  const int64_t full_train_batches = fx.counts->train_batches.load();
+
+  int removed = 0;
+  for (const fs::directory_entry& run : fs::directory_iterator(dir)) {
+    for (const char* name : {"ckpt_00000003.edde", "ckpt_00000004.edde"}) {
+      removed += fs::remove(run.path() / name) ? 1 : 0;
+    }
+  }
+  ASSERT_EQ(removed, 2);
+
+  fx.counts->eval_rows = 0;
+  fx.counts->train_batches = 0;
+  const EnsembleModel resumed =
+      EddeMethod(fx.config, eo).Train(fx.data.train, fx.factory);
+  EXPECT_EQ(resumed.alphas(), reference.alphas());
+  // Resumed, not retrained from scratch: only rounds 3 and 4 train.
+  EXPECT_GT(fx.counts->train_batches.load(), 0);
+  EXPECT_LT(fx.counts->train_batches.load(), full_train_batches);
+  EXPECT_EQ(fx.counts->eval_rows.load(), fx.PassRows(4));
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Round telemetry (EddeRoundStats)
 // ---------------------------------------------------------------------------
+
+TEST(EddeRoundStatsTest, DiversityCounterTracedWithoutSinkOrObserver) {
+  // The edde.mean_pairwise_div trace counter carries the real Eq. 7 value
+  // in a run traced with no JSONL sink and no round_stats observer.
+  ASSERT_FALSE(MetricsRegistry::Global().events_enabled());
+  Fixture fx;
+  const std::string path = ::testing::TempDir() + "/edde_div_trace.json";
+  ResetTraceBuffers();
+  SetTracePath(path);
+  EddeMethod(fx.config, fx.options).Train(fx.train, fx.factory);
+  const Status dumped = DumpTraceTo(path);
+  SetTracePath("");
+  ResetTraceBuffers();
+  ASSERT_TRUE(dumped.ok()) << dumped.ToString();
+
+  JsonValue root;
+  const Status parsed = JsonValue::ParseFile(path, &root);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  std::remove(path.c_str());
+  const JsonValue* events = root.Get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<double> div;  // one sample per round, in round order
+  for (const JsonValue& e : events->AsArray()) {
+    if (e.GetStringOr("ph", "") == "C" &&
+        e.GetStringOr("name", "") == "edde.mean_pairwise_div") {
+      div.push_back(e.Get("args")->GetNumberOr("value", -1.0));
+    }
+  }
+  ASSERT_EQ(div.size(), 4u);
+  EXPECT_EQ(div[0], 0.0);  // Eq. 7 needs T >= 2
+  for (size_t round = 2; round <= div.size(); ++round) {
+    EXPECT_GT(div[round - 1], 0.0) << "round " << round;
+  }
+}
 
 TEST(EddeRoundStatsTest, OneRecordPerMemberWithSaneValues) {
   Fixture fx;

@@ -132,7 +132,23 @@ TEST(EnsembleModelTest, MemberProbsMatchesIndividualPredictions) {
   }
 }
 
-TEST(EnsembleModelTest, AverageMemberAccuracyIsMeanOfAccuracies) {
+TEST(EnsembleModelTest, PredictProbsIsCombineOfMemberProbs) {
+  // Eq. 16 has one implementation: PredictProbs is Combine over one
+  // MemberProbs pass, bit for bit, for unequal α.
+  EnsembleModel m;
+  m.AddMember(SmallMlp(12), 0.3);
+  m.AddMember(SmallMlp(13), 1.7);
+  m.AddMember(SmallMlp(14), 0.9);
+  Dataset data = MakeBlobs(37, 4, 3, 8);
+  const Tensor direct = m.PredictProbs(data);
+  const Tensor combined = m.Combine(m.MemberProbs(data));
+  ASSERT_EQ(direct.shape(), combined.shape());
+  EXPECT_EQ(std::memcmp(direct.data(), combined.data(),
+                        sizeof(float) * direct.num_elements()),
+            0);
+}
+
+TEST(EnsembleModelTest, MeanMemberAccuracyIsMeanOfAccuracies) {
   EnsembleModel m;
   auto m1 = SmallMlp(10);
   auto m2 = SmallMlp(11);
@@ -141,7 +157,7 @@ TEST(EnsembleModelTest, AverageMemberAccuracyIsMeanOfAccuracies) {
   m.AddMember(std::move(m1), 1.0);
   m.AddMember(std::move(m2), 1.0);
   Dataset data = MakeBlobs(40, 4, 3, 7);
-  const double avg = m.AverageMemberAccuracy(data);
+  const double avg = MeanMemberAccuracy(m.MemberProbs(data), data.labels());
   const double manual =
       (EvaluateAccuracy(r1, data) + EvaluateAccuracy(r2, data)) / 2.0;
   EXPECT_DOUBLE_EQ(avg, manual);
